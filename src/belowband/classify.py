@@ -32,7 +32,7 @@ from .reduction import (
 from .states import (
     EigenState,
     IntegrabilityClass,
-    residual,
+    integrability_class,
     state_for_delta_r,
     states_for_delta_c,
     states_for_odd,
@@ -91,18 +91,8 @@ class ConsistencyError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Cached Green evaluations and per-dimension constants
+# Per-dimension constants
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _green_cached(n: int, z: float, cfg: QuadratureConfig) -> GreenValues:
-    return green_values(n, z, cfg)
-
-
-@lru_cache(maxsize=None)
-def _threshold_cached(n: int, cfg: QuadratureConfig) -> GreenValues:
-    return green_threshold(n, cfg)
-
 
 @dataclass(frozen=True)
 class SpectralConstants:
@@ -121,7 +111,7 @@ class SpectralConstants:
 
 @lru_cache(maxsize=None)
 def spectral_constants(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> SpectralConstants:
-    greens0 = _threshold_cached(n, cfg)
+    greens0 = green_threshold(n, cfg)
     crit = critical_couplings(n, greens0)
     return SpectralConstants(
         n=n,
@@ -299,41 +289,35 @@ def cell_label(n: int, even: EvenRegion, odd: OddRegion) -> tuple[str, int]:
 # Root location
 # ---------------------------------------------------------------------------
 
-_LADDER = tuple(-(2.0 ** k) for k in range(20, -41, -1))  # -2^20 .. -2^-40
+_LADDER = tuple(-(2.0 ** k) for k in range(40, -41, -1))  # -2^40 .. -2^-40
 _BRENTQ_KW = dict(xtol=1e-13, rtol=4 * np.finfo(float).eps, maxiter=200)
 
 
 def _hyper_value(params: ModelParams, z: float, cfg: QuadratureConfig) -> float:
-    g = _green_cached(params.n, z, cfg)
+    g = green_values(params.n, z, cfg)
     return (params.lam - g.ratio_ab) * (params.mu - (params.n - z)) - params.n
 
 
-def _edge_root(params: ModelParams, u_top: float, f_top: float, limit: float,
-               cfg: QuadratureConfig) -> float:
-    """Root of H_z between the scan ladder and the band edge, in u = ln(-z).
+def _edge_root(fn, u_top: float, f_top: float, failure: str) -> float:
+    """Root of fn(z) between -exp(u_top) and the band edge, in u = ln(-z).
 
-    Near z = 0 the hyperbola function converges to its limit only
-    logarithmically for n <= 2, so a root squeezed against the edge can sit
-    at -z far below any linear ladder.  H extends continuously to the edge,
-    which gives a bracket in the log variable whenever the topmost ladder
-    value and the z -> 0- limit have opposite signs.
+    Near z = 0 the determinant factors converge to their limits slowly
+    (logarithmically for n <= 2), so a root squeezed against the edge can
+    sit at -z far below any linear ladder.  They extend continuously to the
+    edge, which gives a bracket in u whenever f_top and the z -> 0- limit
+    have opposite signs.
     """
-    fn = lambda u: _hyper_value(params, -math.exp(u), cfg)
-    u = u_top
-    f = f_top
+    f_of_u = lambda u: fn(-math.exp(u))
+    u, f = u_top, f_top
     while u > -700.0:
         u_next = max(u - 80.0, -700.0)
-        f_next = fn(u_next)
+        f_next = f_of_u(u_next)
         if f_next == 0.0:
             return -math.exp(u_next)
         if f_next * f < 0.0:
-            u_root = float(brentq(fn, u_next, u, **_BRENTQ_KW))
-            return -math.exp(u_root)
+            return -math.exp(float(brentq(f_of_u, u_next, u, **_BRENTQ_KW)))
         u, f = u_next, f_next
-    raise RootScanError(
-        f"a zero of delta_r lies closer to the band edge than exp(-700) for "
-        f"(n={params.n}, lambda={params.lam}, mu={params.mu}); the limit "
-        f"value there is {limit}")
+    raise RootScanError(failure)
 
 
 def _scan_brackets(fn, grid):
@@ -354,9 +338,9 @@ def _delta_r_roots(params: ModelParams, expected: int,
     """Zeros of delta_r in (-inf, 0) via sign scan of the hyperbola function.
 
     delta_r = b(z) H_z with b > 0, so the zeros coincide and H_z is much
-    better conditioned near the band edge.  The log-spaced ladder is
-    densified (and deepened) when the region prescribes more roots than the
-    scan found; a persistent mismatch is reported with the sign table.
+    better conditioned near the band edge.  Missing roots after one ladder
+    scan are sought against the band edge, then in a 16-fold refined
+    ladder; a persistent mismatch is reported with the sign table.
     """
     if expected == 0:
         return []
@@ -364,30 +348,26 @@ def _delta_r_roots(params: ModelParams, expected: int,
     grid = list(_LADDER)
     brackets, values = _scan_brackets(fn, grid)
     edge = []
-    rounds = 0
-    while len(brackets) + len(edge) < expected and rounds < 3:
-        if rounds == 0 and min(grid) > -(2.0 ** 40):
-            deeper = [-(2.0 ** k) for k in range(40, 20, -1)]
-            grid = deeper + grid
-            brackets, values = _scan_brackets(fn, grid)
-        elif rounds == 1 and not edge:
-            # one root may be squeezed against the band edge, beyond the
-            # ladder: detectable as a sign mismatch between the topmost
-            # ladder value and the z -> 0- limit of the hyperbola function
-            consts = spectral_constants(params.n, cfg)
-            limit = hyperbola_limit(params.n, params.lam, params.mu,
-                                    consts.x_asymptote)
-            if limit != 0.0 and values[-1] * limit < 0.0:
-                edge.append(_edge_root(params, math.log(-grid[-1]),
-                                       values[-1], limit, cfg))
-        else:
-            dense = []
-            for z0, z1 in zip(grid, grid[1:]):
-                dense.extend(np.linspace(z0, z1, 17)[:-1])
-            dense.append(grid[-1])
-            grid = dense
-            brackets, values = _scan_brackets(fn, grid)
-        rounds += 1
+    if len(brackets) < expected:
+        # one root may be squeezed against the band edge, beyond the
+        # ladder: detectable as a sign mismatch between the topmost ladder
+        # value and the z -> 0- limit of the hyperbola function
+        consts = spectral_constants(params.n, cfg)
+        limit = hyperbola_limit(params.n, params.lam, params.mu,
+                                consts.x_asymptote)
+        if limit != 0.0 and values[-1] * limit < 0.0:
+            edge.append(_edge_root(
+                fn, math.log(-grid[-1]), values[-1],
+                f"a zero of delta_r lies closer to the band edge than exp(-700) "
+                f"for (n={params.n}, lambda={params.lam}, mu={params.mu}); the "
+                f"limit value there is {limit}"))
+    if len(brackets) + len(edge) < expected:
+        dense = []
+        for z0, z1 in zip(grid, grid[1:]):
+            dense.extend(np.linspace(z0, z1, 17)[:-1])
+        dense.append(grid[-1])
+        grid = dense
+        brackets, values = _scan_brackets(fn, grid)
     if len(brackets) + len(edge) != expected:
         raise RootScanError(
             f"expected {expected} zero(s) of delta_r for (n={params.n}, "
@@ -404,7 +384,7 @@ def _monotone_root(params: ModelParams, which: str,
                    cfg: QuadratureConfig) -> float:
     """Unique zero of lam*q(z) - 1 for the increasing integral q = c-d or s."""
     def fn(z: float) -> float:
-        g = _green_cached(params.n, z, cfg)
+        g = green_values(params.n, z, cfg)
         q = g.cd if which == "cd" else g.s
         return params.lam * q - 1.0
 
@@ -412,9 +392,10 @@ def _monotone_root(params: ModelParams, which: str,
     f_hi = fn(hi)
     if f_hi == 0.0:
         return hi
-    if f_hi < 0.0:
-        raise RootScanError(
-            f"no sign change available for the {which} root at lambda={params.lam}")
+    if f_hi < 0.0:  # lam > 1/q(0): the root lies between ladder and edge
+        return _edge_root(fn, math.log(-hi), f_hi,
+                          f"the {which} root at lambda={params.lam} lies closer "
+                          "to the band edge than exp(-700)")
     lo = None
     table = [(hi, f_hi)]
     z = -1.0
@@ -484,8 +465,8 @@ def negative_eigenvalues(params: ModelParams, tol: float = REGION_TOL,
 def eigenstates(params: ModelParams, record: EigenvalueRecord,
                 cfg: QuadratureConfig = DEFAULT_CONFIG) -> list[EigenState]:
     """Closed-form eigenfunction basis for one eigenvalue record."""
-    greens = (_green_cached(params.n, record.z, cfg) if record.z < 0.0
-              else _threshold_cached(params.n, cfg))
+    greens = (green_values(params.n, record.z, cfg) if record.z < 0.0
+              else spectral_constants(params.n, cfg).greens0)
     if record.origin == "delta_r":
         return [state_for_delta_r(params, record.z, greens)]
     if record.origin == "delta_c":
@@ -538,11 +519,9 @@ class ThresholdReport:
 
 def _threshold_entries(params: ModelParams, even: EvenRegion, odd: OddRegion,
                        cfg: QuadratureConfig) -> list[ThresholdEntry]:
-    from .states import integrability_class  # local alias for clarity
-
     n = params.n
     entries: list[ThresholdEntry] = []
-    greens0 = _threshold_cached(n, cfg)
+    greens0 = spectral_constants(n, cfg).greens0
     # rank-one even state on the limiting hyperbola; absent for n <= 2
     if n >= 3 and even.curve in ("Gamma_l", "Gamma_r"):
         state = state_for_delta_r(params, 0.0, greens0)
@@ -620,9 +599,3 @@ def summarize(params: ModelParams, tol: float = REGION_TOL,
         threshold=report,
         essential_spectrum=(0.0, 2.0 * params.n),
     )
-
-
-def state_residual(params: ModelParams, state: EigenState,
-                   cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Convenience re-export of the fixed-point residual."""
-    return residual(params, state, cfg)

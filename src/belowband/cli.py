@@ -29,6 +29,7 @@ from .classify import (
     negative_eigenvalues,
     snap_params,
     summarize,
+    threshold_report,
 )
 from .green import (
     DEFAULT_CONFIG,
@@ -63,15 +64,27 @@ def _parse_range(text: str) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
+def _nonempty(values: list[int], text: str) -> list[int]:
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    return values
+
+
 def _parse_nrange(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    lo, _, hi = text.partition("..")
+    return _nonempty(list(range(int(lo), int(hi or lo) + 1)), text)
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
+    return _nonempty([int(tok) for tok in text.split(",") if tok], text)
+
+
+def _parse_selector(text: str) -> tuple[str, int]:
+    kind, _, index = ("neg:0" if text == "ground" else text).partition(":")
+    if kind not in ("neg", "threshold") or not index.isdigit():
+        raise argparse.ArgumentTypeError(f"selector must be ground, neg:K or "
+                                         f"threshold:K with K >= 0, got {text!r}")
+    return kind, int(index)
 
 
 def _config(args) -> QuadratureConfig:
@@ -208,23 +221,16 @@ def cmd_scan(args) -> int:
 # eigenfunction
 # ---------------------------------------------------------------------------
 
-def _select_state(params: ModelParams, selector: str, tol: float,
+def _select_state(params: ModelParams, selector: tuple[str, int], tol: float,
                   cfg: QuadratureConfig):
-    records = negative_eigenvalues(params, tol=tol, cfg=cfg)
-    if selector == "ground" or selector.startswith("neg:"):
-        index = 0 if selector == "ground" else int(selector.split(":")[1])
-        if index >= len(records):
-            return None
-        return eigenstates(params, records[index], cfg)[0]
-    if selector.startswith("threshold:"):
-        from .classify import threshold_report
-        report = threshold_report(params, tol=tol, cfg=cfg)
-        index = int(selector.split(":")[1])
-        if index >= len(report.entries):
-            return None
-        return report.entries[index].states[0]
-    raise ValueError(f"unknown selector {selector!r}; use ground, neg:K or "
-                     "threshold:K")
+    kind, index = selector
+    if kind == "neg":
+        records = negative_eigenvalues(params, tol=tol, cfg=cfg)
+        if index < len(records):
+            return eigenstates(params, records[index], cfg)[0]
+        return None
+    entries = threshold_report(params, tol=tol, cfg=cfg).entries
+    return entries[index].states[0] if index < len(entries) else None
 
 
 def cmd_eigenfunction(args) -> int:
@@ -387,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eigenfunction", help="CSV samples of one state")
     _add_common(p)
-    p.add_argument("--selector", default="ground",
+    p.add_argument("--selector", type=_parse_selector, default="ground",
                    help="ground | neg:K | threshold:K")
     p.add_argument("--grid", type=int, default=33,
                    help="grid points per dimension")

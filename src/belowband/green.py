@@ -55,13 +55,12 @@ class QuadratureConfig:
     ``rtol`` applies for z <= -1e-3; closer to the band edge the integrands
     peak sharply and the guarantee degrades to ``rtol_near_threshold``.
     With ``method="both"`` the two engines must agree to 10x the effective
-    tolerance, otherwise a :class:`QuadratureError` is raised.
+    tolerance, otherwise a :class:`QuadratureError` is raised.  The
+    Laplace-Bessel engine has no settings: its panels and nodes are fixed.
     """
 
     method: str = "laplace-bessel"
     grid_points: int | None = None      # trapezoid M per dimension; None = auto
-    laplace_cutoff: float = 64.0        # t-panel end at z = 0
-    laplace_nodes: int = 48             # Gauss-Legendre nodes per panel
     rtol: float = 1e-10
     rtol_near_threshold: float = 1e-8
 
@@ -213,8 +212,7 @@ def green_values(n: int, z: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Gr
     rtol = cfg.effective_rtol(z)
     lap = trap = None
     if cfg.method in ("laplace-bessel", "both"):
-        lap = laplace_integrals(int(n), float(z), cutoff=cfg.laplace_cutoff,
-                                nodes=cfg.laplace_nodes)
+        lap = laplace_integrals(int(n), float(z))
     if cfg.method in ("tensor-trapezoid", "both"):
         m = cfg.grid_points or required_grid_points(n, z, rtol)
         trap = trapezoid_integrals(int(n), float(z), m)
@@ -237,8 +235,7 @@ def green_threshold(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> GreenValu
     n = int(n)
     lap = grid = None
     if cfg.method in ("laplace-bessel", "both"):
-        lap = laplace_integrals(n, 0.0, cutoff=cfg.laplace_cutoff,
-                                nodes=cfg.laplace_nodes)
+        lap = laplace_integrals(n, 0.0)
     if cfg.method in ("tensor-trapezoid", "both"):
         if n >= 3 and cfg.method == "tensor-trapezoid":
             raise QuadratureError(

@@ -24,12 +24,16 @@ products of exponentially scaled modified Bessel functions e^-t I_k(t).
 It works in any dimension and remains valid at z = 0 for every integral
 that is finite there (power-law tail ~ t^(-m/2)).
 
-All node sets are deterministic functions of the arguments, and partial
-sums are accumulated in a fixed order, so repeated evaluations are
-bit-identical and safe to run concurrently.
+Engine B's dyadic t-panels do not depend on z, so their weighted Bessel
+tables are computed once and kept.  Entries do not depend on the calls that
+built them and sums run in a fixed order, so evaluations are bit-identical
+whatever ran before, and concurrent calls are safe.
 """
 
 from __future__ import annotations
+
+import math
+from functools import lru_cache
 
 import numpy as np
 import scipy.special as sp
@@ -110,79 +114,99 @@ def _ive01(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     i1 = np.asarray(sp.ive(1, ts), dtype=float)
     if np.any(big):
         tb = t[big]
-        pref = 1.0 / np.sqrt(2.0 * np.pi * tb)
-        x8 = 1.0 / (8.0 * tb)
+        pref = 1.0 / (np.sqrt(2.0 * np.pi) * np.sqrt(tb))  # no overflow up to 2^1023
+        x8 = 0.125 / tb
         i0[big] = pref * (1.0 + x8 + 4.5 * x8 * x8)
         i1[big] = pref * (1.0 - 3.0 * x8 - 7.5 * x8 * x8)
     return i0, i1
 
 
-def _laplace_accumulate(n: int, z: float, t: np.ndarray, w: np.ndarray,
-                        names) -> dict[str, float]:
+def _weighted_integrands(n: int, t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Laplace integrands times quadrature weights, one row per integral."""
     i0, i1 = _ive01(t)
     r = i1 / t  # == (ive0 - ive2)/2 by the Bessel recurrence
-    ew = np.exp(z * t) * w
     i0nm1 = i0 ** (n - 1)
-    stack = {
-        "a": i0 ** n,
-        "b": i1 * i0nm1,
-        "c": (i0 - r) * i0nm1,
-        "s": r * i0nm1,
-    }
-    if n >= 2:
-        i0nm2 = i0 ** (n - 2)
-        stack["d"] = i1 * i1 * i0nm2
-        # difference forms keep the large-t cancellations mild
-        stack["cd"] = ((i0 - i1) * (i0 + i1) - i0 * r) * i0nm2
-        stack["ad"] = (i0 - i1) * (i0 + i1) * i0nm2
-    return {k: float(np.dot(ew, stack[k])) for k in names}
+    a, b, c, s = i0 ** n, i1 * i0nm1, (i0 - r) * i0nm1, r * i0nm1
+    if n == 1:
+        return np.stack([a, b, c, s]) * w
+    i0nm2 = i0 ** (n - 2)
+    # difference forms keep the large-t cancellations mild
+    cd = ((i0 - i1) * (i0 + i1) - i0 * r) * i0nm2
+    ad = (i0 - i1) * (i0 + i1) * i0nm2
+    return np.stack([a, b, c, i1 * i1 * i0nm2, s, cd, ad]) * w
 
 
-def laplace_integrals(n: int, z: float, *, cutoff: float = 64.0,
-                      nodes: int = 48) -> dict[str, float]:
+_NODES = 48                     # Gauss-Legendre nodes per panel
+_ZERO_END = 6                   # at z = 0 the panels stop at t = 2^6
+_Z_MIN = 746.0 * 2.0 ** -1023   # smaller |z|: exp(z t) > 0 past t = 2^1023
+_PANELS: dict[int, tuple[int, int, np.ndarray, np.ndarray]] = {}
+
+
+def _table(n: int, bounds) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weighted table of the Gauss-Legendre panels between bounds."""
+    t = w = np.empty(0)
+    if len(bounds) > 1:
+        t, w = _panel_nodes(bounds, _NODES)
+    return t, _weighted_integrands(n, t, w)
+
+
+@lru_cache(maxsize=None)
+def _head(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    return _table(n, [0.0, math.ldexp(1.0, k)])
+
+
+def _panels(n: int, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:
+    """The panels [2^k, 2^(k+1)], k0 <= k < k1, cut from the kept table of
+    dimension n; a call outside its range computes only the missing panels."""
+    dyadic = lambda a, b: _table(n, [math.ldexp(1.0, k) for k in range(a, b + 1)])
+    lo, hi, t, table = _PANELS.get(n) or (k0, k0, *dyadic(k0, k0))
+    if k0 < lo or k1 > hi:
+        (tb, wb), (ta, wa) = dyadic(k0, lo), dyadic(hi, k1)
+        lo, hi = min(lo, k0), max(hi, k1)
+        t = np.concatenate([tb, t, ta])
+        table = np.concatenate([wb, table, wa], axis=1)
+        _PANELS[n] = lo, hi, t, table
+    cut = slice((k0 - lo) * _NODES, (k1 - lo) * _NODES)
+    return t[cut], table[:, cut]
+
+
+def laplace_integrals(n: int, z: float) -> dict[str, float]:
     """Evaluate the torus integrals by the Laplace-Bessel representation.
 
-    Parameters
-    ----------
-    n : int
-        Lattice dimension, n >= 1.
-    z : float
-        Spectral parameter, z <= 0.
-    cutoff : float
-        Where the explicit t-panels stop at z = 0; beyond it the power-law
-        tail is integrated exactly-in-form via the substitution u = 1/sqrt(t).
-    nodes : int
-        Gauss-Legendre nodes per panel.
-
-    Returns
-    -------
-    dict
-        Integral values keyed by name.  At z = 0 only the finite ones are
-        present (see :func:`finite_at_threshold`).
+    The panels run from a head [0, 2^k0] with 2^k0 <= min(1, 1/(n - z)),
+    the shortest scale of the integrand, to the first 2^k1 past 746/|z|,
+    where exp(z t) has underflowed.  At z = 0 they stop at 2^6 and the
+    power-law tail is integrated in u = t^-1/2.  |z| below 746 * 2^-1023
+    (about 8.3e-306) would need panels past the largest double and raises
+    :class:`QuadratureError`.  At z = 0 only the finite integrals are
+    returned (see :func:`finite_at_threshold`).
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    if z > 0.0:
-        raise ValueError(f"spectral parameter must be <= 0, got {z}")
-    names = integral_names(n) if z < 0.0 else tuple(
-        k for k in integral_names(n) if k in finite_at_threshold(n))
-
-    # Panels double in length from the shortest integrand scale up to the
-    # point where exp(z t) has underflowed (z < 0) or the power tail takes
-    # over (z = 0).
-    h = min(1.0, 1.0 / (n - z))
-    t_end = 746.0 / (-z) if z < 0.0 else float(cutoff)
-    bounds = [0.0, h]
-    while bounds[-1] < t_end:
-        bounds.append(min(t_end, bounds[-1] * 2.0))
-    t, w = _panel_nodes(bounds, nodes)
-    out = _laplace_accumulate(n, z, t, w, names)
+    z = float(z)
+    if not -math.inf < z <= 0.0:
+        raise ValueError(f"spectral parameter must be finite and <= 0, got {z}")
+    if -_Z_MIN < z < 0.0:
+        raise QuadratureError(
+            f"z={z!r} is too close to the band edge: the Laplace panels would "
+            f"pass the largest double; |z| must be at least {_Z_MIN!r}")
+    k0 = math.frexp(min(1.0, 1.0 / (n - z)))[1] - 1
+    k1 = _ZERO_END
+    if z < 0.0:
+        mant, k1 = math.frexp(746.0 / -z)
+        k1 -= mant == 0.5
+    th, head = _head(n, k0)
+    t, table = _panels(n, k0, k1)
+    eh, e = np.exp(z * th), np.exp(z * t)
+    # one dot product per integral sums a and b in the same order, so their
+    # rounding errors correlate and a - b = (1 + z a)/n stays accurate where
+    # both are huge (n = 1 near the band edge); a matrix product does not
+    acc = np.array([np.dot(h, eh) + np.dot(r, e) for h, r in zip(head, table)])
     if z == 0.0:
-        u, wu = _panel_nodes([0.0, t_end ** -0.5], 2 * nodes)
-        tail = _laplace_accumulate(n, z, u ** -2.0, wu * 2.0 * u ** -3.0, names)
-        for k in names:
-            out[k] += tail[k]
-    return out
+        u, wu = _panel_nodes([0.0, 2.0 ** (-_ZERO_END / 2)], 2 * _NODES)
+        acc += _weighted_integrands(n, u ** -2.0, wu * 2.0 * u ** -3.0).sum(axis=1)
+    return {k: float(v) for k, v in zip(integral_names(n), acc)
+            if z < 0.0 or k in finite_at_threshold(n)}
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ __all__ = [
     "IntegrabilityClass",
     "FORMULAS",
     "state_for_delta_r",
-    "state_for_delta_c",
     "states_for_delta_c",
     "states_for_odd",
     "residual",
@@ -161,11 +160,6 @@ def states_for_delta_c(params: ModelParams, z: float,
         w[j + 1] = -1.0
         out.append(_with_moments(EigenState(params, "even", z, w, formula), greens))
     return out
-
-
-def state_for_delta_c(params: ModelParams, z: float,
-                      greens: GreenValues) -> EigenState:
-    return states_for_delta_c(params, z, greens)[0]
 
 
 def states_for_odd(params: ModelParams, z: float,

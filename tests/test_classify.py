@@ -1,6 +1,7 @@
 """Region taxonomy, eigenvalue counts, threshold reports, summaries."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -129,15 +130,45 @@ def test_chain_exact_roots():
     assert odd[0].z == pytest.approx(-0.25, abs=1e-10)
 
 
+@pytest.mark.parametrize("dlam", [1e-3, 1e-6, 1e-9])
+def test_chain_odd_root_above_the_ladder(dlam):
+    # the odd root of the chain is exactly z = -(lam - 1)^2 / (2 lam); for
+    # lam - 1 below about 1.3e-6 it lies above the ladder's top point -2^-40
+    lam = 1.0 + dlam
+    recs = bb.negative_eigenvalues(bb.ModelParams(1, lam, -5.0), tol=0.0)
+    odd = [r.z for r in recs if r.origin == "delta_s"]
+    assert odd == [pytest.approx(-(lam - 1.0) ** 2 / (2.0 * lam), rel=1e-6)]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_root_counts_match_regions(n):
     """delta_r root count is 0 / 1 / 2 on G0, G1, G2 (50 samples each)."""
     expected = {"G0": 0, "G1": 1, "G2": 2}
     for region, count in expected.items():
-        for lam, mu in region_samples(n, region, 50, seed=hash((n, region)) % 2**32):
+        seed = zlib.crc32(repr((n, region)).encode())
+        for lam, mu in region_samples(n, region, 50, seed=seed):
             recs = bb.negative_eigenvalues(bb.ModelParams(n, lam, mu), tol=0.0)
             nr = sum(1 for r in recs if r.origin == "delta_r")
             assert nr == count, (n, region, lam, mu)
+
+
+def test_refinement_separates_two_roots_in_one_ladder_octave():
+    # cell D3: both delta_r roots lie between the ladder points -4 and -2,
+    # so only the 16-fold refinement of the ladder brackets them
+    lam, mu = 6.670781442439379, 4.576186898905469
+    params = bb.ModelParams(1, lam, mu)
+
+    def exact_h(z):
+        g = bb.closed_form_green1(z)
+        return (lam - g.a / g.b) * (mu - (1.0 - z)) - 1.0
+
+    assert exact_h(-4.0) > 0.0 and exact_h(-2.0) > 0.0
+    summary = bb.summarize(params, tol=0.0)
+    assert summary.cell == "D3"
+    roots = [r.z for r in summary.eigenvalues if r.origin == "delta_r"]
+    assert roots == pytest.approx([-3.905447808022, -2.083701806657], abs=1e-10)
+    for z in roots:
+        assert abs(exact_h(z)) < 1e-12
 
 
 def test_roots_polished_to_tolerance():

@@ -124,6 +124,22 @@ def test_scan_malformed_range_exits_2():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "identities", "--n", "3..1"),
+    ("verify", "oracle", "--n", "1", "--lambda", "0", "--mu", "1", "--L", ","),
+    ("eigenfunction", "--n", "1", "--lambda", "0", "--mu", "1",
+     "--selector", "neg:-1"),
+    ("eigenfunction", "--n", "3", "--lambda", "0", "--mu", "0",
+     "--selector", "threshold:-1"),
+])
+def test_empty_ranges_and_negative_selectors_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "error" in out.err
+
+
 def test_eigenfunction_chain_ray(capsys):
     code, out, _ = run_cli(capsys, "eigenfunction", "--n", "1",
                            "--lambda", "0", "--mu", "1", "--grid", "16")
@@ -185,6 +201,12 @@ def test_numeric_failure_exit_3(capsys):
     code, _, err = run_cli(capsys, "integrals", "--n", "3", "--z=-1e-9",
                            "--method", "tensor-trapezoid")
     assert code == 3 and "numeric failure" in err
+
+
+def test_subnormal_z_is_a_numeric_failure(capsys):
+    # the Laplace panels for a subnormal z would pass the largest double
+    code, _, err = run_cli(capsys, "integrals", "--n", "1", "--z=-1e-310")
+    assert code == 3 and "largest double" in err
 
 
 def test_console_entry_point():

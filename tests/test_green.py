@@ -1,6 +1,9 @@
 """Green's-function integrals: oracles, identities, monotonicity, engines."""
 
 import math
+import subprocess
+import sys
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -300,3 +303,55 @@ def test_deterministic_evaluation():
     a1 = bb.green_values(3, -0.37).a
     a2 = bb.green_values(3, -0.37, bb.QuadratureConfig())
     assert a1 == a2.a  # bitwise
+
+
+# ---------------------------------------------------------------------------
+# Laplace engine over the whole range the root finders use
+# ---------------------------------------------------------------------------
+
+def test_laplace_chain_closed_form_from_edge_search_floor_to_1e15():
+    # -exp(-700) is the deepest point of the edge search, -1e15 the end of
+    # the monotone-root bracket search
+    for z in -np.exp(np.linspace(-700.0, math.log(1e15), 300)):
+        z = float(z)
+        got, exact = bb.green_values(1, z), closed_form_green1(z)
+        assert got.a == pytest.approx(exact.a, rel=1e-12), z
+        if abs(z) <= 1.0:
+            for name in ("b", "c", "s"):
+                assert getattr(got, name) == pytest.approx(
+                    getattr(exact, name), rel=1e-12), (z, name)
+
+
+@pytest.mark.parametrize("z", [-1e-310, -5e-324])
+def test_laplace_rejects_subnormal_z_without_warnings(z):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(QuadratureError, match="largest double"):
+            bb.green_values(2, z)
+        with pytest.raises(QuadratureError, match="largest double"):
+            laplace_integrals(1, z)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_laplace_smallest_admissible_z():
+    z = -746.0 * 2.0 ** -1023   # the last panel ends exactly at 2^1023
+    assert bb.green_values(1, z).a == pytest.approx(bb.closed_form_a1(z), rel=1e-12)
+    with pytest.raises(QuadratureError):
+        bb.green_values(1, math.nextafter(z, 0.0))
+
+
+def test_laplace_values_do_not_depend_on_call_history():
+    zs = (-1e-9, -0.37, -3.0, -2.0 ** 35)
+    code = ("import sys, belowband as bb\n"
+            "for n in (1, 2, 4):\n"
+            "    for z in map(float, sys.argv[1:]):\n"
+            "        g = bb.green_values(n, z)\n"
+            "        print(repr((g.a, g.b, g.c, g.d, g.s, g.cd)))\n")
+    fresh = subprocess.run([sys.executable, "-c", code, *map(repr, zs)],
+                           capture_output=True, text=True, check=True).stdout
+    for n in (1, 2, 4):   # widen the kept tables on both sides first
+        for z in (-math.exp(-690.0), -1e-4, -7.5, -1e12):
+            bb.green_values(n, z)
+    here = "".join(repr((g.a, g.b, g.c, g.d, g.s, g.cd)) + "\n"
+                   for n in (1, 2, 4) for g in (bb.green_values(n, z) for z in zs))
+    assert here == fresh

@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 import belowband as bb
-from belowband.classify import _green_cached, _threshold_cached
-from belowband.green import DEFAULT_CONFIG
 
 SQRT2 = math.sqrt(2.0)
 
 
 def greens(n, z):
-    return _green_cached(n, z, DEFAULT_CONFIG)
+    return bb.green_values(n, z)
 
 
 def test_even_matrix_template_chain():
@@ -62,9 +60,9 @@ def test_odd_matrix_is_diagonal():
 def test_even_matrix_at_threshold_needs_n3():
     with pytest.raises(bb.DivergentIntegralError):
         bb.build_bs_matrix(bb.ModelParams(2, 1.0, 1.0), 0.0,
-                           "even", _threshold_cached(2, DEFAULT_CONFIG))
+                           "even", bb.green_threshold(2))
     m = bb.build_bs_matrix(bb.ModelParams(3, 1.0, 1.0), 0.0,
-                           "even", _threshold_cached(3, DEFAULT_CONFIG))
+                           "even", bb.green_threshold(3))
     assert m.size == 4
 
 
@@ -152,17 +150,17 @@ def test_delta_r_threshold_limits_low_dimensions():
         g = greens(n, -1e-8)
         assert bb.delta_r(params, -1e-8, g) == pytest.approx(1.0 - mu / n, abs=1e-3)
         # exactly at z = 0 the tagged limit value is returned
-        g0 = _threshold_cached(n, DEFAULT_CONFIG)
+        g0 = bb.green_threshold(n)
         assert bb.delta_r(params, 0.0, g0) == pytest.approx(1.0 - mu / n, abs=1e-12)
     # off the curve the limit is signed infinity
-    g0 = _threshold_cached(2, DEFAULT_CONFIG)
+    g0 = bb.green_threshold(2)
     assert bb.delta_r(bb.ModelParams(2, 0.0, 3.0), 0.0, g0) == -math.inf
     assert bb.delta_r(bb.ModelParams(2, -1.0, -1.0), 0.0, g0) == math.inf
     assert not bb.determinants(bb.ModelParams(2, 0.0, 3.0), 0.0, g0).delta_r_defined
 
 
 def test_delta_r_threshold_finite_high_dimension():
-    g0 = _threshold_cached(3, DEFAULT_CONFIG)
+    g0 = bb.green_threshold(3)
     params = bb.ModelParams(3, 1.0, 1.0)
     val = bb.delta_r(params, 0.0, g0)
     h0 = bb.hyperbola(params, 0.0, g0)
@@ -183,10 +181,10 @@ def test_hyperbola_at_origin_is_inverse_b():
 
 
 def test_threshold_asymptotes():
-    g1 = _threshold_cached(1, DEFAULT_CONFIG)
+    g1 = bb.green_threshold(1)
     h = bb.hyperbola(bb.ModelParams(1, 0.0, 0.0), 0.0, g1)
     assert h.asymptote == (1.0, 1.0)
-    g3 = _threshold_cached(3, DEFAULT_CONFIG)
+    g3 = bb.green_threshold(3)
     h3 = bb.hyperbola(bb.ModelParams(3, 0.0, 0.0), 0.0, g3)
     assert h3.lambda_inf == pytest.approx(g3.a / g3.b, rel=1e-14)
     assert h3.mu_inf == 3.0

@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 import belowband as bb
-from belowband.classify import _threshold_cached
-from belowband.green import DEFAULT_CONFIG
 from belowband.states import (
     moments,
     probe_verdict,
@@ -94,7 +92,7 @@ def test_moments_match_coefficients_for_fixed_points():
 
 def test_moments_finite_for_square_lattice_threshold_state():
     consts = bb.spectral_constants(2)
-    g0 = _threshold_cached(2, DEFAULT_CONFIG)
+    g0 = bb.green_threshold(2)
     params = bb.ModelParams(2, consts.lambda_c, 1.0)
     state = states_for_delta_c(params, 0.0, g0)[0]
     u = moments(state, g0)
@@ -108,7 +106,7 @@ def test_moments_finite_for_square_lattice_threshold_state():
 # ---------------------------------------------------------------------------
 
 def threshold_state(n, kind):
-    g0 = _threshold_cached(n, DEFAULT_CONFIG)
+    g0 = bb.green_threshold(n)
     consts = bb.spectral_constants(n)
     if kind == "free-resolvent":    # f ~ 1/E at (0, 1/a(0))
         params = bb.ModelParams(n, 0.0, 1.0 / g0.a)
