@@ -313,7 +313,7 @@ def _verify_factorization(args, cfg) -> dict:
 
 
 def _verify_oracle(args, cfg) -> dict:
-    params = ModelParams(args.n, args.lam, args.mu)
+    params = ModelParams(args.nrange[0], args.lam, args.mu)
     report = compare(params, args.L, theta=args.theta, cfg=cfg)
     checks = [{
         "name": f"count[L={L}]",
@@ -401,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="self-check suites")
     p.add_argument("suite", choices=("identities", "factorization", "oracle"))
-    p.add_argument("--n", dest="nrange", type=_parse_nrange, default=[1, 2, 3, 4],
+    p.add_argument("--n", dest="nrange", type=_parse_nrange, default=None,
                    help="dimension or inclusive range a..b")
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--seed", type=int, default=7)
@@ -418,9 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and isinstance(args.nrange, list) and \
-            args.suite == "oracle":
-        args.n = args.nrange[0]
+    if args.command == "verify":
+        args.nrange = args.nrange or ([1] if args.suite == "oracle" else [1, 2, 3, 4])
+        if args.suite == "oracle" and len(args.nrange) > 1:
+            parser.error(f"verify oracle takes one dimension, got {len(args.nrange)}")
     try:
         return args.func(args)
     except (ValueError, DivergentIntegralError) as exc:

@@ -1,21 +1,29 @@
 """Finite-lattice diagonalization oracle.
 
-Truncating the impurity Hamiltonian to the box [-L, L]^n in the coordinate
-representation gives a sparse symmetric matrix whose lowest eigenvalues
-converge exponentially fast to the true bound states (their eigenfunctions
-decay exponentially).  Counting eigenvalues below a strictly negative
-cutoff theta therefore verifies the classifier's predictions independently
-of every Green's-function computation.
+Truncating the impurity Hamiltonian to the box [-L, L]^n drops the hops
+that leave the box, so the matrix is a principal submatrix of the infinite
+operator (interlacing applies) and its lowest eigenvalues converge
+exponentially fast to the bound states.  Counting eigenvalues below a
+strictly negative theta checks the classifier independently of every
+Green's-function computation; threshold states (z = 0) are invisible to it.
 
-The truncation is a plain restriction: hops leaving the box are dropped,
-so the matrix is a principal submatrix of the infinite operator and
-eigenvalue interlacing applies.  Threshold states (z = 0) are invisible to
-this oracle by construction.
+The truncation keeps every reflection x_i -> -x_i and every permutation of
+the axes, so H is solved in reflection-parity sectors.  The block
+B_j = P_j^T H P_j, odd in the first j axes and even in the rest, has
+L^j (L+1)^(n-j) rows, and the permutations carry it onto all C(n, j)
+sectors odd in j axes: each of its values counts exactly C(n, j) times,
+and no copy of a degenerate level is left for an iterative solver to find.
+A state odd in an axis vanishes where that coordinate is 0 and no impurity
+site has two nonzero coordinates, so the sectors with j >= 2 miss the
+potential and hold no bound state: the delta_r and delta_c states lie in
+j = 0, one copy of each n-fold delta_s level in j = 1.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sparse
@@ -35,7 +43,9 @@ __all__ = [
     "compare",
 ]
 
-DENSE_LIMIT = 4000       # largest dimension solved densely
+# largest block solved densely: dense and Lanczos cross near 400 rows; 625 =
+# 25^2 because perfbench labels whole n = 2, L = 12 boxes dense by this limit
+DENSE_LIMIT = 625
 DEFAULT_THETA = -1e-3    # separates bound states from band-bottom artifacts
 _SEED = 20240817         # deterministic start vector for the Lanczos solver
 
@@ -62,6 +72,7 @@ class OracleSpectrum:
     n: int
     L: int
     eigenvalues: tuple[float, ...]
+    odd_axes: tuple[int, ...]    # sector j of each eigenvalue
 
     def count_below(self, theta: float) -> int:
         return int(sum(1 for e in self.eigenvalues if e < theta))
@@ -97,67 +108,55 @@ def build_hamiltonian(n: int, L: int, lam: float, mu: float,
     dim = m ** n
     if dim > max_dim:
         raise ValueError(f"dimension {m}^{n} = {dim} exceeds the budget {max_dim}")
-    diag = np.full(dim, float(n))
-    center = tuple([L] * n)
-    idx = np.arange(dim).reshape((m,) * n)
-    diag[idx[center]] -= mu
+    chain = sparse.diags([-0.5, 1.0, -0.5], [-1, 0, 1], shape=(m, m), format="csr")
+    h = reduce(lambda a, _: sparse.kronsum(chain, a, format="csr"), range(n - 1), chain)
+    v = np.zeros((m,) * n)
+    v[(L,) * n] = mu
     for axis in range(n):
         for step in (-1, 1):
-            site = list(center)
-            site[axis] += step
-            diag[idx[tuple(site)]] -= lam / 2.0
-    rows, cols = [], []
-    for axis in range(n):
-        lo = idx.take(range(0, m - 1), axis=axis).ravel()
-        hi = idx.take(range(1, m), axis=axis).ravel()
-        rows.append(lo)
-        cols.append(hi)
-    r = np.concatenate(rows)
-    c = np.concatenate(cols)
-    data = np.full(r.size, -0.5)
-    h = sparse.coo_matrix(
-        (np.concatenate([data, data, diag]),
-         (np.concatenate([r, c, np.arange(dim)]),
-          np.concatenate([c, r, np.arange(dim)]))),
-        shape=(dim, dim)).tocsr()
+            v[(L,) * axis + (L + step,) + (L,) * (n - 1 - axis)] = lam / 2.0
+    h.setdiag(h.diagonal() - v.ravel())
     return TruncatedHamiltonian(n=n, L=L, lam=lam, mu=mu, matrix=h)
 
 
-def lowest_eigenvalues(ham: TruncatedHamiltonian, k: int,
-                       return_vectors: bool = False):
-    """k smallest eigenvalues (dense below DENSE_LIMIT, else Lanczos).
+def _fold(L: int, odd: bool) -> sparse.csc_matrix:
+    """Isometry onto [-L, L] from e_m +/- e_-m, m = 1..L, plus e_0 if even."""
+    e = sparse.identity(2 * L + 1, format="csc")
+    half = (e[:, L + 1:] + (-1.0 if odd else 1.0) * e[:, L - 1::-1]) * np.sqrt(0.5)
+    return half if odd else sparse.hstack([e[:, [L]], half], format="csc")
 
-    The iterative path uses a deterministic start vector, so results are
-    reproducible run to run.
+
+def _sector(ham: TruncatedHamiltonian, j: int) -> sparse.spmatrix:
+    """Block B_j = P_j^T H P_j: odd in the first j axes, even in the rest."""
+    p = reduce(lambda a, b: sparse.kron(a, b, format="csr"),
+               [_fold(ham.L, True)] * j + [_fold(ham.L, False)] * (ham.n - j))
+    return p.T @ ham.matrix @ p
+
+
+def _lowest(block: sparse.spmatrix, k: int) -> np.ndarray:
+    """Sorted min(k, dim) smallest eigenvalues of one symmetric block."""
+    dim, k = block.shape[0], min(k, block.shape[0])
+    if dim <= DENSE_LIMIT or k == dim:
+        return eigh(block.toarray(), eigvals_only=True, subset_by_index=[0, k - 1])
+    v0 = np.random.default_rng(_SEED).standard_normal(dim)
+    return np.sort(eigsh(block, k=k, which="SA", v0=v0, maxiter=20000,
+                         tol=1e-10, return_eigenvectors=False))
+
+
+def lowest_eigenvalues(ham: TruncatedHamiltonian, k: int) -> OracleSpectrum:
+    """k smallest eigenvalues, merged from the blocks B_j of every sector.
+
+    A block is solved densely up to DENSE_LIMIT rows, else by Lanczos from a
+    deterministic start vector, so results are reproducible run to run.
     """
     if not 1 <= k <= ham.dim:
         raise ValueError(f"need 1 <= k <= {ham.dim}, got {k}")
-    if ham.dim <= DENSE_LIMIT:
-        vals, vecs = eigh(ham.matrix.toarray(), subset_by_index=[0, k - 1])
-    else:
-        kk = min(k, ham.dim - 1)
-        v0 = np.random.default_rng(_SEED).standard_normal(ham.dim)
-        vals, vecs = eigsh(ham.matrix, k=kk, which="SA", v0=v0,
-                           maxiter=20000, tol=1e-10)
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-    spectrum = OracleSpectrum(n=ham.n, L=ham.L,
-                              eigenvalues=tuple(float(v) for v in vals))
-    return (spectrum, vecs) if return_vectors else spectrum
-
-
-def parity_of(ham: TruncatedHamiltonian, vec: np.ndarray,
-              tol: float = 1e-6) -> str:
-    """Attribute an eigenvector to the even or odd sector under x -> -x."""
-    m = 2 * ham.L + 1
-    grid = vec.reshape((m,) * ham.n)
-    flipped = grid[(slice(None, None, -1),) * ham.n]
-    overlap = float(np.vdot(grid, flipped) / np.vdot(grid, grid))
-    if overlap > 1.0 - tol:
-        return "even"
-    if overlap < -1.0 + tol:
-        return "odd"
-    return "mixed"
+    pairs = sorted((float(e), j) for j in range(ham.n + 1)
+                   for e in _lowest(_sector(ham, j), k)
+                   for _ in range(math.comb(ham.n, j)))[:k]
+    return OracleSpectrum(n=ham.n, L=ham.L,
+                          eigenvalues=tuple(e for e, _ in pairs),
+                          odd_axes=tuple(j for _, j in pairs))
 
 
 def compare(params: ModelParams, L_values, theta: float = DEFAULT_THETA,
@@ -182,7 +181,7 @@ def compare(params: ModelParams, L_values, theta: float = DEFAULT_THETA,
     errors: dict[int, tuple[float, ...]] = {}
     for L in L_values:
         ham = build_hamiltonian(params.n, int(L), params.lam, params.mu)
-        k = min(len(predicted) + extra_states, ham.dim - 1)
+        k = min(len(predicted) + extra_states, ham.dim)
         spec = lowest_eigenvalues(ham, max(k, 1))
         counts[int(L)] = spec.count_below(theta)
         below = [e for e in spec.eigenvalues if e < theta]

@@ -92,8 +92,8 @@ def test_criterion_5_chain_odd_fixture():
 
 def test_criterion_6_region_counts_against_oracle():
     with criterion(6, "oracle eigenvalue counts match the region tables", 600.0):
-        ladders = {1: (40, 60), 2: (12, 16), 3: (10, 12)}
-        for n in (1, 2, 3):
+        ladders = {1: (40, 60), 2: (12, 16), 3: (10, 12), 4: (6, 8)}
+        for n in ladders:
             for cell, (lam, mu) in open_region_points(n):
                 params = bb.ModelParams(n, lam, mu)
                 summary = bb.summarize(params, tol=0.0)

@@ -127,6 +127,7 @@ def test_scan_malformed_range_exits_2():
 @pytest.mark.parametrize("argv", [
     ("verify", "identities", "--n", "3..1"),
     ("verify", "oracle", "--n", "1", "--lambda", "0", "--mu", "1", "--L", ","),
+    ("verify", "oracle", "--n", "1..3", "--lambda", "0", "--mu", "1", "--L", "20"),
     ("eigenfunction", "--n", "1", "--lambda", "0", "--mu", "1",
      "--selector", "neg:-1"),
     ("eigenfunction", "--n", "3", "--lambda", "0", "--mu", "0",
