@@ -293,35 +293,57 @@ _LADDER = tuple(-(2.0 ** k) for k in range(40, -41, -1))  # -2^40 .. -2^-40
 _BRENTQ_KW = dict(xtol=1e-13, rtol=4 * np.finfo(float).eps, maxiter=200)
 
 
+def _hyper_of_ratio(params: ModelParams, z: float, ratio_ab: float) -> float:
+    """H_z = (lam - a/b)(mu - (n - z)) - n from the value of a/b at z."""
+    return (params.lam - ratio_ab) * (params.mu - (params.n - z)) - params.n
+
+
 def _hyper_value(params: ModelParams, z: float, cfg: QuadratureConfig) -> float:
-    g = green_values(params.n, z, cfg)
-    return (params.lam - g.ratio_ab) * (params.mu - (params.n - z)) - params.n
+    return _hyper_of_ratio(params, z, green_values(params.n, z, cfg).ratio_ab)
 
 
-def _edge_root(fn, u_top: float, f_top: float, failure: str) -> float:
-    """Root of fn(z) between -exp(u_top) and the band edge, in u = ln(-z).
+@lru_cache(maxsize=None)
+def _ladder_ratios(n: int, cfg: QuadratureConfig) -> tuple[float, ...]:
+    """a/b at the points of ``_LADDER``, a constant of (n, cfg).
+
+    Built on the first ``delta_r`` root search at this (n, cfg), never by
+    ``spectral_constants``: requests that locate no ``delta_r`` root do not
+    pay for the 81 evaluations.
+    """
+    return tuple(green_values(n, z, cfg).ratio_ab for z in _LADDER)
+
+
+def _ladder_values(params: ModelParams, cfg: QuadratureConfig) -> list[float]:
+    """H_z at the points of ``_LADDER``, equal to scalar ``_hyper_value`` calls."""
+    return [_hyper_of_ratio(params, z, r)
+            for z, r in zip(_LADDER, _ladder_ratios(params.n, cfg))]
+
+
+def _edge_root(fn, z_top: float, f_top: float, failure: str) -> float:
+    """Root of fn(z) between z_top < 0 and the band edge, in u = ln(-z).
 
     Near z = 0 the determinant factors converge to their limits slowly
     (logarithmically for n <= 2), so a root squeezed against the edge can
     sit at -z far below any linear ladder.  They extend continuously to the
     edge, which gives a bracket in u whenever f_top and the z -> 0- limit
-    have opposite signs.
+    have opposite signs.  A failure carries the (z, f) pairs visited.
     """
     f_of_u = lambda u: fn(-math.exp(u))
-    u, f = u_top, f_top
+    u, f = math.log(-z_top), f_top
+    table = [(z_top, f_top)]
     while u > -700.0:
         u_next = max(u - 80.0, -700.0)
         f_next = f_of_u(u_next)
+        table.append((-math.exp(u_next), f_next))
         if f_next == 0.0:
             return -math.exp(u_next)
         if f_next * f < 0.0:
             return -math.exp(float(brentq(f_of_u, u_next, u, **_BRENTQ_KW)))
         u, f = u_next, f_next
-    raise RootScanError(failure)
+    raise RootScanError(failure, sign_table=table)
 
 
-def _scan_brackets(fn, grid):
-    values = [fn(z) for z in grid]
+def _brackets(grid, values) -> list[tuple[float, float]]:
     brackets = []
     for (z0, f0), (z1, f1) in zip(zip(grid, values), zip(grid[1:], values[1:])):
         if f0 == 0.0:
@@ -330,7 +352,7 @@ def _scan_brackets(fn, grid):
             brackets.append((z0, z1))
     if values and values[-1] == 0.0:
         brackets.append((grid[-1], grid[-1]))
-    return brackets, values
+    return brackets
 
 
 def _delta_r_roots(params: ModelParams, expected: int,
@@ -338,15 +360,21 @@ def _delta_r_roots(params: ModelParams, expected: int,
     """Zeros of delta_r in (-inf, 0) via sign scan of the hyperbola function.
 
     delta_r = b(z) H_z with b > 0, so the zeros coincide and H_z is much
-    better conditioned near the band edge.  Missing roots after one ladder
-    scan are sought against the band edge, then in a 16-fold refined
-    ladder; a persistent mismatch is reported with the sign table.
+    better conditioned near the band edge.  The ladder scan reads a/b from
+    the per-(n, cfg) table ``_ladder_ratios``, so only lam and mu enter
+    anew and the scan costs no Green evaluation once the table exists; its
+    values are bit-identical to scalar ``_hyper_value`` calls.  ``brentq``,
+    the edge search and the refinement evaluate H_z by scalar calls.
+    Missing roots after the ladder scan are sought against the band edge,
+    then in a 16-fold refined ladder; a persistent mismatch is reported
+    with the sign table.
     """
     if expected == 0:
         return []
     fn = lambda z: _hyper_value(params, z, cfg)
     grid = list(_LADDER)
-    brackets, values = _scan_brackets(fn, grid)
+    values = _ladder_values(params, cfg)
+    brackets = _brackets(grid, values)
     edge = []
     if len(brackets) < expected:
         # one root may be squeezed against the band edge, beyond the
@@ -357,7 +385,7 @@ def _delta_r_roots(params: ModelParams, expected: int,
                                 consts.x_asymptote)
         if limit != 0.0 and values[-1] * limit < 0.0:
             edge.append(_edge_root(
-                fn, math.log(-grid[-1]), values[-1],
+                fn, grid[-1], values[-1],
                 f"a zero of delta_r lies closer to the band edge than exp(-700) "
                 f"for (n={params.n}, lambda={params.lam}, mu={params.mu}); the "
                 f"limit value there is {limit}"))
@@ -367,7 +395,8 @@ def _delta_r_roots(params: ModelParams, expected: int,
             dense.extend(np.linspace(z0, z1, 17)[:-1])
         dense.append(grid[-1])
         grid = dense
-        brackets, values = _scan_brackets(fn, grid)
+        values = [fn(z) for z in grid]
+        brackets = _brackets(grid, values)
     if len(brackets) + len(edge) != expected:
         raise RootScanError(
             f"expected {expected} zero(s) of delta_r for (n={params.n}, "
@@ -393,7 +422,7 @@ def _monotone_root(params: ModelParams, which: str,
     if f_hi == 0.0:
         return hi
     if f_hi < 0.0:  # lam > 1/q(0): the root lies between ladder and edge
-        return _edge_root(fn, math.log(-hi), f_hi,
+        return _edge_root(fn, hi, f_hi,
                           f"the {which} root at lambda={params.lam} lies closer "
                           "to the band edge than exp(-700)")
     lo = None

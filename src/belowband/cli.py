@@ -79,6 +79,16 @@ def _parse_int_list(text: str) -> list[int]:
     return _nonempty([int(tok) for tok in text.split(",") if tok], text)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
 def _parse_selector(text: str) -> tuple[str, int]:
     kind, _, index = ("neg:0" if text == "ground" else text).partition(":")
     if kind not in ("neg", "threshold") or not index.isdigit():
@@ -395,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--selector", type=_parse_selector, default="ground",
                    help="ground | neg:K | threshold:K")
-    p.add_argument("--grid", type=int, default=33,
+    p.add_argument("--grid", type=_positive_int, default=33,
                    help="grid points per dimension")
     p.set_defaults(func=cmd_eigenfunction)
 
@@ -403,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=("identities", "factorization", "oracle"))
     p.add_argument("--n", dest="nrange", type=_parse_nrange, default=None,
                    help="dimension or inclusive range a..b")
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
     p.add_argument("--mu", type=float, default=1.0)
@@ -429,6 +439,8 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     except (QuadratureError, RootScanError, ConsistencyError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        if isinstance(exc, RootScanError):
+            print(f"sign_table: {json.dumps(exc.sign_table)}", file=sys.stderr)
         return NUMERIC_ERROR
 
 

@@ -25,6 +25,7 @@ from scipy.integrate import quad
 
 from .green import (
     DEFAULT_CONFIG,
+    DivergentIntegralError,
     GreenValues,
     QuadratureConfig,
     dispersion,
@@ -224,7 +225,7 @@ def _combine(greens: GreenValues, terms) -> float:
 def _with_moments(state: EigenState, greens: GreenValues) -> EigenState:
     try:
         u = moments(state, greens)
-    except Exception:
+    except DivergentIntegralError:
         u = None
     return EigenState(state.params, state.sector, state.z, state.w,
                       state.formula, u)

@@ -2,11 +2,14 @@
 
 import math
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import belowband as bb
+from belowband import classify
 from conftest import curve_point, open_region_points, region_samples
 
 
@@ -169,6 +172,62 @@ def test_refinement_separates_two_roots_in_one_ladder_octave():
     assert roots == pytest.approx([-3.905447808022, -2.083701806657], abs=1e-10)
     for z in roots:
         assert abs(exact_h(z)) < 1e-12
+
+
+def _scalar_ladder_values(params, cfg):
+    return [classify._hyper_value(params, z, cfg) for z in classify._LADDER]
+
+
+def _roots_or_error(params, expected, cfg):
+    try:
+        return classify._delta_r_roots(params, expected, cfg)
+    except bb.RootScanError as exc:
+        return str(exc), exc.sign_table
+
+
+def _check_ladder_table(n, lam, mu):
+    """The tabulated ladder scan equals the loop of scalar H_z evaluations."""
+    cfg = bb.DEFAULT_CONFIG
+    params = bb.ModelParams(n, lam, mu)
+    assert classify._ladder_values(params, cfg) == _scalar_ladder_values(params, cfg)
+    _, even, odd = bb.snap_params(params, tol=0.0)
+    expected = classify._expected_sector_counts(n, even, odd)[0]
+    tabulated = _roots_or_error(params, expected, cfg)
+    with mock.patch.object(classify, "_ladder_values", _scalar_ladder_values):
+        assert _roots_or_error(params, expected, cfg) == tabulated
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 6),
+       lam=st.floats(-10.0, 25.0, allow_nan=False),
+       mu=st.floats(-10.0, 25.0, allow_nan=False))
+@example(n=2, lam=5.0, mu=2.5001)   # a root beyond exp(-700): RootScanError
+def test_ladder_table_matches_scalar_scan(n, lam, mu):
+    _check_ladder_table(n, lam, mu)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_ladder_table_matches_scalar_scan_on_fixtures(n):
+    for _name, (lam, mu) in open_region_points(n):
+        _check_ladder_table(n, lam, mu)
+    if n > 1:
+        x = bb.spectral_constants(n).x_asymptote
+        for lam in (x - 1.0, x + 0.5, x + 4.0):
+            _check_ladder_table(n, *curve_point(n, "left" if lam < x else "right", lam))
+
+
+def test_ladder_table_is_built_only_for_delta_r_roots():
+    cfg = bb.QuadratureConfig(rtol=2e-10)   # a key no other test builds
+    info = classify._ladder_ratios.cache_info
+    start = info()
+    bb.spectral_constants(3, cfg)
+    assert bb.summarize(bb.ModelParams(3, -1.0, -1.0), cfg=cfg).cell == "D0"
+    assert info().misses == start.misses and info().currsize == start.currsize
+    d1 = bb.ModelParams(3, 0.0, 4.5)
+    assert bb.summarize(d1, cfg=cfg).cell == "D1"
+    assert info().misses == start.misses + 1
+    bb.summarize(d1, cfg=cfg)
+    assert info().misses == start.misses + 1 and info().hits > start.hits
 
 
 def test_roots_polished_to_tolerance():

@@ -132,6 +132,10 @@ def test_scan_malformed_range_exits_2():
      "--selector", "neg:-1"),
     ("eigenfunction", "--n", "3", "--lambda", "0", "--mu", "0",
      "--selector", "threshold:-1"),
+    ("eigenfunction", "--n", "1", "--lambda", "0", "--mu", "1", "--grid", "0"),
+    ("eigenfunction", "--n", "1", "--lambda", "0", "--mu", "1", "--grid=-2"),
+    ("verify", "identities", "--samples", "0"),
+    ("verify", "factorization", "--samples", "0"),
 ])
 def test_empty_ranges_and_negative_selectors_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -202,6 +206,21 @@ def test_numeric_failure_exit_3(capsys):
     code, _, err = run_cli(capsys, "integrals", "--n", "3", "--z=-1e-9",
                            "--method", "tensor-trapezoid")
     assert code == 3 and "numeric failure" in err
+
+
+def test_root_scan_failure_writes_sign_table(capsys):
+    # the shallow delta_r root lies closer to the band edge than exp(-700)
+    code, out, err = run_cli(capsys, "summarize", "--n", "2",
+                             "--lambda", "5", "--mu", "2.5001")
+    assert code == 3 and out == ""
+    message, table_line = err.splitlines()
+    assert message.startswith("numeric failure: ")
+    assert table_line.startswith("sign_table: ")
+    table = json.loads(table_line[len("sign_table: "):])
+    zs = [z for z, _ in table]
+    assert zs[0] == -2.0 ** -40 and zs[-1] == -math.exp(-700.0)
+    assert zs == sorted(zs)   # towards the band edge
+    assert all(f < 0.0 for _, f in table)   # no sign change down to the end
 
 
 def test_subnormal_z_is_a_numeric_failure(capsys):

@@ -1,11 +1,13 @@
 """Eigenstate construction, residuals, moments and integrability."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import belowband as bb
+from belowband import states
 from belowband.states import (
     moments,
     probe_verdict,
@@ -99,6 +101,21 @@ def test_moments_finite_for_square_lattice_threshold_state():
     assert u[0] == 0.0
     assert u[1] == pytest.approx(1.0 / SQRT2, rel=1e-10)
     assert u[2] == pytest.approx(-1.0 / SQRT2, rel=1e-10)
+
+
+def test_only_divergence_leaves_moments_unset(monkeypatch):
+    params = bb.ModelParams(2, 3.0, 4.0)
+    g = bb.green_values(2, -0.5)
+    # a divergent integral the moments need: the state has no moments
+    unset = states_for_delta_c(params, -0.5, replace(g, cd=None))
+    assert all(state.moments is None for state in unset)
+
+    def broken(state, greens):
+        raise RuntimeError("bug in moments")
+
+    monkeypatch.setattr(states, "moments", broken)
+    with pytest.raises(RuntimeError, match="bug in moments"):
+        states_for_delta_c(params, -0.5, g)
 
 
 # ---------------------------------------------------------------------------
