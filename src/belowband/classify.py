@@ -21,9 +21,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import brentq
 
-from .green import DEFAULT_CONFIG, GreenValues, QuadratureConfig, green_threshold, green_values
+from .green import GreenValues, green_threshold, green_values
 from .reduction import (
-    CriticalCouplings,
     ModelParams,
     critical_couplings,
     hyperbola_limit,
@@ -104,14 +103,10 @@ class SpectralConstants:
     lambda_c: float | None    # 1/lim(c-d), n >= 2
     greens0: GreenValues
 
-    @property
-    def couplings(self) -> CriticalCouplings:
-        return CriticalCouplings(self.n, self.lambda_s, self.lambda_c)
-
 
 @lru_cache(maxsize=None)
-def spectral_constants(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> SpectralConstants:
-    greens0 = green_threshold(n, cfg)
+def spectral_constants(n: int) -> SpectralConstants:
+    greens0 = green_threshold(n)
     crit = critical_couplings(n, greens0)
     return SpectralConstants(
         n=n,
@@ -176,15 +171,14 @@ def _snap_mu(n: int, lam: float, mu: float, x: float, tol: float):
     return exact, True, mu != exact
 
 
-def snap_params(params: ModelParams, tol: float = REGION_TOL,
-                cfg: QuadratureConfig = DEFAULT_CONFIG):
+def snap_params(params: ModelParams, tol: float = REGION_TOL):
     """Project near-boundary couplings onto the curves and classify.
 
     Returns ``(snapped_params, even_region, odd_region)``.  With tol = 0
     nothing is snapped and open-region semantics apply.
     """
     n = params.n
-    consts = spectral_constants(n, cfg)
+    consts = spectral_constants(n)
     lam, on_s, on_c, moved_l = _snap_lambda(params.lam, consts, tol)
     mu, on_h, moved_m = _snap_mu(n, lam, params.mu, consts.x_asymptote, tol)
     snapped = ModelParams(n, lam, mu) if (moved_l or moved_m) else params
@@ -214,16 +208,14 @@ def snap_params(params: ModelParams, tol: float = REGION_TOL,
     return snapped, even, odd
 
 
-def classify_even(params: ModelParams, tol: float = REGION_TOL,
-                  cfg: QuadratureConfig = DEFAULT_CONFIG) -> EvenRegion:
+def classify_even(params: ModelParams, tol: float = REGION_TOL) -> EvenRegion:
     """Even-sector region of (lambda, mu); |.| <= tol snaps onto curves."""
-    return snap_params(params, tol, cfg)[1]
+    return snap_params(params, tol)[1]
 
 
-def classify_odd(params: ModelParams, tol: float = REGION_TOL,
-                 cfg: QuadratureConfig = DEFAULT_CONFIG) -> OddRegion:
+def classify_odd(params: ModelParams, tol: float = REGION_TOL) -> OddRegion:
     """Odd-sector region: S- / S0 / S+ by lambda against lambda_s."""
-    return snap_params(params, tol, cfg)[2]
+    return snap_params(params, tol)[2]
 
 
 def cell_label(n: int, even: EvenRegion, odd: OddRegion) -> tuple[str, int]:
@@ -298,25 +290,25 @@ def _hyper_of_ratio(params: ModelParams, z: float, ratio_ab: float) -> float:
     return (params.lam - ratio_ab) * (params.mu - (params.n - z)) - params.n
 
 
-def _hyper_value(params: ModelParams, z: float, cfg: QuadratureConfig) -> float:
-    return _hyper_of_ratio(params, z, green_values(params.n, z, cfg).ratio_ab)
+def _hyper_value(params: ModelParams, z: float) -> float:
+    return _hyper_of_ratio(params, z, green_values(params.n, z).ratio_ab)
 
 
 @lru_cache(maxsize=None)
-def _ladder_ratios(n: int, cfg: QuadratureConfig) -> tuple[float, ...]:
-    """a/b at the points of ``_LADDER``, a constant of (n, cfg).
+def _ladder_ratios(n: int) -> tuple[float, ...]:
+    """a/b at the points of ``_LADDER``, a constant of n.
 
-    Built on the first ``delta_r`` root search at this (n, cfg), never by
+    Built on the first ``delta_r`` root search at this n, never by
     ``spectral_constants``: requests that locate no ``delta_r`` root do not
     pay for the 81 evaluations.
     """
-    return tuple(green_values(n, z, cfg).ratio_ab for z in _LADDER)
+    return tuple(green_values(n, z).ratio_ab for z in _LADDER)
 
 
-def _ladder_values(params: ModelParams, cfg: QuadratureConfig) -> list[float]:
+def _ladder_values(params: ModelParams) -> list[float]:
     """H_z at the points of ``_LADDER``, equal to scalar ``_hyper_value`` calls."""
     return [_hyper_of_ratio(params, z, r)
-            for z, r in zip(_LADDER, _ladder_ratios(params.n, cfg))]
+            for z, r in zip(_LADDER, _ladder_ratios(params.n))]
 
 
 def _edge_root(fn, z_top: float, f_top: float, failure: str) -> float:
@@ -355,13 +347,12 @@ def _brackets(grid, values) -> list[tuple[float, float]]:
     return brackets
 
 
-def _delta_r_roots(params: ModelParams, expected: int,
-                   cfg: QuadratureConfig) -> list[float]:
+def _delta_r_roots(params: ModelParams, expected: int) -> list[float]:
     """Zeros of delta_r in (-inf, 0) via sign scan of the hyperbola function.
 
     delta_r = b(z) H_z with b > 0, so the zeros coincide and H_z is much
     better conditioned near the band edge.  The ladder scan reads a/b from
-    the per-(n, cfg) table ``_ladder_ratios``, so only lam and mu enter
+    the per-n table ``_ladder_ratios``, so only lam and mu enter
     anew and the scan costs no Green evaluation once the table exists; its
     values are bit-identical to scalar ``_hyper_value`` calls.  ``brentq``,
     the edge search and the refinement evaluate H_z by scalar calls.
@@ -371,16 +362,16 @@ def _delta_r_roots(params: ModelParams, expected: int,
     """
     if expected == 0:
         return []
-    fn = lambda z: _hyper_value(params, z, cfg)
+    fn = lambda z: _hyper_value(params, z)
     grid = list(_LADDER)
-    values = _ladder_values(params, cfg)
+    values = _ladder_values(params)
     brackets = _brackets(grid, values)
     edge = []
     if len(brackets) < expected:
         # one root may be squeezed against the band edge, beyond the
         # ladder: detectable as a sign mismatch between the topmost ladder
         # value and the z -> 0- limit of the hyperbola function
-        consts = spectral_constants(params.n, cfg)
+        consts = spectral_constants(params.n)
         limit = hyperbola_limit(params.n, params.lam, params.mu,
                                 consts.x_asymptote)
         if limit != 0.0 and values[-1] * limit < 0.0:
@@ -409,11 +400,10 @@ def _delta_r_roots(params: ModelParams, expected: int,
     return sorted(roots)
 
 
-def _monotone_root(params: ModelParams, which: str,
-                   cfg: QuadratureConfig) -> float:
+def _monotone_root(params: ModelParams, which: str) -> float:
     """Unique zero of lam*q(z) - 1 for the increasing integral q = c-d or s."""
     def fn(z: float) -> float:
-        g = green_values(params.n, z, cfg)
+        g = green_values(params.n, z)
         q = g.cd if which == "cd" else g.s
         return params.lam * q - 1.0
 
@@ -464,38 +454,37 @@ def _expected_sector_counts(n: int, even: EvenRegion, odd: OddRegion):
     return exp_r, exp_c, exp_s
 
 
-def _locate_records(params: ModelParams, even: EvenRegion, odd: OddRegion,
-                    cfg: QuadratureConfig) -> list[EigenvalueRecord]:
+def _locate_records(params: ModelParams, even: EvenRegion,
+                    odd: OddRegion) -> list[EigenvalueRecord]:
     n = params.n
     exp_r, exp_c, exp_s = _expected_sector_counts(n, even, odd)
     records = [EigenvalueRecord(z, 1, "even-rank-r", "delta_r")
-               for z in _delta_r_roots(params, exp_r, cfg)]
+               for z in _delta_r_roots(params, exp_r)]
     if exp_c:
         records.append(EigenvalueRecord(
-            _monotone_root(params, "cd", cfg), n - 1, "even-rank-c", "delta_c"))
+            _monotone_root(params, "cd"), n - 1, "even-rank-c", "delta_c"))
     if exp_s:
         records.append(EigenvalueRecord(
-            _monotone_root(params, "s", cfg), n, "odd", "delta_s"))
+            _monotone_root(params, "s"), n, "odd", "delta_s"))
     return sorted(records, key=lambda r: r.z)
 
 
-def negative_eigenvalues(params: ModelParams, tol: float = REGION_TOL,
-                         cfg: QuadratureConfig = DEFAULT_CONFIG) -> list[EigenvalueRecord]:
+def negative_eigenvalues(params: ModelParams,
+                         tol: float = REGION_TOL) -> list[EigenvalueRecord]:
     """All eigenvalues in (-inf, 0) with multiplicities and origins.
 
     Inputs within ``tol`` of a curve are first projected onto it, so the
     root count matches the labeled cell exactly.  Roots are located to
     better than 1e-10 in z.
     """
-    snapped, even, odd = snap_params(params, tol, cfg)
-    return _locate_records(snapped, even, odd, cfg)
+    snapped, even, odd = snap_params(params, tol)
+    return _locate_records(snapped, even, odd)
 
 
-def eigenstates(params: ModelParams, record: EigenvalueRecord,
-                cfg: QuadratureConfig = DEFAULT_CONFIG) -> list[EigenState]:
+def eigenstates(params: ModelParams, record: EigenvalueRecord) -> list[EigenState]:
     """Closed-form eigenfunction basis for one eigenvalue record."""
-    greens = (green_values(params.n, record.z, cfg) if record.z < 0.0
-              else spectral_constants(params.n, cfg).greens0)
+    greens = (green_values(params.n, record.z) if record.z < 0.0
+              else spectral_constants(params.n).greens0)
     if record.origin == "delta_r":
         return [state_for_delta_r(params, record.z, greens)]
     if record.origin == "delta_c":
@@ -546,11 +535,11 @@ class ThresholdReport:
         return sum(e.multiplicity for e in self.entries)
 
 
-def _threshold_entries(params: ModelParams, even: EvenRegion, odd: OddRegion,
-                       cfg: QuadratureConfig) -> list[ThresholdEntry]:
+def _threshold_entries(params: ModelParams, even: EvenRegion,
+                       odd: OddRegion) -> list[ThresholdEntry]:
     n = params.n
     entries: list[ThresholdEntry] = []
-    greens0 = spectral_constants(n, cfg).greens0
+    greens0 = spectral_constants(n).greens0
     # rank-one even state on the limiting hyperbola; absent for n <= 2
     if n >= 3 and even.curve in ("Gamma_l", "Gamma_r"):
         state = state_for_delta_r(params, 0.0, greens0)
@@ -569,16 +558,15 @@ def _threshold_entries(params: ModelParams, even: EvenRegion, odd: OddRegion,
     return entries
 
 
-def threshold_report(params: ModelParams, tol: float = REGION_TOL,
-                     cfg: QuadratureConfig = DEFAULT_CONFIG) -> ThresholdReport:
+def threshold_report(params: ModelParams, tol: float = REGION_TOL) -> ThresholdReport:
     """Threshold taxonomy at z = 0 for the (possibly snapped) couplings.
 
     For n = 1 the even sector never contributes; the only edge state is the
     odd super-threshold resonance on lambda = lambda_s = 1.  For n = 2 the
     even sector contributes only the simple eigenvalue on lambda = lambda_c.
     """
-    snapped, even, odd = snap_params(params, tol, cfg)
-    return ThresholdReport(tuple(_threshold_entries(snapped, even, odd, cfg)))
+    snapped, even, odd = snap_params(params, tol)
+    return ThresholdReport(tuple(_threshold_entries(snapped, even, odd)))
 
 
 # ---------------------------------------------------------------------------
@@ -601,23 +589,22 @@ class SpectralSummary:
         return sum(r.multiplicity for r in self.eigenvalues)
 
 
-def summarize(params: ModelParams, tol: float = REGION_TOL,
-              cfg: QuadratureConfig = DEFAULT_CONFIG) -> SpectralSummary:
+def summarize(params: ModelParams, tol: float = REGION_TOL) -> SpectralSummary:
     """Full below-band spectral picture at one coupling pair.
 
     The multiplicity-weighted count of located eigenvalues is checked
     against the value the region taxonomy prescribes for the cell; any
     mismatch raises :class:`ConsistencyError` (it means a bug, not data).
     """
-    snapped, even, odd = snap_params(params, tol, cfg)
+    snapped, even, odd = snap_params(params, tol)
     name, expected = cell_label(params.n, even, odd)
-    records = _locate_records(snapped, even, odd, cfg)
+    records = _locate_records(snapped, even, odd)
     found = sum(r.multiplicity for r in records)
     if found != expected:
         raise ConsistencyError(
             f"located {found} eigenvalue(s) but cell {name} prescribes "
             f"{expected} for n={params.n}, lambda={snapped.lam}, mu={snapped.mu}")
-    report = ThresholdReport(tuple(_threshold_entries(snapped, even, odd, cfg)))
+    report = ThresholdReport(tuple(_threshold_entries(snapped, even, odd)))
     return SpectralSummary(
         params=params,
         snapped=snapped,

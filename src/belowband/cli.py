@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .classify import (
+    REGION_TOL,
     ConsistencyError,
     RootScanError,
     cell_label,
@@ -32,7 +33,6 @@ from .classify import (
     threshold_report,
 )
 from .green import (
-    DEFAULT_CONFIG,
     DivergentIntegralError,
     QuadratureConfig,
     green_threshold,
@@ -98,15 +98,14 @@ def _parse_selector(text: str) -> tuple[str, int]:
 
 
 def _config(args) -> QuadratureConfig:
-    kwargs = {}
-    if getattr(args, "method", None):
+    """Engine settings of ``integrals``; a flag left out keeps its default."""
+    kwargs = {"grid_points": args.grid_points}
+    if args.method is not None:
         kwargs["method"] = args.method
-    if getattr(args, "tol", None):
+    if args.tol is not None:
         kwargs["rtol"] = args.tol
         kwargs["rtol_near_threshold"] = max(args.tol, 1e-8)
-    if getattr(args, "grid_points", None):
-        kwargs["grid_points"] = args.grid_points
-    return QuadratureConfig(**kwargs) if kwargs else DEFAULT_CONFIG
+    return QuadratureConfig(**kwargs)
 
 
 def _params(args) -> ModelParams:
@@ -119,7 +118,7 @@ def _params(args) -> ModelParams:
 
 def cmd_integrals(args) -> int:
     cfg = _config(args)
-    if args.z > 0.0:
+    if not args.z <= 0.0:   # so that nan fails as well
         raise ValueError(f"--z must be <= 0, got {args.z}")
     g = green_values(args.n, args.z, cfg) if args.z < 0.0 else \
         green_threshold(args.n, cfg)
@@ -151,8 +150,8 @@ def cmd_integrals(args) -> int:
 # classify / summarize
 # ---------------------------------------------------------------------------
 
-def _region_doc(params: ModelParams, tol: float, cfg: QuadratureConfig) -> dict:
-    snapped, even, odd = snap_params(params, tol, cfg)
+def _region_doc(params: ModelParams, tol: float) -> dict:
+    snapped, even, odd = snap_params(params, tol)
     name, expected = cell_label(params.n, even, odd)
     return {
         "even": {"curve": even.curve, "strip": even.strip,
@@ -165,19 +164,17 @@ def _region_doc(params: ModelParams, tol: float, cfg: QuadratureConfig) -> dict:
 
 
 def cmd_classify(args) -> int:
-    cfg = _config(args)
     params = _params(args)
     doc = {"schema_version": SCHEMA_VERSION, "n": args.n,
            "lambda": args.lam, "mu": args.mu,
-           **_region_doc(params, args.region_tol, cfg)}
+           **_region_doc(params, args.region_tol)}
     _emit_json(doc)
     return 0
 
 
 def cmd_summarize(args) -> int:
-    cfg = _config(args)
     params = _params(args)
-    summary = summarize(params, tol=args.region_tol, cfg=cfg)
+    summary = summarize(params, tol=args.region_tol)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "n": args.n,
@@ -215,13 +212,12 @@ def cmd_summarize(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_scan(args) -> int:
-    cfg = _config(args)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["lambda", "mu", "region_label", "eigencount"])
     for lam in args.lambda_range:
         for mu in args.mu_range:
             params = ModelParams(args.n, float(lam), float(mu))
-            _, even, odd = snap_params(params, args.region_tol, cfg)
+            _, even, odd = snap_params(params, args.region_tol)
             name, count = cell_label(args.n, even, odd)
             writer.writerow([repr(float(lam)), repr(float(mu)), name, count])
     return 0
@@ -231,27 +227,25 @@ def cmd_scan(args) -> int:
 # eigenfunction
 # ---------------------------------------------------------------------------
 
-def _select_state(params: ModelParams, selector: tuple[str, int], tol: float,
-                  cfg: QuadratureConfig):
+def _select_state(params: ModelParams, selector: tuple[str, int], tol: float):
     kind, index = selector
     if kind == "neg":
-        records = negative_eigenvalues(params, tol=tol, cfg=cfg)
+        records = negative_eigenvalues(params, tol=tol)
         if index < len(records):
-            return eigenstates(params, records[index], cfg)[0]
+            return eigenstates(params, records[index])[0]
         return None
-    entries = threshold_report(params, tol=tol, cfg=cfg).entries
+    entries = threshold_report(params, tol=tol).entries
     return entries[index].states[0] if index < len(entries) else None
 
 
 def cmd_eigenfunction(args) -> int:
-    cfg = _config(args)
     params = _params(args)
-    state = _select_state(params, args.selector, args.region_tol, cfg)
+    state = _select_state(params, args.selector, args.region_tol)
     if state is None:
         print("no state matches the selector at these couplings",
               file=sys.stderr)
         return EMPTY_RESULT
-    res = residual(params, state, cfg)
+    res = residual(params, state)
     out = sys.stdout
     out.write(f"# n={params.n} lambda={params.lam!r} mu={params.mu!r}\n")
     out.write(f"# sector={state.sector} z={state.z!r} formula={state.formula}\n")
@@ -259,10 +253,12 @@ def cmd_eigenfunction(args) -> int:
     out.write(f"# residual={res!r}\n")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow([f"p{j + 1}" for j in range(params.n)] + ["f"])
-    # half-offset grid: no node hits p = 0, where threshold states have
-    # their (integrable) singularity
+    # nodes -pi + step (k + 1/2) on even grids and -pi + step k on odd ones:
+    # neither hits p = 0, where threshold states have their (integrable)
+    # singularity
     step = 2.0 * math.pi / args.grid
-    axis = -math.pi + step * (np.arange(args.grid) + 0.5)
+    offset = 0.5 if args.grid % 2 == 0 else 0.0
+    axis = -math.pi + step * (np.arange(args.grid) + offset)
     mesh = np.stack(np.meshgrid(*([axis] * params.n), indexing="ij"), axis=-1)
     pts = mesh.reshape(-1, params.n)
     vals = state.evaluate(pts)
@@ -275,14 +271,14 @@ def cmd_eigenfunction(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _verify_identities(args, cfg) -> dict:
+def _verify_identities(args) -> dict:
     checks = []
     zs = np.geomspace(1e-4, 50.0, args.samples)
     for n in args.nrange:
         worst = {"alg1": 0.0, "alg2": 0.0, "alg3": 0.0, "as_b": 0.0, "app_a": 0.0}
         for zz in zs:
             z = -float(zz)
-            g = green_values(n, z, cfg)
+            g = green_values(n, z)
             worst["alg1"] = max(worst["alg1"],
                                 abs(g.a - g.b - (1.0 + z * g.a) / n))
             worst["alg2"] = max(worst["alg2"], abs(g.alpha - (n - z) * g.b))
@@ -302,7 +298,7 @@ def _verify_identities(args, cfg) -> dict:
     return {"suite": "identities", "checks": checks}
 
 
-def _verify_factorization(args, cfg) -> dict:
+def _verify_factorization(args) -> dict:
     rng = np.random.default_rng(args.seed)
     checks = []
     for n in args.nrange:
@@ -311,7 +307,7 @@ def _verify_factorization(args, cfg) -> dict:
             lam, mu = rng.uniform(-5.0, 5.0, size=2)
             z = -float(np.exp(rng.uniform(np.log(1e-3), np.log(10.0))))
             params = ModelParams(n, float(lam), float(mu))
-            g = green_values(n, z, cfg)
+            g = green_values(n, z)
             direct = float(np.linalg.det(
                 build_bs_matrix(params, z, "even", g).entries - np.eye(n + 1)))
             product = delta_r(params, z, g) * delta_c(params, z, g)
@@ -322,9 +318,9 @@ def _verify_factorization(args, cfg) -> dict:
     return {"suite": "factorization", "checks": checks}
 
 
-def _verify_oracle(args, cfg) -> dict:
+def _verify_oracle(args) -> dict:
     params = ModelParams(args.nrange[0], args.lam, args.mu)
-    report = compare(params, args.L, theta=args.theta, cfg=cfg)
+    report = compare(params, args.L, theta=args.theta)
     checks = [{
         "name": f"count[L={L}]",
         "oracle_count": count,
@@ -336,13 +332,12 @@ def _verify_oracle(args, cfg) -> dict:
 
 
 def cmd_verify(args) -> int:
-    cfg = _config(args)
     if args.suite == "identities":
-        doc = _verify_identities(args, cfg)
+        doc = _verify_identities(args)
     elif args.suite == "factorization":
-        doc = _verify_factorization(args, cfg)
+        doc = _verify_factorization(args)
     else:
-        doc = _verify_oracle(args, cfg)
+        doc = _verify_oracle(args)
     doc["schema_version"] = SCHEMA_VERSION
     doc["passed"] = all(c["passed"] for c in doc["checks"])
     _emit_json(doc)
@@ -353,16 +348,12 @@ def cmd_verify(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p, couplings: bool = True) -> None:
+def _add_common(p) -> None:
     p.add_argument("--n", type=int, required=True, help="lattice dimension")
-    if couplings:
-        p.add_argument("--lambda", dest="lam", type=float, required=True,
-                       help="neighbor coupling")
-        p.add_argument("--mu", type=float, required=True,
-                       help="origin coupling")
-    p.add_argument("--tol", type=float, default=None,
-                   help="quadrature relative tolerance")
-    p.add_argument("--region-tol", type=float, default=1e-9,
+    p.add_argument("--lambda", dest="lam", type=float, required=True,
+                   help="neighbor coupling")
+    p.add_argument("--mu", type=float, required=True, help="origin coupling")
+    p.add_argument("--region-tol", type=float, default=REGION_TOL,
                    help="snap distance onto region curves")
 
 
@@ -397,8 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True, metavar="LO:HI:COUNT")
     p.add_argument("--mu-range", dest="mu_range", type=_parse_range,
                    required=True, metavar="LO:HI:COUNT")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--region-tol", type=float, default=1e-9)
+    p.add_argument("--region-tol", type=float, default=REGION_TOL)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("eigenfunction", help="CSV samples of one state")
@@ -420,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=_parse_int_list, default=[50, 100],
                    help="comma-separated box radii")
     p.add_argument("--theta", type=float, default=DEFAULT_THETA)
-    p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.special as sp
@@ -50,13 +50,18 @@ class DivergentIntegralError(ValueError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Evaluation settings for the Green's-function integrals.
+    """Engine selection for :func:`green_values` and :func:`green_threshold`.
 
-    ``rtol`` applies for z <= -1e-3; closer to the band edge the integrands
-    peak sharply and the guarantee degrades to ``rtol_near_threshold``.
-    With ``method="both"`` the two engines must agree to 10x the effective
-    tolerance, otherwise a :class:`QuadratureError` is raised.  The
-    Laplace-Bessel engine has no settings: its panels and nodes are fixed.
+    Only these two functions and ``belowband integrals`` take a config; the
+    spectral layers (root location, states, the oracle comparison) always
+    use the default Laplace-Bessel engine, which has no settings: its
+    panels and nodes are fixed.  The tensor trapezoid is kept as an
+    independent reference; ``grid_points``, ``rtol`` and
+    ``rtol_near_threshold`` are read only when it runs.  ``rtol`` applies for
+    z <= -1e-3; closer to the band edge the integrands peak sharply and the
+    guarantee degrades to ``rtol_near_threshold``.  With ``method="both"``
+    the two engines must agree to 10x the effective tolerance, otherwise a
+    :class:`QuadratureError` is raised.
     """
 
     method: str = "laplace-bessel"
@@ -214,7 +219,8 @@ def green_values(n: int, z: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Gr
     if cfg.method in ("laplace-bessel", "both"):
         lap = laplace_integrals(int(n), float(z))
     if cfg.method in ("tensor-trapezoid", "both"):
-        m = cfg.grid_points or required_grid_points(n, z, rtol)
+        m = cfg.grid_points if cfg.grid_points is not None else \
+            required_grid_points(n, z, rtol)
         trap = trapezoid_integrals(int(n), float(z), m)
     if lap is not None and trap is not None:
         _cross_check(n, z, lap, trap, 10.0 * rtol)
@@ -306,8 +312,3 @@ def closed_form_a3(z: float) -> float:
         val, _ = quad(integrand, 0.0, math.pi, limit=400,
                       epsabs=1e-14, epsrel=1e-13, points=[0.0])
     return val / math.pi ** 2
-
-
-def with_method(cfg: QuadratureConfig, method: str) -> QuadratureConfig:
-    """Copy of ``cfg`` with a different engine selection."""
-    return replace(cfg, method=method)

@@ -30,8 +30,7 @@ import scipy.sparse as sparse
 from scipy.linalg import eigh
 from scipy.sparse.linalg import eigsh
 
-from .classify import negative_eigenvalues
-from .green import DEFAULT_CONFIG, QuadratureConfig
+from .classify import REGION_TOL, negative_eigenvalues
 from .reduction import ModelParams
 
 __all__ = [
@@ -160,8 +159,7 @@ def lowest_eigenvalues(ham: TruncatedHamiltonian, k: int) -> OracleSpectrum:
 
 
 def compare(params: ModelParams, L_values, theta: float = DEFAULT_THETA,
-            tol: float = 1e-9, cfg: QuadratureConfig = DEFAULT_CONFIG,
-            extra_states: int = 4) -> OracleComparison:
+            tol: float = REGION_TOL, extra_states: int = 4) -> OracleComparison:
     """Check bound-state counts and locations against the classifier.
 
     For every L the oracle count of eigenvalues below theta is compared to
@@ -171,7 +169,9 @@ def compare(params: ModelParams, L_values, theta: float = DEFAULT_THETA,
     """
     if theta >= 0.0:
         raise ValueError(f"theta must be < 0, got {theta}")
-    records = negative_eigenvalues(params, tol=tol, cfg=cfg)
+    if not math.isfinite(theta):   # nan or -inf would count nothing and pass
+        raise ValueError(f"theta must be finite, got {theta}")
+    records = negative_eigenvalues(params, tol=tol)
     predicted = []
     for rec in records:
         if rec.z < theta:

@@ -24,10 +24,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from .green import (
-    DEFAULT_CONFIG,
     DivergentIntegralError,
     GreenValues,
-    QuadratureConfig,
     dispersion,
     green_threshold,
     green_values,
@@ -231,8 +229,7 @@ def _with_moments(state: EigenState, greens: GreenValues) -> EigenState:
                       state.formula, u)
 
 
-def residual(params: ModelParams, state: EigenState,
-             cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def residual(params: ModelParams, state: EigenState) -> float:
     """Fixed-point residual ||(G(z) - I) w||_inf / ||w||_inf.
 
     Green values are evaluated fresh at ``state.z``.  For even threshold
@@ -246,7 +243,7 @@ def residual(params: ModelParams, state: EigenState,
         raise ValueError("zero coefficient vector")
     n = params.n
     z = state.z
-    greens = green_values(n, z, cfg) if z < 0.0 else green_threshold(n, cfg)
+    greens = green_values(n, z) if z < 0.0 else green_threshold(n)
     if state.sector == "odd":
         (s,) = greens.require("s")
         return float(np.max(np.abs((params.lam * s - 1.0) * w))) / norm

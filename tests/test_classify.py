@@ -174,27 +174,26 @@ def test_refinement_separates_two_roots_in_one_ladder_octave():
         assert abs(exact_h(z)) < 1e-12
 
 
-def _scalar_ladder_values(params, cfg):
-    return [classify._hyper_value(params, z, cfg) for z in classify._LADDER]
+def _scalar_ladder_values(params):
+    return [classify._hyper_value(params, z) for z in classify._LADDER]
 
 
-def _roots_or_error(params, expected, cfg):
+def _roots_or_error(params, expected):
     try:
-        return classify._delta_r_roots(params, expected, cfg)
+        return classify._delta_r_roots(params, expected)
     except bb.RootScanError as exc:
         return str(exc), exc.sign_table
 
 
 def _check_ladder_table(n, lam, mu):
     """The tabulated ladder scan equals the loop of scalar H_z evaluations."""
-    cfg = bb.DEFAULT_CONFIG
     params = bb.ModelParams(n, lam, mu)
-    assert classify._ladder_values(params, cfg) == _scalar_ladder_values(params, cfg)
+    assert classify._ladder_values(params) == _scalar_ladder_values(params)
     _, even, odd = bb.snap_params(params, tol=0.0)
     expected = classify._expected_sector_counts(n, even, odd)[0]
-    tabulated = _roots_or_error(params, expected, cfg)
+    tabulated = _roots_or_error(params, expected)
     with mock.patch.object(classify, "_ladder_values", _scalar_ladder_values):
-        assert _roots_or_error(params, expected, cfg) == tabulated
+        assert _roots_or_error(params, expected) == tabulated
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -217,16 +216,16 @@ def test_ladder_table_matches_scalar_scan_on_fixtures(n):
 
 
 def test_ladder_table_is_built_only_for_delta_r_roots():
-    cfg = bb.QuadratureConfig(rtol=2e-10)   # a key no other test builds
+    classify._ladder_ratios.cache_clear()
     info = classify._ladder_ratios.cache_info
     start = info()
-    bb.spectral_constants(3, cfg)
-    assert bb.summarize(bb.ModelParams(3, -1.0, -1.0), cfg=cfg).cell == "D0"
+    bb.spectral_constants(3)
+    assert bb.summarize(bb.ModelParams(3, -1.0, -1.0)).cell == "D0"
     assert info().misses == start.misses and info().currsize == start.currsize
     d1 = bb.ModelParams(3, 0.0, 4.5)
-    assert bb.summarize(d1, cfg=cfg).cell == "D1"
+    assert bb.summarize(d1).cell == "D1"
     assert info().misses == start.misses + 1
-    bb.summarize(d1, cfg=cfg)
+    bb.summarize(d1)
     assert info().misses == start.misses + 1 and info().hits > start.hits
 
 

@@ -4,9 +4,12 @@ import csv
 import io
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import belowband as bb
@@ -136,11 +139,23 @@ def test_scan_malformed_range_exits_2():
     ("eigenfunction", "--n", "1", "--lambda", "0", "--mu", "1", "--grid=-2"),
     ("verify", "identities", "--samples", "0"),
     ("verify", "factorization", "--samples", "0"),
+    ("integrals", "--n", "2", "--z", "-1", "--tol", "0"),
+    ("integrals", "--n", "2", "--z", "-1", "--method", "tensor-trapezoid",
+     "--grid-points", "0"),
+    ("integrals", "--n", "2", "--z", "nan"),
+    ("verify", "oracle", "--n", "1", "--lambda", "0", "--mu", "1", "--L", "20",
+     "--theta", "nan"),
+    ("verify", "oracle", "--n", "1", "--lambda", "0", "--mu", "1", "--L", "20",
+     "--theta=-inf"),
+    ("summarize", "--n", "1", "--lambda", "0", "--mu", "1", "--tol", "1e-6"),
 ])
 def test_empty_ranges_and_negative_selectors_exit_2(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(list(argv))
-    assert exc.value.code == 2
+    # argparse rejects a flag by SystemExit, the command body by exit code
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
     out = capsys.readouterr()
     assert out.out == "" and "error" in out.err
 
@@ -169,6 +184,22 @@ def test_eigenfunction_threshold_selector(capsys):
                            "--selector", "threshold:0", "--grid", "6")
     assert code == 0
     assert "formula=z2" in out
+
+
+@pytest.mark.parametrize("n, lam, mu", [(3, 5.398476183259448, 0.0),
+                                        (1, 1.0, 7.0)])
+def test_eigenfunction_default_grid_avoids_the_singular_point(capsys, n, lam, mu):
+    # the default grid is odd; a node at p = 0 would sample 0/0 there
+    code, out, _ = run_cli(capsys, "eigenfunction", "--n", str(n),
+                           "--lambda", repr(lam), "--mu", repr(mu),
+                           "--selector", "threshold:0")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()
+            if not line.startswith("#")][1:]
+    assert len(rows) == 33 ** n
+    values = np.array(rows, dtype=float)
+    assert np.all(np.isfinite(values))
+    assert not np.any(np.all(values[:, :n] == 0.0, axis=1))
 
 
 def test_eigenfunction_empty_exit_4(capsys):
@@ -237,3 +268,14 @@ def test_console_entry_point():
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["a"] == pytest.approx(
         bb.closed_form_a1(-2.0), rel=1e-10)
+
+
+def test_readme_commands_run(capsys):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)[1:]
+                for line in block.splitlines() if line.startswith("belowband ")]
+    assert len(commands) >= 8
+    for argv in commands:
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import belowband as bb
-from belowband.green import closed_form_green1, with_method
+from belowband.green import closed_form_green1
 from belowband.quadrature import (
     QuadratureError,
     finite_at_threshold,
@@ -296,7 +296,6 @@ def test_config_validation():
         bb.QuadratureConfig(rtol=-1.0)
     assert bb.DEFAULT_CONFIG.effective_rtol(-1.0) == 1e-10
     assert bb.DEFAULT_CONFIG.effective_rtol(-1e-5) == 1e-8
-    assert with_method(bb.DEFAULT_CONFIG, "both").method == "both"
 
 
 def test_deterministic_evaluation():

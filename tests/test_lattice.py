@@ -181,5 +181,7 @@ def test_compare_free_case_empty():
 
 
 def test_compare_requires_negative_theta():
-    with pytest.raises(ValueError):
-        bb.compare(bb.ModelParams(1, 0.0, 1.0), [10], theta=0.0)
+    # nan and -inf would count nothing on either side and pass vacuously
+    for theta in (0.0, math.nan, -math.inf):
+        with pytest.raises(ValueError):
+            bb.compare(bb.ModelParams(1, 0.0, 1.0), [10], theta=theta)
