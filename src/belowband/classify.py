@@ -18,10 +18,10 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
 from scipy.optimize import brentq
 
 from .green import GreenValues, green_threshold, green_values
+from .quadrature import _Z_MAX
 from .reduction import (
     ModelParams,
     critical_couplings,
@@ -175,8 +175,11 @@ def snap_params(params: ModelParams, tol: float = REGION_TOL):
     """Project near-boundary couplings onto the curves and classify.
 
     Returns ``(snapped_params, even_region, odd_region)``.  With tol = 0
-    nothing is snapped and open-region semantics apply.
+    nothing is snapped and open-region semantics apply; a tolerance that is
+    negative, infinite or NaN raises ValueError.
     """
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"snapping tolerance must be finite and >= 0, got {tol}")
     n = params.n
     consts = spectral_constants(n)
     lam, on_s, on_c, moved_l = _snap_lambda(params.lam, consts, tol)
@@ -281,155 +284,136 @@ def cell_label(n: int, even: EvenRegion, odd: OddRegion) -> tuple[str, int]:
 # Root location
 # ---------------------------------------------------------------------------
 
-_LADDER = tuple(-(2.0 ** k) for k in range(40, -41, -1))  # -2^40 .. -2^-40
-_BRENTQ_KW = dict(xtol=1e-13, rtol=4 * np.finfo(float).eps, maxiter=200)
+# Every factor is located in u = ln(-z): the ladder is uniform in u, roots
+# squeezed against the band edge are resolved there, and a brentq tolerance
+# in u is a relative one in z.
+_LN2 = math.log(2.0)
+_LADDER = tuple(k * _LN2 for k in range(40, -41, -1))   # -z = 2^40 .. 2^-40
+_REFINE = 16             # points per ladder step of the refined scan
+_STRIDE = 80.0           # step in u past an end of the ladder
+_U_NEAR = -700.0         # inside the engine's near limit _Z_MIN
+_U_FAR = math.nextafter(math.log(_Z_MAX), 0.0)   # the engine's far limit
+_BRENTQ_KW = dict(xtol=4 * math.ulp(1.0), rtol=4 * math.ulp(1.0), maxiter=200)
 
 
-def _hyper_of_ratio(params: ModelParams, z: float, ratio_ab: float) -> float:
-    """H_z = (lam - a/b)(mu - (n - z)) - n from the value of a/b at z."""
-    return (params.lam - ratio_ab) * (params.mu - (params.n - z)) - params.n
+def _factor(params: ModelParams, origin: str, g: GreenValues) -> float:
+    """The function of g.z whose zeros are those of ``origin``.
 
-
-def _hyper_value(params: ModelParams, z: float) -> float:
-    return _hyper_of_ratio(params, z, green_values(params.n, z).ratio_ab)
+    delta_r = b H_z with b > 0, and H_z = (lam - a/b)(mu - (n - z)) - n is
+    much better conditioned near the band edge; delta_c and delta_s are
+    powers of lam (c - d) - 1 and lam s - 1.
+    """
+    if origin == "delta_r":
+        return (params.lam - g.a / g.b) * (params.mu - (params.n - g.z)) - params.n
+    return params.lam * (g.cd if origin == "delta_c" else g.s) - 1.0
 
 
 @lru_cache(maxsize=None)
-def _ladder_ratios(n: int) -> tuple[float, ...]:
-    """a/b at the points of ``_LADDER``, a constant of n.
+def _ladder_greens(n: int) -> tuple[GreenValues, ...]:
+    """Green values at the points of ``_LADDER``, a constant of n.
 
-    Built on the first ``delta_r`` root search at this n, never by
-    ``spectral_constants``: requests that locate no ``delta_r`` root do not
-    pay for the 81 evaluations.
+    Built on the first root search at this n, never by
+    ``spectral_constants``: requests that locate no root do not pay for the
+    81 evaluations.
     """
-    return tuple(green_values(n, z).ratio_ab for z in _LADDER)
+    return tuple(green_values(n, -math.exp(u)) for u in _LADDER)
 
 
-def _ladder_values(params: ModelParams) -> list[float]:
-    """H_z at the points of ``_LADDER``, equal to scalar ``_hyper_value`` calls."""
-    return [_hyper_of_ratio(params, z, r)
-            for z, r in zip(_LADDER, _ladder_ratios(params.n))]
-
-
-def _edge_root(fn, z_top: float, f_top: float, failure: str) -> float:
-    """Root of fn(z) between z_top < 0 and the band edge, in u = ln(-z).
-
-    Near z = 0 the determinant factors converge to their limits slowly
-    (logarithmically for n <= 2), so a root squeezed against the edge can
-    sit at -z far below any linear ladder.  They extend continuously to the
-    edge, which gives a bracket in u whenever f_top and the z -> 0- limit
-    have opposite signs.  A failure carries the (z, f) pairs visited.
-    """
-    f_of_u = lambda u: fn(-math.exp(u))
-    u, f = math.log(-z_top), f_top
-    table = [(z_top, f_top)]
-    while u > -700.0:
-        u_next = max(u - 80.0, -700.0)
-        f_next = f_of_u(u_next)
-        table.append((-math.exp(u_next), f_next))
-        if f_next == 0.0:
-            return -math.exp(u_next)
-        if f_next * f < 0.0:
-            return -math.exp(float(brentq(f_of_u, u_next, u, **_BRENTQ_KW)))
-        u, f = u_next, f_next
-    raise RootScanError(failure, sign_table=table)
-
-
-def _brackets(grid, values) -> list[tuple[float, float]]:
+def _brackets(us, values) -> list[tuple[float, float, float, float]]:
+    """(lo, f(lo), hi, f(hi)) in u around each sign change of a scan; a zero
+    at a scan point u0 is the bracket (u0, 0, u0, 0)."""
     brackets = []
-    for (z0, f0), (z1, f1) in zip(zip(grid, values), zip(grid[1:], values[1:])):
+    for (u0, f0), (u1, f1) in zip(zip(us, values), zip(us[1:], values[1:])):
         if f0 == 0.0:
-            brackets.append((z0, z0))
+            brackets.append((u0, f0, u0, f0))
         elif f0 * f1 < 0.0:
-            brackets.append((z0, z1))
+            brackets.append((u1, f1, u0, f0) if u1 < u0 else (u0, f0, u1, f1))
     if values and values[-1] == 0.0:
-        brackets.append((grid[-1], grid[-1]))
+        brackets.append((us[-1], 0.0, us[-1], 0.0))
     return brackets
 
 
-def _delta_r_roots(params: ModelParams, expected: int) -> list[float]:
-    """Zeros of delta_r in (-inf, 0) via sign scan of the hyperbola function.
+def _step_past(f, u: float, value: float, limit: float, failure: str):
+    """Bracket of a zero of f(-exp(u)) between the ladder end u and ``limit``.
 
-    delta_r = b(z) H_z with b > 0, so the zeros coincide and H_z is much
-    better conditioned near the band edge.  The ladder scan reads a/b from
-    the per-n table ``_ladder_ratios``, so only lam and mu enter
-    anew and the scan costs no Green evaluation once the table exists; its
-    values are bit-identical to scalar ``_hyper_value`` calls.  ``brentq``,
-    the edge search and the refinement evaluate H_z by scalar calls.
-    Missing roots after the ladder scan are sought against the band edge,
-    then in a 16-fold refined ladder; a persistent mismatch is reported
-    with the sign table.
+    Steps of ``_STRIDE`` in u; a failure carries the (z, f) pairs visited.
+    """
+    table = [(-math.exp(u), value)]
+    while u != limit:
+        u_next = max(u - _STRIDE, limit) if limit < u else min(u + _STRIDE, limit)
+        f_next = f(-math.exp(u_next))
+        table.append((-math.exp(u_next), f_next))
+        if f_next * value <= 0.0:
+            return _brackets([u, u_next], [value, f_next])[0]
+        u, value = u_next, f_next
+    raise RootScanError(failure, sign_table=table)
+
+
+def _polish(f, lo: float, f_lo: float, hi: float, f_hi: float) -> float:
+    """Zero of f(z) with u = ln(-z) in [lo, hi], by brentq in v = u - lo.
+
+    brentq stops within 4 eps (1 + |v|) of the zero in v, a relative error
+    in z.  Measured from lo, |v| is at most the bracket width (ln 2 on the
+    ladder) where |u| reaches 700.  The ends take their scanned values, so
+    rounding in -exp(u) cannot change their signs.
+    """
+    z_lo = -math.exp(lo)
+    if f_lo == 0.0:
+        return z_lo
+    ends = {0.0: f_lo, hi - lo: f_hi}
+    v = brentq(lambda v: ends[v] if v in ends else f(z_lo * math.exp(v)),
+               0.0, hi - lo, **_BRENTQ_KW)
+    return z_lo * math.exp(float(v))
+
+
+def _roots(params: ModelParams, origin: str, expected: int) -> list[float]:
+    """The ``expected`` zeros in (-inf, 0) of one determinant factor.
+
+    The scan reads the ladder from the per-n table ``_ladder_greens``, so it
+    costs no Green evaluation once the table exists; its values are
+    bit-identical to scalar calls.  If it brackets too few zeros, each end
+    of the ladder whose sign disagrees with the factor's value at that end
+    of (-inf, 0) is stepped past in u; if the count is still short, the scan
+    is repeated on a 16-fold finer grid in u.  Every bracket is polished in
+    u.  A persistent mismatch is reported with the sign table.
     """
     if expected == 0:
         return []
-    fn = lambda z: _hyper_value(params, z)
-    grid = list(_LADDER)
-    values = _ladder_values(params)
-    brackets = _brackets(grid, values)
-    edge = []
+    n = params.n
+    where = f"for (n={n}, lambda={params.lam}, mu={params.mu})"
+    f = lambda z: _factor(params, origin, green_values(n, z))
+    us = _LADDER
+    values = [_factor(params, origin, g) for g in _ladder_greens(n)]
+    brackets = _brackets(us, values)
+    ends = []
     if len(brackets) < expected:
-        # one root may be squeezed against the band edge, beyond the
-        # ladder: detectable as a sign mismatch between the topmost ladder
-        # value and the z -> 0- limit of the hyperbola function
-        consts = spectral_constants(params.n)
-        limit = hyperbola_limit(params.n, params.lam, params.mu,
-                                consts.x_asymptote)
-        if limit != 0.0 and values[-1] * limit < 0.0:
-            edge.append(_edge_root(
-                fn, grid[-1], values[-1],
-                f"a zero of delta_r lies closer to the band edge than exp(-700) "
-                f"for (n={params.n}, lambda={params.lam}, mu={params.mu}); the "
-                f"limit value there is {limit}"))
-    if len(brackets) + len(edge) < expected:
-        dense = []
-        for z0, z1 in zip(grid, grid[1:]):
-            dense.extend(np.linspace(z0, z1, 17)[:-1])
-        dense.append(grid[-1])
-        grid = dense
-        values = [fn(z) for z in grid]
-        brackets = _brackets(grid, values)
-    if len(brackets) + len(edge) != expected:
+        # the factor's sign as z -> -inf and its limit as z -> 0-
+        consts = spectral_constants(n)
+        if origin == "delta_r":
+            far = 1.0
+            near = hyperbola_limit(n, params.lam, params.mu, consts.x_asymptote)
+        else:
+            far, near = -1.0, _factor(params, origin, consts.greens0)
+        if values[0] * far < 0.0:
+            ends.append(_step_past(
+                f, us[0], values[0], _U_FAR,
+                f"a zero of {origin} lies farther below the band than "
+                f"z = -{_Z_MAX!r} {where}; past it b is not a normal double"))
+        if values[-1] * near < 0.0:
+            ends.append(_step_past(
+                f, us[-1], values[-1], _U_NEAR,
+                f"a zero of {origin} lies closer to the band edge than "
+                f"exp(-700) {where}; the limit value there is {near}"))
+    if len(brackets) + len(ends) < expected:
+        us = [j * _LN2 / _REFINE for j in range(40 * _REFINE, -40 * _REFINE - 1, -1)]
+        values = [f(-math.exp(u)) for u in us]
+        brackets = _brackets(us, values)
+    if len(brackets) + len(ends) != expected:
         raise RootScanError(
-            f"expected {expected} zero(s) of delta_r for (n={params.n}, "
-            f"lambda={params.lam}, mu={params.mu}), bracketed "
-            f"{len(brackets) + len(edge)}",
-            sign_table=list(zip(grid, values)))
-    roots = list(edge)
-    for z0, z1 in brackets:
-        roots.append(z0 if z0 == z1 else float(brentq(fn, z0, z1, **_BRENTQ_KW)))
-    return sorted(roots)
-
-
-def _monotone_root(params: ModelParams, which: str) -> float:
-    """Unique zero of lam*q(z) - 1 for the increasing integral q = c-d or s."""
-    def fn(z: float) -> float:
-        g = green_values(params.n, z)
-        q = g.cd if which == "cd" else g.s
-        return params.lam * q - 1.0
-
-    hi = _LADDER[-1]
-    f_hi = fn(hi)
-    if f_hi == 0.0:
-        return hi
-    if f_hi < 0.0:  # lam > 1/q(0): the root lies between ladder and edge
-        return _edge_root(fn, hi, f_hi,
-                          f"the {which} root at lambda={params.lam} lies closer "
-                          "to the band edge than exp(-700)")
-    lo = None
-    table = [(hi, f_hi)]
-    z = -1.0
-    while z >= -1e15:
-        f = fn(z)
-        table.append((z, f))
-        if f <= 0.0:
-            lo = z
-            break
-        z *= 2.0
-    if lo is None:
-        raise RootScanError(
-            f"could not bracket the {which} root for lambda={params.lam}",
-            sign_table=table)
-    return float(brentq(fn, lo, hi, **_BRENTQ_KW))
+            f"expected {expected} zero(s) of {origin} {where}, bracketed "
+            f"{len(brackets) + len(ends)}",
+            sign_table=[(-math.exp(u), v) for u, v in zip(us, values)])
+    return sorted(_polish(f, *bracket) for bracket in brackets + ends)
 
 
 @dataclass(frozen=True)
@@ -457,15 +441,11 @@ def _expected_sector_counts(n: int, even: EvenRegion, odd: OddRegion):
 def _locate_records(params: ModelParams, even: EvenRegion,
                     odd: OddRegion) -> list[EigenvalueRecord]:
     n = params.n
-    exp_r, exp_c, exp_s = _expected_sector_counts(n, even, odd)
-    records = [EigenvalueRecord(z, 1, "even-rank-r", "delta_r")
-               for z in _delta_r_roots(params, exp_r)]
-    if exp_c:
-        records.append(EigenvalueRecord(
-            _monotone_root(params, "cd"), n - 1, "even-rank-c", "delta_c"))
-    if exp_s:
-        records.append(EigenvalueRecord(
-            _monotone_root(params, "s"), n, "odd", "delta_s"))
+    multiplicity = {"delta_r": 1, "delta_c": n - 1, "delta_s": n}
+    counts = _expected_sector_counts(n, even, odd)
+    records = [EigenvalueRecord(z, multiplicity[origin], sector, origin)
+               for (origin, sector), count in zip(_SECTOR_OF_ORIGIN.items(), counts)
+               for z in _roots(params, origin, count)]
     return sorted(records, key=lambda r: r.z)
 
 
@@ -474,8 +454,10 @@ def negative_eigenvalues(params: ModelParams,
     """All eigenvalues in (-inf, 0) with multiplicities and origins.
 
     Inputs within ``tol`` of a curve are first projected onto it, so the
-    root count matches the labeled cell exactly.  Roots are located to
-    better than 1e-10 in z.
+    root count matches the labeled cell exactly.  Roots are polished by
+    brentq in u = ln(-z) with xtol = rtol = 4 eps, so their error is
+    relative in z: at most 4 eps (1 + w) |z|, with w the width in u of the
+    root's bracket (ln 2 for 2^-40 <= -z <= 2^40, at most 80 beyond).
     """
     snapped, even, odd = snap_params(params, tol)
     return _locate_records(snapped, even, odd)

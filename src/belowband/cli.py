@@ -212,14 +212,16 @@ def cmd_summarize(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_scan(args) -> int:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["lambda", "mu", "region_label", "eigencount"])
+    rows = []   # written only once every point is classified
     for lam in args.lambda_range:
         for mu in args.mu_range:
             params = ModelParams(args.n, float(lam), float(mu))
             _, even, odd = snap_params(params, args.region_tol)
             name, count = cell_label(args.n, even, odd)
-            writer.writerow([repr(float(lam)), repr(float(mu)), name, count])
+            rows.append([repr(float(lam)), repr(float(mu)), name, count])
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(["lambda", "mu", "region_label", "eigencount"])
+    writer.writerows(rows)
     return 0
 
 

@@ -139,6 +139,7 @@ def _weighted_integrands(n: int, t: np.ndarray, w: np.ndarray) -> np.ndarray:
 _NODES = 48                     # Gauss-Legendre nodes per panel
 _ZERO_END = 6                   # at z = 0 the panels stop at t = 2^6
 _Z_MIN = 746.0 * 2.0 ** -1023   # smaller |z|: exp(z t) > 0 past t = 2^1023
+_Z_MAX = 2.0 ** 510             # larger |z|: b ~ 1/(2 z^2) is subnormal
 _PANELS: dict[int, tuple[int, int, np.ndarray, np.ndarray]] = {}
 
 
@@ -177,8 +178,9 @@ def laplace_integrals(n: int, z: float) -> dict[str, float]:
     the shortest scale of the integrand, to the first 2^k1 past 746/|z|,
     where exp(z t) has underflowed.  At z = 0 they stop at 2^6 and the
     power-law tail is integrated in u = t^-1/2.  |z| below 746 * 2^-1023
-    (about 8.3e-306) would need panels past the largest double and raises
-    :class:`QuadratureError`.  At z = 0 only the finite integrals are
+    (about 8.3e-306) would need panels past the largest double, and |z|
+    above 2^510 (about 3.4e153) would make b ~ 1/(2 z^2) subnormal; both
+    raise :class:`QuadratureError`.  At z = 0 only the finite integrals are
     returned (see :func:`finite_at_threshold`).
     """
     if n < 1:
@@ -190,6 +192,10 @@ def laplace_integrals(n: int, z: float) -> dict[str, float]:
         raise QuadratureError(
             f"z={z!r} is too close to the band edge: the Laplace panels would "
             f"pass the largest double; |z| must be at least {_Z_MIN!r}")
+    if z < -_Z_MAX:
+        raise QuadratureError(
+            f"z={z!r} is too far below the band: b would not be a normal "
+            f"double; |z| must be at most {_Z_MAX!r}")
     k0 = math.frexp(min(1.0, 1.0 / (n - z)))[1] - 1
     k1 = _ZERO_END
     if z < 0.0:

@@ -122,23 +122,29 @@ def state_for_delta_r(params: ModelParams, z: float,
                       greens: GreenValues) -> EigenState:
     """Even-sector state at a zero of delta_r.
 
-    With lam != 0 the fixed vector is (lam n b / (sqrt2 (1 - mu a)), 1, ..., 1);
-    with lam = 0 (so mu a = 1) it is (1, sqrt2 mu b, ..., sqrt2 mu b) and f
-    is proportional to 1/(E - z).
+    The state is symmetric, w = (w_0, t, ..., t), and (w_0, t) spans the
+    null space of the reduced 2x2 system, read off its larger row: row 0
+    (1 - mu a, -lam n b / sqrt2) gives (lam n b / (sqrt2 (1 - mu a)), 1),
+    row 1 (sqrt2 mu b, lam alpha - 1) gives (1 - lam alpha, sqrt2 mu b).
+    Row 1 takes over as lam -> 0, where 1 - mu a -> 0; at lam = 0 it is
+    (1, sqrt2 mu b) and f is proportional to 1/(E - z).  Where row 0 is the
+    larger, the determinant (1 - mu a)(1 - lam alpha) = lam n mu b^2 keeps
+    |1 - mu a| above about sqrt2 b / a, so the division is safe.
     """
     n = params.n
+    lam, mu = params.lam, params.mu
     a, b = greens.require("a", "b")
-    if params.lam != 0.0:
-        denom = 1.0 - params.mu * a
-        if denom == 0.0:
-            raise ValueError("1 - mu a = 0 with lam != 0 is incompatible "
-                             "with delta_r = 0")
+    row0 = (1.0 - mu * a, lam * n * b / SQRT2)
+    row1 = (SQRT2 * mu * b, 1.0 - lam * greens.alpha)
+    if max(map(abs, row0)) > max(map(abs, row1)):
         w = np.ones(n + 1)
-        w[0] = params.lam * n * b / (SQRT2 * denom)
+        w[0] = lam * n * b / (SQRT2 * row0[0])
+    else:
+        w = np.full(n + 1, row1[0])
+        w[0] = row1[1]
+    if lam != 0.0:
         formula = "e1" if z < 0.0 else "z0"
     else:
-        w = np.full(n + 1, SQRT2 * params.mu * b)
-        w[0] = 1.0
         formula = "e11" if z < 0.0 else "z1"
     state = EigenState(params, "even", z, w, formula)
     return _with_moments(state, greens)

@@ -1,6 +1,7 @@
 """Region taxonomy, eigenvalue counts, threshold reports, summaries."""
 
 import math
+import re
 import zlib
 from unittest import mock
 
@@ -174,26 +175,44 @@ def test_refinement_separates_two_roots_in_one_ladder_octave():
         assert abs(exact_h(z)) < 1e-12
 
 
-def _scalar_ladder_values(params):
-    return [classify._hyper_value(params, z) for z in classify._LADDER]
+_ORIGINS = ("delta_r", "delta_c", "delta_s")
 
 
-def _roots_or_error(params, expected):
-    try:
-        return classify._delta_r_roots(params, expected)
-    except bb.RootScanError as exc:
-        return str(exc), exc.sign_table
+def _scalar_greens(n):
+    return tuple(bb.green_values(n, -math.exp(u)) for u in classify._LADDER)
+
+
+def _located(params):
+    """Roots of every factor, or the scan error, by origin."""
+    _, even, odd = bb.snap_params(params, tol=0.0)
+    counts = classify._expected_sector_counts(params.n, even, odd)
+    out = {}
+    for origin, count in zip(_ORIGINS, counts):
+        try:
+            out[origin] = classify._roots(params, origin, count)
+        except bb.RootScanError as exc:
+            out[origin] = str(exc), exc.sign_table
+    return out
 
 
 def _check_ladder_table(n, lam, mu):
-    """The tabulated ladder scan equals the loop of scalar H_z evaluations."""
+    """The tabulated scan equals scalar evaluations of every factor, bit for
+    bit, and so do the roots; every state of every root is certified."""
     params = bb.ModelParams(n, lam, mu)
-    assert classify._ladder_values(params) == _scalar_ladder_values(params)
-    _, even, odd = bb.snap_params(params, tol=0.0)
-    expected = classify._expected_sector_counts(n, even, odd)[0]
-    tabulated = _roots_or_error(params, expected)
-    with mock.patch.object(classify, "_ladder_values", _scalar_ladder_values):
-        assert _roots_or_error(params, expected) == tabulated
+    table, scalar = classify._ladder_greens(n), _scalar_greens(n)
+    for origin in _ORIGINS if n > 1 else ("delta_r", "delta_s"):
+        assert [classify._factor(params, origin, g) for g in table] == \
+            [classify._factor(params, origin, g) for g in scalar]
+    located = _located(params)
+    with mock.patch.object(classify, "_ladder_greens", _scalar_greens):
+        assert _located(params) == located
+    try:
+        records = bb.negative_eigenvalues(params, tol=0.0)
+    except bb.RootScanError:
+        records = []
+    for rec in records:
+        for state in bb.eigenstates(params, rec):
+            assert bb.residual(params, state) <= 1e-8, (rec, state.w)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -201,6 +220,7 @@ def _check_ladder_table(n, lam, mu):
        lam=st.floats(-10.0, 25.0, allow_nan=False),
        mu=st.floats(-10.0, 25.0, allow_nan=False))
 @example(n=2, lam=5.0, mu=2.5001)   # a root beyond exp(-700): RootScanError
+@example(n=5, lam=8.465470804461719e-306, mu=4.941360515339683)  # tiny lambda
 def test_ladder_table_matches_scalar_scan(n, lam, mu):
     _check_ladder_table(n, lam, mu)
 
@@ -215,9 +235,10 @@ def test_ladder_table_matches_scalar_scan_on_fixtures(n):
             _check_ladder_table(n, *curve_point(n, "left" if lam < x else "right", lam))
 
 
-def test_ladder_table_is_built_only_for_delta_r_roots():
-    classify._ladder_ratios.cache_clear()
-    info = classify._ladder_ratios.cache_info
+def test_ladder_table_is_built_only_when_a_root_is_located():
+    # D0 builds no table; the first located root at n builds one
+    classify._ladder_greens.cache_clear()
+    info = classify._ladder_greens.cache_info
     start = info()
     bb.spectral_constants(3)
     assert bb.summarize(bb.ModelParams(3, -1.0, -1.0)).cell == "D0"
@@ -227,6 +248,45 @@ def test_ladder_table_is_built_only_for_delta_r_roots():
     assert info().misses == start.misses + 1
     bb.summarize(d1)
     assert info().misses == start.misses + 1 and info().hits > start.hits
+
+
+@pytest.mark.parametrize("lam, mu", [(2.2422420927874116, 3.8433599828715783),
+                                     (1.4762676082180057, 7.566487616769711),
+                                     (-2.2846028054999072, 1.4132294927548557)])
+def test_shallow_roots_are_polished_relative_to_z(lam, mu):
+    # roots at -1.5e-9 .. -1.5e-12: an absolute z tolerance of 1e-13 left
+    # residuals of 4e-8 .. 1.4e-6 here
+    params = bb.ModelParams(2, lam, mu)
+    for rec in bb.negative_eigenvalues(params):
+        for state in bb.eigenstates(params, rec):
+            assert bb.residual(params, state) <= 1e-12
+
+
+def test_roots_beyond_the_far_end_of_the_ladder():
+    recs = bb.negative_eigenvalues(bb.ModelParams(1, 0.0, 1e13))
+    exact = 1.0 - math.sqrt(1.0 + 1e26)
+    assert [r.origin for r in recs] == ["delta_r"]
+    assert abs(recs[0].z - exact) <= 8 * np.finfo(float).eps * abs(exact)
+    s = bb.summarize(bb.ModelParams(2, 1e13, 0.0))
+    assert s.cell == "D4" and s.negative_count == 4
+    assert all(r.z < -2.0 ** 40 for r in s.eigenvalues)
+
+
+def test_root_past_the_engine_far_limit_is_a_typed_error():
+    limit = re.escape(repr(2.0 ** 510))
+    with pytest.raises(bb.RootScanError, match=limit) as info:
+        bb.negative_eigenvalues(bb.ModelParams(1, 0.0, 1e200))
+    assert info.value.sign_table[-1][0] >= -(2.0 ** 510)
+
+
+def test_snapping_tolerance_must_be_finite_and_nonnegative():
+    params = bb.ModelParams(2, 4.0, 3.0)
+    for tol in (math.nan, math.inf, -math.inf, -1.0):
+        with pytest.raises(ValueError, match="snapping tolerance"):
+            bb.snap_params(params, tol)
+        with pytest.raises(ValueError, match="snapping tolerance"):
+            bb.compare(params, [4], tol=tol)
+    assert bb.classify_even(params, tol=0.0).curve == "G2"
 
 
 def test_roots_polished_to_tolerance():

@@ -148,6 +148,11 @@ def test_scan_malformed_range_exits_2():
     ("verify", "oracle", "--n", "1", "--lambda", "0", "--mu", "1", "--L", "20",
      "--theta=-inf"),
     ("summarize", "--n", "1", "--lambda", "0", "--mu", "1", "--tol", "1e-6"),
+    *[(cmd, "--n", "2", "--lambda", "4", "--mu", "3", f"--region-tol={tol}")
+      for cmd in ("classify", "summarize", "eigenfunction")
+      for tol in ("nan", "inf", "-1")],
+    *[("scan", "--n", "2", "--lambda-range=0:4:3", "--mu-range=0:4:3",
+       f"--region-tol={tol}") for tol in ("nan", "inf", "-1")],
 ])
 def test_empty_ranges_and_negative_selectors_exit_2(capsys, argv):
     # argparse rejects a flag by SystemExit, the command body by exit code

@@ -1,6 +1,7 @@
 """Green's-function integrals: oracles, identities, monotonicity, engines."""
 
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -337,6 +338,17 @@ def test_laplace_smallest_admissible_z():
     assert bb.green_values(1, z).a == pytest.approx(bb.closed_form_a1(z), rel=1e-12)
     with pytest.raises(QuadratureError):
         bb.green_values(1, math.nextafter(z, 0.0))
+
+
+def test_laplace_largest_admissible_z():
+    # b ~ 1/(2 z^2) is still a normal double at |z| = 2^510, not beyond
+    z = -(2.0 ** 510)
+    g = bb.green_values(3, z)
+    assert g.b >= sys.float_info.min
+    assert g.ratio_ab == pytest.approx(2.0 * (3.0 - z), rel=1e-14)
+    for far in (math.nextafter(z, -math.inf), -1e160, -1e300):
+        with pytest.raises(QuadratureError, match=re.escape(repr(2.0 ** 510))):
+            laplace_integrals(3, far)
 
 
 def test_laplace_values_do_not_depend_on_call_history():

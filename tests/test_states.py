@@ -66,6 +66,20 @@ def test_residuals_small_for_all_constructed_states(n, lam, mu):
             assert bb.residual(params, state) <= 1e-8
 
 
+@pytest.mark.parametrize("n,lam,mu", [
+    (3, 1e-8, 4.0), (3, 1e-12, 4.0),
+    (5, 8.465470804461719e-306, 4.941360515339683),
+    (6, 2.13263890437583e-99, 8.5),    # 1 - mu a rounds to 0
+])
+def test_delta_r_state_for_small_lambda(n, lam, mu):
+    # the null vector comes from row 1 of the reduced system, not 1/(1 - mu a)
+    params = bb.ModelParams(n, lam, mu)
+    (rec,) = bb.negative_eigenvalues(params)
+    (state,) = bb.eigenstates(params, rec)
+    assert state.formula == "e1"
+    assert bb.residual(params, state) <= 1e-12
+
+
 def test_residual_detects_wrong_z_and_rejects_zero_vector():
     params = bb.ModelParams(1, 0.0, 1.0)
     rec = bb.negative_eigenvalues(params)[0]
