@@ -7,16 +7,25 @@ exponentially fast to the bound states.  Counting eigenvalues below a
 strictly negative theta checks the classifier independently of every
 Green's-function computation; threshold states (z = 0) are invisible to it.
 
-The truncation keeps every reflection x_i -> -x_i and every permutation of
-the axes, so H is solved in reflection-parity sectors.  The block
-B_j = P_j^T H P_j, odd in the first j axes and even in the rest, has
-L^j (L+1)^(n-j) rows, and the permutations carry it onto all C(n, j)
-sectors odd in j axes: each of its values counts exactly C(n, j) times,
-and no copy of a degenerate level is left for an iterative solver to find.
-A state odd in an axis vanishes where that coordinate is 0 and no impurity
-site has two nonzero coordinates, so the sectors with j >= 2 miss the
-potential and hold no bound state: the delta_r and delta_c states lie in
-j = 0, one copy of each n-fold delta_s level in j = 1.
+The potential sits on the origin and the 2n unit sites, and the box keeps
+every reflection x_i -> -x_i and every permutation of the axes, so H is
+solved in one block per factor of delta_r * delta_c^(n-1) * delta_s^n.
+Each block is assembled from an orbit basis, one row per orbit of
+nonnegative representatives m:
+
+- delta_r: even and symmetric in all axes; m_1 <= ... <= m_n, C(L+n, n)
+  rows; each value counts once.
+- delta_c: even, odd under the swap of axes 1 and 2, symmetric in axes
+  3..n; m_1 < m_2 and m_3 <= ... <= m_n; each value counts n - 1 times
+  (empty at n = 1).
+- delta_s: odd in axis 1, even and symmetric in axes 2..n; m_1 >= 1 and
+  m_2 <= ... <= m_n; each value counts n times.
+
+Every other symmetry sector misses the potential, so it holds only free
+states, whose energies lie above 0; so do the free [n-2, 1, 1] states that
+share the delta_c block.  Below 0 the merged, multiplicity-counted values
+are therefore exactly the spectrum of H, each labelled with its factor;
+above 0 the list is complete only at n = 1.
 """
 
 from __future__ import annotations
@@ -42,11 +51,13 @@ __all__ = [
     "compare",
 ]
 
-# largest block solved densely: dense and Lanczos cross near 400 rows; 625 =
-# 25^2 because perfbench labels whole n = 2, L = 12 boxes dense by this limit
+# largest factor block solved densely, larger ones by Lanczos; the two cross
+# nearer 400 rows, but perfbench labels a whole box by this limit and takes
+# the n = 2, L = 12 box (625 sites) as dense
 DENSE_LIMIT = 625
 DEFAULT_THETA = -1e-3    # separates bound states from band-bottom artifacts
 _SEED = 20240817         # deterministic start vector for the Lanczos solver
+ORIGINS = ("delta_r", "delta_c", "delta_s")
 
 
 @dataclass(frozen=True)
@@ -66,15 +77,19 @@ class TruncatedHamiltonian:
 
 @dataclass(frozen=True)
 class OracleSpectrum:
-    """Sorted lowest eigenvalues of one truncation."""
+    """Sorted lowest values of the factor blocks, counted with multiplicity.
+
+    Below 0 they are the lowest eigenvalues of the truncation.
+    """
 
     n: int
     L: int
     eigenvalues: tuple[float, ...]
-    odd_axes: tuple[int, ...]    # sector j of each eigenvalue
+    origins: tuple[str, ...]     # determinant factor of each eigenvalue
 
-    def count_below(self, theta: float) -> int:
-        return int(sum(1 for e in self.eigenvalues if e < theta))
+    def count_below(self, theta: float, origin: str | None = None) -> int:
+        return sum(1 for e, o in zip(self.eigenvalues, self.origins)
+                   if e < theta and origin in (None, o))
 
 
 @dataclass(frozen=True)
@@ -85,12 +100,18 @@ class OracleComparison:
     theta: float
     predicted_count: int
     predicted: tuple[float, ...]       # classifier roots below theta, expanded
+    predicted_factor_counts: dict[str, int]   # origin -> count below theta
     oracle_counts: dict[int, int]      # L -> count below theta
+    oracle_factor_counts: dict[int, dict[str, int]]  # L -> origin -> count
     matched_errors: dict[int, tuple[float, ...]]  # L -> |z_oracle - z_bs|
+
+    def agrees_at(self, L: int) -> bool:
+        """Counts below theta agree for every factor, so also in total."""
+        return self.oracle_factor_counts[L] == self.predicted_factor_counts
 
     @property
     def counts_agree(self) -> bool:
-        return all(c == self.predicted_count for c in self.oracle_counts.values())
+        return all(self.agrees_at(L) for L in self.oracle_counts)
 
 
 def build_hamiltonian(n: int, L: int, lam: float, mu: float,
@@ -118,80 +139,130 @@ def build_hamiltonian(n: int, L: int, lam: float, mu: float,
     return TruncatedHamiltonian(n=n, L=L, lam=lam, mu=mu, matrix=h)
 
 
-def _fold(L: int, odd: bool) -> sparse.csc_matrix:
-    """Isometry onto [-L, L] from e_m +/- e_-m, m = 1..L, plus e_0 if even."""
-    e = sparse.identity(2 * L + 1, format="csc")
-    half = (e[:, L + 1:] + (-1.0 if odd else 1.0) * e[:, L - 1::-1]) * np.sqrt(0.5)
-    return half if odd else sparse.hstack([e[:, [L]], half], format="csc")
+def _canonical(points: np.ndarray, origin: str) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit representative of each point and the sign of its coefficient.
+
+    The sign is 0 where every function of the block vanishes: on x_1 = 0
+    for delta_s, on |x_1| = |x_2| for delta_c.
+    """
+    a = np.abs(points)
+    head = {"delta_r": 0, "delta_s": 1, "delta_c": 2}[origin]
+    canon = np.hstack([np.sort(a[:, :head], axis=1), np.sort(a[:, head:], axis=1)])
+    if origin == "delta_r":
+        return canon, np.ones(len(a), dtype=int)
+    if origin == "delta_s":
+        return canon, np.sign(points[:, 0])
+    return canon, np.sign(a[:, 1] - a[:, 0])
 
 
-def _sector(ham: TruncatedHamiltonian, j: int) -> sparse.spmatrix:
-    """Block B_j = P_j^T H P_j: odd in the first j axes, even in the rest."""
-    p = reduce(lambda a, b: sparse.kron(a, b, format="csr"),
-               [_fold(ham.L, True)] * j + [_fold(ham.L, False)] * (ham.n - j))
-    return p.T @ ham.matrix @ p
+def _factor_block(n: int, L: int, lam: float, mu: float,
+                  origin: str) -> sparse.csr_matrix:
+    """H in the orbit basis of one factor's symmetry sector.
+
+    A hop from representative a to a point of orbit b adds
+    -1/2 sign sqrt(|O_a| / |O_b|); rows are found by their mixed-radix key.
+    """
+    radix = (L + 1) ** np.arange(n - 1, -1, -1)
+    grid = np.indices((L + 1,) * n).reshape(n, -1).T
+    canon, sign = _canonical(grid, origin)
+    reps = grid[(sign > 0) & (canon @ radix == grid @ radix)]
+    keys = reps @ radix    # increasing: grid rows are in lexicographic order
+    dim = len(reps)
+    # |O|: its points with nonnegative coordinates, times 2^(nonzero ones)
+    size = np.bincount(np.searchsorted(keys, canon[sign != 0] @ radix),
+                       minlength=dim) * 2.0 ** np.count_nonzero(reps, axis=1)
+    steps = np.vstack([np.eye(n, dtype=int), -np.eye(n, dtype=int)])
+    hops = (reps + steps[:, None]).reshape(-1, n)
+    target, s = _canonical(hops, origin)
+    ok = (np.abs(hops).max(axis=1) <= L) & (s != 0)
+    a = np.tile(np.arange(dim), 2 * n)[ok]
+    b = np.searchsorted(keys, target[ok] @ radix)
+    level = reps.sum(axis=1)    # 0 at the origin, 1 on the unit sites
+    diag = n - np.where(level == 0, mu, np.where(level == 1, lam / 2.0, 0.0))
+    return sparse.csr_matrix((-0.5 * s[ok] * np.sqrt(size[a] / size[b]), (a, b)),
+                             shape=(dim, dim)) + sparse.diags(diag, format="csr")
+
+
+def _factor_blocks(ham: TruncatedHamiltonian):
+    """(origin, multiplicity, block) for every factor with a nonempty block."""
+    multiplicity = {"delta_r": 1, "delta_c": ham.n - 1, "delta_s": ham.n}
+    for origin in ORIGINS:
+        if multiplicity[origin]:
+            yield origin, multiplicity[origin], _factor_block(
+                ham.n, ham.L, ham.lam, ham.mu, origin)
 
 
 def _lowest(block: sparse.spmatrix, k: int) -> np.ndarray:
     """Sorted min(k, dim) smallest eigenvalues of one symmetric block."""
     dim, k = block.shape[0], min(k, block.shape[0])
     if dim <= DENSE_LIMIT or k == dim:
-        return eigh(block.toarray(), eigvals_only=True, subset_by_index=[0, k - 1])
+        return eigh(block.toarray(order="F"), eigvals_only=True,
+                    subset_by_index=[0, k - 1], overwrite_a=True)
     v0 = np.random.default_rng(_SEED).standard_normal(dim)
     return np.sort(eigsh(block, k=k, which="SA", v0=v0, maxiter=20000,
                          tol=1e-10, return_eigenvectors=False))
 
 
 def lowest_eigenvalues(ham: TruncatedHamiltonian, k: int) -> OracleSpectrum:
-    """k smallest eigenvalues, merged from the blocks B_j of every sector.
+    """k smallest values of the factor blocks, merged with multiplicity.
 
-    A block is solved densely up to DENSE_LIMIT rows, else by Lanczos from a
-    deterministic start vector, so results are reproducible run to run.
+    Every eigenvalue of H below 0 is among them, with its multiplicity, as
+    long as k exceeds their number.  A block is solved densely up to
+    DENSE_LIMIT rows, else by Lanczos from a deterministic start vector, so
+    results are reproducible run to run.
     """
     if not 1 <= k <= ham.dim:
         raise ValueError(f"need 1 <= k <= {ham.dim}, got {k}")
-    pairs = sorted((float(e), j) for j in range(ham.n + 1)
-                   for e in _lowest(_sector(ham, j), k)
-                   for _ in range(math.comb(ham.n, j)))[:k]
+    pairs = sorted((float(e), origin)
+                   for origin, mult, block in _factor_blocks(ham)
+                   for e in _lowest(block, k) for _ in range(mult))[:k]
     return OracleSpectrum(n=ham.n, L=ham.L,
                           eigenvalues=tuple(e for e, _ in pairs),
-                          odd_axes=tuple(j for _, j in pairs))
+                          origins=tuple(o for _, o in pairs))
 
 
 def compare(params: ModelParams, L_values, theta: float = DEFAULT_THETA,
             tol: float = REGION_TOL, extra_states: int = 4) -> OracleComparison:
     """Check bound-state counts and locations against the classifier.
 
-    For every L the oracle count of eigenvalues below theta is compared to
-    the classifier's multiplicity-weighted count of roots below theta, and
-    matched eigenvalues are paired in increasing order.  Disagreements are
-    report content, not errors.
+    For every L the oracle count of eigenvalues below theta, in total and
+    per determinant factor, is compared to the classifier's
+    multiplicity-weighted count of roots below theta, and matched
+    eigenvalues are paired in increasing order.  Disagreements are report
+    content, not errors.
     """
     if theta >= 0.0:
         raise ValueError(f"theta must be < 0, got {theta}")
     if not math.isfinite(theta):   # nan or -inf would count nothing and pass
         raise ValueError(f"theta must be finite, got {theta}")
-    records = negative_eigenvalues(params, tol=tol)
-    predicted = []
-    for rec in records:
-        if rec.z < theta:
-            predicted.extend([rec.z] * rec.multiplicity)
-    predicted.sort()
+    radii = list(L_values)
+    if not radii:    # no radius would compare nothing and pass
+        raise ValueError("need at least one box radius")
+    for L in radii:
+        if isinstance(L, bool) or not isinstance(L, (int, np.integer)) or L < 1:
+            raise ValueError(f"box radius must be an integer >= 1, got {L!r}")
+    records = [r for r in negative_eigenvalues(params, tol=tol) if r.z < theta]
+    predicted = sorted(r.z for r in records for _ in range(r.multiplicity))
+    factors = {o: sum(r.multiplicity for r in records if r.origin == o)
+               for o in ORIGINS}
     counts: dict[int, int] = {}
+    factor_counts: dict[int, dict[str, int]] = {}
     errors: dict[int, tuple[float, ...]] = {}
-    for L in L_values:
-        ham = build_hamiltonian(params.n, int(L), params.lam, params.mu)
+    for L in map(int, radii):
+        ham = build_hamiltonian(params.n, L, params.lam, params.mu)
         k = min(len(predicted) + extra_states, ham.dim)
         spec = lowest_eigenvalues(ham, max(k, 1))
-        counts[int(L)] = spec.count_below(theta)
+        counts[L] = spec.count_below(theta)
+        factor_counts[L] = {o: spec.count_below(theta, o) for o in ORIGINS}
         below = [e for e in spec.eigenvalues if e < theta]
-        errors[int(L)] = tuple(
-            abs(e - z) for e, z in zip(sorted(below), predicted))
+        errors[L] = tuple(abs(e - z) for e, z in zip(below, predicted))
     return OracleComparison(
         params=params,
         theta=theta,
         predicted_count=len(predicted),
         predicted=tuple(predicted),
+        predicted_factor_counts=factors,
         oracle_counts=counts,
+        oracle_factor_counts=factor_counts,
         matched_errors=errors,
     )

@@ -100,6 +100,7 @@ def test_criterion_6_region_counts_against_oracle():
                 assert summary.cell == cell
                 rep = bb.compare(params, ladders[n], theta=-1e-3, tol=0.0)
                 assert rep.predicted_count == summary.negative_count
+                assert rep.counts_agree, (n, cell, rep.oracle_factor_counts)
                 for L, count in rep.oracle_counts.items():
                     assert count == summary.negative_count, (n, cell, L)
 

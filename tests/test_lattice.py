@@ -1,5 +1,6 @@
 """Finite-lattice oracle: assembly, eigensolvers, agreement reports."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -7,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import eigh
 
 import belowband as bb
 from belowband import lattice
@@ -53,11 +56,14 @@ def test_free_case_nonnegative_and_band_bottom():
 
 def test_dense_and_iterative_paths_agree():
     ham = bb.build_hamiltonian(2, 35, 0.0, 3.0)
-    # every sector block (1225 to 1296 rows) is solved by Lanczos
-    assert 35 ** 2 > lattice.DENSE_LIMIT
-    it = bb.lowest_eigenvalues(ham, 3)
-    dense = np.linalg.eigvalsh(ham.matrix.toarray())[:3]
-    assert np.allclose(it.eigenvalues, dense, atol=1e-8)
+    blocks = list(lattice._factor_blocks(ham))
+    # the three factor blocks (666, 630 and 1260 rows) are solved by Lanczos
+    assert [b.shape[0] for _, _, b in blocks] == [666, 630, 1260]
+    assert min(b.shape[0] for _, _, b in blocks) > lattice.DENSE_LIMIT
+    for origin, _, block in blocks:
+        dense = eigh(block.toarray(), eigvals_only=True)[:3]
+        np.testing.assert_allclose(lattice._lowest(block, 3), dense,
+                                   rtol=0.0, atol=1e-8, err_msg=origin)
 
 
 def test_size_budget_and_validation():
@@ -73,19 +79,63 @@ def test_size_budget_and_validation():
 def test_parity_attribution():
     spec = bb.lowest_eigenvalues(bb.build_hamiltonian(1, 30, 2.0, 0.0), 2)
     # ground state of the neighbor-impurity chain is even, first excited odd
-    assert spec.odd_axes == (0, 1)
+    assert spec.origins == ("delta_r", "delta_s")
+    spec = bb.lowest_eigenvalues(bb.build_hamiltonian(3, 10, 5.0, 1.0), 4)
+    assert spec.origins == ("delta_r",) + ("delta_s",) * 3
+
+
+def _factor_of_eigenspace(ham, q: np.ndarray) -> str:
+    """Factor of an eigenspace, from its dimension and group characters.
+
+    With P_R the reflection of axis 1 and P_S the swap of axes 1 and 2,
+    (dim, tr P_R, tr P_S) is (1, 1, 1) for delta_r, (n-1, n-1, n-3) for
+    delta_c and (n, n-2, n-2) for delta_s; n = 1 has no swap.
+    """
+    n, m = ham.n, 2 * ham.L + 1
+    cube = q.T.reshape((-1,) + (m,) * n)
+    chars = [q.shape[1], round(float(np.sum(cube * np.flip(cube, axis=1))))]
+    if n >= 2:
+        chars.append(round(float(np.sum(cube * np.swapaxes(cube, 1, 2)))))
+    table = {"delta_r": (1, 1, 1), "delta_c": (n - 1, n - 1, n - 3),
+             "delta_s": (n, n - 2, n - 2)}
+    found = [o for o, t in table.items() if list(t[:len(chars)]) == chars]
+    assert len(found) == 1, chars
+    return found[0]
+
+
+def _negative_spectrum(ham) -> list[tuple[float, str]]:
+    """(value, factor) of every eigenvalue below 0 of the whole box."""
+    values, vectors = np.linalg.eigh(ham.matrix.toarray())
+    out, i = [], 0
+    while i < len(values) and values[i] < 0.0:
+        j = i + 1
+        while j < len(values) and values[j] - values[j - 1] < 1e-9:
+            j += 1
+        origin = _factor_of_eigenspace(ham, vectors[:, i:j])
+        out.extend((float(v), origin) for v in values[i:j])
+        i = j
+    return out
 
 
 # (1, 700): blocks of 701 and 700 rows, above DENSE_LIMIT but asked for whole
-@pytest.mark.parametrize("n,L", [(2, 3), (3, 2), (1, 700)])
+@pytest.mark.parametrize("n,L", [(2, 3), (3, 2), (4, 2), (1, 700)])
 def test_sectors_merge_to_the_full_spectrum(n, L):
-    lam, mu = np.random.default_rng(n).uniform(-6.0, 6.0, size=2)
+    # strong couplings: every factor has a bound state in the box
+    lam, mu = np.random.default_rng(n).uniform(6.0, 12.0, size=2)
     ham = bb.build_hamiltonian(n, L, float(lam), float(mu))
     spec = bb.lowest_eigenvalues(ham, ham.dim)
-    full = np.linalg.eigvalsh(ham.matrix.toarray())
-    np.testing.assert_allclose(spec.eigenvalues, full, rtol=0.0, atol=1e-12)
-    assert [spec.odd_axes.count(j) for j in range(n + 1)] == [
-        math.comb(n, j) * L ** j * (L + 1) ** (n - j) for j in range(n + 1)]
+    expected = _negative_spectrum(ham)
+    factors = {"delta_r", "delta_s"} | ({"delta_c"} if n > 1 else set())
+    assert {o for _, o in expected} == factors
+    got = [(e, o) for e, o in zip(spec.eigenvalues, spec.origins) if e < 0.0]
+    assert [o for _, o in got] == [o for _, o in expected]
+    np.testing.assert_allclose([e for e, _ in got], [e for e, _ in expected],
+                               rtol=0.0, atol=1e-12)
+    if n == 1:   # the even and odd blocks hold the complete spectrum
+        full = np.linalg.eigvalsh(ham.matrix.toarray())
+        np.testing.assert_allclose(spec.eigenvalues, full, rtol=0.0, atol=1e-12)
+        assert spec.origins.count("delta_r") == L + 1
+        assert spec.origins.count("delta_s") == L
 
 
 def test_sector_counts_match_determinant_factors():
@@ -94,17 +144,29 @@ def test_sector_counts_match_determinant_factors():
     for n, ladder in ladders.items():
         for cell, (lam, mu) in open_region_points(n):
             records = bb.negative_eigenvalues(bb.ModelParams(n, lam, mu), tol=0.0)
-            even = sum(r.multiplicity for r in records
-                       if r.z < theta and r.origin != "delta_s")
-            odd = sum(r.multiplicity for r in records
-                      if r.z < theta and r.origin == "delta_s")
+            expected = [sum(r.multiplicity for r in records
+                            if r.z < theta and r.origin == o)
+                        for o in lattice.ORIGINS]
             for L in ladder:
                 spec = bb.lowest_eigenvalues(
-                    bb.build_hamiltonian(n, L, lam, mu), even + odd + 4)
-                below = [j for e, j in zip(spec.eigenvalues, spec.odd_axes)
-                         if e < theta]
-                assert (below.count(0), below.count(1)) == (even, odd), (n, cell, L)
-                assert len(below) == even + odd, (n, cell, L)
+                    bb.build_hamiltonian(n, L, lam, mu), sum(expected) + 4)
+                assert [spec.count_below(theta, o) for o in lattice.ORIGINS] \
+                    == expected, (n, cell, L)
+                assert spec.count_below(theta) == sum(expected), (n, cell, L)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 4), data=st.data(),
+       lam=st.floats(-4.0, 12.0, allow_nan=False),
+       mu=st.floats(-4.0, 12.0, allow_nan=False))
+def test_factor_blocks_hold_the_negative_spectrum(n, data, lam, mu):
+    L = data.draw(st.integers(1, {1: 12, 2: 6, 3: 3, 4: 2}[n]), label="L")
+    ham = bb.build_hamiltonian(n, L, lam, mu)
+    full = np.linalg.eigvalsh(ham.matrix.toarray())
+    spec = bb.lowest_eigenvalues(ham, ham.dim)
+    got = [e for e in spec.eigenvalues if e < 0.0]
+    assert len(got) == int(np.sum(full < 0.0))
+    np.testing.assert_allclose(got, full[full < 0.0], rtol=0.0, atol=1e-12)
 
 
 _D5_N4 = """
@@ -174,6 +236,18 @@ def test_chain_odd_state_at_large_box():
     assert min(abs(e + 0.25) for e in spec.eigenvalues) <= 1e-6
 
 
+def test_compare_checks_every_factor():
+    # two delta_r, one delta_c and two delta_s states below -1e-3
+    rep = bb.compare(bb.ModelParams(2, 7.0, 8.0), [12])
+    counts = {"delta_r": 2, "delta_c": 1, "delta_s": 2}
+    assert rep.predicted_factor_counts == rep.oracle_factor_counts[12] == counts
+    assert rep.counts_agree and rep.predicted_count == rep.oracle_counts[12] == 5
+    # the same total split differently across the factors is a disagreement
+    swapped = dataclasses.replace(rep, oracle_factor_counts={
+        12: {"delta_r": 2, "delta_c": 2, "delta_s": 1}})
+    assert not swapped.counts_agree and not swapped.agrees_at(12)
+
+
 def test_compare_free_case_empty():
     rep = bb.compare(bb.ModelParams(2, 0.0, 0.0), [6, 10])
     assert rep.predicted_count == 0
@@ -185,3 +259,8 @@ def test_compare_requires_negative_theta():
     for theta in (0.0, math.nan, -math.inf):
         with pytest.raises(ValueError):
             bb.compare(bb.ModelParams(1, 0.0, 1.0), [10], theta=theta)
+    # no radius would pass vacuously; 10.9 and True would solve L = 10 and 1
+    for radii in ([], [10.9], [True], [0], [10, -2], ["10"]):
+        with pytest.raises(ValueError):
+            bb.compare(bb.ModelParams(1, 0.0, 1.0), radii)
+    assert bb.compare(bb.ModelParams(1, 0.0, 1.0), [np.int64(10)]).counts_agree
