@@ -23,16 +23,20 @@ nonnegative representatives m:
 
 Every other symmetry sector misses the potential, so it holds only free
 states, whose energies lie above 0; so do the free [n-2, 1, 1] states that
-share the delta_c block.  Below 0 the merged, multiplicity-counted values
-are therefore exactly the spectrum of H, each labelled with its factor;
-above 0 the list is complete only at n = 1.
+share the delta_c block.  Each block is asked for its own number of lowest
+values.  The merged, multiplicity-counted list holds every eigenvalue of H
+below theta < 0, each labelled with its factor, only where the last value
+solved in each block is >= theta; above 0 it is complete only at n = 1.
+No solve reads the whole box: `TruncatedHamiltonian.matrix` is assembled
+only when it is read.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 import scipy.sparse as sparse
@@ -62,24 +66,45 @@ ORIGINS = ("delta_r", "delta_c", "delta_s")
 
 @dataclass(frozen=True)
 class TruncatedHamiltonian:
-    """H restricted to [-L, L]^n: diagonal n - V(x), off-diagonal -1/2."""
+    """H restricted to [-L, L]^n: diagonal n - V(x), off-diagonal -1/2.
+
+    The eigensolvers read only n, L, lam and mu; the whole-box matrix is
+    assembled on the first read of `matrix` and kept.
+    """
 
     n: int
     L: int
     lam: float
     mu: float
-    matrix: sparse.csr_matrix
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return (2 * self.L + 1) ** self.n
+
+    @cached_property
+    def matrix(self) -> sparse.csr_matrix:
+        """Every site of the box; boundary sites lose their outward hops."""
+        n, L = self.n, self.L
+        m = 2 * L + 1
+        chain = sparse.diags([-0.5, 1.0, -0.5], [-1, 0, 1], shape=(m, m),
+                             format="csr")
+        h = reduce(lambda a, _: sparse.kronsum(chain, a, format="csr"),
+                   range(n - 1), chain)
+        v = np.zeros((m,) * n)
+        v[(L,) * n] = self.mu
+        for axis in range(n):
+            for step in (-1, 1):
+                v[(L,) * axis + (L + step,) + (L,) * (n - 1 - axis)] = self.lam / 2.0
+        h.setdiag(h.diagonal() - v.ravel())
+        return h
 
 
 @dataclass(frozen=True)
 class OracleSpectrum:
     """Sorted lowest values of the factor blocks, counted with multiplicity.
 
-    Below 0 they are the lowest eigenvalues of the truncation.
+    Below theta < 0 they are the eigenvalues of the truncation wherever the
+    last value solved in each block is >= theta.
     """
 
     n: int
@@ -114,29 +139,28 @@ class OracleComparison:
         return all(self.agrees_at(L) for L in self.oracle_counts)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def build_hamiltonian(n: int, L: int, lam: float, mu: float,
                       max_dim: int = 2_000_000) -> TruncatedHamiltonian:
-    """Assemble the truncated Hamiltonian on [-L, L]^n.
+    """The truncated Hamiltonian on [-L, L]^n.
 
     The diagonal is n everywhere except n - mu at the origin and n - lam/2
     at the 2n unit sites; every nearest-neighbor pair inside the box gets
-    off-diagonal -1/2.  Boundary sites simply lose their outward hops.
+    off-diagonal -1/2.  The whole-box matrix is assembled only when
+    `.matrix` is read, but its size is checked against max_dim here.
     """
-    if L < 1:
-        raise ValueError(f"box radius must be >= 1, got {L}")
-    m = 2 * L + 1
-    dim = m ** n
-    if dim > max_dim:
-        raise ValueError(f"dimension {m}^{n} = {dim} exceeds the budget {max_dim}")
-    chain = sparse.diags([-0.5, 1.0, -0.5], [-1, 0, 1], shape=(m, m), format="csr")
-    h = reduce(lambda a, _: sparse.kronsum(chain, a, format="csr"), range(n - 1), chain)
-    v = np.zeros((m,) * n)
-    v[(L,) * n] = mu
-    for axis in range(n):
-        for step in (-1, 1):
-            v[(L,) * axis + (L + step,) + (L,) * (n - 1 - axis)] = lam / 2.0
-    h.setdiag(h.diagonal() - v.ravel())
-    return TruncatedHamiltonian(n=n, L=L, lam=lam, mu=mu, matrix=h)
+    if not _is_int(n) or n < 1:
+        raise ValueError(f"dimension must be an integer >= 1, got {n!r}")
+    if not _is_int(L) or L < 1:
+        raise ValueError(f"box radius must be an integer >= 1, got {L!r}")
+    ham = TruncatedHamiltonian(n=int(n), L=int(L), lam=lam, mu=mu)
+    if ham.dim > max_dim:
+        raise ValueError(f"dimension {2 * L + 1}^{n} = {ham.dim} exceeds "
+                         f"the budget {max_dim}")
+    return ham
 
 
 def _canonical(points: np.ndarray, origin: str) -> tuple[np.ndarray, np.ndarray]:
@@ -183,13 +207,9 @@ def _factor_block(n: int, L: int, lam: float, mu: float,
                              shape=(dim, dim)) + sparse.diags(diag, format="csr")
 
 
-def _factor_blocks(ham: TruncatedHamiltonian):
-    """(origin, multiplicity, block) for every factor with a nonempty block."""
-    multiplicity = {"delta_r": 1, "delta_c": ham.n - 1, "delta_s": ham.n}
-    for origin in ORIGINS:
-        if multiplicity[origin]:
-            yield origin, multiplicity[origin], _factor_block(
-                ham.n, ham.L, ham.lam, ham.mu, origin)
+def _multiplicities(n: int) -> dict[str, int]:
+    """Multiplicity of every factor whose block is nonempty at dimension n."""
+    return {o: m for o, m in zip(ORIGINS, (1, n - 1, n)) if m}
 
 
 def _lowest(block: sparse.spmatrix, k: int) -> np.ndarray:
@@ -203,33 +223,56 @@ def _lowest(block: sparse.spmatrix, k: int) -> np.ndarray:
                          tol=1e-10, return_eigenvectors=False))
 
 
-def lowest_eigenvalues(ham: TruncatedHamiltonian, k: int) -> OracleSpectrum:
-    """k smallest values of the factor blocks, merged with multiplicity.
+def lowest_eigenvalues(ham: TruncatedHamiltonian,
+                       k: int | Mapping[str, int]) -> OracleSpectrum:
+    """Lowest values of the factor blocks, merged with multiplicity.
 
-    Every eigenvalue of H below 0 is among them, with its multiplicity, as
-    long as k exceeds their number.  A block is solved densely up to
-    DENSE_LIMIT rows, else by Lanczos from a deterministic start vector, so
-    results are reproducible run to run.
+    An int k asks every block for its k lowest values and keeps the k
+    lowest of the merged list.  A mapping origin -> count asks only the
+    named blocks, each for its own count of lowest values, and keeps them
+    all.  Either way the merged list holds every eigenvalue of H below
+    theta < 0, with its multiplicity, only where the last value solved in
+    each block is >= theta.  A block is solved densely up to DENSE_LIMIT rows,
+    else by Lanczos from a deterministic start vector, so results are
+    reproducible run to run; the whole-box matrix is never read.
     """
-    if not 1 <= k <= ham.dim:
-        raise ValueError(f"need 1 <= k <= {ham.dim}, got {k}")
+    mult = _multiplicities(ham.n)
+    if isinstance(k, Mapping):
+        for origin, count in k.items():
+            if origin not in mult:
+                raise ValueError(f"no {origin!r} block at n = {ham.n}; "
+                                 f"known: {', '.join(mult)}")
+            if not _is_int(count) or count < 1:
+                raise ValueError(f"{origin} count must be an integer >= 1, "
+                                 f"got {count!r}")
+        counts, keep = dict(k), None
+    else:
+        if not _is_int(k) or not 1 <= k <= ham.dim:
+            raise ValueError(f"need an integer 1 <= k <= {ham.dim}, got {k!r}")
+        counts, keep = dict.fromkeys(mult, k), k
     pairs = sorted((float(e), origin)
-                   for origin, mult, block in _factor_blocks(ham)
-                   for e in _lowest(block, k) for _ in range(mult))[:k]
+                   for origin, count in counts.items()
+                   for e in _lowest(_factor_block(ham.n, ham.L, ham.lam, ham.mu,
+                                                  origin), count)
+                   for _ in range(mult[origin]))[:keep]
     return OracleSpectrum(n=ham.n, L=ham.L,
                           eigenvalues=tuple(e for e, _ in pairs),
                           origins=tuple(o for _, o in pairs))
 
 
 def compare(params: ModelParams, L_values, theta: float = DEFAULT_THETA,
-            tol: float = REGION_TOL, extra_states: int = 4) -> OracleComparison:
+            tol: float = REGION_TOL, extra_states: int = 1) -> OracleComparison:
     """Check bound-state counts and locations against the classifier.
 
-    For every L the oracle count of eigenvalues below theta, in total and
-    per determinant factor, is compared to the classifier's
-    multiplicity-weighted count of roots below theta, and matched
-    eigenvalues are paired in increasing order.  Disagreements are report
-    content, not errors.
+    For every L each factor block is solved for extra_states values past
+    the classifier's distinct roots of that factor below theta, so a block
+    holding an unpredicted state below theta counts more than predicted.
+    The merged list holds every eigenvalue below theta only where each
+    block's last value is >= theta, which agreeing counts ensure.  The
+    oracle count below theta, in total and per determinant factor, is
+    compared to the classifier's multiplicity-weighted count, and matched
+    eigenvalues are paired in increasing order.  The whole box is never
+    assembled.  Disagreements are report content, not errors.
     """
     if theta >= 0.0:
         raise ValueError(f"theta must be < 0, got {theta}")
@@ -239,19 +282,24 @@ def compare(params: ModelParams, L_values, theta: float = DEFAULT_THETA,
     if not radii:    # no radius would compare nothing and pass
         raise ValueError("need at least one box radius")
     for L in radii:
-        if isinstance(L, bool) or not isinstance(L, (int, np.integer)) or L < 1:
+        if not _is_int(L) or L < 1:
             raise ValueError(f"box radius must be an integer >= 1, got {L!r}")
+    # with no value past the predicted ones an unpredicted state is unseen
+    if not _is_int(extra_states) or extra_states < 1:
+        raise ValueError(f"extra_states must be an integer >= 1, "
+                         f"got {extra_states!r}")
     records = [r for r in negative_eigenvalues(params, tol=tol) if r.z < theta]
     predicted = sorted(r.z for r in records for _ in range(r.multiplicity))
     factors = {o: sum(r.multiplicity for r in records if r.origin == o)
                for o in ORIGINS}
+    wanted = {o: sum(1 for r in records if r.origin == o) + extra_states
+              for o in _multiplicities(params.n)}
     counts: dict[int, int] = {}
     factor_counts: dict[int, dict[str, int]] = {}
     errors: dict[int, tuple[float, ...]] = {}
     for L in map(int, radii):
         ham = build_hamiltonian(params.n, L, params.lam, params.mu)
-        k = min(len(predicted) + extra_states, ham.dim)
-        spec = lowest_eigenvalues(ham, max(k, 1))
+        spec = lowest_eigenvalues(ham, wanted)
         counts[L] = spec.count_below(theta)
         factor_counts[L] = {o: spec.count_below(theta, o) for o in ORIGINS}
         below = [e for e in spec.eigenvalues if e < theta]

@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh
 
@@ -55,12 +56,12 @@ def test_free_case_nonnegative_and_band_bottom():
 
 
 def test_dense_and_iterative_paths_agree():
-    ham = bb.build_hamiltonian(2, 35, 0.0, 3.0)
-    blocks = list(lattice._factor_blocks(ham))
+    blocks = [(o, lattice._factor_block(2, 35, 0.0, 3.0, o))
+              for o in lattice.ORIGINS]
     # the three factor blocks (666, 630 and 1260 rows) are solved by Lanczos
-    assert [b.shape[0] for _, _, b in blocks] == [666, 630, 1260]
-    assert min(b.shape[0] for _, _, b in blocks) > lattice.DENSE_LIMIT
-    for origin, _, block in blocks:
+    assert [b.shape[0] for _, b in blocks] == [666, 630, 1260]
+    assert min(b.shape[0] for _, b in blocks) > lattice.DENSE_LIMIT
+    for origin, block in blocks:
         dense = eigh(block.toarray(), eigvals_only=True)[:3]
         np.testing.assert_allclose(lattice._lowest(block, 3), dense,
                                    rtol=0.0, atol=1e-8, err_msg=origin)
@@ -69,11 +70,99 @@ def test_dense_and_iterative_paths_agree():
 def test_size_budget_and_validation():
     with pytest.raises(ValueError):
         bb.build_hamiltonian(3, 100, 0.0, 0.0)  # 201^3 over budget
-    with pytest.raises(ValueError):
-        bb.build_hamiltonian(1, 0, 0.0, 0.0)
+    # n = 0 would build a 7-site chain, L = True the L = 1 box
+    for n, L in ((1, 0), (0, 3), (-1, 3), (True, 3), (2.0, 3), (1, True),
+                 (1, 2.5), (1, "3")):
+        with pytest.raises(ValueError):
+            bb.build_hamiltonian(n, L, 0.0, 0.0)
+    assert bb.build_hamiltonian(np.int64(2), np.int64(3), 0.0, 0.0).dim == 49
     ham = bb.build_hamiltonian(1, 3, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        bb.lowest_eigenvalues(ham, 0)
+    # k = True would solve one value
+    for k in (0, 8, True, 2.5, "2", {"delta_x": 1}, {"delta_c": 1},
+              {"delta_r": 0}, {"delta_s": True}, {"delta_r": 1.0}):
+        with pytest.raises(ValueError):
+            bb.lowest_eigenvalues(ham, k)
+    assert len(bb.lowest_eigenvalues(ham, np.int64(7)).eigenvalues) == 7
+
+
+@pytest.mark.parametrize("n,L,lam,mu", [(1, 30, 2.0, 2.0), (2, 8, 7.0, 8.0),
+                                        (3, 5, 9.0, 9.0)])
+def test_count_per_block_matches_the_merged_form(n, L, lam, mu):
+    ham = bb.build_hamiltonian(n, L, lam, mu)
+    full = bb.lowest_eigenvalues(ham, ham.dim)
+    below = [(e, o) for e, o in zip(full.eigenvalues, full.origins) if e < 0.0]
+    mult = lattice._multiplicities(n)
+    # one value past the negative ones of each block
+    counts = {o: sum(1 for _, p in below if p == o) // m + 1
+              for o, m in mult.items()}
+    assert all(c > 1 for c in counts.values())   # every block has a state
+    spec = bb.lowest_eigenvalues(ham, counts)
+    assert len(spec.eigenvalues) == sum(c * mult[o] for o, c in counts.items())
+    got = [(e, o) for e, o in zip(spec.eigenvalues, spec.origins) if e < 0.0]
+    assert [o for _, o in got] == [o for _, o in below]
+    np.testing.assert_allclose([e for e, _ in got], [e for e, _ in below],
+                               rtol=0.0, atol=1e-12)
+    # a block asked for fewer values than it holds below 0 drops the rest
+    fewer = bb.lowest_eigenvalues(ham, {"delta_r": counts["delta_r"] - 1})
+    assert set(fewer.origins) == {"delta_r"}
+    assert fewer.count_below(0.0) == counts["delta_r"] - 1
+
+
+def _kronsum_box(n, L, lam, mu):
+    """The whole box as a sum of chains, one per axis, minus the potential."""
+    m = 2 * L + 1
+    chain = sparse.diags([-0.5, 1.0, -0.5], [-1, 0, 1], shape=(m, m), format="csr")
+    h = chain
+    for _ in range(n - 1):
+        h = sparse.kronsum(chain, h, format="csr")
+    v = np.zeros((m,) * n)
+    v[(L,) * n] = mu
+    for axis in range(n):
+        for x in (L - 1, L + 1):
+            v[(L,) * axis + (x,) + (L,) * (n - 1 - axis)] = lam / 2.0
+    h.setdiag(h.diagonal() - v.ravel())
+    return h
+
+
+@pytest.mark.parametrize("n,L,lam,mu", [(1, 4, 3.0, 0.5), (2, 3, 7.0, 8.0),
+                                        (3, 2, -1.5, 2.0), (4, 1, 5.0, 1.0)])
+def test_box_matrix_is_the_kronsum_assembly(n, L, lam, mu):
+    ham = bb.build_hamiltonian(n, L, lam, mu)
+    assert "matrix" not in vars(ham)   # nothing assembled until read
+    got, want = ham.matrix, _kronsum_box(n, L, lam, mu)
+    assert ham.dim == got.shape[0] == (2 * L + 1) ** n
+    for field in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+    assert ham.matrix is got
+
+
+@pytest.mark.parametrize("n,L,lam,mu,factors", [
+    (2, 12, 7.0, 8.0, {"delta_r": 2, "delta_c": 1, "delta_s": 2}),
+    (3, 10, 5.0, 1.0, {"delta_r": 1, "delta_c": 0, "delta_s": 3}),
+])
+def test_compare_never_assembles_the_box(monkeypatch, n, L, lam, mu, factors):
+    def refuse(*args, **kwargs):
+        raise AssertionError("whole-box assembly")
+    monkeypatch.setattr(lattice.sparse, "kronsum", refuse)
+    rep = bb.compare(bb.ModelParams(n, lam, mu), [L])
+    assert rep.counts_agree
+    assert rep.predicted_factor_counts == rep.oracle_factor_counts[L] == factors
+
+
+@pytest.mark.parametrize("origin", lattice.ORIGINS)
+def test_compare_sees_an_unpredicted_state(monkeypatch, origin):
+    # two delta_r, one delta_c and two delta_s states below -1e-3; hiding
+    # one root of a factor leaves its block one value past the prediction
+    params = bb.ModelParams(2, 7.0, 8.0)
+    records = bb.negative_eigenvalues(params)
+    dropped = next(r for r in records if r.origin == origin)
+    monkeypatch.setattr(lattice, "negative_eigenvalues",
+                        lambda *a, **k: [r for r in records if r is not dropped])
+    rep = bb.compare(params, [12])
+    full = {"delta_r": 2, "delta_c": 1, "delta_s": 2}
+    assert rep.oracle_factor_counts[12] == full
+    assert rep.predicted_factor_counts[origin] == full[origin] - dropped.multiplicity
+    assert not rep.agrees_at(12) and not rep.counts_agree
 
 
 def test_parity_attribution():
@@ -264,3 +353,10 @@ def test_compare_requires_negative_theta():
         with pytest.raises(ValueError):
             bb.compare(bb.ModelParams(1, 0.0, 1.0), radii)
     assert bb.compare(bb.ModelParams(1, 0.0, 1.0), [np.int64(10)]).counts_agree
+    # extra_states <= 0 would solve no value past the predicted ones, so an
+    # unpredicted state below theta could not be seen
+    for extra in (0, -5, True, 1.5, None):
+        with pytest.raises(ValueError):
+            bb.compare(bb.ModelParams(1, 0.0, 1.0), [20], extra_states=extra)
+    assert bb.compare(bb.ModelParams(1, 0.0, 1.0), [20],
+                      extra_states=np.int64(3)).counts_agree
