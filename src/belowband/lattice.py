@@ -29,6 +29,11 @@ below theta < 0, each labelled with its factor, only where the last value
 solved in each block is >= theta; above 0 it is complete only at n = 1.
 No solve reads the whole box: `TruncatedHamiltonian.matrix` is assembled
 only when it is read.
+
+Only the diagonal of levels 0 and 1 (the origin and the unit sites) depends
+on (lam, mu).  The rest of each block (its orbit basis, hops and weights)
+is kept per (n, L, origin) in a bounded cache, so a solve at a radius
+already met adds only the couplings.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 import scipy.sparse as sparse
@@ -59,6 +64,8 @@ __all__ = [
 # nearer 400 rows, but perfbench labels a whole box by this limit and takes
 # the n = 2, L = 12 box (625 sites) as dense
 DENSE_LIMIT = 625
+# factor blocks whose coupling-free part is kept; an oracle pass meets 19
+_KEPT_BLOCKS = 32
 DEFAULT_THETA = -1e-3    # separates bound states from band-bottom artifacts
 _SEED = 20240817         # deterministic start vector for the Lanczos solver
 ORIGINS = ("delta_r", "delta_c", "delta_s")
@@ -150,12 +157,16 @@ def build_hamiltonian(n: int, L: int, lam: float, mu: float,
     The diagonal is n everywhere except n - mu at the origin and n - lam/2
     at the 2n unit sites; every nearest-neighbor pair inside the box gets
     off-diagonal -1/2.  The whole-box matrix is assembled only when
-    `.matrix` is read, but its size is checked against max_dim here.
+    `.matrix` is read, but its size is checked against max_dim here, and
+    lam and mu must be finite.
     """
     if not _is_int(n) or n < 1:
         raise ValueError(f"dimension must be an integer >= 1, got {n!r}")
     if not _is_int(L) or L < 1:
         raise ValueError(f"box radius must be an integer >= 1, got {L!r}")
+    for name, value in (("lam", lam), ("mu", mu)):
+        if not math.isfinite(value):    # else scipy fails naming no input
+            raise ValueError(f"{name} must be finite, got {value!r}")
     ham = TruncatedHamiltonian(n=int(n), L=int(L), lam=lam, mu=mu)
     if ham.dim > max_dim:
         raise ValueError(f"dimension {2 * L + 1}^{n} = {ham.dim} exceeds "
@@ -179,12 +190,16 @@ def _canonical(points: np.ndarray, origin: str) -> tuple[np.ndarray, np.ndarray]
     return canon, np.sign(a[:, 1] - a[:, 0])
 
 
-def _factor_block(n: int, L: int, lam: float, mu: float,
-                  origin: str) -> sparse.csr_matrix:
-    """H in the orbit basis of one factor's symmetry sector.
+@lru_cache(maxsize=_KEPT_BLOCKS)
+def _block_structure(n: int, L: int,
+                     origin: str) -> tuple[sparse.csr_matrix, np.ndarray]:
+    """Coupling-free part of one factor block: its hops and each row's level.
 
     A hop from representative a to a point of orbit b adds
     -1/2 sign sqrt(|O_a| / |O_b|); rows are found by their mixed-radix key.
+    The level sum(m) is 0 at the origin and 1 on the unit sites.  Every
+    hop changes the level by one, so the off-diagonal part has no diagonal
+    entry.  The arrays are read-only, since they are kept across solves.
     """
     radix = (L + 1) ** np.arange(n - 1, -1, -1)
     grid = np.indices((L + 1,) * n).reshape(n, -1).T
@@ -201,10 +216,28 @@ def _factor_block(n: int, L: int, lam: float, mu: float,
     ok = (np.abs(hops).max(axis=1) <= L) & (s != 0)
     a = np.tile(np.arange(dim), 2 * n)[ok]
     b = np.searchsorted(keys, target[ok] @ radix)
-    level = reps.sum(axis=1)    # 0 at the origin, 1 on the unit sites
-    diag = n - np.where(level == 0, mu, np.where(level == 1, lam / 2.0, 0.0))
-    return sparse.csr_matrix((-0.5 * s[ok] * np.sqrt(size[a] / size[b]), (a, b)),
-                             shape=(dim, dim)) + sparse.diags(diag, format="csr")
+    off = sparse.csr_matrix((-0.5 * s[ok] * np.sqrt(size[a] / size[b]), (a, b)),
+                            shape=(dim, dim))
+    level = reps.sum(axis=1)
+    for array in (off.data, off.indices, off.indptr, level):
+        array.flags.writeable = False
+    return off, level
+
+
+def _diagonal(n: int, lam: float, mu: float, level: np.ndarray) -> np.ndarray:
+    """n - mu on level 0, n - lam/2 on level 1 and n elsewhere."""
+    return n - np.where(level == 0, mu, np.where(level == 1, lam / 2.0, 0.0))
+
+
+def _factor_block(n: int, L: int, lam: float, mu: float,
+                  origin: str) -> sparse.csr_matrix:
+    """H in the orbit basis of one factor's symmetry sector.
+
+    The coupling-free part is kept per (n, L, origin) in a bounded cache;
+    only the diagonal of levels 0 and 1 depends on (lam, mu).
+    """
+    off, level = _block_structure(n, L, origin)
+    return off + sparse.diags(_diagonal(n, lam, mu, level), format="csr")
 
 
 def _multiplicities(n: int) -> dict[str, int]:
@@ -212,12 +245,16 @@ def _multiplicities(n: int) -> dict[str, int]:
     return {o: m for o, m in zip(ORIGINS, (1, n - 1, n)) if m}
 
 
-def _lowest(block: sparse.spmatrix, k: int) -> np.ndarray:
-    """Sorted min(k, dim) smallest eigenvalues of one symmetric block."""
-    dim, k = block.shape[0], min(k, block.shape[0])
+def _lowest(ham: TruncatedHamiltonian, origin: str, k: int) -> np.ndarray:
+    """Sorted min(k, dim) smallest eigenvalues of one factor block of ham."""
+    off, level = _block_structure(ham.n, ham.L, origin)
+    dim, k = len(level), min(k, len(level))
     if dim <= DENSE_LIMIT or k == dim:
-        return eigh(block.toarray(order="F"), eigvals_only=True,
-                    subset_by_index=[0, k - 1], overwrite_a=True)
+        dense = off.toarray(order="F")    # off has no diagonal entry
+        np.fill_diagonal(dense, _diagonal(ham.n, ham.lam, ham.mu, level))
+        return eigh(dense, eigvals_only=True, subset_by_index=[0, k - 1],
+                    overwrite_a=True)
+    block = _factor_block(ham.n, ham.L, ham.lam, ham.mu, origin)
     v0 = np.random.default_rng(_SEED).standard_normal(dim)
     return np.sort(eigsh(block, k=k, which="SA", v0=v0, maxiter=20000,
                          tol=1e-10, return_eigenvectors=False))
@@ -252,8 +289,7 @@ def lowest_eigenvalues(ham: TruncatedHamiltonian,
         counts, keep = dict.fromkeys(mult, k), k
     pairs = sorted((float(e), origin)
                    for origin, count in counts.items()
-                   for e in _lowest(_factor_block(ham.n, ham.L, ham.lam, ham.mu,
-                                                  origin), count)
+                   for e in _lowest(ham, origin, count)
                    for _ in range(mult[origin]))[:keep]
     return OracleSpectrum(n=ham.n, L=ham.L,
                           eigenvalues=tuple(e for e, _ in pairs),

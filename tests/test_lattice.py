@@ -56,6 +56,7 @@ def test_free_case_nonnegative_and_band_bottom():
 
 
 def test_dense_and_iterative_paths_agree():
+    ham = bb.build_hamiltonian(2, 35, 0.0, 3.0)
     blocks = [(o, lattice._factor_block(2, 35, 0.0, 3.0, o))
               for o in lattice.ORIGINS]
     # the three factor blocks (666, 630 and 1260 rows) are solved by Lanczos
@@ -63,7 +64,7 @@ def test_dense_and_iterative_paths_agree():
     assert min(b.shape[0] for _, b in blocks) > lattice.DENSE_LIMIT
     for origin, block in blocks:
         dense = eigh(block.toarray(), eigvals_only=True)[:3]
-        np.testing.assert_allclose(lattice._lowest(block, 3), dense,
+        np.testing.assert_allclose(lattice._lowest(ham, origin, 3), dense,
                                    rtol=0.0, atol=1e-8, err_msg=origin)
 
 
@@ -76,6 +77,12 @@ def test_size_budget_and_validation():
         with pytest.raises(ValueError):
             bb.build_hamiltonian(n, L, 0.0, 0.0)
     assert bb.build_hamiltonian(np.int64(2), np.int64(3), 0.0, 0.0).dim == 49
+    # a nan or infinite coupling would fail inside scipy, naming no input
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="lam"):
+            bb.build_hamiltonian(1, 3, bad, 0.0)
+        with pytest.raises(ValueError, match="mu"):
+            bb.build_hamiltonian(1, 3, 0.0, bad)
     ham = bb.build_hamiltonian(1, 3, 0.0, 0.0)
     # k = True would solve one value
     for k in (0, 8, True, 2.5, "2", {"delta_x": 1}, {"delta_c": 1},
@@ -134,6 +141,75 @@ def test_box_matrix_is_the_kronsum_assembly(n, L, lam, mu):
     for field in ("data", "indices", "indptr"):
         np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
     assert ham.matrix is got
+
+
+def _assembled_block(n, L, lam, mu, origin):
+    """One factor block assembled whole, couplings included, on every call."""
+    radix = (L + 1) ** np.arange(n - 1, -1, -1)
+    grid = np.indices((L + 1,) * n).reshape(n, -1).T
+    canon, sign = lattice._canonical(grid, origin)
+    reps = grid[(sign > 0) & (canon @ radix == grid @ radix)]
+    keys = reps @ radix
+    dim = len(reps)
+    size = np.bincount(np.searchsorted(keys, canon[sign != 0] @ radix),
+                       minlength=dim) * 2.0 ** np.count_nonzero(reps, axis=1)
+    steps = np.vstack([np.eye(n, dtype=int), -np.eye(n, dtype=int)])
+    hops = (reps + steps[:, None]).reshape(-1, n)
+    target, s = lattice._canonical(hops, origin)
+    ok = (np.abs(hops).max(axis=1) <= L) & (s != 0)
+    a = np.tile(np.arange(dim), 2 * n)[ok]
+    b = np.searchsorted(keys, target[ok] @ radix)
+    level = reps.sum(axis=1)
+    diag = n - np.where(level == 0, mu, np.where(level == 1, lam / 2.0, 0.0))
+    return sparse.csr_matrix((-0.5 * s[ok] * np.sqrt(size[a] / size[b]), (a, b)),
+                             shape=(dim, dim)) + sparse.diags(diag, format="csr")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 4), data=st.data(),
+       couplings=st.lists(st.tuples(st.floats(-12.0, 12.0), st.floats(-12.0, 12.0)),
+                          min_size=1, max_size=3))
+def test_kept_block_structure_is_exact(n, data, couplings):
+    L = data.draw(st.integers(1, {1: 40, 2: 12, 3: 6, 4: 3}[n]), label="L")
+    origin = data.draw(st.sampled_from(list(lattice._multiplicities(n))),
+                       label="origin")
+    # the same (n, L, origin) with several couplings: the kept part is reused
+    for lam, mu in couplings:
+        got = lattice._factor_block(n, L, lam, mu, origin)
+        want = _assembled_block(n, L, lam, mu, origin)
+        for field in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got, field),
+                                          getattr(want, field), strict=True)
+
+
+def test_solves_do_not_depend_on_earlier_couplings():
+    # (1, 700): blocks of 701 and 700 rows, solved by Lanczos
+    for n, L in ((1, 60), (1, 700), (2, 12), (2, 24), (3, 10)):
+        first, other = bb.build_hamiltonian(n, L, 7.0, 8.0), \
+            bb.build_hamiltonian(n, L, -2.0, 0.5)
+        k = {o: 3 for o in lattice._multiplicities(n)}
+        before = bb.lowest_eigenvalues(first, k)
+        assert bb.lowest_eigenvalues(other, k) != before, (n, L)
+        assert bb.lowest_eigenvalues(first, k) == before, (n, L)
+
+
+def test_kept_block_structure_refuses_writes():
+    off, level = lattice._block_structure(2, 5, "delta_c")
+    for array in (off.data, off.indices, off.indptr, level):
+        with pytest.raises(ValueError):
+            array[0] = 7
+
+
+def test_compare_reuses_the_kept_blocks(monkeypatch):
+    first = bb.compare(bb.ModelParams(3, 5.0, 1.0), [10, 12])
+    assert first.counts_agree
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("orbit basis rebuilt")
+    monkeypatch.setattr(lattice, "_canonical", refuse)
+    rep = bb.compare(bb.ModelParams(3, 7.0, 4.0), [10, 12])
+    assert rep.predicted_factor_counts != first.predicted_factor_counts
+    assert all(rep.agrees_at(L) for L in (10, 12))
 
 
 @pytest.mark.parametrize("n,L,lam,mu,factors", [
