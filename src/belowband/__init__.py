@@ -7,9 +7,15 @@ integrals, reduces the eigenvalue problem to finite Birman-Schwinger
 matrices, classifies the coupling plane into regions with fixed eigenvalue
 counts and band-edge state types, and verifies everything against a
 finite-lattice diagonalization oracle.
+
+The oracle (``belowband.lattice``) is the only part that needs
+``scipy.sparse`` and ``scipy.linalg``, so its names are imported on first
+access rather than with the package.
 """
 
 __version__ = "0.1.0"
+
+import importlib
 
 from .classify import (
     ConsistencyError,
@@ -43,14 +49,6 @@ from .green import (
     dispersion,
     green_threshold,
     green_values,
-)
-from .lattice import (
-    OracleComparison,
-    OracleSpectrum,
-    TruncatedHamiltonian,
-    build_hamiltonian,
-    compare,
-    lowest_eigenvalues,
 )
 from .quadrature import QuadratureError
 from .reduction import (
@@ -100,3 +98,21 @@ __all__ = [
     "OracleComparison", "OracleSpectrum", "TruncatedHamiltonian",
     "build_hamiltonian", "compare", "lowest_eigenvalues",
 ]
+
+# the names of belowband.lattice, resolved on first access (PEP 562)
+_LATTICE_NAMES = frozenset({
+    "OracleComparison", "OracleSpectrum", "TruncatedHamiltonian",
+    "build_hamiltonian", "compare", "lowest_eigenvalues",
+})
+
+
+def __getattr__(name: str):
+    if name == "lattice" or name in _LATTICE_NAMES:
+        # not ``from . import lattice``: its hasattr check would land here again
+        lattice = importlib.import_module(f"{__name__}.lattice")
+        return lattice if name == "lattice" else getattr(lattice, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _LATTICE_NAMES)

@@ -15,10 +15,9 @@ negative eigenvalues counted with multiplicity.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-
-from scipy.optimize import brentq
 
 from .green import GreenValues, green_threshold, green_values
 from .quadrature import _Z_MAX
@@ -59,6 +58,7 @@ __all__ = [
 ]
 
 REGION_TOL = 1e-9  # default snapping tolerance onto curves
+DEFAULT_THETA = -1e-3  # oracle cut between bound states and band-bottom artifacts
 
 KIND_EIGENVALUE = "threshold-eigenvalue"
 KIND_RESONANCE = "threshold-resonance"
@@ -293,7 +293,85 @@ _REFINE = 16             # points per ladder step of the refined scan
 _STRIDE = 80.0           # step in u past an end of the ladder
 _U_NEAR = -700.0         # inside the engine's near limit _Z_MIN
 _U_FAR = math.nextafter(math.log(_Z_MAX), 0.0)   # the engine's far limit
-_BRENTQ_KW = dict(xtol=4 * math.ulp(1.0), rtol=4 * math.ulp(1.0), maxiter=200)
+_FOUR_EPS = 4 * math.ulp(1.0)   # also the smallest rtol brentq accepts
+_BRENTQ_KW = dict(xtol=_FOUR_EPS, rtol=_FOUR_EPS, maxiter=200)
+
+
+def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _FOUR_EPS,
+           maxiter: int = 100) -> float:
+    """Zero of f in [a, b] by Brent's method, as ``scipy.optimize.brentq``.
+
+    An operation-for-operation port of scipy's C ``brentq``, so every root
+    is bit-identical to scipy's, with the same input contract: ValueError
+    for xtol <= 0, rtol < 4 eps, maxiter < 0, ends of the same sign or a NaN
+    value of f; RuntimeError once maxiter iterations have not converged.
+    It lives here so that root location does not load ``scipy.optimize``.
+    """
+    maxiter = operator.index(maxiter)
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _FOUR_EPS:
+        raise ValueError(f"rtol too small ({rtol:g} < {_FOUR_EPS:g})")
+    if maxiter < 0:
+        raise ValueError("maxiter must be >= 0")
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre = value(xpre)
+    fcur = value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and \
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:   # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:              # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) \
+                        / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # C divides on to an inf or nan step, which fails the test
+                # below (fcur is nonzero here)
+                stry = math.inf
+            bound = abs(spre) if abs(spre) < 3 * abs(sbis) - delta \
+                else 3 * abs(sbis) - delta
+            if 2 * abs(stry) < bound:   # good short step
+                spre, scur = scur, stry
+            else:                       # bisect
+                spre = scur = sbis
+        else:                           # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def _factor(params: ModelParams, origin: str, g: GreenValues) -> float:

@@ -6,8 +6,13 @@ map over a coupling rectangle), ``eigenfunction`` (CSV samples of a bound
 or threshold state) and ``verify`` (self-check suites).
 
 Every command is deterministic: identical flags produce byte-identical
-output.  Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 numeric failure, 4 empty result.
+output for a fixed BLAS thread count (the Laplace sums use ``np.dot``,
+whose last bits follow the thread count).  Exit codes: 0 success,
+1 verification failure, 2 usage error, 3 numeric failure, 4 empty result.
+
+Importing this module loads numpy and ``scipy.special`` only.  The lattice
+oracle, with ``scipy.sparse`` and ``scipy.linalg``, is imported inside
+``verify oracle``, so no other command loads it.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import numpy as np
 
 from . import __version__
 from .classify import (
+    DEFAULT_THETA,
     REGION_TOL,
     ConsistencyError,
     RootScanError,
@@ -38,7 +44,6 @@ from .green import (
     green_threshold,
     green_values,
 )
-from .lattice import DEFAULT_THETA, compare
 from .quadrature import QuadratureError
 from .reduction import ModelParams, build_bs_matrix, delta_c, delta_r
 from .states import residual
@@ -321,6 +326,8 @@ def _verify_factorization(args) -> dict:
 
 
 def _verify_oracle(args) -> dict:
+    from .lattice import compare
+
     params = ModelParams(args.nrange[0], args.lam, args.mu)
     report = compare(params, args.L, theta=args.theta)
     checks = [{

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.special as sp
-from scipy.integrate import IntegrationWarning, quad
 
 from .quadrature import (
     QuadratureError,
@@ -297,6 +296,7 @@ def closed_form_a3(z: float) -> float:
     """
     if z > 0.0:
         raise ValueError(f"closed form requires z <= 0, got {z}")
+    from scipy.integrate import IntegrationWarning, quad
 
     def integrand(p: float) -> float:
         dd = 3.0 - z - math.cos(p)

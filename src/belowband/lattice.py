@@ -34,6 +34,11 @@ Only the diagonal of levels 0 and 1 (the origin and the unit sites) depends
 on (lam, mu).  The rest of each block (its orbit basis, hops and weights)
 is kept per (n, L, origin) in a bounded cache, so a solve at a radius
 already met adds only the couplings.
+
+This is the only module that loads ``scipy.sparse`` and ``scipy.linalg``.
+Neither the CLI nor the package imports it up front: ``belowband.cli``
+imports it inside ``verify oracle``, and ``belowband`` on first access to
+one of its names.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ import scipy.sparse as sparse
 from scipy.linalg import eigh
 from scipy.sparse.linalg import eigsh
 
-from .classify import REGION_TOL, negative_eigenvalues
+from .classify import DEFAULT_THETA, REGION_TOL, negative_eigenvalues
 from .reduction import ModelParams
 
 __all__ = [
@@ -66,7 +71,6 @@ __all__ = [
 DENSE_LIMIT = 625
 # factor blocks whose coupling-free part is kept; an oracle pass meets 19
 _KEPT_BLOCKS = 32
-DEFAULT_THETA = -1e-3    # separates bound states from band-bottom artifacts
 _SEED = 20240817         # deterministic start vector for the Lanczos solver
 ORIGINS = ("delta_r", "delta_c", "delta_s")
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import quad
 
 from .green import (
     DivergentIntegralError,
@@ -353,6 +352,8 @@ def integrability_probe(state: EigenState, q: float,
     n = state.params.n
     radii = [2.0 ** -k for k in exponents]
     if n == 1:
+        from scipy.integrate import quad
+
         def f_abs_q(p: float) -> float:
             return float(np.abs(state.evaluate([[p]]))[0]) ** q
 

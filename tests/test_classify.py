@@ -298,6 +298,67 @@ def test_roots_polished_to_tolerance():
     assert z == pytest.approx(exact, abs=1e-10)
 
 
+# classify.brentq is a port of scipy's C brentq, kept out of scipy.optimize
+# so that root location does not load it; both must agree bit for bit
+_SHAPES = {
+    "linear": lambda x, r, c: c * (x - r),
+    "cubic": lambda x, r, c: (x - r) ** 3 + c * (x - r),
+    "fifth": lambda x, r, c: c * (x - r) ** 5,
+    "atan": lambda x, r, c: math.atan(c * (x - r)),
+    "exp": lambda x, r, c: math.expm1(c * (x - r) / 1e3),
+    "tiny": lambda x, r, c: 1e-200 * math.tanh(c * (x - r)),  # products underflow
+}
+
+
+def _outcome(solver, f, a, b, **kw):
+    try:
+        return solver(f, a, b, **kw).hex()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(shape=st.sampled_from(sorted(_SHAPES)),
+       r=st.floats(-50.0, 50.0), c=st.floats(1e-3, 1e3),
+       below=st.floats(0.0, 100.0), above=st.floats(0.0, 100.0),
+       flip=st.booleans(),
+       xtol=st.floats(4 * np.finfo(float).eps, 1e-2),
+       rtol_ulps=st.floats(4.0, 1e10),
+       maxiter=st.integers(0, 120))
+def test_brentq_port_matches_scipy_bit_for_bit(shape, r, c, below, above, flip,
+                                               xtol, rtol_ulps, maxiter):
+    from scipy.optimize import brentq as scipy_brentq
+
+    f = lambda x: _SHAPES[shape](x, r, c)
+    a, b = (r - below, r + above) if not flip else (r + above, r - below)
+    kw = dict(xtol=xtol, rtol=rtol_ulps * np.finfo(float).eps, maxiter=maxiter)
+    assert _outcome(classify.brentq, f, a, b, **kw) \
+        == _outcome(scipy_brentq, f, a, b, **kw)
+
+
+def test_brentq_port_keeps_the_scipy_input_contract():
+    from scipy.optimize import brentq as scipy_brentq
+
+    eps = np.finfo(float).eps
+    cases = [
+        (lambda x: x + 1.0, 0.0, 1.0, {}),                       # same sign
+        (lambda x: math.nan if x > 0.4 else x - 0.5, 0.0, 1.0, {}),
+        (lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5, 0.0, 1.0, {}),
+        (lambda x: x - 0.3, 0.0, 1.0, {"rtol": 3.9 * eps}),
+        (lambda x: x - 0.3, 0.0, 1.0, {"xtol": 0.0}),
+        (lambda x: x - 0.3, 0.0, 1.0, {"maxiter": -1}),
+        (lambda x: math.atan(x - 0.3), 0.0, 1e6, {"maxiter": 3}),  # exhausted
+        (lambda x: x - 0.3, 0.0, 1.0, {"maxiter": 0}),
+    ]
+    for f, a, b, kw in cases:
+        expected = _outcome(scipy_brentq, f, a, b, **kw)
+        assert isinstance(expected, type), (a, b, kw)
+        assert _outcome(classify.brentq, f, a, b, **kw) is expected, (a, b, kw)
+    # an end that is a zero is returned as it is, before the sign check
+    assert classify.brentq(lambda x: x, 0.0, 1.0) == 0.0
+    assert classify.brentq(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+
+
 def test_multiplicity_bookkeeping_highest_cell(consts):
     for n in (2, 3):
         name = f"D{2 * n + 1}"

@@ -275,6 +275,59 @@ def test_console_entry_point():
         bb.closed_form_a1(-2.0), rel=1e-10)
 
 
+_IMPORT_BUDGET = """
+import contextlib, io, json, sys
+import belowband.cli as cli
+
+heavy = ("scipy.optimize", "scipy.integrate", "scipy.sparse", "scipy.linalg")
+runs = [
+    ["summarize", "--n", "2", "--lambda", "1", "--mu", "3"],
+    ["classify", "--n", "3", "--lambda", "4", "--mu", "5"],
+    ["integrals", "--n", "3", "--z", "0"],
+    ["integrals", "--n", "2", "--z", "-0.5", "--method", "both"],
+    ["eigenfunction", "--n", "2", "--lambda", "0", "--mu", "3", "--grid", "4"],
+    ["verify", "identities", "--n", "1..4", "--samples", "3"],
+    ["verify", "factorization", "--n", "1..3", "--samples", "3"],
+    ["scan", "--n", "2", "--lambda-range", "0:5:3", "--mu-range", "0:5:3"],
+]
+codes = []
+loaded = {"import": sorted(m for m in heavy if m in sys.modules)}
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+    loaded[argv[0] + " " + argv[1]] = sorted(m for m in heavy if m in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    oracle_code = cli.main(["verify", "oracle", "--n", "2", "--L", "12,16"])
+
+import belowband
+from belowband import compare, lowest_eigenvalues
+star = {}
+exec("from belowband import *", star)
+print(json.dumps({
+    "codes": codes, "loaded": loaded, "oracle_code": oracle_code,
+    "oracle": json.loads(out.getvalue()),
+    "lazy_names": [compare.__module__, lowest_eigenvalues.__module__],
+    "not_starred": [k for k in belowband.__all__ if k not in star],
+    "not_in_dir": [k for k in belowband.__all__ if k not in dir(belowband)],
+}))
+"""
+
+
+def test_commands_load_no_optimize_integrate_or_lattice_stack():
+    # a fresh interpreter: other tests in this process import the lattice
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_BUDGET],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["codes"] == [0] * 8
+    assert all(mods == [] for mods in doc["loaded"].values()), doc["loaded"]
+    assert doc["oracle_code"] == 0
+    assert doc["oracle"]["suite"] == "oracle" and doc["oracle"]["passed"]
+    assert [c["name"] for c in doc["oracle"]["checks"]] == ["count[L=12]", "count[L=16]"]
+    assert doc["lazy_names"] == ["belowband.lattice"] * 2
+    assert doc["not_starred"] == [] and doc["not_in_dir"] == []
+
+
 def test_readme_commands_run(capsys):
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
