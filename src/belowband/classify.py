@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .green import GreenValues, green_threshold, green_values
-from .quadrature import _Z_MAX
+from .quadrature import _Z_MAX, laplace_tables
 from .reduction import (
     ModelParams,
     critical_couplings,
@@ -392,9 +392,12 @@ def _ladder_greens(n: int) -> tuple[GreenValues, ...]:
 
     Built on the first root search at this n, never by
     ``spectral_constants``: requests that locate no root do not pay for the
-    81 evaluations.
+    81 evaluations.  The Bessel tables of all 81 points are built first, in
+    one pass; the evaluations then sum them as scalar calls do.
     """
-    return tuple(green_values(n, -math.exp(u)) for u in _LADDER)
+    zs = [-math.exp(u) for u in _LADDER]
+    laplace_tables(n, zs)
+    return tuple(green_values(n, z) for z in zs)
 
 
 def _brackets(us, values) -> list[tuple[float, float, float, float]]:

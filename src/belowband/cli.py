@@ -6,13 +6,13 @@ map over a coupling rectangle), ``eigenfunction`` (CSV samples of a bound
 or threshold state) and ``verify`` (self-check suites).
 
 Every command is deterministic: identical flags produce byte-identical
-output for a fixed BLAS thread count (the Laplace sums use ``np.dot``,
-whose last bits follow the thread count).  Exit codes: 0 success,
+output, whatever the BLAS thread count, except for the last digits of
+``verify oracle``'s lattice eigenvalue errors.  Exit codes: 0 success,
 1 verification failure, 2 usage error, 3 numeric failure, 4 empty result.
 
-Importing this module loads numpy and ``scipy.special`` only.  The lattice
-oracle, with ``scipy.sparse`` and ``scipy.linalg``, is imported inside
-``verify oracle``, so no other command loads it.
+Importing this module loads numpy only.  The lattice oracle, with
+``scipy.sparse`` and ``scipy.linalg``, is imported inside ``verify oracle``,
+so no other command loads scipy.
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special as sp
 
 from .quadrature import (
     QuadratureError,
@@ -273,16 +272,29 @@ def closed_form_green1(z: float) -> GreenValues:
                        s=1.0 + z * (a + b), cd=None, method="closed-form")
 
 
+def _ellipk_m1(m1: float) -> float:
+    """The complete elliptic integral K(m) from m1 = 1 - m in [0, 1], as
+    pi / (2 AGM(1, sqrt(m1))); m1 is taken as given, so K stays accurate
+    where m rounds to 1."""
+    if m1 == 0.0:
+        return math.inf
+    a, b = 1.0, math.sqrt(m1)
+    while abs(a - b) > 1e-15 * a:   # then the next mean is exact to rounding
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    return math.pi / (a + b)
+
+
 def closed_form_a2(z: float) -> float:
     """Exact a(z) for the square lattice via the complete elliptic integral.
 
     Integrating out one momentum leaves 1/sqrt((2-z-cos p)^2 - 1), whose
-    integral is 2 K(m)/(2-z) with parameter m = (2/(2-z))^2.
+    integral is 2 K(m)/(2-z) with parameter m = (2/(2-z))^2.  K is fed
+    1 - m = -z(4-z)/(2-z)^2, which keeps its digits however close z is to 0.
     """
     if not z < 0.0:
         raise ValueError(f"closed form requires z < 0, got {z}")
-    m = (2.0 / (2.0 - z)) ** 2
-    return 2.0 / (math.pi * (2.0 - z)) * float(sp.ellipk(m))
+    one_minus_m = (-z / (2.0 - z)) * ((4.0 - z) / (2.0 - z))
+    return 2.0 / (math.pi * (2.0 - z)) * _ellipk_m1(one_minus_m)
 
 
 def closed_form_a3(z: float) -> float:
@@ -292,7 +304,7 @@ def closed_form_a3(z: float) -> float:
     (1/pi^2) * integral_0^pi 2 K(m(p))/(3 - z - cos p) dp with
     m = (2/(3 - z - cos p))^2.  Valid for z <= 0; at z = 0 the value is the
     Watson simple-cubic constant divided by 3, and the endpoint p = 0 has an
-    integrable logarithmic singularity handled through ellipkm1.
+    integrable logarithmic singularity handled by feeding K with 1 - m.
     """
     if z > 0.0:
         raise ValueError(f"closed form requires z <= 0, got {z}")
@@ -303,7 +315,7 @@ def closed_form_a3(z: float) -> float:
         # 1 - m without cancellation: (dd-2)(dd+2)/dd^2 with
         # dd - 2 = 2 sin^2(p/2) - z
         one_minus_m = (2.0 * math.sin(0.5 * p) ** 2 - z) * (dd + 2.0) / dd ** 2
-        return 2.0 / dd * float(sp.ellipkm1(one_minus_m))
+        return 2.0 / dd * _ellipk_m1(one_minus_m)
 
     with warnings.catch_warnings():
         # the z = 0 endpoint log singularity trips quad's roundoff heuristic

@@ -20,14 +20,17 @@ Engine B (``laplace_*``) uses the Laplace representation
     1/(E(p) - z) = integral_0^inf exp(-(n - z) t) exp(t * sum_j cos p_j) dt,
 
 which factorizes the torus integral into a one-dimensional integral over
-products of exponentially scaled modified Bessel functions e^-t I_k(t).
-It works in any dimension and remains valid at z = 0 for every integral
-that is finite there (power-law tail ~ t^(-m/2)).
+products of exponentially scaled modified Bessel functions e^-t I_k(t),
+evaluated from Chebyshev series (numpy only).  It works in any dimension
+and remains valid at z = 0 for every integral that is finite there
+(power-law tail ~ t^(-m/2)).
 
 Engine B's dyadic t-panels do not depend on z, so their weighted Bessel
-tables are computed once and kept.  Entries do not depend on the calls that
-built them and sums run in a fixed order, so evaluations are bit-identical
-whatever ran before, and concurrent calls are safe.
+tables are computed once and kept; :func:`laplace_tables` builds those of
+many z in one pass.  Entries do not depend on the calls that built them and
+sums run in a fixed order of fixed chunks, so evaluations are bit-identical
+whatever ran before and whatever the BLAS thread count, and concurrent
+calls are safe.
 """
 
 from __future__ import annotations
@@ -36,11 +39,11 @@ import math
 from functools import lru_cache
 
 import numpy as np
-import scipy.special as sp
 
 __all__ = [
     "QuadratureError",
     "laplace_integrals",
+    "laplace_tables",
     "trapezoid_integrals",
     "trapezoid_threshold",
     "required_grid_points",
@@ -61,9 +64,6 @@ _NAMES = ("a", "b", "c", "d", "s", "cd", "ad")
 # Largest trapezoid grid per dimension before we give up.
 _GRID_CAP = {1: 1 << 20, 2: 4096, 3: 1152}
 
-_ASYM_SWITCH = 1e8  # above this, scipy.special.ive loses accuracy / NaNs
-
-
 def integral_names(n: int) -> tuple[str, ...]:
     return _NAMES_N1 if n == 1 else _NAMES
 
@@ -83,42 +83,106 @@ def finite_at_threshold(n: int) -> frozenset[str]:
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Legendre panel helpers
+# Bessel tables of the Laplace engine
 # ---------------------------------------------------------------------------
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# Chebyshev coefficients, one column per function (tests/test_quadrature.py
+# regenerates them with mpmath): e^-t I_0(t) and e^-t I_1(t)/t in
+# y = t/4 - 1 for t <= 8, then sqrt(t) e^-t I_0(t) and sqrt(t) e^-t I_1(t)
+# in y = 16/t - 1 for t > 8.
+_NEAR = np.array([
+    (0.33839763720473803, 0.12629359322181682),
+    (-0.3046826723431984, -0.17641651835783406),
+    (0.17162090152220877, 0.1026436586898471),
+    (-0.09490109704804764, -0.05294598120809499),
+    (0.04930528423967071, 0.024726449030626516),
+    (-0.02373741480589947, -0.010564084894626197),
+    (0.010546460394594998, 0.004156422944312888),
+    (-0.004324309995050576, -0.0015135724506312532),
+    (0.0016394756169413357, 0.0005122859561685758),
+    (-0.0005763755745385824, -0.00016176081582589674),
+    (0.00018850288509584165, 4.781565107550054e-05),
+    (-5.754195010082104e-05, -1.3273163656039436e-05),
+    (1.6448448070728896e-05, 3.4702513081376785e-06),
+    (-4.4167383584587505e-06, -8.568720264695455e-07),
+    (1.1173875391201037e-06, 2.0032947535521353e-07),
+    (-2.670793853940612e-07, -4.445059128796328e-08),
+    (6.046995022541919e-08, 9.381537386495773e-09),
+    (-1.300025009986248e-08, -1.8872497517228294e-09),
+    (2.6598237246823866e-09, 3.625590281552117e-10),
+    (-5.189795601635263e-10, -6.663489723502027e-11),
+    (9.675809035373237e-11, 1.1736186298890901e-11),
+    (-1.726826291441556e-11, -1.9839743977649436e-12),
+    (2.95505266312964e-12, 3.223793365945575e-13),
+    (-4.856446783111929e-13, -5.042185504727912e-14),
+    (7.676185498604936e-14, 7.600684294735408e-15),
+    (-1.1685332877993451e-14, -1.1055969477353862e-15),
+    (1.715391285555133e-15, 1.5536319577362005e-16),
+    (-2.431279846547955e-16, -2.111421214358166e-17),
+    (3.3307945188222384e-17, 2.7779141127610464e-18),
+    (-4.4153416464793395e-18, -3.541581772542136e-19),
+    (5.669178006921496e-19, 4.379302756655071e-20),
+])
+_FAR = np.array([
+    (0.4022452055070544, 0.38928811750914005),
+    (0.0033691164782556943, -0.009761097491361469),
+    (6.889758346916825e-05, -0.00011058893876262371),
+    (2.8913705208347567e-06, -3.882564808877691e-06),
+    (2.0489185894690638e-07, -2.512236237870209e-07),
+    (2.266668990498178e-08, -2.6314688468895196e-08),
+    (3.3962320257083865e-09, -3.835380385964237e-09),
+    (4.94060238822497e-10, -5.589743462196584e-10),
+    (1.1889147107846439e-11, -1.8974958123505413e-11),
+    (-3.1499165279632416e-11, 3.2526035830154884e-11),
+    (-1.3215811840447713e-11, 1.4125807436613782e-11),
+    (-1.7941785315068062e-12, 2.0356285441470896e-12),
+    (7.180124451383666e-13, -7.198551776245908e-13),
+    (3.8527783827421426e-13, -4.0835511110921974e-13),
+    (1.54008621752141e-14, -2.1015418427726643e-14),
+    (-4.150569347287222e-14, 4.272440016711951e-14),
+    (-9.554846698828307e-15, 1.0420276984128802e-14),
+    (3.8116806693526224e-15, -3.8144030724370075e-15),
+    (1.7725601330565263e-15, -1.8803547755107825e-15),
+    (-3.425485619677219e-16, 3.3082023109209285e-16),
+    (-2.8276239805165836e-16, 2.96262899764595e-16),
+    (3.461222867697461e-17, -3.209525921993424e-17),
+    (4.46562142029676e-17, -4.6503053684893586e-17),
+    (-4.830504485944182e-18, 4.414348323071708e-18),
+    (-7.233180487874754e-18, 7.517296310842105e-18),
+    (9.921475412173699e-19, -9.314178867326884e-19),
+    (1.193650890845982e-18, -1.242193275194891e-18),
+    (-2.4887098371508075e-19, 2.4142767194548486e-19),
+    (-1.938426454160906e-19, 2.0269443840532852e-19),
+    (6.444656697373444e-20, -6.394267188269098e-20),
+])
+
+_ASYM_SWITCH = 1e8  # above this the asymptotic series is exact to rounding
 
 
-def _leggauss(m: int) -> tuple[np.ndarray, np.ndarray]:
-    if m not in _GL_CACHE:
-        _GL_CACHE[m] = np.polynomial.legendre.leggauss(m)
-    return _GL_CACHE[m]
-
-
-def _panel_nodes(boundaries, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights on consecutive panels."""
-    x, w = _leggauss(m)
-    nodes, weights = [], []
-    for lo, hi in zip(boundaries[:-1], boundaries[1:]):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        nodes.append(mid + half * x)
-        weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
+def _chebyshev(coef: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Both columns of a Chebyshev series at y, in one Clenshaw pass."""
+    y2 = 2.0 * y
+    b1 = b2 = np.zeros((2, y.size))
+    for c in coef[:0:-1]:
+        b1, b2 = c[:, None] + y2 * b1 - b2, b1
+    return coef[0][:, None] + y * b1 - b2
 
 
 def _ive01(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """e^-t I_0(t) and e^-t I_1(t), stable for arbitrarily large t."""
-    big = t > _ASYM_SWITCH
-    ts = np.where(big, 1.0, t)
-    i0 = np.asarray(sp.ive(0, ts), dtype=float)
-    i1 = np.asarray(sp.ive(1, ts), dtype=float)
-    if np.any(big):
-        tb = t[big]
-        pref = 1.0 / (np.sqrt(2.0 * np.pi) * np.sqrt(tb))  # no overflow up to 2^1023
-        x8 = 0.125 / tb
-        i0[big] = pref * (1.0 + x8 + 4.5 * x8 * x8)
-        i1[big] = pref * (1.0 - 3.0 * x8 - 7.5 * x8 * x8)
-    return i0, i1
+    """e^-t I_0(t) and e^-t I_1(t) for t > 0, stable for arbitrarily large t."""
+    i01 = np.empty((2, t.size))
+    near, big = t <= 8.0, t > _ASYM_SWITCH
+    mid = ~(near | big)
+    tn, tm, tb = t[near], t[mid], t[big]
+    series = _chebyshev(_NEAR, tn / 4.0 - 1.0)
+    series[1] *= tn
+    i01[:, near] = series
+    i01[:, mid] = _chebyshev(_FAR, 16.0 / tm - 1.0) / np.sqrt(tm)
+    pref = 1.0 / (np.sqrt(2.0 * np.pi) * np.sqrt(tb))  # no overflow up to 2^1023
+    x8 = 0.125 / tb
+    i01[0, big] = pref * (1.0 + x8 + 4.5 * x8 * x8)
+    i01[1, big] = pref * (1.0 - 3.0 * x8 - 7.5 * x8 * x8)
+    return i01[0], i01[1]
 
 
 def _weighted_integrands(n: int, t: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -140,35 +204,94 @@ _NODES = 48                     # Gauss-Legendre nodes per panel
 _ZERO_END = 6                   # at z = 0 the panels stop at t = 2^6
 _Z_MIN = 746.0 * 2.0 ** -1023   # smaller |z|: exp(z t) > 0 past t = 2^1023
 _Z_MAX = 2.0 ** 510             # larger |z|: b ~ 1/(2 z^2) is subnormal
+_CHUNK = 8192                   # nodes per dot product, below OpenBLAS's
+                                # threading threshold of 10000
+_HEADS: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 _PANELS: dict[int, tuple[int, int, np.ndarray, np.ndarray]] = {}
 
 
-def _table(n: int, bounds) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weighted table of the Gauss-Legendre panels between bounds."""
-    t = w = np.empty(0)
-    if len(bounds) > 1:
-        t, w = _panel_nodes(bounds, _NODES)
-    return t, _weighted_integrands(n, t, w)
+@lru_cache(maxsize=None)
+def _leggauss(m: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(m)
+
+
+def _panel_nodes(lo, hi, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights, m per panel [lo_i, hi_i]."""
+    x, w = _leggauss(m)
+    lo, hi = np.asarray(lo, dtype=float)[:, None], np.asarray(hi, dtype=float)[:, None]
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    return (mid + half * x).ravel(), (half * w).ravel()
+
+
+def _span(n: int, z: float) -> tuple[int, int]:
+    """Exponents k0, k1 of the head [0, 2^k0] and of the last panel end at z.
+
+    The head ends at 2^k0 <= min(1, 1/(n - z)), the shortest scale of the
+    integrand; the panels end at the first 2^k1 past 746/|z|, where
+    exp(z t) has underflowed, or at 2^6 when z = 0.
+    """
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
+    if not -math.inf < z <= 0.0:
+        raise ValueError(f"spectral parameter must be finite and <= 0, got {z}")
+    if -_Z_MIN < z < 0.0:
+        raise QuadratureError(
+            f"z={z!r} is too close to the band edge: the Laplace panels would "
+            f"pass the largest double; |z| must be at least {_Z_MIN!r}")
+    if z < -_Z_MAX:
+        raise QuadratureError(
+            f"z={z!r} is too far below the band: b would not be a normal "
+            f"double; |z| must be at most {_Z_MAX!r}")
+    k0 = math.frexp(min(1.0, 1.0 / (n - z)))[1] - 1
+    if z == 0.0:
+        return k0, _ZERO_END
+    mant, k1 = math.frexp(746.0 / -z)
+    return k0, k1 - (mant == 0.5)
+
+
+def laplace_tables(n: int, zs) -> None:
+    """Build the heads and panels that :func:`laplace_integrals` reads at
+    every z of ``zs`` and keep them, a constant of n.
+
+    The ones not yet kept are computed in one Bessel pass.  Each entry
+    depends only on its own node, so the tables do not depend on which
+    calls built them.
+    """
+    _keep(n, [_span(n, float(z)) for z in zs])
+
+
+def _keep(n: int, spans) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """Keep the head [0, 2^k0] and the panels up to 2^k1 of every (k0, k1)
+    in ``spans``, the missing ones from one Bessel pass; returns the kept
+    panels (lo, hi, nodes, table) of dimension n."""
+    heads = sorted({k0 for k0, _ in spans if (n, k0) not in _HEADS})
+    first = min(k0 for k0, _ in spans)
+    kept = _PANELS.get(n) or (
+        first, first, np.empty(0), np.empty((len(integral_names(n)), 0)))
+    lo, hi, t, table = kept
+    k0, k1 = min(lo, first), max(hi, *(k1 for _, k1 in spans))
+    if not heads and (k0, k1) == (lo, hi):
+        return kept
+    ks = [*range(k0, lo), *range(hi, k1)]
+    starts = [0.0] * len(heads) + [math.ldexp(1.0, k) for k in ks]
+    ends = [math.ldexp(1.0, k) for k in heads] + [math.ldexp(1.0, k + 1) for k in ks]
+    tn, wn = _panel_nodes(starts, ends, _NODES)
+    cuts = np.cumsum([_NODES] * len(heads) + [(lo - k0) * _NODES])
+    *th, tb, ta = np.split(tn, cuts)
+    *wh, wb, wa = np.split(_weighted_integrands(n, tn, wn), cuts, axis=1)
+    for k, tk, wk in zip(heads, th, wh):
+        _HEADS[n, k] = tk.copy(), wk.copy()
+    kept = (k0, k1, np.concatenate([tb, t, ta]),
+            np.concatenate([wb, table, wa], axis=1))
+    _PANELS[n] = kept
+    return kept
 
 
 @lru_cache(maxsize=None)
-def _head(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    return _table(n, [0.0, math.ldexp(1.0, k)])
-
-
-def _panels(n: int, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:
-    """The panels [2^k, 2^(k+1)], k0 <= k < k1, cut from the kept table of
-    dimension n; a call outside its range computes only the missing panels."""
-    dyadic = lambda a, b: _table(n, [math.ldexp(1.0, k) for k in range(a, b + 1)])
-    lo, hi, t, table = _PANELS.get(n) or (k0, k0, *dyadic(k0, k0))
-    if k0 < lo or k1 > hi:
-        (tb, wb), (ta, wa) = dyadic(k0, lo), dyadic(hi, k1)
-        lo, hi = min(lo, k0), max(hi, k1)
-        t = np.concatenate([tb, t, ta])
-        table = np.concatenate([wb, table, wa], axis=1)
-        _PANELS[n] = lo, hi, t, table
-    cut = slice((k0 - lo) * _NODES, (k1 - lo) * _NODES)
-    return t[cut], table[:, cut]
+def _tail(n: int) -> np.ndarray:
+    """The z = 0 integrals over t > 2^6, taken in u = t^-1/2; a constant of n."""
+    u, wu = _panel_nodes([0.0], [2.0 ** (-_ZERO_END / 2)], 2 * _NODES)
+    return _weighted_integrands(n, u ** -2.0, wu * 2.0 * u ** -3.0).sum(axis=1)
 
 
 def laplace_integrals(n: int, z: float) -> dict[str, float]:
@@ -183,34 +306,29 @@ def laplace_integrals(n: int, z: float) -> dict[str, float]:
     raise :class:`QuadratureError`.  At z = 0 only the finite integrals are
     returned (see :func:`finite_at_threshold`).
     """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
     z = float(z)
-    if not -math.inf < z <= 0.0:
-        raise ValueError(f"spectral parameter must be finite and <= 0, got {z}")
-    if -_Z_MIN < z < 0.0:
-        raise QuadratureError(
-            f"z={z!r} is too close to the band edge: the Laplace panels would "
-            f"pass the largest double; |z| must be at least {_Z_MIN!r}")
-    if z < -_Z_MAX:
-        raise QuadratureError(
-            f"z={z!r} is too far below the band: b would not be a normal "
-            f"double; |z| must be at most {_Z_MAX!r}")
-    k0 = math.frexp(min(1.0, 1.0 / (n - z)))[1] - 1
-    k1 = _ZERO_END
-    if z < 0.0:
-        mant, k1 = math.frexp(746.0 / -z)
-        k1 -= mant == 0.5
-    th, head = _head(n, k0)
-    t, table = _panels(n, k0, k1)
+    k0, k1 = _span(n, z)
+    lo, hi, t, table = _PANELS.get(n) or (k0, k0, None, None)
+    heads = _HEADS.get((n, k0))
+    if heads is None or k0 < lo or k1 > hi:
+        lo, hi, t, table = _keep(n, [(k0, k1)])
+        heads = _HEADS[n, k0]
+    th, head = heads
+    cut = slice((k0 - lo) * _NODES, (k1 - lo) * _NODES)
+    t, table = t[cut], table[:, cut]
     eh, e = np.exp(z * th), np.exp(z * t)
-    # one dot product per integral sums a and b in the same order, so their
-    # rounding errors correlate and a - b = (1 + z a)/n stays accurate where
-    # both are huge (n = 1 near the band edge); a matrix product does not
-    acc = np.array([np.dot(h, eh) + np.dot(r, e) for h, r in zip(head, table)])
+    # one dot product per integral and chunk sums a and b in the same order,
+    # so their rounding errors correlate and a - b = (1 + z a)/n stays
+    # accurate where both are huge (n = 1 near the band edge); a matrix
+    # product does not.  Each chunk is one single-threaded BLAS call, so the
+    # sums do not depend on the BLAS thread count.
+    ec = e[:_CHUNK]
+    acc = [np.dot(h, eh) + np.dot(r, ec) for h, r in zip(head, table[:, :_CHUNK])]
+    for i in range(_CHUNK, t.size, _CHUNK):
+        ec = e[i:i + _CHUNK]
+        acc = [a + np.dot(r, ec) for a, r in zip(acc, table[:, i:i + _CHUNK])]
     if z == 0.0:
-        u, wu = _panel_nodes([0.0, 2.0 ** (-_ZERO_END / 2)], 2 * _NODES)
-        acc += _weighted_integrands(n, u ** -2.0, wu * 2.0 * u ** -3.0).sum(axis=1)
+        acc = np.add(acc, _tail(n))
     return {k: float(v) for k, v in zip(integral_names(n), acc)
             if z < 0.0 or k in finite_at_threshold(n)}
 

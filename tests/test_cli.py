@@ -279,7 +279,8 @@ _IMPORT_BUDGET = """
 import contextlib, io, json, sys
 import belowband.cli as cli
 
-heavy = ("scipy.optimize", "scipy.integrate", "scipy.sparse", "scipy.linalg")
+heavy = ("scipy.optimize", "scipy.integrate", "scipy.sparse", "scipy.linalg",
+         "scipy.special")
 runs = [
     ["summarize", "--n", "2", "--lambda", "1", "--mu", "3"],
     ["classify", "--n", "3", "--lambda", "4", "--mu", "5"],

@@ -90,6 +90,33 @@ def test_square_lattice_elliptic_oracle(z):
     assert bb.green_values(2, z, TRAP).a == pytest.approx(exact, rel=1e-9)
 
 
+@pytest.mark.parametrize("u", [-40.0, -100.0, -300.0, -700.0])
+def test_square_lattice_closed_form_in_u_at_the_edge(u):
+    # below u = ln(-z) = -40 the n = 2 value is a = (ln 16 - u)/(2 pi) to
+    # rounding; m = (2/(2-z))^2 itself rounds to 1 there
+    edge = (math.log(16.0) - u) / (2.0 * math.pi)
+    z = -math.exp(u)
+    assert bb.closed_form_a2(z) == pytest.approx(edge, rel=1e-15)
+    assert bb.green_values(2, z).a == pytest.approx(edge, rel=1e-15)
+
+
+def test_agm_elliptic_k_matches_scipy_and_mpmath():
+    import scipy.special as sp
+    from belowband.green import _ellipk_m1
+
+    assert _ellipk_m1(0.0) == math.inf and _ellipk_m1(1.0) == math.pi / 2
+    m1 = np.concatenate([np.geomspace(5e-324, 1.0, 20_001), np.linspace(0.0, 1.0, 20_001)[1:]])
+    got = np.array([_ellipk_m1(x) for x in m1])
+    # the plain double AGM is within 6e-16 of K, scipy's polynomials 3e-16
+    assert np.max(np.abs(got / sp.ellipkm1(m1) - 1.0)) <= 8e-16
+    m = np.linspace(0.0, 1.0, 20_001)[:-1]   # ellipk(m) is ellipkm1(1 - m)
+    assert max(abs(_ellipk_m1(1.0 - x) / sp.ellipk(x) - 1.0) for x in m) <= 8e-16
+    with mp.workdps(40):
+        err = max(abs(mp.mpf(k) * 2 * mp.agm(1, mp.sqrt(mp.mpf(x))) / mp.pi - 1)
+                  for k, x in zip(got[::40], m1[::40]))
+    assert err <= 6e-16
+
+
 @pytest.mark.parametrize("z", [0.0, -0.5, -2.0])
 def test_cubic_lattice_elliptic_oracle(z):
     exact = bb.closed_form_a3(z)

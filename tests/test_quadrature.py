@@ -1,0 +1,132 @@
+"""The Laplace engine's Bessel tables: coefficients, accuracy, determinism."""
+
+import json
+import os
+import subprocess
+import sys
+
+import mpmath as mp
+import numpy as np
+import scipy.special as sp
+
+from belowband import quadrature
+
+# ---------------------------------------------------------------------------
+# e^-t I_0(t), e^-t I_1(t)
+# ---------------------------------------------------------------------------
+
+
+def _chebyshev(f, terms: int, nodes: int = 96) -> list[float]:
+    """The first ``terms`` Chebyshev coefficients of f on [-1, 1], from its
+    values at ``nodes`` Chebyshev points at 40 digits, rounded to doubles."""
+    with mp.workdps(40):
+        th = [mp.pi * (j + mp.mpf(1) / 2) / nodes for j in range(nodes)]
+        fv = [f(mp.cos(x)) for x in th]
+        return [float((1 if k == 0 else 2) / mp.mpf(nodes)
+                      * mp.fsum(v * mp.cos(k * x) for v, x in zip(fv, th)))
+                for k in range(terms)]
+
+
+def _ive(k, t):
+    return mp.exp(-t) * mp.besseli(k, t)
+
+
+# the functions each table holds, as functions of its Chebyshev variable y
+_SERIES = {
+    "_NEAR": (lambda y: _ive(0, 4 * (y + 1)),
+              lambda y: _ive(1, 4 * (y + 1)) / (4 * (y + 1))),
+    "_FAR": (lambda y: mp.sqrt(16 / (y + 1)) * _ive(0, 16 / (y + 1)),
+             lambda y: mp.sqrt(16 / (y + 1)) * _ive(1, 16 / (y + 1))),
+}
+
+
+def test_chebyshev_coefficients_regenerate_from_mpmath():
+    for name, columns in _SERIES.items():
+        kept = getattr(quadrature, name)
+        assert kept.shape[1] == 2
+        for col, f in enumerate(columns):
+            full = _chebyshev(f, 96)
+            np.testing.assert_allclose(full[:len(kept)], kept[:, col],
+                                       rtol=1e-15, atol=1e-21, err_msg=name)
+            # the dropped terms bound the truncation error
+            assert sum(map(abs, full[len(kept):])) < 1e-19, (name, col)
+
+
+def test_ive01_matches_scipy_and_mpmath():
+    t = np.logspace(-8.0, 8.0, 200_001)
+    i0, i1 = quadrature._ive01(t)
+    assert np.max(np.abs(i0 / sp.ive(0, t) - 1.0)) <= 2e-15
+    assert np.max(np.abs(i0 / sp.i0e(t) - 1.0)) <= 2e-15
+    assert np.max(np.abs(i1 / sp.i1e(t) - 1.0)) <= 2e-15
+    # scipy's ive(1, t) is itself off by up to 3.6e-15 below t = 1e-6
+    assert np.max(np.abs(i1 / sp.ive(1, t) - 1.0)) <= 4e-15
+    with mp.workdps(30):
+        for k, values in ((0, i0), (1, i1)):
+            err = max(abs(mp.mpf(v) / _ive(k, mp.mpf(x)) - 1)
+                      for v, x in zip(values[::200], t[::200]))
+            assert err <= 1.5e-15, k
+
+
+def test_ive01_ranges_meet():
+    # each side of t = 8 and of the asymptotic switch agrees with the other
+    for edge in (8.0, quadrature._ASYM_SWITCH):
+        t = np.array([np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)])
+        for values in quadrature._ive01(t):
+            assert np.all(np.abs(values / values[1] - 1.0) <= 2e-15), edge
+
+
+# ---------------------------------------------------------------------------
+# Green values: thread count and call history
+# ---------------------------------------------------------------------------
+
+_DEEP = """
+import sys, belowband as bb
+for n in (1, 2, 3, 4):
+    for z in (-1e-300, -1e-200, -1e-100, -1e-30, -1e-12, -0.37, -1e6):
+        g = bb.green_values(n, z)
+        print(n, z, *(v.hex() for v in (g.a, g.b, g.c, g.d or 0.0, g.s, g.cd or 0.0)))
+"""
+
+
+def test_green_values_do_not_depend_on_blas_threads():
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        out.append(subprocess.run([sys.executable, "-c", _DEEP], env=env, check=True,
+                                  capture_output=True, text=True).stdout)
+    assert out[0].count("\n") == 28
+    assert out[0] == out[1]
+
+
+_LADDER_VS_SCALAR = """
+import json, math, random, sys
+import belowband as bb
+from belowband import classify
+hexes = lambda g: [v.hex() if v is not None else None
+                   for v in (g.a, g.b, g.c, g.d, g.s, g.cd)]
+out = {}
+for n in (1, 2, 3, 4):
+    zs = [-math.exp(u) for u in classify._LADDER]
+    if sys.argv[1] == "scalar-first":
+        random.Random(n).shuffle(zs)
+        scalar = {z: hexes(bb.green_values(n, z)) for z in zs}
+        ladder = [hexes(g) for g in classify._ladder_greens(n)]
+    else:
+        ladder = [hexes(g) for g in classify._ladder_greens(n)]
+        scalar = {z: hexes(bb.green_values(n, z)) for z in zs}
+    out[n] = {"ladder": ladder, "scalar": [scalar[g.z] for g in classify._ladder_greens(n)]}
+print(json.dumps(out))
+"""
+
+
+def test_ladder_entries_equal_scalar_calls_whatever_ran_first():
+    runs = {order: json.loads(subprocess.run(
+        [sys.executable, "-c", _LADDER_VS_SCALAR, order], check=True,
+        capture_output=True, text=True).stdout)
+        for order in ("ladder-first", "scalar-first")}
+    for n in ("1", "2", "3", "4"):
+        first = runs["ladder-first"][n]["ladder"]
+        assert len(first) == 81
+        for doc in runs.values():
+            assert doc[n]["ladder"] == first, n
+            assert doc[n]["scalar"] == first, n
