@@ -21,7 +21,8 @@ Engine B (``laplace_*``) uses the Laplace representation
 
 which factorizes the torus integral into a one-dimensional integral over
 products of exponentially scaled modified Bessel functions e^-t I_k(t),
-evaluated from Chebyshev series (numpy only).  It works in any dimension
+evaluated from Chebyshev series (numpy only) at the nodes of committed
+Gauss-Legendre rules.  It works in any dimension
 and remains valid at z = 0 for every integral that is finite there
 (power-law tail ~ t^(-m/2)).
 
@@ -83,7 +84,7 @@ def finite_at_threshold(n: int) -> frozenset[str]:
 
 
 # ---------------------------------------------------------------------------
-# Bessel tables of the Laplace engine
+# Bessel tables and node rules of the Laplace engine
 # ---------------------------------------------------------------------------
 
 # Chebyshev coefficients, one column per function (tests/test_quadrature.py
@@ -158,6 +159,96 @@ _FAR = np.array([
 
 _ASYM_SWITCH = 1e8  # above this the asymptotic series is exact to rounding
 
+# Gauss-Legendre rules on [-1, 1] of 48 and 96 nodes, as rows (x, w) of
+# their halves x > 0; the rules are symmetric.  These are numpy's
+# leggauss(48) and leggauss(96) (Golub-Welsch eigenvalues and one Newton
+# step); tests/test_quadrature.py checks them against mpmath.
+_GAUSS48 = np.array([
+    (0.03238017096286937, 0.06473769681268365),
+    (0.0970046992094627, 0.06446616443594982),
+    (0.1612223560688917, 0.06392423858464787),
+    (0.22476379039468905, 0.06311419228625373),
+    (0.28736248735545555, 0.06203942315989242),
+    (0.3487558862921607, 0.0607044391658936),
+    (0.4086864819907167, 0.059114839698395344),
+    (0.4669029047509584, 0.057277292100402916),
+    (0.523160974722233, 0.05519950369998403),
+    (0.5772247260839727, 0.05289018948519344),
+    (0.6288673967765136, 0.0503590355538542),
+    (0.6778723796326639, 0.04761665849249024),
+    (0.7240341309238146, 0.04467456085669423),
+    (0.7671590325157404, 0.04154508294346455),
+    (0.8070662040294426, 0.0382413510658305),
+    (0.8435882616243935, 0.034777222564770394),
+    (0.8765720202742479, 0.031167227832798097),
+    (0.9058791367155696, 0.027426509708357034),
+    (0.9313866907065543, 0.023570760839324047),
+    (0.9529877031604308, 0.019616160457356056),
+    (0.9705915925462473, 0.015579315722943226),
+    (0.9841245837228269, 0.011477234579234614),
+    (0.9935301722663508, 0.007327553901276135),
+    (0.9987710072524261, 0.0031533460523098414),
+])
+_GAUSS96 = np.array([
+    (0.016276744849602967, 0.03255061449236328),
+    (0.04881298513604974, 0.03251611871386895),
+    (0.08129749546442555, 0.0324471637140644),
+    (0.11369585011066592, 0.03234382256857602),
+    (0.14597371465489695, 0.03220620479403032),
+    (0.17809688236761861, 0.032034456231992796),
+    (0.2100313104605672, 0.03182875889441112),
+    (0.24174315616384, 0.03158933077072725),
+    (0.27319881259104917, 0.03131642559686141),
+    (0.30436494435449635, 0.03101033258631393),
+    (0.3352085228926254, 0.030671376123669266),
+    (0.3656968614723136, 0.03029991542082777),
+    (0.3957976498289086, 0.029896344136328506),
+    (0.42547898840730053, 0.029461089958168016),
+    (0.454709422167743, 0.02899461415055532),
+    (0.48345797392059636, 0.028497411065085413),
+    (0.5116941771546677, 0.02797000761684837),
+    (0.5393881083243575, 0.027412962726029232),
+    (0.5665104185613972, 0.02682686672559185),
+    (0.593032364777572, 0.026212340735672593),
+    (0.6189258401254686, 0.025570036005349364),
+    (0.6441634037849671, 0.024900633222483814),
+    (0.6687183100439161, 0.02420484179236482),
+    (0.6925645366421715, 0.023483399085926292),
+    (0.7156768123489676, 0.022737069658329466),
+    (0.7380306437444001, 0.02196664443874457),
+    (0.7596023411766475, 0.021172939892191354),
+    (0.7803690438674332, 0.020356797154333365),
+    (0.8003087441391408, 0.019519081140145382),
+    (0.8194003107379316, 0.01866067962741174),
+    (0.8376235112281871, 0.017782502316045286),
+    (0.8549590334346014, 0.016885479864245195),
+    (0.8713885059092965, 0.015970562902562345),
+    (0.8868945174024204, 0.015038721026994927),
+    (0.9014606353158523, 0.014090941772314894),
+    (0.9150714231208981, 0.013128229566961646),
+    (0.9277124567223087, 0.012151604671088057),
+    (0.9393703397527552, 0.01116210209983861),
+    (0.9500327177844377, 0.010160770535008306),
+    (0.9596882914487426, 0.009148671230783011),
+    (0.9683268284632642, 0.0081268769256983),
+    (0.9759391745851365, 0.007096470791153821),
+    (0.9825172635630147, 0.006058545504235195),
+    (0.9880541263296237, 0.005014202742928604),
+    (0.9925439003237626, 0.003964554338444405),
+    (0.9959818429872093, 0.0029107318179352943),
+    (0.9983643758631817, 0.0018539607889441585),
+    (0.9996895038832307, 0.0007967920655518723),
+])
+
+
+def _mirrored(half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of a symmetric rule from its half x > 0."""
+    x, w = half.T
+    return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
+
+
+_GAUSS = {48: _mirrored(_GAUSS48), 96: _mirrored(_GAUSS96)}
+
 
 def _chebyshev(coef: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Both columns of a Chebyshev series at y, in one Clenshaw pass."""
@@ -200,7 +291,8 @@ def _weighted_integrands(n: int, t: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.stack([a, b, c, i1 * i1 * i0nm2, s, cd, ad]) * w
 
 
-_NODES = 48                     # Gauss-Legendre nodes per panel
+_NODES = 48                     # Gauss-Legendre nodes per panel (_GAUSS);
+                                # the z = 0 tail takes 96
 _ZERO_END = 6                   # at z = 0 the panels stop at t = 2^6
 _Z_MIN = 746.0 * 2.0 ** -1023   # smaller |z|: exp(z t) > 0 past t = 2^1023
 _Z_MAX = 2.0 ** 510             # larger |z|: b ~ 1/(2 z^2) is subnormal
@@ -210,14 +302,9 @@ _HEADS: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 _PANELS: dict[int, tuple[int, int, np.ndarray, np.ndarray]] = {}
 
 
-@lru_cache(maxsize=None)
-def _leggauss(m: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(m)
-
-
 def _panel_nodes(lo, hi, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights, m per panel [lo_i, hi_i]."""
-    x, w = _leggauss(m)
+    x, w = _GAUSS[m]
     lo, hi = np.asarray(lo, dtype=float)[:, None], np.asarray(hi, dtype=float)[:, None]
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return (mid + half * x).ravel(), (half * w).ravel()

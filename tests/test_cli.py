@@ -280,7 +280,7 @@ import contextlib, io, json, sys
 import belowband.cli as cli
 
 heavy = ("scipy.optimize", "scipy.integrate", "scipy.sparse", "scipy.linalg",
-         "scipy.special")
+         "scipy.special", "numpy.polynomial")
 runs = [
     ["summarize", "--n", "2", "--lambda", "1", "--mu", "3"],
     ["classify", "--n", "3", "--lambda", "4", "--mu", "5"],

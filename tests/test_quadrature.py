@@ -1,6 +1,8 @@
-"""The Laplace engine's Bessel tables: coefficients, accuracy, determinism."""
+"""The Laplace engine's Bessel tables and node rules: coefficients,
+accuracy, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -73,6 +75,70 @@ def test_ive01_ranges_meet():
         t = np.array([np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)])
         for values in quadrature._ive01(t):
             assert np.all(np.abs(values / values[1] - 1.0) <= 2e-15), edge
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Legendre rules
+# ---------------------------------------------------------------------------
+
+
+def _legendre_moments(x, w, m: int) -> float:
+    """Largest |rule integral| of P_1 .. P_(2m-1), each exactly 0."""
+    p0, p1 = np.ones_like(x), x.copy()
+    worst = 0.0
+    for k in range(1, 2 * m):
+        worst = max(worst, abs(math.fsum(w * p1)))
+        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+    return worst
+
+
+def _legendre_mp(x, m: int):
+    """P_m(x) and P_m'(x) at the working precision."""
+    p0, p1 = mp.mpf(1), x
+    for k in range(1, m):
+        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+    return p1, m * (x * p1 - p0) / (x * x - 1)
+
+
+def _newton_refined(x0: float, m: int):
+    """The root of P_m nearest x0 and its Gauss weight, at 40 digits."""
+    with mp.workdps(40):
+        x = mp.mpf(x0)
+        for _ in range(3):
+            p, dp = _legendre_mp(x, m)
+            x -= p / dp
+        dp = _legendre_mp(x, m)[1]
+        return x, 2 / ((1 - x * x) * dp * dp)
+
+
+def test_gauss_rules_are_symmetric_and_exact():
+    for m in (48, 96):
+        x, w = quadrature._GAUSS[m]
+        assert x.shape == w.shape == (m,)
+        assert np.all(np.diff(x) > 0.0) and 0.0 < x[m // 2] and x[-1] < 1.0
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert abs(math.fsum(w) - 2.0) <= math.ulp(2.0), m
+        assert _legendre_moments(x, w, m) <= 1.5e-14, m
+
+
+def test_gauss_moment_check_sees_a_weight_off_by_1e_12():
+    x, w = quadrature._GAUSS[48]
+    w = w.copy()
+    w[24] *= 1.0 + 1e-12
+    assert _legendre_moments(x, w, 48) > 1.5e-14
+
+
+def test_gauss_rules_match_mpmath_and_numpy():
+    for m in (48, 96):
+        x, w = quadrature._GAUSS[m]
+        for xi, wi in zip(x[m // 2:], w[m // 2:]):
+            xr, wr = _newton_refined(xi, m)
+            assert abs(mp.mpf(xi) - xr) <= math.ulp(xi), (m, xi)
+            # numpy's weights are up to 1.5e-12 off; the nodes are not
+            assert abs(mp.mpf(wi) / wr - 1) <= 2e-12, (m, xi)
+        xn, wn = np.polynomial.legendre.leggauss(m)
+        assert np.all(np.abs(x - xn) <= 2.0 * np.spacing(np.abs(xn))), m
+        np.testing.assert_allclose(w, wn, rtol=1e-13, atol=0.0, err_msg=str(m))
 
 
 # ---------------------------------------------------------------------------
