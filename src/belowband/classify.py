@@ -284,13 +284,12 @@ def cell_label(n: int, even: EvenRegion, odd: OddRegion) -> tuple[str, int]:
 # Root location
 # ---------------------------------------------------------------------------
 
-# Every factor is located in u = ln(-z): the ladder is uniform in u, roots
-# squeezed against the band edge are resolved there, and a brentq tolerance
-# in u is a relative one in z.
+# Every factor is located in u = ln(-z) by one scan (the ladder, the delta_r
+# split point, then steps past its ends): roots squeezed against the band
+# edge are resolved in u, and a brentq tolerance in u is relative in z.
 _LN2 = math.log(2.0)
 _LADDER = tuple(k * _LN2 for k in range(40, -41, -1))   # -z = 2^40 .. 2^-40
-_REFINE = 16             # points per ladder step of the refined scan
-_STRIDE = 80.0           # step in u past an end of the ladder
+_STRIDE = 80.0           # step in u past an end of the scan
 _U_NEAR = -700.0         # inside the engine's near limit _Z_MIN
 _U_FAR = math.nextafter(math.log(_Z_MAX), 0.0)   # the engine's far limit
 _FOUR_EPS = 4 * math.ulp(1.0)   # also the smallest rtol brentq accepts
@@ -450,23 +449,30 @@ def _polish(f, lo: float, f_lo: float, hi: float, f_hi: float) -> float:
 def _roots(params: ModelParams, origin: str, expected: int) -> list[float]:
     """The ``expected`` zeros in (-inf, 0) of one determinant factor.
 
-    The scan reads the ladder from the per-n table ``_ladder_greens``, so it
-    costs no Green evaluation once the table exists; its values are
-    bit-identical to scalar calls.  If it brackets too few zeros, each end
-    of the ladder whose sign disagrees with the factor's value at that end
-    of (-inf, 0) is stepped past in u; if the count is still short, the scan
-    is repeated on a 16-fold finer grid in u.  Every bracket is polished in
-    u.  A persistent mismatch is reported with the sign table.
+    One scan in u brackets them: the ladder from the per-n table
+    ``_ladder_greens``, and for the two zeros of delta_r (in G2, mu > n) the
+    point z = n - mu, where H = -n while H > 0 at both ends of (-inf, 0).
+    Each end of the scan whose sign disagrees with the factor's value at
+    that end of (-inf, 0) is then stepped past in u.  Every bracket is
+    polished in u; another count raises RootScanError with the sign table.
     """
     if expected == 0:
         return []
     n = params.n
     where = f"for (n={n}, lambda={params.lam}, mu={params.mu})"
+    far_failure = (f"a zero of {origin} lies farther below the band than "
+                   f"z = -{_Z_MAX!r} {where}; past it b is not a normal double")
     f = lambda z: _factor(params, origin, green_values(n, z))
-    us = _LADDER
-    values = [_factor(params, origin, g) for g in _ladder_greens(n)]
+    us, values = _LADDER, [_factor(params, origin, g) for g in _ladder_greens(n)]
+    if expected == 2:
+        # -n itself: H evaluated at -exp(u_split), off by |u| eps in z, can be
+        # positive once lam mu is large; mu - n >= ulp(n) keeps u_split > _U_NEAR
+        u_split = math.log(params.mu - n)
+        if u_split > _U_FAR:
+            raise RootScanError(far_failure, sign_table=[(n - params.mu, -float(n))])
+        scan = {**dict(zip(us, values)), u_split: -float(n)}
+        us, values = zip(*sorted(scan.items(), reverse=True))
     brackets = _brackets(us, values)
-    ends = []
     if len(brackets) < expected:
         # the factor's sign as z -> -inf and its limit as z -> 0-
         consts = spectral_constants(n)
@@ -476,25 +482,18 @@ def _roots(params: ModelParams, origin: str, expected: int) -> list[float]:
         else:
             far, near = -1.0, _factor(params, origin, consts.greens0)
         if values[0] * far < 0.0:
-            ends.append(_step_past(
-                f, us[0], values[0], _U_FAR,
-                f"a zero of {origin} lies farther below the band than "
-                f"z = -{_Z_MAX!r} {where}; past it b is not a normal double"))
+            brackets.append(_step_past(f, us[0], values[0], _U_FAR, far_failure))
         if values[-1] * near < 0.0:
-            ends.append(_step_past(
+            brackets.append(_step_past(
                 f, us[-1], values[-1], _U_NEAR,
                 f"a zero of {origin} lies closer to the band edge than "
                 f"exp(-700) {where}; the limit value there is {near}"))
-    if len(brackets) + len(ends) < expected:
-        us = [j * _LN2 / _REFINE for j in range(40 * _REFINE, -40 * _REFINE - 1, -1)]
-        values = [f(-math.exp(u)) for u in us]
-        brackets = _brackets(us, values)
-    if len(brackets) + len(ends) != expected:
+    if len(brackets) != expected:
         raise RootScanError(
             f"expected {expected} zero(s) of {origin} {where}, bracketed "
-            f"{len(brackets) + len(ends)}",
+            f"{len(brackets)}",
             sign_table=[(-math.exp(u), v) for u, v in zip(us, values)])
-    return sorted(_polish(f, *bracket) for bracket in brackets + ends)
+    return sorted(_polish(f, *bracket) for bracket in brackets)
 
 
 @dataclass(frozen=True)

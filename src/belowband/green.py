@@ -265,11 +265,12 @@ def closed_form_a1(z: float) -> float:
 
 
 def closed_form_green1(z: float) -> GreenValues:
-    """Exact n = 1 Green values: b = (1-z)a - 1, c = (1-z)b, s = 1 + z(a+b)."""
+    """Exact n = 1 Green values from q = sqrt(-z) sqrt(2-z), free of cancellation."""
     a = closed_form_a1(z)
-    b = (1.0 - z) * a - 1.0
+    s = 1.0 / ((1.0 - z) + math.sqrt(-z) * math.sqrt(2.0 - z))
+    b = a * s
     return GreenValues(n=1, z=z, a=a, b=b, c=(1.0 - z) * b, d=None,
-                       s=1.0 + z * (a + b), cd=None, method="closed-form")
+                       s=s, cd=None, method="closed-form")
 
 
 def _ellipk_m1(m1: float) -> float:

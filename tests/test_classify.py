@@ -156,23 +156,73 @@ def test_root_counts_match_regions(n):
             assert nr == count, (n, region, lam, mu)
 
 
-def test_refinement_separates_two_roots_in_one_ladder_octave():
-    # cell D3: both delta_r roots lie between the ladder points -4 and -2,
-    # so only the 16-fold refinement of the ladder brackets them
-    lam, mu = 6.670781442439379, 4.576186898905469
-    params = bb.ModelParams(1, lam, mu)
+def _green_calls(params):
+    """Green evaluations ``summarize`` makes past the per-n ladder table."""
+    classify._ladder_greens(params.n)
+    with mock.patch.object(classify, "green_values",
+                           wraps=classify.green_values) as counted:
+        summary = bb.summarize(params, tol=0.0)
+    return summary, counted.call_count
 
-    def exact_h(z):
+
+def _exact_h1(lam, mu):
+    """H_z of the chain from its closed form."""
+    def h(z):
         g = bb.closed_form_green1(z)
         return (lam - g.a / g.b) * (mu - (1.0 - z)) - 1.0
+    return h
 
+
+def test_refinement_separates_two_roots_in_one_ladder_octave():
+    # cell D3: both delta_r roots lie between the ladder points -4 and -2;
+    # the split point z = n - mu = -3.576 of the scan brackets them
+    lam, mu = 6.670781442439379, 4.576186898905469
+    params = bb.ModelParams(1, lam, mu)
+    exact_h = _exact_h1(lam, mu)
     assert exact_h(-4.0) > 0.0 and exact_h(-2.0) > 0.0
-    summary = bb.summarize(params, tol=0.0)
+    summary, calls = _green_calls(params)
     assert summary.cell == "D3"
+    assert calls <= 150
     roots = [r.z for r in summary.eigenvalues if r.origin == "delta_r"]
     assert roots == pytest.approx([-3.905447808022, -2.083701806657], abs=1e-10)
     for z in roots:
         assert abs(exact_h(z)) < 1e-12
+
+
+def _check_two_delta_r_roots(params):
+    """Both delta_r roots of a G2 point are located within 150 Green
+    evaluations and every state is certified; at n = 1 the closed-form H
+    changes sign across each root."""
+    summary, calls = _green_calls(params)
+    assert calls <= 150, (params, calls)
+    roots = [r.z for r in summary.eigenvalues if r.origin == "delta_r"]
+    assert len(roots) == 2, params
+    for rec in summary.eigenvalues:
+        for state in bb.eigenstates(params, rec):
+            assert bb.residual(params, state) <= 1e-8, (params, rec)
+    if params.n == 1:
+        h = _exact_h1(params.lam, params.mu)
+        for z in roots:
+            assert h(z * (1.0 + 1e-12)) * h(z * (1.0 - 1e-12)) < 0.0, (params, z)
+    return summary
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("e", [2, 3, 6, 12])
+def test_large_couplings_locate_both_delta_r_roots(n, e):
+    # both roots lie near z = -10^e, in one ladder octave
+    summary = _check_two_delta_r_roots(
+        bb.ModelParams(n, 2.0 * 10.0 ** e, 10.0 ** e + n + 1))
+    assert summary.cell == ("D3" if n == 1 else f"D{2 * n + 1}")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 6), p=st.floats(0.0, 12.0), q=st.floats(0.0, 12.0))
+def test_two_delta_r_roots_are_located_across_g2(n, p, q):
+    # lam - X = 10^p and mu = 10^q above the limiting hyperbola
+    x = bb.spectral_constants(n).x_asymptote
+    lam = x + 10.0 ** p
+    _check_two_delta_r_roots(bb.ModelParams(n, lam, n + n / (lam - x) + 10.0 ** q))
 
 
 _ORIGINS = ("delta_r", "delta_c", "delta_s")
@@ -277,6 +327,10 @@ def test_root_past_the_engine_far_limit_is_a_typed_error():
     with pytest.raises(bb.RootScanError, match=limit) as info:
         bb.negative_eigenvalues(bb.ModelParams(1, 0.0, 1e200))
     assert info.value.sign_table[-1][0] >= -(2.0 ** 510)
+    # in G2 the split point z = n - mu itself lies past the limit
+    with pytest.raises(bb.RootScanError, match=limit) as info:
+        bb.negative_eigenvalues(bb.ModelParams(1, 3e200, 1e200))
+    assert info.value.sign_table == [(1.0 - 1e200, -1.0)]
 
 
 def test_snapping_tolerance_must_be_finite_and_nonnegative():

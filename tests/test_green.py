@@ -70,6 +70,19 @@ def test_chain_closed_form_both_engines(z):
         assert getattr(g, name) == pytest.approx(getattr(full, name), rel=1e-10)
 
 
+def test_chain_closed_form_matches_mpmath_at_every_z():
+    # the reference is built from q = sqrt(-z) sqrt(2-z) as well: the old
+    # b = (1-z)a - 1 and s = 1 + z(a+b) cancel even at 60 digits by z = -1e150
+    with mp.workdps(60):
+        for z in -np.logspace(-300.0, 12.0, 157):
+            g, zz = closed_form_green1(float(z)), mp.mpf(float(z))
+            q = mp.sqrt(-zz) * mp.sqrt(2 - zz)
+            s = 1 / ((1 - zz) + q)
+            exact = {"a": 1 / q, "b": s / q, "c": (1 - zz) * s / q, "s": s}
+            for name, value in exact.items():
+                assert abs(getattr(g, name) / value - 1) <= 1e-15, (z, name)
+
+
 def test_chain_closed_form_special_values():
     assert bb.closed_form_a1(-1.0) == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-15)
     assert bb.closed_form_a1(1.0 - math.sqrt(2.0)) == pytest.approx(1.0, rel=1e-14)
@@ -342,11 +355,9 @@ def test_laplace_chain_closed_form_from_edge_search_floor_to_1e15():
     for z in -np.exp(np.linspace(-700.0, math.log(1e15), 300)):
         z = float(z)
         got, exact = bb.green_values(1, z), closed_form_green1(z)
-        assert got.a == pytest.approx(exact.a, rel=1e-12), z
-        if abs(z) <= 1.0:
-            for name in ("b", "c", "s"):
-                assert getattr(got, name) == pytest.approx(
-                    getattr(exact, name), rel=1e-12), (z, name)
+        for name in ("a", "b", "c", "s"):
+            assert getattr(got, name) == pytest.approx(
+                getattr(exact, name), rel=1e-12), (z, name)
 
 
 @pytest.mark.parametrize("z", [-1e-310, -5e-324])
