@@ -373,15 +373,18 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _FOUR_EPS,
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
-def _factor(params: ModelParams, origin: str, g: GreenValues) -> float:
+def _factor(params: ModelParams, origin: str, g: GreenValues,
+            offset: float | None = None) -> float:
     """The function of g.z whose zeros are those of ``origin``.
 
     delta_r = b H_z with b > 0, and H_z = (lam - a/b)(mu - (n - z)) - n is
-    much better conditioned near the band edge; delta_c and delta_s are
+    much better conditioned near the band edge; ``offset`` stands for
+    mu - (n - z) where it is known more exactly.  delta_c and delta_s are
     powers of lam (c - d) - 1 and lam s - 1.
     """
     if origin == "delta_r":
-        return (params.lam - g.a / g.b) * (params.mu - (params.n - g.z)) - params.n
+        t = params.mu - (params.n - g.z) if offset is None else offset
+        return (params.lam - g.a / g.b) * t - params.n
     return params.lam * (g.cd if origin == "delta_c" else g.s) - 1.0
 
 
@@ -429,21 +432,17 @@ def _step_past(f, u: float, value: float, limit: float, failure: str):
     raise RootScanError(failure, sign_table=table)
 
 
-def _polish(f, lo: float, f_lo: float, hi: float, f_hi: float) -> float:
-    """Zero of f(z) with u = ln(-z) in [lo, hi], by brentq in v = u - lo.
+def _polish(h, z_a: float, f_a: float, w: float, f_w: float) -> float:
+    """Zero z_a exp(v) of a factor, v between 0 and w, by brentq in v.
 
-    brentq stops within 4 eps (1 + |v|) of the zero in v, a relative error
-    in z.  Measured from lo, |v| is at most the bracket width (ln 2 on the
-    ladder) where |u| reaches 700.  The ends take their scanned values, so
-    rounding in -exp(u) cannot change their signs.
+    h(v) is the factor at z_a exp(v).  brentq stops within 4 eps (1 + |v|)
+    of the zero in v, a relative error in z; |v| is at most the bracket
+    width in u (ln 2 on the ladder) where |u| reaches 700.  The ends take
+    their scanned values, so rounding in z_a exp(v) cannot change their signs.
     """
-    z_lo = -math.exp(lo)
-    if f_lo == 0.0:
-        return z_lo
-    ends = {0.0: f_lo, hi - lo: f_hi}
-    v = brentq(lambda v: ends[v] if v in ends else f(z_lo * math.exp(v)),
-               0.0, hi - lo, **_BRENTQ_KW)
-    return z_lo * math.exp(float(v))
+    ends = {0.0: f_a, w: f_w}
+    v = brentq(lambda v: ends[v] if v in ends else h(v), 0.0, w, **_BRENTQ_KW)
+    return z_a * math.exp(float(v))
 
 
 def _roots(params: ModelParams, origin: str, expected: int) -> list[float]:
@@ -451,10 +450,11 @@ def _roots(params: ModelParams, origin: str, expected: int) -> list[float]:
 
     One scan in u brackets them: the ladder from the per-n table
     ``_ladder_greens``, and for the two zeros of delta_r (in G2, mu > n) the
-    point z = n - mu, where H = -n while H > 0 at both ends of (-inf, 0).
+    point z0 = n - mu, where H = -n while H > 0 at both ends of (-inf, 0).
     Each end of the scan whose sign disagrees with the factor's value at
     that end of (-inf, 0) is then stepped past in u.  Every bracket is
-    polished in u; another count raises RootScanError with the sign table.
+    polished in u, from z0 itself when it ends there; another count raises
+    RootScanError with the sign table.
     """
     if expected == 0:
         return []
@@ -464,12 +464,14 @@ def _roots(params: ModelParams, origin: str, expected: int) -> list[float]:
                    f"z = -{_Z_MAX!r} {where}; past it b is not a normal double")
     f = lambda z: _factor(params, origin, green_values(n, z))
     us, values = _LADDER, [_factor(params, origin, g) for g in _ladder_greens(n)]
+    u_split = z0 = None
     if expected == 2:
         # -n itself: H evaluated at -exp(u_split), off by |u| eps in z, can be
         # positive once lam mu is large; mu - n >= ulp(n) keeps u_split > _U_NEAR
-        u_split = math.log(params.mu - n)
+        z0 = n - params.mu
+        u_split = math.log(-z0)
         if u_split > _U_FAR:
-            raise RootScanError(far_failure, sign_table=[(n - params.mu, -float(n))])
+            raise RootScanError(far_failure, sign_table=[(z0, -float(n))])
         scan = {**dict(zip(us, values)), u_split: -float(n)}
         us, values = zip(*sorted(scan.items(), reverse=True))
     brackets = _brackets(us, values)
@@ -493,7 +495,18 @@ def _roots(params: ModelParams, origin: str, expected: int) -> list[float]:
             f"expected {expected} zero(s) of {origin} {where}, bracketed "
             f"{len(brackets)}",
             sign_table=[(-math.exp(u), v) for u, v in zip(us, values)])
-    return sorted(_polish(f, *bracket) for bracket in brackets)
+
+    def polish(lo, f_lo, hi, f_hi):
+        if u_split not in (lo, hi):
+            z_lo = -math.exp(lo)
+            return _polish(lambda v: f(z_lo * math.exp(v)), z_lo, f_lo, hi - lo, f_hi)
+        # from z0 itself, where probes at -exp(u_split + v) would read the
+        # noise above; z - z0 = z0 expm1(v) holds to eps
+        h = lambda v: _factor(params, origin, green_values(n, z0 * math.exp(v)),
+                              z0 * math.expm1(v))
+        w, f_w = (hi - lo, f_hi) if lo == u_split else (lo - hi, f_lo)
+        return _polish(h, z0, -float(n), w, f_w)
+    return sorted(polish(*bracket) for bracket in brackets)
 
 
 @dataclass(frozen=True)

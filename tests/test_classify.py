@@ -5,6 +5,7 @@ import re
 import zlib
 from unittest import mock
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -166,10 +167,13 @@ def _green_calls(params):
 
 
 def _exact_h1(lam, mu):
-    """H_z of the chain from its closed form."""
+    """H_z of the chain from its closed form a/b = (1 - z) + sqrt(-z) sqrt(2 - z),
+    at 40 digits: lam - a/b cancels to 1e-21 relative next to a far root."""
     def h(z):
-        g = bb.closed_form_green1(z)
-        return (lam - g.a / g.b) * (mu - (1.0 - z)) - 1.0
+        with mp.workdps(40):
+            z = mp.mpf(z)
+            return float((lam - ((1 - z) + mp.sqrt(-z) * mp.sqrt(2 - z)))
+                         * (mu - (1 - z)) - 1)
     return h
 
 
@@ -191,12 +195,15 @@ def test_refinement_separates_two_roots_in_one_ladder_octave():
 
 def _check_two_delta_r_roots(params):
     """Both delta_r roots of a G2 point are located within 150 Green
-    evaluations and every state is certified; at n = 1 the closed-form H
-    changes sign across each root."""
+    evaluations and every state is certified.  The roots lie farther apart
+    than 2e-12 relative, over 1000 times the polish tolerance; at n = 1 the
+    exact H changes sign across each root at z(1 +- 1e-12), so the two
+    disjoint intervals hold the two zeros."""
     summary, calls = _green_calls(params)
     assert calls <= 150, (params, calls)
     roots = [r.z for r in summary.eigenvalues if r.origin == "delta_r"]
     assert len(roots) == 2, params
+    assert roots[1] - roots[0] > 2e-12 * abs(roots[0]), (params, roots)
     for rec in summary.eigenvalues:
         for state in bb.eigenstates(params, rec):
             assert bb.residual(params, state) <= 1e-8, (params, rec)
@@ -216,6 +223,15 @@ def test_large_couplings_locate_both_delta_r_roots(n, e):
     assert summary.cell == ("D3" if n == 1 else f"D{2 * n + 1}")
 
 
+def test_far_root_is_not_lost_next_to_the_split_point():
+    # the near root lies 1.2e-11 above z0 = 1 - mu, the far one near
+    # 1 - lam/2 = -4.293e10 where lam = a/b: H computed at -exp(ln(mu - 1))
+    # reads +1.9e5, and a polish started there returned z0 twice
+    summary = _check_two_delta_r_roots(bb.ModelParams(1, 8.586e10, 4.089e10))
+    roots = [r.z for r in summary.eigenvalues if r.origin == "delta_r"]
+    assert roots == pytest.approx([1.0 - 8.586e10 / 2, 1.0 - 4.089e10], rel=1e-15)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(1, 6), p=st.floats(0.0, 12.0), q=st.floats(0.0, 12.0))
 def test_two_delta_r_roots_are_located_across_g2(n, p, q):
@@ -223,6 +239,15 @@ def test_two_delta_r_roots_are_located_across_g2(n, p, q):
     x = bb.spectral_constants(n).x_asymptote
     lam = x + 10.0 ** p
     _check_two_delta_r_roots(bb.ModelParams(n, lam, n + n / (lam - x) + 10.0 ** q))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 6), w=st.floats(1.0, 12.0), r=st.floats(0.5, 2.0))
+def test_two_delta_r_roots_are_located_next_to_the_split_point(n, w, r):
+    # a/b ~ 2(n - z) at large -z, so lam = 2 10^w puts the far root near
+    # -10^w and z0 = n - mu = -r 10^w within one octave of it; the near root
+    # is squeezed against z0, where H = -n
+    _check_two_delta_r_roots(bb.ModelParams(n, 2.0 * 10.0 ** w, n + r * 10.0 ** w))
 
 
 _ORIGINS = ("delta_r", "delta_c", "delta_s")
