@@ -605,10 +605,6 @@ class ThresholdReport:
     def multiplicity(self, kind: str) -> int:
         return sum(e.multiplicity for e in self.entries if e.kind == kind)
 
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(e.multiplicity for e in self.entries)
-
 
 def _threshold_entries(params: ModelParams, even: EvenRegion,
                        odd: OddRegion) -> list[ThresholdEntry]:

@@ -109,7 +109,6 @@ def _config(args) -> QuadratureConfig:
         kwargs["method"] = args.method
     if args.tol is not None:
         kwargs["rtol"] = args.tol
-        kwargs["rtol_near_threshold"] = max(args.tol, 1e-8)
     return QuadratureConfig(**kwargs)
 
 
@@ -155,13 +154,17 @@ def cmd_integrals(args) -> int:
 # classify / summarize
 # ---------------------------------------------------------------------------
 
+def _region(even, odd) -> dict:
+    return {"even": {"curve": even.curve, "strip": even.strip,
+                     "point": even.point, "near_boundary": even.near_boundary},
+            "odd": odd.label}
+
+
 def _region_doc(params: ModelParams, tol: float) -> dict:
     snapped, even, odd = snap_params(params, tol)
     name, expected = cell_label(params.n, even, odd)
     return {
-        "even": {"curve": even.curve, "strip": even.strip,
-                 "point": even.point, "near_boundary": even.near_boundary},
-        "odd": odd.label,
+        **_region(even, odd),
         "cell": name,
         "table_count": expected,
         "snapped": {"lambda": snapped.lam, "mu": snapped.mu},
@@ -186,12 +189,7 @@ def cmd_summarize(args) -> int:
         "lambda": args.lam,
         "mu": args.mu,
         "cell": summary.cell,
-        "region": {
-            "even": {"curve": summary.even.curve, "strip": summary.even.strip,
-                     "point": summary.even.point,
-                     "near_boundary": summary.even.near_boundary},
-            "odd": summary.odd.label,
-        },
+        "region": _region(summary.even, summary.odd),
         "eigenvalues": [
             {"z": r.z, "multiplicity": r.multiplicity,
              "sector": r.sector, "origin": r.origin}

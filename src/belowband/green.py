@@ -54,27 +54,26 @@ class QuadratureConfig:
     spectral layers (root location, states, the oracle comparison) always
     use the default Laplace-Bessel engine, which has no settings: its
     panels and nodes are fixed.  The tensor trapezoid is kept as an
-    independent reference; ``grid_points``, ``rtol`` and
-    ``rtol_near_threshold`` are read only when it runs.  ``rtol`` applies for
-    z <= -1e-3; closer to the band edge the integrands peak sharply and the
-    guarantee degrades to ``rtol_near_threshold``.  With ``method="both"``
-    the two engines must agree to 10x the effective tolerance, otherwise a
-    :class:`QuadratureError` is raised.
+    independent reference for n <= 3; ``grid_points`` and ``rtol`` are read
+    only when it runs.  ``rtol`` applies for z <= -1e-3; closer to the band
+    edge the integrands peak sharply and the guarantee degrades to
+    ``max(rtol, 1e-8)``.  With ``method="both"`` the two engines must agree
+    to 10x the effective tolerance, otherwise a :class:`QuadratureError` is
+    raised.
     """
 
     method: str = "laplace-bessel"
     grid_points: int | None = None      # trapezoid M per dimension; None = auto
     rtol: float = 1e-10
-    rtol_near_threshold: float = 1e-8
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if not (self.rtol > 0.0 and self.rtol_near_threshold > 0.0):
+        if not self.rtol > 0.0:
             raise ValueError("tolerances must be positive")
 
     def effective_rtol(self, z: float) -> float:
-        return self.rtol if z <= -1e-3 else self.rtol_near_threshold
+        return self.rtol if z <= -1e-3 else max(self.rtol, 1e-8)
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -200,6 +199,32 @@ def _cross_check(n: int, z: float, first: dict, second: dict, tol: float) -> Non
                 f"{x!r} vs {y!r} (rel {rel:.3e} > {tol:.1e})")
 
 
+def _evaluate(n: int, z: float, cfg: QuadratureConfig) -> GreenValues:
+    """The integrals at z <= 0 from the engines ``cfg`` selects; with both,
+    they must agree within 10x ``cfg.effective_rtol(z)``."""
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise ValueError(f"dimension must be a positive integer, got {n!r}")
+    n, z = int(n), float(z)
+    rtol = cfg.effective_rtol(z)
+    lap = trap = None
+    if cfg.method != "tensor-trapezoid":
+        lap = laplace_integrals(n, z)
+    if cfg.method != "laplace-bessel":
+        if z < 0.0:
+            m = cfg.grid_points if cfg.grid_points is not None else \
+                required_grid_points(n, z, rtol)
+            trap = trapezoid_integrals(n, z, m)
+        elif n == 3 and cfg.method == "tensor-trapezoid":
+            raise QuadratureError(
+                "tensor-trapezoid cannot evaluate a(0), b(0) for n >= 3; "
+                "use laplace-bessel or both")
+        else:
+            trap = trapezoid_threshold(n, cfg.grid_points)
+    if lap is not None and trap is not None:
+        _cross_check(n, z, lap, trap, 10.0 * rtol)
+    return _pack(n, z, lap if lap is not None else trap, cfg.method)
+
+
 def green_values(n: int, z: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> GreenValues:
     """Evaluate a, b, c, d, s and c-d at a point z < 0 below the band.
 
@@ -207,22 +232,10 @@ def green_values(n: int, z: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Gr
     the trapezoid and Laplace-Bessel evaluations must agree within 10x that
     tolerance or a :class:`QuadratureError` is raised.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValueError(f"dimension must be a positive integer, got {n!r}")
     if not z < 0.0:
         raise ValueError(f"green_values requires z < 0, got z={z}; "
                          "use green_threshold for z = 0")
-    rtol = cfg.effective_rtol(z)
-    lap = trap = None
-    if cfg.method in ("laplace-bessel", "both"):
-        lap = laplace_integrals(int(n), float(z))
-    if cfg.method in ("tensor-trapezoid", "both"):
-        m = cfg.grid_points if cfg.grid_points is not None else \
-            required_grid_points(n, z, rtol)
-        trap = trapezoid_integrals(int(n), float(z), m)
-    if lap is not None and trap is not None:
-        _cross_check(n, z, lap, trap, 10.0 * rtol)
-    return _pack(int(n), float(z), lap if lap is not None else trap, cfg.method)
+    return _evaluate(n, z, cfg)
 
 
 def green_threshold(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> GreenValues:
@@ -230,27 +243,11 @@ def green_threshold(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> GreenValu
 
     a and b are finite only for n >= 3 (flagged ``None`` otherwise), the
     limit of c - d is finite for n >= 2, and s(0) is finite for every n.
-    The tensor-trapezoid engine knows only the subtracted integrands for
-    s(0) and c(0)-d(0), so for n >= 3 the remaining entries require the
-    Laplace-Bessel method.
+    The tensor-trapezoid engine runs for n <= 3 and knows only the
+    subtracted integrands for s(0) and c(0)-d(0), so for n = 3 the
+    remaining entries require the Laplace-Bessel method.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValueError(f"dimension must be a positive integer, got {n!r}")
-    n = int(n)
-    lap = grid = None
-    if cfg.method in ("laplace-bessel", "both"):
-        lap = laplace_integrals(n, 0.0)
-    if cfg.method in ("tensor-trapezoid", "both"):
-        if n >= 3 and cfg.method == "tensor-trapezoid":
-            raise QuadratureError(
-                "tensor-trapezoid cannot evaluate a(0), b(0) for n >= 3; "
-                "use laplace-bessel or both")
-        if n <= 3:
-            grid = trapezoid_threshold(n, cfg.grid_points)
-    if lap is not None and grid is not None:
-        _cross_check(n, 0.0, lap, grid, 10.0 * cfg.rtol_near_threshold)
-    raw = lap if lap is not None else grid
-    return _pack(n, 0.0, raw, cfg.method)
+    return _evaluate(n, 0.0, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,7 @@ __all__ = [
 # nearer 400 rows, but perfbench labels a whole box by this limit and takes
 # the n = 2, L = 12 box (625 sites) as dense
 DENSE_LIMIT = 625
+MAX_DIM = 2_000_000      # largest box build_hamiltonian accepts
 # factor blocks whose coupling-free part is kept; an oracle pass meets 19
 _KEPT_BLOCKS = 32
 _SEED = 20240817         # deterministic start vector for the Lanczos solver
@@ -154,14 +155,13 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def build_hamiltonian(n: int, L: int, lam: float, mu: float,
-                      max_dim: int = 2_000_000) -> TruncatedHamiltonian:
+def build_hamiltonian(n: int, L: int, lam: float, mu: float) -> TruncatedHamiltonian:
     """The truncated Hamiltonian on [-L, L]^n.
 
     The diagonal is n everywhere except n - mu at the origin and n - lam/2
     at the 2n unit sites; every nearest-neighbor pair inside the box gets
     off-diagonal -1/2.  The whole-box matrix is assembled only when
-    `.matrix` is read, but its size is checked against max_dim here, and
+    `.matrix` is read, but its size is checked against MAX_DIM here, and
     lam and mu must be finite.
     """
     if not _is_int(n) or n < 1:
@@ -172,9 +172,9 @@ def build_hamiltonian(n: int, L: int, lam: float, mu: float,
         if not math.isfinite(value):    # else scipy fails naming no input
             raise ValueError(f"{name} must be finite, got {value!r}")
     ham = TruncatedHamiltonian(n=int(n), L=int(L), lam=lam, mu=mu)
-    if ham.dim > max_dim:
+    if ham.dim > MAX_DIM:
         raise ValueError(f"dimension {2 * L + 1}^{n} = {ham.dim} exceeds "
-                         f"the budget {max_dim}")
+                         f"the budget {MAX_DIM}")
     return ham
 
 
@@ -301,11 +301,11 @@ def lowest_eigenvalues(ham: TruncatedHamiltonian,
 
 
 def compare(params: ModelParams, L_values, theta: float = DEFAULT_THETA,
-            tol: float = REGION_TOL, extra_states: int = 1) -> OracleComparison:
+            tol: float = REGION_TOL) -> OracleComparison:
     """Check bound-state counts and locations against the classifier.
 
-    For every L each factor block is solved for extra_states values past
-    the classifier's distinct roots of that factor below theta, so a block
+    For every L each factor block is solved for one value past the
+    classifier's distinct roots of that factor below theta, so a block
     holding an unpredicted state below theta counts more than predicted.
     The merged list holds every eigenvalue below theta only where each
     block's last value is >= theta, which agreeing counts ensure.  The
@@ -324,15 +324,11 @@ def compare(params: ModelParams, L_values, theta: float = DEFAULT_THETA,
     for L in radii:
         if not _is_int(L) or L < 1:
             raise ValueError(f"box radius must be an integer >= 1, got {L!r}")
-    # with no value past the predicted ones an unpredicted state is unseen
-    if not _is_int(extra_states) or extra_states < 1:
-        raise ValueError(f"extra_states must be an integer >= 1, "
-                         f"got {extra_states!r}")
     records = [r for r in negative_eigenvalues(params, tol=tol) if r.z < theta]
     predicted = sorted(r.z for r in records for _ in range(r.multiplicity))
     factors = {o: sum(r.multiplicity for r in records if r.origin == o)
                for o in ORIGINS}
-    wanted = {o: sum(1 for r in records if r.origin == o) + extra_states
+    wanted = {o: sum(1 for r in records if r.origin == o) + 1
               for o in _multiplicities(params.n)}
     counts: dict[int, int] = {}
     factor_counts: dict[int, dict[str, int]] = {}

@@ -10,10 +10,13 @@ where ``E(p) = sum_j (1 - cos p_j)`` is the nearest-neighbor dispersion and
 plain ``{name: value}`` dictionaries; the public wrapper types live in
 :mod:`belowband.green`.
 
-Engine A (``trapezoid_*``) is the tensor-product periodic trapezoidal rule.
-For z < 0 the integrand is analytic and periodic, so the rule converges
-geometrically with rate set by the width of the analyticity strip,
-``arccosh(1 - z)``.  It is practical for n <= 3.
+Engine A (``trapezoid_*``) is the tensor-product periodic trapezoidal rule,
+one folded-grid kernel for n <= 3: every integrand is even in each
+coordinate, so both functions sum over the M/2 + 1 nodes per axis on
+[0, pi] that :func:`_grid_blocks` yields.  For z < 0 the integrand is
+analytic and periodic, so the rule converges geometrically with rate set by
+the width of the analyticity strip, ``arccosh(1 - z)``.  At z = 0 it sums
+subtracted integrands for s(0) and c(0) - d(0) only.
 
 Engine B (``laplace_*``) uses the Laplace representation
 
@@ -62,8 +65,10 @@ class QuadratureError(RuntimeError):
 _NAMES_N1 = ("a", "b", "c", "s")
 _NAMES = ("a", "b", "c", "d", "s", "cd", "ad")
 
-# Largest trapezoid grid per dimension before we give up.
+# Largest trapezoid grid per dimension before we give up, at z < 0 and at
+# z = 0, and the default grid of the threshold integrals.
 _GRID_CAP = {1: 1 << 20, 2: 4096, 3: 1152}
+_THRESHOLD_GRID = {1: 64, 2: 1024, 3: 256}
 
 def integral_names(n: int) -> tuple[str, ...]:
     return _NAMES_N1 if n == 1 else _NAMES
@@ -440,70 +445,60 @@ def required_grid_points(n: int, z: float, rtol: float) -> int:
     return max(32, int(2 * np.ceil(m / 2.0)))
 
 
-def _axis_nodes(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Folded trapezoid nodes on [0, pi] with their multiplicities.
+def _grid_blocks(n: int, m: int):
+    """The folded M-point grid of dimension n <= 3, in blocks along axis 1.
 
     All integrands are even in each coordinate, so the M-point periodic rule
-    on (-pi, pi] collapses to M/2 + 1 nodes with weights (1, 2, ..., 2, 1).
+    on (-pi, pi] collapses to M/2 + 1 nodes per axis on [0, pi] with weights
+    (1, 2, ..., 2, 1).  Each block holds the weights, E(p), cos p_1,
+    cos p_2, sin^2 p_1 and sum_j sin^2 p_j of its nodes (cos p_2 is 0 when
+    n = 1).  n <= 2 is one block; n = 3 gives one block per node of axis 1,
+    which keeps memory at O(M^2) and the summation order fixed.
     """
-    u = np.linspace(0.0, np.pi, m // 2 + 1)
-    wt = np.full(m // 2 + 1, 2.0)
-    wt[0] = wt[-1] = 1.0
-    return u, np.cos(u), wt
-
-
-def trapezoid_integrals(n: int, z: float, grid_points: int) -> dict[str, float]:
-    """Torus integrals for z < 0 by the periodic trapezoidal rule (n <= 3)."""
     if n not in (1, 2, 3):
         raise QuadratureError(
             f"tensor-trapezoid engine supports n <= 3, got n={n}; "
             "use the laplace-bessel method")
+    if m % 2 or m < 4:
+        raise ValueError(f"grid_points must be an even integer >= 4, got {m}")
+    if m > _GRID_CAP[n]:
+        raise QuadratureError(
+            f"requested grid {m}^{n} exceeds the cap {_GRID_CAP[n]}^{n}; "
+            "quadrature would not converge in reasonable time")
+    u = np.linspace(0.0, np.pi, m // 2 + 1)
+    cu, s2 = np.cos(u), np.sin(u) ** 2
+    wt = np.full(m // 2 + 1, 2.0)
+    wt[0] = wt[-1] = 1.0
+    if n == 1:
+        yield wt, 1.0 - cu, cu, 0.0, s2, s2
+        return
+    w2 = wt[:, None] * wt[None, :]
+    e2 = (1.0 - cu)[:, None] + (1.0 - cu)[None, :]
+    if n == 2:
+        yield (w2, e2, cu[:, None], cu[None, :], s2[:, None],
+               s2[:, None] + s2[None, :])
+        return
+    for i in range(m // 2 + 1):
+        yield (wt[i] * w2, (1.0 - cu[i]) + e2, cu[i], cu[:, None], s2[i],
+               s2[i] + s2[:, None] + s2[None, :])
+
+
+def trapezoid_integrals(n: int, z: float, grid_points: int) -> dict[str, float]:
+    """Torus integrals for z < 0 by the periodic trapezoidal rule (n <= 3)."""
     if z >= 0.0:
         raise ValueError(f"trapezoid engine requires z < 0, got {z}")
     m = int(grid_points)
-    if m % 2 or m < 4:
-        raise ValueError(f"grid_points must be an even integer >= 4, got {m}")
-    cap = _GRID_CAP[n]
-    if m > cap:
-        raise QuadratureError(
-            f"requested grid {m}^{n} exceeds the cap {cap}^{n}; "
-            "quadrature would not converge in reasonable time")
-    u, cu, wt = _axis_nodes(m)
-    s2 = np.sin(u) ** 2
-    if n == 1:
-        f = wt / ((1.0 - cu) - z)
-        acc = {"a": f.sum(), "b": (f * cu).sum(), "c": (f * cu * cu).sum(),
-               "s": (f * s2).sum()}
-    elif n == 2:
-        dnm = (1.0 - cu)[:, None] + (1.0 - cu)[None, :] - z
-        f = (wt[:, None] * wt[None, :]) / dnm
-        c1, c2 = cu[:, None], cu[None, :]
-        acc = {
-            "a": f.sum(),
-            "b": (f * c1).sum(),
-            "c": (f * c1 * c1).sum(),
-            "d": (f * c1 * c2).sum(),
-            "s": (f * s2[:, None]).sum(),
-            "cd": 0.5 * (f * (c1 - c2) ** 2).sum(),
-            "ad": (f * (1.0 - c1 * c2)).sum(),
-        }
-    else:
-        acc = dict.fromkeys(_NAMES, 0.0)
-        w23 = wt[:, None] * wt[None, :]
-        e23 = (1.0 - cu)[:, None] + (1.0 - cu)[None, :]
-        c2 = cu[:, None]
-        # slice-by-slice over the first axis keeps memory at O(M^2) and the
-        # summation order fixed
-        for i in range(m // 2 + 1):
-            f = (wt[i] * w23) / ((1.0 - cu[i]) + e23 - z)
-            acc["a"] += f.sum()
-            acc["b"] += (f * cu[i]).sum()
-            acc["c"] += (f * cu[i] ** 2).sum()
-            acc["d"] += (f * cu[i] * c2).sum()
-            acc["s"] += (f * s2[i]).sum()
-            acc["cd"] += 0.5 * (f * (cu[i] - c2) ** 2).sum()
-            acc["ad"] += (f * (1.0 - cu[i] * c2)).sum()
-    return {k: float(v) / m ** n for k, v in acc.items()}
+    acc = dict.fromkeys(_NAMES, 0.0)
+    for w, e, c1, c2, s1, _ in _grid_blocks(n, m):
+        f = w / (e - z)
+        acc["a"] += f.sum()
+        acc["b"] += (f * c1).sum()
+        acc["c"] += (f * c1 * c1).sum()
+        acc["d"] += (f * c1 * c2).sum()
+        acc["s"] += (f * s1).sum()
+        acc["cd"] += 0.5 * (f * (c1 - c2) ** 2).sum()
+        acc["ad"] += (f * (1.0 - c1 * c2)).sum()
+    return {k: float(acc[k]) / m ** n for k in integral_names(n)}
 
 
 def trapezoid_threshold(n: int, grid_points: int | None = None) -> dict[str, float]:
@@ -512,44 +507,15 @@ def trapezoid_threshold(n: int, grid_points: int | None = None) -> dict[str, flo
     The direct integrands are replaced by subtracted forms whose numerators
     vanish at p = 0 fast enough that the integrand extends continuously:
     ``sum_j sin^2 p_j / (n E)`` for s and ``(cos p_1 - cos p_2)^2 / (2 E)``
-    for c - d.  The origin node is assigned the limiting value.
+    for c - d.  The origin node is assigned the limiting values, 2/n for s
+    and 0 for c - d.
     """
-    if n not in (1, 2, 3):
-        raise QuadratureError(
-            f"grid threshold quadrature supports n <= 3, got n={n}")
-    m = grid_points if grid_points is not None else {1: 64, 2: 1024, 3: 256}[n]
-    if m % 2 or m < 4:
-        raise ValueError(f"grid_points must be an even integer >= 4, got {m}")
-    u, cu, wt = _axis_nodes(m)
-    s2 = np.sin(u) ** 2
-    if n == 1:
-        e = 1.0 - cu
-        g = np.empty_like(e)
-        g[1:] = s2[1:] / e[1:]
-        g[0] = 2.0
-        return {"s": float((wt * g).sum()) / m}
-    if n == 2:
-        e = (1.0 - cu)[:, None] + (1.0 - cu)[None, :]
-        w = wt[:, None] * wt[None, :]
-        num_cd = 0.5 * (cu[:, None] - cu[None, :]) ** 2
-        num_s = 0.5 * (s2[:, None] + s2[None, :])
-        gcd = np.divide(num_cd, e, out=np.zeros_like(e), where=e > 0)
-        gs = np.divide(num_s, e, out=np.zeros_like(e), where=e > 0)
-        gs[0, 0] = 1.0  # limit 2/n at the origin
-        return {"cd": float((w * gcd).sum()) / m ** 2,
-                "s": float((w * gs).sum()) / m ** 2}
-    acc_cd = acc_s = 0.0
-    w23 = wt[:, None] * wt[None, :]
-    e23 = (1.0 - cu)[:, None] + (1.0 - cu)[None, :]
-    ones = np.ones_like(e23)
-    for i in range(m // 2 + 1):
-        e = (1.0 - cu[i]) + e23
-        num_cd = 0.5 * (cu[i] - cu[:, None]) ** 2 * ones
-        num_s = (s2[i] + s2[:, None] + s2[None, :]) / 3.0
-        gcd = np.divide(num_cd, e, out=np.zeros_like(e), where=e > 0)
-        gs = np.divide(num_s, e, out=np.zeros_like(e), where=e > 0)
-        if i == 0:
-            gs[0, 0] = 2.0 / 3.0
-        acc_cd += float((wt[i] * w23 * gcd).sum())
-        acc_s += float((wt[i] * w23 * gs).sum())
-    return {"cd": acc_cd / m ** 3, "s": acc_s / m ** 3}
+    m = _THRESHOLD_GRID.get(n) if grid_points is None else grid_points
+    acc = {"cd": 0.0, "s": 0.0}
+    for w, e, c1, c2, _, s in _grid_blocks(n, m):
+        gcd = np.divide(0.5 * (c1 - c2) ** 2, e, out=np.zeros_like(e),
+                        where=e > 0)
+        gs = np.divide(s / n, e, out=np.full_like(e, 2.0 / n), where=e > 0)
+        acc["cd"] += float((w * gcd).sum())
+        acc["s"] += float((w * gs).sum())
+    return {k: v / m ** n for k, v in acc.items() if k in finite_at_threshold(n)}

@@ -39,7 +39,7 @@ __all__ = [
     "critical_couplings",
 ]
 
-HYPERBOLA_TOL = 1e-9  # default membership tolerance for the limiting curve
+HYPERBOLA_TOL = 1e-9  # membership tolerance for the limiting curve
 
 
 @dataclass(frozen=True)
@@ -182,8 +182,7 @@ def hyperbola(params: ModelParams, z: float, greens: GreenValues) -> HyperbolaPo
     return HyperbolaPoint(value=value, lambda_inf=lam_inf, mu_inf=mu_inf)
 
 
-def delta_r(params: ModelParams, z: float, greens: GreenValues,
-            hyperbola_tol: float = HYPERBOLA_TOL) -> float:
+def delta_r(params: ModelParams, z: float, greens: GreenValues) -> float:
     """Rank-one determinant factor of the even sector.
 
     For z < 0 (any n) and z = 0 (n >= 3):
@@ -192,13 +191,13 @@ def delta_r(params: ModelParams, z: float, greens: GreenValues,
 
     At z = 0 with n <= 2 the integrals diverge but the limit exists: it is
     1 - mu/n on the limiting hyperbola and signed infinity off it (the sign
-    is that of H_0).  Membership is decided by |H_0| <= ``hyperbola_tol``.
+    is that of H_0).  Membership is decided by |H_0| <= ``HYPERBOLA_TOL``.
     """
     _check_same_z(z, greens)
     n = params.n
     if z == 0.0 and n <= 2:
         h0 = hyperbola_limit(n, params.lam, params.mu, 1.0)
-        if abs(h0) <= hyperbola_tol:
+        if abs(h0) <= HYPERBOLA_TOL:
             return 1.0 - params.mu / n
         return math.copysign(math.inf, h0)
     a, b = greens.require("a", "b")
@@ -222,11 +221,10 @@ def delta_s(params: ModelParams, z: float, greens: GreenValues) -> float:
     return (params.lam * s - 1.0) ** params.n
 
 
-def determinants(params: ModelParams, z: float, greens: GreenValues,
-                 hyperbola_tol: float = HYPERBOLA_TOL) -> DeterminantValues:
+def determinants(params: ModelParams, z: float, greens: GreenValues) -> DeterminantValues:
     """All three determinant factors at once."""
     return DeterminantValues(
-        delta_r=delta_r(params, z, greens, hyperbola_tol),
+        delta_r=delta_r(params, z, greens),
         delta_c=delta_c(params, z, greens),
         delta_s=delta_s(params, z, greens),
     )

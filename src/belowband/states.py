@@ -309,11 +309,11 @@ def _directions(n: int, angular: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _shell_mass(state: EigenState, q: float, h: float, r0: float,
-                angular: int, radial_nodes: int) -> float:
+                angular: int) -> float:
     """(2 pi)^-n integral of |f|^q over the annulus h <= |p| <= r0."""
     n = state.params.n
     dirs, dw = _directions(n, angular)
-    x, wx = np.polynomial.legendre.leggauss(radial_nodes)
+    x, wx = np.polynomial.legendre.leggauss(24)   # nodes per octave shell
     bounds = [h]
     while bounds[-1] < r0:
         bounds.append(min(2.0 * bounds[-1], r0))
@@ -339,8 +339,7 @@ def _outer_mass(state: EigenState, q: float, r0: float, grid: int = 128) -> floa
 
 
 def integrability_probe(state: EigenState, q: float,
-                        exponents=range(4, 13), angular: int = 256,
-                        radial_nodes: int = 24) -> list[float]:
+                        exponents=range(4, 13), angular: int = 256) -> list[float]:
     """integral of |f|^q outside the ball |p| < 2^-k, for k in ``exponents``.
 
     A numeric corroboration of :func:`integrability_class`: the sequence is
@@ -367,8 +366,7 @@ def integrability_probe(state: EigenState, q: float,
         raise NotImplementedError("integrability probe implemented for n <= 3")
     r0 = 1.0
     outer = _outer_mass(state, q, r0)
-    return [outer + _shell_mass(state, q, h, r0, angular, radial_nodes)
-            for h in radii]
+    return [outer + _shell_mass(state, q, h, r0, angular) for h in radii]
 
 
 def probe_verdict(values) -> str:

@@ -244,6 +244,15 @@ def test_numeric_failure_exit_3(capsys):
     assert code == 3 and "numeric failure" in err
 
 
+@pytest.mark.parametrize("n", ["4", "5"])
+@pytest.mark.parametrize("method", ["both", "tensor-trapezoid"])
+def test_trapezoid_past_n3_at_the_edge_exits_3(capsys, method, n):
+    code, out, err = run_cli(capsys, "integrals", "--n", n, "--z", "0",
+                             "--method", method)
+    assert code == 3 and out == ""
+    assert "supports n <= 3" in err
+
+
 def test_root_scan_failure_writes_sign_table(capsys):
     # the shallow delta_r root lies closer to the band edge than exp(-700)
     code, out, err = run_cli(capsys, "summarize", "--n", "2",

@@ -326,8 +326,21 @@ def test_trapezoid_grid_sizing_and_caps():
         trapezoid_integrals(4, -1.0, 64)
     with pytest.raises(QuadratureError):
         trapezoid_integrals(3, -1e-8, 1 << 14)
+    with pytest.raises(QuadratureError, match="exceeds the cap"):
+        trapezoid_threshold(3, 1154)
     with pytest.raises(QuadratureError):
         bb.green_threshold(3, TRAP)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("cfg", [TRAP, BOTH], ids=["trapezoid", "both"])
+def test_trapezoid_past_n3_raises_below_and_at_the_edge(cfg, n):
+    # the engine's limit holds at the band edge as below it: "both" may not
+    # pass there on the Laplace engine alone
+    with pytest.raises(QuadratureError, match="n <= 3"):
+        bb.green_values(n, -0.5, cfg)
+    with pytest.raises(QuadratureError, match="n <= 3"):
+        bb.green_threshold(n, cfg)
 
 
 def test_config_validation():
@@ -337,6 +350,9 @@ def test_config_validation():
         bb.QuadratureConfig(rtol=-1.0)
     assert bb.DEFAULT_CONFIG.effective_rtol(-1.0) == 1e-10
     assert bb.DEFAULT_CONFIG.effective_rtol(-1e-5) == 1e-8
+    # near the edge the guarantee is max(rtol, 1e-8)
+    assert bb.QuadratureConfig(rtol=1e-6).effective_rtol(0.0) == 1e-6
+    assert bb.QuadratureConfig(rtol=1e-12).effective_rtol(-1e-5) == 1e-8
 
 
 def test_deterministic_evaluation():

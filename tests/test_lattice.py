@@ -429,10 +429,3 @@ def test_compare_requires_negative_theta():
         with pytest.raises(ValueError):
             bb.compare(bb.ModelParams(1, 0.0, 1.0), radii)
     assert bb.compare(bb.ModelParams(1, 0.0, 1.0), [np.int64(10)]).counts_agree
-    # extra_states <= 0 would solve no value past the predicted ones, so an
-    # unpredicted state below theta could not be seen
-    for extra in (0, -5, True, 1.5, None):
-        with pytest.raises(ValueError):
-            bb.compare(bb.ModelParams(1, 0.0, 1.0), [20], extra_states=extra)
-    assert bb.compare(bb.ModelParams(1, 0.0, 1.0), [20],
-                      extra_states=np.int64(3)).counts_agree

@@ -1,5 +1,5 @@
 """The Laplace engine's Bessel tables and node rules: coefficients,
-accuracy, determinism."""
+accuracy, determinism; the trapezoid engine's outputs bit for bit."""
 
 import json
 import math
@@ -196,3 +196,102 @@ def test_ladder_entries_equal_scalar_calls_whatever_ran_first():
         for doc in runs.values():
             assert doc[n]["ladder"] == first, n
             assert doc[n]["scalar"] == first, n
+
+
+# ---------------------------------------------------------------------------
+# Tensor-trapezoid reference engine
+# ---------------------------------------------------------------------------
+
+# float.hex of the engine's outputs, recorded when its sums were written out
+# once per dimension; the folded-grid kernel must reproduce them bit for bit
+_TRAPEZOID_HEX = {
+    (1, -0.001, 64): {
+        "a": "0x1.910ca04d35e88p+4",
+        "b": "0x1.81734b784bb8ep+4",
+        "c": "0x1.81d5f8586a849p+4",
+        "s": "0x1.e6d4fe996c7e2p-1",
+    },
+    (1, -0.5, 64): {
+        "a": "0x1.c9f25c5bfedd9p-1",
+        "b": "0x1.5dd71513fc98cp-2",
+        "c": "0x1.06614fcefd728p-1",
+        "s": "0x1.8722191a02d62p-2",
+    },
+    (1, -7.0, 64): {
+        "a": "0x1.02061446ffa99p-3",
+        "b": "0x1.030a237fd4cdap-7",
+        "c": "0x1.030a237fd4cd8p-4",
+        "s": "0x1.0102050e2a85cp-4",
+    },
+    (2, -0.001, 32): {
+        "a": "0x1.14b2853dfa94dp+1",
+        "b": "0x1.a9abe01f17763p+0",
+        "c": "0x1.ccd605669ada0p+0",
+        "d": "0x1.86eeb3a468d49p+0",
+        "s": "0x1.723c1455693e9p-2",
+        "cd": "0x1.179d4708c815cp-2",
+        "ad": "0x1.44ecadaf18aa3p-1",
+    },
+    (2, -0.5, 32): {
+        "a": "0x1.0425a429d5456p-1",
+        "b": "0x1.14bc34d12a5aap-3",
+        "c": "0x1.185b89f05d42ap-2",
+        "d": "0x1.063ee0545eba8p-4",
+        "s": "0x1.dfdf7cc69a900p-3",
+        "cd": "0x1.ad97a3b68b282p-3",
+        "ad": "0x1.c6bb903e92dc2p-2",
+    },
+    (2, -7.0, 32): {
+        "a": "0x1.cce4330887892p-4",
+        "b": "0x1.a02e5a661e920p-8",
+        "c": "0x1.ce5e5b3f531b6p-5",
+        "d": "0x1.75729ce3d21a8p-11",
+        "s": "0x1.cb6a0ad1bbf6ep-5",
+        "cd": "0x1.c88890cbc3d2fp-5",
+        "ad": "0x1.c9f94dcebfe50p-4",
+    },
+    (3, -0.001, 16): {
+        "a": "0x1.70fd4394b7369p-1",
+        "b": "0x1.8ce42b37b221fp-2",
+        "c": "0x1.05b6a763854d9p-1",
+        "d": "0x1.4dd266c56d481p-2",
+        "s": "0x1.ad1a70c4c7a40p-3",
+        "cd": "0x1.7b35d0033aa6ap-3",
+        "ad": "0x1.9428206401255p-2",
+    },
+    (3, -0.5, 16): {
+        "a": "0x1.5d3b96c74f4f7p-2",
+        "b": "0x1.086b6a4cc7729p-4",
+        "c": "0x1.6baa0766c0daep-3",
+        "d": "0x1.8c47ca7e70b54p-6",
+        "s": "0x1.4ecd2627ddc3fp-3",
+        "cd": "0x1.3a210e16f2c43p-3",
+        "ad": "0x1.44771a1f68441p-2",
+    },
+    (3, -7.0, 16): {
+        "a": "0x1.9ffcb0a004c6fp-4",
+        "b": "0x1.54a4cc00fec78p-8",
+        "c": "0x1.a116969e88740p-5",
+        "d": "0x1.16ed0c56c0ab4p-11",
+        "s": "0x1.9ee2caa18119ep-5",
+        "cd": "0x1.9cbae26d2d714p-5",
+        "ad": "0x1.9dced6875745ap-4",
+    },
+}
+_THRESHOLD_HEX = {
+    (1, 8): {"s": "0x1.0000000000000p+0"},
+    (1, 16): {"s": "0x1.0000000000000p+0"},
+    (2, 8): {"cd": "0x1.18a65d38a65d3p-2", "s": "0x1.73acd163acd16p-2"},
+    (2, 16): {"cd": "0x1.17d87df525ff3p-2", "s": "0x1.7413c1056d007p-2"},
+    (3, 8): {"cd": "0x1.7bb43a61244d3p-3", "s": "0x1.ad87d91492772p-3"},
+    (3, 16): {"cd": "0x1.7b60198b6b78cp-3", "s": "0x1.adbfeef86304ep-3"},
+}
+
+
+def test_trapezoid_engine_is_pinned_bit_for_bit():
+    for (n, z, m), want in _TRAPEZOID_HEX.items():
+        got = quadrature.trapezoid_integrals(n, z, m)
+        assert {k: v.hex() for k, v in got.items()} == want, (n, z, m)
+    for (n, m), want in _THRESHOLD_HEX.items():
+        got = quadrature.trapezoid_threshold(n, m)
+        assert {k: v.hex() for k, v in got.items()} == want, (n, m)
