@@ -172,20 +172,15 @@ def dispersion(p, n: int | None = None):
 
 
 def _pack(n: int, z: float, raw: dict[str, float], method: str) -> GreenValues:
-    def get(name):
-        if name == "d" and n == 1:
-            return None
-        return raw.get(name)
-
-    values = GreenValues(n=n, z=z, a=get("a"), b=get("b"), c=get("c"),
-                         d=get("d"), s=get("s"), cd=get("cd"), method=method)
+    # the engines name no d at n = 1 and only the finite integrals at z = 0
     for name in ("a", "b", "c", "s", "cd"):
-        v = getattr(values, name)
+        v = raw.get(name)
         if v is not None and not v > 0.0:
             raise QuadratureError(
                 f"integral {name}={v} at n={n}, z={z} violates positivity; "
                 "quadrature failed")
-    return values
+    return GreenValues(n=n, z=z, a=raw.get("a"), b=raw.get("b"), c=raw.get("c"),
+                       d=raw.get("d"), s=raw.get("s"), cd=raw.get("cd"), method=method)
 
 
 def _cross_check(n: int, z: float, first: dict, second: dict, tol: float) -> None:

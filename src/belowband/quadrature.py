@@ -31,10 +31,11 @@ and remains valid at z = 0 for every integral that is finite there
 
 Engine B's dyadic t-panels do not depend on z, so their weighted Bessel
 tables are computed once and kept; :func:`laplace_tables` builds those of
-many z in one pass.  Entries do not depend on the calls that built them and
-sums run in a fixed order of fixed chunks, so evaluations are bit-identical
-whatever ran before and whatever the BLAS thread count, and concurrent
-calls are safe.
+many z in one pass.  Entries do not depend on the calls that built them.
+Each row is summed by the BLAS ddot over fixed chunks in a fixed order, all
+rows of a chunk in one batched product of vectors, so evaluations are
+bit-identical whatever ran before and whatever the BLAS thread count, and
+concurrent calls are safe.
 """
 
 from __future__ import annotations
@@ -301,8 +302,8 @@ _NODES = 48                     # Gauss-Legendre nodes per panel (_GAUSS);
 _ZERO_END = 6                   # at z = 0 the panels stop at t = 2^6
 _Z_MIN = 746.0 * 2.0 ** -1023   # smaller |z|: exp(z t) > 0 past t = 2^1023
 _Z_MAX = 2.0 ** 510             # larger |z|: b ~ 1/(2 z^2) is subnormal
-_CHUNK = 8192                   # nodes per dot product, below OpenBLAS's
-                                # threading threshold of 10000
+_CHUNK = 8192                   # nodes per row and batched product: below
+                                # the 10000 at which OpenBLAS threads a ddot
 _HEADS: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 _PANELS: dict[int, tuple[int, int, np.ndarray, np.ndarray]] = {}
 
@@ -409,18 +410,17 @@ def laplace_integrals(n: int, z: float) -> dict[str, float]:
     cut = slice((k0 - lo) * _NODES, (k1 - lo) * _NODES)
     t, table = t[cut], table[:, cut]
     eh, e = np.exp(z * th), np.exp(z * t)
-    # one dot product per integral and chunk sums a and b in the same order,
-    # so their rounding errors correlate and a - b = (1 + z a)/n stays
-    # accurate where both are huge (n = 1 near the band edge); a matrix
-    # product does not.  Each chunk is one single-threaded BLAS call, so the
-    # sums do not depend on the BLAS thread count.
-    ec = e[:_CHUNK]
-    acc = [np.dot(h, eh) + np.dot(r, ec) for h, r in zip(head, table[:, :_CHUNK])]
+    # A stack of (1 x k)(k x 1) products, one per row: numpy hands each to
+    # the BLAS ddot, so every row, a and b alike, is summed in one order and
+    # a - b = (1 + z a)/n stays accurate where both are huge (n = 1 near the
+    # band edge).  A matrix-vector or matrix product would block the rows
+    # differently.  Chunks of _CHUNK nodes keep each ddot single-threaded.
+    acc = (np.matmul(head[:, None], eh[:, None])
+           + np.matmul(table[:, None, :_CHUNK], e[:_CHUNK, None])).ravel()
     for i in range(_CHUNK, t.size, _CHUNK):
-        ec = e[i:i + _CHUNK]
-        acc = [a + np.dot(r, ec) for a, r in zip(acc, table[:, i:i + _CHUNK])]
+        acc += np.matmul(table[:, None, i:i + _CHUNK], e[i:i + _CHUNK, None]).ravel()
     if z == 0.0:
-        acc = np.add(acc, _tail(n))
+        acc += _tail(n)
     return {k: float(v) for k, v in zip(integral_names(n), acc)
             if z < 0.0 or k in finite_at_threshold(n)}
 

@@ -11,7 +11,7 @@ import mpmath as mp
 import numpy as np
 import scipy.special as sp
 
-from belowband import quadrature
+from belowband import classify, quadrature
 
 # ---------------------------------------------------------------------------
 # e^-t I_0(t), e^-t I_1(t)
@@ -142,15 +142,67 @@ def test_gauss_rules_match_mpmath_and_numpy():
 
 
 # ---------------------------------------------------------------------------
-# Green values: thread count and call history
+# Green values: summation order, thread count and call history
 # ---------------------------------------------------------------------------
 
+
+def _rowwise_sums(n: int, z: float) -> dict[str, str]:
+    """float.hex of laplace_integrals(n, z) summed one np.dot per row from
+    the kept tables: head plus chunk 0, each further chunk in order, then
+    the z = 0 tail."""
+    k0, k1 = quadrature._span(n, z)
+    lo, _, t, table = quadrature._PANELS[n]
+    th, head = quadrature._HEADS[n, k0]
+    cut = slice((k0 - lo) * quadrature._NODES, (k1 - lo) * quadrature._NODES)
+    t, table, chunk = t[cut], table[:, cut], quadrature._CHUNK
+    eh, e = np.exp(z * th), np.exp(z * t)
+    acc = [np.dot(h, eh) + np.dot(r, e[:chunk])
+           for h, r in zip(head, table[:, :chunk])]
+    for i in range(chunk, t.size, chunk):
+        acc = [a + np.dot(r, e[i:i + chunk])
+               for a, r in zip(acc, table[:, i:i + chunk])]
+    if z == 0.0:
+        acc = np.add(acc, quadrature._tail(n))
+    return {k: float(v).hex() for k, v in zip(quadrature.integral_names(n), acc)
+            if z < 0.0 or k in quadrature.finite_at_threshold(n)}
+
+
+# the band edge (tail), the 81 ladder points, six chunks (-1e-300), and
+# the far limit
+_SUMMED_ZS = (0.0, *(-math.exp(u) for u in classify._LADDER),
+              -1e-300, -1e-30, -0.37, -1e6, -2.0 ** 509)
+
+
+def test_laplace_sums_equal_one_dot_per_row_bit_for_bit(monkeypatch):
+    # one batched product of vectors must sum exactly as np.dot does; a
+    # matrix-vector product or numpy's loop without BLAS rounds otherwise
+    monkeypatch.setattr(quadrature, "_HEADS", {})
+    monkeypatch.setattr(quadrature, "_PANELS", {})
+    k0, k1 = quadrature._span(1, -1e-300)
+    assert (k1 - k0) * quadrature._NODES > 5 * quadrature._CHUNK
+    for grown in (False, True):
+        for n in range(1, 7):
+            if grown:  # the deepest and the farthest span, so slices start inside
+                quadrature.laplace_integrals(n, -1e-300)
+                quadrature.laplace_integrals(n, -2.0 ** 509)
+            for z in _SUMMED_ZS:
+                if not grown:
+                    quadrature._HEADS.clear()
+                    quadrature._PANELS.clear()
+                got = {k: v.hex() for k, v in quadrature.laplace_integrals(n, z).items()}
+                assert got == _rowwise_sums(n, z), (grown, n, z)
+
+
 _DEEP = """
-import sys, belowband as bb
+import math, sys, belowband as bb
+from belowband import classify
 for n in (1, 2, 3, 4):
-    for z in (-1e-300, -1e-200, -1e-100, -1e-30, -1e-12, -0.37, -1e6):
+    for z in (-1e-300, -1e-200, -1e-100, -1e-30, -1e-12, -0.37, -1e6,
+              -math.exp(classify._LADDER[17])):
         g = bb.green_values(n, z)
         print(n, z, *(v.hex() for v in (g.a, g.b, g.c, g.d or 0.0, g.s, g.cd or 0.0)))
+    g = bb.green_threshold(n)
+    print(n, 0.0, *((v or 0.0).hex() for v in (g.a, g.b, g.s, g.cd)))
 """
 
 
@@ -160,7 +212,7 @@ def test_green_values_do_not_depend_on_blas_threads():
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         out.append(subprocess.run([sys.executable, "-c", _DEEP], env=env, check=True,
                                   capture_output=True, text=True).stdout)
-    assert out[0].count("\n") == 28
+    assert out[0].count("\n") == 36
     assert out[0] == out[1]
 
 
