@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .green import GreenValues, green_threshold, green_values
@@ -432,21 +432,33 @@ def _step_past(f, u: float, value: float, limit: float, failure: str):
     raise RootScanError(failure, sign_table=table)
 
 
-def _polish(h, z_a: float, f_a: float, w: float, f_w: float) -> float:
+def _polish(params: ModelParams, origin: str, z_a: float, f_a: float,
+            w: float, f_w: float, split: bool = False):
     """Zero z_a exp(v) of a factor, v between 0 and w, by brentq in v.
 
-    h(v) is the factor at z_a exp(v).  brentq stops within 4 eps (1 + |v|)
-    of the zero in v, a relative error in z; |v| is at most the bracket
-    width in u (ln 2 on the ladder) where |u| reaches 700.  The ends take
-    their scanned values, so rounding in z_a exp(v) cannot change their signs.
+    brentq stops within 4 eps (1 + |v|) of the zero in v, a relative error
+    in z; |v| is at most the bracket width in u (ln 2 on the ladder) where
+    |u| reaches 700.  The ends take their scanned values, so rounding in
+    z_a exp(v) cannot change their signs.  From the split point z_a = n - mu
+    (``split``) the offset z - z_a = z_a expm1(v) holds to eps, where probes
+    at -exp(u_split + v) would read the noise above.  Returns the zero and
+    the Green values brentq evaluated at exactly that z, or None for them
+    when the zero is an end of the bracket, which takes its scanned value.
     """
-    ends = {0.0: f_a, w: f_w}
-    v = brentq(lambda v: ends[v] if v in ends else h(v), 0.0, w, **_BRENTQ_KW)
-    return z_a * math.exp(float(v))
+    ends, probed = {0.0: f_a, w: f_w}, {}
+
+    def h(v):
+        if v in ends:
+            return ends[v]
+        g = probed[v] = green_values(params.n, z_a * math.exp(v))
+        return _factor(params, origin, g, z_a * math.expm1(v) if split else None)
+    v = float(brentq(h, 0.0, w, **_BRENTQ_KW))
+    return z_a * math.exp(v), probed.get(v)
 
 
-def _roots(params: ModelParams, origin: str, expected: int) -> list[float]:
-    """The ``expected`` zeros in (-inf, 0) of one determinant factor.
+def _roots(params: ModelParams, origin: str,
+           expected: int) -> list[tuple[float, GreenValues | None]]:
+    """The ``expected`` zeros in (-inf, 0) of one factor, as ``_polish`` pairs.
 
     One scan in u brackets them: the ladder from the per-n table
     ``_ladder_greens``, and for the two zeros of delta_r (in G2, mu > n) the
@@ -498,15 +510,10 @@ def _roots(params: ModelParams, origin: str, expected: int) -> list[float]:
 
     def polish(lo, f_lo, hi, f_hi):
         if u_split not in (lo, hi):
-            z_lo = -math.exp(lo)
-            return _polish(lambda v: f(z_lo * math.exp(v)), z_lo, f_lo, hi - lo, f_hi)
-        # from z0 itself, where probes at -exp(u_split + v) would read the
-        # noise above; z - z0 = z0 expm1(v) holds to eps
-        h = lambda v: _factor(params, origin, green_values(n, z0 * math.exp(v)),
-                              z0 * math.expm1(v))
+            return _polish(params, origin, -math.exp(lo), f_lo, hi - lo, f_hi)
         w, f_w = (hi - lo, f_hi) if lo == u_split else (lo - hi, f_lo)
-        return _polish(h, z0, -float(n), w, f_w)
-    return sorted(polish(*bracket) for bracket in brackets)
+        return _polish(params, origin, z0, -float(n), w, f_w, split=True)
+    return [polish(*bracket) for bracket in brackets]
 
 
 @dataclass(frozen=True)
@@ -515,13 +522,16 @@ class EigenvalueRecord:
 
     ``origin`` names the vanishing determinant factor; simple roots of
     delta_r carry multiplicity 1, roots of delta_c multiplicity n-1 and
-    roots of delta_s multiplicity n.
+    roots of delta_s multiplicity n.  ``greens`` holds the Green values
+    brentq evaluated at the root (None where it evaluated none there);
+    :func:`eigenstates` uses them only while ``greens.z == z``.
     """
 
     z: float
     multiplicity: int
     sector: str   # "even-rank-r" | "even-rank-c" | "odd"
     origin: str   # "delta_r" | "delta_c" | "delta_s"
+    greens: GreenValues | None = field(default=None, compare=False, repr=False)
 
 
 def _expected_sector_counts(n: int, even: EvenRegion, odd: OddRegion):
@@ -536,9 +546,9 @@ def _locate_records(params: ModelParams, even: EvenRegion,
     n = params.n
     multiplicity = {"delta_r": 1, "delta_c": n - 1, "delta_s": n}
     counts = _expected_sector_counts(n, even, odd)
-    records = [EigenvalueRecord(z, multiplicity[origin], sector, origin)
+    records = [EigenvalueRecord(z, multiplicity[origin], sector, origin, g)
                for (origin, sector), count in zip(_SECTOR_OF_ORIGIN.items(), counts)
-               for z in _roots(params, origin, count)]
+               for z, g in _roots(params, origin, count)]
     return sorted(records, key=lambda r: r.z)
 
 
@@ -557,9 +567,12 @@ def negative_eigenvalues(params: ModelParams,
 
 
 def eigenstates(params: ModelParams, record: EigenvalueRecord) -> list[EigenState]:
-    """Closed-form eigenfunction basis for one eigenvalue record."""
-    greens = (green_values(params.n, record.z) if record.z < 0.0
-              else spectral_constants(params.n).greens0)
+    """Closed-form eigenfunction basis for one eigenvalue record, built from
+    ``record.greens`` while their z is ``record.z``, else from fresh values."""
+    greens = record.greens
+    if greens is None or greens.z != record.z:
+        greens = (green_values(params.n, record.z) if record.z < 0.0
+                  else spectral_constants(params.n).greens0)
     if record.origin == "delta_r":
         return [state_for_delta_r(params, record.z, greens)]
     if record.origin == "delta_c":

@@ -52,6 +52,10 @@ SCHEMA_VERSION = "1"
 
 USAGE_ERROR, VERIFY_FAILED, NUMERIC_ERROR, EMPTY_RESULT = 2, 1, 3, 4
 
+# largest grid^n mesh ``eigenfunction`` builds, the figure of lattice.MAX_DIM
+# (not imported: lattice loads scipy)
+MAX_SAMPLES = 2_000_000
+
 
 def _emit_json(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
@@ -245,6 +249,10 @@ def _select_state(params: ModelParams, selector: tuple[str, int], tol: float):
 
 def cmd_eigenfunction(args) -> int:
     params = _params(args)
+    samples = args.grid ** params.n
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"n={params.n} at --grid {args.grid} makes {samples} "
+                         f"samples, over the cap {MAX_SAMPLES}")
     state = _select_state(params, args.selector, args.region_tol)
     if state is None:
         print("no state matches the selector at these couplings",

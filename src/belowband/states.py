@@ -17,7 +17,7 @@ corroborated numerically by integrating |f|^q outside shrinking balls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -66,6 +66,8 @@ class EigenState:
     and length n in the odd sector.  ``moments`` carries the integrals
     u_j of f against the potential modes, which for a true fixed point are
     proportional to w (u_0 = w_0, u_j = w_j/sqrt2 in the even sector).
+    ``greens`` holds the Green values the moments came from; :func:`residual`
+    uses them only while ``greens.z == z``.
     """
 
     params: ModelParams
@@ -74,6 +76,7 @@ class EigenState:
     w: np.ndarray
     formula: str
     moments: np.ndarray | None = None
+    greens: GreenValues | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.formula not in FORMULAS:
@@ -231,13 +234,14 @@ def _with_moments(state: EigenState, greens: GreenValues) -> EigenState:
     except DivergentIntegralError:
         u = None
     return EigenState(state.params, state.sector, state.z, state.w,
-                      state.formula, u)
+                      state.formula, u, greens)
 
 
 def residual(params: ModelParams, state: EigenState) -> float:
     """Fixed-point residual ||(G(z) - I) w||_inf / ||w||_inf.
 
-    Green values are evaluated fresh at ``state.z``.  For even threshold
+    The Green values are the state's ``greens`` when their z is ``state.z``
+    and are evaluated fresh at ``state.z`` otherwise.  For even threshold
     states with n <= 2 the matrix entries diverge; the valid states there
     have w_0 = 0 and sum w_j = 0, for which the limit of the residual is
     |lam*(c-d)(0) - 1|, and that reduced form is used.
@@ -248,7 +252,9 @@ def residual(params: ModelParams, state: EigenState) -> float:
         raise ValueError("zero coefficient vector")
     n = params.n
     z = state.z
-    greens = green_values(n, z) if z < 0.0 else green_threshold(n)
+    greens = state.greens
+    if greens is None or greens.z != z:
+        greens = green_values(n, z) if z < 0.0 else green_threshold(n)
     if state.sector == "odd":
         (s,) = greens.require("s")
         return float(np.max(np.abs((params.lam * s - 1.0) * w))) / norm

@@ -1,5 +1,6 @@
 """Region taxonomy, eigenvalue counts, threshold reports, summaries."""
 
+import dataclasses
 import math
 import re
 import zlib
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import belowband as bb
-from belowband import classify
+from belowband import classify, green
 from conftest import curve_point, open_region_points, region_samples
 
 
@@ -323,6 +324,35 @@ def test_ladder_table_is_built_only_when_a_root_is_located():
     assert info().misses == start.misses + 1
     bb.summarize(d1)
     assert info().misses == start.misses + 1 and info().hits > start.hits
+
+
+def _bits(g):
+    return [x.hex() if isinstance(x, float) else x for x in dataclasses.astuple(g)]
+
+
+def test_one_green_evaluation_per_root():
+    # the open cells at n = 1..4 hold delta_r roots in G1 and G2 (the deeper
+    # G2 root polished from the split point z = n - mu), delta_c in C+ and
+    # delta_s in S+; eigenstates and residual reuse brentq's values there
+    origins, split = set(), False
+    for n in (1, 2, 3, 4):
+        for _name, (lam, mu) in open_region_points(n):
+            params = bb.ModelParams(n, lam, mu)
+            with mock.patch.object(classify, "_polish", wraps=classify._polish) as spy:
+                summary = bb.summarize(params)
+            split |= any(c.kwargs.get("split") for c in spy.call_args_list)
+            with mock.patch.object(green, "laplace_integrals",
+                                   wraps=green.laplace_integrals) as laplace:
+                for rec in summary.eigenvalues:
+                    assert rec.greens is not None and rec.greens.z == rec.z
+                    for state in bb.eigenstates(summary.snapped, rec):
+                        assert state.greens is rec.greens
+                        assert bb.residual(summary.snapped, state) <= 1e-8
+                assert laplace.call_count == 0, (n, lam, mu)
+            for rec in summary.eigenvalues:
+                origins.add(rec.origin)
+                assert _bits(rec.greens) == _bits(bb.green_values(n, rec.z))
+    assert split and origins == {"delta_r", "delta_c", "delta_s"}
 
 
 @pytest.mark.parametrize("lam, mu", [(2.2422420927874116, 3.8433599828715783),

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import belowband as bb
+from belowband import cli
 from belowband.cli import main
 
 
@@ -137,6 +138,8 @@ def test_scan_malformed_range_exits_2():
      "--selector", "threshold:-1"),
     ("eigenfunction", "--n", "1", "--lambda", "0", "--mu", "1", "--grid", "0"),
     ("eigenfunction", "--n", "1", "--lambda", "0", "--mu", "1", "--grid=-2"),
+    ("eigenfunction", "--n", "5", "--lambda", "0", "--mu", "1"),
+    ("eigenfunction", "--n", "2", "--lambda", "0", "--mu", "1", "--grid", "1415"),
     ("verify", "identities", "--samples", "0"),
     ("verify", "factorization", "--samples", "0"),
     ("integrals", "--n", "2", "--z", "-1", "--tol", "0"),
@@ -205,6 +208,18 @@ def test_eigenfunction_default_grid_avoids_the_singular_point(capsys, n, lam, mu
     values = np.array(rows, dtype=float)
     assert np.all(np.isfinite(values))
     assert not np.any(np.all(values[:, :n] == 0.0, axis=1))
+
+
+def test_eigenfunction_grid_cap(capsys, monkeypatch):
+    # grid^n is checked before a state is selected; the cap itself is allowed
+    assert 33 ** 4 <= cli.MAX_SAMPLES < 33 ** 5
+    monkeypatch.setattr(cli, "MAX_SAMPLES", 16)
+    argv = ("eigenfunction", "--n", "2", "--lambda", "0", "--mu", "1", "--grid")
+    code, out, _ = run_cli(capsys, *argv, "4")
+    assert code == 0 and len(out.splitlines()) == 4 + 1 + 16
+    code, out, err = run_cli(capsys, *argv, "5")
+    assert code == 2 and out == ""
+    assert err == "error: n=2 at --grid 5 makes 25 samples, over the cap 16\n"
 
 
 def test_eigenfunction_empty_exit_4(capsys):

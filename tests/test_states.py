@@ -91,6 +91,22 @@ def test_residual_detects_wrong_z_and_rejects_zero_vector():
         bb.residual(params, zero)
 
 
+def test_carried_green_values_are_used_only_at_their_own_z():
+    # replace keeps the values carried from rec.z; residual and eigenstates
+    # must evaluate fresh at the new z instead
+    params = bb.ModelParams(1, 0.0, 1.0)
+    rec = bb.negative_eigenvalues(params)[0]
+    state = bb.eigenstates(params, rec)[0]
+    assert rec.greens.z == state.greens.z == rec.z
+    shifted = replace(state, z=rec.z + 0.01)
+    assert shifted.greens is state.greens
+    assert bb.residual(params, shifted) > 1e-4
+    moved = replace(rec, z=rec.z + 0.01)
+    (fresh,) = bb.eigenstates(params, moved)
+    assert fresh.greens.z == moved.z
+    assert not np.array_equal(fresh.moments, state.moments)
+
+
 def test_moments_match_coefficients_for_fixed_points():
     # u_0 = w_0 and u_j = w_j/sqrt2 at a fixed point of the even matrix
     params = bb.ModelParams(2, 3.0, 4.0)
