@@ -19,6 +19,8 @@ import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+import numpy as np
+
 from .green import GreenValues, green_threshold, green_values
 from .quadrature import _Z_MAX, laplace_tables
 from .reduction import (
@@ -289,6 +291,7 @@ def cell_label(n: int, even: EvenRegion, odd: OddRegion) -> tuple[str, int]:
 # edge are resolved in u, and a brentq tolerance in u is relative in z.
 _LN2 = math.log(2.0)
 _LADDER = tuple(k * _LN2 for k in range(40, -41, -1))   # -z = 2^40 .. 2^-40
+_LADDER_U = np.array(_LADDER)
 _STRIDE = 80.0           # step in u past an end of the scan
 _U_NEAR = -700.0         # inside the engine's near limit _Z_MIN
 _U_FAR = math.nextafter(math.log(_Z_MAX), 0.0)   # the engine's far limit
@@ -388,48 +391,110 @@ def _factor(params: ModelParams, origin: str, g: GreenValues,
     return params.lam * (g.cd if origin == "delta_c" else g.s) - 1.0
 
 
+def _walk(u: float, limit: float):
+    """The points past the scan end u toward ``limit``, ``_STRIDE`` apart in u."""
+    while u != limit:
+        u = max(u - _STRIDE, limit) if limit < u else min(u + _STRIDE, limit)
+        yield u
+
+
+# the points of the walks from the ladder's ends: 5 far and 9 near
+_STRIDE_POINTS = frozenset((*_walk(_LADDER[0], _U_FAR), *_walk(_LADDER[-1], _U_NEAR)))
+
+
+@dataclass(frozen=True, eq=False)
+class _ScanTable:
+    """The scan's Green values at one n: 81 ladder points, then stride points.
+
+    ``greens`` holds the ladder's values and ``z``, ``ab`` (a/b), ``cd``
+    (c - d, None for n = 1) and ``s`` are arrays of them, so a factor's
+    ladder values are one numpy expression.  ``stride`` keeps the values at
+    ``_STRIDE_POINTS``, each put there by the first walk that reaches it.
+    """
+
+    n: int
+    greens: tuple[GreenValues, ...]
+    z: np.ndarray
+    ab: np.ndarray
+    cd: np.ndarray | None
+    s: np.ndarray
+    stride: dict[float, GreenValues] = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, n: int, greens) -> _ScanTable:
+        column = lambda name: np.array([getattr(g, name) for g in greens])
+        return cls(n, tuple(greens), column("z"), column("a") / column("b"),
+                   column("cd") if n >= 2 else None, column("s"))
+
+    def green_at(self, u: float) -> GreenValues:
+        """Green values at z = -exp(u), kept where u is a stride point."""
+        g = self.stride.get(u)
+        if g is None:
+            g = green_values(self.n, -math.exp(u))
+            if u in _STRIDE_POINTS:
+                self.stride[u] = g
+        return g
+
+
 @lru_cache(maxsize=None)
-def _ladder_greens(n: int) -> tuple[GreenValues, ...]:
-    """Green values at the points of ``_LADDER``, a constant of n.
+def _scan_table(n: int) -> _ScanTable:
+    """The ``_ScanTable`` of n, a constant of n.
 
     Built on the first root search at this n, never by
     ``spectral_constants``: requests that locate no root do not pay for the
-    81 evaluations.  The Bessel tables of all 81 points are built first, in
-    one pass; the evaluations then sum them as scalar calls do.
+    81 ladder evaluations, and only walks past the ladder pay for stride
+    points.  The Bessel tables of all 81 points are built first, in one
+    pass; the evaluations then sum them as scalar calls do.
     """
     zs = [-math.exp(u) for u in _LADDER]
     laplace_tables(n, zs)
-    return tuple(green_values(n, z) for z in zs)
+    return _ScanTable.of(n, [green_values(n, z) for z in zs])
 
 
-def _brackets(us, values) -> list[tuple[float, float, float, float]]:
-    """(lo, f(lo), hi, f(hi)) in u around each sign change of a scan; a zero
-    at a scan point u0 is the bracket (u0, 0, u0, 0)."""
+def _ladder_values(params: ModelParams, origin: str, table: _ScanTable) -> np.ndarray:
+    """``_factor`` at every ladder point, bit for bit: the same IEEE
+    operations in the same order, elementwise.  Products overflow to
+    +-inf silently, as Python floats do."""
+    lam = float(params.lam)
+    with np.errstate(over="ignore"):
+        if origin == "delta_r":
+            return (lam - table.ab) * (float(params.mu) - (params.n - table.z)) - params.n
+        return lam * (table.cd if origin == "delta_c" else table.s) - 1.0
+
+
+def _brackets(us: np.ndarray, values: np.ndarray) -> list[tuple[float, float, float, float]]:
+    """(lo, f(lo), hi, f(hi)) in u around each sign change of a scan whose
+    us decrease; a zero at a scan point u0 is the bracket (u0, 0, u0, 0).
+    Products overflow and turn NaN silently, as Python floats do."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        hits = values == 0.0
+        hits[:-1] |= values[:-1] * values[1:] < 0.0
     brackets = []
-    for (u0, f0), (u1, f1) in zip(zip(us, values), zip(us[1:], values[1:])):
+    for i in np.flatnonzero(hits).tolist():
+        u0, f0 = float(us[i]), float(values[i])
         if f0 == 0.0:
             brackets.append((u0, f0, u0, f0))
-        elif f0 * f1 < 0.0:
-            brackets.append((u1, f1, u0, f0) if u1 < u0 else (u0, f0, u1, f1))
-    if values and values[-1] == 0.0:
-        brackets.append((us[-1], 0.0, us[-1], 0.0))
+        else:
+            brackets.append((float(us[i + 1]), float(values[i + 1]), u0, f0))
     return brackets
 
 
-def _step_past(f, u: float, value: float, limit: float, failure: str):
-    """Bracket of a zero of f(-exp(u)) between the ladder end u and ``limit``.
+def _step_past(f, u: float, value: float, limit: float, failure):
+    """Bracket of a zero of f(u) between the scan end u and ``limit``.
 
-    Steps of ``_STRIDE`` in u; a failure carries the (z, f) pairs visited.
+    Visits the points of ``_walk``; a failure raises RootScanError with the
+    message ``failure()`` and the (z, f) pairs visited.
     """
     table = [(-math.exp(u), value)]
-    while u != limit:
-        u_next = max(u - _STRIDE, limit) if limit < u else min(u + _STRIDE, limit)
-        f_next = f(-math.exp(u_next))
+    for u_next in _walk(u, limit):
+        f_next = f(u_next)
         table.append((-math.exp(u_next), f_next))
         if f_next * value <= 0.0:
-            return _brackets([u, u_next], [value, f_next])[0]
+            if f_next == 0.0:
+                return u_next, f_next, u_next, f_next
+            return (u, value, u_next, f_next) if u < u_next else (u_next, f_next, u, value)
         u, value = u_next, f_next
-    raise RootScanError(failure, sign_table=table)
+    raise RootScanError(failure(), sign_table=table)
 
 
 def _polish(params: ModelParams, origin: str, z_a: float, f_a: float,
@@ -460,22 +525,23 @@ def _roots(params: ModelParams, origin: str,
            expected: int) -> list[tuple[float, GreenValues | None]]:
     """The ``expected`` zeros in (-inf, 0) of one factor, as ``_polish`` pairs.
 
-    One scan in u brackets them: the ladder from the per-n table
-    ``_ladder_greens``, and for the two zeros of delta_r (in G2, mu > n) the
-    point z0 = n - mu, where H = -n while H > 0 at both ends of (-inf, 0).
+    One scan in u brackets them: the ladder of the per-n ``_scan_table``,
+    and for the two zeros of delta_r (in G2, mu > n) the point z0 = n - mu,
+    inserted in order, where H = -n while H > 0 at both ends of (-inf, 0).
     Each end of the scan whose sign disagrees with the factor's value at
-    that end of (-inf, 0) is then stepped past in u.  Every bracket is
-    polished in u, from z0 itself when it ends there; another count raises
-    RootScanError with the sign table.
+    that end of (-inf, 0) is then stepped past in u, through the table's
+    stride points from a ladder end.  Every bracket is polished in u, from
+    z0 itself when it ends there; another count raises RootScanError with
+    the sign table.  Messages are formatted only when raised.
     """
     if expected == 0:
         return []
     n = params.n
-    where = f"for (n={n}, lambda={params.lam}, mu={params.mu})"
-    far_failure = (f"a zero of {origin} lies farther below the band than "
-                   f"z = -{_Z_MAX!r} {where}; past it b is not a normal double")
-    f = lambda z: _factor(params, origin, green_values(n, z))
-    us, values = _LADDER, [_factor(params, origin, g) for g in _ladder_greens(n)]
+    where = lambda: f"for (n={n}, lambda={params.lam}, mu={params.mu})"
+    far_failure = lambda: (f"a zero of {origin} lies farther below the band than "
+                           f"z = -{_Z_MAX!r} {where()}; past it b is not a normal double")
+    table = _scan_table(n)
+    us, values = _LADDER_U, _ladder_values(params, origin, table)
     u_split = z0 = None
     if expected == 2:
         # -n itself: H evaluated at -exp(u_split), off by |u| eps in z, can be
@@ -483,9 +549,11 @@ def _roots(params: ModelParams, origin: str,
         z0 = n - params.mu
         u_split = math.log(-z0)
         if u_split > _U_FAR:
-            raise RootScanError(far_failure, sign_table=[(z0, -float(n))])
-        scan = {**dict(zip(us, values)), u_split: -float(n)}
-        us, values = zip(*sorted(scan.items(), reverse=True))
+            raise RootScanError(far_failure(), sign_table=[(z0, -float(n))])
+        i = int(np.count_nonzero(us > u_split))
+        j = i + 1 if i < len(us) and us[i] == u_split else i   # it replaces that point
+        us = np.concatenate((us[:i], [u_split], us[j:]))
+        values = np.concatenate((values[:i], [-float(n)], values[j:]))
     brackets = _brackets(us, values)
     if len(brackets) < expected:
         # the factor's sign as z -> -inf and its limit as z -> 0-
@@ -495,18 +563,20 @@ def _roots(params: ModelParams, origin: str,
             near = hyperbola_limit(n, params.lam, params.mu, consts.x_asymptote)
         else:
             far, near = -1.0, _factor(params, origin, consts.greens0)
-        if values[0] * far < 0.0:
-            brackets.append(_step_past(f, us[0], values[0], _U_FAR, far_failure))
-        if values[-1] * near < 0.0:
+        f = lambda u: _factor(params, origin, table.green_at(u))
+        first, last = float(values[0]), float(values[-1])
+        if first * far < 0.0:
+            brackets.append(_step_past(f, float(us[0]), first, _U_FAR, far_failure))
+        if last * near < 0.0:
             brackets.append(_step_past(
-                f, us[-1], values[-1], _U_NEAR,
-                f"a zero of {origin} lies closer to the band edge than "
-                f"exp(-700) {where}; the limit value there is {near}"))
+                f, float(us[-1]), last, _U_NEAR,
+                lambda: f"a zero of {origin} lies closer to the band edge than "
+                        f"exp(-700) {where()}; the limit value there is {near}"))
     if len(brackets) != expected:
         raise RootScanError(
-            f"expected {expected} zero(s) of {origin} {where}, bracketed "
+            f"expected {expected} zero(s) of {origin} {where()}, bracketed "
             f"{len(brackets)}",
-            sign_table=[(-math.exp(u), v) for u, v in zip(us, values)])
+            sign_table=[(-math.exp(u), v) for u, v in zip(us.tolist(), values.tolist())])
 
     def polish(lo, f_lo, hi, f_hi):
         if u_split not in (lo, hi):

@@ -228,11 +228,11 @@ for n in (1, 2, 3, 4):
     if sys.argv[1] == "scalar-first":
         random.Random(n).shuffle(zs)
         scalar = {z: hexes(bb.green_values(n, z)) for z in zs}
-        ladder = [hexes(g) for g in classify._ladder_greens(n)]
+        ladder = [hexes(g) for g in classify._scan_table(n).greens]
     else:
-        ladder = [hexes(g) for g in classify._ladder_greens(n)]
+        ladder = [hexes(g) for g in classify._scan_table(n).greens]
         scalar = {z: hexes(bb.green_values(n, z)) for z in zs}
-    out[n] = {"ladder": ladder, "scalar": [scalar[g.z] for g in classify._ladder_greens(n)]}
+    out[n] = {"ladder": ladder, "scalar": [scalar[g.z] for g in classify._scan_table(n).greens]}
 print(json.dumps(out))
 """
 
