@@ -6,7 +6,10 @@ cos p_1 cos p_2 and sin^2 p_1, conventionally named a, b, c, d, s.  This
 module wraps the quadrature engines into a typed interface, tracks which
 integrals are finite at the band edge z = 0, and provides exact closed
 forms (n = 1 algebraic, n = 2 and 3 complete elliptic integrals) used as
-independent oracles.
+independent oracles.  One closed form also serves evaluation: at n = 2
+below u = ln(-z) = -45 the record is built from the edge form of a
+(K(m) as m -> 1) and the band-edge values of c - d and s, which the
+Laplace engine would reproduce to rounding from its longest panels.
 """
 
 from __future__ import annotations
@@ -14,11 +17,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .quadrature import (
     QuadratureError,
+    _span,
     laplace_integrals,
     required_grid_points,
     trapezoid_integrals,
@@ -194,16 +199,45 @@ def _cross_check(n: int, z: float, first: dict, second: dict, tol: float) -> Non
                 f"{x!r} vs {y!r} (rel {rel:.3e} > {tol:.1e})")
 
 
+# Below u = ln(-z) = -45 the n = 2 integrals equal their edge forms to
+# rounding: a = (ln 16 - u)/(2 pi) (DLMF 19.12.1, K(m) as m -> 1), and
+# s(z) - s(0) and cd(z) - cd(0), both O(z ln|z|), fall below half an ulp;
+# at u = -40 they still reach about 3 ulp.
+_Z_EDGE2 = -math.exp(-45.0)
+
+
+@lru_cache(maxsize=None)
+def _threshold2() -> tuple[float, float]:
+    """c - d and s at z = 0 for n = 2, from the Laplace engine."""
+    raw = laplace_integrals(2, 0.0)
+    return raw["cd"], raw["s"]
+
+
+def _edge2(z: float) -> dict[str, float]:
+    """The n = 2 integrals at _Z_EDGE2 < z < 0 in closed form, after the
+    engine's admissibility checks: a from its edge form, b from
+    a - b = (1 + z a)/n, c + d = (n - z) b, and c - d, s at their z = 0
+    values."""
+    _span(2, z)
+    a = (math.log(16.0) - math.log(-z)) / (2.0 * math.pi)
+    b = a - (1.0 + z * a) / 2.0
+    alpha = (2.0 - z) * b
+    cd, s = _threshold2()
+    return {"a": a, "b": b, "c": (alpha + cd) / 2.0, "d": (alpha - cd) / 2.0,
+            "s": s, "cd": cd}
+
+
 def _evaluate(n: int, z: float, cfg: QuadratureConfig) -> GreenValues:
     """The integrals at z <= 0 from the engines ``cfg`` selects; with both,
-    they must agree within 10x ``cfg.effective_rtol(z)``."""
+    they must agree within 10x ``cfg.effective_rtol(z)``.  The Laplace
+    engine's values at n = 2 and _Z_EDGE2 < z < 0 come from ``_edge2``."""
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError(f"dimension must be a positive integer, got {n!r}")
     n, z = int(n), float(z)
     rtol = cfg.effective_rtol(z)
     lap = trap = None
     if cfg.method != "tensor-trapezoid":
-        lap = laplace_integrals(n, z)
+        lap = _edge2(z) if n == 2 and _Z_EDGE2 < z < 0.0 else laplace_integrals(n, z)
     if cfg.method != "laplace-bessel":
         if z < 0.0:
             m = cfg.grid_points if cfg.grid_points is not None else \
@@ -225,7 +259,9 @@ def green_values(n: int, z: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Gr
 
     Relative accuracy is ``cfg.effective_rtol(z)``; with ``method="both"``
     the trapezoid and Laplace-Bessel evaluations must agree within 10x that
-    tolerance or a :class:`QuadratureError` is raised.
+    tolerance or a :class:`QuadratureError` is raised.  At n = 2 and
+    -exp(-45) < z < 0 the Laplace-Bessel values are closed forms, equal to
+    the engine's within a few eps; the engine's range limits still apply.
     """
     if not z < 0.0:
         raise ValueError(f"green_values requires z < 0, got z={z}; "

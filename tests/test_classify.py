@@ -454,6 +454,29 @@ def test_roots_beyond_the_far_end_of_the_ladder():
     assert all(r.z < -2.0 ** 40 for r in s.eigenvalues)
 
 
+@pytest.mark.parametrize("lam, mu", [(2.7455470241080815, 3.181688302548988),
+                                     (0.7201685354082938, -3.810632157729944)])
+def test_deep_square_lattice_roots_against_mpmath(lam, mu):
+    # delta_r roots at about -1.33e-26 and -4.39e-22, against a zero of
+    # H_z = (lam - a/b)(mu - 2 + z) - 2 with a = 2 K(m)/(pi (2 - z)) and
+    # b = a - (1 + z a)/2 at 60 digits; K = pi/(2 AGM(1, sqrt(1 - m))) is
+    # fed 1 - m = -z(4 - z)/(2 - z)^2, so m next to 1 keeps its digits
+    params = bb.ModelParams(2, lam, mu)
+    rec = min((r for r in bb.negative_eigenvalues(params, tol=0.0)
+               if r.origin == "delta_r"), key=lambda r: -r.z)
+    assert -1e-21 < rec.z < -1e-27
+    with mp.workdps(60):
+        def h(u):
+            z = -mp.exp(u)
+            k = mp.pi / (2 * mp.agm(1, mp.sqrt(-z * (4 - z) / (2 - z) ** 2)))
+            a = 2 * k / (mp.pi * (2 - z))
+            b = a - (1 + z * a) / 2
+            return (lam - a / b) * (mu - 2 + z) - 2
+
+        exact = -mp.exp(mp.findroot(h, mp.log(-mp.mpf(rec.z))))
+        assert abs((rec.z - exact) / exact) <= 1e-13
+
+
 def test_root_past_the_engine_far_limit_is_a_typed_error():
     limit = re.escape(repr(2.0 ** 510))
     with pytest.raises(bb.RootScanError, match=limit) as info:

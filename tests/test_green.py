@@ -5,12 +5,15 @@ import re
 import subprocess
 import sys
 import warnings
+from functools import lru_cache
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 import belowband as bb
+from belowband import classify, green, quadrature
 from belowband.green import closed_form_green1
 from belowband.quadrature import (
     QuadratureError,
@@ -21,6 +24,7 @@ from belowband.quadrature import (
     trapezoid_threshold,
 )
 
+EPS = 2.0 ** -52
 TRAP = bb.QuadratureConfig(method="tensor-trapezoid")
 BOTH = bb.QuadratureConfig(method="both")
 
@@ -106,11 +110,61 @@ def test_square_lattice_elliptic_oracle(z):
 @pytest.mark.parametrize("u", [-40.0, -100.0, -300.0, -700.0])
 def test_square_lattice_closed_form_in_u_at_the_edge(u):
     # below u = ln(-z) = -40 the n = 2 value is a = (ln 16 - u)/(2 pi) to
-    # rounding; m = (2/(2-z))^2 itself rounds to 1 there
+    # rounding; m = (2/(2-z))^2 itself rounds to 1 there.  Below u = -45
+    # green_values reads a from this form, so the engine and the elliptic
+    # closed form are held to it on their own
     edge = (math.log(16.0) - u) / (2.0 * math.pi)
     z = -math.exp(u)
     assert bb.closed_form_a2(z) == pytest.approx(edge, rel=1e-15)
+    assert laplace_integrals(2, z)["a"] == pytest.approx(edge, rel=1e-15)
     assert bb.green_values(2, z).a == pytest.approx(edge, rel=1e-15)
+
+
+EDGE_FIELDS = ("a", "b", "c", "d", "s", "cd")
+
+
+@pytest.mark.parametrize("u", [-45.0, -100.0, -300.0, -700.0])
+def test_square_lattice_edge_record_matches_the_engine(u):
+    z = -math.exp(u)
+    edge, lap = green._edge2(z), laplace_integrals(2, z)
+    for name in EDGE_FIELDS:
+        assert abs(edge[name] / lap[name] - 1.0) <= 4 * EPS, (u, name)
+
+
+def test_square_lattice_edge_switch_is_continuous():
+    # one ulp on either side of z = -exp(-45): engine, then closed form
+    outer = bb.green_values(2, math.nextafter(green._Z_EDGE2, -1.0))
+    inner = bb.green_values(2, math.nextafter(green._Z_EDGE2, 0.0))
+    for name in EDGE_FIELDS:
+        x, y = getattr(inner, name), getattr(outer, name)
+        assert abs(x / y - 1.0) <= 4 * EPS, name
+
+
+def test_square_lattice_edge_makes_no_laplace_call():
+    bb.green_values(2, -1e-30)   # the z = 0 values of c - d and s, once
+    with mock.patch.object(green, "laplace_integrals",
+                           wraps=green.laplace_integrals) as laplace:
+        for z in (math.nextafter(green._Z_EDGE2, 0.0), -1e-30, -1e-300,
+                  -746.0 * 2.0 ** -1023):
+            bb.green_values(2, z)
+        assert laplace.call_count == 0
+        # the engine keeps u >= -45 at n = 2, and every z at n != 2
+        for z in (math.nextafter(green._Z_EDGE2, -1.0), -math.exp(-44.0)):
+            bb.green_values(2, z)
+        bb.green_values(3, -1e-30)
+        assert laplace.call_count == 3
+
+
+def test_deep_square_lattice_search_keeps_short_panels(monkeypatch):
+    # the search walks to u = -700 and fails; no Laplace call at n = 2
+    # goes below u = -45, so the panels end where 746/|z| does there
+    monkeypatch.setattr(quadrature, "_HEADS", {})
+    monkeypatch.setattr(quadrature, "_PANELS", {})
+    monkeypatch.setattr(classify, "_scan_table",
+                        lru_cache(maxsize=None)(classify._scan_table.__wrapped__))
+    with pytest.raises(bb.RootScanError, match=re.escape("exp(-700)")):
+        bb.negative_eigenvalues(bb.ModelParams(2, 5.0, 2.5001), tol=0.0)
+    assert quadrature._PANELS[2][1] <= 75
 
 
 def test_agm_elliptic_k_matches_scipy_and_mpmath():
