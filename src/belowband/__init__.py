@@ -38,13 +38,10 @@ from .classify import (
     threshold_report,
 )
 from .green import (
-    DEFAULT_CONFIG,
     DivergentIntegralError,
     GreenValues,
-    QuadratureConfig,
     closed_form_a1,
     closed_form_a2,
-    closed_form_a3,
     closed_form_green1,
     dispersion,
     green_threshold,
@@ -69,25 +66,21 @@ from .states import (
     EigenState,
     IntegrabilityClass,
     integrability_class,
-    integrability_probe,
-    probe_verdict,
     residual,
 )
 
 __all__ = [
     "__version__",
     # green
-    "DEFAULT_CONFIG", "DivergentIntegralError", "GreenValues",
-    "QuadratureConfig", "QuadratureError", "closed_form_a1", "closed_form_a2",
-    "closed_form_a3", "closed_form_green1", "dispersion", "green_threshold",
-    "green_values",
+    "DivergentIntegralError", "GreenValues", "QuadratureError",
+    "closed_form_a1", "closed_form_a2", "closed_form_green1", "dispersion",
+    "green_threshold", "green_values",
     # reduction
     "BSMatrix", "CriticalCouplings", "DeterminantValues", "HyperbolaPoint",
     "ModelParams", "build_bs_matrix", "critical_couplings", "delta_c",
     "delta_r", "delta_s", "determinants", "hyperbola",
     # states
-    "EigenState", "IntegrabilityClass", "integrability_class",
-    "integrability_probe", "probe_verdict", "residual",
+    "EigenState", "IntegrabilityClass", "integrability_class", "residual",
     # classify
     "ConsistencyError", "EigenvalueRecord", "EvenRegion", "OddRegion",
     "RootScanError", "SpectralConstants", "SpectralSummary", "ThresholdEntry",

@@ -3,7 +3,9 @@
 Subcommands: ``integrals`` (Green integrals at one z), ``classify`` and
 ``summarize`` (region/spectrum at one coupling pair), ``scan`` (CSV region
 map over a coupling rectangle), ``eigenfunction`` (CSV samples of a bound
-or threshold state) and ``verify`` (self-check suites).
+or threshold state) and ``verify`` (self-check suites).  The ``integrals``
+document keeps a constant ``method`` field, ``laplace-bessel``, the one
+engine of the package.
 
 Every command is deterministic: identical flags produce byte-identical
 output, whatever the BLAS thread count, except for the last digits of
@@ -38,12 +40,7 @@ from .classify import (
     summarize,
     threshold_report,
 )
-from .green import (
-    DivergentIntegralError,
-    QuadratureConfig,
-    green_threshold,
-    green_values,
-)
+from .green import DivergentIntegralError, green_threshold, green_values
 from .quadrature import QuadratureError
 from .reduction import ModelParams, build_bs_matrix, delta_c, delta_r
 from .states import residual
@@ -106,16 +103,6 @@ def _parse_selector(text: str) -> tuple[str, int]:
     return kind, int(index)
 
 
-def _config(args) -> QuadratureConfig:
-    """Engine settings of ``integrals``; a flag left out keeps its default."""
-    kwargs = {"grid_points": args.grid_points}
-    if args.method is not None:
-        kwargs["method"] = args.method
-    if args.tol is not None:
-        kwargs["rtol"] = args.tol
-    return QuadratureConfig(**kwargs)
-
-
 def _params(args) -> ModelParams:
     return ModelParams(n=args.n, lam=args.lam, mu=args.mu)
 
@@ -125,11 +112,9 @@ def _params(args) -> ModelParams:
 # ---------------------------------------------------------------------------
 
 def cmd_integrals(args) -> int:
-    cfg = _config(args)
     if not args.z <= 0.0:   # so that nan fails as well
         raise ValueError(f"--z must be <= 0, got {args.z}")
-    g = green_values(args.n, args.z, cfg) if args.z < 0.0 else \
-        green_threshold(args.n, cfg)
+    g = green_values(args.n, args.z) if args.z < 0.0 else green_threshold(args.n)
     flags = {}
     values = {}
     for name in ("a", "b", "c", "d", "s"):
@@ -148,7 +133,7 @@ def cmd_integrals(args) -> int:
         "alpha": g.alpha if (g.c is not None and (args.n == 1 or g.d is not None)) else None,
         "gamma": g.gamma if g.a is not None and g.c is not None else None,
         "flags": flags,
-        "method": cfg.method,
+        "method": "laplace-bessel",
     }
     _emit_json(doc)
     return 0
@@ -383,10 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("integrals", help="Green integrals at one z")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--z", type=float, required=True)
-    p.add_argument("--method", choices=("tensor-trapezoid", "laplace-bessel",
-                                        "both"), default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--grid-points", type=int, default=None)
     p.set_defaults(func=cmd_integrals)
 
     p = sub.add_parser("classify", help="region labels at one coupling pair")

@@ -3,85 +3,39 @@
 The spectral analysis of the impurity Hamiltonian reduces to five torus
 integrals of ``g(p)/(E(p) - z)`` with g = 1, cos p_1, cos^2 p_1,
 cos p_1 cos p_2 and sin^2 p_1, conventionally named a, b, c, d, s.  This
-module wraps the quadrature engines into a typed interface, tracks which
-integrals are finite at the band edge z = 0, and provides exact closed
-forms (n = 1 algebraic, n = 2 and 3 complete elliptic integrals) used as
-independent oracles.  One closed form also serves evaluation: at n = 2
-below u = ln(-z) = -45 the record is built from the edge form of a
-(K(m) as m -> 1) and the band-edge values of c - d and s, which the
-Laplace engine would reproduce to rounding from its longest panels.
+module wraps the Laplace-Bessel engine into a typed interface, tracks
+which integrals are finite at the band edge z = 0, and provides exact
+closed forms (n = 1 algebraic, n = 2 complete elliptic integral).  One
+closed form also serves evaluation: at n = 2 below u = ln(-z) = -45 the
+record is built from the edge form of a (K(m) as m -> 1) and the
+band-edge values of c - d and s, which the Laplace engine would reproduce
+to rounding from its longest panels.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import (
-    QuadratureError,
-    _span,
-    laplace_integrals,
-    required_grid_points,
-    trapezoid_integrals,
-    trapezoid_threshold,
-)
+from .quadrature import QuadratureError, _span, laplace_integrals
 
 __all__ = [
-    "QuadratureConfig",
     "GreenValues",
     "DivergentIntegralError",
-    "DEFAULT_CONFIG",
     "dispersion",
     "green_values",
     "green_threshold",
     "closed_form_a1",
     "closed_form_green1",
     "closed_form_a2",
-    "closed_form_a3",
 ]
-
-METHODS = ("tensor-trapezoid", "laplace-bessel", "both")
 
 
 class DivergentIntegralError(ValueError):
     """An integral was requested where it diverges (wrong n or z)."""
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Engine selection for :func:`green_values` and :func:`green_threshold`.
-
-    Only these two functions and ``belowband integrals`` take a config; the
-    spectral layers (root location, states, the oracle comparison) always
-    use the default Laplace-Bessel engine, which has no settings: its
-    panels and nodes are fixed.  The tensor trapezoid is kept as an
-    independent reference for n <= 3; ``grid_points`` and ``rtol`` are read
-    only when it runs.  ``rtol`` applies for z <= -1e-3; closer to the band
-    edge the integrands peak sharply and the guarantee degrades to
-    ``max(rtol, 1e-8)``.  With ``method="both"`` the two engines must agree
-    to 10x the effective tolerance, otherwise a :class:`QuadratureError` is
-    raised.
-    """
-
-    method: str = "laplace-bessel"
-    grid_points: int | None = None      # trapezoid M per dimension; None = auto
-    rtol: float = 1e-10
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if not self.rtol > 0.0:
-            raise ValueError("tolerances must be positive")
-
-    def effective_rtol(self, z: float) -> float:
-        return self.rtol if z <= -1e-3 else max(self.rtol, 1e-8)
-
-
-DEFAULT_CONFIG = QuadratureConfig()
 
 
 @dataclass(frozen=True)
@@ -102,7 +56,6 @@ class GreenValues:
     d: float | None
     s: float | None
     cd: float | None
-    method: str = "laplace-bessel"
 
     def require(self, *names: str) -> tuple[float, ...]:
         out = []
@@ -176,8 +129,8 @@ def dispersion(p, n: int | None = None):
     return float(e) if e.ndim == 0 else e
 
 
-def _pack(n: int, z: float, raw: dict[str, float], method: str) -> GreenValues:
-    # the engines name no d at n = 1 and only the finite integrals at z = 0
+def _pack(n: int, z: float, raw: dict[str, float]) -> GreenValues:
+    # the engine names no d at n = 1 and only the finite integrals at z = 0
     for name in ("a", "b", "c", "s", "cd"):
         v = raw.get(name)
         if v is not None and not v > 0.0:
@@ -185,18 +138,7 @@ def _pack(n: int, z: float, raw: dict[str, float], method: str) -> GreenValues:
                 f"integral {name}={v} at n={n}, z={z} violates positivity; "
                 "quadrature failed")
     return GreenValues(n=n, z=z, a=raw.get("a"), b=raw.get("b"), c=raw.get("c"),
-                       d=raw.get("d"), s=raw.get("s"), cd=raw.get("cd"), method=method)
-
-
-def _cross_check(n: int, z: float, first: dict, second: dict, tol: float) -> None:
-    common = set(first) & set(second)
-    for name in sorted(common):
-        x, y = first[name], second[name]
-        rel = abs(x - y) / max(abs(x), abs(y), 1e-300)
-        if rel > tol:
-            raise QuadratureError(
-                f"cross-method disagreement for {name} at n={n}, z={z}: "
-                f"{x!r} vs {y!r} (rel {rel:.3e} > {tol:.1e})")
+                       d=raw.get("d"), s=raw.get("s"), cd=raw.get("cd"))
 
 
 # Below u = ln(-z) = -45 the n = 2 integrals equal their edge forms to
@@ -227,62 +169,41 @@ def _edge2(z: float) -> dict[str, float]:
             "s": s, "cd": cd}
 
 
-def _evaluate(n: int, z: float, cfg: QuadratureConfig) -> GreenValues:
-    """The integrals at z <= 0 from the engines ``cfg`` selects; with both,
-    they must agree within 10x ``cfg.effective_rtol(z)``.  The Laplace
-    engine's values at n = 2 and _Z_EDGE2 < z < 0 come from ``_edge2``."""
+def _evaluate(n: int, z: float) -> GreenValues:
+    """The integrals at z <= 0 from the Laplace engine; at n = 2 and
+    _Z_EDGE2 < z < 0 from ``_edge2``."""
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError(f"dimension must be a positive integer, got {n!r}")
     n, z = int(n), float(z)
-    rtol = cfg.effective_rtol(z)
-    lap = trap = None
-    if cfg.method != "tensor-trapezoid":
-        lap = _edge2(z) if n == 2 and _Z_EDGE2 < z < 0.0 else laplace_integrals(n, z)
-    if cfg.method != "laplace-bessel":
-        if z < 0.0:
-            m = cfg.grid_points if cfg.grid_points is not None else \
-                required_grid_points(n, z, rtol)
-            trap = trapezoid_integrals(n, z, m)
-        elif n == 3 and cfg.method == "tensor-trapezoid":
-            raise QuadratureError(
-                "tensor-trapezoid cannot evaluate a(0), b(0) for n >= 3; "
-                "use laplace-bessel or both")
-        else:
-            trap = trapezoid_threshold(n, cfg.grid_points)
-    if lap is not None and trap is not None:
-        _cross_check(n, z, lap, trap, 10.0 * rtol)
-    return _pack(n, z, lap if lap is not None else trap, cfg.method)
+    raw = _edge2(z) if n == 2 and _Z_EDGE2 < z < 0.0 else laplace_integrals(n, z)
+    return _pack(n, z, raw)
 
 
-def green_values(n: int, z: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> GreenValues:
+def green_values(n: int, z: float) -> GreenValues:
     """Evaluate a, b, c, d, s and c-d at a point z < 0 below the band.
 
-    Relative accuracy is ``cfg.effective_rtol(z)``; with ``method="both"``
-    the trapezoid and Laplace-Bessel evaluations must agree within 10x that
-    tolerance or a :class:`QuadratureError` is raised.  At n = 2 and
-    -exp(-45) < z < 0 the Laplace-Bessel values are closed forms, equal to
-    the engine's within a few eps; the engine's range limits still apply.
+    Relative accuracy is 1e-10 for z <= -1e-3 and 1e-8 nearer the band
+    edge.  At n = 2 and -exp(-45) < z < 0 the values are closed forms,
+    equal to the engine's within a few eps; the engine's range limits
+    still apply.
     """
     if not z < 0.0:
         raise ValueError(f"green_values requires z < 0, got z={z}; "
                          "use green_threshold for z = 0")
-    return _evaluate(n, z, cfg)
+    return _evaluate(n, z)
 
 
-def green_threshold(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> GreenValues:
+def green_threshold(n: int) -> GreenValues:
     """Evaluate the integrals at the band edge z = 0.
 
     a and b are finite only for n >= 3 (flagged ``None`` otherwise), the
     limit of c - d is finite for n >= 2, and s(0) is finite for every n.
-    The tensor-trapezoid engine runs for n <= 3 and knows only the
-    subtracted integrands for s(0) and c(0)-d(0), so for n = 3 the
-    remaining entries require the Laplace-Bessel method.
     """
-    return _evaluate(n, 0.0, cfg)
+    return _evaluate(n, 0.0)
 
 
 # ---------------------------------------------------------------------------
-# Closed forms (independent oracles)
+# Closed forms
 # ---------------------------------------------------------------------------
 
 def closed_form_a1(z: float) -> float:
@@ -298,7 +219,7 @@ def closed_form_green1(z: float) -> GreenValues:
     s = 1.0 / ((1.0 - z) + math.sqrt(-z) * math.sqrt(2.0 - z))
     b = a * s
     return GreenValues(n=1, z=z, a=a, b=b, c=(1.0 - z) * b, d=None,
-                       s=s, cd=None, method="closed-form")
+                       s=s, cd=None)
 
 
 def _ellipk_m1(m1: float) -> float:
@@ -324,32 +245,3 @@ def closed_form_a2(z: float) -> float:
         raise ValueError(f"closed form requires z < 0, got {z}")
     one_minus_m = (-z / (2.0 - z)) * ((4.0 - z) / (2.0 - z))
     return 2.0 / (math.pi * (2.0 - z)) * _ellipk_m1(one_minus_m)
-
-
-def closed_form_a3(z: float) -> float:
-    """a(z) for the cubic lattice as a single elliptic-integral quadrature.
-
-    Two momenta are integrated out analytically, leaving
-    (1/pi^2) * integral_0^pi 2 K(m(p))/(3 - z - cos p) dp with
-    m = (2/(3 - z - cos p))^2.  Valid for z <= 0; at z = 0 the value is the
-    Watson simple-cubic constant divided by 3, and the endpoint p = 0 has an
-    integrable logarithmic singularity handled by feeding K with 1 - m.
-    """
-    if z > 0.0:
-        raise ValueError(f"closed form requires z <= 0, got {z}")
-    from scipy.integrate import IntegrationWarning, quad
-
-    def integrand(p: float) -> float:
-        dd = 3.0 - z - math.cos(p)
-        # 1 - m without cancellation: (dd-2)(dd+2)/dd^2 with
-        # dd - 2 = 2 sin^2(p/2) - z
-        one_minus_m = (2.0 * math.sin(0.5 * p) ** 2 - z) * (dd + 2.0) / dd ** 2
-        return 2.0 / dd * _ellipk_m1(one_minus_m)
-
-    with warnings.catch_warnings():
-        # the z = 0 endpoint log singularity trips quad's roundoff heuristic
-        # even though the extrapolated value is accurate
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(integrand, 0.0, math.pi, limit=400,
-                      epsabs=1e-14, epsrel=1e-13, points=[0.0])
-    return val / math.pi ** 2

