@@ -163,6 +163,8 @@ def test_scan_malformed_range_exits_2():
     ("integrals", "--n", "2", "--z=-1e-25", "--method", "both"),
     ("integrals", "--n", "2", "--z", "-1", "--tol", "1e-6"),
     ("integrals", "--n", "3", "--z", "-1", "--grid-points", "64"),
+    ("integrals", "--n", "4", "--z", "0", "--method", "tensor-trapezoid"),
+    ("integrals", "--n", "5", "--z", "0", "--method", "both"),
 ])
 def test_empty_ranges_and_negative_selectors_exit_2(capsys, argv):
     # argparse rejects a flag by SystemExit, the command body by exit code
