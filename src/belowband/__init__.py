@@ -41,7 +41,6 @@ from .green import (
     DivergentIntegralError,
     GreenValues,
     closed_form_a1,
-    closed_form_a2,
     closed_form_green1,
     dispersion,
     green_threshold,
@@ -73,7 +72,7 @@ __all__ = [
     "__version__",
     # green
     "DivergentIntegralError", "GreenValues", "QuadratureError",
-    "closed_form_a1", "closed_form_a2", "closed_form_green1", "dispersion",
+    "closed_form_a1", "closed_form_green1", "dispersion",
     "green_threshold", "green_values",
     # reduction
     "BSMatrix", "CriticalCouplings", "DeterminantValues", "HyperbolaPoint",

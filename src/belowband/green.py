@@ -4,12 +4,12 @@ The spectral analysis of the impurity Hamiltonian reduces to five torus
 integrals of ``g(p)/(E(p) - z)`` with g = 1, cos p_1, cos^2 p_1,
 cos p_1 cos p_2 and sin^2 p_1, conventionally named a, b, c, d, s.  This
 module wraps the Laplace-Bessel engine into a typed interface, tracks
-which integrals are finite at the band edge z = 0, and provides exact
-closed forms (n = 1 algebraic, n = 2 complete elliptic integral).  One
-closed form also serves evaluation: at n = 2 below u = ln(-z) = -45 the
-record is built from the edge form of a (K(m) as m -> 1) and the
-band-edge values of c - d and s, which the Laplace engine would reproduce
-to rounding from its longest panels.
+which integrals are finite at the band edge z = 0, and provides the exact
+algebraic closed forms at n = 1.  A closed form also serves evaluation:
+at n = 2 below u = ln(-z) = -45 the record is built from the edge form of
+a (the complete elliptic integral K(m) as m -> 1) and the band-edge values
+of c - d and s, which the Laplace engine would reproduce to rounding from
+its longest panels.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "green_threshold",
     "closed_form_a1",
     "closed_form_green1",
-    "closed_form_a2",
 ]
 
 
@@ -220,28 +219,3 @@ def closed_form_green1(z: float) -> GreenValues:
     b = a * s
     return GreenValues(n=1, z=z, a=a, b=b, c=(1.0 - z) * b, d=None,
                        s=s, cd=None)
-
-
-def _ellipk_m1(m1: float) -> float:
-    """The complete elliptic integral K(m) from m1 = 1 - m in [0, 1], as
-    pi / (2 AGM(1, sqrt(m1))); m1 is taken as given, so K stays accurate
-    where m rounds to 1."""
-    if m1 == 0.0:
-        return math.inf
-    a, b = 1.0, math.sqrt(m1)
-    while abs(a - b) > 1e-15 * a:   # then the next mean is exact to rounding
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (a + b)
-
-
-def closed_form_a2(z: float) -> float:
-    """Exact a(z) for the square lattice via the complete elliptic integral.
-
-    Integrating out one momentum leaves 1/sqrt((2-z-cos p)^2 - 1), whose
-    integral is 2 K(m)/(2-z) with parameter m = (2/(2-z))^2.  K is fed
-    1 - m = -z(4-z)/(2-z)^2, which keeps its digits however close z is to 0.
-    """
-    if not z < 0.0:
-        raise ValueError(f"closed form requires z < 0, got {z}")
-    one_minus_m = (-z / (2.0 - z)) * ((4.0 - z) / (2.0 - z))
-    return 2.0 / (math.pi * (2.0 - z)) * _ellipk_m1(one_minus_m)

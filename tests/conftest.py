@@ -4,12 +4,19 @@ import numpy as np
 import pytest
 
 import belowband as bb
+from reference import band_edge_references
 
 
 @pytest.fixture(scope="session")
 def consts():
     """Band-edge constants for the dimensions the tests touch."""
     return {n: bb.spectral_constants(n) for n in (1, 2, 3, 4, 5)}
+
+
+@pytest.fixture(scope="session")
+def band_edge():
+    """The 30-digit band-edge references for n = 1..6, computed once."""
+    return band_edge_references()
 
 
 def open_region_points(n: int) -> list[tuple[str, tuple[float, float]]]:

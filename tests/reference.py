@@ -7,11 +7,12 @@ threshold classes:
 - the tensor-product periodic trapezoidal rule for the torus integrals at
   n <= 3, below the band and (subtracted integrands for s(0) and
   c(0) - d(0)) at the band edge;
-- the n = 3 elliptic-integral reduction of a(z), whose z = 0 value is the
-  Watson simple-cubic constant divided by 3;
-- the golden tables under ``tests/golden/`` and the cross-checked
-  computation that writes them (``python tests/reference.py`` rewrites
-  both files);
+- the elliptic-integral closed form of a(z) at n = 2 and the n = 3
+  elliptic reduction of a(z), whose z = 0 value is the Watson simple-cubic
+  constant divided by 3;
+- the band-edge constants a(0), b(0), s(0), c(0) - d(0), lambda_s,
+  lambda_c and X at 30 digits, from closed forms at n <= 3 and from mpmath
+  quadrature of the Laplace integrals at n >= 3;
 - numeric integrability probes of threshold states.
 
 This module loads ``scipy.integrate`` and ``numpy.polynomial``, which the
@@ -20,21 +21,18 @@ package itself does not.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from functools import lru_cache
 
+import mpmath as mp
 import numpy as np
 
-from belowband.green import _ellipk_m1, green_threshold
 from belowband.quadrature import (
     _NAMES,
     QuadratureError,
     finite_at_threshold,
     integral_names,
-    laplace_integrals,
 )
 from belowband.states import EigenState
 
@@ -153,8 +151,33 @@ def trapezoid_threshold(n: int, grid_points: int | None = None) -> dict[str, flo
 
 
 # ---------------------------------------------------------------------------
-# Cubic-lattice elliptic reduction
+# Square- and cubic-lattice elliptic reductions
 # ---------------------------------------------------------------------------
+
+def _ellipk_m1(m1: float) -> float:
+    """The complete elliptic integral K(m) from m1 = 1 - m in [0, 1], as
+    pi / (2 AGM(1, sqrt(m1))); m1 is taken as given, so K stays accurate
+    where m rounds to 1."""
+    if m1 == 0.0:
+        return math.inf
+    a, b = 1.0, math.sqrt(m1)
+    while abs(a - b) > 1e-15 * a:   # then the next mean is exact to rounding
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    return math.pi / (a + b)
+
+
+def closed_form_a2(z: float) -> float:
+    """Exact a(z) for the square lattice via the complete elliptic integral.
+
+    Integrating out one momentum leaves 1/sqrt((2-z-cos p)^2 - 1), whose
+    integral is 2 K(m)/(2-z) with parameter m = (2/(2-z))^2.  K is fed
+    1 - m = -z(4-z)/(2-z)^2, which keeps its digits however close z is to 0.
+    """
+    if not z < 0.0:
+        raise ValueError(f"closed form requires z < 0, got {z}")
+    one_minus_m = (-z / (2.0 - z)) * ((4.0 - z) / (2.0 - z))
+    return 2.0 / (math.pi * (2.0 - z)) * _ellipk_m1(one_minus_m)
+
 
 def closed_form_a3(z: float) -> float:
     """a(z) for the cubic lattice as a single elliptic-integral quadrature.
@@ -186,127 +209,88 @@ def closed_form_a3(z: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Golden tables
+# Band-edge constants at 30 digits
 # ---------------------------------------------------------------------------
 
-# green.json holds the finite threshold integrals (a(0), b(0) for n >= 3,
-# the limit of c - d for n >= 2, s(0) for every n), critical.json lambda_c
-# and lambda_s.  Every record carries the method it was computed with and
-# the tolerance at which an independent method agreed before it was written.
-GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
-GREEN_FILE = "green.json"
-CRITICAL_FILE = "critical.json"
-SCHEMA_VERSION = "1"
-
-# dimensions covered by the committed tables
-GREEN_DIMENSIONS = (1, 2, 3, 4, 5)
+_DPS = 30
 
 
-@dataclass(frozen=True)
-class GoldenRecord:
-    n: int
-    quantity: str
-    value: float
-    method: str
-    tolerance: float
+@lru_cache(maxsize=None)
+def _ive_mp(t):
+    """e^-t I_0(t) and e^-t I_1(t) at _DPS digits, computed once per node:
+    every integral at every n reads the same tanh-sinh nodes."""
+    e = mp.exp(-t)
+    return e * mp.besseli(0, t), e * mp.besseli(1, t)
 
 
-def load_records(filename: str, directory: Path = GOLDEN_DIR) -> list[GoldenRecord]:
-    with open(Path(directory) / filename, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return [GoldenRecord(**rec) for rec in doc["records"]]
+def _threshold_row(n: int, name: str, t):
+    """The z = 0 Laplace integrand of a, b, s or cd at t, in the form of
+    ``quadrature._weighted_integrands``."""
+    i0, i1 = _ive_mp(t)
+    r = i1 / t
+    if name == "cd":
+        head = (i0 - i1) * (i0 + i1) - i0 * r
+    else:
+        head = {"a": i0, "b": i1, "s": r}[name] * i0
+    return head * i0 ** (n - 2)
 
 
-def lookup(records: list[GoldenRecord], n: int, quantity: str) -> GoldenRecord:
-    for rec in records:
-        if rec.n == n and rec.quantity == quantity:
-            return rec
-    raise KeyError(f"no golden record for n={n}, quantity={quantity!r}")
+def watson_a0():
+    """a(0) at n = 3 as an mpf: one third of Watson's simple-cubic integral
+    W = sqrt(6)/(32 pi^3) Gamma(1/24) Gamma(5/24) Gamma(7/24) Gamma(11/24),
+    the closed form of Glasser and Zucker (PNAS 74 (1977) 1800)."""
+    with mp.workdps(_DPS):
+        w = mp.sqrt(6) / (32 * mp.pi ** 3)
+        for k in (1, 5, 7, 11):
+            w *= mp.gamma(mp.mpf(k) / 24)
+        return w / 3
 
 
-def _cross_checked(n: int, quantity: str, primary: float, secondary: float,
-                   tolerance: float, method: str) -> GoldenRecord:
-    rel = abs(primary - secondary) / max(abs(primary), abs(secondary))
-    if rel > tolerance:
-        raise RuntimeError(
-            f"golden cross-check failed for n={n} {quantity}: "
-            f"{primary!r} vs {secondary!r} (rel {rel:.3e} > {tolerance:.1e})")
-    return GoldenRecord(n=n, quantity=quantity, value=primary,
-                        method=method, tolerance=tolerance)
+@lru_cache(maxsize=None)
+def threshold_quadrature(n: int) -> dict:
+    """a(0), b(0), s(0) and (c - d)(0) for n >= 3 as mpfs, by mpmath
+    quadrature of the Laplace integrals at _DPS digits.
 
-
-def compute_green_records(dimensions=GREEN_DIMENSIONS) -> list[GoldenRecord]:
-    """Threshold integrals with an independent check behind each value.
-
-    s(0) and lim(c-d) are cross-checked against the subtracted-integrand
-    grid quadrature for n <= 3 and against the identity
-    s(0) = 1 - (n-1)(a(0) - d(0)) for n >= 3; a(0) for n = 3 is checked
-    against the elliptic-integral reduction of the Watson integral, and
-    a(0), b(0) for every n >= 3 against the identity a - b = 1/n.
+    The integrands decay like a power of t, so the range past t = 64 is
+    taken in u = t^-1/2, as ``quadrature._tail`` does; there they are
+    smooth, and the slow t^-3/2 tail of a(0) at n = 3 costs no digits.
     """
-    records: list[GoldenRecord] = []
-    for n in dimensions:
-        g = green_threshold(n)
-        raw = laplace_integrals(n, 0.0)
-        if n <= 3:
-            grid = trapezoid_threshold(n)
-            records.append(_cross_checked(
-                n, "s0", g.s0, grid["s"], 1e-8, "laplace-bessel"))
+    with mp.workdps(_DPS):
+        u_end = mp.mpf(1) / 8      # t = 64
+        return {name: mp.quad(lambda t: _threshold_row(n, name, t), [0, 1, 8, 64])
+                + mp.quad(lambda u: 2 * _threshold_row(n, name, u ** -2) / u ** 3,
+                          [0, u_end])
+                for name in ("a", "b", "s", "cd")}
+
+
+def band_edge_references() -> dict[int, dict]:
+    """The finite band-edge constants of n = 1..6 as mpfs.
+
+    Keys are named as the fields of ``GreenValues`` (a, b, s, cd) and of
+    ``SpectralConstants`` (lambda_s = 1/s(0), lambda_c = 1/(c - d)(0) and
+    x_asymptote = X = lim a/b).  At n = 1, s(0) = 1 and X = 1/s(0); at
+    n = 2, s(0) = 1 - 2/pi, (c - d)(0) = 4/pi - 1 and X = 1; at n = 3, a(0)
+    is :func:`watson_a0` and b(0) = a(0) - 1/3; every other value comes from
+    :func:`threshold_quadrature`.
+    """
+    refs = {}
+    with mp.workdps(_DPS):
+        for n in range(1, 7):
+            if n == 1:
+                ref = {"s": mp.mpf(1)}
+            elif n == 2:
+                ref = {"s": 1 - 2 / mp.pi, "cd": 4 / mp.pi - 1}
+            else:
+                ref = dict(threshold_quadrature(n))
+            if n == 3:
+                ref["a"] = watson_a0()
+                ref["b"] = ref["a"] - mp.mpf(1) / 3
+            ref["lambda_s"] = 1 / ref["s"]
             if n >= 2:
-                records.append(_cross_checked(
-                    n, "alpha0", g.alpha0, grid["cd"], 1e-8, "laplace-bessel"))
-        else:
-            ident = 1.0 - (n - 1) * raw["ad"]
-            records.append(_cross_checked(
-                n, "s0", g.s0, ident, 1e-10, "laplace-bessel"))
-            records.append(_cross_checked(
-                n, "alpha0", g.alpha0, raw["c"] - raw["d"], 1e-9,
-                "laplace-bessel"))
-        if n >= 3:
-            second = closed_form_a3(0.0) if n == 3 else g.b + 1.0 / n
-            tol = 1e-6 if n == 3 else 1e-9
-            records.append(_cross_checked(n, "a0", g.a, second, tol,
-                                          "laplace-bessel"))
-            records.append(_cross_checked(n, "b0", g.b, g.a - 1.0 / n, 1e-9,
-                                          "laplace-bessel"))
-    return records
-
-
-def compute_critical_records(dimensions=GREEN_DIMENSIONS) -> list[GoldenRecord]:
-    """lambda_s = 1/s(0) for every n and lambda_c = 1/lim(c-d) for n >= 2."""
-    records = []
-    for n in dimensions:
-        g = green_threshold(n)
-        if n <= 3:
-            grid = trapezoid_threshold(n)
-            records.append(_cross_checked(
-                n, "lambda_s", 1.0 / g.s0, 1.0 / grid["s"], 1e-8,
-                "laplace-bessel"))
-            if n >= 2:
-                records.append(_cross_checked(
-                    n, "lambda_c", 1.0 / g.alpha0, 1.0 / grid["cd"], 1e-8,
-                    "laplace-bessel"))
-        else:
-            records.append(GoldenRecord(n, "lambda_s", 1.0 / g.s0,
-                                        "laplace-bessel", 1e-9))
-            records.append(GoldenRecord(n, "lambda_c", 1.0 / g.alpha0,
-                                        "laplace-bessel", 1e-9))
-    return records
-
-
-def _write(path: Path, records: list[GoldenRecord]) -> None:
-    doc = {"schema_version": SCHEMA_VERSION,
-           "records": [asdict(r) for r in records]}
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-
-
-def regenerate(directory: Path = GOLDEN_DIR,
-               dimensions=GREEN_DIMENSIONS) -> None:
-    """Recompute and rewrite both golden files (cross-checks enforced)."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    _write(directory / GREEN_FILE, compute_green_records(dimensions))
-    _write(directory / CRITICAL_FILE, compute_critical_records(dimensions))
+                ref["lambda_c"] = 1 / ref["cd"]
+            ref["x_asymptote"] = ref["a"] / ref["b"] if n >= 3 else mp.mpf(1)
+            refs[n] = ref
+    return refs
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +397,3 @@ def probe_verdict(values) -> str:
         return "divergent"
     return "bounded"
 
-
-if __name__ == "__main__":
-    regenerate()
-    print(f"golden files rewritten in {GOLDEN_DIR}")

@@ -21,24 +21,17 @@ from belowband.quadrature import (
     laplace_integrals,
 )
 from reference import (
+    _ellipk_m1,
+    closed_form_a2,
     closed_form_a3,
     required_grid_points,
     trapezoid,
     trapezoid_integrals,
     trapezoid_threshold,
+    watson_a0,
 )
 
 EPS = 2.0 ** -52
-
-
-def watson_a0() -> float:
-    """a(0) for n = 3: one third of Watson's simple-cubic integral,
-    in closed form sqrt(6)/(96 pi^3) * Gamma(1/24) Gamma(5/24) Gamma(7/24) Gamma(11/24)."""
-    with mp.workdps(30):
-        w = mp.sqrt(6) / (32 * mp.pi ** 3)
-        for k in (1, 5, 7, 11):
-            w *= mp.gamma(mp.mpf(k) / 24)
-        return float(w / 3)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +96,7 @@ def test_chain_b_identity_value():
 
 @pytest.mark.parametrize("z", [-1e-3, -0.5, -4.0, -100.0])
 def test_square_lattice_elliptic_oracle(z):
-    exact = bb.closed_form_a2(z)
+    exact = closed_form_a2(z)
     assert bb.green_values(2, z).a == pytest.approx(exact, rel=1e-12)
     assert trapezoid(2, z)["a"] == pytest.approx(exact, rel=1e-9)
 
@@ -116,7 +109,7 @@ def test_square_lattice_closed_form_in_u_at_the_edge(u):
     # closed form are held to it on their own
     edge = (math.log(16.0) - u) / (2.0 * math.pi)
     z = -math.exp(u)
-    assert bb.closed_form_a2(z) == pytest.approx(edge, rel=1e-15)
+    assert closed_form_a2(z) == pytest.approx(edge, rel=1e-15)
     assert laplace_integrals(2, z)["a"] == pytest.approx(edge, rel=1e-15)
     assert bb.green_values(2, z).a == pytest.approx(edge, rel=1e-15)
 
@@ -170,7 +163,6 @@ def test_deep_square_lattice_search_keeps_short_panels(monkeypatch):
 
 def test_agm_elliptic_k_matches_scipy_and_mpmath():
     import scipy.special as sp
-    from belowband.green import _ellipk_m1
 
     assert _ellipk_m1(0.0) == math.inf and _ellipk_m1(1.0) == math.pi / 2
     m1 = np.concatenate([np.geomspace(5e-324, 1.0, 20_001), np.linspace(0.0, 1.0, 20_001)[1:]])
@@ -194,7 +186,7 @@ def test_cubic_lattice_elliptic_oracle(z):
 
 def test_watson_constant():
     a0 = bb.green_threshold(3).a
-    assert a0 == pytest.approx(watson_a0(), rel=1e-12)
+    assert a0 == pytest.approx(float(watson_a0()), rel=1e-12)
     assert a0 == pytest.approx(0.5054620197, abs=1e-9)
 
 
