@@ -12,9 +12,11 @@ output, whatever the BLAS thread count, except for the last digits of
 ``verify oracle``'s lattice eigenvalue errors.  Exit codes: 0 success,
 1 verification failure, 2 usage error, 3 numeric failure, 4 empty result.
 
-Importing this module loads numpy only.  The lattice oracle, with
-``scipy.sparse`` and ``scipy.linalg``, is imported inside ``verify oracle``,
-so no other command loads scipy.
+Importing this module loads numpy only and builds the argument parser,
+which depends on no input; every :func:`main` call, forked or repeated,
+then only parses.  The lattice oracle, with ``scipy.sparse`` and
+``scipy.linalg``, is imported inside ``verify oracle``, so no other command
+loads scipy.
 """
 
 from __future__ import annotations
@@ -410,13 +412,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: calls share its defaults, so no command may
+# mutate a parsed value in place
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.command == "verify":
         args.nrange = args.nrange or ([1] if args.suite == "oracle" else [1, 2, 3, 4])
         if args.suite == "oracle" and len(args.nrange) > 1:
-            parser.error(f"verify oracle takes one dimension, got {len(args.nrange)}")
+            _PARSER.error(f"verify oracle takes one dimension, got {len(args.nrange)}")
     try:
         return args.func(args)
     except (ValueError, DivergentIntegralError) as exc:

@@ -23,7 +23,9 @@ and remains valid at z = 0 for every integral that is finite there
 
 The dyadic t-panels do not depend on z, so their weighted Bessel
 tables are computed once and kept; :func:`laplace_tables` builds those of
-many z in one pass.  Entries do not depend on the calls that built them.
+many z in one pass.  The pass writes each weighted row once, into one
+rows x nodes array that the new heads and panels are kept from, and kept
+tables are read-only.  Entries do not depend on the calls that built them.
 Each row is summed by the BLAS ddot over fixed chunks in a fixed order, all
 rows of a chunk in one batched product of vectors, so evaluations are
 bit-identical whatever ran before and whatever the BLAS thread count, and
@@ -268,18 +270,25 @@ def _ive01(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _weighted_integrands(n: int, t: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Laplace integrands times quadrature weights, one row per integral."""
+    """Laplace integrands times quadrature weights, one row per integral,
+    each written once into one rows x nodes array."""
     i0, i1 = _ive01(t)
     r = i1 / t  # == (ive0 - ive2)/2 by the Bessel recurrence
     i0nm1 = i0 ** (n - 1)
-    a, b, c, s = i0 ** n, i1 * i0nm1, (i0 - r) * i0nm1, r * i0nm1
-    if n == 1:
-        return np.stack([a, b, c, s]) * w
-    i0nm2 = i0 ** (n - 2)
-    # difference forms keep the large-t cancellations mild
-    cd = ((i0 - i1) * (i0 + i1) - i0 * r) * i0nm2
-    ad = (i0 - i1) * (i0 + i1) * i0nm2
-    return np.stack([a, b, c, i1 * i1 * i0nm2, s, cd, ad]) * w
+    out = np.empty((len(integral_names(n)), t.size))
+    rows = iter(out)
+    np.multiply(i0 ** n, w, out=next(rows))
+    np.multiply(i1 * i0nm1, w, out=next(rows))
+    np.multiply((i0 - r) * i0nm1, w, out=next(rows))
+    if n > 1:
+        i0nm2 = i0 ** (n - 2)
+        np.multiply(i1 * i1 * i0nm2, w, out=next(rows))
+    np.multiply(r * i0nm1, w, out=next(rows))
+    if n > 1:
+        # difference forms keep the large-t cancellations mild
+        np.multiply(((i0 - i1) * (i0 + i1) - i0 * r) * i0nm2, w, out=next(rows))
+        np.multiply((i0 - i1) * (i0 + i1) * i0nm2, w, out=next(rows))
+    return out
 
 
 _NODES = 48                     # Gauss-Legendre nodes per panel (_GAUSS);
@@ -358,18 +367,24 @@ def _keep(n: int, spans) -> tuple[int, int, np.ndarray, np.ndarray]:
     *th, tb, ta = np.split(tn, cuts)
     *wh, wb, wa = np.split(_weighted_integrands(n, tn, wn), cuts, axis=1)
     for k, tk, wk in zip(heads, th, wh):
-        _HEADS[n, k] = tk.copy(), wk.copy()
-    kept = (k0, k1, np.concatenate([tb, t, ta]),
-            np.concatenate([wb, table, wa], axis=1))
+        _HEADS[n, k] = _frozen(tk.copy()), _frozen(wk.copy())
+    kept = (k0, k1, _frozen(np.concatenate([tb, t, ta])),
+            _frozen(np.concatenate([wb, table, wa], axis=1)))
     _PANELS[n] = kept
     return kept
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, read-only: a kept table is never written once published."""
+    a.flags.writeable = False
+    return a
 
 
 @lru_cache(maxsize=None)
 def _tail(n: int) -> np.ndarray:
     """The z = 0 integrals over t > 2^6, taken in u = t^-1/2; a constant of n."""
     u, wu = _panel_nodes([0.0], [2.0 ** (-_ZERO_END / 2)], 2 * _NODES)
-    return _weighted_integrands(n, u ** -2.0, wu * 2.0 * u ** -3.0).sum(axis=1)
+    return _frozen(_weighted_integrands(n, u ** -2.0, wu * 2.0 * u ** -3.0).sum(axis=1))
 
 
 def laplace_integrals(n: int, z: float) -> dict[str, float]:

@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import math
+import os
+import re
 import shlex
 import subprocess
 import sys
@@ -352,11 +354,84 @@ def test_commands_load_no_optimize_integrate_or_lattice_stack():
     assert doc["not_starred"] == [] and doc["not_in_dir"] == []
 
 
-def test_readme_commands_run(capsys):
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _readme_commands() -> list[list[str]]:
+    text = (_ROOT / "README.md").read_text()
     block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-    commands = [shlex.split(line, comments=True)[1:]
-                for line in block.splitlines() if line.startswith("belowband ")]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("belowband ")]
+
+
+def _ci_commands() -> list[list[str]]:
+    """The console-script commands of the CI step "CLI in fresh processes",
+    without environment prefixes or redirections."""
+    text = (_ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    step = text.split("name: CLI in fresh processes", 1)[1].split("- name:", 1)[0]
+    found = re.findall(r"(?:^|[\s;(])belowband\s+(.+?)\s*(?=\|\||;|2?>|\)|$)",
+                       step.split("run: |", 1)[1], flags=re.M)
+    return [shlex.split(cmd) for cmd in found]
+
+
+_ONE_PARSER = """
+import contextlib, io, json, sys
+from unittest import mock
+import belowband.cli as cli
+
+runs = []
+with mock.patch.object(cli, "build_parser", wraps=cli.build_parser) as build:
+    for argv in json.loads(sys.stdin.read()):
+        for _ in range(2):
+            with contextlib.redirect_stdout(io.StringIO()) as out, \\
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:   # --help, --version, usage errors
+                    code = exc.code
+            runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps({"runs": runs, "built": build.call_count,
+                  "L": cli._PARSER.parse_args(["verify", "oracle"]).L}))
+"""
+
+
+def test_one_parser_answers_every_call_as_a_fresh_process(tmp_path):
+    # the parser is built once, at import, and shared by every main() call:
+    # two calls in one interpreter must print what separate processes do
+    commands = [*_readme_commands(), *_ci_commands(),
+                ["--help"], ["summarize", "--help"], ["--version"],
+                ["summarize", "--n", "2", "--lambda", "1"],   # --mu missing
+                ["frobnicate"], ["verify", "oracle", "--n", "1..2"],
+                ["verify", "oracle", "--n", "1"]]             # the default --L
+    commands = [json.loads(c) for c in dict.fromkeys(json.dumps(c) for c in commands)]
+    assert len(commands) >= 22
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    # the shared interpreter writes to a file, so it runs beside the others
+    with open(tmp_path / "shared.json", "w+") as sink:
+        shared = subprocess.Popen([sys.executable, "-c", _ONE_PARSER], env=env,
+                                  text=True, stdin=subprocess.PIPE, stdout=sink,
+                                  stderr=subprocess.PIPE)
+        shared.stdin.write(json.dumps(commands))
+        shared.stdin.close()
+        fresh = [subprocess.run([sys.executable, "-m", "belowband.cli", *argv],
+                                env=env, capture_output=True, timeout=300)
+                 for argv in commands]
+        assert shared.wait(timeout=300) == 0, shared.stderr.read()
+        sink.seek(0)
+        doc = json.load(sink)
+    assert doc["built"] == 0
+    assert doc["L"] == [50, 100]
+    codes = set()
+    for argv, proc, pair in zip(commands, fresh, zip(*[iter(doc["runs"])] * 2)):
+        for code, out, err in pair:
+            assert (code, out.encode(), err.encode()) == \
+                (proc.returncode, proc.stdout, proc.stderr), argv
+        codes.add(proc.returncode)
+    assert codes == {0, 2, 3}
+
+
+def test_readme_commands_run(capsys):
+    commands = _readme_commands()
     assert len(commands) >= 8
     for argv in commands:
         assert main(argv) == 0, argv

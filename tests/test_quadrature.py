@@ -9,6 +9,7 @@ import sys
 
 import mpmath as mp
 import numpy as np
+import pytest
 import scipy.special as sp
 
 from belowband import classify, quadrature
@@ -249,6 +250,39 @@ def test_ladder_entries_equal_scalar_calls_whatever_ran_first():
         for doc in runs.values():
             assert doc[n]["ladder"] == first, n
             assert doc[n]["scalar"] == first, n
+
+
+def test_tables_grown_in_any_order_equal_each_panel_alone(monkeypatch):
+    # the deepest span first, then the ladder backwards (each call grows the
+    # panels below), then one batch with the band edge and a span past the
+    # ladder: every kept entry must still be its panel's Bessel rows, and no
+    # table may be written
+    monkeypatch.setattr(quadrature, "_HEADS", {})
+    monkeypatch.setattr(quadrature, "_PANELS", {})
+    nodes = quadrature._NODES
+    bits = lambda a: np.ascontiguousarray(a).tobytes()
+    for n in range(1, 7):
+        quadrature.laplace_integrals(n, -1e-100)
+        for u in classify._LADDER[::-1]:
+            quadrature.laplace_integrals(n, -math.exp(u))
+        quadrature.laplace_tables(n, [0.0, -2.0 ** 100])
+        lo, hi, t, table = quadrature._PANELS[n]
+        assert t.size == table.shape[1] == (hi - lo) * nodes
+        for k in range(lo, hi):
+            tk, wk = quadrature._panel_nodes([2.0 ** k], [2.0 ** (k + 1)], nodes)
+            cols = slice((k - lo) * nodes, (k - lo + 1) * nodes)
+            assert bits(t[cols]) == bits(tk), (n, k)
+            assert bits(table[:, cols]) == bits(
+                quadrature._weighted_integrands(n, tk, wk)), (n, k)
+        heads = {k: v for (m, k), v in quadrature._HEADS.items() if m == n}
+        assert len(heads) >= 40
+        for k, (th, head) in heads.items():
+            tk, wk = quadrature._panel_nodes([0.0], [2.0 ** k], nodes)
+            assert bits(th) == bits(tk) and bits(head) == bits(
+                quadrature._weighted_integrands(n, tk, wk)), (n, k)
+        for kept in (t, table, *heads[lo], quadrature._tail(n)):
+            with pytest.raises(ValueError, match="read-only"):
+                kept[..., 0] = 0.0
 
 
 # ---------------------------------------------------------------------------
