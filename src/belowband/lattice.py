@@ -27,8 +27,9 @@ share the delta_c block.  Each block is asked for its own number of lowest
 values.  The merged, multiplicity-counted list holds every eigenvalue of H
 below theta < 0, each labelled with its factor, only where the last value
 solved in each block is >= theta; above 0 it is complete only at n = 1.
-No solve reads the whole box: `TruncatedHamiltonian.matrix` is assembled
-only when it is read.
+`compare` skips a dense block with no predicted root whose Cholesky
+factorization minus theta succeeds: it has no value below theta.  No solve
+reads the whole box: `TruncatedHamiltonian.matrix` is built only on a read.
 
 Only the diagonal of levels 0 and 1 (the origin and the unit sites) depends
 on (lam, mu).  The rest of each block (its orbit basis, hops and weights)
@@ -51,6 +52,7 @@ from functools import cached_property, lru_cache, reduce
 import numpy as np
 import scipy.sparse as sparse
 from scipy.linalg import eigh
+from scipy.linalg.lapack import dpotrf
 from scipy.sparse.linalg import eigsh
 
 from .classify import DEFAULT_THETA, REGION_TOL, negative_eigenvalues
@@ -65,9 +67,9 @@ __all__ = [
     "compare",
 ]
 
-# largest factor block solved densely, larger ones by Lanczos; the two cross
-# nearer 400 rows, but perfbench labels a whole box by this limit and takes
-# the n = 2, L = 12 box (625 sites) as dense
+# largest factor block solved densely or certified by Cholesky, larger ones
+# by Lanczos; the solvers cross nearer 400 rows, but perfbench labels a whole
+# box by this limit and takes the n = 2, L = 12 box (625 sites) as dense
 DENSE_LIMIT = 625
 MAX_DIM = 2_000_000      # largest box build_hamiltonian accepts
 # factor blocks whose coupling-free part is kept; an oracle pass meets 19
@@ -249,15 +251,33 @@ def _multiplicities(n: int) -> dict[str, int]:
     return {o: m for o, m in zip(ORIGINS, (1, n - 1, n)) if m}
 
 
+def _dense(ham: TruncatedHamiltonian, origin: str,
+           shift: float = 0.0) -> np.ndarray:
+    """One factor block of ham minus shift * I, as a Fortran-ordered array."""
+    off, level = _block_structure(ham.n, ham.L, origin)
+    dense = off.toarray(order="F")    # off has no diagonal entry
+    np.fill_diagonal(dense, _diagonal(ham.n, ham.lam, ham.mu, level) - shift)
+    return dense
+
+
+def _none_below(ham: TruncatedHamiltonian, origin: str, theta: float) -> bool:
+    """Whether a block of at most DENSE_LIMIT rows has no value below theta.
+
+    True exactly when block - theta I has a Cholesky factor (up to rounding
+    of order dim eps |H|); larger blocks are not tried and give False.
+    """
+    if len(_block_structure(ham.n, ham.L, origin)[1]) > DENSE_LIMIT:
+        return False
+    return dpotrf(_dense(ham, origin, theta), clean=0, overwrite_a=1)[1] == 0
+
+
 def _lowest(ham: TruncatedHamiltonian, origin: str, k: int) -> np.ndarray:
     """Sorted min(k, dim) smallest eigenvalues of one factor block of ham."""
-    off, level = _block_structure(ham.n, ham.L, origin)
-    dim, k = len(level), min(k, len(level))
+    dim = len(_block_structure(ham.n, ham.L, origin)[1])
+    k = min(k, dim)
     if dim <= DENSE_LIMIT or k == dim:
-        dense = off.toarray(order="F")    # off has no diagonal entry
-        np.fill_diagonal(dense, _diagonal(ham.n, ham.lam, ham.mu, level))
-        return eigh(dense, eigvals_only=True, subset_by_index=[0, k - 1],
-                    overwrite_a=True)
+        return eigh(_dense(ham, origin), eigvals_only=True,
+                    subset_by_index=[0, k - 1], overwrite_a=True)
     block = _factor_block(ham.n, ham.L, ham.lam, ham.mu, origin)
     v0 = np.random.default_rng(_SEED).standard_normal(dim)
     return np.sort(eigsh(block, k=k, which="SA", v0=v0, maxiter=20000,
@@ -271,11 +291,12 @@ def lowest_eigenvalues(ham: TruncatedHamiltonian,
     An int k asks every block for its k lowest values and keeps the k
     lowest of the merged list.  A mapping origin -> count asks only the
     named blocks, each for its own count of lowest values, and keeps them
-    all.  Either way the merged list holds every eigenvalue of H below
-    theta < 0, with its multiplicity, only where the last value solved in
-    each block is >= theta.  A block is solved densely up to DENSE_LIMIT rows,
-    else by Lanczos from a deterministic start vector, so results are
-    reproducible run to run; the whole-box matrix is never read.
+    all; an empty mapping solves nothing.  Either way the merged list
+    holds every eigenvalue of H below theta < 0, with its multiplicity,
+    only where the last value solved in each block is >= theta.  A block is
+    solved densely up to DENSE_LIMIT rows, else by Lanczos from a
+    deterministic start vector, so results are reproducible run to run;
+    the whole-box matrix is never read.
     """
     mult = _multiplicities(ham.n)
     if isinstance(k, Mapping):
@@ -307,12 +328,14 @@ def compare(params: ModelParams, L_values, theta: float = DEFAULT_THETA,
     For every L each factor block is solved for one value past the
     classifier's distinct roots of that factor below theta, so a block
     holding an unpredicted state below theta counts more than predicted.
-    The merged list holds every eigenvalue below theta only where each
-    block's last value is >= theta, which agreeing counts ensure.  The
-    oracle count below theta, in total and per determinant factor, is
-    compared to the classifier's multiplicity-weighted count, and matched
-    eigenvalues are paired in increasing order.  The whole box is never
-    assembled.  Disagreements are report content, not errors.
+    A dense block with no predicted root is solved only where `_none_below`
+    fails; counts and errors read only values below theta, so the report
+    is the same.  The merged list holds every eigenvalue below theta only
+    where each block's last value is >= theta, which agreeing counts
+    ensure.  The oracle count below theta, in total and per determinant
+    factor, is compared to the classifier's multiplicity-weighted count,
+    and matched eigenvalues are paired in increasing order.  The whole box
+    is never assembled.  Disagreements are report content, not errors.
     """
     if theta >= 0.0:
         raise ValueError(f"theta must be < 0, got {theta}")
@@ -335,7 +358,9 @@ def compare(params: ModelParams, L_values, theta: float = DEFAULT_THETA,
     errors: dict[int, tuple[float, ...]] = {}
     for L in map(int, radii):
         ham = build_hamiltonian(params.n, L, params.lam, params.mu)
-        spec = lowest_eigenvalues(ham, wanted)
+        spec = lowest_eigenvalues(ham, {
+            o: k for o, k in wanted.items()
+            if k > 1 or not _none_below(ham, o, theta)})
         counts[L] = spec.count_below(theta)
         factor_counts[L] = {o: spec.count_below(theta, o) for o in ORIGINS}
         below = [e for e in spec.eigenvalues if e < theta]

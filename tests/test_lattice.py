@@ -1,6 +1,7 @@
 """Finite-lattice oracle: assembly, eigensolvers, agreement reports."""
 
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -225,20 +226,112 @@ def test_compare_never_assembles_the_box(monkeypatch, n, L, lam, mu, factors):
     assert rep.predicted_factor_counts == rep.oracle_factor_counts[L] == factors
 
 
-@pytest.mark.parametrize("origin", lattice.ORIGINS)
-def test_compare_sees_an_unpredicted_state(monkeypatch, origin):
-    # two delta_r, one delta_c and two delta_s states below -1e-3; hiding
-    # one root of a factor leaves its block one value past the prediction
-    params = bb.ModelParams(2, 7.0, 8.0)
+def _spy_dpotrf(monkeypatch) -> list[tuple[int, int]]:
+    """Record (rows, info) of every Cholesky factorization lattice makes."""
+    calls, real = [], lattice.dpotrf
+
+    def spy(a, **kwargs):
+        rows = len(a)
+        c, info = real(a, **kwargs)
+        calls.append((rows, info))
+        return c, info
+    monkeypatch.setattr(lattice, "dpotrf", spy)
+    return calls
+
+
+# couplings and the full count per factor at L = 12
+_UNPREDICTED = {2: (7.0, 8.0, {"delta_r": 2, "delta_c": 1, "delta_s": 2}),
+                3: (7.0, 1.0, {"delta_r": 1, "delta_c": 2, "delta_s": 3})}
+
+
+@pytest.mark.parametrize("n,origin,fallback", [
+    # at n = 2 every block is dense: a certificate is tried where the
+    # dropped root leaves one wanted value, fails and falls back
+    pytest.param(2, "delta_r", False, id="delta_r"),
+    pytest.param(2, "delta_c", True, id="delta_c"),
+    pytest.param(2, "delta_s", True, id="delta_s"),
+    # at n = 3, L = 12 the delta_r block has 455 rows, delta_c 1014 and
+    # delta_s 1092: the last two are solved by Lanczos, never certified
+    pytest.param(3, "delta_r", True, id="n3-delta_r"),
+    pytest.param(3, "delta_c", False, id="n3-delta_c"),
+    pytest.param(3, "delta_s", False, id="n3-delta_s"),
+])
+def test_compare_sees_an_unpredicted_state(monkeypatch, n, origin, fallback):
+    # hiding one root of a factor leaves its block one value past the
+    # prediction
+    lam, mu, full = _UNPREDICTED[n]
+    params = bb.ModelParams(n, lam, mu)
     records = bb.negative_eigenvalues(params)
     dropped = next(r for r in records if r.origin == origin)
     monkeypatch.setattr(lattice, "negative_eigenvalues",
                         lambda *a, **k: [r for r in records if r is not dropped])
+    calls = _spy_dpotrf(monkeypatch)
     rep = bb.compare(params, [12])
-    full = {"delta_r": 2, "delta_c": 1, "delta_s": 2}
     assert rep.oracle_factor_counts[12] == full
     assert rep.predicted_factor_counts[origin] == full[origin] - dropped.multiplicity
     assert not rep.agrees_at(12) and not rep.counts_agree
+    assert [info > 0 for _, info in calls] == ([True] if fallback else [])
+
+
+def test_certified_blocks_are_not_solved(monkeypatch):
+    # D0: no root, so every block wants one value, and at n = 2, L = 12
+    # and 16 every block is dense and certified empty below theta
+    calls, solves = _spy_dpotrf(monkeypatch), []
+    real = lattice.lowest_eigenvalues
+
+    def spy(ham, k):
+        solves.append(dict(k))
+        return real(ham, k)
+    monkeypatch.setattr(lattice, "lowest_eigenvalues", spy)
+    monkeypatch.setattr(lattice, "_lowest", lambda *a: pytest.fail("solved"))
+    rep = bb.compare(bb.ModelParams(2, -1.0, -1.0), [12, 16])
+    assert rep.counts_agree and rep.oracle_counts == {12: 0, 16: 0}
+    assert solves == [{}, {}]
+    assert [info for _, info in calls] == [0] * 6
+
+
+def test_an_empty_mapping_solves_nothing():
+    spec = bb.lowest_eigenvalues(bb.build_hamiltonian(2, 12, 7.0, 8.0), {})
+    assert spec.eigenvalues == spec.origins == ()
+    assert spec.count_below(-1e-3) == 0
+
+
+# radii with blocks on both sides of DENSE_LIMIT (625): n = 1, L = 625 has
+# blocks of 626 and 625 rows; n = 2, L = 34 of 630, 595 and 1190; n = 3,
+# L = 10 of 286, 605 and 660
+_CERT_RADII = {1: (40, 625), 2: (12, 24, 34), 3: (8, 10)}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 3), data=st.data(),
+       theta=st.sampled_from([-1e-3, -0.5]))
+def test_the_certificate_matches_the_solve(n, data, theta):
+    _, (lam, mu) = data.draw(st.sampled_from(open_region_points(n)),
+                             label="cell")
+    lam += data.draw(st.floats(-0.5, 0.5), label="dlam")
+    mu += data.draw(st.floats(-0.5, 0.5), label="dmu")
+    for L, origin in itertools.product(_CERT_RADII[n], lattice._multiplicities(n)):
+        ham = bb.build_hamiltonian(n, L, lam, mu)
+        rows = len(lattice._block_structure(n, L, origin)[1])
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _spy_dpotrf(mp)
+            certified = lattice._none_below(ham, origin, theta)
+        if rows > lattice.DENSE_LIMIT:
+            assert not certified and calls == [], (L, origin)
+        else:
+            assert [r for r, _ in calls] == [rows], (L, origin)
+            assert certified == (lattice._lowest(ham, origin, 1)[0] >= theta), \
+                (L, origin)
+
+
+def test_the_certificate_leaves_every_report_unchanged(monkeypatch):
+    # one interior point of every open cell, at the oracle workload's radii
+    ladders = {1: (40, 60), 2: (12, 16, 24), 3: (10, 12)}
+    params = [bb.ModelParams(n, lam, mu) for n in ladders
+              for _, (lam, mu) in open_region_points(n)]
+    with_cert = [repr(bb.compare(p, ladders[p.n])) for p in params]
+    monkeypatch.setattr(lattice, "_none_below", lambda *a: False)
+    assert [repr(bb.compare(p, ladders[p.n])) for p in params] == with_cert
 
 
 def test_parity_attribution():
