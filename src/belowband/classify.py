@@ -293,7 +293,7 @@ _LN2 = math.log(2.0)
 _LADDER = tuple(k * _LN2 for k in range(40, -41, -1))   # -z = 2^40 .. 2^-40
 _LADDER_U = np.array(_LADDER)
 _STRIDE = 80.0           # step in u past an end of the scan
-_U_NEAR = -700.0         # inside the engine's near limit _Z_MIN
+_U_NEAR = -700.0         # the near walk's end; Green values there are edge records
 _U_FAR = math.nextafter(math.log(_Z_MAX), 0.0)   # the engine's far limit
 _FOUR_EPS = 4 * math.ulp(1.0)   # also the smallest rtol brentq accepts
 _BRENTQ_KW = dict(xtol=_FOUR_EPS, rtol=_FOUR_EPS, maxiter=200)
@@ -398,42 +398,24 @@ def _walk(u: float, limit: float):
         yield u
 
 
-# the points of the walks from the ladder's ends: 5 far and 9 near
-_STRIDE_POINTS = frozenset((*_walk(_LADDER[0], _U_FAR), *_walk(_LADDER[-1], _U_NEAR)))
-
-
 @dataclass(frozen=True, eq=False)
 class _ScanTable:
-    """The scan's Green values at one n: 81 ladder points, then stride points.
+    """The scan's Green values at the 81 ladder points of one n.
 
-    ``greens`` holds the ladder's values and ``z``, ``ab`` (a/b), ``cd``
-    (c - d, None for n = 1) and ``s`` are arrays of them, so a factor's
-    ladder values are one numpy expression.  ``stride`` keeps the values at
-    ``_STRIDE_POINTS``, each put there by the first walk that reaches it.
+    ``z``, ``ab`` (a/b), ``cd`` (c - d, None for n = 1) and ``s`` are
+    arrays of them, so a factor's ladder values are one numpy expression.
     """
 
-    n: int
-    greens: tuple[GreenValues, ...]
     z: np.ndarray
     ab: np.ndarray
     cd: np.ndarray | None
     s: np.ndarray
-    stride: dict[float, GreenValues] = field(default_factory=dict)
 
     @classmethod
     def of(cls, n: int, greens) -> _ScanTable:
         column = lambda name: np.array([getattr(g, name) for g in greens])
-        return cls(n, tuple(greens), column("z"), column("a") / column("b"),
+        return cls(column("z"), column("a") / column("b"),
                    column("cd") if n >= 2 else None, column("s"))
-
-    def green_at(self, u: float) -> GreenValues:
-        """Green values at z = -exp(u), kept where u is a stride point."""
-        g = self.stride.get(u)
-        if g is None:
-            g = green_values(self.n, -math.exp(u))
-            if u in _STRIDE_POINTS:
-                self.stride[u] = g
-        return g
 
 
 @lru_cache(maxsize=None)
@@ -442,9 +424,8 @@ def _scan_table(n: int) -> _ScanTable:
 
     Built on the first root search at this n, never by
     ``spectral_constants``: requests that locate no root do not pay for the
-    81 ladder evaluations, and only walks past the ladder pay for stride
-    points.  The Bessel tables of all 81 points are built first, in one
-    pass; the evaluations then sum them as scalar calls do.
+    81 ladder evaluations.  The Bessel tables of all 81 points are built
+    first, in one pass; the evaluations then sum them as scalar calls do.
     """
     zs = [-math.exp(u) for u in _LADDER]
     laplace_tables(n, zs)
@@ -529,10 +510,11 @@ def _roots(params: ModelParams, origin: str,
     and for the two zeros of delta_r (in G2, mu > n) the point z0 = n - mu,
     inserted in order, where H = -n while H > 0 at both ends of (-inf, 0).
     Each end of the scan whose sign disagrees with the factor's value at
-    that end of (-inf, 0) is then stepped past in u, through the table's
-    stride points from a ladder end.  Every bracket is polished in u, from
-    z0 itself when it ends there; another count raises RootScanError with
-    the sign table.  Messages are formatted only when raised.
+    that end of (-inf, 0) is then stepped past in u, evaluating each step
+    afresh; past the engine's reach the Green values are edge records.
+    Every bracket is polished in u, from z0 itself when it ends there;
+    another count raises RootScanError with the sign table.  Messages are
+    formatted only when raised.
     """
     if expected == 0:
         return []
@@ -563,7 +545,7 @@ def _roots(params: ModelParams, origin: str,
             near = hyperbola_limit(n, params.lam, params.mu, consts.x_asymptote)
         else:
             far, near = -1.0, _factor(params, origin, consts.greens0)
-        f = lambda u: _factor(params, origin, table.green_at(u))
+        f = lambda u: _factor(params, origin, green_values(n, -math.exp(u)))
         first, last = float(values[0]), float(values[-1])
         if first * far < 0.0:
             brackets.append(_step_past(f, float(us[0]), first, _U_FAR, far_failure))

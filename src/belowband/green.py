@@ -5,11 +5,11 @@ integrals of ``g(p)/(E(p) - z)`` with g = 1, cos p_1, cos^2 p_1,
 cos p_1 cos p_2 and sin^2 p_1, conventionally named a, b, c, d, s.  This
 module wraps the Laplace-Bessel engine into a typed interface, tracks
 which integrals are finite at the band edge z = 0, and provides the exact
-algebraic closed forms at n = 1.  A closed form also serves evaluation:
-at n = 2 below u = ln(-z) = -45 the record is built from the edge form of
-a (the complete elliptic integral K(m) as m -> 1) and the band-edge values
-of c - d and s, which the Laplace engine would reproduce to rounding from
-its longest panels.
+algebraic closed forms at n = 1.  Past the engine's reach (u = ln(-z)
+about -111 to -109, and from -45 at n = 2) an edge record serves every z
+down to the smallest subnormal: the closed forms at n = 1, the edge form
+of a (K(m) as m -> 1) with the z = 0 values of c - d and s at n = 2, and
+the z = 0 values at n >= 3, each within a few eps of the engine.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import QuadratureError, _span, laplace_integrals
+from .quadrature import QuadratureError, _z_near, laplace_integrals
 
 __all__ = [
     "GreenValues",
@@ -140,41 +140,48 @@ def _pack(n: int, z: float, raw: dict[str, float]) -> GreenValues:
                        d=raw.get("d"), s=raw.get("s"), cd=raw.get("cd"))
 
 
-# Below u = ln(-z) = -45 the n = 2 integrals equal their edge forms to
-# rounding: a = (ln 16 - u)/(2 pi) (DLMF 19.12.1, K(m) as m -> 1), and
-# s(z) - s(0) and cd(z) - cd(0), both O(z ln|z|), fall below half an ulp;
-# at u = -40 they still reach about 3 ulp.
+# Nearer the edge than _switch(n) the integrals equal their edge forms to
+# rounding: at n = 2 below u = ln(-z) = -45, a = (ln 16 - u)/(2 pi) (DLMF
+# 19.12.1), and s, cd move by O(z ln|z|), under half an ulp; at n = 3 the
+# z = 0 values miss sqrt(-z)/(sqrt(2) pi), under 1e-24 relative.
 _Z_EDGE2 = -math.exp(-45.0)
 
 
+def _switch(n: int) -> float:
+    """The engine's reach, and -exp(-45) at n = 2."""
+    return _Z_EDGE2 if n == 2 else _z_near(n)
+
+
 @lru_cache(maxsize=None)
-def _threshold2() -> tuple[float, float]:
-    """c - d and s at z = 0 for n = 2, from the Laplace engine."""
-    raw = laplace_integrals(2, 0.0)
-    return raw["cd"], raw["s"]
+def _threshold(n: int) -> dict[str, float]:
+    """The finite integrals at z = 0 from the Laplace engine."""
+    return laplace_integrals(n, 0.0)
 
 
-def _edge2(z: float) -> dict[str, float]:
-    """The n = 2 integrals at _Z_EDGE2 < z < 0 in closed form, after the
-    engine's admissibility checks: a from its edge form, b from
-    a - b = (1 + z a)/n, c + d = (n - z) b, and c - d, s at their z = 0
-    values."""
-    _span(2, z)
+def _edge(n: int, z: float) -> dict[str, float]:
+    """The integrals at _switch(n) < z < 0 from their edge forms: the
+    closed forms at n = 1, the z = 0 values at n >= 3, and at n = 2 a from
+    its edge form, b from a - b = (1 + z a)/n, c + d = (n - z) b, and
+    c - d, s at their z = 0 values."""
+    if n == 1:
+        return vars(closed_form_green1(z))
+    if n > 2:
+        return _threshold(n)
     a = (math.log(16.0) - math.log(-z)) / (2.0 * math.pi)
     b = a - (1.0 + z * a) / 2.0
     alpha = (2.0 - z) * b
-    cd, s = _threshold2()
+    cd, s = _threshold(2)["cd"], _threshold(2)["s"]
     return {"a": a, "b": b, "c": (alpha + cd) / 2.0, "d": (alpha - cd) / 2.0,
             "s": s, "cd": cd}
 
 
 def _evaluate(n: int, z: float) -> GreenValues:
-    """The integrals at z <= 0 from the Laplace engine; at n = 2 and
-    _Z_EDGE2 < z < 0 from ``_edge2``."""
+    """The integrals at z <= 0 from the Laplace engine, and from ``_edge``
+    at _switch(n) < z < 0."""
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError(f"dimension must be a positive integer, got {n!r}")
     n, z = int(n), float(z)
-    raw = _edge2(z) if n == 2 and _Z_EDGE2 < z < 0.0 else laplace_integrals(n, z)
+    raw = _edge(n, z) if _switch(n) < z < 0.0 else laplace_integrals(n, z)
     return _pack(n, z, raw)
 
 
@@ -182,9 +189,9 @@ def green_values(n: int, z: float) -> GreenValues:
     """Evaluate a, b, c, d, s and c-d at a point z < 0 below the band.
 
     Relative accuracy is 1e-10 for z <= -1e-3 and 1e-8 nearer the band
-    edge.  At n = 2 and -exp(-45) < z < 0 the values are closed forms,
-    equal to the engine's within a few eps; the engine's range limits
-    still apply.
+    edge.  Past the engine's reach (u = ln(-z) about -111 to -109, and -45
+    at n = 2) the values are edge records, within a few eps of the engine,
+    down to the smallest subnormal.
     """
     if not z < 0.0:
         raise ValueError(f"green_values requires z < 0, got z={z}; "

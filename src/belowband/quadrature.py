@@ -26,10 +26,10 @@ tables are computed once and kept; :func:`laplace_tables` builds those of
 many z in one pass.  The pass writes each weighted row once, into one
 rows x nodes array that the new heads and panels are kept from, and kept
 tables are read-only.  Entries do not depend on the calls that built them.
-Each row is summed by the BLAS ddot over fixed chunks in a fixed order, all
-rows of a chunk in one batched product of vectors, so evaluations are
-bit-identical whatever ran before and whatever the BLAS thread count, and
-concurrent calls are safe.
+Each row, of at most ``_CHUNK`` nodes, is summed by one BLAS ddot, all
+rows in one batched product of vectors, so evaluations are bit-identical
+whatever ran before and whatever the BLAS thread count, and concurrent
+calls are safe.
 """
 
 from __future__ import annotations
@@ -294,10 +294,9 @@ def _weighted_integrands(n: int, t: np.ndarray, w: np.ndarray) -> np.ndarray:
 _NODES = 48                     # Gauss-Legendre nodes per panel (_GAUSS);
                                 # the z = 0 tail takes 96
 _ZERO_END = 6                   # at z = 0 the panels stop at t = 2^6
-_Z_MIN = 746.0 * 2.0 ** -1023   # smaller |z|: exp(z t) > 0 past t = 2^1023
 _Z_MAX = 2.0 ** 510             # larger |z|: b ~ 1/(2 z^2) is subnormal
-_CHUNK = 8192                   # nodes per row and batched product: below
-                                # the 10000 at which OpenBLAS threads a ddot
+_CHUNK = 8192                   # most nodes per row: below the 10000 at
+                                # which OpenBLAS threads a ddot
 _HEADS: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 _PANELS: dict[int, tuple[int, int, np.ndarray, np.ndarray]] = {}
 
@@ -308,6 +307,15 @@ def _panel_nodes(lo, hi, m: int) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = np.asarray(lo, dtype=float)[:, None], np.asarray(hi, dtype=float)[:, None]
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return (mid + half * x).ravel(), (half * w).ravel()
+
+
+@lru_cache(maxsize=None)
+def _z_near(n: int) -> float:
+    """The z nearest the band edge that the engine takes at dimension n:
+    its panels, from the head's end 2^k0 to 746/|z| = 2^(k0 + _CHUNK //
+    _NODES), fill one chunk per row (k0 is that of z = 0, as n - z rounds
+    to n there)."""
+    return -math.ldexp(746.0, -(_span(n, 0.0)[0] + _CHUNK // _NODES))
 
 
 def _span(n: int, z: float) -> tuple[int, int]:
@@ -321,10 +329,6 @@ def _span(n: int, z: float) -> tuple[int, int]:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if not -math.inf < z <= 0.0:
         raise ValueError(f"spectral parameter must be finite and <= 0, got {z}")
-    if -_Z_MIN < z < 0.0:
-        raise QuadratureError(
-            f"z={z!r} is too close to the band edge: the Laplace panels would "
-            f"pass the largest double; |z| must be at least {_Z_MIN!r}")
     if z < -_Z_MAX:
         raise QuadratureError(
             f"z={z!r} is too far below the band: b would not be a normal "
@@ -332,6 +336,10 @@ def _span(n: int, z: float) -> tuple[int, int]:
     k0 = math.frexp(min(1.0, 1.0 / (n - z)))[1] - 1
     if z == 0.0:
         return k0, _ZERO_END
+    if z > _z_near(n):
+        raise QuadratureError(
+            f"z={z!r} is too close to the band edge: the panels would need more "
+            f"than {_CHUNK} nodes per row; at n={n} z must be at most {_z_near(n)!r}")
     mant, k1 = math.frexp(746.0 / -z)
     return k0, k1 - (mant == 0.5)
 
@@ -393,11 +401,12 @@ def laplace_integrals(n: int, z: float) -> dict[str, float]:
     The panels run from a head [0, 2^k0] with 2^k0 <= min(1, 1/(n - z)),
     the shortest scale of the integrand, to the first 2^k1 past 746/|z|,
     where exp(z t) has underflowed.  At z = 0 they stop at 2^6 and the
-    power-law tail is integrated in u = t^-1/2.  |z| below 746 * 2^-1023
-    (about 8.3e-306) would need panels past the largest double, and |z|
-    above 2^510 (about 3.4e153) would make b ~ 1/(2 z^2) subnormal; both
-    raise :class:`QuadratureError`.  At z = 0 only the finite integrals are
-    returned (see :func:`finite_at_threshold`).
+    power-law tail is integrated in u = t^-1/2.  A z nearer the edge than
+    :func:`_z_near` (u = ln(-z) about -111 to -109) would need more than
+    ``_CHUNK`` nodes per row, and |z| above 2^510 (about 3.4e153) would
+    make b ~ 1/(2 z^2) subnormal; both raise :class:`QuadratureError`.  At
+    z = 0 only the finite integrals are returned (see
+    :func:`finite_at_threshold`).
     """
     z = float(z)
     k0, k1 = _span(n, z)
@@ -414,11 +423,9 @@ def laplace_integrals(n: int, z: float) -> dict[str, float]:
     # the BLAS ddot, so every row, a and b alike, is summed in one order and
     # a - b = (1 + z a)/n stays accurate where both are huge (n = 1 near the
     # band edge).  A matrix-vector or matrix product would block the rows
-    # differently.  Chunks of _CHUNK nodes keep each ddot single-threaded.
+    # differently.  At most _CHUNK nodes keep each ddot single-threaded.
     acc = (np.matmul(head[:, None], eh[:, None])
-           + np.matmul(table[:, None, :_CHUNK], e[:_CHUNK, None])).ravel()
-    for i in range(_CHUNK, t.size, _CHUNK):
-        acc += np.matmul(table[:, None, i:i + _CHUNK], e[i:i + _CHUNK, None]).ravel()
+           + np.matmul(table[:, None], e[:, None])).ravel()
     if z == 0.0:
         acc += _tail(n)
     return {k: float(v) for k, v in zip(integral_names(n), acc)

@@ -7,6 +7,9 @@ threshold classes:
 - the tensor-product periodic trapezoidal rule for the torus integrals at
   n <= 3, below the band and (subtracted integrands for s(0) and
   c(0) - d(0)) at the band edge;
+- the deep Laplace sums: the package's panels out to t = 2^1023 and its
+  rows summed over chunks of ``_CHUNK`` nodes, for the z between the
+  engine's reach and 746 * 2^-1023 that the package serves by edge records;
 - the elliptic-integral closed form of a(z) at n = 2 and the n = 3
   elliptic reduction of a(z), whose z = 0 value is the Watson simple-cubic
   constant divided by 3;
@@ -28,6 +31,7 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 
+from belowband import quadrature
 from belowband.quadrature import (
     _NAMES,
     QuadratureError,
@@ -148,6 +152,45 @@ def trapezoid_threshold(n: int, grid_points: int | None = None) -> dict[str, flo
         acc["cd"] += float((w * gcd).sum())
         acc["s"] += float((w * gs).sum())
     return {k: v / m ** n for k, v in acc.items() if k in finite_at_threshold(n)}
+
+
+# ---------------------------------------------------------------------------
+# Deep Laplace sums
+# ---------------------------------------------------------------------------
+
+_DEEP_Z_MIN = 746.0 * 2.0 ** -1023   # smaller |z|: exp(z t) > 0 past t = 2^1023
+
+
+@lru_cache(maxsize=None)
+def _deep_tables(n: int, k0: int):
+    """Nodes and weighted rows of the head [0, 2^k0] and of the panels from
+    2^k0 to 2^1023, kept apart from the package's tables."""
+    m = quadrature._NODES
+    th, wh = quadrature._panel_nodes([0.0], [2.0 ** k0], m)
+    ks = range(k0, 1023)
+    t, w = quadrature._panel_nodes([2.0 ** k for k in ks], [2.0 ** (k + 1) for k in ks], m)
+    return (th, quadrature._weighted_integrands(n, th, wh),
+            t, quadrature._weighted_integrands(n, t, w))
+
+
+def deep_laplace_integrals(n: int, z: float) -> dict[str, float]:
+    """The Laplace integrals at -2^510 <= z <= -746 * 2^-1023, whose panels
+    may pass the package's one chunk: the head and the first chunk of
+    ``_CHUNK`` nodes, then each further chunk in order, one ddot per row.
+    Where the panels fit one chunk this is the package's sum bit for bit."""
+    if not -quadrature._Z_MAX <= z <= -_DEEP_Z_MIN:
+        raise QuadratureError(f"z={z!r} is outside the deep reference's range")
+    k0 = math.frexp(min(1.0, 1.0 / (n - z)))[1] - 1   # as quadrature._span
+    mant, k1 = math.frexp(746.0 / -z)
+    th, head, t, table = _deep_tables(n, k0)
+    stop, chunk = (k1 - (mant == 0.5) - k0) * quadrature._NODES, quadrature._CHUNK
+    t, table = t[:stop], table[:, :stop]
+    eh, e = np.exp(z * th), np.exp(z * t)
+    acc = (np.matmul(head[:, None], eh[:, None])
+           + np.matmul(table[:, None, :chunk], e[:chunk, None])).ravel()
+    for i in range(chunk, stop, chunk):
+        acc += np.matmul(table[:, None, i:i + chunk], e[i:i + chunk, None]).ravel()
+    return {k: float(v) for k, v in zip(integral_names(n), acc)}
 
 
 # ---------------------------------------------------------------------------

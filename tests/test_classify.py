@@ -281,10 +281,10 @@ def _check_ladder_table(n, lam, mu):
     from scalar calls; every state of every root is certified."""
     params = bb.ModelParams(n, lam, mu)
     table = classify._scan_table(n)
-    scalar = classify._ScanTable.of(n, _scalar_greens(n))
+    greens = _scalar_greens(n)
+    scalar = classify._ScanTable.of(n, greens)
     for origin in _ORIGINS if n > 1 else ("delta_r", "delta_s"):
-        expected = _hexes(classify._factor(params, origin, g) for g in scalar.greens)
-        assert _hexes(classify._factor(params, origin, g) for g in table.greens) == expected
+        expected = _hexes(classify._factor(params, origin, g) for g in greens)
         for t in (table, scalar):
             assert _hexes(classify._ladder_values(params, origin, t)) == expected, origin
     located = _located(params)
@@ -338,8 +338,7 @@ def test_ladder_table_is_built_only_when_a_root_is_located():
 def test_a_zero_at_a_ladder_point_is_the_root(n):
     # lam s - 1 rounds to exactly 0 at a ladder point: the scan brackets it
     # as (u, 0, u, 0) and the delta_s root is that point itself
-    table = classify._scan_table(n)
-    g = next(g for g in table.greens[40:] if (1.0 / g.s) * g.s == 1.0)
+    g = next(g for g in _scalar_greens(n)[40:] if (1.0 / g.s) * g.s == 1.0)
     recs = bb.negative_eigenvalues(bb.ModelParams(n, 1.0 / g.s, 0.0), tol=0.0)
     assert [r.z for r in recs if r.origin == "delta_s"] == [g.z]
 
@@ -351,7 +350,7 @@ def test_a_split_point_on_the_ladder_takes_its_place(n):
     # H(z0) = -n there, and both delta_r roots are located
     params = bb.ModelParams(n, 1e16, n + 8.0)
     k = classify._LADDER.index(math.log(8.0))
-    assert classify._factor(params, "delta_r", classify._scan_table(n).greens[k]) > 0.0
+    assert classify._factor(params, "delta_r", _scalar_greens(n)[k]) > 0.0
     summary = _check_two_delta_r_roots(params)
     roots = [r.z for r in summary.eigenvalues if r.origin == "delta_r"]
     assert roots[0] < -8.0 <= roots[1]
@@ -363,16 +362,14 @@ def _sign_table_hexes(exc):
 
 def test_a_second_walk_past_the_ladder_evaluates_nothing():
     # the delta_r zero of both lies closer to the band edge than exp(-700):
-    # the first walk fills the 9 near stride points of n = 2, the second
-    # reads them, and its error equals one from fresh evaluations
+    # a walk after another one, over the same 9 near step points of n = 2,
+    # fails as one from fresh evaluations does, and its sign table holds
+    # fresh values
     params = bb.ModelParams(2, 5.0, 2.5002)
     with pytest.raises(bb.RootScanError):
         bb.negative_eigenvalues(bb.ModelParams(2, 5.0, 2.5001), tol=0.0)
-    with mock.patch.object(classify, "green_values",
-                           wraps=classify.green_values) as counted:
-        with pytest.raises(bb.RootScanError) as warm:
-            bb.negative_eigenvalues(params, tol=0.0)
-    assert counted.call_count == 0
+    with pytest.raises(bb.RootScanError) as warm:
+        bb.negative_eigenvalues(params, tol=0.0)
     table = warm.value.sign_table
     assert len(table) == 10 and table[-1][0] == -math.exp(classify._U_NEAR)
     fresh = [classify._factor(params, "delta_r", bb.green_values(2, z)) for z, _ in table]
@@ -382,25 +379,19 @@ def test_a_second_walk_past_the_ladder_evaluates_nothing():
         bb.negative_eigenvalues(params, tol=0.0)
     assert str(warm.value) == str(cold.value)
     assert _sign_table_hexes(warm.value) == _sign_table_hexes(cold.value)
-    stride = classify._scan_table(2).stride
-    assert sorted(stride) == sorted(u for u in classify._STRIDE_POINTS if u < 0.0)
 
 
 @pytest.mark.parametrize("n, lam, mu", [(1, 2e15, 1e15 + 2.0),    # past the far end
                                         (3, 1e14, 3.0 + 1e-13)])   # past the near end
 def test_walks_from_the_split_point_keep_nothing(n, lam, mu):
     # z0 = n - mu lies past an end of the ladder, so a walk starts there; its
-    # points depend on mu and stay out of the table
+    # points depend on mu and are evaluated afresh
     u_split = math.log(-(n - mu))
     first = u_split + math.copysign(classify._STRIDE, u_split)
     with mock.patch.object(classify, "green_values",
                            wraps=classify.green_values) as counted:
         bb.summarize(bb.ModelParams(n, lam, mu), tol=0.0)
     assert (n, -math.exp(first)) in [c.args for c in counted.call_args_list]
-    stride = classify._scan_table(n).stride
-    assert first not in stride
-    assert set(stride) <= classify._STRIDE_POINTS and len(classify._STRIDE_POINTS) == 14
-    assert all(g.z == -math.exp(u) for u, g in stride.items())
 
 
 def _bits(g):

@@ -261,6 +261,10 @@ def test_verify_oracle(capsys):
     assert code == 0
     doc = json.loads(out)
     assert [c["oracle_count"] for c in doc["checks"]] == [1, 1]
+    # the errors are rounded to 1e-12, so BLAS threads cannot move them
+    report = bb.compare(bb.ModelParams(1, 0.0, 1.0), [50, 100])
+    assert [c["matched_errors"] for c in doc["checks"]] == [
+        [round(e, 12) for e in report.matched_errors[L]] for L in (50, 100)]
 
 
 def test_numeric_failure_exit_3(capsys):
@@ -284,10 +288,15 @@ def test_root_scan_failure_writes_sign_table(capsys):
     assert all(f < 0.0 for _, f in table)   # no sign change down to the end
 
 
-def test_subnormal_z_is_a_numeric_failure(capsys):
-    # the Laplace panels for a subnormal z would pass the largest double
-    code, _, err = run_cli(capsys, "integrals", "--n", "1", "--z=-1e-310")
-    assert code == 3 and "largest double" in err
+def test_subnormal_z_is_answered_at_every_n(capsys):
+    # past the Laplace engine's reach the edge record answers, down to the
+    # smallest subnormal
+    for n in range(1, 7):
+        for z in ("-1e-310", "-5e-324"):
+            code, out, _ = run_cli(capsys, "integrals", "--n", str(n), f"--z={z}")
+            assert code == 0, (n, z)
+            g = bb.green_values(n, float(z))
+            assert json.loads(out)["a"] == g.a and g.a > 0.0, (n, z)
 
 
 def test_console_entry_point():

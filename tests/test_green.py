@@ -24,6 +24,7 @@ from reference import (
     _ellipk_m1,
     closed_form_a2,
     closed_form_a3,
+    deep_laplace_integrals,
     required_grid_points,
     trapezoid,
     trapezoid_integrals,
@@ -105,12 +106,12 @@ def test_square_lattice_elliptic_oracle(z):
 def test_square_lattice_closed_form_in_u_at_the_edge(u):
     # below u = ln(-z) = -40 the n = 2 value is a = (ln 16 - u)/(2 pi) to
     # rounding; m = (2/(2-z))^2 itself rounds to 1 there.  Below u = -45
-    # green_values reads a from this form, so the engine and the elliptic
-    # closed form are held to it on their own
+    # green_values reads a from this form, so the deep Laplace sums and the
+    # elliptic closed form are held to it on their own
     edge = (math.log(16.0) - u) / (2.0 * math.pi)
     z = -math.exp(u)
     assert closed_form_a2(z) == pytest.approx(edge, rel=1e-15)
-    assert laplace_integrals(2, z)["a"] == pytest.approx(edge, rel=1e-15)
+    assert deep_laplace_integrals(2, z)["a"] == pytest.approx(edge, rel=1e-15)
     assert bb.green_values(2, z).a == pytest.approx(edge, rel=1e-15)
 
 
@@ -119,45 +120,84 @@ EDGE_FIELDS = ("a", "b", "c", "d", "s", "cd")
 
 @pytest.mark.parametrize("u", [-45.0, -100.0, -300.0, -700.0])
 def test_square_lattice_edge_record_matches_the_engine(u):
-    z = -math.exp(u)
-    edge, lap = green._edge2(z), laplace_integrals(2, z)
-    for name in EDGE_FIELDS:
-        assert abs(edge[name] / lap[name] - 1.0) <= 4 * EPS, (u, name)
+    # at every n, at u or just inside the n's switch if u lies above it:
+    # green_values reads the record there, within 4 eps of the deep sums
+    for n in range(1, 7):
+        z = max(-math.exp(u), math.nextafter(green._switch(n), 0.0))
+        g, deep = bb.green_values(n, z), deep_laplace_integrals(n, z)
+        for name in EDGE_FIELDS:
+            if getattr(g, name) is not None:
+                assert abs(getattr(g, name) / deep[name] - 1.0) <= 4 * EPS, (n, u, name)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_edge_record_within_4_eps_of_the_deep_sums(n):
+    # 3000 points from the n's switch to u = -702, the deep sums' own limit;
+    # nearer the edge, down to the smallest subnormal, every field stays
+    # finite and positive.  At n = 3 the term sqrt(-z)/(sqrt(2) pi) that the
+    # z = 0 record leaves out is below 1e-24 of a(0) from the switch on
+    switch = green._switch(n)
+    for u in np.linspace(math.log(-switch), -702.0, 3000):
+        z = max(-math.exp(u), math.nextafter(switch, 0.0))
+        edge, deep = green._edge(n, z), deep_laplace_integrals(n, z)
+        gaps = {k: abs(edge[k] / deep[k] - 1.0) for k in edge if k in deep}
+        assert max(gaps.values()) <= 4 * EPS, (n, u, gaps)
+    for z in -np.geomspace(math.exp(-702.0), 5e-324, 200):
+        g = bb.green_values(n, float(z))
+        values = [getattr(g, k) for k in EDGE_FIELDS if getattr(g, k) is not None]
+        assert len(values) == (4 if n == 1 else 6)
+        assert all(0.0 < v < math.inf for v in values), (n, z)
+    if n == 3:
+        assert math.sqrt(-switch) / (math.sqrt(2.0) * math.pi) < 1e-24 * green._threshold(3)["a"]
 
 
 def test_square_lattice_edge_switch_is_continuous():
-    # one ulp on either side of z = -exp(-45): engine, then closed form
-    outer = bb.green_values(2, math.nextafter(green._Z_EDGE2, -1.0))
-    inner = bb.green_values(2, math.nextafter(green._Z_EDGE2, 0.0))
-    for name in EDGE_FIELDS:
-        x, y = getattr(inner, name), getattr(outer, name)
-        assert abs(x / y - 1.0) <= 4 * EPS, name
+    # one ulp on either side of each n's switch: engine, then edge record
+    for n in range(1, 7):
+        switch = green._switch(n)
+        outer = bb.green_values(n, math.nextafter(switch, -1.0))
+        inner = bb.green_values(n, math.nextafter(switch, 0.0))
+        for name in EDGE_FIELDS:
+            x, y = getattr(inner, name), getattr(outer, name)
+            if x is not None:
+                assert abs(x / y - 1.0) <= 4 * EPS, (n, name)
 
 
 def test_square_lattice_edge_makes_no_laplace_call():
-    bb.green_values(2, -1e-30)   # the z = 0 values of c - d and s, once
+    for n in range(1, 7):
+        bb.green_values(n, -1e-300)   # the z = 0 values, once
     with mock.patch.object(green, "laplace_integrals",
                            wraps=green.laplace_integrals) as laplace:
-        for z in (math.nextafter(green._Z_EDGE2, 0.0), -1e-30, -1e-300,
-                  -746.0 * 2.0 ** -1023):
-            bb.green_values(2, z)
+        for n in range(1, 7):
+            switch = green._switch(n)
+            for z in (math.nextafter(switch, 0.0), switch * 1e-100, -1e-300, -5e-324):
+                bb.green_values(n, z)
         assert laplace.call_count == 0
-        # the engine keeps u >= -45 at n = 2, and every z at n != 2
-        for z in (math.nextafter(green._Z_EDGE2, -1.0), -math.exp(-44.0)):
-            bb.green_values(2, z)
-        bb.green_values(3, -1e-30)
-        assert laplace.call_count == 3
+        # the engine keeps every z up to the switch, -exp(-45) at n = 2
+        for n in range(1, 7):
+            bb.green_values(n, math.nextafter(green._switch(n), -1.0))
+        bb.green_values(2, -math.exp(-44.0))
+        assert laplace.call_count == 7
 
 
 def test_deep_square_lattice_search_keeps_short_panels(monkeypatch):
-    # the search walks to u = -700 and fails; no Laplace call at n = 2
-    # goes below u = -45, so the panels end where 746/|z| does there
+    # a walk to u = -700 at every n: at n = 2 the search for a delta_r root
+    # closer to the edge fails there, at other n the factor lam s - 1 = -1
+    # keeps its sign.  No Laplace call goes past the switch, so the panels
+    # end at 2^(k0 + _CHUNK // _NODES) at most, and at 2^75 at n = 2
     monkeypatch.setattr(quadrature, "_HEADS", {})
     monkeypatch.setattr(quadrature, "_PANELS", {})
     monkeypatch.setattr(classify, "_scan_table",
                         lru_cache(maxsize=None)(classify._scan_table.__wrapped__))
     with pytest.raises(bb.RootScanError, match=re.escape("exp(-700)")):
         bb.negative_eigenvalues(bb.ModelParams(2, 5.0, 2.5001), tol=0.0)
+    for n in range(1, 7):
+        params = bb.ModelParams(n, 0.0, 0.0)
+        f = lambda u: classify._factor(params, "delta_s", bb.green_values(n, -math.exp(u)))
+        with pytest.raises(bb.RootScanError):
+            classify._step_past(f, classify._LADDER[-1], -1.0, classify._U_NEAR, str)
+        k0, k1 = quadrature._span(n, quadrature._z_near(n))
+        assert quadrature._PANELS[n][1] <= k1 == k0 + quadrature._CHUNK // quadrature._NODES
     assert quadrature._PANELS[2][1] <= 75
 
 
@@ -420,20 +460,55 @@ def test_laplace_chain_closed_form_from_edge_search_floor_to_1e15():
 
 @pytest.mark.parametrize("z", [-1e-310, -5e-324])
 def test_laplace_rejects_subnormal_z_without_warnings(z):
+    # past every n's limit: the typed error names it, and nothing overflows
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(QuadratureError, match="largest double"):
-            bb.green_values(2, z)
-        with pytest.raises(QuadratureError, match="largest double"):
-            laplace_integrals(1, z)
+        for n in range(1, 7):
+            with pytest.raises(QuadratureError, match=re.escape(repr(quadrature._z_near(n)))):
+                laplace_integrals(n, z)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("z", [-1e-310, -5e-324])
+def test_subnormal_z_answers_at_every_n(z):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for n in range(1, 7):
+            g = bb.green_values(n, z)
+            if n == 1:
+                assert g == closed_form_green1(z)
+            elif n == 2:
+                assert g.a == (math.log(16.0) - math.log(-z)) / (2.0 * math.pi)
+            else:
+                assert (g.a, g.b, g.s, g.cd) == tuple(
+                    green._threshold(n)[k] for k in ("a", "b", "s", "cd"))
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_laplace_smallest_admissible_z():
-    z = -746.0 * 2.0 ** -1023   # the last panel ends exactly at 2^1023
-    assert bb.green_values(1, z).a == pytest.approx(bb.closed_form_a1(z), rel=1e-12)
-    with pytest.raises(QuadratureError):
-        bb.green_values(1, math.nextafter(z, 0.0))
+    # each n's limit is the last z whose panels fit one chunk per row; one
+    # ulp nearer the edge they would not, and the engine refuses it, while
+    # green_values serves it from the edge record at n != 2 without a call
+    for n in range(1, 7):
+        z = quadrature._z_near(n)
+        assert green._switch(n) == z if n != 2 else green._switch(n) < z
+        k0, k1 = quadrature._span(n, z)
+        assert (k1 - k0) * quadrature._NODES <= quadrature._CHUNK
+        assert laplace_integrals(n, z) == deep_laplace_integrals(n, z)
+        nearer = math.nextafter(z, 0.0)
+        mant, k = math.frexp(746.0 / -nearer)
+        assert (k - (mant == 0.5) - k0) * quadrature._NODES > quadrature._CHUNK
+        with pytest.raises(QuadratureError, match="too close to the band edge"):
+            laplace_integrals(n, nearer)
+        green._threshold(n)   # the z = 0 values, once
+        with mock.patch.object(green, "laplace_integrals",
+                               wraps=green.laplace_integrals) as laplace:
+            bb.green_values(n, nearer)
+        assert laplace.call_count == 0
+        # every admissible span fits, out to the far limit
+        for u in np.linspace(math.log(-z), math.log(2.0 ** 510), 2000):
+            k0, k1 = quadrature._span(n, min(-math.exp(u), z))
+            assert (k1 - k0) * quadrature._NODES <= quadrature._CHUNK, (n, u)
 
 
 def test_laplace_largest_admissible_z():
@@ -457,7 +532,7 @@ def test_laplace_values_do_not_depend_on_call_history():
     fresh = subprocess.run([sys.executable, "-c", code, *map(repr, zs)],
                            capture_output=True, text=True, check=True).stdout
     for n in (1, 2, 4):   # widen the kept tables on both sides first
-        for z in (-math.exp(-690.0), -1e-4, -7.5, -1e12):
+        for z in (quadrature._z_near(n), -1e-4, -7.5, -1e12):
             bb.green_values(n, z)
     here = "".join(repr((g.a, g.b, g.c, g.d, g.s, g.cd)) + "\n"
                    for n in (1, 2, 4) for g in (bb.green_values(n, z) for z in zs))

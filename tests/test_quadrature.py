@@ -150,29 +150,24 @@ def test_gauss_rules_match_mpmath_and_numpy():
 
 def _rowwise_sums(n: int, z: float) -> dict[str, str]:
     """float.hex of laplace_integrals(n, z) summed one np.dot per row from
-    the kept tables: head plus chunk 0, each further chunk in order, then
-    the z = 0 tail."""
+    the kept tables: the head, then the panels, then the z = 0 tail."""
     k0, k1 = quadrature._span(n, z)
     lo, _, t, table = quadrature._PANELS[n]
     th, head = quadrature._HEADS[n, k0]
     cut = slice((k0 - lo) * quadrature._NODES, (k1 - lo) * quadrature._NODES)
-    t, table, chunk = t[cut], table[:, cut], quadrature._CHUNK
+    t, table = t[cut], table[:, cut]
     eh, e = np.exp(z * th), np.exp(z * t)
-    acc = [np.dot(h, eh) + np.dot(r, e[:chunk])
-           for h, r in zip(head, table[:, :chunk])]
-    for i in range(chunk, t.size, chunk):
-        acc = [a + np.dot(r, e[i:i + chunk])
-               for a, r in zip(acc, table[:, i:i + chunk])]
+    acc = [np.dot(h, eh) + np.dot(r, e) for h, r in zip(head, table)]
     if z == 0.0:
         acc = np.add(acc, quadrature._tail(n))
     return {k: float(v).hex() for k, v in zip(quadrature.integral_names(n), acc)
             if z < 0.0 or k in quadrature.finite_at_threshold(n)}
 
 
-# the band edge (tail), the 81 ladder points, six chunks (-1e-300), and
-# the far limit
+# the band edge (tail), the 81 ladder points, and the far limit; each n
+# adds its deepest admissible z, whose rows fill one chunk
 _SUMMED_ZS = (0.0, *(-math.exp(u) for u in classify._LADDER),
-              -1e-300, -1e-30, -0.37, -1e6, -2.0 ** 509)
+              -1e-30, -0.37, -1e6, -2.0 ** 509)
 
 
 def test_laplace_sums_equal_one_dot_per_row_bit_for_bit(monkeypatch):
@@ -180,14 +175,15 @@ def test_laplace_sums_equal_one_dot_per_row_bit_for_bit(monkeypatch):
     # matrix-vector product or numpy's loop without BLAS rounds otherwise
     monkeypatch.setattr(quadrature, "_HEADS", {})
     monkeypatch.setattr(quadrature, "_PANELS", {})
-    k0, k1 = quadrature._span(1, -1e-300)
-    assert (k1 - k0) * quadrature._NODES > 5 * quadrature._CHUNK
     for grown in (False, True):
         for n in range(1, 7):
+            deepest = quadrature._z_near(n)
+            k0, k1 = quadrature._span(n, deepest)
+            assert (k1 - k0) * quadrature._NODES > quadrature._CHUNK - quadrature._NODES
             if grown:  # the deepest and the farthest span, so slices start inside
-                quadrature.laplace_integrals(n, -1e-300)
+                quadrature.laplace_integrals(n, deepest)
                 quadrature.laplace_integrals(n, -2.0 ** 509)
-            for z in _SUMMED_ZS:
+            for z in (deepest, *_SUMMED_ZS):
                 if not grown:
                     quadrature._HEADS.clear()
                     quadrature._PANELS.clear()
@@ -197,10 +193,10 @@ def test_laplace_sums_equal_one_dot_per_row_bit_for_bit(monkeypatch):
 
 _DEEP = """
 import math, sys, belowband as bb
-from belowband import classify
+from belowband import classify, quadrature
 for n in (1, 2, 3, 4):
-    for z in (-1e-300, -1e-200, -1e-100, -1e-30, -1e-12, -0.37, -1e6,
-              -math.exp(classify._LADDER[17])):
+    for z in (-1e-300, -1e-200, -1e-100, quadrature._z_near(n), -1e-30, -1e-12,
+              -0.37, -1e6, -math.exp(classify._LADDER[17])):
         g = bb.green_values(n, z)
         print(n, z, *(v.hex() for v in (g.a, g.b, g.c, g.d or 0.0, g.s, g.cd or 0.0)))
     g = bb.green_threshold(n)
@@ -214,7 +210,7 @@ def test_green_values_do_not_depend_on_blas_threads():
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         out.append(subprocess.run([sys.executable, "-c", _DEEP], env=env, check=True,
                                   capture_output=True, text=True).stdout)
-    assert out[0].count("\n") == 36
+    assert out[0].count("\n") == 40
     assert out[0] == out[1]
 
 
@@ -224,17 +220,22 @@ import belowband as bb
 from belowband import classify
 hexes = lambda g: [v.hex() if v is not None else None
                    for v in (g.a, g.b, g.c, g.d, g.s, g.cd)]
+columns = lambda t: {k: None if c is None else [v.hex() for v in c.tolist()]
+                     for k, c in (("z", t.z), ("ab", t.ab), ("cd", t.cd), ("s", t.s))}
 out = {}
 for n in (1, 2, 3, 4):
-    zs = [-math.exp(u) for u in classify._LADDER]
+    ladder = [-math.exp(u) for u in classify._LADDER]
+    zs = list(ladder)
     if sys.argv[1] == "scalar-first":
         random.Random(n).shuffle(zs)
         scalar = {z: hexes(bb.green_values(n, z)) for z in zs}
-        ladder = [hexes(g) for g in classify._scan_table(n).greens]
+        table = classify._scan_table(n)
     else:
-        ladder = [hexes(g) for g in classify._scan_table(n).greens]
+        table = classify._scan_table(n)
         scalar = {z: hexes(bb.green_values(n, z)) for z in zs}
-    out[n] = {"ladder": ladder, "scalar": [scalar[g.z] for g in classify._scan_table(n).greens]}
+    out[n] = {"table": columns(table), "scalar": [scalar[z] for z in ladder],
+              "of_scalar": columns(classify._ScanTable.of(
+                  n, [bb.green_values(n, z) for z in ladder]))}
 print(json.dumps(out))
 """
 
@@ -245,24 +246,24 @@ def test_ladder_entries_equal_scalar_calls_whatever_ran_first():
         capture_output=True, text=True).stdout)
         for order in ("ladder-first", "scalar-first")}
     for n in ("1", "2", "3", "4"):
-        first = runs["ladder-first"][n]["ladder"]
-        assert len(first) == 81
+        first = runs["ladder-first"][n]
+        assert len(first["scalar"]) == 81 and len(first["table"]["z"]) == 81
         for doc in runs.values():
-            assert doc[n]["ladder"] == first, n
-            assert doc[n]["scalar"] == first, n
+            assert doc[n]["scalar"] == first["scalar"], n
+            assert doc[n]["table"] == doc[n]["of_scalar"] == first["table"], n
 
 
 def test_tables_grown_in_any_order_equal_each_panel_alone(monkeypatch):
-    # the deepest span first, then the ladder backwards (each call grows the
-    # panels below), then one batch with the band edge and a span past the
-    # ladder: every kept entry must still be its panel's Bessel rows, and no
-    # table may be written
+    # the deepest admissible span first, then the ladder backwards (each
+    # call grows the panels below), then one batch with the band edge and a
+    # span past the ladder: every kept entry must still be its panel's
+    # Bessel rows, and no table may be written
     monkeypatch.setattr(quadrature, "_HEADS", {})
     monkeypatch.setattr(quadrature, "_PANELS", {})
     nodes = quadrature._NODES
     bits = lambda a: np.ascontiguousarray(a).tobytes()
     for n in range(1, 7):
-        quadrature.laplace_integrals(n, -1e-100)
+        quadrature.laplace_integrals(n, quadrature._z_near(n))
         for u in classify._LADDER[::-1]:
             quadrature.laplace_integrals(n, -math.exp(u))
         quadrature.laplace_tables(n, [0.0, -2.0 ** 100])
