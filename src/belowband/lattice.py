@@ -27,14 +27,17 @@ share the delta_c block.  Each block is asked for its own number of lowest
 values.  The merged, multiplicity-counted list holds every eigenvalue of H
 below theta < 0, each labelled with its factor, only where the last value
 solved in each block is >= theta; above 0 it is complete only at n = 1.
-`compare` skips a dense block with no predicted root whose Cholesky
-factorization minus theta succeeds: it has no value below theta.  No solve
-reads the whole box: `TruncatedHamiltonian.matrix` is built only on a read.
+`compare` skips a block with no predicted root whose Cholesky factorization
+minus theta succeeds: it has no value below theta.  The factorization is
+banded, with rows ordered by level sum(m): every hop changes the level by
+one, so the half-bandwidth is 13-25 at n = 2 and 21-67 at n = 3 at the
+radii the oracle meets.  No solve reads the whole box:
+`TruncatedHamiltonian.matrix` is built only on a read.
 
 Only the diagonal of levels 0 and 1 (the origin and the unit sites) depends
-on (lam, mu).  The rest of each block (its orbit basis, hops and weights)
-is kept per (n, L, origin) in a bounded cache, so a solve at a radius
-already met adds only the couplings.
+on (lam, mu).  The rest of each block (its orbit basis, hops and weights,
+and where each hop goes in the band) is kept per (n, L, origin) in a
+bounded cache, so a solve at a radius already met adds only the couplings.
 
 This is the only module that loads ``scipy.sparse`` and ``scipy.linalg``.
 Neither the CLI nor the package imports it up front: ``belowband.cli``
@@ -52,7 +55,7 @@ from functools import cached_property, lru_cache, reduce
 import numpy as np
 import scipy.sparse as sparse
 from scipy.linalg import eigh
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpbtrf
 from scipy.sparse.linalg import eigsh
 
 from .classify import DEFAULT_THETA, REGION_TOL, negative_eigenvalues
@@ -67,9 +70,11 @@ __all__ = [
     "compare",
 ]
 
-# largest factor block solved densely or certified by Cholesky, larger ones
-# by Lanczos; the solvers cross nearer 400 rows, but perfbench labels a whole
-# box by this limit and takes the n = 2, L = 12 box (625 sites) as dense
+# largest factor block solved densely, larger ones by Lanczos; the solvers
+# cross nearer 400 rows, but perfbench labels a whole box by this limit and
+# takes the n = 2, L = 12 box (625 sites) as dense.  A block is certified by
+# banded Cholesky while its band holds at most DENSE_LIMIT^2 doubles, as a
+# dense block of this size does: at n = 3 every block up to L = 17 is tried
 DENSE_LIMIT = 625
 MAX_DIM = 2_000_000      # largest box build_hamiltonian accepts
 # factor blocks whose coupling-free part is kept; an oracle pass meets 19
@@ -197,15 +202,19 @@ def _canonical(points: np.ndarray, origin: str) -> tuple[np.ndarray, np.ndarray]
 
 
 @lru_cache(maxsize=_KEPT_BLOCKS)
-def _block_structure(n: int, L: int,
-                     origin: str) -> tuple[sparse.csr_matrix, np.ndarray]:
-    """Coupling-free part of one factor block: its hops and each row's level.
+def _kept_block(n: int, L: int, origin: str) -> tuple:
+    """Coupling-free part of one factor block, in both row orders.
 
-    A hop from representative a to a point of orbit b adds
-    -1/2 sign sqrt(|O_a| / |O_b|); rows are found by their mixed-radix key.
-    The level sum(m) is 0 at the origin and 1 on the unit sites.  Every
-    hop changes the level by one, so the off-diagonal part has no diagonal
-    entry.  The arrays are read-only, since they are kept across solves.
+    Returns the hops and levels that `_block_structure` returns, rows in
+    lexicographic order, and the block's lower band with rows in level
+    order: band row j is block row order[j], with order the stable sort by
+    level.  Every hop changes the level by one, so the half-bandwidth w is
+    at most the size of two adjacent levels.  The band part is (w, the
+    flat position j (w + 1) + i - j and the value of every hop (i, j) with
+    i > j, each row's level in band order): a (dim, w + 1) C-ordered array
+    filled there is the LAPACK lower band storage of the block, transposed.
+    One cache entry holds both orders, so that they are kept or dropped
+    together; the arrays are read-only, since they are kept across solves.
     """
     radix = (L + 1) ** np.arange(n - 1, -1, -1)
     grid = np.indices((L + 1,) * n).reshape(n, -1).T
@@ -225,8 +234,31 @@ def _block_structure(n: int, L: int,
     off = sparse.csr_matrix((-0.5 * s[ok] * np.sqrt(size[a] / size[b]), (a, b)),
                             shape=(dim, dim))
     level = reps.sum(axis=1)
-    for array in (off.data, off.indices, off.indptr, level):
+    order = np.argsort(level, kind="stable")
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(dim)
+    coo = off.tocoo()
+    i, j = inverse[coo.row], inverse[coo.col]
+    lower = i > j
+    width = int((i - j).max(initial=0))
+    band = (width, j[lower] * (width + 1) + (i - j)[lower], coo.data[lower],
+            level[order])
+    for array in (off.data, off.indices, off.indptr, level, *band[1:]):
         array.flags.writeable = False
+    return off, level, band
+
+
+def _block_structure(n: int, L: int,
+                     origin: str) -> tuple[sparse.csr_matrix, np.ndarray]:
+    """Coupling-free part of one factor block: its hops and each row's level.
+
+    A hop from representative a to a point of orbit b adds
+    -1/2 sign sqrt(|O_a| / |O_b|); rows are found by their mixed-radix key
+    and are in lexicographic order.  The level sum(m) is 0 at the origin
+    and 1 on the unit sites.  Every hop changes the level by one, so the
+    off-diagonal part has no diagonal entry.  Both are kept and read-only.
+    """
+    off, level, _ = _kept_block(n, L, origin)
     return off, level
 
 
@@ -251,24 +283,28 @@ def _multiplicities(n: int) -> dict[str, int]:
     return {o: m for o, m in zip(ORIGINS, (1, n - 1, n)) if m}
 
 
-def _dense(ham: TruncatedHamiltonian, origin: str,
-           shift: float = 0.0) -> np.ndarray:
-    """One factor block of ham minus shift * I, as a Fortran-ordered array."""
+def _dense(ham: TruncatedHamiltonian, origin: str) -> np.ndarray:
+    """One factor block of ham as a Fortran-ordered array."""
     off, level = _block_structure(ham.n, ham.L, origin)
     dense = off.toarray(order="F")    # off has no diagonal entry
-    np.fill_diagonal(dense, _diagonal(ham.n, ham.lam, ham.mu, level) - shift)
+    np.fill_diagonal(dense, _diagonal(ham.n, ham.lam, ham.mu, level))
     return dense
 
 
 def _none_below(ham: TruncatedHamiltonian, origin: str, theta: float) -> bool:
-    """Whether a block of at most DENSE_LIMIT rows has no value below theta.
+    """Whether a factor block has no value below theta, by banded Cholesky.
 
     True exactly when block - theta I has a Cholesky factor (up to rounding
-    of order dim eps |H|); larger blocks are not tried and give False.
+    of order dim eps |H|).  A block whose band would hold more doubles than
+    a dense DENSE_LIMIT-row block is not tried and gives False.
     """
-    if len(_block_structure(ham.n, ham.L, origin)[1]) > DENSE_LIMIT:
+    width, position, value, level = _kept_block(ham.n, ham.L, origin)[2]
+    if (width + 1) * len(level) > DENSE_LIMIT ** 2:
         return False
-    return dpotrf(_dense(ham, origin, theta), clean=0, overwrite_a=1)[1] == 0
+    band = np.zeros((len(level), width + 1))
+    band.flat[position] = value
+    band[:, 0] = _diagonal(ham.n, ham.lam, ham.mu, level) - theta
+    return dpbtrf(band.T, lower=1, overwrite_ab=1)[1] == 0
 
 
 def _lowest(ham: TruncatedHamiltonian, origin: str, k: int) -> np.ndarray:
@@ -293,10 +329,10 @@ def lowest_eigenvalues(ham: TruncatedHamiltonian,
     named blocks, each for its own count of lowest values, and keeps them
     all; an empty mapping solves nothing.  Either way the merged list
     holds every eigenvalue of H below theta < 0, with its multiplicity,
-    only where the last value solved in each block is >= theta.  A block is
-    solved densely up to DENSE_LIMIT rows, else by Lanczos from a
-    deterministic start vector, so results are reproducible run to run;
-    the whole-box matrix is never read.
+    only where the last value solved in each block is >= theta.  Every
+    block asked is solved, none certified: densely up to DENSE_LIMIT rows,
+    else by Lanczos from a deterministic start vector, so results are
+    reproducible run to run; the whole-box matrix is never read.
     """
     mult = _multiplicities(ham.n)
     if isinstance(k, Mapping):
@@ -328,14 +364,16 @@ def compare(params: ModelParams, L_values, theta: float = DEFAULT_THETA,
     For every L each factor block is solved for one value past the
     classifier's distinct roots of that factor below theta, so a block
     holding an unpredicted state below theta counts more than predicted.
-    A dense block with no predicted root is solved only where `_none_below`
-    fails; counts and errors read only values below theta, so the report
-    is the same.  The merged list holds every eigenvalue below theta only
-    where each block's last value is >= theta, which agreeing counts
-    ensure.  The oracle count below theta, in total and per determinant
-    factor, is compared to the classifier's multiplicity-weighted count,
-    and matched eigenvalues are paired in increasing order.  The whole box
-    is never assembled.  Disagreements are report content, not errors.
+    A block with no predicted root is solved, densely or by Lanczos, only
+    where `_none_below` fails: its band is past the memory bound or its
+    factorization breaks down.  Counts and errors read only values below
+    theta, so the report is the same.  The merged list holds every
+    eigenvalue below theta only where each block's last value is >= theta,
+    which agreeing counts ensure.  The oracle count below theta, in total
+    and per determinant factor, is compared to the classifier's
+    multiplicity-weighted count, and matched eigenvalues are paired in
+    increasing order.  The whole box is never assembled.  Disagreements
+    are report content, not errors.
     """
     if theta >= 0.0:
         raise ValueError(f"theta must be < 0, got {theta}")

@@ -226,16 +226,16 @@ def test_compare_never_assembles_the_box(monkeypatch, n, L, lam, mu, factors):
     assert rep.predicted_factor_counts == rep.oracle_factor_counts[L] == factors
 
 
-def _spy_dpotrf(monkeypatch) -> list[tuple[int, int]]:
-    """Record (rows, info) of every Cholesky factorization lattice makes."""
-    calls, real = [], lattice.dpotrf
+def _spy_dpbtrf(monkeypatch) -> list[tuple[int, int]]:
+    """Record (rows, info) of every banded Cholesky factorization lattice makes."""
+    calls, real = [], lattice.dpbtrf
 
-    def spy(a, **kwargs):
-        rows = len(a)
-        c, info = real(a, **kwargs)
+    def spy(ab, **kwargs):
+        rows = ab.shape[1]
+        c, info = real(ab, **kwargs)
         calls.append((rows, info))
         return c, info
-    monkeypatch.setattr(lattice, "dpotrf", spy)
+    monkeypatch.setattr(lattice, "dpbtrf", spy)
     return calls
 
 
@@ -245,16 +245,16 @@ _UNPREDICTED = {2: (7.0, 8.0, {"delta_r": 2, "delta_c": 1, "delta_s": 2}),
 
 
 @pytest.mark.parametrize("n,origin,fallback", [
-    # at n = 2 every block is dense: a certificate is tried where the
-    # dropped root leaves one wanted value, fails and falls back
+    # a certificate is tried where the dropped root leaves one wanted
+    # value, fails and falls back to a solve; at n = 3, L = 12 the delta_r
+    # block has 455 rows, delta_c 1014 and delta_s 1092, so the last two
+    # fall back to Lanczos
     pytest.param(2, "delta_r", False, id="delta_r"),
     pytest.param(2, "delta_c", True, id="delta_c"),
     pytest.param(2, "delta_s", True, id="delta_s"),
-    # at n = 3, L = 12 the delta_r block has 455 rows, delta_c 1014 and
-    # delta_s 1092: the last two are solved by Lanczos, never certified
     pytest.param(3, "delta_r", True, id="n3-delta_r"),
-    pytest.param(3, "delta_c", False, id="n3-delta_c"),
-    pytest.param(3, "delta_s", False, id="n3-delta_s"),
+    pytest.param(3, "delta_c", True, id="n3-delta_c"),
+    pytest.param(3, "delta_s", True, id="n3-delta_s"),
 ])
 def test_compare_sees_an_unpredicted_state(monkeypatch, n, origin, fallback):
     # hiding one root of a factor leaves its block one value past the
@@ -265,7 +265,7 @@ def test_compare_sees_an_unpredicted_state(monkeypatch, n, origin, fallback):
     dropped = next(r for r in records if r.origin == origin)
     monkeypatch.setattr(lattice, "negative_eigenvalues",
                         lambda *a, **k: [r for r in records if r is not dropped])
-    calls = _spy_dpotrf(monkeypatch)
+    calls = _spy_dpbtrf(monkeypatch)
     rep = bb.compare(params, [12])
     assert rep.oracle_factor_counts[12] == full
     assert rep.predicted_factor_counts[origin] == full[origin] - dropped.multiplicity
@@ -275,8 +275,8 @@ def test_compare_sees_an_unpredicted_state(monkeypatch, n, origin, fallback):
 
 def test_certified_blocks_are_not_solved(monkeypatch):
     # D0: no root, so every block wants one value, and at n = 2, L = 12
-    # and 16 every block is dense and certified empty below theta
-    calls, solves = _spy_dpotrf(monkeypatch), []
+    # and 16 every block is certified empty below theta
+    calls, solves = _spy_dpbtrf(monkeypatch), []
     real = lattice.lowest_eigenvalues
 
     def spy(ham, k):
@@ -296,9 +296,9 @@ def test_an_empty_mapping_solves_nothing():
     assert spec.count_below(-1e-3) == 0
 
 
-# radii with blocks on both sides of DENSE_LIMIT (625): n = 1, L = 625 has
-# blocks of 626 and 625 rows; n = 2, L = 34 of 630, 595 and 1190; n = 3,
-# L = 10 of 286, 605 and 660
+# radii with blocks on both sides of DENSE_LIMIT (625), so solved by both
+# solvers: n = 1, L = 625 has blocks of 626 and 625 rows; n = 2, L = 34 of
+# 630, 595 and 1190; n = 3, L = 10 of 286, 605 and 660
 _CERT_RADII = {1: (40, 625), 2: (12, 24, 34), 3: (8, 10)}
 
 
@@ -314,14 +314,85 @@ def test_the_certificate_matches_the_solve(n, data, theta):
         ham = bb.build_hamiltonian(n, L, lam, mu)
         rows = len(lattice._block_structure(n, L, origin)[1])
         with pytest.MonkeyPatch.context() as mp:
-            calls = _spy_dpotrf(mp)
+            calls = _spy_dpbtrf(mp)
             certified = lattice._none_below(ham, origin, theta)
-        if rows > lattice.DENSE_LIMIT:
-            assert not certified and calls == [], (L, origin)
-        else:
-            assert [r for r, _ in calls] == [rows], (L, origin)
-            assert certified == (lattice._lowest(ham, origin, 1)[0] >= theta), \
-                (L, origin)
+        assert [r for r, _ in calls] == [rows], (L, origin)
+        assert certified == (lattice._lowest(ham, origin, 1)[0] >= theta), \
+            (L, origin)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 4), data=st.data(),
+       couplings=st.lists(st.tuples(st.floats(-12.0, 12.0), st.floats(-12.0, 12.0)),
+                          min_size=1, max_size=3),
+       theta=st.sampled_from([-1e-3, -0.5]))
+def test_kept_band_structure_is_exact(n, data, couplings, theta):
+    L = data.draw(st.integers(1, {1: 40, 2: 12, 3: 6, 4: 3}[n]), label="L")
+    origin = data.draw(st.sampled_from(list(lattice._multiplicities(n))),
+                       label="origin")
+    level = lattice._block_structure(n, L, origin)[1]
+    order = np.argsort(level, kind="stable")    # rows by level
+    width, _, _, band_level = lattice._kept_block(n, L, origin)[2]
+    np.testing.assert_array_equal(band_level, level[order], strict=True)
+    real = lattice.dpbtrf
+    for lam, mu in couplings:
+        block = lattice._factor_block(n, L, lam, mu, origin)[order][:, order]
+        block = block.toarray() - theta * np.eye(len(level))
+        # the band is tight and holds every entry of the block
+        assert not np.tril(block, -width - 1).any()
+        assert width == 0 or np.diagonal(block, -width).any()
+        want = np.zeros((width + 1, len(level)))
+        for r in range(width + 1):
+            want[r, :len(level) - r] = np.diagonal(block, -r)
+        bands = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lattice, "dpbtrf",
+                       lambda ab, **kw: bands.append(ab.copy()) or real(ab, **kw))
+            lattice._none_below(bb.build_hamiltonian(n, L, lam, mu), origin, theta)
+        assert len(bands) == 1
+        np.testing.assert_array_equal(bands[0], want, strict=True)
+
+
+def test_kept_band_structure_refuses_writes():
+    _, position, value, level = lattice._kept_block(3, 8, "delta_s")[2]
+    for array in (position, value, level):
+        with pytest.raises(ValueError):
+            array[0] = 7
+
+
+def test_both_row_orders_are_kept_together(monkeypatch):
+    # a block met only by certificates keeps its lexicographic structure
+    # for a later solve while other blocks pass through the cache
+    ham = bb.build_hamiltonian(3, 12, -1.0, -1.0)
+    for L in range(1, 2 * lattice._KEPT_BLOCKS):
+        lattice._block_structure(1, L, "delta_r")
+        assert lattice._none_below(ham, "delta_c", -1e-3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("orbit basis rebuilt")
+    monkeypatch.setattr(lattice, "_canonical", refuse)
+    assert len(lattice._block_structure(3, 12, "delta_c")[1]) == 1014
+
+
+def test_a_band_past_the_memory_bound_is_not_factored(monkeypatch):
+    # n = 3, L = 20: the delta_r band (1771 rows, half-bandwidth 66) holds
+    # fewer doubles than a dense DENSE_LIMIT-row block; delta_c (4410 rows)
+    # and delta_s (4620 rows), both of half-bandwidth 171, hold more
+    bound = lattice.DENSE_LIMIT ** 2
+    sizes = {}
+    for origin in lattice.ORIGINS:
+        width, _, _, level = lattice._kept_block(3, 20, origin)[2]
+        sizes[origin] = (len(level), width)
+    assert sizes == {"delta_r": (1771, 66), "delta_c": (4410, 171),
+                     "delta_s": (4620, 171)}
+    assert [(w + 1) * rows <= bound for rows, w in sizes.values()] \
+        == [True, False, False]
+    # D0: no block has a value below theta, yet only delta_r is certified
+    calls = _spy_dpbtrf(monkeypatch)
+    ham = bb.build_hamiltonian(3, 20, -1.0, -1.0)
+    assert [lattice._none_below(ham, o, -1e-3) for o in lattice.ORIGINS] \
+        == [True, False, False]
+    assert calls == [(1771, 0)]
 
 
 def test_the_certificate_leaves_every_report_unchanged(monkeypatch):
