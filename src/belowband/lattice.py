@@ -27,11 +27,14 @@ share the delta_c block.  Each block is asked for its own number of lowest
 values.  The merged, multiplicity-counted list holds every eigenvalue of H
 below theta < 0, each labelled with its factor, only where the last value
 solved in each block is >= theta; above 0 it is complete only at n = 1.
+A block is solved by dense eigh up to 400 rows, where that is faster, and
+by Lanczos above, unless it is asked for all of its values.
 `compare` skips a block with no predicted root whose Cholesky factorization
 minus theta succeeds: it has no value below theta.  The factorization is
 banded, with rows ordered by level sum(m): every hop changes the level by
 one, so the half-bandwidth is 13-25 at n = 2 and 21-67 at n = 3 at the
-radii the oracle meets.  No solve reads the whole box:
+radii the oracle meets; a band of more than DENSE_LIMIT^2 doubles is not
+factored.  No solve reads the whole box:
 `TruncatedHamiltonian.matrix` is built only on a read.
 
 Only the diagonal of levels 0 and 1 (the origin and the unit sites) depends
@@ -70,12 +73,15 @@ __all__ = [
     "compare",
 ]
 
-# largest factor block solved densely, larger ones by Lanczos; the solvers
-# cross nearer 400 rows, but perfbench labels a whole box by this limit and
-# takes the n = 2, L = 12 box (625 sites) as dense.  A block is certified by
-# banded Cholesky while its band holds at most DENSE_LIMIT^2 doubles, as a
-# dense block of this size does: at n = 3 every block up to L = 17 is tried
+# a factor block is certified by banded Cholesky while its band holds at
+# most DENSE_LIMIT^2 doubles: at n = 3 every block up to L = 17 is tried.
+# perfbench reads this name to label a whole box of at most DENSE_LIMIT
+# sites dense; such a box has blocks of at most 156 rows
 DENSE_LIMIT = 625
+# largest factor block solved by dense eigh, larger ones by Lanczos: with
+# one BLAS thread eigh takes 2.8-3.4 ms at 286-325 rows, where eigsh takes
+# 3.6-6.4 ms, and 7.6-19 ms at 455-605 rows, where eigsh takes 3.5-9.5 ms
+_DENSE_ROWS = 400
 MAX_DIM = 2_000_000      # largest box build_hamiltonian accepts
 # factor blocks whose coupling-free part is kept; an oracle pass meets 19
 _KEPT_BLOCKS = 32
@@ -308,10 +314,14 @@ def _none_below(ham: TruncatedHamiltonian, origin: str, theta: float) -> bool:
 
 
 def _lowest(ham: TruncatedHamiltonian, origin: str, k: int) -> np.ndarray:
-    """Sorted min(k, dim) smallest eigenvalues of one factor block of ham."""
+    """Sorted min(k, dim) smallest eigenvalues of one factor block of ham.
+
+    Dense eigh up to _DENSE_ROWS rows or for all of a block's values, else
+    Lanczos on the sparse block from a deterministic start vector.
+    """
     dim = len(_block_structure(ham.n, ham.L, origin)[1])
     k = min(k, dim)
-    if dim <= DENSE_LIMIT or k == dim:
+    if dim <= _DENSE_ROWS or k == dim:
         return eigh(_dense(ham, origin), eigvals_only=True,
                     subset_by_index=[0, k - 1], overwrite_a=True)
     block = _factor_block(ham.n, ham.L, ham.lam, ham.mu, origin)
@@ -330,9 +340,10 @@ def lowest_eigenvalues(ham: TruncatedHamiltonian,
     all; an empty mapping solves nothing.  Either way the merged list
     holds every eigenvalue of H below theta < 0, with its multiplicity,
     only where the last value solved in each block is >= theta.  Every
-    block asked is solved, none certified: densely up to DENSE_LIMIT rows,
-    else by Lanczos from a deterministic start vector, so results are
-    reproducible run to run; the whole-box matrix is never read.
+    block asked is solved, none certified: densely up to 400 rows or when
+    asked for all its values, else by Lanczos from a deterministic start
+    vector, so results are reproducible run to run; the whole-box matrix
+    is never read.
     """
     mult = _multiplicities(ham.n)
     if isinstance(k, Mapping):
@@ -364,10 +375,10 @@ def compare(params: ModelParams, L_values, theta: float = DEFAULT_THETA,
     For every L each factor block is solved for one value past the
     classifier's distinct roots of that factor below theta, so a block
     holding an unpredicted state below theta counts more than predicted.
-    A block with no predicted root is solved, densely or by Lanczos, only
-    where `_none_below` fails: its band is past the memory bound or its
-    factorization breaks down.  Counts and errors read only values below
-    theta, so the report is the same.  The merged list holds every
+    A block with no predicted root is solved, densely up to 400 rows, else
+    by Lanczos, only where `_none_below` fails: its band is past the
+    memory bound or its factorization breaks down.  Counts and errors read
+    only values below theta, so the report is the same.  The merged list holds every
     eigenvalue below theta only where each block's last value is >= theta,
     which agreeing counts ensure.  The oracle count below theta, in total
     and per determinant factor, is compared to the classifier's

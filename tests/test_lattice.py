@@ -57,12 +57,12 @@ def test_free_case_nonnegative_and_band_bottom():
 
 
 def test_dense_and_iterative_paths_agree():
-    ham = bb.build_hamiltonian(2, 35, 0.0, 3.0)
-    blocks = [(o, lattice._factor_block(2, 35, 0.0, 3.0, o))
+    ham = bb.build_hamiltonian(2, 28, 0.0, 3.0)
+    blocks = [(o, lattice._factor_block(2, 28, 0.0, 3.0, o))
               for o in lattice.ORIGINS]
-    # the three factor blocks (666, 630 and 1260 rows) are solved by Lanczos
-    assert [b.shape[0] for _, b in blocks] == [666, 630, 1260]
-    assert min(b.shape[0] for _, b in blocks) > lattice.DENSE_LIMIT
+    # the three factor blocks (435, 406 and 812 rows) are solved by Lanczos
+    assert [b.shape[0] for _, b in blocks] == [435, 406, 812]
+    assert min(b.shape[0] for _, b in blocks) > lattice._DENSE_ROWS
     for origin, block in blocks:
         dense = eigh(block.toarray(), eigvals_only=True)[:3]
         np.testing.assert_allclose(lattice._lowest(ham, origin, 3), dense,
@@ -247,7 +247,7 @@ _UNPREDICTED = {2: (7.0, 8.0, {"delta_r": 2, "delta_c": 1, "delta_s": 2}),
 @pytest.mark.parametrize("n,origin,fallback", [
     # a certificate is tried where the dropped root leaves one wanted
     # value, fails and falls back to a solve; at n = 3, L = 12 the delta_r
-    # block has 455 rows, delta_c 1014 and delta_s 1092, so the last two
+    # block has 455 rows, delta_c 1014 and delta_s 1092, so all three
     # fall back to Lanczos
     pytest.param(2, "delta_r", False, id="delta_r"),
     pytest.param(2, "delta_c", True, id="delta_c"),
@@ -290,15 +290,44 @@ def test_certified_blocks_are_not_solved(monkeypatch):
     assert [info for _, info in calls] == [0] * 6
 
 
+@pytest.mark.parametrize("n,L,origin,rows,solver", [
+    # oracle workload blocks at the couplings of _UNPREDICTED: past the
+    # solver cut of 400 rows Lanczos is the faster, below it dense eigh
+    pytest.param(2, 24, "delta_s", 600, "eigsh", id="n2-L24-delta_s"),
+    pytest.param(3, 10, "delta_c", 605, "eigsh", id="n3-L10-delta_c"),
+    pytest.param(3, 12, "delta_r", 455, "eigsh", id="n3-L12-delta_r"),
+    pytest.param(2, 24, "delta_r", 325, "eigh", id="n2-L24-delta_r"),
+])
+def test_the_solver_follows_the_block_size(monkeypatch, n, L, origin, rows,
+                                           solver):
+    lam, mu, _ = _UNPREDICTED[n]
+    # the count compare asks: one value past the roots below theta
+    k = 1 + sum(1 for r in bb.negative_eigenvalues(bb.ModelParams(n, lam, mu))
+                if r.origin == origin and r.z < -1e-3)
+    used = []
+    for name in ("eigh", "eigsh"):
+        real = getattr(lattice, name)
+        monkeypatch.setattr(lattice, name, lambda *a, _name=name, _real=real,
+                            **kw: used.append(_name) or _real(*a, **kw))
+    got = lattice._lowest(bb.build_hamiltonian(n, L, lam, mu), origin, k)
+    assert used == [solver]
+    block = lattice._factor_block(n, L, lam, mu, origin).toarray()
+    assert block.shape == (rows, rows)
+    np.testing.assert_allclose(
+        got, eigh(block, eigvals_only=True, subset_by_index=[0, k - 1]),
+        rtol=0.0, atol=1e-12)
+
+
 def test_an_empty_mapping_solves_nothing():
     spec = bb.lowest_eigenvalues(bb.build_hamiltonian(2, 12, 7.0, 8.0), {})
     assert spec.eigenvalues == spec.origins == ()
     assert spec.count_below(-1e-3) == 0
 
 
-# radii with blocks on both sides of DENSE_LIMIT (625), so solved by both
-# solvers: n = 1, L = 625 has blocks of 626 and 625 rows; n = 2, L = 34 of
-# 630, 595 and 1190; n = 3, L = 10 of 286, 605 and 660
+# radii with blocks on both sides of the solver cut (400 rows), so solved
+# by both solvers: n = 1, L = 40 has blocks of 41 and 40 rows and L = 625
+# of 626 and 625; n = 2, L = 24 of 325, 300 and 600; n = 3, L = 10 of 286,
+# 605 and 660
 _CERT_RADII = {1: (40, 625), 2: (12, 24, 34), 3: (8, 10)}
 
 
@@ -446,7 +475,8 @@ def _negative_spectrum(ham) -> list[tuple[float, str]]:
     return out
 
 
-# (1, 700): blocks of 701 and 700 rows, above DENSE_LIMIT but asked for whole
+# (1, 700): blocks of 701 and 700 rows, above the solver cut but asked for
+# whole, so solved densely
 @pytest.mark.parametrize("n,L", [(2, 3), (3, 2), (4, 2), (1, 700)])
 def test_sectors_merge_to_the_full_spectrum(n, L):
     # strong couplings: every factor has a bound state in the box
