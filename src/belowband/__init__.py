@@ -3,8 +3,8 @@
 The Hamiltonian is H = -Laplacian - V on the n-dimensional integer lattice,
 with a delta potential of strength mu at the origin and lambda/2 on the 2n
 nearest neighbors.  The package evaluates the torus Green's-function
-integrals, reduces the eigenvalue problem to finite Birman-Schwinger
-matrices, classifies the coupling plane into regions with fixed eigenvalue
+integrals, locates eigenvalues at the zeros of the three factors of the
+Birman-Schwinger determinant, classifies the coupling plane into regions with fixed eigenvalue
 counts and band-edge state types, and verifies everything against a
 finite-lattice diagonalization oracle.
 
@@ -47,20 +47,7 @@ from .green import (
     green_values,
 )
 from .quadrature import QuadratureError
-from .reduction import (
-    BSMatrix,
-    CriticalCouplings,
-    DeterminantValues,
-    HyperbolaPoint,
-    ModelParams,
-    build_bs_matrix,
-    critical_couplings,
-    delta_c,
-    delta_r,
-    delta_s,
-    determinants,
-    hyperbola,
-)
+from .reduction import ModelParams
 from .states import (
     EigenState,
     IntegrabilityClass,
@@ -75,9 +62,7 @@ __all__ = [
     "closed_form_a1", "closed_form_green1", "dispersion",
     "green_threshold", "green_values",
     # reduction
-    "BSMatrix", "CriticalCouplings", "DeterminantValues", "HyperbolaPoint",
-    "ModelParams", "build_bs_matrix", "critical_couplings", "delta_c",
-    "delta_r", "delta_s", "determinants", "hyperbola",
+    "ModelParams",
     # states
     "EigenState", "IntegrabilityClass", "integrability_class", "residual",
     # classify

@@ -23,12 +23,7 @@ import numpy as np
 
 from .green import GreenValues, green_threshold, green_values
 from .quadrature import _Z_MAX, laplace_tables
-from .reduction import (
-    ModelParams,
-    critical_couplings,
-    hyperbola_limit,
-    lambda_asymptote,
-)
+from .reduction import ModelParams, hyperbola_limit
 from .states import (
     EigenState,
     IntegrabilityClass,
@@ -108,13 +103,15 @@ class SpectralConstants:
 
 @lru_cache(maxsize=None)
 def spectral_constants(n: int) -> SpectralConstants:
+    """The constants of n from its threshold record: X = lim a/b, which is 1
+    for n <= 2, lambda_s = 1/s(0) (1 for n = 1) and lambda_c = 1/lim(c - d)
+    for n >= 2.  They obey X <= lambda_s <= lambda_c."""
     greens0 = green_threshold(n)
-    crit = critical_couplings(n, greens0)
     return SpectralConstants(
         n=n,
-        x_asymptote=lambda_asymptote(n, greens0),
-        lambda_s=crit.lambda_s,
-        lambda_c=crit.lambda_c,
+        x_asymptote=1.0 if n <= 2 else greens0.ratio_ab,
+        lambda_s=1.0 / greens0.s,
+        lambda_c=None if n == 1 else 1.0 / greens0.cd,
         greens0=greens0,
     )
 
@@ -376,14 +373,16 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _FOUR_EPS,
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
-def _factor(params: ModelParams, origin: str, g: GreenValues,
-            offset: float | None = None) -> float:
+def _factor(params: ModelParams, origin: str, g: GreenValues | _ScanTable,
+            offset: float | None = None) -> float | np.ndarray:
     """The function of g.z whose zeros are those of ``origin``.
 
     delta_r = b H_z with b > 0, and H_z = (lam - a/b)(mu - (n - z)) - n is
     much better conditioned near the band edge; ``offset`` stands for
     mu - (n - z) where it is known more exactly.  delta_c and delta_s are
-    powers of lam (c - d) - 1 and lam s - 1.
+    powers of lam (c - d) - 1 and lam s - 1.  On a ``_ScanTable`` the same
+    IEEE operations run elementwise, so every ladder value is bit for bit
+    the scalar one.
     """
     if origin == "delta_r":
         t = params.mu - (params.n - g.z) if offset is None else offset
@@ -402,19 +401,20 @@ def _walk(u: float, limit: float):
 class _ScanTable:
     """The scan's Green values at the 81 ladder points of one n.
 
-    ``z``, ``ab`` (a/b), ``cd`` (c - d, None for n = 1) and ``s`` are
-    arrays of them, so a factor's ladder values are one numpy expression.
+    ``z``, ``a``, ``b``, ``cd`` (None for n = 1) and ``s`` are arrays of
+    them, so ``_factor`` gives a factor's ladder values in one pass.
     """
 
     z: np.ndarray
-    ab: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
     cd: np.ndarray | None
     s: np.ndarray
 
     @classmethod
     def of(cls, n: int, greens) -> _ScanTable:
         column = lambda name: np.array([getattr(g, name) for g in greens])
-        return cls(column("z"), column("a") / column("b"),
+        return cls(column("z"), column("a"), column("b"),
                    column("cd") if n >= 2 else None, column("s"))
 
 
@@ -430,17 +430,6 @@ def _scan_table(n: int) -> _ScanTable:
     zs = [-math.exp(u) for u in _LADDER]
     laplace_tables(n, zs)
     return _ScanTable.of(n, [green_values(n, z) for z in zs])
-
-
-def _ladder_values(params: ModelParams, origin: str, table: _ScanTable) -> np.ndarray:
-    """``_factor`` at every ladder point, bit for bit: the same IEEE
-    operations in the same order, elementwise.  Products overflow to
-    +-inf silently, as Python floats do."""
-    lam = float(params.lam)
-    with np.errstate(over="ignore"):
-        if origin == "delta_r":
-            return (lam - table.ab) * (float(params.mu) - (params.n - table.z)) - params.n
-        return lam * (table.cd if origin == "delta_c" else table.s) - 1.0
 
 
 def _brackets(us: np.ndarray, values: np.ndarray) -> list[tuple[float, float, float, float]]:
@@ -522,8 +511,9 @@ def _roots(params: ModelParams, origin: str,
     where = lambda: f"for (n={n}, lambda={params.lam}, mu={params.mu})"
     far_failure = lambda: (f"a zero of {origin} lies farther below the band than "
                            f"z = -{_Z_MAX!r} {where()}; past it b is not a normal double")
-    table = _scan_table(n)
-    us, values = _LADDER_U, _ladder_values(params, origin, table)
+    us = _LADDER_U
+    with np.errstate(over="ignore"):   # products overflow as Python floats do
+        values = _factor(params, origin, _scan_table(n))
     u_split = z0 = None
     if expected == 2:
         # -n itself: H evaluated at -exp(u_split), off by |u| eps in z, can be

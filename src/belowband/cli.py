@@ -3,9 +3,9 @@
 Subcommands: ``integrals`` (Green integrals at one z), ``classify`` and
 ``summarize`` (region/spectrum at one coupling pair), ``scan`` (CSV region
 map over a coupling rectangle), ``eigenfunction`` (CSV samples of a bound
-or threshold state) and ``verify`` (self-check suites).  The ``integrals``
-document keeps a constant ``method`` field, ``laplace-bessel``, the one
-engine of the package.
+or threshold state) and ``verify`` (the ``identities`` and ``oracle``
+self-check suites).  The ``integrals`` document keeps a constant ``method``
+field, ``laplace-bessel``, the one engine of the package.
 
 Every command is deterministic: identical flags produce byte-identical
 output, whatever the BLAS thread count.  ``verify oracle`` rounds its
@@ -45,7 +45,7 @@ from .classify import (
 )
 from .green import DivergentIntegralError, green_threshold, green_values
 from .quadrature import QuadratureError
-from .reduction import ModelParams, build_bs_matrix, delta_c, delta_r
+from .reduction import ModelParams
 from .states import residual
 
 SCHEMA_VERSION = "1"
@@ -299,26 +299,6 @@ def _verify_identities(args) -> dict:
     return {"suite": "identities", "checks": checks}
 
 
-def _verify_factorization(args) -> dict:
-    rng = np.random.default_rng(args.seed)
-    checks = []
-    for n in args.nrange:
-        worst = 0.0
-        for _ in range(args.samples):
-            lam, mu = rng.uniform(-5.0, 5.0, size=2)
-            z = -float(np.exp(rng.uniform(np.log(1e-3), np.log(10.0))))
-            params = ModelParams(n, float(lam), float(mu))
-            g = green_values(n, z)
-            direct = float(np.linalg.det(
-                build_bs_matrix(params, z, "even", g).entries - np.eye(n + 1)))
-            product = delta_r(params, z, g) * delta_c(params, z, g)
-            rel = abs(direct - product) / max(abs(direct), abs(product), 1e-12)
-            worst = max(worst, rel)
-        checks.append({"name": f"factorization[n={n}]", "max_error": worst,
-                       "passed": worst <= 1e-8})
-    return {"suite": "factorization", "checks": checks}
-
-
 def _verify_oracle(args) -> dict:
     from .lattice import compare
 
@@ -335,12 +315,7 @@ def _verify_oracle(args) -> dict:
 
 
 def cmd_verify(args) -> int:
-    if args.suite == "identities":
-        doc = _verify_identities(args)
-    elif args.suite == "factorization":
-        doc = _verify_factorization(args)
-    else:
-        doc = _verify_oracle(args)
+    doc = _verify_identities(args) if args.suite == "identities" else _verify_oracle(args)
     doc["schema_version"] = SCHEMA_VERSION
     doc["passed"] = all(c["passed"] for c in doc["checks"])
     _emit_json(doc)
@@ -399,11 +374,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eigenfunction)
 
     p = sub.add_parser("verify", help="self-check suites")
-    p.add_argument("suite", choices=("identities", "factorization", "oracle"))
+    p.add_argument("suite", choices=("identities", "oracle"))
     p.add_argument("--n", dest="nrange", type=_parse_nrange, default=None,
                    help="dimension or inclusive range a..b")
     p.add_argument("--samples", type=_positive_int, default=20)
-    p.add_argument("--seed", type=int, default=7)
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
     p.add_argument("--mu", type=float, default=1.0)
     p.add_argument("--L", type=_parse_int_list, default=[50, 100],

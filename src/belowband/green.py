@@ -82,22 +82,6 @@ class GreenValues:
         return a * self.alpha - self.n * b * b
 
     @property
-    def alpha0(self) -> float:
-        """lim_{z->0-} (c - d); meaningful on the z = 0 record, n >= 2."""
-        if self.z != 0.0:
-            raise ValueError("alpha0 is defined on the threshold record (z = 0)")
-        (cd,) = self.require("cd")
-        return cd
-
-    @property
-    def s0(self) -> float:
-        """s(0); meaningful on the z = 0 record."""
-        if self.z != 0.0:
-            raise ValueError("s0 is defined on the threshold record (z = 0)")
-        (s,) = self.require("s")
-        return s
-
-    @property
     def ratio_ab(self) -> float:
         """a/b, the lambda-asymptote of the zero-set hyperbola."""
         a, b = self.require("a", "b")

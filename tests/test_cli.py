@@ -143,7 +143,7 @@ def test_scan_malformed_range_exits_2():
     ("eigenfunction", "--n", "5", "--lambda", "0", "--mu", "1"),
     ("eigenfunction", "--n", "2", "--lambda", "0", "--mu", "1", "--grid", "1415"),
     ("verify", "identities", "--samples", "0"),
-    ("verify", "factorization", "--samples", "0"),
+    ("verify", "factorization", "--samples", "0"),   # a retired, unknown suite
     ("integrals", "--n", "2", "--z", "-1", "--tol", "0"),
     ("integrals", "--n", "2", "--z", "-1", "--method", "tensor-trapezoid",
      "--grid-points", "0"),
@@ -249,10 +249,15 @@ def test_verify_identities(capsys):
 
 
 def test_verify_factorization(capsys):
-    code, out, _ = run_cli(capsys, "verify", "factorization", "--n", "2..3",
-                           "--samples", "40")
-    assert code == 0
-    assert json.loads(out)["passed"]
+    # the suite checked an identity of the code, which the tests now hold
+    # (tests/test_reduction.py); it and its --seed are unknown, so exit 2
+    for argv, message in [(("verify", "factorization", "--n", "2..3"), "invalid choice"),
+                          (("verify", "identities", "--seed", "7"), "unrecognized")]:
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and message in out.err
 
 
 def test_verify_oracle(capsys):
@@ -322,7 +327,6 @@ runs = [
     ["integrals", "--n", "2", "--z", "-0.5"],
     ["eigenfunction", "--n", "2", "--lambda", "0", "--mu", "3", "--grid", "4"],
     ["verify", "identities", "--n", "1..4", "--samples", "3"],
-    ["verify", "factorization", "--n", "1..3", "--samples", "3"],
     ["scan", "--n", "2", "--lambda-range", "0:5:3", "--mu-range", "0:5:3"],
 ]
 codes = []
@@ -354,7 +358,7 @@ def test_commands_load_no_optimize_integrate_or_lattice_stack():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
-    assert doc["codes"] == [0] * 8
+    assert doc["codes"] == [0] * 7
     assert all(mods == [] for mods in doc["loaded"].values()), doc["loaded"]
     assert doc["oracle_code"] == 0
     assert doc["oracle"]["suite"] == "oracle" and doc["oracle"]["passed"]

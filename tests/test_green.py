@@ -237,7 +237,7 @@ def test_watson_constant():
 def test_threshold_flags_by_dimension():
     g1 = bb.green_threshold(1)
     assert g1.a is None and g1.b is None and g1.d is None and g1.cd is None
-    assert g1.s0 == pytest.approx(1.0, abs=1e-13)
+    assert g1.s == pytest.approx(1.0, abs=1e-13)
     g2 = bb.green_threshold(2)
     assert g2.a is None and g2.b is None
     assert g2.cd is not None and g2.s is not None
@@ -251,12 +251,12 @@ def test_threshold_flags_by_dimension():
 def test_threshold_square_lattice_classical_constants():
     # classical square-lattice values: lim(c-d) = 4/pi - 1, s(0) = 1 - 2/pi
     g2 = bb.green_threshold(2)
-    assert g2.alpha0 == pytest.approx(4.0 / math.pi - 1.0, abs=1e-12)
-    assert g2.s0 == pytest.approx(1.0 - 2.0 / math.pi, abs=1e-12)
+    assert g2.cd == pytest.approx(4.0 / math.pi - 1.0, abs=1e-12)
+    assert g2.s == pytest.approx(1.0 - 2.0 / math.pi, abs=1e-12)
 
 
 def test_threshold_identities_link_integrals():
-    # s(0) = 1 - (n-1)(a(0) - d(0)) and alpha0 = c(0) - d(0) for n >= 3
+    # s(0) = 1 - (n-1)(a(0) - d(0)) and cd = c(0) - d(0) for n >= 3
     for n in (3, 4, 5):
         raw = laplace_integrals(n, 0.0)
         assert raw["s"] == pytest.approx(1.0 - (n - 1) * raw["ad"], abs=1e-12)
@@ -311,7 +311,7 @@ def test_product_inequalities(n):
         assert g.a * g.s < g.b
         assert g.cd < g.s
     g0 = bb.green_threshold(n)
-    assert g0.alpha0 < g0.s0
+    assert g0.cd < g0.s
     if n >= 3:
         assert g0.a * g0.s < g0.b
 

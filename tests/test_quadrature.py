@@ -221,7 +221,8 @@ from belowband import classify
 hexes = lambda g: [v.hex() if v is not None else None
                    for v in (g.a, g.b, g.c, g.d, g.s, g.cd)]
 columns = lambda t: {k: None if c is None else [v.hex() for v in c.tolist()]
-                     for k, c in (("z", t.z), ("ab", t.ab), ("cd", t.cd), ("s", t.s))}
+                     for k, c in (("z", t.z), ("a", t.a), ("b", t.b), ("cd", t.cd),
+                                  ("s", t.s))}
 out = {}
 for n in (1, 2, 3, 4):
     ladder = [-math.exp(u) for u in classify._LADDER]

@@ -1,4 +1,11 @@
-"""Reduced matrices, determinant factors, hyperbola, critical couplings."""
+"""The even matrix, the determinant factors, the hyperbola and the critical
+couplings.
+
+Root location reads the three factors from ``classify._factor``: b H_z for
+delta_r, lam (c - d) - 1 for delta_c and lam s - 1 for delta_s.  These tests
+hold that path to the determinant of the even Birman-Schwinger matrix,
+which ``states._even_matrix`` builds for the residual.
+"""
 
 import math
 
@@ -6,6 +13,8 @@ import numpy as np
 import pytest
 
 import belowband as bb
+from belowband import classify, states
+from belowband.reduction import hyperbola_limit
 
 SQRT2 = math.sqrt(2.0)
 
@@ -14,11 +23,21 @@ def greens(n, z):
     return bb.green_values(n, z)
 
 
+factor = classify._factor
+
+
+def symmetric_block(params, g):
+    """G_e restricted to the symmetric vectors (w_0, t, ..., t): a 2 x 2
+    matrix whose det(. - I) is the rank-one factor delta_r."""
+    m = states._even_matrix(params, g)
+    return np.array([[m[0, 0], m[0, 1:].sum()], [m[1, 0], m[1, 1:].sum()]])
+
+
 def test_even_matrix_template_chain():
     z = -0.8
     g = greens(1, z)
     params = bb.ModelParams(1, 0.7, -1.3)
-    m = bb.build_bs_matrix(params, z, "even", g).entries
+    m = states._even_matrix(params, g)
     expected = np.array([
         [params.mu * g.a, params.lam * g.b / SQRT2],
         [SQRT2 * params.mu * g.b, params.lam * g.c],
@@ -31,7 +50,7 @@ def test_even_matrix_template_general():
     n = 3
     g = greens(n, z)
     params = bb.ModelParams(n, 2.0, 0.5)
-    m = bb.build_bs_matrix(params, z, "even", g).entries
+    m = states._even_matrix(params, g)
     assert m.shape == (4, 4)
     assert np.all(m[0, 1:] == params.lam * g.b / SQRT2)
     assert np.all(m[1:, 0] == SQRT2 * params.mu * g.b)
@@ -45,25 +64,30 @@ def test_zero_couplings_give_zero_matrix():
     z = -2.0
     for n in (1, 2):
         g = greens(n, z)
-        for sector in ("even", "odd"):
-            m = bb.build_bs_matrix(bb.ModelParams(n, 0.0, 0.0), z, sector, g)
-            assert not m.entries.any()
+        params = bb.ModelParams(n, 0.0, 0.0)
+        assert not states._even_matrix(params, g).any()
+        # G - I = -I: the repeated and odd factors are -1
+        assert factor(params, "delta_s", g) == -1.0
+        if n >= 2:
+            assert factor(params, "delta_c", g) == -1.0
 
 
 def test_odd_matrix_is_diagonal():
+    # the odd matrix is lam s times the identity, so every w is moved by the
+    # same factor lam s - 1
     z = -0.4
     g = greens(3, z)
-    m = bb.build_bs_matrix(bb.ModelParams(3, 1.5, 9.9), z, "odd", g).entries
-    np.testing.assert_array_equal(m, 1.5 * g.s * np.eye(3))
+    params = bb.ModelParams(3, 1.5, 9.9)
+    w = np.array([1.0, -2.0, 0.5])
+    state = bb.EigenState(params, "odd", z, w, "eigen-Sin", greens=g)
+    assert bb.residual(params, state) == pytest.approx(abs(1.5 * g.s - 1.0), rel=1e-14)
 
 
 def test_even_matrix_at_threshold_needs_n3():
     with pytest.raises(bb.DivergentIntegralError):
-        bb.build_bs_matrix(bb.ModelParams(2, 1.0, 1.0), 0.0,
-                           "even", bb.green_threshold(2))
-    m = bb.build_bs_matrix(bb.ModelParams(3, 1.0, 1.0), 0.0,
-                           "even", bb.green_threshold(3))
-    assert m.size == 4
+        states._even_matrix(bb.ModelParams(2, 1.0, 1.0), bb.green_threshold(2))
+    m = states._even_matrix(bb.ModelParams(3, 1.0, 1.0), bb.green_threshold(3))
+    assert m.shape == (4, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -73,98 +97,103 @@ def test_even_matrix_at_threshold_needs_n3():
 def test_delta_r_simple_values():
     for n in (1, 2, 3):
         g = greens(n, -0.9)
-        assert bb.delta_r(bb.ModelParams(n, 0.0, 0.0), -0.9, g) == 1.0
+        # b H_z = a (n - z) - n b = 1 at lam = mu = 0
+        assert g.b * factor(bb.ModelParams(n, 0.0, 0.0), "delta_r", g) == \
+            pytest.approx(1.0, rel=1e-14)
         # lam = 0 reduces to 1 - mu a(z)
         mu = 2.5
-        assert bb.delta_r(bb.ModelParams(n, 0.0, mu), -0.9, g) == \
+        assert g.b * factor(bb.ModelParams(n, 0.0, mu), "delta_r", g) == \
             pytest.approx(1.0 - mu * g.a, rel=1e-14)
     # chain: root of 1 - mu a at z = 1 - sqrt2 for mu = 1
     z = 1.0 - math.sqrt(2.0)
-    assert bb.delta_r(bb.ModelParams(1, 0.0, 1.0), z, greens(1, z)) == \
+    assert factor(bb.ModelParams(1, 0.0, 1.0), "delta_r", greens(1, z)) == \
         pytest.approx(0.0, abs=1e-12)
 
 
 def test_delta_c_values():
-    g = greens(1, -0.3)
-    assert bb.delta_c(bb.ModelParams(1, 123.0, 4.0), -0.3, g) == 1.0
+    assert greens(1, -0.3).cd is None   # no repeated factor at n = 1
     g3 = greens(3, -0.3)
-    assert bb.delta_c(bb.ModelParams(3, 0.0, 1.0), -0.3, g3) == 1.0  # (-1)^2
+    assert factor(bb.ModelParams(3, 0.0, 1.0), "delta_c", g3) ** 2 == 1.0  # (-1)^2
     lam = 1.0 / g3.cd
-    assert bb.delta_c(bb.ModelParams(3, lam, 0.0), -0.3, g3) == pytest.approx(0.0, abs=1e-13)
+    assert factor(bb.ModelParams(3, lam, 0.0), "delta_c", g3) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_delta_s_values():
     g = greens(2, -0.6)
-    assert bb.delta_s(bb.ModelParams(2, 0.0, 9.0), -0.6, g) == 1.0  # (-1)^2
+    assert factor(bb.ModelParams(2, 0.0, 9.0), "delta_s", g) ** 2 == 1.0  # (-1)^2
     g1 = greens(1, -0.6)
-    assert bb.delta_s(bb.ModelParams(1, 0.0, 0.0), -0.6, g1) == -1.0
+    assert factor(bb.ModelParams(1, 0.0, 0.0), "delta_s", g1) == -1.0
     # s(-1/4) = 1/2 exactly, so lam = 2 is a zero
     g14 = greens(1, -0.25)
     assert g14.s == pytest.approx(0.5, abs=1e-12)
-    assert bb.delta_s(bb.ModelParams(1, 2.0, 0.0), -0.25, g14) == pytest.approx(0.0, abs=1e-11)
-    # multiplicity-n structure: det(G_o - I) == (lam s - 1)^n exactly
+    assert factor(bb.ModelParams(1, 2.0, 0.0), "delta_s", g14) == pytest.approx(0.0, abs=1e-11)
+    # multiplicity-n structure: det(G_o - I) == (lam s - 1)^n
     params = bb.ModelParams(3, 1.2, 0.0)
     g3 = greens(3, -0.6)
-    direct = np.linalg.det(bb.build_bs_matrix(params, -0.6, "odd", g3).entries - np.eye(3))
-    assert direct == pytest.approx(bb.delta_s(params, -0.6, g3), rel=1e-14)
+    direct = np.linalg.det(params.lam * g3.s * np.eye(3) - np.eye(3))
+    assert direct == pytest.approx(factor(params, "delta_s", g3) ** 3, rel=1e-14)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_factorization(n):
-    """det(G_e - I) = delta_r * delta_c over random couplings and z."""
+    """det(G_e - I) = b H_z (lam (c - d) - 1)^(n-1) over random couplings and z."""
     rng = np.random.default_rng(1234 + n)
     for _ in range(200):
         lam, mu = rng.uniform(-5.0, 5.0, size=2)
         z = -float(np.exp(rng.uniform(np.log(1e-3), np.log(10.0))))
         params = bb.ModelParams(n, float(lam), float(mu))
         g = greens(n, z)
-        direct = float(np.linalg.det(
-            bb.build_bs_matrix(params, z, "even", g).entries - np.eye(n + 1)))
-        product = bb.delta_r(params, z, g) * bb.delta_c(params, z, g)
+        direct = float(np.linalg.det(states._even_matrix(params, g) - np.eye(n + 1)))
+        product = g.b * factor(params, "delta_r", g) \
+            * factor(params, "delta_c", g) ** (n - 1)
         assert abs(direct - product) <= 1e-8 * max(abs(direct), abs(product), 1e-6)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_delta_r_equals_gamma_times_hyperbola(n):
+    # the rank-one factor, det of the symmetric block minus I, is b H_z
     rng = np.random.default_rng(99)
     for _ in range(40):
         lam, mu = rng.uniform(-4.0, 4.0, size=2)
         z = -float(np.exp(rng.uniform(np.log(1e-3), np.log(30.0))))
         params = bb.ModelParams(n, float(lam), float(mu))
         g = greens(n, z)
-        h = bb.hyperbola(params, z, g)
-        assert abs(bb.delta_r(params, z, g) - g.b * h.value) <= 1e-9 * max(1.0, abs(g.b * h.value))
+        delta_r = float(np.linalg.det(symmetric_block(params, g) - np.eye(2)))
+        bh = g.b * factor(params, "delta_r", g)
+        assert abs(delta_r - bh) <= 1e-9 * max(1.0, abs(bh))
 
 
 def test_delta_r_deep_limit():
     g = greens(2, -1e4)
-    assert bb.delta_r(bb.ModelParams(2, 3.0, -2.0), -1e4, g) == pytest.approx(1.0, abs=1e-2)
+    assert g.b * factor(bb.ModelParams(2, 3.0, -2.0), "delta_r", g) == \
+        pytest.approx(1.0, abs=1e-2)
 
 
 def test_delta_r_threshold_limits_low_dimensions():
-    # on the limiting hyperbola the z -> 0- limit is 1 - mu/n; verified at
-    # z = -1e-8 to 1e-3
+    # on the limiting hyperbola the z -> 0- limit of b H_z is 1 - mu/n;
+    # verified at z = -1e-8
     for n, lam in [(1, 3.0), (1, -1.0), (2, 2.0), (2, 0.5)]:
         mu = n + n / (lam - 1.0)
-        params = bb.ModelParams(n, lam, mu)
         g = greens(n, -1e-8)
-        assert bb.delta_r(params, -1e-8, g) == pytest.approx(1.0 - mu / n, abs=1e-3)
-        # exactly at z = 0 the tagged limit value is returned
-        g0 = bb.green_threshold(n)
-        assert bb.delta_r(params, 0.0, g0) == pytest.approx(1.0 - mu / n, abs=1e-12)
-    # off the curve the limit is signed infinity
-    g0 = bb.green_threshold(2)
-    assert bb.delta_r(bb.ModelParams(2, 0.0, 3.0), 0.0, g0) == -math.inf
-    assert bb.delta_r(bb.ModelParams(2, -1.0, -1.0), 0.0, g0) == math.inf
-    assert not bb.determinants(bb.ModelParams(2, 0.0, 3.0), 0.0, g0).delta_r_defined
+        assert g.b * factor(bb.ModelParams(n, lam, mu), "delta_r", g) == \
+            pytest.approx(1.0 - mu / n, abs=1e-3)
+    # off the curve b diverges, and b H_z grows with the sign of H_0
+    for lam, mu in [(0.0, 3.0), (-1.0, -1.0)]:
+        params = bb.ModelParams(2, lam, mu)
+        values = [g.b * factor(params, "delta_r", g)
+                  for g in (greens(2, -1e-4), greens(2, -1e-8))]
+        h0 = hyperbola_limit(2, lam, mu, 1.0)
+        assert all(math.copysign(1.0, v) == math.copysign(1.0, h0) for v in values)
+        assert abs(values[1]) > abs(values[0])
 
 
 def test_delta_r_threshold_finite_high_dimension():
     g0 = bb.green_threshold(3)
     params = bb.ModelParams(3, 1.0, 1.0)
-    val = bb.delta_r(params, 0.0, g0)
-    h0 = bb.hyperbola(params, 0.0, g0)
-    assert val == pytest.approx(g0.b * h0.value, rel=1e-10)
+    h0 = factor(params, "delta_r", g0)
+    assert h0 == hyperbola_limit(3, 1.0, 1.0, bb.spectral_constants(3).x_asymptote)
+    delta_r = float(np.linalg.det(symmetric_block(params, g0) - np.eye(2)))
+    assert delta_r == pytest.approx(g0.b * h0, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -175,29 +204,24 @@ def test_hyperbola_at_origin_is_inverse_b():
     for n in (1, 2, 3):
         z = -0.7
         g = greens(n, z)
-        h = bb.hyperbola(bb.ModelParams(n, 0.0, 0.0), z, g)
-        assert h.value == pytest.approx(1.0 / g.b, rel=1e-12)
-        assert h.mu_inf == n - z
+        h = factor(bb.ModelParams(n, 0.0, 0.0), "delta_r", g)
+        assert h == pytest.approx(1.0 / g.b, rel=1e-12)
 
 
-def test_threshold_asymptotes():
-    g1 = bb.green_threshold(1)
-    h = bb.hyperbola(bb.ModelParams(1, 0.0, 0.0), 0.0, g1)
-    assert h.asymptote == (1.0, 1.0)
+def test_threshold_asymptotes(consts):
+    assert consts[1].x_asymptote == 1.0
+    assert consts[2].x_asymptote == 1.0
     g3 = bb.green_threshold(3)
-    h3 = bb.hyperbola(bb.ModelParams(3, 0.0, 0.0), 0.0, g3)
-    assert h3.lambda_inf == pytest.approx(g3.a / g3.b, rel=1e-14)
-    assert h3.mu_inf == 3.0
+    assert consts[3].x_asymptote == pytest.approx(g3.a / g3.b, rel=1e-14)
 
 
 def test_parallel_translation_of_branches():
-    # as z decreases both asymptote components strictly increase, so
-    # same-side branches at different z never intersect
+    # as z decreases both asymptote components a/b and n - z strictly
+    # increase, so same-side branches at different z never intersect
     for n in (1, 2, 3):
         zs = [-float(z) for z in np.geomspace(1e-6, 100.0, 12)]
-        pts = [bb.hyperbola(bb.ModelParams(n, 0.0, 0.0), z, greens(n, z)) for z in zs]
-        lam_inf = [p.lambda_inf for p in pts]
-        mu_inf = [p.mu_inf for p in pts]
+        lam_inf = [greens(n, z).ratio_ab for z in zs]
+        mu_inf = [n - z for z in zs]
         assert all(x < y for x, y in zip(lam_inf, lam_inf[1:]))
         assert all(x < y for x, y in zip(mu_inf, mu_inf[1:]))
 
@@ -214,6 +238,9 @@ def test_critical_couplings_values_and_ordering(consts):
         assert c.x_asymptote < c.lambda_s < c.lambda_c  # strict in fact
 
 
-def test_critical_couplings_requires_threshold_record():
-    with pytest.raises(ValueError):
-        bb.critical_couplings(2, greens(2, -1.0))
+def test_critical_couplings_requires_threshold_record(consts):
+    # lambda_s and lambda_c are read from the z = 0 record, bit for bit
+    for n, c in consts.items():
+        assert c.greens0.z == 0.0 and c.greens0 == bb.green_threshold(n)
+        assert c.lambda_s == 1.0 / c.greens0.s
+        assert c.lambda_c == (None if n == 1 else 1.0 / c.greens0.cd)
