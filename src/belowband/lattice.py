@@ -27,20 +27,21 @@ share the delta_c block.  Each block is asked for its own number of lowest
 values.  The merged, multiplicity-counted list holds every eigenvalue of H
 below theta < 0, each labelled with its factor, only where the last value
 solved in each block is >= theta; above 0 it is complete only at n = 1.
-A block is solved by dense eigh up to 400 rows, where that is faster, and
-by Lanczos above, unless it is asked for all of its values.
-`compare` skips a block with no predicted root whose Cholesky factorization
-minus theta succeeds: it has no value below theta.  The factorization is
-banded, with rows ordered by level sum(m): every hop changes the level by
-one, so the half-bandwidth is 13-25 at n = 2 and 21-67 at n = 3 at the
-radii the oracle meets; a band of more than DENSE_LIMIT^2 doubles is not
-factored.  No solve reads the whole box:
-`TruncatedHamiltonian.matrix` is built only on a read.
+A block is solved by dense eigh up to 200 rows, where that is faster, and
+by Lanczos above, unless it is asked for all of its values.  No solve
+reads the whole box: `TruncatedHamiltonian.matrix` is built only on a read.
 
-Only the diagonal of levels 0 and 1 (the origin and the unit sites) depends
-on (lam, mu).  The rest of each block (its orbit basis, hops and weights,
-and where each hop goes in the band) is kept per (n, L, origin) in a
-bounded cache, so a solve at a radius already met adds only the couplings.
+`compare` asks each block for exactly its number of values below theta,
+counted by inertia (the finite-box Birman-Schwinger principle): the
+couplings touch only the rows of level sum(m) <= 1, the origin (delta_r
+only) and one row of unit sites, so block - theta I is congruent to a
+positive definite part on the other rows plus a 2x2 (delta_r) or 1x1
+Schur complement, whose negative eigenvalues are the count.
+
+Only the diagonal of levels 0 and 1 depends on (lam, mu).  The rest of
+each block (its orbit basis, hops and weights, and g at every theta met)
+is kept per (n, L, origin) in a bounded cache, so a solve at a radius
+already met adds only the couplings.
 
 This is the only module that loads ``scipy.sparse`` and ``scipy.linalg``.
 Neither the CLI nor the package imports it up front: ``belowband.cli``
@@ -58,8 +59,7 @@ from functools import cached_property, lru_cache, reduce
 import numpy as np
 import scipy.sparse as sparse
 from scipy.linalg import eigh
-from scipy.linalg.lapack import dpbtrf
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import cg, eigsh
 
 from .classify import DEFAULT_THETA, REGION_TOL, negative_eigenvalues
 from .reduction import ModelParams
@@ -71,22 +71,25 @@ __all__ = [
     "build_hamiltonian",
     "lowest_eigenvalues",
     "compare",
+    "SolverError",
 ]
 
-# a factor block is certified by banded Cholesky while its band holds at
-# most DENSE_LIMIT^2 doubles: at n = 3 every block up to L = 17 is tried.
-# perfbench reads this name to label a whole box of at most DENSE_LIMIT
-# sites dense; such a box has blocks of at most 156 rows
+# only perfbench reads this name: it labels a whole box of at most
+# DENSE_LIMIT sites dense; such a box has blocks of at most 156 rows
 DENSE_LIMIT = 625
-# largest factor block solved by dense eigh, larger ones by Lanczos: with
-# one BLAS thread eigh takes 2.8-3.4 ms at 286-325 rows, where eigsh takes
-# 3.6-6.4 ms, and 7.6-19 ms at 455-605 rows, where eigsh takes 3.5-9.5 ms
-_DENSE_ROWS = 400
+# largest block solved by dense eigh, larger ones by Lanczos: asked for the
+# values below theta, with one BLAS thread, eigh takes 0.7-1.3 ms at 136-156
+# rows (eigsh 0.9-3.6 ms) and 2.5-4.7 ms at 272-325 (eigsh 1.0-3.9 ms)
+_DENSE_ROWS = 200
 MAX_DIM = 2_000_000      # largest box build_hamiltonian accepts
 # factor blocks whose coupling-free part is kept; an oracle pass meets 19
 _KEPT_BLOCKS = 32
 _SEED = 20240817         # deterministic start vector for the Lanczos solver
 ORIGINS = ("delta_r", "delta_c", "delta_s")
+
+
+class SolverError(RuntimeError):
+    """An iterative solve of the oracle did not reach its tolerance."""
 
 
 @dataclass(frozen=True)
@@ -209,18 +212,15 @@ def _canonical(points: np.ndarray, origin: str) -> tuple[np.ndarray, np.ndarray]
 
 @lru_cache(maxsize=_KEPT_BLOCKS)
 def _kept_block(n: int, L: int, origin: str) -> tuple:
-    """Coupling-free part of one factor block, in both row orders.
+    """Coupling-free part of one factor block: hops, levels and g by theta.
 
-    Returns the hops and levels that `_block_structure` returns, rows in
-    lexicographic order, and the block's lower band with rows in level
-    order: band row j is block row order[j], with order the stable sort by
-    level.  Every hop changes the level by one, so the half-bandwidth w is
-    at most the size of two adjacent levels.  The band part is (w, the
-    flat position j (w + 1) + i - j and the value of every hop (i, j) with
-    i > j, each row's level in band order): a (dim, w + 1) C-ordered array
-    filled there is the LAPACK lower band storage of the block, transposed.
-    One cache entry holds both orders, so that they are kept or dropped
-    together; the arrays are read-only, since they are kept across solves.
+    A hop from representative a to a point of orbit b adds
+    -1/2 sign sqrt(|O_a| / |O_b|); rows are found by their mixed-radix key
+    and are in lexicographic order.  The level sum(m) is 0 at the origin
+    and 1 on the unit sites.  Every hop changes the level by one, so the
+    off-diagonal part has no diagonal entry.  The third item maps each
+    theta met to `_tail`'s g, so one cache entry keeps or drops it with
+    the hops.  The arrays are read-only, since they are kept across solves.
     """
     radix = (L + 1) ** np.arange(n - 1, -1, -1)
     grid = np.indices((L + 1,) * n).reshape(n, -1).T
@@ -240,32 +240,9 @@ def _kept_block(n: int, L: int, origin: str) -> tuple:
     off = sparse.csr_matrix((-0.5 * s[ok] * np.sqrt(size[a] / size[b]), (a, b)),
                             shape=(dim, dim))
     level = reps.sum(axis=1)
-    order = np.argsort(level, kind="stable")
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(dim)
-    coo = off.tocoo()
-    i, j = inverse[coo.row], inverse[coo.col]
-    lower = i > j
-    width = int((i - j).max(initial=0))
-    band = (width, j[lower] * (width + 1) + (i - j)[lower], coo.data[lower],
-            level[order])
-    for array in (off.data, off.indices, off.indptr, level, *band[1:]):
+    for array in (off.data, off.indices, off.indptr, level):
         array.flags.writeable = False
-    return off, level, band
-
-
-def _block_structure(n: int, L: int,
-                     origin: str) -> tuple[sparse.csr_matrix, np.ndarray]:
-    """Coupling-free part of one factor block: its hops and each row's level.
-
-    A hop from representative a to a point of orbit b adds
-    -1/2 sign sqrt(|O_a| / |O_b|); rows are found by their mixed-radix key
-    and are in lexicographic order.  The level sum(m) is 0 at the origin
-    and 1 on the unit sites.  Every hop changes the level by one, so the
-    off-diagonal part has no diagonal entry.  Both are kept and read-only.
-    """
-    off, level, _ = _kept_block(n, L, origin)
-    return off, level
+    return off, level, {}
 
 
 def _diagonal(n: int, lam: float, mu: float, level: np.ndarray) -> np.ndarray:
@@ -280,7 +257,7 @@ def _factor_block(n: int, L: int, lam: float, mu: float,
     The coupling-free part is kept per (n, L, origin) in a bounded cache;
     only the diagonal of levels 0 and 1 depends on (lam, mu).
     """
-    off, level = _block_structure(n, L, origin)
+    off, level, _ = _kept_block(n, L, origin)
     return off + sparse.diags(_diagonal(n, lam, mu, level), format="csr")
 
 
@@ -291,26 +268,51 @@ def _multiplicities(n: int) -> dict[str, int]:
 
 def _dense(ham: TruncatedHamiltonian, origin: str) -> np.ndarray:
     """One factor block of ham as a Fortran-ordered array."""
-    off, level = _block_structure(ham.n, ham.L, origin)
+    off, level, _ = _kept_block(ham.n, ham.L, origin)
     dense = off.toarray(order="F")    # off has no diagonal entry
     np.fill_diagonal(dense, _diagonal(ham.n, ham.lam, ham.mu, level))
     return dense
 
 
-def _none_below(ham: TruncatedHamiltonian, origin: str, theta: float) -> bool:
-    """Whether a factor block has no value below theta, by banded Cholesky.
+def _tail(n: int, L: int, origin: str, theta: float) -> float:
+    """g = b^T (Q - theta I)^-1 b of one factor block, kept per theta.
 
-    True exactly when block - theta I has a Cholesky factor (up to rounding
-    of order dim eps |H|).  A block whose band would hold more doubles than
-    a dense DENSE_LIMIT-row block is not tried and gives False.
+    Q is the block on its rows of level >= 2 and b the hops into them from
+    the level-1 row.  Q compresses the free box Laplacian, whose spectrum
+    lies in (0, 2n), so Q - theta I is positive definite for theta < 0:
+    conjugate gradients to a relative residual of 1e-14, else SolverError.
     """
-    width, position, value, level = _kept_block(ham.n, ham.L, origin)[2]
-    if (width + 1) * len(level) > DENSE_LIMIT ** 2:
-        return False
-    band = np.zeros((len(level), width + 1))
-    band.flat[position] = value
-    band[:, 0] = _diagonal(ham.n, ham.lam, ham.mu, level) - theta
-    return dpbtrf(band.T, lower=1, overwrite_ab=1)[1] == 0
+    off, level, tails = _kept_block(n, L, origin)
+    if theta not in tails:
+        deep = level >= 2
+        b = off[np.flatnonzero(level == 1)[0]].toarray().ravel()[deep]
+        g = 0.0
+        if b.any():
+            q = off[deep][:, deep] + sparse.identity(len(b)) * (n - theta)
+            x, info = cg(q, b, rtol=1e-14)
+            if info:
+                raise SolverError(f"CG did not reach 1e-14 in {info} steps "
+                                  f"({origin}, n={n}, L={L}, theta={theta})")
+            g = float(b @ x)
+        tails[theta] = g
+    return tails[theta]
+
+
+def _count_below(ham: TruncatedHamiltonian, origin: str, theta: float) -> int:
+    """Number of values of one factor block below theta < 0, by inertia.
+
+    block - theta I is congruent to diag(Q - theta I, S) (see `_tail`), so
+    the count is that of S's negative eigenvalues: S = [n - lam/2 - theta - g],
+    and for delta_r S = [[n - mu - theta, h], [h, that]] with h^2 = n/2 (the
+    origin's hops to the 2n unit sites, each -1/2 / sqrt(2n)).
+    """
+    last = ham.n - ham.lam / 2.0 - theta - _tail(ham.n, ham.L, origin, theta)
+    if origin != "delta_r":
+        return int(last < 0.0)
+    first = ham.n - ham.mu - theta
+    if first == 0.0:    # S is [[0, h], [h, last]] with h != 0: indefinite
+        return 1
+    return int(first < 0.0) + int(last - ham.n / 2.0 / first < 0.0)
 
 
 def _lowest(ham: TruncatedHamiltonian, origin: str, k: int) -> np.ndarray:
@@ -319,7 +321,7 @@ def _lowest(ham: TruncatedHamiltonian, origin: str, k: int) -> np.ndarray:
     Dense eigh up to _DENSE_ROWS rows or for all of a block's values, else
     Lanczos on the sparse block from a deterministic start vector.
     """
-    dim = len(_block_structure(ham.n, ham.L, origin)[1])
+    dim = len(_kept_block(ham.n, ham.L, origin)[1])
     k = min(k, dim)
     if dim <= _DENSE_ROWS or k == dim:
         return eigh(_dense(ham, origin), eigvals_only=True,
@@ -340,10 +342,9 @@ def lowest_eigenvalues(ham: TruncatedHamiltonian,
     all; an empty mapping solves nothing.  Either way the merged list
     holds every eigenvalue of H below theta < 0, with its multiplicity,
     only where the last value solved in each block is >= theta.  Every
-    block asked is solved, none certified: densely up to 400 rows or when
-    asked for all its values, else by Lanczos from a deterministic start
-    vector, so results are reproducible run to run; the whole-box matrix
-    is never read.
+    block asked is solved: densely up to 200 rows or when asked for all its
+    values, else by Lanczos from a deterministic start vector, so results
+    are reproducible run to run; the whole-box matrix is never read.
     """
     mult = _multiplicities(ham.n)
     if isinstance(k, Mapping):
@@ -372,19 +373,17 @@ def compare(params: ModelParams, L_values, theta: float = DEFAULT_THETA,
             tol: float = REGION_TOL) -> OracleComparison:
     """Check bound-state counts and locations against the classifier.
 
-    For every L each factor block is solved for one value past the
-    classifier's distinct roots of that factor below theta, so a block
-    holding an unpredicted state below theta counts more than predicted.
-    A block with no predicted root is solved, densely up to 400 rows, else
-    by Lanczos, only where `_none_below` fails: its band is past the
-    memory bound or its factorization breaks down.  Counts and errors read
-    only values below theta, so the report is the same.  The merged list holds every
-    eigenvalue below theta only where each block's last value is >= theta,
-    which agreeing counts ensure.  The oracle count below theta, in total
-    and per determinant factor, is compared to the classifier's
-    multiplicity-weighted count, and matched eigenvalues are paired in
-    increasing order.  The whole box is never assembled.  Disagreements
-    are report content, not errors.
+    For every L each factor block is asked for exactly its number of
+    values below theta, counted by inertia (`_count_below`), and a block
+    with none is not solved; `lowest_eigenvalues` is still called once per
+    radius, with an empty mapping when no block has a value below theta.
+    The oracle count below theta, in total and per determinant factor, is
+    read off the solved values, so a count the solve does not confirm
+    shows up as a disagreement, and the classifier's roots never size the
+    solves.  It is compared to the classifier's multiplicity-weighted
+    count, and matched eigenvalues are paired in increasing order.  The
+    whole box is never assembled.  Disagreements are report content, not
+    errors.
     """
     if theta >= 0.0:
         raise ValueError(f"theta must be < 0, got {theta}")
@@ -400,16 +399,14 @@ def compare(params: ModelParams, L_values, theta: float = DEFAULT_THETA,
     predicted = sorted(r.z for r in records for _ in range(r.multiplicity))
     factors = {o: sum(r.multiplicity for r in records if r.origin == o)
                for o in ORIGINS}
-    wanted = {o: sum(1 for r in records if r.origin == o) + 1
-              for o in _multiplicities(params.n)}
     counts: dict[int, int] = {}
     factor_counts: dict[int, dict[str, int]] = {}
     errors: dict[int, tuple[float, ...]] = {}
     for L in map(int, radii):
         ham = build_hamiltonian(params.n, L, params.lam, params.mu)
         spec = lowest_eigenvalues(ham, {
-            o: k for o, k in wanted.items()
-            if k > 1 or not _none_below(ham, o, theta)})
+            o: k for o in _multiplicities(params.n)
+            if (k := _count_below(ham, o, theta))})
         counts[L] = spec.count_below(theta)
         factor_counts[L] = {o: spec.count_below(theta, o) for o in ORIGINS}
         below = [e for e in spec.eigenvalues if e < theta]

@@ -12,6 +12,7 @@ import pytest
 import scipy.sparse as sparse
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh
+from scipy.sparse.linalg import eigsh
 
 import belowband as bb
 from belowband import lattice
@@ -195,7 +196,7 @@ def test_solves_do_not_depend_on_earlier_couplings():
 
 
 def test_kept_block_structure_refuses_writes():
-    off, level = lattice._block_structure(2, 5, "delta_c")
+    off, level, _ = lattice._kept_block(2, 5, "delta_c")
     for array in (off.data, off.indices, off.indptr, level):
         with pytest.raises(ValueError):
             array[0] = 7
@@ -208,6 +209,7 @@ def test_compare_reuses_the_kept_blocks(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("orbit basis rebuilt")
     monkeypatch.setattr(lattice, "_canonical", refuse)
+    monkeypatch.setattr(lattice, "cg", refuse)    # g is kept per theta
     rep = bb.compare(bb.ModelParams(3, 7.0, 4.0), [10, 12])
     assert rep.predicted_factor_counts != first.predicted_factor_counts
     assert all(rep.agrees_at(L) for L in (10, 12))
@@ -226,16 +228,14 @@ def test_compare_never_assembles_the_box(monkeypatch, n, L, lam, mu, factors):
     assert rep.predicted_factor_counts == rep.oracle_factor_counts[L] == factors
 
 
-def _spy_dpbtrf(monkeypatch) -> list[tuple[int, int]]:
-    """Record (rows, info) of every banded Cholesky factorization lattice makes."""
-    calls, real = [], lattice.dpbtrf
+def _spy_solves(monkeypatch) -> list[tuple[str, int]]:
+    """Record (origin, count) of every factor block lattice solves."""
+    calls, real = [], lattice._lowest
 
-    def spy(ab, **kwargs):
-        rows = ab.shape[1]
-        c, info = real(ab, **kwargs)
-        calls.append((rows, info))
-        return c, info
-    monkeypatch.setattr(lattice, "dpbtrf", spy)
+    def spy(ham, origin, k):
+        calls.append((origin, k))
+        return real(ham, origin, k)
+    monkeypatch.setattr(lattice, "_lowest", spy)
     return calls
 
 
@@ -244,72 +244,78 @@ _UNPREDICTED = {2: (7.0, 8.0, {"delta_r": 2, "delta_c": 1, "delta_s": 2}),
                 3: (7.0, 1.0, {"delta_r": 1, "delta_c": 2, "delta_s": 3})}
 
 
-@pytest.mark.parametrize("n,origin,fallback", [
-    # a certificate is tried where the dropped root leaves one wanted
-    # value, fails and falls back to a solve; at n = 3, L = 12 the delta_r
-    # block has 455 rows, delta_c 1014 and delta_s 1092, so all three
-    # fall back to Lanczos
-    pytest.param(2, "delta_r", False, id="delta_r"),
-    pytest.param(2, "delta_c", True, id="delta_c"),
-    pytest.param(2, "delta_s", True, id="delta_s"),
-    pytest.param(3, "delta_r", True, id="n3-delta_r"),
-    pytest.param(3, "delta_c", True, id="n3-delta_c"),
-    pytest.param(3, "delta_s", True, id="n3-delta_s"),
+@pytest.mark.parametrize("n,origin", [
+    pytest.param(2, "delta_r", id="delta_r"),
+    pytest.param(2, "delta_c", id="delta_c"),
+    pytest.param(2, "delta_s", id="delta_s"),
+    pytest.param(3, "delta_r", id="n3-delta_r"),
+    pytest.param(3, "delta_c", id="n3-delta_c"),
+    pytest.param(3, "delta_s", id="n3-delta_s"),
 ])
-def test_compare_sees_an_unpredicted_state(monkeypatch, n, origin, fallback):
-    # hiding one root of a factor leaves its block one value past the
-    # prediction
+def test_compare_sees_an_unpredicted_state(monkeypatch, n, origin):
+    # hiding one root of a factor from the classifier changes nothing the
+    # oracle asks: every block, that of the hidden root included, is asked
+    # for its full count below theta, so the oracle counts more than
+    # predicted
     lam, mu, full = _UNPREDICTED[n]
     params = bb.ModelParams(n, lam, mu)
     records = bb.negative_eigenvalues(params)
     dropped = next(r for r in records if r.origin == origin)
     monkeypatch.setattr(lattice, "negative_eigenvalues",
                         lambda *a, **k: [r for r in records if r is not dropped])
-    calls = _spy_dpbtrf(monkeypatch)
+    calls = _spy_solves(monkeypatch)
     rep = bb.compare(params, [12])
     assert rep.oracle_factor_counts[12] == full
     assert rep.predicted_factor_counts[origin] == full[origin] - dropped.multiplicity
     assert not rep.agrees_at(12) and not rep.counts_agree
-    assert [info > 0 for _, info in calls] == ([True] if fallback else [])
+    mult = lattice._multiplicities(n)
+    assert dict(calls) == {o: c // mult[o] for o, c in full.items()}
+    assert len(calls) == len(full)
 
 
 def test_certified_blocks_are_not_solved(monkeypatch):
-    # D0: no root, so every block wants one value, and at n = 2, L = 12
-    # and 16 every block is certified empty below theta
-    calls, solves = _spy_dpbtrf(monkeypatch), []
+    # D0: no root, so no block has a value below theta and none is solved,
+    # at n = 3, L = 20 (blocks of 1771, 4410 and 4620 rows) too; one
+    # lowest_eigenvalues call per radius asks for nothing
+    solves, asked = _spy_solves(monkeypatch), []
     real = lattice.lowest_eigenvalues
 
     def spy(ham, k):
-        solves.append(dict(k))
+        asked.append(dict(k))
         return real(ham, k)
     monkeypatch.setattr(lattice, "lowest_eigenvalues", spy)
-    monkeypatch.setattr(lattice, "_lowest", lambda *a: pytest.fail("solved"))
-    rep = bb.compare(bb.ModelParams(2, -1.0, -1.0), [12, 16])
-    assert rep.counts_agree and rep.oracle_counts == {12: 0, 16: 0}
-    assert solves == [{}, {}]
-    assert [info for _, info in calls] == [0] * 6
+    for n, radii in ((2, [12, 16]), (3, [20])):
+        rep = bb.compare(bb.ModelParams(n, -1.0, -1.0), radii)
+        assert rep.counts_agree and rep.oracle_counts == dict.fromkeys(radii, 0)
+    assert asked == [{}, {}, {}] and solves == []
+    # (5, 1) at n = 3 has no delta_c root: that block alone is not solved
+    rep = bb.compare(bb.ModelParams(3, 5.0, 1.0), [10, 12])
+    assert rep.counts_agree and rep.predicted_factor_counts["delta_c"] == 0
+    assert asked[3:] == [{"delta_r": 1, "delta_s": 1}] * 2
+    assert solves == [("delta_r", 1), ("delta_s", 1)] * 2
 
 
 @pytest.mark.parametrize("n,L,origin,rows,solver", [
     # oracle workload blocks at the couplings of _UNPREDICTED: past the
-    # solver cut of 400 rows Lanczos is the faster, below it dense eigh
+    # solver cut of 200 rows Lanczos is the faster, below it dense eigh
     pytest.param(2, 24, "delta_s", 600, "eigsh", id="n2-L24-delta_s"),
     pytest.param(3, 10, "delta_c", 605, "eigsh", id="n3-L10-delta_c"),
     pytest.param(3, 12, "delta_r", 455, "eigsh", id="n3-L12-delta_r"),
-    pytest.param(2, 24, "delta_r", 325, "eigh", id="n2-L24-delta_r"),
+    pytest.param(2, 24, "delta_r", 325, "eigsh", id="n2-L24-delta_r"),
+    pytest.param(2, 12, "delta_s", 156, "eigh", id="n2-L12-delta_s"),
 ])
 def test_the_solver_follows_the_block_size(monkeypatch, n, L, origin, rows,
                                            solver):
     lam, mu, _ = _UNPREDICTED[n]
-    # the count compare asks: one value past the roots below theta
-    k = 1 + sum(1 for r in bb.negative_eigenvalues(bb.ModelParams(n, lam, mu))
-                if r.origin == origin and r.z < -1e-3)
+    ham = bb.build_hamiltonian(n, L, lam, mu)
+    k = lattice._count_below(ham, origin, -1e-3)    # the count compare asks
+    assert k >= 1
     used = []
     for name in ("eigh", "eigsh"):
         real = getattr(lattice, name)
         monkeypatch.setattr(lattice, name, lambda *a, _name=name, _real=real,
                             **kw: used.append(_name) or _real(*a, **kw))
-    got = lattice._lowest(bb.build_hamiltonian(n, L, lam, mu), origin, k)
+    got = lattice._lowest(ham, origin, k)
     assert used == [solver]
     block = lattice._factor_block(n, L, lam, mu, origin).toarray()
     assert block.shape == (rows, rows)
@@ -324,114 +330,112 @@ def test_an_empty_mapping_solves_nothing():
     assert spec.count_below(-1e-3) == 0
 
 
-# radii with blocks on both sides of the solver cut (400 rows), so solved
-# by both solvers: n = 1, L = 40 has blocks of 41 and 40 rows and L = 625
-# of 626 and 625; n = 2, L = 24 of 325, 300 and 600; n = 3, L = 10 of 286,
-# 605 and 660
-_CERT_RADII = {1: (40, 625), 2: (12, 24, 34), 3: (8, 10)}
+# radii with blocks on both sides of the solver cut (200 rows): n = 1,
+# L = 1 has blocks of 2 and 1 rows with no row of level >= 2, L = 625 of
+# 626 and 625; n = 2, L = 24 of 325, 300 and 600; n = 3, L = 10 of 286,
+# 605 and 660 and L = 20 of 1771, 4410 and 4620
+_COUNT_RADII = {1: (1, 40, 625), 2: (1, 12, 24), 3: (1, 10, 20)}
+
+
+def _values_below(block, theta: float, count: int) -> np.ndarray:
+    """Values of a factor block below theta, by a solve that reads no count.
+
+    Dense eigvalsh up to 1100 rows.  Past that (the n = 3, L = 20 blocks,
+    where eigvalsh takes 0.6-11 s) the count + 1 lowest by Lanczos, the
+    last of which must not lie below theta, so a count one too low fails
+    here and one too high fails the caller's comparison.
+    """
+    if block.shape[0] <= 1100:
+        values = np.linalg.eigvalsh(block.toarray())
+    else:
+        v0 = np.random.default_rng(7).standard_normal(block.shape[0])
+        values = np.sort(eigsh(block, k=count + 1, which="SA", v0=v0,
+                               return_eigenvectors=False))
+        assert values[-1] >= theta
+    return values[values < theta]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(1, 3), data=st.data(),
        theta=st.sampled_from([-1e-3, -0.5]))
 def test_the_certificate_matches_the_solve(n, data, theta):
+    # the inertia count of every block equals the number of its values
+    # below theta
     _, (lam, mu) = data.draw(st.sampled_from(open_region_points(n)),
                              label="cell")
     lam += data.draw(st.floats(-0.5, 0.5), label="dlam")
     mu += data.draw(st.floats(-0.5, 0.5), label="dmu")
-    for L, origin in itertools.product(_CERT_RADII[n], lattice._multiplicities(n)):
+    for L, origin in itertools.product(_COUNT_RADII[n],
+                                       lattice._multiplicities(n)):
         ham = bb.build_hamiltonian(n, L, lam, mu)
-        rows = len(lattice._block_structure(n, L, origin)[1])
-        with pytest.MonkeyPatch.context() as mp:
-            calls = _spy_dpbtrf(mp)
-            certified = lattice._none_below(ham, origin, theta)
-        assert [r for r, _ in calls] == [rows], (L, origin)
-        assert certified == (lattice._lowest(ham, origin, 1)[0] >= theta), \
-            (L, origin)
+        count = lattice._count_below(ham, origin, theta)
+        block = lattice._factor_block(n, L, lam, mu, origin)
+        assert count == len(_values_below(block, theta, count)), (L, origin)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(n=st.integers(1, 4), data=st.data(),
-       couplings=st.lists(st.tuples(st.floats(-12.0, 12.0), st.floats(-12.0, 12.0)),
-                          min_size=1, max_size=3),
-       theta=st.sampled_from([-1e-3, -0.5]))
-def test_kept_band_structure_is_exact(n, data, couplings, theta):
-    L = data.draw(st.integers(1, {1: 40, 2: 12, 3: 6, 4: 3}[n]), label="L")
-    origin = data.draw(st.sampled_from(list(lattice._multiplicities(n))),
-                       label="origin")
-    level = lattice._block_structure(n, L, origin)[1]
-    order = np.argsort(level, kind="stable")    # rows by level
-    width, _, _, band_level = lattice._kept_block(n, L, origin)[2]
-    np.testing.assert_array_equal(band_level, level[order], strict=True)
-    real = lattice.dpbtrf
-    for lam, mu in couplings:
-        block = lattice._factor_block(n, L, lam, mu, origin)[order][:, order]
-        block = block.toarray() - theta * np.eye(len(level))
-        # the band is tight and holds every entry of the block
-        assert not np.tril(block, -width - 1).any()
-        assert width == 0 or np.diagonal(block, -width).any()
-        want = np.zeros((width + 1, len(level)))
-        for r in range(width + 1):
-            want[r, :len(level) - r] = np.diagonal(block, -r)
-        bands = []
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(lattice, "dpbtrf",
-                       lambda ab, **kw: bands.append(ab.copy()) or real(ab, **kw))
-            lattice._none_below(bb.build_hamiltonian(n, L, lam, mu), origin, theta)
-        assert len(bands) == 1
-        np.testing.assert_array_equal(bands[0], want, strict=True)
+@pytest.mark.parametrize("n,L", [(1, 1), (1, 40), (2, 1), (2, 12), (3, 8)])
+def test_the_tail_is_the_schur_term(n, L):
+    # g = b^T (Q - theta I)^-1 b, with Q the block on levels >= 2 and b the
+    # hops into them from the level-1 row, against a dense solve
+    for origin in lattice._multiplicities(n):
+        off, level, _ = lattice._kept_block(n, L, origin)
+        dense = off.toarray() + n * np.eye(len(level))
+        deep, row = level >= 2, np.flatnonzero(level == 1)
+        assert len(row) == 1
+        b, q = dense[row[0], deep], dense[np.ix_(deep, deep)]
+        for theta in (-1e-3, -0.5):
+            want = b @ np.linalg.solve(q - theta * np.eye(len(b)), b)
+            got = lattice._tail(n, L, origin, theta)
+            assert got == pytest.approx(want, rel=1e-10, abs=0.0), (origin, theta)
+            assert (got == 0.0) == (len(b) == 0)
 
 
-def test_kept_band_structure_refuses_writes():
-    _, position, value, level = lattice._kept_block(3, 8, "delta_s")[2]
-    for array in (position, value, level):
-        with pytest.raises(ValueError):
-            array[0] = 7
+def test_an_unconverged_tail_is_an_error(monkeypatch):
+    monkeypatch.setattr(lattice, "cg", lambda q, b, **kw: (0.0 * b, 7))
+    # a theta no other test meets, so nothing is kept for it
+    with pytest.raises(lattice.SolverError, match="1e-14 in 7 steps"):
+        lattice._tail(2, 12, "delta_s", -0.375)
+    assert -0.375 not in lattice._kept_block(2, 12, "delta_s")[2]
 
 
 def test_both_row_orders_are_kept_together(monkeypatch):
-    # a block met only by certificates keeps its lexicographic structure
-    # for a later solve while other blocks pass through the cache
+    # a block met only by its count keeps its hops and its g for a later
+    # solve while 63 other blocks pass through the cache
     ham = bb.build_hamiltonian(3, 12, -1.0, -1.0)
     for L in range(1, 2 * lattice._KEPT_BLOCKS):
-        lattice._block_structure(1, L, "delta_r")
-        assert lattice._none_below(ham, "delta_c", -1e-3)
+        lattice._kept_block(1, L, "delta_r")
+        assert lattice._count_below(ham, "delta_c", -1e-3) == 0
 
     def refuse(*args, **kwargs):
-        raise AssertionError("orbit basis rebuilt")
+        raise AssertionError("orbit basis or g rebuilt")
     monkeypatch.setattr(lattice, "_canonical", refuse)
-    assert len(lattice._block_structure(3, 12, "delta_c")[1]) == 1014
-
-
-def test_a_band_past_the_memory_bound_is_not_factored(monkeypatch):
-    # n = 3, L = 20: the delta_r band (1771 rows, half-bandwidth 66) holds
-    # fewer doubles than a dense DENSE_LIMIT-row block; delta_c (4410 rows)
-    # and delta_s (4620 rows), both of half-bandwidth 171, hold more
-    bound = lattice.DENSE_LIMIT ** 2
-    sizes = {}
-    for origin in lattice.ORIGINS:
-        width, _, _, level = lattice._kept_block(3, 20, origin)[2]
-        sizes[origin] = (len(level), width)
-    assert sizes == {"delta_r": (1771, 66), "delta_c": (4410, 171),
-                     "delta_s": (4620, 171)}
-    assert [(w + 1) * rows <= bound for rows, w in sizes.values()] \
-        == [True, False, False]
-    # D0: no block has a value below theta, yet only delta_r is certified
-    calls = _spy_dpbtrf(monkeypatch)
-    ham = bb.build_hamiltonian(3, 20, -1.0, -1.0)
-    assert [lattice._none_below(ham, o, -1e-3) for o in lattice.ORIGINS] \
-        == [True, False, False]
-    assert calls == [(1771, 0)]
+    monkeypatch.setattr(lattice, "cg", refuse)
+    assert lattice._count_below(ham, "delta_c", -1e-3) == 0
+    assert len(lattice._kept_block(3, 12, "delta_c")[1]) == 1014
 
 
 def test_the_certificate_leaves_every_report_unchanged(monkeypatch):
-    # one interior point of every open cell, at the oracle workload's radii
+    # one interior point of every open cell, at the oracle workload's
+    # radii, against a compare that asks each block for one value past the
+    # classifier's roots below theta
     ladders = {1: (40, 60), 2: (12, 16, 24), 3: (10, 12)}
     params = [bb.ModelParams(n, lam, mu) for n in ladders
               for _, (lam, mu) in open_region_points(n)]
-    with_cert = [repr(bb.compare(p, ladders[p.n])) for p in params]
-    monkeypatch.setattr(lattice, "_none_below", lambda *a: False)
-    assert [repr(bb.compare(p, ladders[p.n])) for p in params] == with_cert
+    reports = [bb.compare(p, ladders[p.n]) for p in params]
+
+    def one_past(ham, origin, theta):
+        records = bb.negative_eigenvalues(bb.ModelParams(ham.n, ham.lam, ham.mu))
+        return 1 + sum(1 for r in records if r.origin == origin and r.z < theta)
+    monkeypatch.setattr(lattice, "_count_below", one_past)
+    for p, rep in zip(params, reports):
+        ref = bb.compare(p, ladders[p.n])
+        assert rep.oracle_counts == ref.oracle_counts, p
+        assert rep.oracle_factor_counts == ref.oracle_factor_counts, p
+        assert rep.counts_agree, p
+        for L in ladders[p.n]:
+            np.testing.assert_allclose(rep.matched_errors[L],
+                                       ref.matched_errors[L], rtol=0.0,
+                                       atol=1e-12, err_msg=f"{p} L={L}")
 
 
 def test_parity_attribution():
