@@ -315,7 +315,16 @@ def _verify_oracle(args) -> dict:
 
 
 def cmd_verify(args) -> int:
-    doc = _verify_identities(args) if args.suite == "identities" else _verify_oracle(args)
+    if args.suite == "identities":
+        doc = _verify_identities(args)
+    else:
+        from .lattice import SolverError
+
+        try:
+            doc = _verify_oracle(args)
+        except SolverError as exc:
+            print(f"numeric failure: {exc}", file=sys.stderr)
+            return NUMERIC_ERROR
     doc["schema_version"] = SCHEMA_VERSION
     doc["passed"] = all(c["passed"] for c in doc["checks"])
     _emit_json(doc)

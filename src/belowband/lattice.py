@@ -23,25 +23,32 @@ nonnegative representatives m:
 
 Every other symmetry sector misses the potential, so it holds only free
 states, whose energies lie above 0; so do the free [n-2, 1, 1] states that
-share the delta_c block.  Each block is asked for its own number of lowest
-values.  The merged, multiplicity-counted list holds every eigenvalue of H
-below theta < 0, each labelled with its factor, only where the last value
-solved in each block is >= theta; above 0 it is complete only at n = 1.
-A block is solved by dense eigh up to 200 rows, where that is faster, and
-by Lanczos above, unless it is asked for all of its values.  No solve
-reads the whole box: `TruncatedHamiltonian.matrix` is built only on a read.
+share the delta_c block.
 
-`compare` asks each block for exactly its number of values below theta,
-counted by inertia (the finite-box Birman-Schwinger principle): the
-couplings touch only the rows of level sum(m) <= 1, the origin (delta_r
-only) and one row of unit sites, so block - theta I is congruent to a
-positive definite part on the other rows plus a 2x2 (delta_r) or 1x1
-Schur complement, whose negative eigenvalues are the count.
+The couplings touch only the rows of level sum(m) <= 1: the origin
+(delta_r only) and one row of unit sites.  The rest of a block, Q on the
+rows of level >= 2, compresses the free box Laplacian, so its spectrum
+lies in (0, 2n).  In the basis (origin row, level-1 row, Lanczos vectors
+of Q started at the level-1 row's hops b) the block is tridiagonal, and
+only its first one or two diagonal entries depend on (lam, mu).  The
+Lanczos chain is stopped once the conjugate-gradient residual of
+(Q - theta I) x = b falls below 1e-14 at theta = 0, which bounds it at
+every theta < 0, so g = b^T (Q - theta I)^-1 b, the one term through
+which Q enters the block's eigenvalue equation below 0, is exact to
+rounding, and the chain's values below 0 are the block's (Gauss
+quadrature by Lanczos, Golub and Meurant 2010).  Each chain
+is built once per (n, L, origin) and kept in a bounded cache, so a solve
+at a radius already met adds only the couplings, and its values below a
+bound come from the LAPACK bisection stebz.
 
-Only the diagonal of levels 0 and 1 depends on (lam, mu).  The rest of
-each block (its orbit basis, hops and weights, and g at every theta met)
-is kept per (n, L, origin) in a bounded cache, so a solve at a radius
-already met adds only the couplings.
+`compare` counts each block's values below theta on its chain and asks
+`lowest_eigenvalues` for exactly those; a mapping asks named blocks for
+their lowest values below 0 from their chains.  An integer k solves every
+block densely, the whole-spectrum path; its merged list holds every
+eigenvalue of H below theta < 0 only where the last value solved in each
+block is >= theta, and above 0 it is complete only at n = 1.  No solve
+reads the whole box: `TruncatedHamiltonian.matrix` is built only on a
+read.
 
 This is the only module that loads ``scipy.sparse`` and ``scipy.linalg``.
 Neither the CLI nor the package imports it up front: ``belowband.cli``
@@ -58,8 +65,7 @@ from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.linalg import eigh
-from scipy.sparse.linalg import cg, eigsh
+from scipy.linalg import eigh, eigvalsh_tridiagonal
 
 from .classify import DEFAULT_THETA, REGION_TOL, negative_eigenvalues
 from .reduction import ModelParams
@@ -75,21 +81,19 @@ __all__ = [
 ]
 
 # only perfbench reads this name: it labels a whole box of at most
-# DENSE_LIMIT sites dense; such a box has blocks of at most 156 rows
+# DENSE_LIMIT sites dense; no solver reads it
 DENSE_LIMIT = 625
-# largest block solved by dense eigh, larger ones by Lanczos: asked for the
-# values below theta, with one BLAS thread, eigh takes 0.7-1.3 ms at 136-156
-# rows (eigsh 0.9-3.6 ms) and 2.5-4.7 ms at 272-325 (eigsh 1.0-3.9 ms)
-_DENSE_ROWS = 200
 MAX_DIM = 2_000_000      # largest box build_hamiltonian accepts
-# factor blocks whose coupling-free part is kept; an oracle pass meets 19
+# factor blocks whose chain is kept; an oracle pass meets 19
 _KEPT_BLOCKS = 32
-_SEED = 20240817         # deterministic start vector for the Lanczos solver
+# conjugate-gradient residual of (Q - theta I) x = b, relative to |b|, at
+# theta = 0 where a chain stops; it is smaller at every theta < 0
+_CHAIN_RTOL = 1e-14
 ORIGINS = ("delta_r", "delta_c", "delta_s")
 
 
 class SolverError(RuntimeError):
-    """An iterative solve of the oracle did not reach its tolerance."""
+    """A factor block's Lanczos chain did not converge or lost definiteness."""
 
 
 @dataclass(frozen=True)
@@ -210,17 +214,14 @@ def _canonical(points: np.ndarray, origin: str) -> tuple[np.ndarray, np.ndarray]
     return canon, np.sign(a[:, 1] - a[:, 0])
 
 
-@lru_cache(maxsize=_KEPT_BLOCKS)
-def _kept_block(n: int, L: int, origin: str) -> tuple:
-    """Coupling-free part of one factor block: hops, levels and g by theta.
+def _structure(n: int, L: int, origin: str) -> tuple[sparse.csr_matrix, np.ndarray]:
+    """Coupling-free off-diagonal part of one factor block and its levels.
 
     A hop from representative a to a point of orbit b adds
     -1/2 sign sqrt(|O_a| / |O_b|); rows are found by their mixed-radix key
     and are in lexicographic order.  The level sum(m) is 0 at the origin
     and 1 on the unit sites.  Every hop changes the level by one, so the
-    off-diagonal part has no diagonal entry.  The third item maps each
-    theta met to `_tail`'s g, so one cache entry keeps or drops it with
-    the hops.  The arrays are read-only, since they are kept across solves.
+    off-diagonal part has no diagonal entry.
     """
     radix = (L + 1) ** np.arange(n - 1, -1, -1)
     grid = np.indices((L + 1,) * n).reshape(n, -1).T
@@ -239,26 +240,65 @@ def _kept_block(n: int, L: int, origin: str) -> tuple:
     b = np.searchsorted(keys, target[ok] @ radix)
     off = sparse.csr_matrix((-0.5 * s[ok] * np.sqrt(size[a] / size[b]), (a, b)),
                             shape=(dim, dim))
-    level = reps.sum(axis=1)
-    for array in (off.data, off.indices, off.indptr, level):
-        array.flags.writeable = False
-    return off, level, {}
+    return off, reps.sum(axis=1)
 
 
-def _diagonal(n: int, lam: float, mu: float, level: np.ndarray) -> np.ndarray:
-    """n - mu on level 0, n - lam/2 on level 1 and n elsewhere."""
-    return n - np.where(level == 0, mu, np.where(level == 1, lam / 2.0, 0.0))
+@lru_cache(maxsize=_KEPT_BLOCKS)
+def _kept_block(n: int, L: int, origin: str) -> tuple[np.ndarray, ...]:
+    """Coupling-free tridiagonal chain of one factor block and its levels.
 
-
-def _factor_block(n: int, L: int, lam: float, mu: float,
-                  origin: str) -> sparse.csr_matrix:
-    """H in the orbit basis of one factor's symmetry sector.
-
-    The coupling-free part is kept per (n, L, origin) in a bounded cache;
-    only the diagonal of levels 0 and 1 depends on (lam, mu).
+    Rows: the origin (delta_r only), the level-1 row, then the Lanczos
+    vectors of Q (the block on its rows of level >= 2) started at b, the
+    level-1 row's hops into them, by the plain three-term recurrence.
+    Step k adds the LDL^T pivot d_k of the chain of Q at theta = 0 and
+    updates the conjugate-gradient residual rho_k = rho_(k-1) beta_k / d_k;
+    the chain stops once rho_k <= _CHAIN_RTOL.  Every pivot must be > 0,
+    which certifies that the chain of Q has no value below 0, as Q has
+    none; else, or if the rows of Q run out first, SolverError.  Returns
+    the diagonal, the off-diagonal and the level (0, 1, then 2) of each
+    chain row, read-only, since they are kept across solves.
     """
-    off, level, _ = _kept_block(n, L, origin)
-    return off + sparse.diags(_diagonal(n, lam, mu, level), format="csr")
+    off, level = _structure(n, L, origin)
+    head = np.flatnonzero(level <= 1)    # origin first, in key order
+    deep = np.flatnonzero(level >= 2)
+    b = off[head[-1]].toarray().ravel()[deep]
+    q = off[deep][:, deep]
+    diag = [float(n)] * len(head)
+    beta = [abs(off[head[0], head[-1]])] * (len(head) - 1)
+    norm = math.sqrt((b * b).sum())
+    if norm:
+        beta.append(norm)
+        v, prev, step, pivot, rho = b / norm, 0.0, 0.0, math.inf, 1.0
+        for k in range(len(deep)):
+            w = q @ v + n * v - step * prev
+            alpha = float((v * w).sum())
+            pivot = alpha - step * step / pivot
+            if not pivot > 0.0:
+                raise SolverError(
+                    f"Lanczos chain of {origin} at n={n}, L={L}: pivot "
+                    f"{pivot!r} <= 0 at step {k + 1}")
+            diag.append(alpha)
+            w -= alpha * v
+            step = math.sqrt((w * w).sum())
+            rho *= step / pivot
+            if rho <= _CHAIN_RTOL:
+                break
+            beta.append(step)
+            prev, v = v, w / step
+        else:
+            raise SolverError(
+                f"Lanczos chain of {origin} at n={n}, L={L} did not reach "
+                f"a residual of {_CHAIN_RTOL:g} within {len(deep)} steps")
+    chain = (np.array(diag), np.array(beta),
+             np.minimum(np.arange(len(diag)) + 2 - len(head), 2))
+    for array in chain:
+        array.flags.writeable = False
+    return chain
+
+
+def _potential(lam: float, mu: float, level: np.ndarray) -> np.ndarray:
+    """mu on level 0, lam/2 on level 1 and 0 elsewhere."""
+    return np.where(level == 0, mu, np.where(level == 1, lam / 2.0, 0.0))
 
 
 def _multiplicities(n: int) -> dict[str, int]:
@@ -268,83 +308,50 @@ def _multiplicities(n: int) -> dict[str, int]:
 
 def _dense(ham: TruncatedHamiltonian, origin: str) -> np.ndarray:
     """One factor block of ham as a Fortran-ordered array."""
-    off, level, _ = _kept_block(ham.n, ham.L, origin)
+    off, level = _structure(ham.n, ham.L, origin)
     dense = off.toarray(order="F")    # off has no diagonal entry
-    np.fill_diagonal(dense, _diagonal(ham.n, ham.lam, ham.mu, level))
+    np.fill_diagonal(dense, ham.n - _potential(ham.lam, ham.mu, level))
     return dense
 
 
-def _tail(n: int, L: int, origin: str, theta: float) -> float:
-    """g = b^T (Q - theta I)^-1 b of one factor block, kept per theta.
-
-    Q is the block on its rows of level >= 2 and b the hops into them from
-    the level-1 row.  Q compresses the free box Laplacian, whose spectrum
-    lies in (0, 2n), so Q - theta I is positive definite for theta < 0:
-    conjugate gradients to a relative residual of 1e-14, else SolverError.
-    """
-    off, level, tails = _kept_block(n, L, origin)
-    if theta not in tails:
-        deep = level >= 2
-        b = off[np.flatnonzero(level == 1)[0]].toarray().ravel()[deep]
-        g = 0.0
-        if b.any():
-            q = off[deep][:, deep] + sparse.identity(len(b)) * (n - theta)
-            x, info = cg(q, b, rtol=1e-14)
-            if info:
-                raise SolverError(f"CG did not reach 1e-14 in {info} steps "
-                                  f"({origin}, n={n}, L={L}, theta={theta})")
-            g = float(b @ x)
-        tails[theta] = g
-    return tails[theta]
-
-
-def _count_below(ham: TruncatedHamiltonian, origin: str, theta: float) -> int:
-    """Number of values of one factor block below theta < 0, by inertia.
-
-    block - theta I is congruent to diag(Q - theta I, S) (see `_tail`), so
-    the count is that of S's negative eigenvalues: S = [n - lam/2 - theta - g],
-    and for delta_r S = [[n - mu - theta, h], [h, that]] with h^2 = n/2 (the
-    origin's hops to the 2n unit sites, each -1/2 / sqrt(2n)).
-    """
-    last = ham.n - ham.lam / 2.0 - theta - _tail(ham.n, ham.L, origin, theta)
-    if origin != "delta_r":
-        return int(last < 0.0)
-    first = ham.n - ham.mu - theta
-    if first == 0.0:    # S is [[0, h], [h, last]] with h != 0: indefinite
-        return 1
-    return int(first < 0.0) + int(last - ham.n / 2.0 / first < 0.0)
+def _below(ham: TruncatedHamiltonian, origin: str, theta: float) -> np.ndarray:
+    """Sorted values of one factor block below theta <= 0, from its chain."""
+    diag, beta, level = _kept_block(ham.n, ham.L, origin)
+    return eigvalsh_tridiagonal(
+        diag - _potential(ham.lam, ham.mu, level), beta, select="v",
+        select_range=(-np.inf, np.nextafter(theta, -np.inf)))
 
 
 def _lowest(ham: TruncatedHamiltonian, origin: str, k: int) -> np.ndarray:
-    """Sorted min(k, dim) smallest eigenvalues of one factor block of ham.
+    """Sorted k lowest values of one factor block, all of them below 0."""
+    values = _below(ham, origin, 0.0)
+    if len(values) < k:
+        raise ValueError(f"the {origin} block at n = {ham.n}, L = {ham.L} "
+                         f"has {len(values)} values below 0, asked for {k}")
+    return values[:k]
 
-    Dense eigh up to _DENSE_ROWS rows or for all of a block's values, else
-    Lanczos on the sparse block from a deterministic start vector.
-    """
-    dim = len(_kept_block(ham.n, ham.L, origin)[1])
-    k = min(k, dim)
-    if dim <= _DENSE_ROWS or k == dim:
-        return eigh(_dense(ham, origin), eigvals_only=True,
-                    subset_by_index=[0, k - 1], overwrite_a=True)
-    block = _factor_block(ham.n, ham.L, ham.lam, ham.mu, origin)
-    v0 = np.random.default_rng(_SEED).standard_normal(dim)
-    return np.sort(eigsh(block, k=k, which="SA", v0=v0, maxiter=20000,
-                         tol=1e-10, return_eigenvectors=False))
+
+def _dense_lowest(ham: TruncatedHamiltonian, origin: str, k: int) -> np.ndarray:
+    """Sorted min(k, rows) lowest values of one factor block by dense eigh."""
+    dense = _dense(ham, origin)
+    return eigh(dense, eigvals_only=True, overwrite_a=True,
+                subset_by_index=[0, min(k, len(dense)) - 1])
 
 
 def lowest_eigenvalues(ham: TruncatedHamiltonian,
                        k: int | Mapping[str, int]) -> OracleSpectrum:
     """Lowest values of the factor blocks, merged with multiplicity.
 
-    An int k asks every block for its k lowest values and keeps the k
-    lowest of the merged list.  A mapping origin -> count asks only the
-    named blocks, each for its own count of lowest values, and keeps them
-    all; an empty mapping solves nothing.  Either way the merged list
-    holds every eigenvalue of H below theta < 0, with its multiplicity,
-    only where the last value solved in each block is >= theta.  Every
-    block asked is solved: densely up to 200 rows or when asked for all its
-    values, else by Lanczos from a deterministic start vector, so results
-    are reproducible run to run; the whole-box matrix is never read.
+    An int k solves every block densely for its k lowest values and keeps
+    the k lowest of the merged list: the whole-spectrum path.  A mapping
+    origin -> count asks only the named blocks, each for its own count of
+    lowest values, read off its kept chain, and keeps them all; a block
+    with fewer values below 0 than asked is a ValueError, and an empty
+    mapping solves nothing.  Either way the merged list holds every
+    eigenvalue of H below theta < 0, with its multiplicity, only where the
+    last value solved in each block is >= theta.  Both solves are direct,
+    so results are reproducible run to run; the whole-box matrix is never
+    read.
     """
     mult = _multiplicities(ham.n)
     if isinstance(k, Mapping):
@@ -355,14 +362,14 @@ def lowest_eigenvalues(ham: TruncatedHamiltonian,
             if not _is_int(count) or count < 1:
                 raise ValueError(f"{origin} count must be an integer >= 1, "
                                  f"got {count!r}")
-        counts, keep = dict(k), None
+        solved, keep = {o: _lowest(ham, o, c) for o, c in k.items()}, None
     else:
         if not _is_int(k) or not 1 <= k <= ham.dim:
             raise ValueError(f"need an integer 1 <= k <= {ham.dim}, got {k!r}")
-        counts, keep = dict.fromkeys(mult, k), k
+        solved, keep = {o: _dense_lowest(ham, o, k) for o in mult}, k
     pairs = sorted((float(e), origin)
-                   for origin, count in counts.items()
-                   for e in _lowest(ham, origin, count)
+                   for origin, values in solved.items()
+                   for e in values
                    for _ in range(mult[origin]))[:keep]
     return OracleSpectrum(n=ham.n, L=ham.L,
                           eigenvalues=tuple(e for e, _ in pairs),
@@ -373,17 +380,17 @@ def compare(params: ModelParams, L_values, theta: float = DEFAULT_THETA,
             tol: float = REGION_TOL) -> OracleComparison:
     """Check bound-state counts and locations against the classifier.
 
-    For every L each factor block is asked for exactly its number of
-    values below theta, counted by inertia (`_count_below`), and a block
-    with none is not solved; `lowest_eigenvalues` is still called once per
-    radius, with an empty mapping when no block has a value below theta.
-    The oracle count below theta, in total and per determinant factor, is
-    read off the solved values, so a count the solve does not confirm
-    shows up as a disagreement, and the classifier's roots never size the
-    solves.  It is compared to the classifier's multiplicity-weighted
-    count, and matched eigenvalues are paired in increasing order.  The
-    whole box is never assembled.  Disagreements are report content, not
-    errors.
+    For every L each factor block's values below theta are counted on its
+    kept chain, and `lowest_eigenvalues` asks each block with any for
+    exactly that many, once per radius, with an empty mapping when no
+    block has a value below theta.  The oracle count below theta, in total
+    and per determinant factor, is read off the solved values, so a count
+    the solve does not confirm shows up as a disagreement, and the
+    classifier's roots never size the solves.  It is compared to the
+    classifier's multiplicity-weighted count, and matched eigenvalues are
+    paired in increasing order.  The whole box is never assembled.
+    Disagreements are report content, not errors; a chain that does not
+    converge is a SolverError.
     """
     if theta >= 0.0:
         raise ValueError(f"theta must be < 0, got {theta}")
@@ -406,7 +413,7 @@ def compare(params: ModelParams, L_values, theta: float = DEFAULT_THETA,
         ham = build_hamiltonian(params.n, L, params.lam, params.mu)
         spec = lowest_eigenvalues(ham, {
             o: k for o in _multiplicities(params.n)
-            if (k := _count_below(ham, o, theta))})
+            if (k := len(_below(ham, o, theta)))})
         counts[L] = spec.count_below(theta)
         factor_counts[L] = {o: spec.count_below(theta, o) for o in ORIGINS}
         below = [e for e in spec.eigenvalues if e < theta]

@@ -272,6 +272,18 @@ def test_verify_oracle(capsys):
         [round(e, 12) for e in report.matched_errors[L]] for L in (50, 100)]
 
 
+def test_oracle_solver_failure_exit_3(capsys, monkeypatch):
+    from belowband import lattice
+
+    def fail(n, L, origin):
+        raise lattice.SolverError(f"chain of {origin} at n={n}, L={L} failed")
+    monkeypatch.setattr(lattice, "_kept_block", fail)
+    code, out, err = run_cli(capsys, "verify", "oracle", "--n", "2",
+                             "--lambda", "7", "--mu", "8", "--L", "12")
+    assert code == 3 and out == ""
+    assert err == "numeric failure: chain of delta_r at n=2, L=12 failed\n"
+
+
 def test_numeric_failure_exit_3(capsys):
     # b ~ 1/(2 z^2) would not be a normal double this far below the band
     code, _, err = run_cli(capsys, "integrals", "--n", "3", "--z=-1e160")

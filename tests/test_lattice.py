@@ -12,10 +12,11 @@ import pytest
 import scipy.sparse as sparse
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import spsolve
 
 import belowband as bb
 from belowband import lattice
+from belowband.classify import DEFAULT_THETA
 from conftest import open_region_points
 
 
@@ -58,16 +59,20 @@ def test_free_case_nonnegative_and_band_bottom():
 
 
 def test_dense_and_iterative_paths_agree():
-    ham = bb.build_hamiltonian(2, 28, 0.0, 3.0)
-    blocks = [(o, lattice._factor_block(2, 28, 0.0, 3.0, o))
-              for o in lattice.ORIGINS]
-    # the three factor blocks (435, 406 and 812 rows) are solved by Lanczos
-    assert [b.shape[0] for _, b in blocks] == [435, 406, 812]
-    assert min(b.shape[0] for _, b in blocks) > lattice._DENSE_ROWS
-    for origin, block in blocks:
-        dense = eigh(block.toarray(), eigvals_only=True)[:3]
-        np.testing.assert_allclose(lattice._lowest(ham, origin, 3), dense,
-                                   rtol=0.0, atol=1e-8, err_msg=origin)
+    # the whole-spectrum path (dense eigh per block) and the chain path (a
+    # mapping of counts) on blocks of 435, 406 and 812 rows
+    ham = bb.build_hamiltonian(2, 28, 7.0, 8.0)
+    dense = bb.lowest_eigenvalues(ham, 8)
+    assert [len(lattice._structure(2, 28, o)[1])
+            for o in lattice.ORIGINS] == [435, 406, 812]
+    counts = {o: dense.count_below(0.0, o) // m
+              for o, m in lattice._multiplicities(2).items()}
+    assert counts == {"delta_r": 2, "delta_c": 1, "delta_s": 1}
+    chain = bb.lowest_eigenvalues(ham, counts)
+    assert chain.origins == dense.origins[:len(chain.origins)]
+    np.testing.assert_allclose(chain.eigenvalues,
+                               dense.eigenvalues[:len(chain.eigenvalues)],
+                               rtol=0.0, atol=1e-12)
 
 
 def test_size_budget_and_validation():
@@ -101,20 +106,23 @@ def test_count_per_block_matches_the_merged_form(n, L, lam, mu):
     full = bb.lowest_eigenvalues(ham, ham.dim)
     below = [(e, o) for e, o in zip(full.eigenvalues, full.origins) if e < 0.0]
     mult = lattice._multiplicities(n)
-    # one value past the negative ones of each block
-    counts = {o: sum(1 for _, p in below if p == o) // m + 1
+    counts = {o: sum(1 for _, p in below if p == o) // m
               for o, m in mult.items()}
-    assert all(c > 1 for c in counts.values())   # every block has a state
+    assert all(c >= 1 for c in counts.values())   # every block has a state
     spec = bb.lowest_eigenvalues(ham, counts)
     assert len(spec.eigenvalues) == sum(c * mult[o] for o, c in counts.items())
-    got = [(e, o) for e, o in zip(spec.eigenvalues, spec.origins) if e < 0.0]
-    assert [o for _, o in got] == [o for _, o in below]
-    np.testing.assert_allclose([e for e, _ in got], [e for e, _ in below],
+    assert spec.origins == tuple(o for _, o in below)
+    np.testing.assert_allclose(spec.eigenvalues, [e for e, _ in below],
                                rtol=0.0, atol=1e-12)
     # a block asked for fewer values than it holds below 0 drops the rest
-    fewer = bb.lowest_eigenvalues(ham, {"delta_r": counts["delta_r"] - 1})
-    assert set(fewer.origins) == {"delta_r"}
-    assert fewer.count_below(0.0) == counts["delta_r"] - 1
+    # (the second delta_r value at n >= 2)
+    fewer = bb.lowest_eigenvalues(ham, {"delta_r": 1})
+    assert fewer.origins == ("delta_r",)
+    assert fewer.eigenvalues == spec.eigenvalues[:1]
+    # the chain holds no value of a block above 0: one more is an error
+    for origin in mult:
+        with pytest.raises(ValueError, match=f"{origin} block .* asked for"):
+            bb.lowest_eigenvalues(ham, {origin: counts[origin] + 1})
 
 
 def _kronsum_box(n, L, lam, mu):
@@ -175,29 +183,27 @@ def test_kept_block_structure_is_exact(n, data, couplings):
     L = data.draw(st.integers(1, {1: 40, 2: 12, 3: 6, 4: 3}[n]), label="L")
     origin = data.draw(st.sampled_from(list(lattice._multiplicities(n))),
                        label="origin")
-    # the same (n, L, origin) with several couplings: the kept part is reused
+    # the block the dense path solves, with several couplings
     for lam, mu in couplings:
-        got = lattice._factor_block(n, L, lam, mu, origin)
-        want = _assembled_block(n, L, lam, mu, origin)
-        for field in ("indptr", "indices", "data"):
-            np.testing.assert_array_equal(getattr(got, field),
-                                          getattr(want, field), strict=True)
+        got = lattice._dense(bb.build_hamiltonian(n, L, lam, mu), origin)
+        want = _assembled_block(n, L, lam, mu, origin).toarray()
+        np.testing.assert_array_equal(got, want, strict=True)
 
 
 def test_solves_do_not_depend_on_earlier_couplings():
-    # (1, 700): blocks of 701 and 700 rows, solved by Lanczos
+    # (1, 700): blocks of 701 and 700 rows; every block of both couplings
+    # has a value below 0
     for n, L in ((1, 60), (1, 700), (2, 12), (2, 24), (3, 10)):
         first, other = bb.build_hamiltonian(n, L, 7.0, 8.0), \
-            bb.build_hamiltonian(n, L, -2.0, 0.5)
-        k = {o: 3 for o in lattice._multiplicities(n)}
+            bb.build_hamiltonian(n, L, 9.0, 3.0)
+        k = {o: 1 for o in lattice._multiplicities(n)}
         before = bb.lowest_eigenvalues(first, k)
         assert bb.lowest_eigenvalues(other, k) != before, (n, L)
         assert bb.lowest_eigenvalues(first, k) == before, (n, L)
 
 
 def test_kept_block_structure_refuses_writes():
-    off, level, _ = lattice._kept_block(2, 5, "delta_c")
-    for array in (off.data, off.indices, off.indptr, level):
+    for array in lattice._kept_block(2, 5, "delta_c"):
         with pytest.raises(ValueError):
             array[0] = 7
 
@@ -207,9 +213,8 @@ def test_compare_reuses_the_kept_blocks(monkeypatch):
     assert first.counts_agree
 
     def refuse(*args, **kwargs):
-        raise AssertionError("orbit basis rebuilt")
-    monkeypatch.setattr(lattice, "_canonical", refuse)
-    monkeypatch.setattr(lattice, "cg", refuse)    # g is kept per theta
+        raise AssertionError("orbit basis or chain rebuilt")
+    monkeypatch.setattr(lattice, "_structure", refuse)
     rep = bb.compare(bb.ModelParams(3, 7.0, 4.0), [10, 12])
     assert rep.predicted_factor_counts != first.predicted_factor_counts
     assert all(rep.agrees_at(L) for L in (10, 12))
@@ -274,9 +279,9 @@ def test_compare_sees_an_unpredicted_state(monkeypatch, n, origin):
 
 
 def test_certified_blocks_are_not_solved(monkeypatch):
-    # D0: no root, so no block has a value below theta and none is solved,
-    # at n = 3, L = 20 (blocks of 1771, 4410 and 4620 rows) too; one
-    # lowest_eigenvalues call per radius asks for nothing
+    # D0: no root, so no block's chain has a value below theta and none is
+    # solved, at n = 3, L = 20 (blocks of 1771, 4410 and 4620 rows) too;
+    # one lowest_eigenvalues call per radius asks for nothing
     solves, asked = _spy_solves(monkeypatch), []
     real = lattice.lowest_eigenvalues
 
@@ -295,147 +300,152 @@ def test_certified_blocks_are_not_solved(monkeypatch):
     assert solves == [("delta_r", 1), ("delta_s", 1)] * 2
 
 
-@pytest.mark.parametrize("n,L,origin,rows,solver", [
-    # oracle workload blocks at the couplings of _UNPREDICTED: past the
-    # solver cut of 200 rows Lanczos is the faster, below it dense eigh
-    pytest.param(2, 24, "delta_s", 600, "eigsh", id="n2-L24-delta_s"),
-    pytest.param(3, 10, "delta_c", 605, "eigsh", id="n3-L10-delta_c"),
-    pytest.param(3, 12, "delta_r", 455, "eigsh", id="n3-L12-delta_r"),
-    pytest.param(2, 24, "delta_r", 325, "eigsh", id="n2-L24-delta_r"),
-    pytest.param(2, 12, "delta_s", 156, "eigh", id="n2-L12-delta_s"),
-])
-def test_the_solver_follows_the_block_size(monkeypatch, n, L, origin, rows,
-                                           solver):
-    lam, mu, _ = _UNPREDICTED[n]
-    ham = bb.build_hamiltonian(n, L, lam, mu)
-    k = lattice._count_below(ham, origin, -1e-3)    # the count compare asks
-    assert k >= 1
-    used = []
-    for name in ("eigh", "eigsh"):
-        real = getattr(lattice, name)
-        monkeypatch.setattr(lattice, name, lambda *a, _name=name, _real=real,
-                            **kw: used.append(_name) or _real(*a, **kw))
-    got = lattice._lowest(ham, origin, k)
-    assert used == [solver]
-    block = lattice._factor_block(n, L, lam, mu, origin).toarray()
-    assert block.shape == (rows, rows)
-    np.testing.assert_allclose(
-        got, eigh(block, eigvals_only=True, subset_by_index=[0, k - 1]),
-        rtol=0.0, atol=1e-12)
-
-
 def test_an_empty_mapping_solves_nothing():
     spec = bb.lowest_eigenvalues(bb.build_hamiltonian(2, 12, 7.0, 8.0), {})
     assert spec.eigenvalues == spec.origins == ()
     assert spec.count_below(-1e-3) == 0
 
 
-# radii with blocks on both sides of the solver cut (200 rows): n = 1,
-# L = 1 has blocks of 2 and 1 rows with no row of level >= 2, L = 625 of
-# 626 and 625; n = 2, L = 24 of 325, 300 and 600; n = 3, L = 10 of 286,
-# 605 and 660 and L = 20 of 1771, 4410 and 4620
-_COUNT_RADII = {1: (1, 40, 625), 2: (1, 12, 24), 3: (1, 10, 20)}
-
-
-def _values_below(block, theta: float, count: int) -> np.ndarray:
-    """Values of a factor block below theta, by a solve that reads no count.
-
-    Dense eigvalsh up to 1100 rows.  Past that (the n = 3, L = 20 blocks,
-    where eigvalsh takes 0.6-11 s) the count + 1 lowest by Lanczos, the
-    last of which must not lie below theta, so a count one too low fails
-    here and one too high fails the caller's comparison.
-    """
-    if block.shape[0] <= 1100:
-        values = np.linalg.eigvalsh(block.toarray())
-    else:
-        v0 = np.random.default_rng(7).standard_normal(block.shape[0])
-        values = np.sort(eigsh(block, k=count + 1, which="SA", v0=v0,
-                               return_eigenvectors=False))
-        assert values[-1] >= theta
-    return values[values < theta]
+# the oracle workload's radii, L = 1 (blocks of 2 and 1 rows, whose chains
+# have no row of level >= 2) and n = 1, L = 625 (626 and 625 rows, whose
+# chains run through every row)
+_CHAIN_RADII = {1: (1, 40, 60, 625), 2: (1, 12, 16, 24), 3: (1, 10, 12),
+                4: (1, 2, 3)}
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(n=st.integers(1, 3), data=st.data(),
-       theta=st.sampled_from([-1e-3, -0.5]))
-def test_the_certificate_matches_the_solve(n, data, theta):
-    # the inertia count of every block equals the number of its values
-    # below theta
-    _, (lam, mu) = data.draw(st.sampled_from(open_region_points(n)),
-                             label="cell")
-    lam += data.draw(st.floats(-0.5, 0.5), label="dlam")
-    mu += data.draw(st.floats(-0.5, 0.5), label="dmu")
-    for L, origin in itertools.product(_COUNT_RADII[n],
+@given(n=st.integers(1, 4), data=st.data(), wide=st.booleans())
+def test_the_certificate_matches_the_solve(n, data, wide):
+    # the values of every block below theta, read off its chain, against
+    # dense eigvalsh of the assembled block: the count exactly, each value
+    # to 1e-12 of the block's norm
+    if wide:
+        lam, mu = (data.draw(st.floats(-1e6, 1e6), label=name)
+                   for name in ("lam", "mu"))
+    else:
+        _, (lam, mu) = data.draw(st.sampled_from(open_region_points(n)),
+                                 label="cell")
+        lam += data.draw(st.floats(-0.5, 0.5), label="dlam")
+        mu += data.draw(st.floats(-0.5, 0.5), label="dmu")
+    for L, origin in itertools.product(_CHAIN_RADII[n],
                                        lattice._multiplicities(n)):
         ham = bb.build_hamiltonian(n, L, lam, mu)
-        count = lattice._count_below(ham, origin, theta)
-        block = lattice._factor_block(n, L, lam, mu, origin)
-        assert count == len(_values_below(block, theta, count)), (L, origin)
+        block = _assembled_block(n, L, lam, mu, origin).toarray()
+        values = np.linalg.eigvalsh(block)
+        atol = 1e-12 * max(1.0, np.abs(block).sum(axis=1).max())
+        for theta in (-1e-3, -0.5, -1e-6):
+            got = lattice._below(ham, origin, theta)
+            want = values[values < theta]
+            assert len(got) == len(want), (L, origin, theta)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=atol,
+                                       err_msg=f"L={L} {origin} {theta}")
 
 
-@pytest.mark.parametrize("n,L", [(1, 1), (1, 40), (2, 1), (2, 12), (3, 8)])
+def _continued_fraction(diag, beta, head: int, theta: float) -> float:
+    """g = |b|^2 e_1^T (T - theta I)^-1 e_1 over a chain's rows past head."""
+    if len(diag) == head:
+        return 0.0
+    t = diag[-1] - theta
+    for a, b in zip(diag[-2:head - 1:-1], beta[-1:head - 1:-1]):
+        t = a - theta - b * b / t
+    return beta[head - 1] ** 2 / t
+
+
+@pytest.mark.parametrize("n,L", [(1, 1), (1, 40), (2, 1), (2, 12), (3, 8),
+                                 (1, 625), (2, 24), (3, 12), (3, 20), (4, 3)])
 def test_the_tail_is_the_schur_term(n, L):
     # g = b^T (Q - theta I)^-1 b, with Q the block on levels >= 2 and b the
-    # hops into them from the level-1 row, against a dense solve
+    # hops into them from the level-1 row: Gauss quadrature on the chain
+    # against a sparse LU solve
     for origin in lattice._multiplicities(n):
-        off, level, _ = lattice._kept_block(n, L, origin)
-        dense = off.toarray() + n * np.eye(len(level))
-        deep, row = level >= 2, np.flatnonzero(level == 1)
-        assert len(row) == 1
-        b, q = dense[row[0], deep], dense[np.ix_(deep, deep)]
-        for theta in (-1e-3, -0.5):
-            want = b @ np.linalg.solve(q - theta * np.eye(len(b)), b)
-            got = lattice._tail(n, L, origin, theta)
-            assert got == pytest.approx(want, rel=1e-10, abs=0.0), (origin, theta)
-            assert (got == 0.0) == (len(b) == 0)
+        diag, beta, level = lattice._kept_block(n, L, origin)
+        head = int(np.sum(level <= 1))
+        off, rows = lattice._structure(n, L, origin)
+        deep, one = rows >= 2, np.flatnonzero(rows == 1)
+        assert len(one) == 1
+        b, q = off[one[0]].toarray().ravel()[deep], off[deep][:, deep]
+        assert (len(diag) == head) == (len(b) == 0)
+        for theta in (-1e-3, -0.5, -1e-6):
+            shifted = (q + (n - theta) * sparse.identity(len(b))).tocsc()
+            want = b @ spsolve(shifted, b) if len(b) else 0.0
+            got = _continued_fraction(diag, beta, head, theta)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), (origin, theta)
+
+
+def _assert_no_entry_kept(args):
+    """A later build of args misses the cache: the failed one kept nothing."""
+    misses = lattice._kept_block.cache_info().misses
+    lattice._kept_block(*args)
+    assert lattice._kept_block.cache_info().misses == misses + 1
 
 
 def test_an_unconverged_tail_is_an_error(monkeypatch):
-    monkeypatch.setattr(lattice, "cg", lambda q, b, **kw: (0.0 * b, 7))
-    # a theta no other test meets, so nothing is kept for it
-    with pytest.raises(lattice.SolverError, match="1e-14 in 7 steps"):
-        lattice._tail(2, 12, "delta_s", -0.375)
-    assert -0.375 not in lattice._kept_block(2, 12, "delta_s")[2]
+    # a block no other test meets, so nothing is kept for it
+    monkeypatch.setattr(lattice, "_CHAIN_RTOL", 0.0)
+    with pytest.raises(lattice.SolverError,
+                       match=r"delta_s at n=2, L=9 did not reach .* 89 steps"):
+        lattice._kept_block(2, 9, "delta_s")
+    monkeypatch.undo()
+    _assert_no_entry_kept((2, 9, "delta_s"))
+
+
+def test_a_non_positive_pivot_is_an_error(monkeypatch):
+    # hops ten times too strong make Q indefinite
+    real = lattice._structure
+
+    def strong(n, L, origin):
+        off, level = real(n, L, origin)
+        return 10.0 * off, level
+    monkeypatch.setattr(lattice, "_structure", strong)
+    with pytest.raises(lattice.SolverError,
+                       match=r"delta_r at n=2, L=17: pivot .* <= 0 at step 2"):
+        lattice._kept_block(2, 17, "delta_r")
+    monkeypatch.undo()
+    _assert_no_entry_kept((2, 17, "delta_r"))
 
 
 def test_both_row_orders_are_kept_together(monkeypatch):
-    # a block met only by its count keeps its hops and its g for a later
-    # solve while 63 other blocks pass through the cache
+    # a block met only by its count keeps its chain for a later solve
+    # while 63 other blocks pass through the cache
     ham = bb.build_hamiltonian(3, 12, -1.0, -1.0)
     for L in range(1, 2 * lattice._KEPT_BLOCKS):
         lattice._kept_block(1, L, "delta_r")
-        assert lattice._count_below(ham, "delta_c", -1e-3) == 0
+        assert len(lattice._below(ham, "delta_c", -1e-3)) == 0
 
     def refuse(*args, **kwargs):
-        raise AssertionError("orbit basis or g rebuilt")
-    monkeypatch.setattr(lattice, "_canonical", refuse)
-    monkeypatch.setattr(lattice, "cg", refuse)
-    assert lattice._count_below(ham, "delta_c", -1e-3) == 0
-    assert len(lattice._kept_block(3, 12, "delta_c")[1]) == 1014
+        raise AssertionError("orbit basis or chain rebuilt")
+    monkeypatch.setattr(lattice, "_structure", refuse)
+    bound = bb.lowest_eigenvalues(bb.build_hamiltonian(3, 12, 7.0, 1.0),
+                                  {"delta_c": 1})
+    assert bound.origins == ("delta_c",) * 2 and bound.eigenvalues[0] < -1e-3
+    assert len(lattice._kept_block(3, 12, "delta_c")[0]) < 1014
 
 
-def test_the_certificate_leaves_every_report_unchanged(monkeypatch):
+def test_the_certificate_leaves_every_report_unchanged():
     # one interior point of every open cell, at the oracle workload's
-    # radii, against a compare that asks each block for one value past the
-    # classifier's roots below theta
+    # radii: the chains give every report a dense solve of each assembled
+    # block gives
     ladders = {1: (40, 60), 2: (12, 16, 24), 3: (10, 12)}
-    params = [bb.ModelParams(n, lam, mu) for n in ladders
-              for _, (lam, mu) in open_region_points(n)]
-    reports = [bb.compare(p, ladders[p.n]) for p in params]
-
-    def one_past(ham, origin, theta):
-        records = bb.negative_eigenvalues(bb.ModelParams(ham.n, ham.lam, ham.mu))
-        return 1 + sum(1 for r in records if r.origin == origin and r.z < theta)
-    monkeypatch.setattr(lattice, "_count_below", one_past)
-    for p, rep in zip(params, reports):
-        ref = bb.compare(p, ladders[p.n])
-        assert rep.oracle_counts == ref.oracle_counts, p
-        assert rep.oracle_factor_counts == ref.oracle_factor_counts, p
-        assert rep.counts_agree, p
-        for L in ladders[p.n]:
-            np.testing.assert_allclose(rep.matched_errors[L],
-                                       ref.matched_errors[L], rtol=0.0,
-                                       atol=1e-12, err_msg=f"{p} L={L}")
+    theta = DEFAULT_THETA
+    for n, ladder in ladders.items():
+        mult = lattice._multiplicities(n)
+        for _, (lam, mu) in open_region_points(n):
+            rep = bb.compare(bb.ModelParams(n, lam, mu), ladder)
+            assert rep.counts_agree, (n, lam, mu)
+            for L in ladder:
+                below = {o: eigh(_assembled_block(n, L, lam, mu, o).toarray(),
+                                 eigvals_only=True,
+                                 subset_by_value=[-np.inf, theta])
+                         for o in mult}
+                assert rep.oracle_factor_counts[L] == {
+                    o: len(below.get(o, ())) * mult.get(o, 0)
+                    for o in lattice.ORIGINS}, (n, lam, mu, L)
+                merged = sorted(e for o, v in below.items() for e in v
+                                for _ in range(mult[o]))
+                errors = [abs(e - z) for e, z in zip(merged, rep.predicted)]
+                np.testing.assert_allclose(rep.matched_errors[L], errors,
+                                           rtol=0.0, atol=1e-12,
+                                           err_msg=f"n={n} ({lam}, {mu}) L={L}")
 
 
 def test_parity_attribution():
@@ -479,8 +489,7 @@ def _negative_spectrum(ham) -> list[tuple[float, str]]:
     return out
 
 
-# (1, 700): blocks of 701 and 700 rows, above the solver cut but asked for
-# whole, so solved densely
+# (1, 700): blocks of 701 and 700 rows, asked for whole
 @pytest.mark.parametrize("n,L", [(2, 3), (3, 2), (4, 2), (1, 700)])
 def test_sectors_merge_to_the_full_spectrum(n, L):
     # strong couplings: every factor has a bound state in the box
