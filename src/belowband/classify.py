@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .green import GreenValues, green_threshold, green_values
-from .quadrature import _Z_MAX, laplace_tables
+from .quadrature import _Z_MAX
 from .reduction import ModelParams, hyperbola_limit
 from .states import (
     EigenState,
@@ -104,8 +104,11 @@ class SpectralConstants:
 @lru_cache(maxsize=None)
 def spectral_constants(n: int) -> SpectralConstants:
     """The constants of n from its threshold record: X = lim a/b, which is 1
-    for n <= 2, lambda_s = 1/s(0) (1 for n = 1) and lambda_c = 1/lim(c - d)
-    for n >= 2.  They obey X <= lambda_s <= lambda_c."""
+    for n <= 2, lambda_s = 1/s(0) and lambda_c = 1/lim(c - d) for n >= 2.
+    They obey X <= lambda_s <= lambda_c.  The record of n <= 8 is
+    committed (``green._BAND_EDGE``), so no Laplace sum runs for it; it
+    holds the engine's sums, so at n = 1, where s(0) = 1 exactly,
+    lambda_s reads 0.9999999999999998."""
     greens0 = green_threshold(n)
     return SpectralConstants(
         n=n,
@@ -289,6 +292,7 @@ def cell_label(n: int, even: EvenRegion, odd: OddRegion) -> tuple[str, int]:
 _LN2 = math.log(2.0)
 _LADDER = tuple(k * _LN2 for k in range(40, -41, -1))   # -z = 2^40 .. 2^-40
 _LADDER_U = np.array(_LADDER)
+_LADDER_Z = np.array([-math.exp(u) for u in _LADDER])   # libm's exp, as brentq's probes
 _STRIDE = 80.0           # step in u past an end of the scan
 _U_NEAR = -700.0         # the near walk's end; Green values there are edge records
 _U_FAR = math.nextafter(math.log(_Z_MAX), 0.0)   # the engine's far limit
@@ -373,16 +377,16 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _FOUR_EPS,
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
-def _factor(params: ModelParams, origin: str, g: GreenValues | _ScanTable,
+def _factor(params: ModelParams, origin: str, g: GreenValues,
             offset: float | None = None) -> float | np.ndarray:
     """The function of g.z whose zeros are those of ``origin``.
 
     delta_r = b H_z with b > 0, and H_z = (lam - a/b)(mu - (n - z)) - n is
     much better conditioned near the band edge; ``offset`` stands for
     mu - (n - z) where it is known more exactly.  delta_c and delta_s are
-    powers of lam (c - d) - 1 and lam s - 1.  On a ``_ScanTable`` the same
-    IEEE operations run elementwise, so every ladder value is bit for bit
-    the scalar one.
+    powers of lam (c - d) - 1 and lam s - 1.  On Green values at an array
+    of z the same IEEE operations run elementwise, so every ladder value is
+    bit for bit the scalar one.
     """
     if origin == "delta_r":
         t = params.mu - (params.n - g.z) if offset is None else offset
@@ -397,39 +401,16 @@ def _walk(u: float, limit: float):
         yield u
 
 
-@dataclass(frozen=True, eq=False)
-class _ScanTable:
-    """The scan's Green values at the 81 ladder points of one n.
-
-    ``z``, ``a``, ``b``, ``cd`` (None for n = 1) and ``s`` are arrays of
-    them, so ``_factor`` gives a factor's ladder values in one pass.
-    """
-
-    z: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    cd: np.ndarray | None
-    s: np.ndarray
-
-    @classmethod
-    def of(cls, n: int, greens) -> _ScanTable:
-        column = lambda name: np.array([getattr(g, name) for g in greens])
-        return cls(column("z"), column("a"), column("b"),
-                   column("cd") if n >= 2 else None, column("s"))
-
-
 @lru_cache(maxsize=None)
-def _scan_table(n: int) -> _ScanTable:
-    """The ``_ScanTable`` of n, a constant of n.
+def _scan_table(n: int) -> GreenValues:
+    """The Green values at the 81 ladder points of n, a constant of n.
 
     Built on the first root search at this n, never by
-    ``spectral_constants``: requests that locate no root do not pay for the
-    81 ladder evaluations.  The Bessel tables of all 81 points are built
-    first, in one pass; the evaluations then sum them as scalar calls do.
+    ``spectral_constants``: requests that locate no root do not pay for
+    the ladder.  One ``green_values`` call evaluates all 81 points, from
+    one Bessel pass, each bit for bit as a call at its z alone.
     """
-    zs = [-math.exp(u) for u in _LADDER]
-    laplace_tables(n, zs)
-    return _ScanTable.of(n, [green_values(n, z) for z in zs])
+    return green_values(n, _LADDER_Z)
 
 
 def _brackets(us: np.ndarray, values: np.ndarray) -> list[tuple[float, float, float, float]]:

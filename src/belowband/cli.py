@@ -52,8 +52,8 @@ SCHEMA_VERSION = "1"
 
 USAGE_ERROR, VERIFY_FAILED, NUMERIC_ERROR, EMPTY_RESULT = 2, 1, 3, 4
 
-# largest grid^n mesh ``eigenfunction`` builds, the figure of lattice.MAX_DIM
-# (not imported: lattice loads scipy)
+# largest grid^n mesh ``eigenfunction`` samples and prints: a cap of its own,
+# not the oracle's size budget
 MAX_SAMPLES = 2_000_000
 
 

@@ -5,11 +5,13 @@ integrals of ``g(p)/(E(p) - z)`` with g = 1, cos p_1, cos^2 p_1,
 cos p_1 cos p_2 and sin^2 p_1, conventionally named a, b, c, d, s.  This
 module wraps the Laplace-Bessel engine into a typed interface, tracks
 which integrals are finite at the band edge z = 0, and provides the exact
-algebraic closed forms at n = 1.  Past the engine's reach (u = ln(-z)
-about -111 to -109, and from -45 at n = 2) an edge record serves every z
-down to the smallest subnormal: the closed forms at n = 1, the edge form
-of a (K(m) as m -> 1) with the z = 0 values of c - d and s at n = 2, and
-the z = 0 values at n >= 3, each within a few eps of the engine.
+algebraic closed forms at n = 1.  The z = 0 values of n <= 8 are
+committed constants, the engine's own sums; larger n take them from the
+engine.  Past the engine's reach (u = ln(-z) about -111 to -109, and
+from -45 at n = 2) an edge record serves every z down to the smallest
+subnormal: the closed forms at n = 1, the edge form of a (K(m) as
+m -> 1) with the z = 0 values of c - d and s at n = 2, and the z = 0
+values at n >= 3, each within a few eps of the engine.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ class GreenValues:
     n = 1, does not exist.  All finite values are strictly positive on
     z <= 0.  ``cd`` is evaluated from its own difference integrand, so it is
     available for n >= 2 even at z = 0 where c and d individually diverge.
+    From :func:`green_values` at an array of z, ``z`` and every finite
+    field are arrays over it.
     """
 
     n: int
@@ -112,14 +116,17 @@ def dispersion(p, n: int | None = None):
     return float(e) if e.ndim == 0 else e
 
 
-def _pack(n: int, z: float, raw: dict[str, float]) -> GreenValues:
-    # the engine names no d at n = 1 and only the finite integrals at z = 0
+def _pack(n: int, z, raw: dict) -> GreenValues:
+    # the engine names no d at n = 1 and only the finite integrals at z = 0;
+    # at an array of z every entry must be positive
+    scalar = isinstance(z, float)
     for name in ("a", "b", "c", "s", "cd"):
         v = raw.get(name)
-        if v is not None and not v > 0.0:
+        if v is not None and not (v > 0.0 if scalar else np.all(v > 0.0)):
+            i = np.argmin(np.ravel(v) > 0.0)   # the first that is not
             raise QuadratureError(
-                f"integral {name}={v} at n={n}, z={z} violates positivity; "
-                "quadrature failed")
+                f"integral {name}={np.ravel(v)[i]} at n={n}, z={np.ravel(z)[i]} "
+                "violates positivity; quadrature failed")
     return GreenValues(n=n, z=z, a=raw.get("a"), b=raw.get("b"), c=raw.get("c"),
                        d=raw.get("d"), s=raw.get("s"), cd=raw.get("cd"))
 
@@ -136,10 +143,38 @@ def _switch(n: int) -> float:
     return _Z_EDGE2 if n == 2 else _z_near(n)
 
 
+# The finite integrals at z = 0 for n <= 8: the Laplace engine's own sums,
+# written with repr (tests/test_green.py recomputes them from the engine).
+# They are not correctly rounded: s(0) = 1 at n = 1 reads one ulp high.
+_BAND_EDGE = {
+    1: {"s": 1.0000000000000002},
+    2: {"s": 0.3633802276324188, "cd": 0.2732395447351628, "ad": 0.6366197723675817},
+    3: {"a": 0.5054620197173261, "b": 0.1721286863839927, "c": 0.29562032440102876,
+        "d": 0.11038286737547465, "s": 0.20984169531629734, "cd": 0.18523745702555416,
+        "ad": 0.3950791523418514},
+    4: {"a": 0.3098667804621205, "b": 0.05986678046212043, "c": 0.16317889922287643,
+        "d": 0.02542940754186843, "s": 0.14668788123924403, "cd": 0.137749491681008,
+        "ad": 0.28443737292025206},
+    5: {"a": 0.23126162496804623, "b": 0.03126162496804624, "c": 0.11838124801039461,
+        "d": 0.009481719207459145, "s": 0.11288037695765164, "cd": 0.10889952880293548,
+        "ad": 0.22177990576058712},
+    6: {"a": 0.18616056220444535, "b": 0.019493895537778638, "c": 0.09431548108860156,
+        "d": 0.004529578427614057, "s": 0.09184508111584376, "cd": 0.0897859026609875,
+        "ad": 0.1816309837768313},
+    7: {"a": 0.15627233079826403, "b": 0.013415187941121141, "c": 0.07880030215988054,
+        "d": 0.0025176689046612446, "s": 0.07747202863838347, "cd": 0.07628263325521929,
+        "ad": 0.15375466189360276},
+    8: {"a": 0.13483087650211567, "b": 0.009830876502115692, "c": 0.06781620449252847,
+        "d": 0.0015472582177710147, "s": 0.06701467200958725, "cd": 0.06626894627475745,
+        "ad": 0.13328361828434468},
+}
+
+
 @lru_cache(maxsize=None)
 def _threshold(n: int) -> dict[str, float]:
-    """The finite integrals at z = 0 from the Laplace engine."""
-    return laplace_integrals(n, 0.0)
+    """The finite integrals at z = 0: committed for n <= 8, else from the
+    Laplace engine."""
+    return _BAND_EDGE.get(n) or laplace_integrals(n, 0.0)
 
 
 def _edge(n: int, z: float) -> dict[str, float]:
@@ -159,28 +194,45 @@ def _edge(n: int, z: float) -> dict[str, float]:
             "s": s, "cd": cd}
 
 
-def _evaluate(n: int, z: float) -> GreenValues:
-    """The integrals at z <= 0 from the Laplace engine, and from ``_edge``
-    at _switch(n) < z < 0."""
+def _evaluate(n: int, z) -> GreenValues:
+    """The integrals at z <= 0: at z = 0 from ``_threshold``, at
+    _switch(n) < z < 0 from ``_edge``, else from the Laplace engine, which
+    also takes a whole array of z."""
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError(f"dimension must be a positive integer, got {n!r}")
-    n, z = int(n), float(z)
-    raw = _edge(n, z) if _switch(n) < z < 0.0 else laplace_integrals(n, z)
+    n = int(n)
+    if not isinstance(z, float):   # an array of z < 0, from green_values
+        if not np.all(z <= _switch(n)):
+            raise ValueError(f"an array of z must lie at or below the engine's "
+                             f"reach {_switch(n)!r} at n={n}; nearer the band "
+                             f"edge, call one z at a time")
+        raw = laplace_integrals(n, z)
+    elif _switch(n) < z < 0.0:
+        raw = _edge(n, z)
+    else:
+        raw = _threshold(n) if z == 0.0 else laplace_integrals(n, z)
     return _pack(n, z, raw)
 
 
-def green_values(n: int, z: float) -> GreenValues:
+def green_values(n: int, z) -> GreenValues:
     """Evaluate a, b, c, d, s and c-d at a point z < 0 below the band.
 
     Relative accuracy is 1e-10 for z <= -1e-3 and 1e-8 nearer the band
     edge.  Past the engine's reach (u = ln(-z) about -111 to -109, and -45
     at n = 2) the values are edge records, within a few eps of the engine,
     down to the smallest subnormal.
+
+    ``z`` may be a 1-D array of points within the engine's reach, which
+    one Laplace call then evaluates; the fields are arrays over it, each
+    entry bit for bit the value at its z alone.  An entry past the reach
+    raises ValueError, since the edge records take one z at a time.
     """
-    if not z < 0.0:
-        raise ValueError(f"green_values requires z < 0, got z={z}; "
-                         "use green_threshold for z = 0")
-    return _evaluate(n, z)
+    if isinstance(z, float) or np.ndim(z) == 0:
+        if not z < 0.0:
+            raise ValueError(f"green_values requires z < 0, got z={z}; "
+                             "use green_threshold for z = 0")
+        return _evaluate(n, float(z))
+    return _evaluate(n, np.asarray(z, dtype=float))
 
 
 def green_threshold(n: int) -> GreenValues:
@@ -188,6 +240,8 @@ def green_threshold(n: int) -> GreenValues:
 
     a and b are finite only for n >= 3 (flagged ``None`` otherwise), the
     limit of c - d is finite for n >= 2, and s(0) is finite for every n.
+    The values are committed for n <= 8 (``_BAND_EDGE``), so no Laplace
+    sum runs there.
     """
     return _evaluate(n, 0.0)
 

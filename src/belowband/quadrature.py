@@ -22,14 +22,16 @@ and remains valid at z = 0 for every integral that is finite there
 (power-law tail ~ t^(-m/2)).
 
 The dyadic t-panels do not depend on z, so their weighted Bessel
-tables are computed once and kept; :func:`laplace_tables` builds those of
-many z in one pass.  The pass writes each weighted row once, into one
-rows x nodes array that the new heads and panels are kept from, and kept
-tables are read-only.  Entries do not depend on the calls that built them.
-Each row, of at most ``_CHUNK`` nodes, is summed by one BLAS ddot, all
-rows in one batched product of vectors, so evaluations are bit-identical
-whatever ran before and whatever the BLAS thread count, and concurrent
-calls are safe.
+tables are computed once and kept; one call of :func:`laplace_integrals`
+at many z builds the tables all of them miss in one pass.  The pass
+writes each weighted row once, into one rows x nodes array that the new
+heads and panels are kept from, and kept tables are read-only.  Entries
+do not depend on the calls that built them.  At each z, each row, of at
+most ``_CHUNK`` nodes, is summed by one BLAS ddot, all rows in one batched
+product of vectors, so a value is bit-identical whether its z came alone
+or in a batch, whatever ran before and whatever the BLAS thread count,
+and concurrent calls are safe.  The band-edge values of n <= 8 are
+committed in :mod:`belowband.green`; the z = 0 path here serves larger n.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ import numpy as np
 __all__ = [
     "QuadratureError",
     "laplace_integrals",
-    "laplace_tables",
     "finite_at_threshold",
 ]
 
@@ -344,17 +345,6 @@ def _span(n: int, z: float) -> tuple[int, int]:
     return k0, k1 - (mant == 0.5)
 
 
-def laplace_tables(n: int, zs) -> None:
-    """Build the heads and panels that :func:`laplace_integrals` reads at
-    every z of ``zs`` and keep them, a constant of n.
-
-    The ones not yet kept are computed in one Bessel pass.  Each entry
-    depends only on its own node, so the tables do not depend on which
-    calls built them.
-    """
-    _keep(n, [_span(n, float(z)) for z in zs])
-
-
 def _keep(n: int, spans) -> tuple[int, int, np.ndarray, np.ndarray]:
     """Keep the head [0, 2^k0] and the panels up to 2^k1 of every (k0, k1)
     in ``spans``, the missing ones from one Bessel pass; returns the kept
@@ -395,39 +385,52 @@ def _tail(n: int) -> np.ndarray:
     return _frozen(_weighted_integrands(n, u ** -2.0, wu * 2.0 * u ** -3.0).sum(axis=1))
 
 
-def laplace_integrals(n: int, z: float) -> dict[str, float]:
+def laplace_integrals(n: int, z) -> dict:
     """Evaluate the torus integrals by the Laplace-Bessel representation.
 
-    The panels run from a head [0, 2^k0] with 2^k0 <= min(1, 1/(n - z)),
-    the shortest scale of the integrand, to the first 2^k1 past 746/|z|,
-    where exp(z t) has underflowed.  At z = 0 they stop at 2^6 and the
-    power-law tail is integrated in u = t^-1/2.  A z nearer the edge than
+    ``z`` is a float, or a 1-D array of them; each value is then an array
+    over ``z``, each entry summed exactly as a call at its z alone sums it,
+    and the tables that any z misses are built in one Bessel pass.  The
+    panels run from a head [0, 2^k0] with 2^k0 <= min(1, 1/(n - z)), the
+    shortest scale of the integrand, to the first 2^k1 past 746/|z|, where
+    exp(z t) has underflowed.  At z = 0 they stop at 2^6 and the power-law
+    tail is integrated in u = t^-1/2.  A z nearer the edge than
     :func:`_z_near` (u = ln(-z) about -111 to -109) would need more than
     ``_CHUNK`` nodes per row, and |z| above 2^510 (about 3.4e153) would
-    make b ~ 1/(2 z^2) subnormal; both raise :class:`QuadratureError`.  At
-    z = 0 only the finite integrals are returned (see
+    make b ~ 1/(2 z^2) subnormal; both raise :class:`QuadratureError`.
+    Where some z is 0 only the finite integrals are returned (see
     :func:`finite_at_threshold`).
     """
-    z = float(z)
-    k0, k1 = _span(n, z)
-    lo, hi, t, table = _PANELS.get(n) or (k0, k0, None, None)
-    heads = _HEADS.get((n, k0))
-    if heads is None or k0 < lo or k1 > hi:
-        lo, hi, t, table = _keep(n, [(k0, k1)])
-        heads = _HEADS[n, k0]
-    th, head = heads
-    cut = slice((k0 - lo) * _NODES, (k1 - lo) * _NODES)
-    t, table = t[cut], table[:, cut]
-    eh, e = np.exp(z * th), np.exp(z * t)
-    # A stack of (1 x k)(k x 1) products, one per row: numpy hands each to
-    # the BLAS ddot, so every row, a and b alike, is summed in one order and
-    # a - b = (1 + z a)/n stays accurate where both are huge (n = 1 near the
-    # band edge).  A matrix-vector or matrix product would block the rows
-    # differently.  At most _CHUNK nodes keep each ddot single-threaded.
-    acc = (np.matmul(head[:, None], eh[:, None])
-           + np.matmul(table[:, None], e[:, None])).ravel()
-    if z == 0.0:
-        acc += _tail(n)
-    return {k: float(v) for k, v in zip(integral_names(n), acc)
-            if z < 0.0 or k in finite_at_threshold(n)}
-
+    scalar = isinstance(z, float) or np.ndim(z) == 0
+    if scalar:   # no comprehension: this is brentq's path
+        zs = [float(z)]
+        spans = [_span(n, zs[0])]
+    else:
+        zs = np.asarray(z, dtype=float).tolist()
+        spans = [_span(n, x) for x in zs]
+    lo, hi, t, table = _PANELS.get(n) or (0, 0, None, None)
+    for k0, k1 in spans:
+        if k0 < lo or k1 > hi or (n, k0) not in _HEADS:
+            lo, hi, t, table = _keep(n, spans)
+            break
+    columns = []
+    for x, (k0, k1) in zip(zs, spans):
+        th, head = _HEADS[n, k0]
+        cut = slice((k0 - lo) * _NODES, (k1 - lo) * _NODES)
+        eh, e = np.exp(x * th), np.exp(x * t[cut])
+        # A stack of (1 x k)(k x 1) products, one per row: numpy hands each
+        # to the BLAS ddot, so every row, a and b alike, is summed in one
+        # order and a - b = (1 + z a)/n stays accurate where both are huge
+        # (n = 1 near the band edge).  A matrix-vector or matrix product
+        # would block the rows differently.  At most _CHUNK nodes keep each
+        # ddot single-threaded.
+        column = (np.matmul(head[:, None], eh[:, None])
+                  + np.matmul(table[:, None, cut], e[:, None])).ravel()
+        if x == 0.0:
+            column += _tail(n)
+        columns.append(column)
+    rows = zip(integral_names(n), columns[0].tolist() if scalar
+               else np.stack(columns, axis=1))
+    if max(zs) < 0.0:
+        return dict(rows)
+    return {k: row for k, row in rows if k in finite_at_threshold(n)}

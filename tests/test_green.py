@@ -1,5 +1,6 @@
 """Green's-function integrals: oracles, identities, monotonicity, engines."""
 
+import json
 import math
 import re
 import subprocess
@@ -161,6 +162,57 @@ def test_square_lattice_edge_switch_is_continuous():
             x, y = getattr(inner, name), getattr(outer, name)
             if x is not None:
                 assert abs(x / y - 1.0) <= 4 * EPS, (n, name)
+
+
+def test_band_edge_table_is_the_engines_own_sums():
+    # the committed z = 0 values of n <= 8 against the engine's z = 0 path,
+    # bit for bit; from n = 9 on the values come from that path
+    assert sorted(green._BAND_EDGE) == list(range(1, 9))
+    for n in range(1, 10):
+        engine = {k: v.hex() for k, v in quadrature.laplace_integrals(n, 0.0).items()}
+        assert {k: v.hex() for k, v in green._threshold(n).items()} == engine, n
+
+
+_FRESH_SUMMARIZE = """
+import contextlib, io, json
+from unittest import mock
+import numpy as np
+from belowband import cli, green, quadrature
+out = {}
+for n in range(1, 10):
+    with mock.patch.object(green, "laplace_integrals",
+                           wraps=green.laplace_integrals) as laplace:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["summarize", f"--n={n}", "--lambda=0", f"--mu={n + 1.5}"])
+    zs = [np.atleast_1d(c.args[1]) for c in laplace.call_args_list]
+    out[n] = {"code": code, "edge": sum(bool(np.any(z == 0.0)) for z in zs),
+              "many": [z.size for z in zs if z.size > 1],
+              "tail": quadrature._tail.cache_info().currsize}
+print(json.dumps(out))
+"""
+
+
+def test_a_fresh_summarize_sums_no_band_edge_and_one_ladder_call():
+    # each n locates one delta_r root: its ladder is one Laplace call at 81
+    # z and brentq's probes are calls at one z; below n = 9 the band-edge
+    # constants are committed, so no call is at z = 0 and no tail is summed
+    doc = json.loads(subprocess.run([sys.executable, "-c", _FRESH_SUMMARIZE],
+                                    check=True, capture_output=True, text=True).stdout)
+    for n in range(1, 9):
+        assert doc[str(n)] == {"code": 0, "edge": 0, "many": [81], "tail": 0}, n
+    assert doc["9"] == {"code": 0, "edge": 1, "many": [81], "tail": 1}
+
+
+def test_an_array_of_z_stays_within_the_engines_reach():
+    # the edge records take one z at a time: an array may reach the switch
+    # itself, and an entry nearer the band edge, at it or NaN is refused
+    for n in (1, 2, 3):
+        switch = green._switch(n)
+        many = bb.green_values(n, np.array([-1.0, switch]))
+        assert many.s[1].hex() == bb.green_values(n, switch).s.hex()
+        for bad in (math.nextafter(switch, 0.0), 0.0, math.nan):
+            with pytest.raises(ValueError, match="engine's reach"):
+                bb.green_values(n, np.array([-1.0, bad]))
 
 
 def test_square_lattice_edge_makes_no_laplace_call():

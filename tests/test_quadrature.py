@@ -172,9 +172,15 @@ _SUMMED_ZS = (0.0, *(-math.exp(u) for u in classify._LADDER),
 
 def test_laplace_sums_equal_one_dot_per_row_bit_for_bit(monkeypatch):
     # one batched product of vectors must sum exactly as np.dot does; a
-    # matrix-vector product or numpy's loop without BLAS rounds otherwise
+    # matrix-vector product or numpy's loop without BLAS rounds otherwise.
+    # A call at many z sums each column exactly as the call at its z alone,
+    # with the band edge in the batch (its finite rows) and without it
     monkeypatch.setattr(quadrature, "_HEADS", {})
     monkeypatch.setattr(quadrature, "_PANELS", {})
+
+    def fresh():
+        quadrature._HEADS.clear()
+        quadrature._PANELS.clear()
     for grown in (False, True):
         for n in range(1, 7):
             deepest = quadrature._z_near(n)
@@ -183,12 +189,24 @@ def test_laplace_sums_equal_one_dot_per_row_bit_for_bit(monkeypatch):
             if grown:  # the deepest and the farthest span, so slices start inside
                 quadrature.laplace_integrals(n, deepest)
                 quadrature.laplace_integrals(n, -2.0 ** 509)
-            for z in (deepest, *_SUMMED_ZS):
+            zs = (deepest, *_SUMMED_ZS)
+            alone = {}
+            for z in zs:
                 if not grown:
-                    quadrature._HEADS.clear()
-                    quadrature._PANELS.clear()
+                    fresh()
                 got = {k: v.hex() for k, v in quadrature.laplace_integrals(n, z).items()}
                 assert got == _rowwise_sums(n, z), (grown, n, z)
+                alone[z] = got
+            for batch in (zs, [z for z in zs if z < 0.0]):
+                if not grown:
+                    fresh()
+                many = quadrature.laplace_integrals(n, np.array(batch))
+                names = alone[0.0] if 0.0 in batch else quadrature.integral_names(n)
+                assert list(many) == list(names)
+                assert all(row.shape == (len(batch),) for row in many.values())
+                for j, z in enumerate(batch):
+                    got = {k: float(row[j]).hex() for k, row in many.items()}
+                    assert got == {k: alone[z][k] for k in many}, (grown, n, z)
 
 
 _DEEP = """
@@ -218,40 +236,42 @@ _LADDER_VS_SCALAR = """
 import json, math, random, sys
 import belowband as bb
 from belowband import classify
-hexes = lambda g: [v.hex() if v is not None else None
-                   for v in (g.a, g.b, g.c, g.d, g.s, g.cd)]
-columns = lambda t: {k: None if c is None else [v.hex() for v in c.tolist()]
-                     for k, c in (("z", t.z), ("a", t.a), ("b", t.b), ("cd", t.cd),
-                                  ("s", t.s))}
+fields = ("z", "a", "b", "c", "d", "s", "cd")
+hexes = lambda column: [float(v).hex() for v in column]
 out = {}
 for n in (1, 2, 3, 4):
     ladder = [-math.exp(u) for u in classify._LADDER]
     zs = list(ladder)
     if sys.argv[1] == "scalar-first":
         random.Random(n).shuffle(zs)
-        scalar = {z: hexes(bb.green_values(n, z)) for z in zs}
+        scalar = {z: bb.green_values(n, z) for z in zs}
         table = classify._scan_table(n)
     else:
         table = classify._scan_table(n)
-        scalar = {z: hexes(bb.green_values(n, z)) for z in zs}
-    out[n] = {"table": columns(table), "scalar": [scalar[z] for z in ladder],
-              "of_scalar": columns(classify._ScanTable.of(
-                  n, [bb.green_values(n, z) for z in ladder]))}
+        scalar = {z: bb.green_values(n, z) for z in zs}
+    out[n] = {
+        "table": {k: getattr(table, k) is not None and hexes(getattr(table, k))
+                  for k in fields},
+        "scalar": {k: getattr(scalar[ladder[0]], k) is not None
+                   and hexes(getattr(scalar[z], k) for z in ladder) for k in fields}}
 print(json.dumps(out))
 """
 
 
 def test_ladder_entries_equal_scalar_calls_whatever_ran_first():
+    # every field of every ladder point, as one call at 81 z computes it,
+    # against the call at that z alone, bit for bit, whichever ran first
     runs = {order: json.loads(subprocess.run(
         [sys.executable, "-c", _LADDER_VS_SCALAR, order], check=True,
         capture_output=True, text=True).stdout)
         for order in ("ladder-first", "scalar-first")}
     for n in ("1", "2", "3", "4"):
         first = runs["ladder-first"][n]
-        assert len(first["scalar"]) == 81 and len(first["table"]["z"]) == 81
+        assert len(first["scalar"]["z"]) == 81 and len(first["table"]["s"]) == 81
+        # d and c - d do not exist at n = 1 (false), and are 81 values above
+        assert (first["table"]["d"] is first["table"]["cd"] is False) == (n == "1")
         for doc in runs.values():
-            assert doc[n]["scalar"] == first["scalar"], n
-            assert doc[n]["table"] == doc[n]["of_scalar"] == first["table"], n
+            assert doc[n]["table"] == doc[n]["scalar"] == first["scalar"], n
 
 
 def test_tables_grown_in_any_order_equal_each_panel_alone(monkeypatch):
@@ -267,7 +287,7 @@ def test_tables_grown_in_any_order_equal_each_panel_alone(monkeypatch):
         quadrature.laplace_integrals(n, quadrature._z_near(n))
         for u in classify._LADDER[::-1]:
             quadrature.laplace_integrals(n, -math.exp(u))
-        quadrature.laplace_tables(n, [0.0, -2.0 ** 100])
+        quadrature.laplace_integrals(n, [0.0, -2.0 ** 100])
         lo, hi, t, table = quadrature._PANELS[n]
         assert t.size == table.shape[1] == (hi - lo) * nodes
         for k in range(lo, hi):
