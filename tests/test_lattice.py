@@ -18,6 +18,7 @@ import belowband as bb
 from belowband import lattice
 from belowband.classify import DEFAULT_THETA
 from conftest import open_region_points
+from reference import dense_block, dense_spectrum
 
 
 def test_chain_l1_free_matrix():
@@ -25,7 +26,7 @@ def test_chain_l1_free_matrix():
     np.testing.assert_array_equal(
         ham.matrix.toarray(),
         [[1.0, -0.5, 0.0], [-0.5, 1.0, -0.5], [0.0, -0.5, 1.0]])
-    spec = bb.lowest_eigenvalues(ham, 3)
+    spec = dense_spectrum(ham, 3)
     expected = [1.0 - math.sqrt(2.0) / 2.0, 1.0, 1.0 + math.sqrt(2.0) / 2.0]
     assert np.allclose(spec.eigenvalues, expected, atol=1e-12)
 
@@ -51,7 +52,7 @@ def test_neighbor_coupling_on_diagonal():
 def test_free_case_nonnegative_and_band_bottom():
     lows = []
     for L in (10, 20, 40):
-        spec = bb.lowest_eigenvalues(bb.build_hamiltonian(1, L, 0.0, 0.0), 1)
+        spec = dense_spectrum(bb.build_hamiltonian(1, L, 0.0, 0.0), 1)
         lows.append(spec.eigenvalues[0])
         assert spec.eigenvalues[0] >= 0.0
     assert lows[0] > lows[1] > lows[2]
@@ -59,25 +60,29 @@ def test_free_case_nonnegative_and_band_bottom():
 
 
 def test_dense_and_iterative_paths_agree():
-    # the whole-spectrum path (dense eigh per block) and the chain path (a
-    # mapping of counts) on blocks of 435, 406 and 812 rows
+    # the dense reference (eigh per block) and the chain solve on blocks
+    # of 435, 406 and 812 rows: the chain holds every value below 0
     ham = bb.build_hamiltonian(2, 28, 7.0, 8.0)
-    dense = bb.lowest_eigenvalues(ham, 8)
+    dense = dense_spectrum(ham, 8)
     assert [len(lattice._structure(2, 28, o)[1])
             for o in lattice.ORIGINS] == [435, 406, 812]
     counts = {o: dense.count_below(0.0, o) // m
               for o, m in lattice._multiplicities(2).items()}
     assert counts == {"delta_r": 2, "delta_c": 1, "delta_s": 1}
-    chain = bb.lowest_eigenvalues(ham, counts)
-    assert chain.origins == dense.origins[:len(chain.origins)]
-    np.testing.assert_allclose(chain.eigenvalues,
-                               dense.eigenvalues[:len(chain.eigenvalues)],
+    chain = bb.lowest_eigenvalues(ham, 0.0)
+    assert len(chain.eigenvalues) == dense.count_below(0.0) == 5
+    assert chain.origins == dense.origins[:5]
+    np.testing.assert_allclose(chain.eigenvalues, dense.eigenvalues[:5],
                                rtol=0.0, atol=1e-12)
 
 
 def test_size_budget_and_validation():
-    with pytest.raises(ValueError):
-        bb.build_hamiltonian(3, 100, 0.0, 0.0)  # 201^3 over budget
+    with pytest.raises(ValueError, match=r"grid 3\*101\^3 = 3090903 exceeds"):
+        bb.build_hamiltonian(3, 100, 0.0, 0.0)
+    # 5 * 11^5 = 805255 grid coordinates fit, the 21^5 box does not
+    ham = bb.build_hamiltonian(5, 10, 0.0, 0.0)
+    with pytest.raises(ValueError, match=r"box 21\^5 = 4084101 sites exceeds"):
+        ham.matrix
     # n = 0 would build a 7-site chain, L = True the L = 1 box
     for n, L in ((1, 0), (0, 3), (-1, 3), (True, 3), (2.0, 3), (1, True),
                  (1, 2.5), (1, "3")):
@@ -90,39 +95,38 @@ def test_size_budget_and_validation():
             bb.build_hamiltonian(1, 3, bad, 0.0)
         with pytest.raises(ValueError, match="mu"):
             bb.build_hamiltonian(1, 3, 0.0, bad)
-    ham = bb.build_hamiltonian(1, 3, 0.0, 0.0)
-    # k = True would solve one value
-    for k in (0, 8, True, 2.5, "2", {"delta_x": 1}, {"delta_c": 1},
-              {"delta_r": 0}, {"delta_s": True}, {"delta_r": 1.0}):
-        with pytest.raises(ValueError):
-            bb.lowest_eigenvalues(ham, k)
-    assert len(bb.lowest_eigenvalues(ham, np.int64(7)).eigenvalues) == 7
+
+
+def test_theta_must_be_finite_and_at_most_zero():
+    # above 0 a chain's values are not its block's; nan and -inf bound
+    # nothing
+    ham = bb.build_hamiltonian(2, 12, 7.0, 8.0)
+    for theta in (1e-300, 0.5, math.inf, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="theta"):
+            bb.lowest_eigenvalues(ham, theta)
+    assert bb.lowest_eigenvalues(ham, 0.0) == bb.lowest_eigenvalues(ham, -0.0)
+    assert bb.lowest_eigenvalues(ham, -1e3).eigenvalues == ()
 
 
 @pytest.mark.parametrize("n,L,lam,mu", [(1, 30, 2.0, 2.0), (2, 8, 7.0, 8.0),
                                         (3, 5, 9.0, 9.0)])
 def test_count_per_block_matches_the_merged_form(n, L, lam, mu):
     ham = bb.build_hamiltonian(n, L, lam, mu)
-    full = bb.lowest_eigenvalues(ham, ham.dim)
+    full = dense_spectrum(ham)
     below = [(e, o) for e, o in zip(full.eigenvalues, full.origins) if e < 0.0]
     mult = lattice._multiplicities(n)
     counts = {o: sum(1 for _, p in below if p == o) // m
               for o, m in mult.items()}
     assert all(c >= 1 for c in counts.values())   # every block has a state
-    spec = bb.lowest_eigenvalues(ham, counts)
-    assert len(spec.eigenvalues) == sum(c * mult[o] for o, c in counts.items())
-    assert spec.origins == tuple(o for _, o in below)
-    np.testing.assert_allclose(spec.eigenvalues, [e for e, _ in below],
-                               rtol=0.0, atol=1e-12)
-    # a block asked for fewer values than it holds below 0 drops the rest
-    # (the second delta_r value at n >= 2)
-    fewer = bb.lowest_eigenvalues(ham, {"delta_r": 1})
-    assert fewer.origins == ("delta_r",)
-    assert fewer.eigenvalues == spec.eigenvalues[:1]
-    # the chain holds no value of a block above 0: one more is an error
-    for origin in mult:
-        with pytest.raises(ValueError, match=f"{origin} block .* asked for"):
-            bb.lowest_eigenvalues(ham, {origin: counts[origin] + 1})
+    # at 0 and between the values below it, the solve keeps exactly the
+    # dense values below theta
+    values = [e for e, _ in below]
+    for theta in [0.0] + [(a + b) / 2 for a, b in zip(values, values[1:]) if a < b]:
+        spec = bb.lowest_eigenvalues(ham, theta)
+        kept = [(e, o) for e, o in below if e < theta]
+        assert spec.origins == tuple(o for _, o in kept), theta
+        np.testing.assert_allclose(spec.eigenvalues, [e for e, _ in kept],
+                                   rtol=0.0, atol=1e-12)
 
 
 def _kronsum_box(n, L, lam, mu):
@@ -183,9 +187,9 @@ def test_kept_block_structure_is_exact(n, data, couplings):
     L = data.draw(st.integers(1, {1: 40, 2: 12, 3: 6, 4: 3}[n]), label="L")
     origin = data.draw(st.sampled_from(list(lattice._multiplicities(n))),
                        label="origin")
-    # the block the dense path solves, with several couplings
+    # the block the dense reference solves, with several couplings
     for lam, mu in couplings:
-        got = lattice._dense(bb.build_hamiltonian(n, L, lam, mu), origin)
+        got = dense_block(bb.build_hamiltonian(n, L, lam, mu), origin)
         want = _assembled_block(n, L, lam, mu, origin).toarray()
         np.testing.assert_array_equal(got, want, strict=True)
 
@@ -196,10 +200,12 @@ def test_solves_do_not_depend_on_earlier_couplings():
     for n, L in ((1, 60), (1, 700), (2, 12), (2, 24), (3, 10)):
         first, other = bb.build_hamiltonian(n, L, 7.0, 8.0), \
             bb.build_hamiltonian(n, L, 9.0, 3.0)
-        k = {o: 1 for o in lattice._multiplicities(n)}
-        before = bb.lowest_eigenvalues(first, k)
-        assert bb.lowest_eigenvalues(other, k) != before, (n, L)
-        assert bb.lowest_eigenvalues(first, k) == before, (n, L)
+        before = bb.lowest_eigenvalues(first, DEFAULT_THETA)
+        after = bb.lowest_eigenvalues(other, DEFAULT_THETA)
+        assert set(before.origins) == set(after.origins) \
+            == set(lattice._multiplicities(n)), (n, L)
+        assert after != before, (n, L)
+        assert bb.lowest_eigenvalues(first, DEFAULT_THETA) == before, (n, L)
 
 
 def test_kept_block_structure_refuses_writes():
@@ -220,6 +226,18 @@ def test_compare_reuses_the_kept_blocks(monkeypatch):
     assert all(rep.agrees_at(L) for L in (10, 12))
 
 
+def test_compare_past_the_whole_box_budget():
+    # cell D10 of n = 5: the solve builds a grid of 5 * 11^5 coordinates,
+    # within the budget, while reading the 21^5 box is refused
+    # (test_size_budget_and_validation)
+    params = bb.ModelParams(5, 10.68277618822024, 1.0)
+    rep = bb.compare(params, [8, 10])
+    assert rep.counts_agree and rep.predicted_count == 10
+    assert rep.predicted_factor_counts == {"delta_r": 1, "delta_c": 4,
+                                           "delta_s": 5}
+    assert max(rep.matched_errors[10]) < 1e-12
+
+
 @pytest.mark.parametrize("n,L,lam,mu,factors", [
     (2, 12, 7.0, 8.0, {"delta_r": 2, "delta_c": 1, "delta_s": 2}),
     (3, 10, 5.0, 1.0, {"delta_r": 1, "delta_c": 0, "delta_s": 3}),
@@ -233,15 +251,34 @@ def test_compare_never_assembles_the_box(monkeypatch, n, L, lam, mu, factors):
     assert rep.predicted_factor_counts == rep.oracle_factor_counts[L] == factors
 
 
-def _spy_solves(monkeypatch) -> list[tuple[str, int]]:
-    """Record (origin, count) of every factor block lattice solves."""
-    calls, real = [], lattice._lowest
+def _spy_solves(monkeypatch) -> list[tuple[int, str, float, int]]:
+    """Record (L, origin, theta, values found) of every stebz call."""
+    calls, real = [], lattice._below
 
-    def spy(ham, origin, k):
-        calls.append((origin, k))
-        return real(ham, origin, k)
-    monkeypatch.setattr(lattice, "_lowest", spy)
+    def spy(ham, origin, theta):
+        values = real(ham, origin, theta)
+        calls.append((ham.L, origin, theta, len(values)))
+        return values
+    monkeypatch.setattr(lattice, "_below", spy)
     return calls
+
+
+@pytest.mark.parametrize("n,lam,mu,radii", [
+    (1, 2.0, 2.0, [40, 60]), (2, 7.0, 8.0, [12, 16]), (3, 5.0, 1.0, [10, 12]),
+])
+def test_compare_reads_each_block_once_per_radius(monkeypatch, n, lam, mu, radii):
+    # one stebz call per block and radius, at theta, whether the block has
+    # a value below theta or not (no delta_c value at (3, 5, 1)); the
+    # per-factor counts are what those calls found
+    calls = _spy_solves(monkeypatch)
+    rep = bb.compare(bb.ModelParams(n, lam, mu), radii)
+    assert rep.counts_agree
+    mult = lattice._multiplicities(n)
+    assert [c[:3] for c in calls] == [(L, o, DEFAULT_THETA)
+                                      for L in radii for o in mult]
+    for L in radii:
+        assert {o: k * mult[o] for L_, o, _, k in calls if L_ == L} \
+            == {o: rep.oracle_factor_counts[L][o] for o in mult}
 
 
 # couplings and the full count per factor at L = 12
@@ -274,36 +311,33 @@ def test_compare_sees_an_unpredicted_state(monkeypatch, n, origin):
     assert rep.predicted_factor_counts[origin] == full[origin] - dropped.multiplicity
     assert not rep.agrees_at(12) and not rep.counts_agree
     mult = lattice._multiplicities(n)
-    assert dict(calls) == {o: c // mult[o] for o, c in full.items()}
-    assert len(calls) == len(full)
+    assert calls == [(12, o, DEFAULT_THETA, c // mult[o]) for o, c in full.items()]
 
 
 def test_certified_blocks_are_not_solved(monkeypatch):
-    # D0: no root, so no block's chain has a value below theta and none is
-    # solved, at n = 3, L = 20 (blocks of 1771, 4410 and 4620 rows) too;
-    # one lowest_eigenvalues call per radius asks for nothing
+    # D0: no root, so the one stebz call on each block's chain finds no
+    # value below theta, at n = 3, L = 20 (blocks of 1771, 4410 and 4620
+    # rows) too; one lowest_eigenvalues call per radius, at theta
     solves, asked = _spy_solves(monkeypatch), []
     real = lattice.lowest_eigenvalues
 
-    def spy(ham, k):
-        asked.append(dict(k))
-        return real(ham, k)
+    def spy(ham, theta):
+        asked.append((ham.L, theta))
+        return real(ham, theta)
     monkeypatch.setattr(lattice, "lowest_eigenvalues", spy)
     for n, radii in ((2, [12, 16]), (3, [20])):
         rep = bb.compare(bb.ModelParams(n, -1.0, -1.0), radii)
         assert rep.counts_agree and rep.oracle_counts == dict.fromkeys(radii, 0)
-    assert asked == [{}, {}, {}] and solves == []
-    # (5, 1) at n = 3 has no delta_c root: that block alone is not solved
+    assert asked == [(12, DEFAULT_THETA), (16, DEFAULT_THETA), (20, DEFAULT_THETA)]
+    assert [k for *_, k in solves] == [0] * 9
+    # (5, 1) at n = 3 has no delta_c root: that block alone finds none
+    solves.clear()
     rep = bb.compare(bb.ModelParams(3, 5.0, 1.0), [10, 12])
     assert rep.counts_agree and rep.predicted_factor_counts["delta_c"] == 0
-    assert asked[3:] == [{"delta_r": 1, "delta_s": 1}] * 2
-    assert solves == [("delta_r", 1), ("delta_s", 1)] * 2
-
-
-def test_an_empty_mapping_solves_nothing():
-    spec = bb.lowest_eigenvalues(bb.build_hamiltonian(2, 12, 7.0, 8.0), {})
-    assert spec.eigenvalues == spec.origins == ()
-    assert spec.count_below(-1e-3) == 0
+    assert asked[3:] == [(10, DEFAULT_THETA), (12, DEFAULT_THETA)]
+    assert [(L, o, k) for L, o, _, k in solves] == [
+        (L, o, k) for L in (10, 12)
+        for o, k in (("delta_r", 1), ("delta_c", 0), ("delta_s", 1))]
 
 
 # the oracle workload's radii, L = 1 (blocks of 2 and 1 rows, whose chains
@@ -415,9 +449,9 @@ def test_both_row_orders_are_kept_together(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("orbit basis or chain rebuilt")
     monkeypatch.setattr(lattice, "_structure", refuse)
-    bound = bb.lowest_eigenvalues(bb.build_hamiltonian(3, 12, 7.0, 1.0),
-                                  {"delta_c": 1})
-    assert bound.origins == ("delta_c",) * 2 and bound.eigenvalues[0] < -1e-3
+    bound = lattice._below(bb.build_hamiltonian(3, 12, 7.0, 1.0), "delta_c",
+                           -1e-3)
+    assert len(bound) == 1 and bound[0] < -1e-3
     assert len(lattice._kept_block(3, 12, "delta_c")[0]) < 1014
 
 
@@ -449,10 +483,10 @@ def test_the_certificate_leaves_every_report_unchanged():
 
 
 def test_parity_attribution():
-    spec = bb.lowest_eigenvalues(bb.build_hamiltonian(1, 30, 2.0, 0.0), 2)
+    spec = dense_spectrum(bb.build_hamiltonian(1, 30, 2.0, 0.0), 2)
     # ground state of the neighbor-impurity chain is even, first excited odd
     assert spec.origins == ("delta_r", "delta_s")
-    spec = bb.lowest_eigenvalues(bb.build_hamiltonian(3, 10, 5.0, 1.0), 4)
+    spec = dense_spectrum(bb.build_hamiltonian(3, 10, 5.0, 1.0), 4)
     assert spec.origins == ("delta_r",) + ("delta_s",) * 3
 
 
@@ -495,7 +529,7 @@ def test_sectors_merge_to_the_full_spectrum(n, L):
     # strong couplings: every factor has a bound state in the box
     lam, mu = np.random.default_rng(n).uniform(6.0, 12.0, size=2)
     ham = bb.build_hamiltonian(n, L, float(lam), float(mu))
-    spec = bb.lowest_eigenvalues(ham, ham.dim)
+    spec = dense_spectrum(ham)
     expected = _negative_spectrum(ham)
     factors = {"delta_r", "delta_s"} | ({"delta_c"} if n > 1 else set())
     assert {o for _, o in expected} == factors
@@ -521,10 +555,10 @@ def test_sector_counts_match_determinant_factors():
                         for o in lattice.ORIGINS]
             for L in ladder:
                 spec = bb.lowest_eigenvalues(
-                    bb.build_hamiltonian(n, L, lam, mu), sum(expected) + 4)
+                    bb.build_hamiltonian(n, L, lam, mu), theta)
                 assert [spec.count_below(theta, o) for o in lattice.ORIGINS] \
                     == expected, (n, cell, L)
-                assert spec.count_below(theta) == sum(expected), (n, cell, L)
+                assert len(spec.eigenvalues) == sum(expected), (n, cell, L)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -535,7 +569,7 @@ def test_factor_blocks_hold_the_negative_spectrum(n, data, lam, mu):
     L = data.draw(st.integers(1, {1: 12, 2: 6, 3: 3, 4: 2}[n]), label="L")
     ham = bb.build_hamiltonian(n, L, lam, mu)
     full = np.linalg.eigvalsh(ham.matrix.toarray())
-    spec = bb.lowest_eigenvalues(ham, ham.dim)
+    spec = dense_spectrum(ham)
     got = [e for e in spec.eigenvalues if e < 0.0]
     assert len(got) == int(np.sum(full < 0.0))
     np.testing.assert_allclose(got, full[full < 0.0], rtol=0.0, atol=1e-12)
@@ -543,8 +577,9 @@ def test_factor_blocks_hold_the_negative_spectrum(n, data, lam, mu):
 
 _D5_N4 = """
 import belowband as bb
+from reference import dense_spectrum
 params = bb.ModelParams(4, 7.038375332869773, 1.0)
-spec = bb.lowest_eigenvalues(bb.build_hamiltonian(4, 6, params.lam, params.mu), 9)
+spec = dense_spectrum(bb.build_hamiltonian(4, 6, params.lam, params.mu), 9)
 print(bb.compare(params, [6]).oracle_counts[6], *map(repr, spec.eigenvalues))
 """
 
@@ -554,13 +589,14 @@ def test_multiplets_do_not_depend_on_blas_threads():
     # -0.082839, whose copies a whole-box Lanczos solve with one BLAS thread
     # found only three times
     src = os.path.dirname(os.path.dirname(bb.__file__))
+    here = os.path.dirname(os.path.abspath(__file__))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+        filter(None, [src, here, os.environ.get("PYTHONPATH")])))
     single = subprocess.run([sys.executable, "-c", _D5_N4], env=env,
                             capture_output=True, text=True, check=True).stdout
     count, *values = single.split()
     params = bb.ModelParams(4, 7.038375332869773, 1.0)
-    spec = bb.lowest_eigenvalues(bb.build_hamiltonian(4, 6, params.lam, params.mu), 9)
+    spec = dense_spectrum(bb.build_hamiltonian(4, 6, params.lam, params.mu), 9)
     assert int(count) == bb.compare(params, [6]).oracle_counts[6] == 5
     assert spec.count_below(-1e-3) == 5
     np.testing.assert_allclose([float(v) for v in values], spec.eigenvalues,
@@ -572,7 +608,7 @@ def test_cubic_triplets_against_dense_reference():
     # python -c "import belowband as bb, scipy.linalg as sl; print(sl.eigh(
     #   bb.build_hamiltonian(3, 10, 5.0, 1.0).matrix.toarray(),
     #   eigvals_only=True, subset_by_index=[0, 7]))"
-    spec = bb.lowest_eigenvalues(bb.build_hamiltonian(3, 10, 5.0, 1.0), 8)
+    spec = dense_spectrum(bb.build_hamiltonian(3, 10, 5.0, 1.0), 8)
     reference = [-0.784450726] + [-0.07239628] * 3 + [0.038372388] \
         + [0.063992178] * 3
     np.testing.assert_allclose(spec.eigenvalues, reference, rtol=0.0, atol=1e-8)
@@ -603,7 +639,7 @@ def test_compare_monotone_improvement_weakly_bound():
 
 def test_chain_odd_state_at_large_box():
     # lam = 2: two bound states below -1e-3, the odd one at exactly -1/4
-    spec = bb.lowest_eigenvalues(bb.build_hamiltonian(1, 500, 2.0, 0.0), 3)
+    spec = dense_spectrum(bb.build_hamiltonian(1, 500, 2.0, 0.0), 3)
     assert spec.count_below(-1e-3) == 2
     assert min(abs(e + 0.25) for e in spec.eigenvalues) <= 1e-6
 
