@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .green import GreenValues, green_threshold, green_values
+from .green import _LADDER, _LADDER_Z, GreenValues, green_threshold, green_values
 from .quadrature import _Z_MAX
 from .reduction import ModelParams, hyperbola_limit
 from .states import (
@@ -289,10 +289,7 @@ def cell_label(n: int, even: EvenRegion, odd: OddRegion) -> tuple[str, int]:
 # Every factor is located in u = ln(-z) by one scan (the ladder, the delta_r
 # split point, then steps past its ends): roots squeezed against the band
 # edge are resolved in u, and a brentq tolerance in u is relative in z.
-_LN2 = math.log(2.0)
-_LADDER = tuple(k * _LN2 for k in range(40, -41, -1))   # -z = 2^40 .. 2^-40
-_LADDER_U = np.array(_LADDER)
-_LADDER_Z = np.array([-math.exp(u) for u in _LADDER])   # libm's exp, as brentq's probes
+_LADDER_U = np.array(_LADDER)   # -z = 2^40 .. 2^-40, at green._LADDER_Z
 _STRIDE = 80.0           # step in u past an end of the scan
 _U_NEAR = -700.0         # the near walk's end; Green values there are edge records
 _U_FAR = math.nextafter(math.log(_Z_MAX), 0.0)   # the engine's far limit
@@ -407,8 +404,10 @@ def _scan_table(n: int) -> GreenValues:
 
     Built on the first root search at this n, never by
     ``spectral_constants``: requests that locate no root do not pay for
-    the ladder.  One ``green_values`` call evaluates all 81 points, from
-    one Bessel pass, each bit for bit as a call at its z alone.
+    the ladder.  One ``green_values`` call evaluates all 81 points, each
+    bit for bit as a call at its z alone: for n <= 8 it reads the
+    engine's committed sums (``green._ladder``), for larger n one Laplace
+    call sums them from one Bessel pass.
     """
     return green_values(n, _LADDER_Z)
 

@@ -5,18 +5,22 @@ integrals of ``g(p)/(E(p) - z)`` with g = 1, cos p_1, cos^2 p_1,
 cos p_1 cos p_2 and sin^2 p_1, conventionally named a, b, c, d, s.  This
 module wraps the Laplace-Bessel engine into a typed interface, tracks
 which integrals are finite at the band edge z = 0, and provides the exact
-algebraic closed forms at n = 1.  The z = 0 values of n <= 8 are
-committed constants, the engine's own sums; larger n take them from the
-engine.  Past the engine's reach (u = ln(-z) about -111 to -109, and
-from -45 at n = 2) an edge record serves every z down to the smallest
-subnormal: the closed forms at n = 1, the edge form of a (K(m) as
-m -> 1) with the z = 0 values of c - d and s at n = 2, and the z = 0
-values at n >= 3, each within a few eps of the engine.
+algebraic closed forms at n = 1.  Two tables of the engine's own sums
+are committed for n <= 8: the z = 0 values (``_BAND_EDGE``) and the
+values at the 81 points of the root-location ladder (``ladder.f64``, read
+one n at a time); larger n and every other z take them from the engine.
+``tests/make_tables.py`` rewrites both from fresh engine sums.  Past the
+engine's reach (u = ln(-z) about -111 to -109, and from -45 at n = 2) an
+edge record serves every z down to the smallest subnormal: the closed
+forms at n = 1, the edge form of a (K(m) as m -> 1) with the z = 0
+values of c - d and s at n = 2, and the z = 0 values at n >= 3, each
+within a few eps of the engine.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -170,6 +174,43 @@ _BAND_EDGE = {
 }
 
 
+# The ladder of root location (classify): u = ln(-z) from 40 ln 2 down to
+# -40 ln 2 in steps of ln 2, and z by libm's exp, as brentq's probes take it.
+_LADDER = tuple(k * math.log(2.0) for k in range(40, -41, -1))
+_LADDER_Z = np.array([-math.exp(u) for u in _LADDER])
+
+# The finite integrals at _LADDER_Z for n = 1.._LADDER_N: the engine's own
+# sums as little-endian float64, n after n, each n's rows (a, b, c, s at
+# n = 1; a, b, c, d, s, cd above) of 81 values in ladder order.
+_LADDER_FILE = os.path.join(os.path.dirname(__file__), "ladder.f64")
+_LADDER_N = 8
+
+
+def _ladder_names(n: int) -> tuple[str, ...]:
+    return ("a", "b", "c", "s") if n == 1 else ("a", "b", "c", "d", "s", "cd")
+
+
+def _ladder_rows(n: int) -> int:
+    """Rows of the ladder file before those of n."""
+    return sum(len(_ladder_names(m)) for m in range(1, n))
+
+
+_LADDER_BYTES = 8 * _LADDER_Z.size * _ladder_rows(_LADDER_N + 1)
+
+
+def _ladder(n: int) -> dict[str, np.ndarray]:
+    """The committed integrals at ``_LADDER_Z`` for n <= ``_LADDER_N``,
+    from one read of that n's rows."""
+    names, size = _ladder_names(n), _LADDER_Z.size
+    rows = np.fromfile(_LADDER_FILE, dtype="<f8", count=len(names) * size,
+                       offset=8 * size * _ladder_rows(n))
+    if rows.size != len(names) * size:
+        raise OSError(
+            f"the ladder table {_LADDER_FILE} holds {os.path.getsize(_LADDER_FILE)} "
+            f"bytes, expected {_LADDER_BYTES}; rewrite it with tests/make_tables.py")
+    return dict(zip(names, rows.reshape(len(names), size)))
+
+
 @lru_cache(maxsize=None)
 def _threshold(n: int) -> dict[str, float]:
     """The finite integrals at z = 0: committed for n <= 8, else from the
@@ -196,8 +237,9 @@ def _edge(n: int, z: float) -> dict[str, float]:
 
 def _evaluate(n: int, z) -> GreenValues:
     """The integrals at z <= 0: at z = 0 from ``_threshold``, at
-    _switch(n) < z < 0 from ``_edge``, else from the Laplace engine, which
-    also takes a whole array of z."""
+    _switch(n) < z < 0 from ``_edge``, at the ladder of n <= 8 from
+    ``_ladder``, else from the Laplace engine, which also takes a whole
+    array of z."""
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError(f"dimension must be a positive integer, got {n!r}")
     n = int(n)
@@ -206,7 +248,10 @@ def _evaluate(n: int, z) -> GreenValues:
             raise ValueError(f"an array of z must lie at or below the engine's "
                              f"reach {_switch(n)!r} at n={n}; nearer the band "
                              f"edge, call one z at a time")
-        raw = laplace_integrals(n, z)
+        if n <= _LADDER_N and np.array_equal(z, _LADDER_Z):
+            raw = _ladder(n)
+        else:
+            raw = laplace_integrals(n, z)
     elif _switch(n) < z < 0.0:
         raw = _edge(n, z)
     else:
@@ -224,8 +269,10 @@ def green_values(n: int, z) -> GreenValues:
 
     ``z`` may be a 1-D array of points within the engine's reach, which
     one Laplace call then evaluates; the fields are arrays over it, each
-    entry bit for bit the value at its z alone.  An entry past the reach
-    raises ValueError, since the edge records take one z at a time.
+    entry bit for bit the value at its z alone.  At the ladder of root
+    location (``_LADDER_Z``) the values of n <= 8 are committed
+    (``ladder.f64``), so no Laplace sum runs there.  An entry past the
+    reach raises ValueError, since the edge records take one z at a time.
     """
     if isinstance(z, float) or np.ndim(z) == 0:
         if not z < 0.0:

@@ -30,8 +30,11 @@ do not depend on the calls that built them.  At each z, each row, of at
 most ``_CHUNK`` nodes, is summed by one BLAS ddot, all rows in one batched
 product of vectors, so a value is bit-identical whether its z came alone
 or in a batch, whatever ran before and whatever the BLAS thread count,
-and concurrent calls are safe.  The band-edge values of n <= 8 are
-committed in :mod:`belowband.green`; the z = 0 path here serves larger n.
+and concurrent calls are safe.  For n <= 8 the band-edge values and the
+values at the 81 points of the root-location ladder are committed in
+:mod:`belowband.green` (``tests/make_tables.py`` rewrites both from this
+engine), so a fresh process builds only the panels that brentq's probes
+need; larger n, and every other z, are summed here.
 """
 
 from __future__ import annotations
@@ -246,6 +249,8 @@ _GAUSS = {48: _mirrored(_GAUSS48), 96: _mirrored(_GAUSS96)}
 
 def _chebyshev(coef: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Both columns of a Chebyshev series at y, in one Clenshaw pass."""
+    if y.size == 0:   # every node on the other side of t = 8
+        return np.empty((2, 0))
     y2 = 2.0 * y
     b1 = b2 = np.zeros((2, y.size))
     for c in coef[:0:-1]:

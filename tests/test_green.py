@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -170,7 +172,40 @@ def test_band_edge_table_is_the_engines_own_sums():
     assert sorted(green._BAND_EDGE) == list(range(1, 9))
     for n in range(1, 10):
         engine = {k: v.hex() for k, v in quadrature.laplace_integrals(n, 0.0).items()}
-        assert {k: v.hex() for k, v in green._threshold(n).items()} == engine, n
+        assert {k: v.hex() for k, v in green._threshold(n).items()} == engine, (
+            n, "rewrite the tables with tests/make_tables.py")
+
+
+def test_ladder_table_is_the_engines_own_sums(monkeypatch):
+    # the committed ladder values of n <= 8 against fresh engine sums at the
+    # same z, every field bit for bit; from n = 9 on a Laplace call serves them
+    monkeypatch.setattr(quadrature, "_HEADS", {})
+    monkeypatch.setattr(quadrature, "_PANELS", {})
+    assert os.path.getsize(green._LADDER_FILE) == green._LADDER_BYTES == 29808
+    with mock.patch.object(green, "laplace_integrals",
+                           wraps=green.laplace_integrals) as laplace:
+        for n in range(1, 10):
+            committed = bb.green_values(n, green._LADDER_Z)
+            assert laplace.call_count == (1 if n == 9 else 0), n
+            engine = quadrature.laplace_integrals(n, green._LADDER_Z)
+            for name in ("a", "b", "c", "d", "s", "cd"):
+                got = getattr(committed, name)
+                if n == 1 and name in ("d", "cd"):
+                    assert got is None
+                    continue
+                assert got.tobytes() == engine[name].tobytes(), (
+                    n, name, "rewrite the tables with tests/make_tables.py")
+
+
+def test_a_short_ladder_table_names_the_file(monkeypatch, tmp_path):
+    # a table cut by one value still serves n = 7, and n = 8 names the file
+    short = tmp_path / "ladder.f64"
+    short.write_bytes(pathlib.Path(green._LADDER_FILE).read_bytes()[:-8])
+    monkeypatch.setattr(green, "_LADDER_FILE", str(short))
+    assert bb.green_values(7, green._LADDER_Z).a.size == 81
+    with pytest.raises(OSError, match=f"{re.escape(str(short))} holds 29800 bytes, "
+                                      "expected 29808"):
+        bb.green_values(8, green._LADDER_Z)
 
 
 _FRESH_SUMMARIZE = """
@@ -192,14 +227,15 @@ print(json.dumps(out))
 """
 
 
-def test_a_fresh_summarize_sums_no_band_edge_and_one_ladder_call():
-    # each n locates one delta_r root: its ladder is one Laplace call at 81
-    # z and brentq's probes are calls at one z; below n = 9 the band-edge
-    # constants are committed, so no call is at z = 0 and no tail is summed
+def test_a_fresh_summarize_sums_no_band_edge_and_no_ladder():
+    # each n locates one delta_r root, and brentq's probes are calls at one
+    # z; below n = 9 the band-edge constants and the ladder are committed,
+    # so no call is at z = 0 or at an array of z, and no tail is summed; at
+    # n = 9 the ladder is one Laplace call at 81 z
     doc = json.loads(subprocess.run([sys.executable, "-c", _FRESH_SUMMARIZE],
                                     check=True, capture_output=True, text=True).stdout)
     for n in range(1, 9):
-        assert doc[str(n)] == {"code": 0, "edge": 0, "many": [81], "tail": 0}, n
+        assert doc[str(n)] == {"code": 0, "edge": 0, "many": [], "tail": 0}, n
     assert doc["9"] == {"code": 0, "edge": 1, "many": [81], "tail": 1}
 
 
@@ -236,7 +272,9 @@ def test_deep_square_lattice_search_keeps_short_panels(monkeypatch):
     # a walk to u = -700 at every n: at n = 2 the search for a delta_r root
     # closer to the edge fails there, at other n the factor lam s - 1 = -1
     # keeps its sign.  No Laplace call goes past the switch, so the panels
-    # end at 2^(k0 + _CHUNK // _NODES) at most, and at 2^75 at n = 2
+    # end at 2^(k0 + _CHUNK // _NODES) at most; at n = 2 the ladder is
+    # committed and every step past it lies beyond the switch u = -45, so
+    # nothing is kept
     monkeypatch.setattr(quadrature, "_HEADS", {})
     monkeypatch.setattr(quadrature, "_PANELS", {})
     monkeypatch.setattr(classify, "_scan_table",
@@ -249,8 +287,11 @@ def test_deep_square_lattice_search_keeps_short_panels(monkeypatch):
         with pytest.raises(bb.RootScanError):
             classify._step_past(f, classify._LADDER[-1], -1.0, classify._U_NEAR, str)
         k0, k1 = quadrature._span(n, quadrature._z_near(n))
-        assert quadrature._PANELS[n][1] <= k1 == k0 + quadrature._CHUNK // quadrature._NODES
-    assert quadrature._PANELS[2][1] <= 75
+        assert k1 == k0 + quadrature._CHUNK // quadrature._NODES
+        if n != 2:
+            assert quadrature._PANELS[n][1] <= k1, n
+    assert 2 not in quadrature._PANELS
+    assert not any(m == 2 for m, _ in quadrature._HEADS)
 
 
 def test_agm_elliptic_k_matches_scipy_and_mpmath():

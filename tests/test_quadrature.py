@@ -259,8 +259,9 @@ print(json.dumps(out))
 
 
 def test_ladder_entries_equal_scalar_calls_whatever_ran_first():
-    # every field of every ladder point, as one call at 81 z computes it,
-    # against the call at that z alone, bit for bit, whichever ran first
+    # every field of every ladder point, as the ladder's one call at 81 z
+    # gives it (the committed table at these n), against the call at that
+    # z alone, bit for bit, whichever ran first
     runs = {order: json.loads(subprocess.run(
         [sys.executable, "-c", _LADDER_VS_SCALAR, order], check=True,
         capture_output=True, text=True).stdout)
