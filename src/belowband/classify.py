@@ -415,12 +415,12 @@ def _scan_table(n: int) -> GreenValues:
 def _brackets(us: np.ndarray, values: np.ndarray) -> list[tuple[float, float, float, float]]:
     """(lo, f(lo), hi, f(hi)) in u around each sign change of a scan whose
     us decrease; a zero at a scan point u0 is the bracket (u0, 0, u0, 0).
-    Products overflow and turn NaN silently, as Python floats do."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        hits = values == 0.0
-        hits[:-1] |= values[:-1] * values[1:] < 0.0
+    Products of neighbours may overflow or turn NaN, as Python floats do;
+    the caller's ``np.errstate`` keeps that silent."""
+    hits = values == 0.0
+    hits[:-1] |= values[:-1] * values[1:] < 0.0
     brackets = []
-    for i in np.flatnonzero(hits).tolist():
+    for i in hits.nonzero()[0].tolist():
         u0, f0 = float(us[i]), float(values[i])
         if f0 == 0.0:
             brackets.append((u0, f0, u0, f0))
@@ -459,13 +459,18 @@ def _polish(params: ModelParams, origin: str, z_a: float, f_a: float,
     at -exp(u_split + v) would read the noise above.  Returns the zero and
     the Green values brentq evaluated at exactly that z, or None for them
     when the zero is an end of the bracket, which takes its scanned value.
+
+    Every probe away from the ends is one call of this module's
+    ``green_values`` at the float z, whose ``GreenValues`` ``_factor``
+    reads: a warm probe costs one Laplace sum, or one edge record, and a
+    few dictionary operations.
     """
-    ends, probed = {0.0: f_a, w: f_w}, {}
+    n, ends, probed = params.n, {0.0: f_a, w: f_w}, {}
 
     def h(v):
         if v in ends:
             return ends[v]
-        g = probed[v] = green_values(params.n, z_a * math.exp(v))
+        g = probed[v] = green_values(n, z_a * math.exp(v))
         return _factor(params, origin, g, z_a * math.expm1(v) if split else None)
     v = float(brentq(h, 0.0, w, **_BRENTQ_KW))
     return z_a * math.exp(v), probed.get(v)
@@ -491,22 +496,23 @@ def _roots(params: ModelParams, origin: str,
     where = lambda: f"for (n={n}, lambda={params.lam}, mu={params.mu})"
     far_failure = lambda: (f"a zero of {origin} lies farther below the band than "
                            f"z = -{_Z_MAX!r} {where()}; past it b is not a normal double")
-    us = _LADDER_U
-    with np.errstate(over="ignore"):   # products overflow as Python floats do
+    us, u_split, z0 = _LADDER_U, None, None
+    # products overflow and turn NaN as Python floats do
+    with np.errstate(over="ignore", invalid="ignore"):
         values = _factor(params, origin, _scan_table(n))
-    u_split = z0 = None
-    if expected == 2:
-        # -n itself: H evaluated at -exp(u_split), off by |u| eps in z, can be
-        # positive once lam mu is large; mu - n >= ulp(n) keeps u_split > _U_NEAR
-        z0 = n - params.mu
-        u_split = math.log(-z0)
-        if u_split > _U_FAR:
-            raise RootScanError(far_failure(), sign_table=[(z0, -float(n))])
-        i = int(np.count_nonzero(us > u_split))
-        j = i + 1 if i < len(us) and us[i] == u_split else i   # it replaces that point
-        us = np.concatenate((us[:i], [u_split], us[j:]))
-        values = np.concatenate((values[:i], [-float(n)], values[j:]))
-    brackets = _brackets(us, values)
+        if expected == 2:
+            # -n itself: H evaluated at -exp(u_split), off by |u| eps in z, can
+            # be positive once lam mu is large; mu - n >= ulp(n) keeps
+            # u_split > _U_NEAR
+            z0 = n - params.mu
+            u_split = math.log(-z0)
+            if u_split > _U_FAR:
+                raise RootScanError(far_failure(), sign_table=[(z0, -float(n))])
+            i = int(np.count_nonzero(us > u_split))
+            j = i + 1 if i < len(us) and us[i] == u_split else i   # it replaces that point
+            us = np.concatenate((us[:i], [u_split], us[j:]))
+            values = np.concatenate((values[:i], [-float(n)], values[j:]))
+        brackets = _brackets(us, values)
     if len(brackets) < expected:
         # the factor's sign as z -> -inf and its limit as z -> 0-
         consts = spectral_constants(n)

@@ -121,18 +121,27 @@ def dispersion(p, n: int | None = None):
 
 
 def _pack(n: int, z, raw: dict) -> GreenValues:
-    # the engine names no d at n = 1 and only the finite integrals at z = 0;
-    # at an array of z every entry must be positive
-    scalar = isinstance(z, float)
-    for name in ("a", "b", "c", "s", "cd"):
-        v = raw.get(name)
-        if v is not None and not (v > 0.0 if scalar else np.all(v > 0.0)):
-            i = np.argmin(np.ravel(v) > 0.0)   # the first that is not
-            raise QuadratureError(
-                f"integral {name}={np.ravel(v)[i]} at n={n}, z={np.ravel(z)[i]} "
-                "violates positivity; quadrature failed")
-    return GreenValues(n=n, z=z, a=raw.get("a"), b=raw.get("b"), c=raw.get("c"),
-                       d=raw.get("d"), s=raw.get("s"), cd=raw.get("cd"))
+    """The engine's ``{name: value}`` record at z as a ``GreenValues``.
+
+    The engine names no d at n = 1 and only the finite integrals at z = 0.
+    Every one of a, b, c, s and c - d that it names must be positive, at
+    each entry of an array of z; a float z, brentq's probe, is checked by
+    five comparisons.  A failure raises :class:`QuadratureError` naming
+    the first integral and the first z at which it is not.
+    """
+    get = raw.get
+    a, b, c, s, cd = get("a"), get("b"), get("c"), get("s"), get("cd")
+    if not (isinstance(z, float) and (a is None or a > 0.0)
+            and (b is None or b > 0.0) and (c is None or c > 0.0)
+            and (s is None or s > 0.0) and (cd is None or cd > 0.0)):
+        for name, v in (("a", a), ("b", b), ("c", c), ("s", s), ("cd", cd)):
+            if v is not None and not np.all(v > 0.0):
+                v = np.ravel(v)
+                i = np.argmin(v > 0.0)   # the first that is not
+                raise QuadratureError(
+                    f"integral {name}={v[i]} at n={n}, z={np.ravel(z)[i]} "
+                    "violates positivity; quadrature failed")
+    return GreenValues(n, z, a, b, c, get("d"), s, cd)
 
 
 # Nearer the edge than _switch(n) the integrals equal their edge forms to
@@ -142,6 +151,7 @@ def _pack(n: int, z, raw: dict) -> GreenValues:
 _Z_EDGE2 = -math.exp(-45.0)
 
 
+@lru_cache(maxsize=None)
 def _switch(n: int) -> float:
     """The engine's reach, and -exp(-45) at n = 2."""
     return _Z_EDGE2 if n == 2 else _z_near(n)
@@ -240,9 +250,10 @@ def _evaluate(n: int, z) -> GreenValues:
     _switch(n) < z < 0 from ``_edge``, at the ladder of n <= 8 from
     ``_ladder``, else from the Laplace engine, which also takes a whole
     array of z."""
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValueError(f"dimension must be a positive integer, got {n!r}")
-    n = int(n)
+    if type(n) is not int or n < 1:
+        if not (isinstance(n, (int, np.integer)) and n >= 1):
+            raise ValueError(f"dimension must be a positive integer, got {n!r}")
+        n = int(n)
     if not isinstance(z, float):   # an array of z < 0, from green_values
         if not np.all(z <= _switch(n)):
             raise ValueError(f"an array of z must lie at or below the engine's "

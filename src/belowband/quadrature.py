@@ -331,15 +331,15 @@ def _span(n: int, z: float) -> tuple[int, int]:
     integrand; the panels end at the first 2^k1 past 746/|z|, where
     exp(z t) has underflowed, or at 2^6 when z = 0.
     """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    if not -math.inf < z <= 0.0:
-        raise ValueError(f"spectral parameter must be finite and <= 0, got {z}")
-    if z < -_Z_MAX:
+    if not (n >= 1 and -_Z_MAX <= z <= 0.0):
+        if n < 1:
+            raise ValueError(f"dimension must be >= 1, got {n}")
+        if not -math.inf < z <= 0.0:
+            raise ValueError(f"spectral parameter must be finite and <= 0, got {z}")
         raise QuadratureError(
             f"z={z!r} is too far below the band: b would not be a normal "
             f"double; |z| must be at most {_Z_MAX!r}")
-    k0 = math.frexp(min(1.0, 1.0 / (n - z)))[1] - 1
+    k0 = math.frexp(1.0 / (n - z))[1] - 1   # n - z >= 1
     if z == 0.0:
         return k0, _ZERO_END
     if z > _z_near(n):
@@ -390,12 +390,44 @@ def _tail(n: int) -> np.ndarray:
     return _frozen(_weighted_integrands(n, u ** -2.0, wu * 2.0 * u ** -3.0).sum(axis=1))
 
 
+def _tables(n: int, spans) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """The kept panels of dimension n, with the head of each (k0, k1) in
+    ``spans`` kept too; ``_keep`` builds whatever one of them misses."""
+    kept = _PANELS.get(n)
+    for k0, k1 in spans:
+        if kept is None or k0 < kept[0] or k1 > kept[1] or (n, k0) not in _HEADS:
+            return _keep(n, spans)
+    return kept
+
+
+def _column(n: int, z: float, k0: int, k1: int, kept) -> np.ndarray:
+    """Every row's sum at one z over the head [0, 2^k0] and the kept panels
+    up to 2^k1, plus the z = 0 tail where z is 0."""
+    lo, _, t, table = kept
+    th, head = _HEADS[n, k0]
+    cut = slice((k0 - lo) * _NODES, (k1 - lo) * _NODES)
+    eh, e = np.exp(z * th), np.exp(z * t[cut])
+    # A stack of (1 x k)(k x 1) products, one per row: numpy hands each
+    # to the BLAS ddot, so every row, a and b alike, is summed in one
+    # order and a - b = (1 + z a)/n stays accurate where both are huge
+    # (n = 1 near the band edge).  A matrix-vector or matrix product
+    # would block the rows differently.  At most _CHUNK nodes keep each
+    # ddot single-threaded.
+    column = (np.matmul(head[:, None], eh[:, None])
+              + np.matmul(table[:, None, cut], e[:, None])).ravel()
+    if z == 0.0:
+        column += _tail(n)
+    return column
+
+
 def laplace_integrals(n: int, z) -> dict:
     """Evaluate the torus integrals by the Laplace-Bessel representation.
 
     ``z`` is a float, or a 1-D array of them; each value is then an array
     over ``z``, each entry summed exactly as a call at its z alone sums it,
-    and the tables that any z misses are built in one Bessel pass.  The
+    and the tables that any z misses are built in one Bessel pass.  Both
+    cases sum each z by one ``_column``; a float z, brentq's probe, costs
+    that column and its span plus a few dictionary operations.  The
     panels run from a head [0, 2^k0] with 2^k0 <= min(1, 1/(n - z)), the
     shortest scale of the integrand, to the first 2^k1 past 746/|z|, where
     exp(z t) has underflowed.  At z = 0 they stop at 2^6 and the power-law
@@ -406,36 +438,18 @@ def laplace_integrals(n: int, z) -> dict:
     Where some z is 0 only the finite integrals are returned (see
     :func:`finite_at_threshold`).
     """
-    scalar = isinstance(z, float) or np.ndim(z) == 0
-    if scalar:   # no comprehension: this is brentq's path
-        zs = [float(z)]
-        spans = [_span(n, zs[0])]
+    if isinstance(z, float) or np.ndim(z) == 0:
+        z = float(z)
+        span = _span(n, z)
+        rows = zip(integral_names(n),
+                   _column(n, z, *span, _tables(n, (span,))).tolist())
     else:
         zs = np.asarray(z, dtype=float).tolist()
         spans = [_span(n, x) for x in zs]
-    lo, hi, t, table = _PANELS.get(n) or (0, 0, None, None)
-    for k0, k1 in spans:
-        if k0 < lo or k1 > hi or (n, k0) not in _HEADS:
-            lo, hi, t, table = _keep(n, spans)
-            break
-    columns = []
-    for x, (k0, k1) in zip(zs, spans):
-        th, head = _HEADS[n, k0]
-        cut = slice((k0 - lo) * _NODES, (k1 - lo) * _NODES)
-        eh, e = np.exp(x * th), np.exp(x * t[cut])
-        # A stack of (1 x k)(k x 1) products, one per row: numpy hands each
-        # to the BLAS ddot, so every row, a and b alike, is summed in one
-        # order and a - b = (1 + z a)/n stays accurate where both are huge
-        # (n = 1 near the band edge).  A matrix-vector or matrix product
-        # would block the rows differently.  At most _CHUNK nodes keep each
-        # ddot single-threaded.
-        column = (np.matmul(head[:, None], eh[:, None])
-                  + np.matmul(table[:, None, cut], e[:, None])).ravel()
-        if x == 0.0:
-            column += _tail(n)
-        columns.append(column)
-    rows = zip(integral_names(n), columns[0].tolist() if scalar
-               else np.stack(columns, axis=1))
-    if max(zs) < 0.0:
+        kept = _tables(n, spans)
+        rows = zip(integral_names(n), np.stack(
+            [_column(n, x, *span, kept) for x, span in zip(zs, spans)], axis=1))
+        z = max(zs)
+    if z < 0.0:
         return dict(rows)
     return {k: row for k, row in rows if k in finite_at_threshold(n)}
