@@ -19,7 +19,12 @@ threshold classes:
 - numeric integrability probes of threshold states;
 - the finite-lattice oracle's factor blocks assembled dense and solved
   by ``eigh``, for the values at and above 0 that the package's Lanczos
-  chains do not hold.
+  chains do not hold;
+- the eigenstate certificate as the package first wrote it: the even
+  matrix filled into ``np.zeros`` by fancy indexing, the moments summed
+  term by term through ``GreenValues.require``, and the residual's norms
+  as ``np.max(np.abs(x))``, which the package's own must equal bit for
+  bit.
 
 This module loads ``scipy.integrate`` and ``numpy.polynomial``, which the
 package itself does not.
@@ -36,12 +41,14 @@ import numpy as np
 from scipy.linalg import eigh
 
 from belowband import lattice, quadrature
+from belowband.green import GreenValues, green_threshold, green_values
 from belowband.quadrature import (
     _NAMES,
     QuadratureError,
     finite_at_threshold,
     integral_names,
 )
+from belowband.reduction import ModelParams
 from belowband.states import EigenState
 
 # ---------------------------------------------------------------------------
@@ -479,3 +486,76 @@ def dense_spectrum(ham: lattice.TruncatedHamiltonian,
     return lattice.OracleSpectrum(n=ham.n, L=ham.L,
                                   eigenvalues=tuple(e for e, _ in pairs),
                                   origins=tuple(o for _, o in pairs))
+
+
+# ---------------------------------------------------------------------------
+# The eigenstate certificate, term by term
+# ---------------------------------------------------------------------------
+
+_SQRT2 = math.sqrt(2.0)
+
+
+def even_matrix(params: ModelParams, greens: GreenValues) -> np.ndarray:
+    """The (n+1) x (n+1) even matrix G_e, filled into zeros entry by entry."""
+    n = params.n
+    a, b, c = greens.require("a", "b", "c")
+    g = np.zeros((n + 1, n + 1))
+    g[0, 0] = params.mu * a
+    g[0, 1:] = params.lam * b / _SQRT2
+    g[1:, 0] = _SQRT2 * params.mu * b
+    if n >= 2:
+        (d,) = greens.require("d")
+        g[1:, 1:] = params.lam * d
+    idx = np.arange(1, n + 1)
+    g[idx, idx] = params.lam * c
+    return g
+
+
+def _combine(greens: GreenValues, terms) -> float:
+    acc = 0.0
+    for name, coef in terms:
+        if coef == 0.0:
+            continue
+        (value,) = greens.require(name)
+        acc += coef * value
+    return acc
+
+
+def moments(state: EigenState, greens: GreenValues) -> np.ndarray:
+    """The moments u of ``states.moments``, each term through ``require``."""
+    lam, mu = state.params.lam, state.params.mu
+    if state.sector == "odd":
+        (s,) = greens.require("s")
+        return (lam / _SQRT2) * s * state.w
+    n = state.params.n
+    w0, wrest = state.w[0], state.w[1:]
+    total = float(np.sum(wrest))
+    u = np.empty(n + 1)
+    coef_a = mu * w0
+    u[0] = _combine(greens, [("a", coef_a), ("b", (lam / _SQRT2) * total)])
+    if n == 1:
+        u[1] = _combine(greens, [("b", coef_a), ("c", (lam / _SQRT2) * float(wrest[0]))])
+    else:
+        for i in range(1, n + 1):
+            u[i] = _combine(greens, [
+                ("b", coef_a),
+                ("cd", (lam / _SQRT2) * float(state.w[i])),
+                ("d", (lam / _SQRT2) * total),
+            ])
+    return u
+
+
+def residual(params: ModelParams, state: EigenState) -> float:
+    """``states.residual`` with ``even_matrix`` and ``np.max(np.abs(x))``."""
+    w = np.asarray(state.w, dtype=float)
+    norm = float(np.max(np.abs(w)))
+    n, z, greens = params.n, state.z, state.greens
+    if greens is None or greens.z != z:
+        greens = green_values(n, z) if z < 0.0 else green_threshold(n)
+    if state.sector == "odd":
+        (s,) = greens.require("s")
+        return float(np.max(np.abs((params.lam * s - 1.0) * w))) / norm
+    if z == 0.0 and n <= 2:
+        (cd,) = greens.require("cd")
+        return abs(params.lam * cd - 1.0)
+    return float(np.max(np.abs(even_matrix(params, greens) @ w - w))) / norm

@@ -435,6 +435,40 @@ def test_one_green_evaluation_per_root():
     assert split and origins == {"delta_r", "delta_c", "delta_s"}
 
 
+_PROBE_POINTS = [(n, lam, mu) for n in (1, 2, 3, 4)
+                 for _name, (lam, mu) in open_region_points(n)] + [
+    (2, 3.0, 3.003),          # a root below u = -45: its probes read edge records
+    (1, 2e12, 1e12 + 2.0),    # a root polished from the split point
+    (9, 12.0, 9.75),          # no committed ladder: every root at n = 9
+]
+
+
+def test_every_probe_is_one_green_values_call_at_a_float():
+    # each brentq evaluation away from the bracket ends is exactly one call
+    # of classify.green_values at a float z, whose GreenValues the factor
+    # reads: a wrapper bound to that name sees every probe
+    probes, brentq = [], classify.brentq
+
+    def counting_brentq(f, a, b, **kwargs):
+        def probe(x):
+            before = spy.call_count
+            value = f(x)
+            probes.append((x in (a, b), spy.call_args_list[before:]))
+            return value
+        return brentq(probe, a, b, **kwargs)
+    with mock.patch.object(classify, "green_values",
+                           wraps=classify.green_values) as spy, \
+            mock.patch.object(classify, "brentq", counting_brentq):
+        for n, lam, mu in _PROBE_POINTS:
+            for rec in bb.summarize(bb.ModelParams(n, lam, mu)).eigenvalues:
+                assert rec.greens is None or type(rec.greens) is bb.GreenValues
+    inner = [calls for at_end, calls in probes if not at_end]
+    assert len(inner) >= 300
+    assert all(calls == [] for at_end, calls in probes if at_end)
+    for calls in inner:
+        assert len(calls) == 1 and type(calls[0].args[1]) is float, calls
+
+
 @pytest.mark.parametrize("lam, mu", [(2.2422420927874116, 3.8433599828715783),
                                      (1.4762676082180057, 7.566487616769711),
                                      (-2.2846028054999072, 1.4132294927548557)])

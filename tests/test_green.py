@@ -374,6 +374,47 @@ def test_divergent_requests_are_flagged_not_numbers():
         bb.green_values(2, 0.5)
 
 
+_ZS = np.array([-1.0, -2.0, -3.0, -4.0])
+
+
+@pytest.mark.parametrize("name, row, first", [
+    ("a", [1.0, -1.0, -2.0, 1.0], 1),
+    ("s", [1.0, 1.0, 0.0, -5.0], 2),
+    ("cd", [math.nan, -1.0, 1.0, 1.0], 0),
+])
+def test_a_sum_that_is_not_positive_is_named_with_its_z(name, row, first):
+    # a, b, c, s and c - d are positive on z <= 0: a sum that is not (zero,
+    # negative or NaN) raises, naming the integral and, at an array of z,
+    # its first offender; a float z is checked as the same record
+    def engine(n, z):
+        good = dict(laplace_integrals(n, z))
+        good[name] = row[_ZS.tolist().index(z)] if isinstance(z, float) else np.array(row)
+        return good
+    with mock.patch.object(green, "laplace_integrals", engine):
+        for z in _ZS.tolist():
+            value = row[_ZS.tolist().index(z)]
+            if value > 0.0:
+                assert getattr(bb.green_values(3, z), name) == value
+                continue
+            with pytest.raises(QuadratureError,
+                               match=re.escape(f"integral {name}={value} at n=3, z={z} "
+                                               "violates positivity")):
+                bb.green_values(3, z)
+        with pytest.raises(QuadratureError,
+                           match=re.escape(f"integral {name}={row[first]} at n=3, "
+                                           f"z={_ZS[first]} violates positivity")):
+            bb.green_values(3, _ZS)
+
+
+def test_the_first_integral_in_order_is_named():
+    # a before s: with both not positive the message names a
+    def engine(n, z):
+        return dict(laplace_integrals(n, z), a=-1.0, s=-2.0)
+    with mock.patch.object(green, "laplace_integrals", engine):
+        with pytest.raises(QuadratureError, match=r"integral a=-1\.0 at n=3, z=-0\.5 "):
+            bb.green_values(3, -0.5)
+
+
 # ---------------------------------------------------------------------------
 # identity suite (algebraic relations between the integrals)
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import belowband as bb
+import reference
 from belowband import states
 from belowband.states import (
     moments,
@@ -14,6 +16,7 @@ from belowband.states import (
     states_for_delta_c,
     states_for_odd,
 )
+from conftest import open_region_points
 from reference import integrability_probe, probe_verdict
 
 SQRT2 = math.sqrt(2.0)
@@ -146,6 +149,63 @@ def test_only_divergence_leaves_moments_unset(monkeypatch):
     monkeypatch.setattr(states, "moments", broken)
     with pytest.raises(RuntimeError, match="bug in moments"):
         states_for_delta_c(params, -0.5, g)
+
+
+def _hexes(values):
+    return None if values is None else [float(x).hex() for x in np.ravel(values)]
+
+
+def _assert_certificate_as_reference(params, state):
+    # the residual, the moments (as built and recomputed) and the even
+    # matrix equal the term-by-term reference of tests/reference.py
+    assert bb.residual(params, state).hex() == reference.residual(params, state).hex()
+    want = None if state.moments is None else _hexes(reference.moments(state, state.greens))
+    assert _hexes(state.moments) == want
+    if want is not None:
+        assert _hexes(moments(state, state.greens)) == want
+    if state.sector == "even" and (state.z < 0.0 or params.n >= 3):
+        assert _hexes(states._even_matrix(params, state.greens)) \
+            == _hexes(reference.even_matrix(params, state.greens))
+
+
+def _summary_states(params):
+    summary = bb.summarize(params)
+    states_ = [state for rec in summary.eigenvalues
+               for state in bb.eigenstates(summary.snapped, rec)]
+    states_ += [state for entry in summary.threshold.entries for state in entry.states]
+    return summary.snapped, states_
+
+
+def test_certificate_equals_the_reference_bit_for_bit():
+    # every state of every open cell at n = 1..4, and the threshold states
+    # on the lambda_s and lambda_c lines and the limiting hyperbola
+    count = 0
+    for n in (1, 2, 3, 4):
+        consts = bb.spectral_constants(n)
+        points = [p for _name, p in open_region_points(n)]
+        # lambda = X - 1 on Gamma_l, where mu = n + n/(lambda - X) = 0
+        points += [(consts.lambda_s, 0.5), (consts.x_asymptote - 1.0, 0.0)]
+        if n >= 2:
+            points.append((consts.lambda_c, 0.5))
+        for lam, mu in points:
+            params, found = _summary_states(bb.ModelParams(n, lam, mu))
+            for state in found:
+                _assert_certificate_as_reference(params, state)
+                count += 1
+    assert count >= 100
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 4),
+       lam=st.floats(-10.0, 25.0, allow_nan=False),
+       mu=st.floats(-10.0, 25.0, allow_nan=False))
+def test_certificate_equals_the_reference_over_the_plane(n, lam, mu):
+    try:
+        params, found = _summary_states(bb.ModelParams(n, lam, mu))
+    except bb.RootScanError:   # an n = 2 root below exp(-700)
+        return
+    for state in found:
+        _assert_certificate_as_reference(params, state)
 
 
 # ---------------------------------------------------------------------------
