@@ -284,6 +284,12 @@ def green_values(n: int, z) -> GreenValues:
     location (``_LADDER_Z``) the values of n <= 8 are committed
     (``ladder.f64``), so no Laplace sum runs there.  An entry past the
     reach raises ValueError, since the edge records take one z at a time.
+
+    A float z, as brentq's probes pass it, takes one Laplace column or one
+    edge record: a warm call costs that column's exponentials and row sums
+    plus a few dictionary and attribute operations, with the positivity
+    of each value checked inline.  Other inputs (numpy scalars, integers,
+    arrays) are validated and converted first.
     """
     if isinstance(z, float) or np.ndim(z) == 0:
         if not z < 0.0:

@@ -249,11 +249,10 @@ def residual(params: ModelParams, state: EigenState) -> float:
     and are evaluated fresh at ``state.z`` otherwise.  For even threshold
     states with n <= 2 the matrix entries diverge; the valid states there
     have w_0 = 0 and sum w_j = 0, for which the limit of the residual is
-    |lam*(c-d)(0) - 1|, and that reduced form is used.  The even product
-    ``g @ w`` is numpy's, and the norms are ``abs(x).max()``, the same
-    reductions ``np.max(np.abs(x))`` makes; ``tests/reference.py`` keeps
-    the residual and moments built that way, with the zero-filled even
-    matrix, and the tests hold these equal to them bit for bit.
+    |lam*(c-d)(0) - 1|, and that reduced form is used.  The norms are
+    ``abs(x).max()``, the reductions of ``np.max(np.abs(x))``; the tests
+    hold the residual, the moments and the even matrix to the term-by-term
+    copy in ``tests/reference.py`` bit for bit.
     """
     w = np.asarray(state.w, dtype=float)
     norm = float(abs(w).max())
