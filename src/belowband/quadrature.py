@@ -353,15 +353,19 @@ def _span(n: int, z: float) -> tuple[int, int]:
 def _keep(n: int, spans) -> tuple[int, int, np.ndarray, np.ndarray]:
     """Keep the head [0, 2^k0] and the panels up to 2^k1 of every (k0, k1)
     in ``spans``, the missing ones from one Bessel pass; returns the kept
-    panels (lo, hi, nodes, table) of dimension n."""
+    panels (lo, hi, nodes, table) of dimension n, at once where nothing is
+    missing."""
+    kept = _PANELS.get(n)
+    for k0, k1 in spans:
+        if kept is None or k0 < kept[0] or k1 > kept[1] or (n, k0) not in _HEADS:
+            break
+    else:
+        return kept
     heads = sorted({k0 for k0, _ in spans if (n, k0) not in _HEADS})
     first = min(k0 for k0, _ in spans)
-    kept = _PANELS.get(n) or (
+    lo, hi, t, table = kept or (
         first, first, np.empty(0), np.empty((len(integral_names(n)), 0)))
-    lo, hi, t, table = kept
     k0, k1 = min(lo, first), max(hi, *(k1 for _, k1 in spans))
-    if not heads and (k0, k1) == (lo, hi):
-        return kept
     ks = [*range(k0, lo), *range(hi, k1)]
     starts = [0.0] * len(heads) + [math.ldexp(1.0, k) for k in ks]
     ends = [math.ldexp(1.0, k) for k in heads] + [math.ldexp(1.0, k + 1) for k in ks]
@@ -388,16 +392,6 @@ def _tail(n: int) -> np.ndarray:
     """The z = 0 integrals over t > 2^6, taken in u = t^-1/2; a constant of n."""
     u, wu = _panel_nodes([0.0], [2.0 ** (-_ZERO_END / 2)], 2 * _NODES)
     return _frozen(_weighted_integrands(n, u ** -2.0, wu * 2.0 * u ** -3.0).sum(axis=1))
-
-
-def _tables(n: int, spans) -> tuple[int, int, np.ndarray, np.ndarray]:
-    """The kept panels of dimension n, with the head of each (k0, k1) in
-    ``spans`` kept too; ``_keep`` builds whatever one of them misses."""
-    kept = _PANELS.get(n)
-    for k0, k1 in spans:
-        if kept is None or k0 < kept[0] or k1 > kept[1] or (n, k0) not in _HEADS:
-            return _keep(n, spans)
-    return kept
 
 
 def _column(n: int, z: float, k0: int, k1: int, kept) -> np.ndarray:
@@ -442,11 +436,11 @@ def laplace_integrals(n: int, z) -> dict:
         z = float(z)
         span = _span(n, z)
         rows = zip(integral_names(n),
-                   _column(n, z, *span, _tables(n, (span,))).tolist())
+                   _column(n, z, *span, _keep(n, (span,))).tolist())
     else:
         zs = np.asarray(z, dtype=float).tolist()
         spans = [_span(n, x) for x in zs]
-        kept = _tables(n, spans)
+        kept = _keep(n, spans)
         rows = zip(integral_names(n), np.stack(
             [_column(n, x, *span, kept) for x, span in zip(zs, spans)], axis=1))
         z = max(zs)
