@@ -501,9 +501,8 @@ def _roots(params: ModelParams, origin: str,
     with np.errstate(over="ignore", invalid="ignore"):
         values = _factor(params, origin, _scan_table(n))
         if expected == 2:
-            # -n itself: H evaluated at -exp(u_split), off by |u| eps in z, can
-            # be positive once lam mu is large; mu - n >= ulp(n) keeps
-            # u_split > _U_NEAR
+            # -n itself: H evaluated at -exp(u_split), off by |u| eps in z, can be
+            # positive once lam mu is large; mu - n >= ulp(n) keeps u_split > _U_NEAR
             z0 = n - params.mu
             u_split = math.log(-z0)
             if u_split > _U_FAR:

@@ -12,9 +12,10 @@ seed 7, so two trees, or two BLAS thread counts, are compared with
 names why they move.  The set, 761 commands:
 
 - 400 ``summarize``, 40 ``classify``, 42 ``integrals``, 20
-  ``eigenfunction --grid 8``, 5 ``scan``, ``verify identities``, the
-  retired ``verify factorization`` (a usage error) and 9 ``verify oracle
-  --L 8,10``, at n = 1..5 with couplings uniform in [-5, 15];
+  ``eigenfunction --grid 8``, 5 ``scan``, ``verify identities`` and the
+  retired ``verify factorization`` (a usage error), at n = 1..5 with
+  couplings uniform in [-5, 15], and 9 ``verify oracle --L 8,10`` at
+  n = 1..3;
 - ``integrals`` at z = 0 and z = -1e-300 and two ``summarize`` for each
   n = 1..9;
 - 7 edge points: roots next to the split point and below u = -45, a zero
@@ -66,7 +67,8 @@ def commands() -> list[list[str]]:
     out.append(["verify", "identities"])
     out.append(["verify", "factorization", "--n", "2"])
     for i in range(9):
-        out.append(["verify", "oracle", f"--n={i % 3 + 1}", *_couplings(rng), "--L", "8,10"])
+        out.append(["verify", "oracle", f"--n={i % 3 + 1}", *_couplings(rng),
+                    "--L", "8,10"])
     for n in range(1, 10):
         out.append(["integrals", f"--n={n}", "--z=0"])
         out.append(["integrals", f"--n={n}", "--z=-1e-300"])
