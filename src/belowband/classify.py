@@ -163,14 +163,13 @@ def _snap_lambda(lam: float, consts: SpectralConstants, tol: float):
 
 
 def _snap_mu(n: int, lam: float, mu: float, x: float, tol: float):
-    """Snap mu onto the limiting hyperbola; returns (mu, on_curve, moved)."""
+    """Snap mu onto the limiting hyperbola; returns (mu, h0), with h0 the
+    value H_0(lam, mu) off the curve and None on it."""
     h0 = hyperbola_limit(n, lam, mu, x)
-    if abs(h0) > tol:
-        return mu, False, False
-    if lam == x:  # H_0 = -n there; |H_0| <= tol would need tol >= n
-        return mu, False, False
-    exact = n + n / (lam - x)
-    return exact, True, mu != exact
+    # at lam == x, H_0 = -n: |H_0| <= tol would need tol >= n
+    if abs(h0) > tol or lam == x:
+        return mu, h0
+    return n + n / (lam - x), None
 
 
 def snap_params(params: ModelParams, tol: float = REGION_TOL):
@@ -185,17 +184,16 @@ def snap_params(params: ModelParams, tol: float = REGION_TOL):
     n = params.n
     consts = spectral_constants(n)
     lam, on_s, on_c, moved_l = _snap_lambda(params.lam, consts, tol)
-    mu, on_h, moved_m = _snap_mu(n, lam, params.mu, consts.x_asymptote, tol)
+    mu, h0 = _snap_mu(n, lam, params.mu, consts.x_asymptote, tol)
+    moved_m = mu != params.mu
     snapped = ModelParams(n, lam, mu) if (moved_l or moved_m) else params
 
-    if on_h:
+    if h0 is None:
         curve = "Gamma_l" if lam < consts.x_asymptote else "Gamma_r"
+    elif h0 < 0.0:
+        curve = "G1"
     else:
-        h0 = hyperbola_limit(n, lam, mu, consts.x_asymptote)
-        if h0 < 0.0:
-            curve = "G1"
-        else:
-            curve = "G0" if lam < consts.x_asymptote else "G2"
+        curve = "G0" if lam < consts.x_asymptote else "G2"
 
     if n >= 2:
         strip = "C0" if on_c else ("C-" if lam < consts.lambda_c else "C+")

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import QuadratureError, _z_near, laplace_integrals
+from .quadrature import QuadratureError, _z_near, integral_names, laplace_integrals
 
 __all__ = [
     "GreenValues",
@@ -162,25 +162,21 @@ def _switch(n: int) -> float:
 # They are not correctly rounded: s(0) = 1 at n = 1 reads one ulp high.
 _BAND_EDGE = {
     1: {"s": 1.0000000000000002},
-    2: {"s": 0.3633802276324188, "cd": 0.2732395447351628, "ad": 0.6366197723675817},
+    2: {"s": 0.3633802276324188, "cd": 0.2732395447351628},
     3: {"a": 0.5054620197173261, "b": 0.1721286863839927, "c": 0.29562032440102876,
-        "d": 0.11038286737547465, "s": 0.20984169531629734, "cd": 0.18523745702555416,
-        "ad": 0.3950791523418514},
+        "d": 0.11038286737547465, "s": 0.20984169531629734, "cd": 0.18523745702555416},
     4: {"a": 0.3098667804621205, "b": 0.05986678046212043, "c": 0.16317889922287643,
-        "d": 0.02542940754186843, "s": 0.14668788123924403, "cd": 0.137749491681008,
-        "ad": 0.28443737292025206},
+        "d": 0.02542940754186843, "s": 0.14668788123924403, "cd": 0.137749491681008},
     5: {"a": 0.23126162496804623, "b": 0.03126162496804624, "c": 0.11838124801039461,
-        "d": 0.009481719207459145, "s": 0.11288037695765164, "cd": 0.10889952880293548,
-        "ad": 0.22177990576058712},
+        "d": 0.009481719207459145, "s": 0.11288037695765164, "cd": 0.10889952880293548},
     6: {"a": 0.18616056220444535, "b": 0.019493895537778638, "c": 0.09431548108860156,
-        "d": 0.004529578427614057, "s": 0.09184508111584376, "cd": 0.0897859026609875,
-        "ad": 0.1816309837768313},
+        "d": 0.004529578427614057, "s": 0.09184508111584376, "cd": 0.0897859026609875},
     7: {"a": 0.15627233079826403, "b": 0.013415187941121141, "c": 0.07880030215988054,
-        "d": 0.0025176689046612446, "s": 0.07747202863838347, "cd": 0.07628263325521929,
-        "ad": 0.15375466189360276},
+        "d": 0.0025176689046612446, "s": 0.07747202863838347,
+        "cd": 0.07628263325521929},
     8: {"a": 0.13483087650211567, "b": 0.009830876502115692, "c": 0.06781620449252847,
-        "d": 0.0015472582177710147, "s": 0.06701467200958725, "cd": 0.06626894627475745,
-        "ad": 0.13328361828434468},
+        "d": 0.0015472582177710147, "s": 0.06701467200958725,
+        "cd": 0.06626894627475745},
 }
 
 
@@ -196,13 +192,9 @@ _LADDER_FILE = os.path.join(os.path.dirname(__file__), "ladder.f64")
 _LADDER_N = 8
 
 
-def _ladder_names(n: int) -> tuple[str, ...]:
-    return ("a", "b", "c", "s") if n == 1 else ("a", "b", "c", "d", "s", "cd")
-
-
 def _ladder_rows(n: int) -> int:
     """Rows of the ladder file before those of n."""
-    return sum(len(_ladder_names(m)) for m in range(1, n))
+    return sum(len(integral_names(m)) for m in range(1, n))
 
 
 _LADDER_BYTES = 8 * _LADDER_Z.size * _ladder_rows(_LADDER_N + 1)
@@ -211,7 +203,7 @@ _LADDER_BYTES = 8 * _LADDER_Z.size * _ladder_rows(_LADDER_N + 1)
 def _ladder(n: int) -> dict[str, np.ndarray]:
     """The committed integrals at ``_LADDER_Z`` for n <= ``_LADDER_N``,
     from one read of that n's rows."""
-    names, size = _ladder_names(n), _LADDER_Z.size
+    names, size = integral_names(n), _LADDER_Z.size
     rows = np.fromfile(_LADDER_FILE, dtype="<f8", count=len(names) * size,
                        offset=8 * size * _ladder_rows(n))
     if rows.size != len(names) * size:

@@ -55,11 +55,12 @@ class QuadratureError(RuntimeError):
     """Raised when the engine cannot reach the requested accuracy."""
 
 
-# Quantities evaluated per dimension.  ``cd`` is c - d and ``ad`` is a - d,
-# computed from difference integrands so they stay finite (and accurate)
-# where c, d, a individually diverge.
+# Quantities evaluated per dimension.  ``cd`` is c - d, computed from its
+# difference integrand so that it stays finite (and accurate) where c and d
+# individually diverge.  These are the integrals the determinant factors,
+# the states and their residuals read.
 _NAMES_N1 = ("a", "b", "c", "s")
-_NAMES = ("a", "b", "c", "d", "s", "cd", "ad")
+_NAMES = ("a", "b", "c", "d", "s", "cd")
 
 
 def integral_names(n: int) -> tuple[str, ...]:
@@ -70,13 +71,13 @@ def finite_at_threshold(n: int) -> frozenset[str]:
     """Names of integrals that stay finite at z = 0 in dimension ``n``.
 
     The Laplace integrand of quantity q decays like t^(-m_q/2) with
-    m = n for a, b, c, d;  m = n + 2 for s and a - d;  m = n + 4 for c - d.
+    m = n for a, b, c, d;  m = n + 2 for s;  m = n + 4 for c - d.
     Finiteness requires m > 2.
     """
     if n == 1:
         return frozenset({"s"})
     if n == 2:
-        return frozenset({"s", "cd", "ad"})
+        return frozenset({"s", "cd"})
     return frozenset(_NAMES)
 
 
@@ -291,9 +292,8 @@ def _weighted_integrands(n: int, t: np.ndarray, w: np.ndarray) -> np.ndarray:
         np.multiply(i1 * i1 * i0nm2, w, out=next(rows))
     np.multiply(r * i0nm1, w, out=next(rows))
     if n > 1:
-        # difference forms keep the large-t cancellations mild
+        # the difference form keeps the large-t cancellation mild
         np.multiply(((i0 - i1) * (i0 + i1) - i0 * r) * i0nm2, w, out=next(rows))
-        np.multiply((i0 - i1) * (i0 + i1) * i0nm2, w, out=next(rows))
     return out
 
 

@@ -12,9 +12,11 @@ fixed-point residual ||(G(z) - I) w|| / ||w|| of the reduced matrix G(z):
 lam s(z) times the identity in the odd sector, and in the even sector the
 (n+1) x (n+1) matrix of ``_even_matrix``, which lives here because only the
 residual reads it (root location reads the determinant factors, in
-``classify._factor``).  At the band edge the membership of f in L^2, L^1
-or L^eps is decided by the vanishing order of phi at p = 0 together with
-the dimension.
+``classify._factor``).  A state carries the Green values it was built
+from; its moments against the potential modes are computed from them
+when read, not when the state is built.  At the band edge the membership
+of f in L^2, L^1 or L^eps is decided by the vanishing order of phi at
+p = 0 together with the dimension.
 """
 
 from __future__ import annotations
@@ -64,11 +66,9 @@ class EigenState:
     """A (ray of) eigenfunction(s) f(p) = phi(p)/(E(p) - z).
 
     ``w`` has length n+1 in the even sector (index 0 is the constant mode)
-    and length n in the odd sector.  ``moments`` carries the integrals
-    u_j of f against the potential modes, which for a true fixed point are
-    proportional to w (u_0 = w_0, u_j = w_j/sqrt2 in the even sector).
-    ``greens`` holds the Green values the moments came from; :func:`residual`
-    uses them only while ``greens.z == z``.
+    and length n in the odd sector.  ``greens`` holds the Green values the
+    state was built from; :func:`residual` uses them only while
+    ``greens.z == z``, and ``moments`` reads them as they are.
     """
 
     params: ModelParams
@@ -76,7 +76,6 @@ class EigenState:
     z: float
     w: np.ndarray
     formula: str
-    moments: np.ndarray | None = None
     greens: GreenValues | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -86,6 +85,20 @@ class EigenState:
         if len(self.w) != expected:
             raise ValueError(
                 f"coefficient vector has length {len(self.w)}, expected {expected}")
+
+    @property
+    def moments(self) -> np.ndarray | None:
+        """The integrals u_j of f against the potential modes, from
+        ``greens`` (see :func:`moments`), computed on each read; None
+        without ``greens`` or where an integral they need diverges.  For
+        a true fixed point they are proportional to w (u_0 = w_0,
+        u_j = w_j/sqrt2 in the even sector)."""
+        if self.greens is None:
+            return None
+        try:
+            return moments(self, self.greens)
+        except DivergentIntegralError:
+            return None
 
     def phi(self, p) -> np.ndarray:
         """Numerator trig polynomial at momenta ``p`` of shape (..., n)."""
@@ -149,7 +162,7 @@ def state_for_delta_r(params: ModelParams, z: float,
         formula = "e1" if z < 0.0 else "z0"
     else:
         formula = "e11" if z < 0.0 else "z1"
-    return _with_moments(params, "even", z, w, formula, greens)
+    return EigenState(params, "even", z, w, formula, greens)
 
 
 def states_for_delta_c(params: ModelParams, z: float,
@@ -165,7 +178,7 @@ def states_for_delta_c(params: ModelParams, z: float,
         w = np.zeros(n + 1)
         w[1] = 1.0
         w[j + 1] = -1.0
-        out.append(_with_moments(params, "even", z, w, formula, greens))
+        out.append(EigenState(params, "even", z, w, formula, greens))
     return out
 
 
@@ -177,7 +190,7 @@ def states_for_odd(params: ModelParams, z: float,
     for j in range(params.n):
         w = np.zeros(params.n)
         w[j] = 1.0
-        out.append(_with_moments(params, "odd", z, w, formula, greens))
+        out.append(EigenState(params, "odd", z, w, formula, greens))
     return out
 
 
@@ -194,11 +207,12 @@ def moments(state: EigenState, greens: GreenValues) -> np.ndarray:
     where c and d diverge individually but w_0 = 0 and S = 0.
     """
     lam, mu = state.params.lam, state.params.mu
+    w = np.asarray(state.w, dtype=float)
     if state.sector == "odd":
         (s,) = greens.require("s")
-        return (lam / SQRT2) * s * state.w
+        return (lam / SQRT2) * s * w
     n = state.params.n
-    w0, wrest = state.w[0], state.w[1:]
+    w0, wrest = w[0], w[1:]
     total = float(np.add.reduce(wrest))
     u = np.empty(n + 1)
     coef_a = mu * w0
@@ -210,7 +224,7 @@ def moments(state: EigenState, greens: GreenValues) -> np.ndarray:
         coef_d = (lam / SQRT2) * total
         for i in range(1, n + 1):
             u[i] = _combine(greens, (("b", coef_a),
-                                     ("cd", (lam / SQRT2) * float(state.w[i])),
+                                     ("cd", (lam / SQRT2) * float(w[i])),
                                      ("d", coef_d)))
     return u
 
@@ -229,19 +243,6 @@ def _combine(greens: GreenValues, terms) -> float:
     return acc
 
 
-def _with_moments(params: ModelParams, sector: str, z: float, w: np.ndarray,
-                  formula: str, greens: GreenValues) -> EigenState:
-    """The state, built once, with its moments from ``greens``, or None for
-    them where an integral they need diverges."""
-    state = EigenState(params, sector, z, w, formula, None, greens)
-    try:
-        # set before the state is returned: the moments read the state
-        object.__setattr__(state, "moments", moments(state, greens))
-    except DivergentIntegralError:
-        pass
-    return state
-
-
 def residual(params: ModelParams, state: EigenState) -> float:
     """Fixed-point residual ||(G(z) - I) w||_inf / ||w||_inf.
 
@@ -249,7 +250,10 @@ def residual(params: ModelParams, state: EigenState) -> float:
     and are evaluated fresh at ``state.z`` otherwise.  For even threshold
     states with n <= 2 the matrix entries diverge; the valid states there
     have w_0 = 0 and sum w_j = 0, for which the limit of the residual is
-    |lam*(c-d)(0) - 1|, and that reduced form is used.  The norms are
+    |lam*(c-d)(0) - 1|, and that reduced form is used.  It reads w and the
+    Green values, never the moments.  Its own rounding grows with the
+    entries: at the n = 1 roots near z = -1e-18, where a and b are about
+    1e8 to 1e9, it is 1e-8 to 1e-7 even at the exact root.  The norms are
     ``abs(x).max()``, the reductions of ``np.max(np.abs(x))``; the tests
     hold the residual, the moments and the even matrix to the term-by-term
     copy in ``tests/reference.py`` bit for bit.

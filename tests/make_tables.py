@@ -15,7 +15,7 @@ import textwrap
 import numpy as np
 
 from belowband import green
-from belowband.quadrature import laplace_integrals
+from belowband.quadrature import integral_names, laplace_integrals
 
 
 def main() -> None:
@@ -23,7 +23,7 @@ def main() -> None:
     rows = []
     for n in ns:
         sums = laplace_integrals(n, green._LADDER_Z)
-        rows.extend(sums[k] for k in green._ladder_names(n))
+        rows.extend(sums[k] for k in integral_names(n))
     np.stack(rows).astype("<f8").tofile(green._LADDER_FILE)
     print("_BAND_EDGE = {")
     for n in ns:

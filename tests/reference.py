@@ -134,7 +134,6 @@ def trapezoid_integrals(n: int, z: float, grid_points: int) -> dict[str, float]:
         acc["d"] += (f * c1 * c2).sum()
         acc["s"] += (f * s1).sum()
         acc["cd"] += 0.5 * (f * (c1 - c2) ** 2).sum()
-        acc["ad"] += (f * (1.0 - c1 * c2)).sum()
     return {k: float(acc[k]) / m ** n for k in integral_names(n)}
 
 

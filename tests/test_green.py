@@ -338,7 +338,19 @@ def test_threshold_flags_by_dimension():
         g = bb.green_threshold(n)
         assert all(getattr(g, k) is not None for k in ("a", "b", "c", "d", "s", "cd"))
         assert g.a - g.b == pytest.approx(1.0 / n, abs=1e-12)
-    assert finite_at_threshold(2) == frozenset({"s", "cd", "ad"})
+    assert finite_at_threshold(2) == frozenset({"s", "cd"})
+
+
+def test_the_engine_sums_only_the_integrals_green_values_holds():
+    # below the edge: a, b, c, s at n = 1 and a, b, c, d, s, c - d above,
+    # the fields green_values fills; at z = 0: exactly the finite ones
+    for n in (1, 2, 3, 4, 5):
+        want = ("a", "b", "c", "s") if n == 1 else ("a", "b", "c", "d", "s", "cd")
+        assert tuple(laplace_integrals(n, -0.5)) == want
+        g = bb.green_values(n, -0.5)
+        assert tuple(k for k in ("a", "b", "c", "d", "s", "cd")
+                     if getattr(g, k) is not None) == want
+        assert set(laplace_integrals(n, 0.0)) == finite_at_threshold(n)
 
 
 def test_threshold_square_lattice_classical_constants():
@@ -352,7 +364,7 @@ def test_threshold_identities_link_integrals():
     # s(0) = 1 - (n-1)(a(0) - d(0)) and cd = c(0) - d(0) for n >= 3
     for n in (3, 4, 5):
         raw = laplace_integrals(n, 0.0)
-        assert raw["s"] == pytest.approx(1.0 - (n - 1) * raw["ad"], abs=1e-12)
+        assert raw["s"] == pytest.approx(1.0 - (n - 1) * (raw["a"] - raw["d"]), abs=1e-12)
         assert raw["cd"] == pytest.approx(raw["c"] - raw["d"], abs=1e-11)
 
 

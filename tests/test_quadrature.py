@@ -340,7 +340,6 @@ _TRAPEZOID_HEX = {
         "d": "0x1.86eeb3a468d49p+0",
         "s": "0x1.723c1455693e9p-2",
         "cd": "0x1.179d4708c815cp-2",
-        "ad": "0x1.44ecadaf18aa3p-1",
     },
     (2, -0.5, 32): {
         "a": "0x1.0425a429d5456p-1",
@@ -349,7 +348,6 @@ _TRAPEZOID_HEX = {
         "d": "0x1.063ee0545eba8p-4",
         "s": "0x1.dfdf7cc69a900p-3",
         "cd": "0x1.ad97a3b68b282p-3",
-        "ad": "0x1.c6bb903e92dc2p-2",
     },
     (2, -7.0, 32): {
         "a": "0x1.cce4330887892p-4",
@@ -358,7 +356,6 @@ _TRAPEZOID_HEX = {
         "d": "0x1.75729ce3d21a8p-11",
         "s": "0x1.cb6a0ad1bbf6ep-5",
         "cd": "0x1.c88890cbc3d2fp-5",
-        "ad": "0x1.c9f94dcebfe50p-4",
     },
     (3, -0.001, 16): {
         "a": "0x1.70fd4394b7369p-1",
@@ -367,7 +364,6 @@ _TRAPEZOID_HEX = {
         "d": "0x1.4dd266c56d481p-2",
         "s": "0x1.ad1a70c4c7a40p-3",
         "cd": "0x1.7b35d0033aa6ap-3",
-        "ad": "0x1.9428206401255p-2",
     },
     (3, -0.5, 16): {
         "a": "0x1.5d3b96c74f4f7p-2",
@@ -376,7 +372,6 @@ _TRAPEZOID_HEX = {
         "d": "0x1.8c47ca7e70b54p-6",
         "s": "0x1.4ecd2627ddc3fp-3",
         "cd": "0x1.3a210e16f2c43p-3",
-        "ad": "0x1.44771a1f68441p-2",
     },
     (3, -7.0, 16): {
         "a": "0x1.9ffcb0a004c6fp-4",
@@ -385,7 +380,6 @@ _TRAPEZOID_HEX = {
         "d": "0x1.16ed0c56c0ab4p-11",
         "s": "0x1.9ee2caa18119ep-5",
         "cd": "0x1.9cbae26d2d714p-5",
-        "ad": "0x1.9dced6875745ap-4",
     },
 }
 _THRESHOLD_HEX = {

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -147,8 +148,47 @@ def test_only_divergence_leaves_moments_unset(monkeypatch):
         raise RuntimeError("bug in moments")
 
     monkeypatch.setattr(states, "moments", broken)
+    built = states_for_delta_c(params, -0.5, g)
     with pytest.raises(RuntimeError, match="bug in moments"):
-        states_for_delta_c(params, -0.5, g)
+        built[0].moments
+
+
+def test_moments_take_a_coefficient_list():
+    # w as a list, as EigenState accepts it: the moments equal those of the
+    # same w as an array, in either sector
+    g = bb.green_values(2, -0.5)
+    for sector, w, formula in (("odd", [1.0, 0.0], "eigen-Sin"),
+                               ("even", [0.5, 1.0, -1.0], "e1")):
+        listed = bb.EigenState(bb.ModelParams(2, 4.0, 0.0), sector, -0.5, w, formula)
+        array = replace(listed, w=np.array(w))
+        assert _hexes(moments(listed, g)) == _hexes(moments(array, g))
+        assert _hexes(replace(listed, greens=g).moments) == _hexes(moments(array, g))
+
+
+def _reference_moments(state):
+    try:
+        return _hexes(reference.moments(state, state.greens))
+    except bb.DivergentIntegralError:
+        return None
+
+
+def test_moments_are_computed_when_read_not_when_built():
+    # building every state of every open cell at n = 1..4 computes no
+    # moments; a later read equals the reference bit for bit, also after
+    # replace moves z and keeps the Green values
+    built = []
+    with mock.patch.object(states, "moments", wraps=states.moments) as spy:
+        for n in (1, 2, 3, 4):
+            for _name, (lam, mu) in open_region_points(n):
+                built += _summary_states(bb.ModelParams(n, lam, mu))[1]
+        assert spy.call_count == 0
+    assert len(built) >= 40
+    for state in built:
+        want = _reference_moments(state)
+        assert _hexes(state.moments) == want
+        shifted = replace(state, z=state.z - 0.25)
+        assert shifted.greens is state.greens
+        assert _hexes(shifted.moments) == want
 
 
 def _hexes(values):
