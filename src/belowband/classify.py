@@ -27,6 +27,7 @@ from .reduction import ModelParams, hyperbola_limit
 from .states import (
     EigenState,
     IntegrabilityClass,
+    _greens_at,
     integrability_class,
     state_for_delta_r,
     states_for_delta_c,
@@ -72,6 +73,13 @@ _SECTOR_OF_ORIGIN = {
     "delta_c": "even-rank-c",
     "delta_s": "odd",
 }
+ORIGINS = tuple(_SECTOR_OF_ORIGIN)   # the determinant factors, in order
+
+
+def _multiplicities(n: int) -> dict[str, int]:
+    """Multiplicity of the roots (and of the oracle block) of every factor
+    that has any at dimension n: delta_c has none at n = 1."""
+    return {o: m for o, m in zip(ORIGINS, (1, n - 1, n)) if m}
 
 
 class RootScanError(RuntimeError):
@@ -226,25 +234,9 @@ def cell_label(n: int, even: EvenRegion, odd: OddRegion) -> tuple[str, int]:
 
     The count equals the cell index by construction: D_k, B_k, S_k, C_k
     all carry k eigenvalues; point A carries 1 and point B carries n+1.
+    One table serves every n: at n = 1 the strip is None, n + 1 = 2n,
+    n + 2 = 2n + 1, and A and B cannot occur, since lambda_s < X = 1.
     """
-    if n == 1:
-        if even.curve == "Gamma_l":
-            return "B0", 0
-        if even.curve == "Gamma_r":
-            return "B2", 2
-        if odd.label == "S0":
-            if even.curve != "G1":
-                raise ConsistencyError(
-                    f"S0 must lie inside G1 for n=1, got {even.curve}")
-            return "S1", 1
-        if even.curve == "G0":
-            return "D0", 0
-        if even.curve == "G1":
-            return ("D1", 1) if odd.label == "S-" else ("D2", 2)
-        if odd.label != "S+":
-            raise ConsistencyError("G2 requires lambda > lambda_s for n=1")
-        return "D3", 3
-
     if even.point == "A":
         return "A", 1
     if even.point == "B":
@@ -404,8 +396,8 @@ def _scan_table(n: int) -> GreenValues:
     ``spectral_constants``: requests that locate no root do not pay for
     the ladder.  One ``green_values`` call evaluates all 81 points, each
     bit for bit as a call at its z alone: for n <= 8 it reads the
-    engine's committed sums (``green._ladder``), for larger n one Laplace
-    call sums them from one Bessel pass.
+    engine's committed sums (``green._ladder``), for larger n it sums
+    them one z at a time.
     """
     return green_values(n, _LADDER_Z)
 
@@ -561,16 +553,15 @@ class EigenvalueRecord:
 
 def _expected_sector_counts(n: int, even: EvenRegion, odd: OddRegion):
     exp_r = {"G0": 0, "Gamma_l": 0, "G1": 1, "Gamma_r": 1, "G2": 2}[even.curve]
-    exp_c = 1 if (n >= 2 and even.strip == "C+") else 0
+    exp_c = 1 if even.strip == "C+" else 0
     exp_s = 1 if odd.label == "S+" else 0
     return exp_r, exp_c, exp_s
 
 
 def _locate_records(params: ModelParams, even: EvenRegion,
                     odd: OddRegion) -> list[EigenvalueRecord]:
-    n = params.n
-    multiplicity = {"delta_r": 1, "delta_c": n - 1, "delta_s": n}
-    counts = _expected_sector_counts(n, even, odd)
+    multiplicity = _multiplicities(params.n)
+    counts = _expected_sector_counts(params.n, even, odd)
     records = [EigenvalueRecord(z, multiplicity[origin], sector, origin, g)
                for (origin, sector), count in zip(_SECTOR_OF_ORIGIN.items(), counts)
                for z, g in _roots(params, origin, count)]
@@ -594,15 +585,10 @@ def negative_eigenvalues(params: ModelParams,
 def eigenstates(params: ModelParams, record: EigenvalueRecord) -> list[EigenState]:
     """Closed-form eigenfunction basis for one eigenvalue record, built from
     ``record.greens`` while their z is ``record.z``, else from fresh values."""
-    greens = record.greens
-    if greens is None or greens.z != record.z:
-        greens = (green_values(params.n, record.z) if record.z < 0.0
-                  else spectral_constants(params.n).greens0)
+    greens = _greens_at(params.n, record.z, record.greens)
     if record.origin == "delta_r":
         return [state_for_delta_r(params, record.z, greens)]
     if record.origin == "delta_c":
-        if params.n < 2:
-            raise ValueError("delta_c records require n >= 2")
         return states_for_delta_c(params, record.z, greens)
     if record.origin == "delta_s":
         return states_for_odd(params, record.z, greens)
@@ -655,7 +641,7 @@ def _threshold_entries(params: ModelParams, even: EvenRegion,
         kind = _CLASS_TO_KIND[integrability_class(state)]
         entries.append(ThresholdEntry(kind, "even", 1, (state,)))
     # repeated even states on the lambda_c line (all n >= 2)
-    if n >= 2 and even.strip == "C0":
+    if even.strip == "C0":
         states = tuple(states_for_delta_c(params, 0.0, greens0))
         kind = _CLASS_TO_KIND[integrability_class(states[0])]
         entries.append(ThresholdEntry(kind, "even", n - 1, states))

@@ -239,23 +239,20 @@ def _edge(n: int, z: float) -> dict[str, float]:
 
 def _evaluate(n: int, z) -> GreenValues:
     """The integrals at z <= 0: at z = 0 from ``_threshold``, at
-    _switch(n) < z < 0 from ``_edge``, at the ladder of n <= 8 from
-    ``_ladder``, else from the Laplace engine, which also takes a whole
-    array of z."""
+    _switch(n) < z < 0 from ``_edge``, else from the Laplace engine; at an
+    array of z, the ladder of n <= 8 from ``_ladder`` and any other
+    array as one ``green_values`` call per entry."""
     if type(n) is not int or n < 1:
         if not (isinstance(n, (int, np.integer)) and n >= 1):
             raise ValueError(f"dimension must be a positive integer, got {n!r}")
         n = int(n)
-    if not isinstance(z, float):   # an array of z < 0, from green_values
-        if not np.all(z <= _switch(n)):
-            raise ValueError(f"an array of z must lie at or below the engine's "
-                             f"reach {_switch(n)!r} at n={n}; nearer the band "
-                             f"edge, call one z at a time")
+    if not isinstance(z, float):   # an array of z, from green_values
         if n <= _LADDER_N and np.array_equal(z, _LADDER_Z):
-            raw = _ladder(n)
-        else:
-            raw = laplace_integrals(n, z)
-    elif _switch(n) < z < 0.0:
+            return _pack(n, z, _ladder(n))
+        each = [green_values(n, x) for x in z.tolist()]
+        return _pack(n, z, {k: np.array([getattr(g, k) for g in each])
+                            for k in integral_names(n)})
+    if _switch(n) < z < 0.0:
         raw = _edge(n, z)
     else:
         raw = _threshold(n) if z == 0.0 else laplace_integrals(n, z)
@@ -270,12 +267,12 @@ def green_values(n: int, z) -> GreenValues:
     at n = 2) the values are edge records, within a few eps of the engine,
     down to the smallest subnormal.
 
-    ``z`` may be a 1-D array of points within the engine's reach, which
-    one Laplace call then evaluates; the fields are arrays over it, each
-    entry bit for bit the value at its z alone.  At the ladder of root
+    ``z`` may be a 1-D array; the fields are then arrays over it, each
+    entry bit for bit the value at its z alone, and an entry that is not
+    below 0 raises the ValueError of a single z.  At the ladder of root
     location (``_LADDER_Z``) the values of n <= 8 are committed
-    (``ladder.f64``), so no Laplace sum runs there.  An entry past the
-    reach raises ValueError, since the edge records take one z at a time.
+    (``ladder.f64``), so no Laplace sum runs there; any other array is
+    evaluated one entry at a time.
 
     A float z, as brentq's probes pass it, takes one Laplace column or one
     edge record: a warm call costs that column's exponentials and row sums

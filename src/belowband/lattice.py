@@ -65,7 +65,8 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .classify import DEFAULT_THETA, REGION_TOL, negative_eigenvalues
+from .classify import (DEFAULT_THETA, ORIGINS, REGION_TOL, _multiplicities,
+                       negative_eigenvalues)
 from .reduction import ModelParams
 
 __all__ = [
@@ -89,7 +90,6 @@ _KEPT_BLOCKS = 32
 # conjugate-gradient residual of (Q - theta I) x = b, relative to |b|, at
 # theta = 0 where a chain stops; it is smaller at every theta < 0
 _CHAIN_RTOL = 1e-14
-ORIGINS = ("delta_r", "delta_c", "delta_s")
 
 
 class SolverError(RuntimeError):
@@ -305,11 +305,6 @@ def _kept_block(n: int, L: int, origin: str) -> tuple[np.ndarray, ...]:
 def _potential(lam: float, mu: float, level: np.ndarray) -> np.ndarray:
     """mu on level 0, lam/2 on level 1 and 0 elsewhere."""
     return np.where(level == 0, mu, np.where(level == 1, lam / 2.0, 0.0))
-
-
-def _multiplicities(n: int) -> dict[str, int]:
-    """Multiplicity of every factor whose block is nonempty at dimension n."""
-    return {o: m for o, m in zip(ORIGINS, (1, n - 1, n)) if m}
 
 
 def _below(ham: TruncatedHamiltonian, origin: str, theta: float) -> np.ndarray:

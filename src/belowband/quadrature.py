@@ -22,18 +22,18 @@ and remains valid at z = 0 for every integral that is finite there
 (power-law tail ~ t^(-m/2)).
 
 The dyadic t-panels do not depend on z, so their weighted Bessel
-tables are computed once and kept; one call of :func:`laplace_integrals`
-at many z builds the tables all of them miss in one pass.  The pass
+tables are computed once and kept; a call of :func:`laplace_integrals`
+builds the head and the panels its z misses in one pass.  The pass
 writes each weighted row once, into one rows x nodes array that the new
-heads and panels are kept from, and kept tables are read-only.  Entries
-do not depend on the calls that built them.  At each z, each row, of at
-most ``_CHUNK`` nodes, is summed by one BLAS ddot, all rows in one batched
-product of vectors, so a value is bit-identical whether its z came alone
-or in a batch, whatever ran before and whatever the BLAS thread count,
-and concurrent calls are safe.  For n <= 8 the band-edge values and the
-values at the 81 points of the root-location ladder are committed in
-:mod:`belowband.green` (``tests/make_tables.py`` rewrites both from this
-engine), so a fresh process builds only the panels that brentq's probes
+head and panels are kept from, and kept tables are read-only.  Entries
+do not depend on the calls that built them.  Each row, of at most
+``_CHUNK`` nodes, is summed by one BLAS ddot, all rows in one batched
+product of vectors, so a value is bit-identical whatever ran before and
+whatever the BLAS thread count, and concurrent calls are safe.  For
+n <= 8 the band-edge values and the values at the 81 points of the
+root-location ladder are committed in :mod:`belowband.green`
+(``tests/make_tables.py`` rewrites both from this engine, one z per
+call), so a fresh process builds only the panels that brentq's probes
 need; larger n, and every other z, are summed here.
 """
 
@@ -327,7 +327,7 @@ def _z_near(n: int) -> float:
 def _span(n: int, z: float) -> tuple[int, int]:
     """Exponents k0, k1 of the head [0, 2^k0] and of the last panel end at z.
 
-    The head ends at 2^k0 <= min(1, 1/(n - z)), the shortest scale of the
+    The head ends at 2^k0 <= 1/(n - z) <= 1, the shortest scale of the
     integrand; the panels end at the first 2^k1 past 746/|z|, where
     exp(z t) has underflowed, or at 2^6 when z = 0.
     """
@@ -350,32 +350,25 @@ def _span(n: int, z: float) -> tuple[int, int]:
     return k0, k1 - (mant == 0.5)
 
 
-def _keep(n: int, spans) -> tuple[int, int, np.ndarray, np.ndarray]:
-    """Keep the head [0, 2^k0] and the panels up to 2^k1 of every (k0, k1)
-    in ``spans``, the missing ones from one Bessel pass; returns the kept
-    panels (lo, hi, nodes, table) of dimension n, at once where nothing is
-    missing."""
+def _keep(n: int, k0: int, k1: int) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """Keep the head [0, 2^k0] and the panels from 2^k0 up to 2^k1 of
+    dimension n, the missing ones from one Bessel pass; returns the kept
+    panels (lo, hi, nodes, table), at once where nothing is missing."""
     kept = _PANELS.get(n)
-    for k0, k1 in spans:
-        if kept is None or k0 < kept[0] or k1 > kept[1] or (n, k0) not in _HEADS:
-            break
-    else:
+    heads = [] if (n, k0) in _HEADS else [k0]
+    if not heads and kept is not None and kept[0] <= k0 and k1 <= kept[1]:
         return kept
-    heads = sorted({k0 for k0, _ in spans if (n, k0) not in _HEADS})
-    first = min(k0 for k0, _ in spans)
-    lo, hi, t, table = kept or (
-        first, first, np.empty(0), np.empty((len(integral_names(n)), 0)))
-    k0, k1 = min(lo, first), max(hi, *(k1 for _, k1 in spans))
+    lo, hi, t, table = kept or (k0, k0, np.empty(0), np.empty((len(integral_names(n)), 0)))
     ks = [*range(k0, lo), *range(hi, k1)]
     starts = [0.0] * len(heads) + [math.ldexp(1.0, k) for k in ks]
     ends = [math.ldexp(1.0, k) for k in heads] + [math.ldexp(1.0, k + 1) for k in ks]
     tn, wn = _panel_nodes(starts, ends, _NODES)
-    cuts = np.cumsum([_NODES] * len(heads) + [(lo - k0) * _NODES])
-    *th, tb, ta = np.split(tn, cuts)
-    *wh, wb, wa = np.split(_weighted_integrands(n, tn, wn), cuts, axis=1)
-    for k, tk, wk in zip(heads, th, wh):
-        _HEADS[n, k] = _frozen(tk.copy()), _frozen(wk.copy())
-    kept = (k0, k1, _frozen(np.concatenate([tb, t, ta])),
+    cuts = np.cumsum([len(heads) * _NODES, max(lo - k0, 0) * _NODES])
+    th, tb, ta = np.split(tn, cuts)
+    wh, wb, wa = np.split(_weighted_integrands(n, tn, wn), cuts, axis=1)
+    if heads:
+        _HEADS[n, k0] = _frozen(th.copy()), _frozen(wh.copy())
+    kept = (min(lo, k0), max(hi, k1), _frozen(np.concatenate([tb, t, ta])),
             _frozen(np.concatenate([wb, table, wa], axis=1)))
     _PANELS[n] = kept
     return kept
@@ -414,36 +407,25 @@ def _column(n: int, z: float, k0: int, k1: int, kept) -> np.ndarray:
     return column
 
 
-def laplace_integrals(n: int, z) -> dict:
-    """Evaluate the torus integrals by the Laplace-Bessel representation.
+def laplace_integrals(n: int, z: float) -> dict:
+    """Evaluate the torus integrals at one z by the Laplace-Bessel
+    representation.
 
-    ``z`` is a float, or a 1-D array of them; each value is then an array
-    over ``z``, each entry summed exactly as a call at its z alone sums it,
-    and the tables that any z misses are built in one Bessel pass.  Both
-    cases sum each z by one ``_column``; a float z, brentq's probe, costs
-    that column and its span plus a few dictionary operations.  The
-    panels run from a head [0, 2^k0] with 2^k0 <= min(1, 1/(n - z)), the
-    shortest scale of the integrand, to the first 2^k1 past 746/|z|, where
-    exp(z t) has underflowed.  At z = 0 they stop at 2^6 and the power-law
-    tail is integrated in u = t^-1/2.  A z nearer the edge than
-    :func:`_z_near` (u = ln(-z) about -111 to -109) would need more than
-    ``_CHUNK`` nodes per row, and |z| above 2^510 (about 3.4e153) would
-    make b ~ 1/(2 z^2) subnormal; both raise :class:`QuadratureError`.
-    Where some z is 0 only the finite integrals are returned (see
-    :func:`finite_at_threshold`).
+    A warm call costs one ``_column`` and its span plus a few dictionary
+    operations; the head and panels that z misses are built first, in one
+    Bessel pass.  The panels run from a head [0, 2^k0] with
+    2^k0 <= 1/(n - z), the shortest scale of the integrand, to the first
+    2^k1 past 746/|z|, where exp(z t) has underflowed.  At z = 0 they stop
+    at 2^6 and the power-law tail is integrated in u = t^-1/2.  A z nearer
+    the edge than :func:`_z_near` (u = ln(-z) about -111 to -109) would
+    need more than ``_CHUNK`` nodes per row, and |z| above 2^510 (about
+    3.4e153) would make b ~ 1/(2 z^2) subnormal; both raise
+    :class:`QuadratureError`.  At z = 0 only the finite integrals are
+    returned (see :func:`finite_at_threshold`).
     """
-    if isinstance(z, float) or np.ndim(z) == 0:
-        z = float(z)
-        span = _span(n, z)
-        rows = zip(integral_names(n),
-                   _column(n, z, *span, _keep(n, (span,))).tolist())
-    else:
-        zs = np.asarray(z, dtype=float).tolist()
-        spans = [_span(n, x) for x in zs]
-        kept = _keep(n, spans)
-        rows = zip(integral_names(n), np.stack(
-            [_column(n, x, *span, kept) for x, span in zip(zs, spans)], axis=1))
-        z = max(zs)
+    z = float(z)
+    k0, k1 = _span(n, z)
+    rows = zip(integral_names(n), _column(n, z, k0, k1, _keep(n, k0, k1)).tolist())
     if z < 0.0:
         return dict(rows)
-    return {k: row for k, row in rows if k in finite_at_threshold(n)}
+    return {k: v for k, v in rows if k in finite_at_threshold(n)}

@@ -243,6 +243,14 @@ def _combine(greens: GreenValues, terms) -> float:
     return acc
 
 
+def _greens_at(n: int, z: float, greens: GreenValues | None) -> GreenValues:
+    """``greens`` while their z is z, else the Green values at z afresh:
+    ``green_values`` below the band and ``green_threshold`` at z = 0."""
+    if greens is None or greens.z != z:
+        return green_values(n, z) if z < 0.0 else green_threshold(n)
+    return greens
+
+
 def residual(params: ModelParams, state: EigenState) -> float:
     """Fixed-point residual ||(G(z) - I) w||_inf / ||w||_inf.
 
@@ -262,11 +270,8 @@ def residual(params: ModelParams, state: EigenState) -> float:
     norm = float(abs(w).max())
     if norm == 0.0:
         raise ValueError("zero coefficient vector")
-    n = params.n
-    z = state.z
-    greens = state.greens
-    if greens is None or greens.z != z:
-        greens = green_values(n, z) if z < 0.0 else green_threshold(n)
+    n, z = params.n, state.z
+    greens = _greens_at(n, z, state.greens)
     if state.sector == "odd":
         (s,) = greens.require("s")
         return float(abs((params.lam * s - 1.0) * w).max()) / norm

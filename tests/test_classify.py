@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 import re
 import zlib
 from unittest import mock
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import belowband as bb
 from belowband import classify, green
+from belowband.reduction import hyperbola_limit
 from conftest import curve_point, open_region_points, region_samples
 
 
@@ -41,6 +43,27 @@ def test_cell_names_n1():
     lam, mu = curve_point(1, "right", 3.0)
     _, even, odd = bb.snap_params(bb.ModelParams(1, lam, mu))
     assert bb.cell_label(1, even, odd) == ("B2", 2)
+    # the pairs that lambda_s < lambda <= X = 1 adds, lambda_s one ulp below
+    # the only double between: Gamma_l and G0 with S0 and with S+.  On the
+    # hyperbola mu = 1 - 2^53, (lam - 1)(mu - 1) - 1 is exactly 0
+    lam_s, between = bb.spectral_constants(1).lambda_s, 0.9999999999999999
+    assert lam_s == 0.9999999999999998 and lam_s < between < 1.0
+    cases = {
+        (lam_s, 1.0 - 2.0 ** 52, 0.0): ("Gamma_l", "S0", ("B0", 0)),
+        (between, 1.0 - 2.0 ** 53, 0.0): ("Gamma_l", "S+", ("B0", 0)),
+        (between, -1e16, 0.0): ("G0", "S+", ("D0", 0)),
+        (1.0, 3.0, 0.0): ("G1", "S+", ("D2", 2)),
+        (1.0, 3.0, 1e-9): ("G1", "S0", ("S1", 1)),
+    }
+    for (lam, mu, tol), (curve, label, cell) in cases.items():
+        _, even, odd = bb.snap_params(bb.ModelParams(1, lam, mu), tol=tol)
+        assert (even.curve, even.strip, even.point, odd.label) == (curve, None, None, label)
+        assert bb.cell_label(1, even, odd) == cell, (lam, mu, tol)
+    # G0 with S0, the input (1, 1.0, -1e16) snapped onto lambda_s, has no cell
+    _, even, odd = bb.snap_params(bb.ModelParams(1, 1.0, -1e16))
+    assert (even.curve, odd.label) == ("G0", "S0")
+    with pytest.raises(bb.ConsistencyError, match="S0 cannot meet G0"):
+        bb.cell_label(1, even, odd)
 
 
 def test_cell_names_open_regions(consts):
@@ -404,6 +427,28 @@ def test_walks_from_the_split_point_keep_nothing(n, lam, mu):
     # the ladder, if this test builds it, is one call at an array of z
     assert (n, -math.exp(first)) in [c.args for c in counted.call_args_list
                                       if np.ndim(c.args[1]) == 0]
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_past_the_switch_every_factor_is_its_edge_limit(n):
+    # at n >= 3 the Green values past the engine's reach are the z = 0
+    # values, and n - z rounds to n there, so every factor equals, bit for
+    # bit, its limit as z -> 0-, the value _roots holds the near end
+    # against: a near walk ends by its first step past the switch
+    consts = bb.spectral_constants(n)
+    switch = green._switch(n)
+    zs = [math.nextafter(switch, 0.0), *(-math.exp(u) for u in (-187.7, -400.0, -700.0))]
+    greens = [bb.green_values(n, z) for z in zs]
+    rng = random.Random(n)
+    for _ in range(300):
+        params = bb.ModelParams(n, rng.uniform(-20.0, 20.0), rng.uniform(-20.0, 20.0))
+        limits = {
+            "delta_r": hyperbola_limit(n, params.lam, params.mu, consts.x_asymptote),
+            "delta_c": classify._factor(params, "delta_c", consts.greens0),
+            "delta_s": classify._factor(params, "delta_s", consts.greens0)}
+        for origin, limit in limits.items():
+            assert [classify._factor(params, origin, g).hex() for g in greens] \
+                == [limit.hex()] * len(zs), (params, origin)
 
 
 def _bits(g):

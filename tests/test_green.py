@@ -177,8 +177,9 @@ def test_band_edge_table_is_the_engines_own_sums():
 
 
 def test_ladder_table_is_the_engines_own_sums(monkeypatch):
-    # the committed ladder values of n <= 8 against fresh engine sums at the
-    # same z, every field bit for bit; from n = 9 on a Laplace call serves them
+    # the committed ladder values of n <= 8 against fresh engine sums, one
+    # call per z, every field bit for bit; from n = 9 on the ladder is one
+    # Laplace call per point
     monkeypatch.setattr(quadrature, "_HEADS", {})
     monkeypatch.setattr(quadrature, "_PANELS", {})
     assert os.path.getsize(green._LADDER_FILE) == green._LADDER_BYTES == 29808
@@ -186,14 +187,14 @@ def test_ladder_table_is_the_engines_own_sums(monkeypatch):
                            wraps=green.laplace_integrals) as laplace:
         for n in range(1, 10):
             committed = bb.green_values(n, green._LADDER_Z)
-            assert laplace.call_count == (1 if n == 9 else 0), n
-            engine = quadrature.laplace_integrals(n, green._LADDER_Z)
+            assert laplace.call_count == (81 if n == 9 else 0), n
+            engine = [quadrature.laplace_integrals(n, z) for z in green._LADDER_Z.tolist()]
             for name in ("a", "b", "c", "d", "s", "cd"):
                 got = getattr(committed, name)
                 if n == 1 and name in ("d", "cd"):
                     assert got is None
                     continue
-                assert got.tobytes() == engine[name].tobytes(), (
+                assert got.tobytes() == np.array([e[name] for e in engine]).tobytes(), (
                     n, name, "rewrite the tables with tests/make_tables.py")
 
 
@@ -219,35 +220,46 @@ for n in range(1, 10):
                            wraps=green.laplace_integrals) as laplace:
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["summarize", f"--n={n}", "--lambda=0", f"--mu={n + 1.5}"])
-    zs = [np.atleast_1d(c.args[1]) for c in laplace.call_args_list]
+    zs = [c.args[1] for c in laplace.call_args_list]
     out[n] = {"code": code, "edge": sum(bool(np.any(z == 0.0)) for z in zs),
-              "many": [z.size for z in zs if z.size > 1],
+              "arrays": sum(np.ndim(z) > 0 for z in zs),
+              "ladder": sum(z in green._LADDER_Z.tolist() for z in zs),
               "tail": quadrature._tail.cache_info().currsize}
 print(json.dumps(out))
 """
 
 
 def test_a_fresh_summarize_sums_no_band_edge_and_no_ladder():
-    # each n locates one delta_r root, and brentq's probes are calls at one
-    # z; below n = 9 the band-edge constants and the ladder are committed,
-    # so no call is at z = 0 or at an array of z, and no tail is summed; at
-    # n = 9 the ladder is one Laplace call at 81 z
+    # each n locates one delta_r root, and every Laplace call is at one z;
+    # below n = 9 the band-edge constants and the ladder are committed, so
+    # no call is at z = 0 or at a ladder point, and no tail is summed; at
+    # n = 9 the ladder is one call per point
     doc = json.loads(subprocess.run([sys.executable, "-c", _FRESH_SUMMARIZE],
                                     check=True, capture_output=True, text=True).stdout)
     for n in range(1, 9):
-        assert doc[str(n)] == {"code": 0, "edge": 0, "many": [], "tail": 0}, n
-    assert doc["9"] == {"code": 0, "edge": 1, "many": [81], "tail": 1}
+        assert doc[str(n)] == {"code": 0, "edge": 0, "arrays": 0, "ladder": 0,
+                               "tail": 0}, n
+    assert doc["9"] == {"code": 0, "edge": 1, "arrays": 0, "ladder": 81, "tail": 1}
 
 
-def test_an_array_of_z_stays_within_the_engines_reach():
-    # the edge records take one z at a time: an array may reach the switch
-    # itself, and an entry nearer the band edge, at it or NaN is refused
-    for n in (1, 2, 3):
+def test_an_array_of_z_equals_its_entries_past_the_engines_reach():
+    # each entry of an array is its call at that z alone, bit for bit, the
+    # engine's sums and the edge records past the switch alike; an entry
+    # at 0, above it or NaN raises the ValueError of a single z
+    for n in (1, 2, 3, 9):
         switch = green._switch(n)
-        many = bb.green_values(n, np.array([-1.0, switch]))
-        assert many.s[1].hex() == bb.green_values(n, switch).s.hex()
-        for bad in (math.nextafter(switch, 0.0), 0.0, math.nan):
-            with pytest.raises(ValueError, match="engine's reach"):
+        zs = [-1.0, switch, math.nextafter(switch, 0.0), switch * 1e-100, -5e-324]
+        many = bb.green_values(n, np.array(zs))
+        assert isinstance(many.z, np.ndarray) and many.z.tolist() == zs
+        for name in EDGE_FIELDS:
+            column = getattr(many, name)
+            if column is None:
+                assert n == 1 and name in ("d", "cd")
+                continue
+            assert [v.hex() for v in column.tolist()] == [
+                getattr(bb.green_values(n, z), name).hex() for z in zs], (n, name)
+        for bad in (0.0, 1.0, math.nan):
+            with pytest.raises(ValueError, match="requires z < 0"):
                 bb.green_values(n, np.array([-1.0, bad]))
 
 

@@ -4,6 +4,7 @@ accuracy, determinism; the reference trapezoid's outputs bit for bit."""
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -173,14 +174,10 @@ _SUMMED_ZS = (0.0, *(-math.exp(u) for u in classify._LADDER),
 def test_laplace_sums_equal_one_dot_per_row_bit_for_bit(monkeypatch):
     # one batched product of vectors must sum exactly as np.dot does; a
     # matrix-vector product or numpy's loop without BLAS rounds otherwise.
-    # A call at many z sums each column exactly as the call at its z alone,
-    # with the band edge in the batch (its finite rows) and without it
+    # Each z is summed so whether its tables are fresh or were grown by
+    # other calls first
     monkeypatch.setattr(quadrature, "_HEADS", {})
     monkeypatch.setattr(quadrature, "_PANELS", {})
-
-    def fresh():
-        quadrature._HEADS.clear()
-        quadrature._PANELS.clear()
     for grown in (False, True):
         for n in range(1, 7):
             deepest = quadrature._z_near(n)
@@ -189,24 +186,12 @@ def test_laplace_sums_equal_one_dot_per_row_bit_for_bit(monkeypatch):
             if grown:  # the deepest and the farthest span, so slices start inside
                 quadrature.laplace_integrals(n, deepest)
                 quadrature.laplace_integrals(n, -2.0 ** 509)
-            zs = (deepest, *_SUMMED_ZS)
-            alone = {}
-            for z in zs:
+            for z in (deepest, *_SUMMED_ZS):
                 if not grown:
-                    fresh()
+                    quadrature._HEADS.clear()
+                    quadrature._PANELS.clear()
                 got = {k: v.hex() for k, v in quadrature.laplace_integrals(n, z).items()}
                 assert got == _rowwise_sums(n, z), (grown, n, z)
-                alone[z] = got
-            for batch in (zs, [z for z in zs if z < 0.0]):
-                if not grown:
-                    fresh()
-                many = quadrature.laplace_integrals(n, np.array(batch))
-                names = alone[0.0] if 0.0 in batch else quadrature.integral_names(n)
-                assert list(many) == list(names)
-                assert all(row.shape == (len(batch),) for row in many.values())
-                for j, z in enumerate(batch):
-                    got = {k: float(row[j]).hex() for k, row in many.items()}
-                    assert got == {k: alone[z][k] for k in many}, (grown, n, z)
 
 
 _DEEP = """
@@ -277,35 +262,38 @@ def test_ladder_entries_equal_scalar_calls_whatever_ran_first():
 
 def test_tables_grown_in_any_order_equal_each_panel_alone(monkeypatch):
     # the deepest admissible span first, then the ladder backwards (each
-    # call grows the panels below), then one batch with the band edge and a
-    # span past the ladder: every kept entry must still be its panel's
-    # Bessel rows, and no table may be written
+    # call grows the panels below), then the band edge and a span past the
+    # ladder, and the same calls shuffled: every kept entry must still be
+    # its panel's Bessel rows, and no table may be written
     monkeypatch.setattr(quadrature, "_HEADS", {})
     monkeypatch.setattr(quadrature, "_PANELS", {})
     nodes = quadrature._NODES
     bits = lambda a: np.ascontiguousarray(a).tobytes()
     for n in range(1, 7):
-        quadrature.laplace_integrals(n, quadrature._z_near(n))
-        for u in classify._LADDER[::-1]:
-            quadrature.laplace_integrals(n, -math.exp(u))
-        quadrature.laplace_integrals(n, [0.0, -2.0 ** 100])
-        lo, hi, t, table = quadrature._PANELS[n]
-        assert t.size == table.shape[1] == (hi - lo) * nodes
-        for k in range(lo, hi):
-            tk, wk = quadrature._panel_nodes([2.0 ** k], [2.0 ** (k + 1)], nodes)
-            cols = slice((k - lo) * nodes, (k - lo + 1) * nodes)
-            assert bits(t[cols]) == bits(tk), (n, k)
-            assert bits(table[:, cols]) == bits(
-                quadrature._weighted_integrands(n, tk, wk)), (n, k)
-        heads = {k: v for (m, k), v in quadrature._HEADS.items() if m == n}
-        assert len(heads) >= 40
-        for k, (th, head) in heads.items():
-            tk, wk = quadrature._panel_nodes([0.0], [2.0 ** k], nodes)
-            assert bits(th) == bits(tk) and bits(head) == bits(
-                quadrature._weighted_integrands(n, tk, wk)), (n, k)
-        for kept in (t, table, *heads[lo], quadrature._tail(n)):
-            with pytest.raises(ValueError, match="read-only"):
-                kept[..., 0] = 0.0
+        zs = [quadrature._z_near(n), *(-math.exp(u) for u in classify._LADDER[::-1]),
+              0.0, -2.0 ** 100]
+        for order in (zs, random.Random(n).sample(zs, len(zs))):
+            quadrature._HEADS.clear()
+            quadrature._PANELS.clear()
+            for z in order:
+                quadrature.laplace_integrals(n, z)
+            lo, hi, t, table = quadrature._PANELS[n]
+            assert t.size == table.shape[1] == (hi - lo) * nodes
+            for k in range(lo, hi):
+                tk, wk = quadrature._panel_nodes([2.0 ** k], [2.0 ** (k + 1)], nodes)
+                cols = slice((k - lo) * nodes, (k - lo + 1) * nodes)
+                assert bits(t[cols]) == bits(tk), (n, k)
+                assert bits(table[:, cols]) == bits(
+                    quadrature._weighted_integrands(n, tk, wk)), (n, k)
+            heads = {k: v for (m, k), v in quadrature._HEADS.items() if m == n}
+            assert len(heads) >= 40
+            for k, (th, head) in heads.items():
+                tk, wk = quadrature._panel_nodes([0.0], [2.0 ** k], nodes)
+                assert bits(th) == bits(tk) and bits(head) == bits(
+                    quadrature._weighted_integrands(n, tk, wk)), (n, k)
+            for kept in (t, table, *heads[lo], quadrature._tail(n)):
+                with pytest.raises(ValueError, match="read-only"):
+                    kept[..., 0] = 0.0
 
 
 # ---------------------------------------------------------------------------
