@@ -551,7 +551,7 @@ class EigenvalueRecord:
     greens: GreenValues | None = field(default=None, compare=False, repr=False)
 
 
-def _expected_sector_counts(n: int, even: EvenRegion, odd: OddRegion):
+def _expected_sector_counts(even: EvenRegion, odd: OddRegion):
     exp_r = {"G0": 0, "Gamma_l": 0, "G1": 1, "Gamma_r": 1, "G2": 2}[even.curve]
     exp_c = 1 if even.strip == "C+" else 0
     exp_s = 1 if odd.label == "S+" else 0
@@ -561,7 +561,7 @@ def _expected_sector_counts(n: int, even: EvenRegion, odd: OddRegion):
 def _locate_records(params: ModelParams, even: EvenRegion,
                     odd: OddRegion) -> list[EigenvalueRecord]:
     multiplicity = _multiplicities(params.n)
-    counts = _expected_sector_counts(params.n, even, odd)
+    counts = _expected_sector_counts(even, odd)
     records = [EigenvalueRecord(z, multiplicity[origin], sector, origin, g)
                for (origin, sector), count in zip(_SECTOR_OF_ORIGIN.items(), counts)
                for z, g in _roots(params, origin, count)]

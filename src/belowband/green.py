@@ -27,6 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .quadrature import QuadratureError, _z_near, integral_names, laplace_integrals
+from .reduction import _is_int
 
 __all__ = [
     "GreenValues",
@@ -243,7 +244,7 @@ def _evaluate(n: int, z) -> GreenValues:
     array of z, the ladder of n <= 8 from ``_ladder`` and any other
     array as one ``green_values`` call per entry."""
     if type(n) is not int or n < 1:
-        if not (isinstance(n, (int, np.integer)) and n >= 1):
+        if not (_is_int(n) and n >= 1):
             raise ValueError(f"dimension must be a positive integer, got {n!r}")
         n = int(n)
     if not isinstance(z, float):   # an array of z, from green_values

@@ -67,7 +67,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from .classify import (DEFAULT_THETA, ORIGINS, REGION_TOL, _multiplicities,
                        negative_eigenvalues)
-from .reduction import ModelParams
+from .reduction import ModelParams, _is_int
 
 __all__ = [
     "TruncatedHamiltonian",
@@ -173,10 +173,6 @@ class OracleComparison:
     @property
     def counts_agree(self) -> bool:
         return all(self.agrees_at(L) for L in self.oracle_counts)
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def build_hamiltonian(n: int, L: int, lam: float, mu: float) -> TruncatedHamiltonian:

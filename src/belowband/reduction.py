@@ -18,7 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = ["ModelParams", "hyperbola_limit"]
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -26,7 +32,8 @@ class ModelParams:
     """Problem instance: dimension and the two coupling strengths.
 
     ``mu`` multiplies the delta potential at the origin and ``lam``/2 the
-    potential on the 2n nearest neighbors.  Both may be any real number.
+    potential on the 2n nearest neighbors.  Both may be any real number;
+    ``n`` may be any integer type but bool and is stored as an int.
     """
 
     n: int
@@ -34,8 +41,9 @@ class ModelParams:
     mu: float
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 1):
+        if not (_is_int(self.n) and self.n >= 1):
             raise ValueError(f"dimension must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
         if not (math.isfinite(self.lam) and math.isfinite(self.mu)):
             raise ValueError("couplings must be finite reals")
 

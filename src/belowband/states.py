@@ -15,8 +15,8 @@ residual reads it (root location reads the determinant factors, in
 ``classify._factor``).  A state carries the Green values it was built
 from; its moments against the potential modes are computed from them
 when read, not when the state is built.  At the band edge the membership
-of f in L^2, L^1 or L^eps is decided by the vanishing order of phi at
-p = 0 together with the dimension.
+of f in L^2, L^1 or L^eps is decided by the dimension and the vanishing
+order of phi at p = 0, which the state's formula fixes (``_FORMULAS``).
 """
 
 from __future__ import annotations
@@ -50,8 +50,15 @@ __all__ = [
 
 SQRT2 = math.sqrt(2.0)
 
-# formula identifiers: negative-z eigenfunctions and their z = 0 versions
-FORMULAS = ("e1", "e11", "e2", "eigen-Sin", "z0", "z1", "z2", "sake")
+# formula -> (sector, order m of the zero of phi at p = 0).  delta_c (w = e_1 - e_j)
+# and delta_s (w = e_j) have m = 2 and 1.  For delta_r, a - b = 1/n and alpha = n b
+# at z = 0: row 1 of ``state_for_delta_r`` gives phi(0) = mu, and is picked only if
+# mu != 0 (at mu = 0 it is zero); row 0 gives (lam n/sqrt2)(1 - mu/n)/(1 - mu a), is
+# picked only if lam != 0, and mu = n is never on (lam - X)(mu - n) = n; so m = 0.
+_FORMULAS = {"e1": ("even", 0), "e11": ("even", 0), "e2": ("even", 2),
+             "eigen-Sin": ("odd", 1), "z0": ("even", 0), "z1": ("even", 0),
+             "z2": ("even", 2), "sake": ("odd", 1)}
+FORMULAS = tuple(_FORMULAS)
 
 
 class IntegrabilityClass(Enum):
@@ -79,8 +86,10 @@ class EigenState:
     greens: GreenValues | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.formula not in FORMULAS:
+        if self.formula not in _FORMULAS:
             raise ValueError(f"unknown formula id {self.formula!r}")
+        if _FORMULAS[self.formula][0] != self.sector:
+            raise ValueError(f"formula {self.formula!r} is not of the {self.sector!r} sector")
         expected = self.params.n + 1 if self.sector == "even" else self.params.n
         if len(self.w) != expected:
             raise ValueError(
@@ -116,22 +125,17 @@ class EigenState:
         return self.phi(arr) / (dispersion(arr, self.params.n) - self.z)
 
     def vanishing_order(self) -> int:
-        """Order of the zero of phi at p = 0 (0, 1 or 2)."""
+        """Order of the zero of phi at p = 0, fixed by the formula (``_FORMULAS``)."""
         if self.sector == "odd":
             if not np.any(self.w):
                 raise ValueError("zero coefficient vector")
-            return 1
-        lam, mu = self.params.lam, self.params.mu
-        value = mu * self.w[0] + (lam / SQRT2) * float(np.sum(self.w[1:]))
-        scale = abs(mu * self.w[0]) + abs(lam / SQRT2) * float(
-            np.sum(np.abs(self.w[1:])))
-        if scale == 0.0:
-            raise ValueError("phi is identically zero")
-        if abs(value) > 1e-12 * scale:
-            return 0
-        if lam != 0.0 and np.any(self.w[1:]):
-            return 2
-        raise ValueError("phi is identically zero")
+        else:
+            lam, mu = self.params.lam, self.params.mu
+            scale = abs(mu * self.w[0]) + abs(lam / SQRT2) * float(
+                np.sum(np.abs(self.w[1:])))
+            if scale == 0.0:
+                raise ValueError("phi is identically zero")
+        return _FORMULAS[self.formula][1]
 
 
 def state_for_delta_r(params: ModelParams, z: float,
@@ -310,8 +314,9 @@ def integrability_class(state: EigenState) -> IntegrabilityClass:
     """L^q membership of a threshold state from the vanishing order of phi.
 
     Near p = 0 the state behaves like |p|^(m-2) with m the vanishing order,
+    which the state's formula fixes (:meth:`EigenState.vanishing_order`),
     so f is in L^q iff q (2 - m) < n, and in L^eps for all eps < 1 iff
-    2 - m <= n.  The resulting table:
+    2 - m <= n.  The resulting table, exact at every coupling:
 
         m = 0:  L2 for n >= 5, L1\\L2 for n = 3, 4, Leps\\L1 for n = 2
         m = 1:  L2 for n >= 3, L1\\L2 for n = 2, Leps\\L1 for n = 1

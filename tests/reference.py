@@ -400,7 +400,8 @@ def _outer_mass(state: EigenState, q: float, r0: float, grid: int = 128) -> floa
 
 
 def integrability_probe(state: EigenState, q: float,
-                        exponents=range(4, 13), angular: int = 256) -> list[float]:
+                        exponents=range(4, 13), angular: int = 256,
+                        r0: float | None = None) -> list[float]:
     """integral of |f|^q outside the ball |p| < 2^-k, for k in ``exponents``.
 
     A numeric corroboration of :func:`belowband.integrability_class`: the
@@ -408,6 +409,11 @@ def integrability_probe(state: EigenState, q: float,
     a power) when it is not.  For n = 2, 3 the singular neighborhood is
     integrated in polar/spherical shells so that radii far below any
     practical grid spacing are still resolved.  Implemented for n <= 3.
+
+    With ``r0`` (n = 2, 3) only the ball |p| < r0 is integrated.  L^q
+    membership is decided at p = 0, and a smooth part of f much larger
+    than its singular part there would swamp the growth of the sum over
+    the whole torus in rounding.
     """
     n = state.params.n
     radii = [2.0 ** -k for k in exponents]
@@ -425,8 +431,10 @@ def integrability_probe(state: EigenState, q: float,
         return out
     if n > 3:
         raise NotImplementedError("integrability probe implemented for n <= 3")
-    r0 = 1.0
-    outer = _outer_mass(state, q, r0)
+    outer = 0.0
+    if r0 is None:
+        r0 = 1.0
+        outer = _outer_mass(state, q, r0)
     return [outer + _shell_mass(state, q, h, r0, angular) for h in radii]
 
 

@@ -292,7 +292,7 @@ def _stacked(n, greens):
 def _located(params):
     """Roots of every factor, or the scan error, by origin."""
     _, even, odd = bb.snap_params(params, tol=0.0)
-    counts = classify._expected_sector_counts(params.n, even, odd)
+    counts = classify._expected_sector_counts(even, odd)
     out = {}
     for origin, count in zip(_ORIGINS, counts):
         try:
@@ -759,6 +759,82 @@ def test_threshold_kind_flip_happens_at_n5(consts):
         rep = bb.threshold_report(bb.ModelParams(n, c.lambda_s, 0.0))
         entry = [e for e in rep.entries if e.sector == "odd"][0]
         assert entry.kind == want and entry.multiplicity == n
+
+
+# The paper's table of band-edge states, by determinant factor: the kind
+# at dimension n, the sector and the multiplicity.  delta_r (on Gamma_l and
+# Gamma_r, n >= 3) is a resonance at n = 3, 4 and an eigenvalue from n = 5;
+# delta_c (on lambda_c, n >= 2) is an eigenvalue; delta_s (on lambda_s) is
+# a super-threshold resonance at n = 1, a resonance at n = 2 and an
+# eigenvalue from n = 3.
+def _papers_entry(origin, n):
+    if origin == "delta_r":
+        kind = "threshold-resonance" if n <= 4 else "threshold-eigenvalue"
+        return kind, "even", 1
+    if origin == "delta_c":
+        return "threshold-eigenvalue", "even", n - 1
+    kind = {1: "super-threshold-resonance", 2: "threshold-resonance"}.get(
+        n, "threshold-eigenvalue")
+    return kind, "odd", n
+
+
+_ORIGIN_OF_FORMULA = {"z0": "delta_r", "z1": "delta_r", "z2": "delta_c", "sake": "delta_s"}
+
+
+def _edge_entries(n, lam, mu):
+    """The threshold report at (lam, mu) as {origin: (kind, sector, multiplicity)}."""
+    out = {}
+    for e in bb.threshold_report(bb.ModelParams(n, lam, mu)).entries:
+        origin = _ORIGIN_OF_FORMULA[e.formula]
+        assert origin not in out
+        out[origin] = (e.kind, e.sector, e.multiplicity)
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(t=st.floats(-13.0, 3.0), side=st.sampled_from((-1.0, 1.0)))
+@example(t=-11.5, side=1.0)
+@example(t=-12.5, side=-1.0)
+def test_every_edge_state_has_the_papers_kind(t, side):
+    # mu = n + side 10^t at n = 1..8: on the limiting hyperbola, lam = X +
+    # n/(mu - n) lies on Gamma_r (side > 0) or Gamma_l (side < 0), out to
+    # |lam| ~ 1e13 with mu within 1e-13 of n; on the lambda_c and lambda_s
+    # lines mu is that value too
+    for n in range(1, 9):
+        c = bb.spectral_constants(n)
+        mu = n + side * 10.0 ** t
+        lines = {"hyperbola": c.x_asymptote + n / (mu - n), "lambda_s": c.lambda_s}
+        if n >= 2:
+            lines["lambda_c"] = c.lambda_c
+        for line, lam in lines.items():
+            entries = _edge_entries(n, lam, mu)
+            must = {"hyperbola": "delta_r" if n >= 3 else None,
+                    "lambda_c": "delta_c", "lambda_s": "delta_s"}[line]
+            assert must is None or must in entries, (n, line, lam, mu)
+            for origin, got in entries.items():
+                assert got == _papers_entry(origin, n), (n, line, lam, mu, origin)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("rel", [1e-11, 3e-12, 1e-12, 3e-13, 1e-13])
+def test_delta_r_is_a_resonance_with_mu_next_to_n(n, rel):
+    # mu = n (1 +- rel) on both branches: |lam| = 3e10 to 1e13, where the
+    # terms of phi(0) cancel to 1e-11 to 1e-13 of their size
+    x = bb.spectral_constants(n).x_asymptote
+    for mu in (n * (1.0 + rel), n * (1.0 - rel)):
+        lam = x + n / (mu - n)
+        assert _edge_entries(n, lam, mu)["delta_r"][0] == "threshold-resonance"
+
+
+@pytest.mark.parametrize("n, lam, mu, cell", [
+    (3, 999911107323.2065, 3.0000000000030003, "B6"),
+    (4, 10007999171939.611, 4.0000000000004, "B8"),
+])
+def test_the_large_coupling_hyperbola_points_report_a_resonance(n, lam, mu, cell):
+    s = bb.summarize(bb.ModelParams(n, lam, mu))
+    assert s.cell == cell and s.even.curve == "Gamma_r"
+    assert s.threshold.kind == "threshold-resonance"
+    assert [e.formula for e in s.threshold.entries] == ["z0"]
 
 
 def test_point_reports(consts):

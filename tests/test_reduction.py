@@ -244,3 +244,21 @@ def test_critical_couplings_requires_threshold_record(consts):
         assert c.greens0.z == 0.0 and c.greens0 == bb.green_threshold(n)
         assert c.lambda_s == 1.0 / c.greens0.s
         assert c.lambda_c == (None if n == 1 else 1.0 / c.greens0.cd)
+
+
+def test_a_dimension_is_an_integer_but_not_a_bool():
+    # ModelParams, green_values and build_hamiltonian take the same
+    # dimensions: numpy integers (ModelParams stores them as an int), but
+    # neither a bool nor a float
+    params = bb.ModelParams(np.int64(3), 1.0, 3.0)
+    assert type(params.n) is int and params == bb.ModelParams(3, 1.0, 3.0)
+    assert bb.summarize(params).cell == bb.summarize(bb.ModelParams(3, 1.0, 3.0)).cell
+    assert bb.green_values(np.int64(3), -1.0) == bb.green_values(3, -1.0)
+    assert bb.build_hamiltonian(np.int64(3), 2, 1.0, 3.0).n == 3
+    for bad in (True, 3.0):
+        with pytest.raises(ValueError, match="dimension"):
+            bb.ModelParams(bad, 1.0, 3.0)
+        with pytest.raises(ValueError, match="dimension"):
+            bb.green_values(bad, -1.0)
+        with pytest.raises(ValueError, match="dimension"):
+            bb.build_hamiltonian(bad, 2, 1.0, 3.0)

@@ -294,6 +294,40 @@ def test_vanishing_orders():
     assert threshold_state(3, "free-resolvent").vanishing_order() == 0
     assert threshold_state(2, "cos-difference").vanishing_order() == 2
     assert threshold_state(2, "sine").vanishing_order() == 1
+    # every formula fixes its order, shown in the shape each family's
+    # builder gives it: w = (1, 1, ..., 1) for delta_r, e_1 - e_2 for
+    # delta_c and e_1 for delta_s; the z = 0 versions carry the orders of
+    # the z < 0 ones
+    assert states.FORMULAS == ("e1", "e11", "e2", "eigen-Sin", "z0", "z1", "z2", "sake")
+    params = bb.ModelParams(3, 2.0, 1.0)
+    shapes = {0: ("even", [1.0, 1.0, 1.0, 1.0]), 1: ("odd", [1.0, 0.0, 0.0]),
+              2: ("even", [0.0, 1.0, -1.0, 0.0])}
+    orders = {"e1": 0, "e11": 0, "e2": 2, "eigen-Sin": 1,
+              "z0": 0, "z1": 0, "z2": 2, "sake": 1}
+    for formula, m in orders.items():
+        sector, w = shapes[m]
+        z = 0.0 if formula in ("z0", "z1", "z2", "sake") else -0.5
+        assert bb.EigenState(params, sector, z, w, formula).vanishing_order() == m
+    # the degenerate rays are still refused, exactly
+    with pytest.raises(ValueError, match="zero coefficient vector"):
+        bb.EigenState(params, "odd", 0.0, np.zeros(3), "sake").vanishing_order()
+    with pytest.raises(ValueError, match="identically zero"):
+        bb.EigenState(params, "even", 0.0, np.zeros(4), "z0").vanishing_order()
+    with pytest.raises(ValueError, match="identically zero"):
+        bb.EigenState(bb.ModelParams(3, 0.0, 0.0), "even", 0.0, np.ones(4),
+                      "z1").vanishing_order()
+
+
+def test_a_formula_of_the_other_sector_is_rejected():
+    params = bb.ModelParams(3, 2.0, 1.0)
+    with pytest.raises(ValueError, match="sector"):
+        bb.EigenState(params, "even", 0.0, np.ones(4), "sake")
+    with pytest.raises(ValueError, match="sector"):
+        bb.EigenState(params, "odd", 0.0, np.ones(3), "z2")
+    with pytest.raises(ValueError, match="sector"):
+        bb.EigenState(params, "odd", -0.5, np.ones(3), "e1")
+    with pytest.raises(ValueError, match="unknown formula"):
+        bb.EigenState(params, "even", 0.0, np.ones(4), "z3")
 
 
 def test_probe_chain_super_threshold():
@@ -333,3 +367,21 @@ def test_probe_3d_free_resolvent():
     assert inc[-1] > 1.5 * inc[-2] > 0.0  # ~doubles per halving
     l1 = integrability_probe(state, 1.0, exponents=range(3, 9), angular=128)
     assert probe_verdict(l1) == "bounded"
+
+
+def test_probe_reads_a_resonance_where_the_terms_of_phi0_cancel():
+    # Gamma_r at n = 3, lam ~ 1e12: phi(0) = mu = 3 while the terms of phi
+    # are ~1e12, so f ~ 6/|p|^2 only for |p| below ~2^-19; the probe of the
+    # ball |p| < 2^-16 sees it, without the formula: L1 holds, L2 fails
+    params = bb.ModelParams(3, 999911107323.2065, 3.0000000000030003)
+    (entry,) = bb.threshold_report(params).entries
+    state = entry.states[0]
+    kw = dict(exponents=range(17, 25), angular=64, r0=2.0 ** -16)
+    l2 = integrability_probe(state, 2.0, **kw)
+    assert probe_verdict(l2) == "divergent"
+    inc = np.diff(l2)
+    assert np.all(inc[-3:] > 1.9 * inc[-4:-1])   # ~doubles per halving
+    l1 = integrability_probe(state, 1.0, **kw)
+    assert probe_verdict(l1) == "bounded"
+    inc = np.diff(l1)
+    assert np.all(inc[-3:] < 0.6 * inc[-4:-1])   # ~halves per halving
