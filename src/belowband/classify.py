@@ -396,8 +396,9 @@ def _scan_table(n: int) -> GreenValues:
     ``spectral_constants``: requests that locate no root do not pay for
     the ladder.  One ``green_values`` call evaluates all 81 points, each
     bit for bit as a call at its z alone: for n <= 8 it reads the
-    engine's committed sums (``green._ladder``), for larger n it sums
-    them one z at a time.
+    committed values (``green._ladder``), which at 2 <= n <= 8 and
+    u >= -8 are the Green table's and elsewhere the engine's sums; for
+    larger n it sums them one z at a time.
     """
     return green_values(n, _LADDER_Z)
 
@@ -452,8 +453,9 @@ def _polish(params: ModelParams, origin: str, z_a: float, f_a: float,
 
     Every probe away from the ends is one call of this module's
     ``green_values`` at the float z, whose ``GreenValues`` ``_factor``
-    reads: a warm probe costs one Laplace sum, or one edge record, and a
-    few dictionary operations.
+    reads: a warm probe costs one piece of the Green table (2 <= n <= 8,
+    u >= -8), one Laplace sum or one edge record, and a few dictionary
+    operations.
     """
     n, ends, probed = params.n, {0.0: f_a, w: f_w}, {}
 

@@ -5,13 +5,24 @@ integrals of ``g(p)/(E(p) - z)`` with g = 1, cos p_1, cos^2 p_1,
 cos p_1 cos p_2 and sin^2 p_1, conventionally named a, b, c, d, s.  This
 module wraps the Laplace-Bessel engine into a typed interface, tracks
 which integrals are finite at the band edge z = 0, and provides the exact
-algebraic closed forms at n = 1.  Two tables of the engine's own sums
-are committed for n <= 8: the z = 0 values (``_BAND_EDGE``) and the
-values at the 81 points of the root-location ladder (``ladder.f64``, read
-one n at a time); larger n and every other z take them from the engine.
-``tests/make_tables.py`` rewrites both from fresh engine sums.  Past the
-engine's reach (u = ln(-z) about -111 to -109, and from -45 at n = 2) an
-edge record serves every z down to the smallest subnormal: the closed
+algebraic closed forms at n = 1.  Three tables are committed for
+n <= 8:
+
+- the z = 0 values, the engine's own sums (``_BAND_EDGE``);
+- at 2 <= n <= 8 and u = ln(-z) from -8 to 40 ln 2, a piecewise Chebyshev
+  series in u fitted to the engine's sums (``table.f64``), within 8 eps
+  of them; it serves every float z there, brentq's probes included, and
+  the engine never sums such a z;
+- the values at the 81 points of the root-location ladder
+  (``ladder.f64``), each bit for bit the scalar ``green_values`` call.
+
+The two files are read one n at a time, on first use.  n = 1, n > 8 and
+every z outside the table's range (nearer the edge than u = -8 included,
+where a root's conditioning would magnify the table's few eps) take the
+Laplace engine.  ``tests/make_tables.py`` rewrites the three from fresh
+engine sums.  Past the engine's reach (u = ln(-z) about -111 to -109,
+and from -45 at n = 2) an edge record serves every z down to the
+smallest subnormal: the closed
 forms at n = 1, the edge form of a (K(m) as m -> 1) with the z = 0
 values of c - d and s at n = 2, and the z = 0 values at n >= 3, each
 within a few eps of the engine.
@@ -21,12 +32,13 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import QuadratureError, _z_near, integral_names, laplace_integrals
+from .quadrature import _NAMES, QuadratureError, _z_near, integral_names, laplace_integrals
 from .reduction import _is_int
 
 __all__ = [
@@ -142,7 +154,10 @@ def _pack(n: int, z, raw: dict) -> GreenValues:
                 raise QuadratureError(
                     f"integral {name}={v[i]} at n={n}, z={np.ravel(z)[i]} "
                     "violates positivity; quadrature failed")
-    return GreenValues(n, z, a, b, c, get("d"), s, cd)
+    # the record GreenValues(...) builds, without its eight frozen setattrs
+    g = object.__new__(GreenValues)
+    g.__dict__.update(n=n, z=z, a=a, b=b, c=c, d=get("d"), s=s, cd=cd)
+    return g
 
 
 # Nearer the edge than _switch(n) the integrals equal their edge forms to
@@ -186,9 +201,11 @@ _BAND_EDGE = {
 _LADDER = tuple(k * math.log(2.0) for k in range(40, -41, -1))
 _LADDER_Z = np.array([-math.exp(u) for u in _LADDER])
 
-# The finite integrals at _LADDER_Z for n = 1.._LADDER_N: the engine's own
-# sums as little-endian float64, n after n, each n's rows (a, b, c, s at
-# n = 1; a, b, c, d, s, cd above) of 81 values in ladder order.
+# The finite integrals at _LADDER_Z for n = 1.._LADDER_N, each the scalar
+# green_values call at its z (the table's values in its range, else the
+# engine's sums), as little-endian float64, n after n, each n's rows
+# (a, b, c, s at n = 1; a, b, c, d, s, cd above) of 81 values in ladder
+# order.
 _LADDER_FILE = os.path.join(os.path.dirname(__file__), "ladder.f64")
 _LADDER_N = 8
 
@@ -212,6 +229,59 @@ def _ladder(n: int) -> dict[str, np.ndarray]:
             f"the ladder table {_LADDER_FILE} holds {os.path.getsize(_LADDER_FILE)} "
             f"bytes, expected {_LADDER_BYTES}; rewrite it with tests/make_tables.py")
     return dict(zip(names, rows.reshape(len(names), size)))
+
+
+# The Green table of 2 <= n <= _LADDER_N, from u = ln(-z) = _TABLE_EDGES[0]
+# to the ladder's top 40 ln 2: on each piece [lo, hi] of _TABLE_EDGES,
+# _TABLE_TERMS coefficients of T_k(x), x = (u - mid)/half, for each of a,
+# c, s and c - d times (n - z), b times (n - z)^2 and d times (n - z)^3,
+# which stay O(1) out to z = -2^40.  The file holds them as little-endian
+# float64, n after n, piece after piece, one row per integral in the order
+# of integral_names.  Edges and term count are measured: each value is
+# within 8 eps of the engine's sum (6.5 eps over 3000 seeded u per n), the
+# engine's own rounding noise.
+_TABLE_EDGES = (-8.0, -3.0, 0.0, 2.5, 5.0, 9.0, 17.0, _LADDER[0])
+_TABLE_TERMS = 24
+_TABLE_PIECES = tuple((0.5 * (lo + hi), 0.5 * (hi - lo))
+                      for lo, hi in zip(_TABLE_EDGES, _TABLE_EDGES[1:]))
+_TABLE_FILE = os.path.join(os.path.dirname(__file__), "table.f64")
+_TABLE_FAR, _TABLE_NEAR = float(_LADDER_Z[0]), -math.exp(_TABLE_EDGES[0])
+
+
+@lru_cache(maxsize=None)
+def _pieces(n: int) -> list[np.ndarray]:
+    """The committed coefficient blocks of n, one rows x terms array per
+    piece, from one read of that n's part of the table."""
+    size = len(_TABLE_PIECES) * len(_NAMES) * _TABLE_TERMS
+    block = np.fromfile(_TABLE_FILE, dtype="<f8", count=size, offset=8 * size * (n - 2))
+    if block.size != size:
+        raise OSError(
+            f"the Green table {_TABLE_FILE} holds {os.path.getsize(_TABLE_FILE)} "
+            f"bytes, expected {8 * size * (_LADDER_N - 1)}; rewrite it with "
+            "tests/make_tables.py")
+    return list(block.reshape(len(_TABLE_PIECES), len(_NAMES), _TABLE_TERMS))
+
+
+def _table(n: int, z: float) -> dict[str, float]:
+    """The integrals at _TABLE_FAR <= z <= _TABLE_NEAR for 2 <= n <= 8:
+    T_0..T_{terms-1} at u = ln(-z) by the three-term recurrence, one
+    product with the coefficient block of u's piece, then each scaled
+    value divided by its power of n - z.  The 6 x 24 matrix-vector
+    product is far below the size at which OpenBLAS threads, so the
+    values do not depend on the BLAS thread count."""
+    u = math.log(-z)
+    i = bisect_right(_TABLE_EDGES, u, 1, len(_TABLE_PIECES)) - 1
+    mid, half = _TABLE_PIECES[i]
+    x = (u - mid) / half
+    x2, t0, t1 = x + x, 1.0, x
+    terms = [t0, t1]
+    for _ in range(_TABLE_TERMS - 2):
+        t0, t1 = t1, x2 * t1 - t0
+        terms.append(t1)
+    a, b, c, d, s, cd = _pieces(n)[i].dot(np.array(terms)).tolist()
+    w = n - z
+    w2 = w * w
+    return {"a": a / w, "b": b / w2, "c": c / w, "d": d / (w2 * w), "s": s / w, "cd": cd / w}
 
 
 @lru_cache(maxsize=None)
@@ -239,7 +309,8 @@ def _edge(n: int, z: float) -> dict[str, float]:
 
 
 def _evaluate(n: int, z) -> GreenValues:
-    """The integrals at z <= 0: at z = 0 from ``_threshold``, at
+    """The integrals at z <= 0: at z = 0 from ``_threshold``, in the
+    Green table's range of 2 <= n <= 8 from ``_table``, at
     _switch(n) < z < 0 from ``_edge``, else from the Laplace engine; at an
     array of z, the ladder of n <= 8 from ``_ladder`` and any other
     array as one ``green_values`` call per entry."""
@@ -253,7 +324,9 @@ def _evaluate(n: int, z) -> GreenValues:
         each = [green_values(n, x) for x in z.tolist()]
         return _pack(n, z, {k: np.array([getattr(g, k) for g in each])
                             for k in integral_names(n)})
-    if _switch(n) < z < 0.0:
+    if 1 < n <= _LADDER_N and _TABLE_FAR <= z <= _TABLE_NEAR:
+        raw = _table(n, z)
+    elif _switch(n) < z < 0.0:
         raw = _edge(n, z)
     else:
         raw = _threshold(n) if z == 0.0 else laplace_integrals(n, z)
@@ -264,9 +337,14 @@ def green_values(n: int, z) -> GreenValues:
     """Evaluate a, b, c, d, s and c-d at a point z < 0 below the band.
 
     Relative accuracy is 1e-10 for z <= -1e-3 and 1e-8 nearer the band
-    edge.  Past the engine's reach (u = ln(-z) about -111 to -109, and -45
-    at n = 2) the values are edge records, within a few eps of the engine,
-    down to the smallest subnormal.
+    edge.  Each (n, z) has one source:
+
+    - 2 <= n <= 8 and u = ln(-z) in [-8, 40 ln 2]: the committed Green
+      table in u (``table.f64``), within 8 eps of the engine's sums;
+    - n = 1, n > 8 and every other z down to the engine's reach: the
+      Laplace engine;
+    - past that reach (u about -111 to -109, and -45 at n = 2), down to
+      the smallest subnormal: edge records, within a few eps of the engine.
 
     ``z`` may be a 1-D array; the fields are then arrays over it, each
     entry bit for bit the value at its z alone, and an entry that is not
@@ -275,11 +353,13 @@ def green_values(n: int, z) -> GreenValues:
     (``ladder.f64``), so no Laplace sum runs there; any other array is
     evaluated one entry at a time.
 
-    A float z, as brentq's probes pass it, takes one Laplace column or one
-    edge record: a warm call costs that column's exponentials and row sums
-    plus a few dictionary and attribute operations, with the positivity
-    of each value checked inline.  Other inputs (numpy scalars, integers,
-    arrays) are validated and converted first.
+    A float z, as brentq's probes pass it, takes one table piece, one
+    Laplace column or one edge record: a piece costs a recurrence of 24
+    terms and one product with its coefficient block, a warm column its
+    exponentials and row sums, each plus a few dictionary and attribute
+    operations, with the positivity of each value checked inline.  Other
+    inputs (numpy scalars, integers, arrays) are validated and converted
+    first.
     """
     if isinstance(z, float) or np.ndim(z) == 0:
         if not z < 0.0:

@@ -30,11 +30,12 @@ do not depend on the calls that built them.  Each row, of at most
 ``_CHUNK`` nodes, is summed by one BLAS ddot, all rows in one batched
 product of vectors, so a value is bit-identical whatever ran before and
 whatever the BLAS thread count, and concurrent calls are safe.  For
-n <= 8 the band-edge values and the values at the 81 points of the
-root-location ladder are committed in :mod:`belowband.green`
-(``tests/make_tables.py`` rewrites both from this engine, one z per
-call), so a fresh process builds only the panels that brentq's probes
-need; larger n, and every other z, are summed here.
+n <= 8 the band-edge values, the values at the 81 points of the
+root-location ladder and, at 2 <= n <= 8 and u = ln(-z) from -8 to
+40 ln 2, a piecewise Chebyshev table in u are committed in
+:mod:`belowband.green` (``tests/make_tables.py`` rewrites them from this
+engine, one z per call), so brentq's probes there sum nothing; n = 1,
+larger n, and every other z, are summed here.
 """
 
 from __future__ import annotations

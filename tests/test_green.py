@@ -1,5 +1,6 @@
 """Green's-function integrals: oracles, identities, monotonicity, engines."""
 
+import dataclasses
 import json
 import math
 import os
@@ -14,6 +15,7 @@ from unittest import mock
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import belowband as bb
 from belowband import classify, green, quadrature
@@ -177,25 +179,104 @@ def test_band_edge_table_is_the_engines_own_sums():
 
 
 def test_ladder_table_is_the_engines_own_sums(monkeypatch):
-    # the committed ladder values of n <= 8 against fresh engine sums, one
-    # call per z, every field bit for bit; from n = 9 on the ladder is one
-    # Laplace call per point
+    # the committed ladder values of n <= 8 against scalar green_values
+    # calls, every field bit for bit, and against fresh engine sums one
+    # call per z wherever the Green table does not serve; from n = 9 on the
+    # ladder is one Laplace call per point
     monkeypatch.setattr(quadrature, "_HEADS", {})
     monkeypatch.setattr(quadrature, "_PANELS", {})
     assert os.path.getsize(green._LADDER_FILE) == green._LADDER_BYTES == 29808
     with mock.patch.object(green, "laplace_integrals",
                            wraps=green.laplace_integrals) as laplace:
         for n in range(1, 10):
-            committed = bb.green_values(n, green._LADDER_Z)
+            bb.green_values(n, green._LADDER_Z)
             assert laplace.call_count == (81 if n == 9 else 0), n
-            engine = [quadrature.laplace_integrals(n, z) for z in green._LADDER_Z.tolist()]
-            for name in ("a", "b", "c", "d", "s", "cd"):
-                got = getattr(committed, name)
-                if n == 1 and name in ("d", "cd"):
-                    assert got is None
-                    continue
-                assert got.tobytes() == np.array([e[name] for e in engine]).tobytes(), (
-                    n, name, "rewrite the tables with tests/make_tables.py")
+            laplace.reset_mock()
+    for n in range(1, 10):
+        committed = bb.green_values(n, green._LADDER_Z)
+        zs = green._LADDER_Z.tolist()
+        scalar = [bb.green_values(n, z) for z in zs]
+        engine = [None if 1 < n <= 8 and green._TABLE_FAR <= z <= green._TABLE_NEAR
+                  else quadrature.laplace_integrals(n, z) for z in zs]
+        assert sum(e is None for e in engine) == (52 if 1 < n <= 8 else 0), n
+        for name in ("a", "b", "c", "d", "s", "cd"):
+            got = getattr(committed, name)
+            if n == 1 and name in ("d", "cd"):
+                assert got is None
+                continue
+            assert got.tobytes() == np.array([getattr(g, name) for g in scalar]).tobytes(), (
+                n, name, "rewrite the tables with tests/make_tables.py")
+            assert [v for v, e in zip(got.tolist(), engine) if e] == [
+                e[name] for e in engine if e], (n, name)
+
+
+def _at_every_piece_edge(test):
+    """``test`` with an explicit example at every n = 2..8 and every u on
+    either side of each piece edge, the range's two ends included."""
+    us = {u for e in green._TABLE_EDGES for u in (
+        math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf), e - 1e-9, e + 1e-9)}
+    for n in range(2, 9):
+        for u in sorted(us):
+            if green._TABLE_EDGES[0] <= u <= green._TABLE_EDGES[-1]:
+                test = example(n=n, u=u)(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 8), u=st.floats(green._TABLE_EDGES[0], green._TABLE_EDGES[-1]))
+@_at_every_piece_edge
+def test_the_green_table_is_within_8_eps_of_fresh_engine_sums(n, u):
+    # every field of the table, at random u in its range and on both sides
+    # of each piece edge, against the engine's sum at the same z.  Over
+    # 3000 seeded u per n the largest relative gap read 6.5 eps (d at
+    # n = 2): the fit sits at the engine's own rounding noise
+    z = -math.exp(u)
+    z = min(max(z, green._TABLE_FAR), green._TABLE_NEAR)   # exp may round past an end
+    table, engine = bb.green_values(n, z), laplace_integrals(n, z)
+    for name, value in engine.items():
+        assert abs(getattr(table, name) / value - 1.0) <= 8 * EPS, (n, u, name)
+
+
+def test_the_green_table_serves_exactly_its_range():
+    # one ulp past either end of the table, and at n = 1 and n = 9 inside
+    # it, each green_values call is one Laplace call; the ends themselves
+    # take none
+    inside = [green._TABLE_FAR, green._TABLE_NEAR, -1.0]
+    outside = [math.nextafter(green._TABLE_FAR, -math.inf),
+               math.nextafter(green._TABLE_NEAR, 0.0)]
+    for n in range(1, 10):
+        for z in inside + outside:
+            with mock.patch.object(green, "laplace_integrals",
+                                   wraps=green.laplace_integrals) as laplace:
+                bb.green_values(n, z)
+            served = 1 < n <= 8 and z in inside
+            assert laplace.call_count == (0 if served else 1), (n, z)
+
+
+def test_a_packed_record_is_a_green_values_record():
+    # _pack builds its record without GreenValues.__init__; it compares,
+    # hashes, prints and refuses assignment as the constructor's does
+    for n, z in ((1, -0.75), (3, -0.75), (3, -1e9), (9, -0.75)):
+        g = bb.green_values(n, z)
+        built = green.GreenValues(g.n, g.z, g.a, g.b, g.c, g.d, g.s, g.cd)
+        assert type(g) is green.GreenValues
+        assert g == built and hash(g) == hash(built) and repr(g) == repr(built)
+        assert vars(g) == vars(built)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.a = 1.0
+        assert dataclasses.replace(g) == g
+
+
+def test_a_short_green_table_names_the_file(monkeypatch, tmp_path):
+    # a table cut by one value still serves n = 7, and n = 8 names the file
+    short = tmp_path / "table.f64"
+    short.write_bytes(pathlib.Path(green._TABLE_FILE).read_bytes()[:-8])
+    monkeypatch.setattr(green, "_TABLE_FILE", str(short))
+    monkeypatch.setattr(green, "_pieces", lru_cache(maxsize=None)(green._pieces.__wrapped__))
+    assert bb.green_values(7, -1.0).a > 0.0
+    with pytest.raises(OSError, match=f"{re.escape(str(short))} holds 56440 bytes, "
+                                      "expected 56448"):
+        bb.green_values(8, -1.0)
 
 
 def test_a_short_ladder_table_names_the_file(monkeypatch, tmp_path):
@@ -224,7 +305,8 @@ for n in range(1, 10):
     out[n] = {"code": code, "edge": sum(bool(np.any(z == 0.0)) for z in zs),
               "arrays": sum(np.ndim(z) > 0 for z in zs),
               "ladder": sum(z in green._LADDER_Z.tolist() for z in zs),
-              "tail": quadrature._tail.cache_info().currsize}
+              "tail": quadrature._tail.cache_info().currsize,
+              "calls": len(zs), "panels": n in quadrature._PANELS}
 print(json.dumps(out))
 """
 
@@ -233,13 +315,20 @@ def test_a_fresh_summarize_sums_no_band_edge_and_no_ladder():
     # each n locates one delta_r root, and every Laplace call is at one z;
     # below n = 9 the band-edge constants and the ladder are committed, so
     # no call is at z = 0 or at a ladder point, and no tail is summed; at
+    # n = 2..8 the root lies in the Green table's range, so no Laplace call
+    # and no Bessel pass runs at all; n = 1 sums brentq's probes, and at
     # n = 9 the ladder is one call per point
     doc = json.loads(subprocess.run([sys.executable, "-c", _FRESH_SUMMARIZE],
                                     check=True, capture_output=True, text=True).stdout)
-    for n in range(1, 9):
+    for n in range(2, 9):
         assert doc[str(n)] == {"code": 0, "edge": 0, "arrays": 0, "ladder": 0,
-                               "tail": 0}, n
-    assert doc["9"] == {"code": 0, "edge": 1, "arrays": 0, "ladder": 81, "tail": 1}
+                               "tail": 0, "calls": 0, "panels": False}, n
+    assert doc["1"].pop("calls") > 0
+    assert doc["1"] == {"code": 0, "edge": 0, "arrays": 0, "ladder": 0, "tail": 0,
+                        "panels": True}
+    assert doc["9"].pop("calls") > 81
+    assert doc["9"] == {"code": 0, "edge": 1, "arrays": 0, "ladder": 81, "tail": 1,
+                        "panels": True}
 
 
 def test_an_array_of_z_equals_its_entries_past_the_engines_reach():
@@ -399,6 +488,9 @@ def test_divergent_requests_are_flagged_not_numbers():
 
 
 _ZS = np.array([-1.0, -2.0, -3.0, -4.0])
+# the two sources of a float z's record there: the Green table at n = 3 and
+# the Laplace engine at n = 9
+_SOURCES = ((3, "_table"), (9, "laplace_integrals"))
 
 
 @pytest.mark.parametrize("name, row, first", [
@@ -409,34 +501,37 @@ _ZS = np.array([-1.0, -2.0, -3.0, -4.0])
 def test_a_sum_that_is_not_positive_is_named_with_its_z(name, row, first):
     # a, b, c, s and c - d are positive on z <= 0: a sum that is not (zero,
     # negative or NaN) raises, naming the integral and, at an array of z,
-    # its first offender; a float z is checked as the same record
-    def engine(n, z):
-        good = dict(laplace_integrals(n, z))
-        good[name] = row[_ZS.tolist().index(z)] if isinstance(z, float) else np.array(row)
-        return good
-    with mock.patch.object(green, "laplace_integrals", engine):
-        for z in _ZS.tolist():
-            value = row[_ZS.tolist().index(z)]
-            if value > 0.0:
-                assert getattr(bb.green_values(3, z), name) == value
-                continue
+    # its first offender; a float z is checked as the same record, from
+    # either source
+    for n, source in _SOURCES:
+        def record(n, z, true=getattr(green, source)):
+            return dict(true(n, z), **{name: row[_ZS.tolist().index(z)]})
+        with mock.patch.object(green, source, record):
+            for z in _ZS.tolist():
+                value = row[_ZS.tolist().index(z)]
+                if value > 0.0:
+                    assert getattr(bb.green_values(n, z), name) == value
+                    continue
+                with pytest.raises(QuadratureError,
+                                   match=re.escape(f"integral {name}={value} at n={n}, "
+                                                   f"z={z} violates positivity")):
+                    bb.green_values(n, z)
             with pytest.raises(QuadratureError,
-                               match=re.escape(f"integral {name}={value} at n=3, z={z} "
-                                               "violates positivity")):
-                bb.green_values(3, z)
-        with pytest.raises(QuadratureError,
-                           match=re.escape(f"integral {name}={row[first]} at n=3, "
-                                           f"z={_ZS[first]} violates positivity")):
-            bb.green_values(3, _ZS)
+                               match=re.escape(f"integral {name}={row[first]} at n={n}, "
+                                               f"z={_ZS[first]} violates positivity")):
+                bb.green_values(n, _ZS)
 
 
 def test_the_first_integral_in_order_is_named():
-    # a before s: with both not positive the message names a
-    def engine(n, z):
-        return dict(laplace_integrals(n, z), a=-1.0, s=-2.0)
-    with mock.patch.object(green, "laplace_integrals", engine):
-        with pytest.raises(QuadratureError, match=r"integral a=-1\.0 at n=3, z=-0\.5 "):
-            bb.green_values(3, -0.5)
+    # a before s: with both not positive the message names a, from either
+    # source
+    for n, source in _SOURCES:
+        def record(n, z, true=getattr(green, source)):
+            return dict(true(n, z), a=-1.0, s=-2.0)
+        with mock.patch.object(green, source, record):
+            with pytest.raises(QuadratureError,
+                               match=rf"integral a=-1\.0 at n={n}, z=-0\.5 "):
+                bb.green_values(n, -0.5)
 
 
 # ---------------------------------------------------------------------------
