@@ -21,7 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .green import _LADDER, _LADDER_Z, GreenValues, green_threshold, green_values
+from .green import (_LADDER, _LADDER_N, _LADDER_Z, _TABLE_FAR, _TABLE_NEAR, GreenValues,
+                    _pack, _scaled, _unscale, green_threshold, green_values)
 from .quadrature import _Z_MAX
 from .reduction import ModelParams, hyperbola_limit
 from .states import (
@@ -364,9 +365,11 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _FOUR_EPS,
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
-def _factor(params: ModelParams, origin: str, g: GreenValues,
+def _factor(params: ModelParams, origin: str, z, a, b, cd, s,
             offset: float | None = None) -> float | np.ndarray:
-    """The function of g.z whose zeros are those of ``origin``.
+    """The function of z whose zeros are those of ``origin``, from the
+    Green values at z that it reads: a and b for delta_r, cd = c - d for
+    delta_c, s for delta_s (the others may be None).
 
     delta_r = b H_z with b > 0, and H_z = (lam - a/b)(mu - (n - z)) - n is
     much better conditioned near the band edge; ``offset`` stands for
@@ -376,9 +379,14 @@ def _factor(params: ModelParams, origin: str, g: GreenValues,
     bit for bit the scalar one.
     """
     if origin == "delta_r":
-        t = params.mu - (params.n - g.z) if offset is None else offset
-        return (params.lam - g.a / g.b) * t - params.n
-    return params.lam * (g.cd if origin == "delta_c" else g.s) - 1.0
+        t = params.mu - (params.n - z) if offset is None else offset
+        return (params.lam - a / b) * t - params.n
+    return params.lam * (cd if origin == "delta_c" else s) - 1.0
+
+
+def _factor_at(params: ModelParams, origin: str, g: GreenValues) -> float | np.ndarray:
+    """``_factor`` at g.z from the record g."""
+    return _factor(params, origin, g.z, g.a, g.b, g.cd, g.s)
 
 
 def _walk(u: float, limit: float):
@@ -451,21 +459,38 @@ def _polish(params: ModelParams, origin: str, z_a: float, f_a: float,
     the Green values brentq evaluated at exactly that z, or None for them
     when the zero is an end of the bracket, which takes its scanned value.
 
-    Every probe away from the ends is one call of this module's
-    ``green_values`` at the float z, whose ``GreenValues`` ``_factor``
-    reads: a warm probe costs one piece of the Green table (2 <= n <= 8,
-    u >= -8), one Laplace sum or one edge record, and a few dictionary
-    operations.
+    A probe in the Green table's range (2 <= n <= 8, u >= -8) builds no
+    record: it reads the scaled rows of ``green._scaled`` once, unscales
+    a, b, c, s and c - d by the divisions of ``green._unscale``, checks
+    those five for positivity as ``green._pack`` does (raising its
+    QuadratureError on a failure) and passes the factor the values it
+    reads.  Every other probe (n = 1, n > 8, u < -8) is one call of this
+    module's ``green_values`` at the float z: one Laplace sum or one edge
+    record.  The one record returned for a table root is unpacked from
+    its rows, so it is bit for bit ``green_values(n, z)``.
     """
     n, ends, probed = params.n, {0.0: f_a, w: f_w}, {}
+    table = 1 < n <= _LADDER_N
 
     def h(v):
         if v in ends:
             return ends[v]
-        g = probed[v] = green_values(n, z_a * math.exp(v))
-        return _factor(params, origin, g, z_a * math.expm1(v) if split else None)
+        z = z_a * math.exp(v)
+        offset = z_a * math.expm1(v) if split else None
+        if table and _TABLE_FAR <= z <= _TABLE_NEAR:
+            rows = probed[v] = _scaled(n, math.log(-z))
+            t = n - z
+            a, b, c, s, cd = rows[0] / t, rows[1] / (t * t), rows[2] / t, rows[4] / t, rows[5] / t
+            if not (a > 0.0 and b > 0.0 and c > 0.0 and s > 0.0 and cd > 0.0):
+                _pack(n, z, _unscale(n, z, rows))   # raises, naming the first
+            return _factor(params, origin, z, a, b, cd, s, offset)
+        g = probed[v] = green_values(n, z)
+        return _factor(params, origin, z, g.a, g.b, g.cd, g.s, offset)
     v = float(brentq(h, 0.0, w, **_BRENTQ_KW))
-    return z_a * math.exp(v), probed.get(v)
+    z, g = z_a * math.exp(v), probed.get(v)
+    if type(g) is list:
+        g = _pack(n, z, _unscale(n, z, g))
+    return z, g
 
 
 def _roots(params: ModelParams, origin: str,
@@ -491,7 +516,7 @@ def _roots(params: ModelParams, origin: str,
     us, u_split, z0 = _LADDER_U, None, None
     # products overflow and turn NaN as Python floats do
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _factor(params, origin, _scan_table(n))
+        values = _factor_at(params, origin, _scan_table(n))
         if expected == 2:
             # -n itself: H evaluated at -exp(u_split), off by |u| eps in z, can be
             # positive once lam mu is large; mu - n >= ulp(n) keeps u_split > _U_NEAR
@@ -511,8 +536,8 @@ def _roots(params: ModelParams, origin: str,
             far = 1.0
             near = hyperbola_limit(n, params.lam, params.mu, consts.x_asymptote)
         else:
-            far, near = -1.0, _factor(params, origin, consts.greens0)
-        f = lambda u: _factor(params, origin, green_values(n, -math.exp(u)))
+            far, near = -1.0, _factor_at(params, origin, consts.greens0)
+        f = lambda u: _factor_at(params, origin, green_values(n, -math.exp(u)))
         first, last = float(values[0]), float(values[-1])
         if first * far < 0.0:
             brackets.append(_step_past(f, float(us[0]), first, _U_FAR, far_failure))

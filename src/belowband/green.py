@@ -11,8 +11,12 @@ n <= 8:
 - the z = 0 values, the engine's own sums (``_BAND_EDGE``);
 - at 2 <= n <= 8 and u = ln(-z) from -8 to 40 ln 2, a piecewise Chebyshev
   series in u fitted to the engine's sums (``table.f64``), within 8 eps
-  of them; it serves every float z there, brentq's probes included, and
-  the engine never sums such a z;
+  of them; it serves every float z there, and the engine never sums such
+  a z.  brentq's probes there read its scaled rows (``_scaled``) and
+  unscale the five values that positivity is checked on, by the
+  divisions of ``_unscale``, so they build no ``GreenValues`` record; the
+  one record of a root is ``_unscale`` of those rows, as
+  ``green_values`` builds it;
 - the values at the 81 points of the root-location ladder
   (``ladder.f64``), each bit for bit the scalar ``green_values`` call.
 
@@ -262,14 +266,13 @@ def _pieces(n: int) -> list[np.ndarray]:
     return list(block.reshape(len(_TABLE_PIECES), len(_NAMES), _TABLE_TERMS))
 
 
-def _table(n: int, z: float) -> dict[str, float]:
-    """The integrals at _TABLE_FAR <= z <= _TABLE_NEAR for 2 <= n <= 8:
-    T_0..T_{terms-1} at u = ln(-z) by the three-term recurrence, one
-    product with the coefficient block of u's piece, then each scaled
-    value divided by its power of n - z.  The 6 x 24 matrix-vector
+def _scaled(n: int, u: float) -> list[float]:
+    """The scaled rows a, b, c, d, s, c - d (times their powers of n - z)
+    at u = ln(-z) in the Green table's range of 2 <= n <= 8:
+    T_0..T_{terms-1} at u by the three-term recurrence and one product
+    with the coefficient block of u's piece.  The 6 x 24 matrix-vector
     product is far below the size at which OpenBLAS threads, so the
     values do not depend on the BLAS thread count."""
-    u = math.log(-z)
     i = bisect_right(_TABLE_EDGES, u, 1, len(_TABLE_PIECES)) - 1
     mid, half = _TABLE_PIECES[i]
     x = (u - mid) / half
@@ -278,10 +281,24 @@ def _table(n: int, z: float) -> dict[str, float]:
     for _ in range(_TABLE_TERMS - 2):
         t0, t1 = t1, x2 * t1 - t0
         terms.append(t1)
-    a, b, c, d, s, cd = _pieces(n)[i].dot(np.array(terms)).tolist()
+    return _pieces(n)[i].dot(np.array(terms)).tolist()
+
+
+def _unscale(n: int, z: float, rows: list[float]) -> dict[str, float]:
+    """The integrals at z from the scaled rows of ``_scaled``: each
+    divided by its power of n - z."""
+    a, b, c, d, s, cd = rows
     w = n - z
     w2 = w * w
     return {"a": a / w, "b": b / w2, "c": c / w, "d": d / (w2 * w), "s": s / w, "cd": cd / w}
+
+
+def _table(n: int, z: float) -> dict[str, float]:
+    """The integrals at _TABLE_FAR <= z <= _TABLE_NEAR for 2 <= n <= 8,
+    unscaled from ``_scaled`` at u = ln(-z).  brentq's probes there
+    (``classify._polish``) read ``_scaled`` and unscale what they check
+    and read by the same divisions, so this is bit for bit their values."""
+    return _unscale(n, z, _scaled(n, math.log(-z)))
 
 
 @lru_cache(maxsize=None)
@@ -353,13 +370,14 @@ def green_values(n: int, z) -> GreenValues:
     (``ladder.f64``), so no Laplace sum runs there; any other array is
     evaluated one entry at a time.
 
-    A float z, as brentq's probes pass it, takes one table piece, one
-    Laplace column or one edge record: a piece costs a recurrence of 24
-    terms and one product with its coefficient block, a warm column its
-    exponentials and row sums, each plus a few dictionary and attribute
-    operations, with the positivity of each value checked inline.  Other
-    inputs (numpy scalars, integers, arrays) are validated and converted
-    first.
+    A float z takes one table piece, one Laplace column or one edge
+    record: a piece costs a recurrence of 24 terms and one product with
+    its coefficient block, a warm column its exponentials and row sums,
+    each plus a few dictionary and attribute operations, with the
+    positivity of each value checked inline.  brentq's probes in the
+    table's range skip this call and read the piece directly
+    (``classify._polish``).  Other inputs (numpy scalars, integers,
+    arrays) are validated and converted first.
     """
     if isinstance(z, float) or np.ndim(z) == 0:
         if not z < 0.0:

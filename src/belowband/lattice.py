@@ -39,11 +39,11 @@ rounding, and the chain's values below 0 are the block's (Gauss
 quadrature by Lanczos, Golub and Meurant 2010).  Each chain
 is built once per (n, L, origin) and kept in a bounded cache, so a solve
 at a radius already met adds only the couplings, and its values below a
-bound come from the LAPACK bisection stebz.
+bound come from the LAPACK bisection stebz, called directly (`_below`).
 
 `lowest_eigenvalues(ham, theta)` is the one solve: one stebz call per
 block reads its values below theta off its chain, and `compare` makes one
-such call per radius.  The size budget MAX_DIM bounds what a solve
+such solve per radius.  The size budget MAX_DIM bounds what a solve
 builds, the nonnegative grid of n (L+1)^n coordinates that `_structure`
 orbits; the whole box (2L+1)^n, assembled only when
 `TruncatedHamiltonian.matrix` is read, is checked against it on that
@@ -63,7 +63,7 @@ from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg import get_lapack_funcs
 
 from .classify import (DEFAULT_THETA, ORIGINS, REGION_TOL, _multiplicities,
                        negative_eigenvalues)
@@ -90,10 +90,14 @@ _KEPT_BLOCKS = 32
 # conjugate-gradient residual of (Q - theta I) x = b, relative to |b|, at
 # theta = 0 where a chain stops; it is smaller at every theta < 0
 _CHAIN_RTOL = 1e-14
+# LAPACK's bisection for the values of a symmetric tridiagonal matrix in a
+# range, dstebz, bound once
+_STEBZ, = get_lapack_funcs(("stebz",), (np.empty(0),))
 
 
 class SolverError(RuntimeError):
-    """A factor block's Lanczos chain did not converge or lost definiteness."""
+    """A factor block's Lanczos chain did not converge or lost definiteness,
+    or LAPACK's stebz failed on it."""
 
 
 @dataclass(frozen=True)
@@ -190,7 +194,7 @@ def build_hamiltonian(n: int, L: int, lam: float, mu: float) -> TruncatedHamilto
     if not _is_int(L) or L < 1:
         raise ValueError(f"box radius must be an integer >= 1, got {L!r}")
     for name, value in (("lam", lam), ("mu", mu)):
-        if not math.isfinite(value):    # else scipy fails naming no input
+        if not math.isfinite(value):    # _below runs stebz with no such check
             raise ValueError(f"{name} must be finite, got {value!r}")
     n, L = int(n), int(L)
     grid = n * (L + 1) ** n
@@ -298,17 +302,32 @@ def _kept_block(n: int, L: int, origin: str) -> tuple[np.ndarray, ...]:
     return chain
 
 
-def _potential(lam: float, mu: float, level: np.ndarray) -> np.ndarray:
-    """mu on level 0, lam/2 on level 1 and 0 elsewhere."""
-    return np.where(level == 0, mu, np.where(level == 1, lam / 2.0, 0.0))
-
-
 def _below(ham: TruncatedHamiltonian, origin: str, theta: float) -> np.ndarray:
-    """Sorted values of one factor block below theta <= 0, from its chain."""
+    """Sorted values of one factor block below theta <= 0, from its chain.
+
+    The couplings enter the chain's head rows only: mu on delta_r's origin
+    row, lam/2 on the level-1 row.  The values are LAPACK stebz's by
+    bisection, called as scipy's ``eigvalsh_tridiagonal`` with
+    ``select="v"`` calls it, ``select_range=(-inf, nextafter(theta, -inf))``,
+    but without that wrapper's validation: the couplings are finite
+    (``build_hamiltonian``) and so is every chain.  A 1-row chain (n = 1,
+    L = 1, delta_s) takes scipy's 1 x 1 exit, since stebz's wrapper refuses
+    an empty off-diagonal.  A nonzero info from stebz is a SolverError.
+    """
     diag, beta, level = _kept_block(ham.n, ham.L, origin)
-    return eigvalsh_tridiagonal(
-        diag - _potential(ham.lam, ham.mu, level), beta, select="v",
-        select_range=(-np.inf, np.nextafter(theta, -np.inf)))
+    d = diag.copy()
+    one = int(level[0] == 0)    # the level-1 row follows delta_r's origin row
+    if one:
+        d[0] -= ham.mu
+    d[one] -= ham.lam / 2.0
+    vu = math.nextafter(theta, -math.inf)
+    if len(d) == 1:
+        return d if d[0] <= vu else d[:0]
+    m, w, _, _, info = _STEBZ(d, beta, 1, -math.inf, vu, 1, 1, 0.0, "E")
+    if info:
+        raise SolverError(f"LAPACK stebz on the {origin} block at n={ham.n}, "
+                          f"L={ham.L} returned info={info}")
+    return w[:m]
 
 
 def lowest_eigenvalues(ham: TruncatedHamiltonian,
@@ -316,7 +335,8 @@ def lowest_eigenvalues(ham: TruncatedHamiltonian,
     """Every value of the factor blocks below theta <= 0, with multiplicity.
 
     Each block's values below theta are read off its kept chain by one
-    stebz call and merged with the block's multiplicity.  Above 0 a chain's
+    direct call of LAPACK's stebz (``_below``) and merged with the
+    block's multiplicity; a nonzero info from it is a SolverError.  Above 0 a chain's
     values are not the block's, so theta > 0, nan or -inf is a ValueError.
     The solve is direct, so results are reproducible run to run; the
     whole-box matrix is never read.

@@ -19,7 +19,9 @@ threshold classes:
 - numeric integrability probes of threshold states;
 - the finite-lattice oracle's factor blocks assembled dense and solved
   by ``eigh``, for the values at and above 0 that the package's Lanczos
-  chains do not hold;
+  chains do not hold, and each chain's values below theta by scipy's
+  ``eigvalsh_tridiagonal``, the call the package's direct stebz call
+  must equal bit for bit;
 - the eigenstate certificate as the package first wrote it: the even
   matrix filled into ``np.zeros`` by fancy indexing, the moments summed
   term by term through ``GreenValues.require``, and the residual's norms
@@ -38,7 +40,7 @@ from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigvalsh_tridiagonal
 
 from belowband import lattice, quadrature
 from belowband.green import GreenValues, green_threshold, green_values
@@ -463,12 +465,27 @@ def probe_verdict(values) -> str:
 # Dense factor blocks of the finite-lattice oracle
 # ---------------------------------------------------------------------------
 
+def _potential(lam: float, mu: float, level: np.ndarray) -> np.ndarray:
+    """mu on level 0, lam/2 on level 1 and 0 elsewhere."""
+    return np.where(level == 0, mu, np.where(level == 1, lam / 2.0, 0.0))
+
+
 def dense_block(ham: lattice.TruncatedHamiltonian, origin: str) -> np.ndarray:
     """One factor block of ham, couplings included, as a Fortran-ordered array."""
     off, level = lattice._structure(ham.n, ham.L, origin)
     dense = off.toarray(order="F")    # off has no diagonal entry
-    np.fill_diagonal(dense, ham.n - lattice._potential(ham.lam, ham.mu, level))
+    np.fill_diagonal(dense, ham.n - _potential(ham.lam, ham.mu, level))
     return dense
+
+
+def chain_below(ham: lattice.TruncatedHamiltonian, origin: str,
+                theta: float) -> np.ndarray:
+    """The values below theta of one factor block's kept chain, couplings
+    included, by scipy's ``eigvalsh_tridiagonal`` with its validation."""
+    diag, beta, level = lattice._kept_block(ham.n, ham.L, origin)
+    return eigvalsh_tridiagonal(
+        diag - _potential(ham.lam, ham.mu, level), beta, select="v",
+        select_range=(-np.inf, np.nextafter(theta, -np.inf)))
 
 
 def dense_spectrum(ham: lattice.TruncatedHamiltonian,

@@ -71,8 +71,8 @@ def test_criterion_3_determinant_factorization():
                 g = bb.green_values(n, z)
                 direct = float(np.linalg.det(
                     states._even_matrix(params, g) - np.eye(n + 1)))
-                product = g.b * classify._factor(params, "delta_r", g) \
-                    * classify._factor(params, "delta_c", g) ** (n - 1)
+                product = g.b * classify._factor_at(params, "delta_r", g) \
+                    * classify._factor_at(params, "delta_c", g) ** (n - 1)
                 assert abs(direct - product) <= \
                     1e-8 * max(abs(direct), abs(product), 1e-6)
 

@@ -315,10 +315,10 @@ def _check_ladder_table(n, lam, mu):
     greens = _scalar_greens(n)
     scalar = _stacked(n, greens)
     for origin in _ORIGINS if n > 1 else ("delta_r", "delta_s"):
-        expected = _hexes(classify._factor(params, origin, g) for g in greens)
+        expected = _hexes(classify._factor_at(params, origin, g) for g in greens)
         for t in (table, scalar):
             with np.errstate(over="ignore"):
-                got = classify._factor(params, origin, t)
+                got = classify._factor_at(params, origin, t)
             assert _hexes(got) == expected, origin
     located = _located(params)
     with mock.patch.object(classify, "_scan_table", lambda _n: scalar):
@@ -383,7 +383,7 @@ def test_a_split_point_on_the_ladder_takes_its_place(n):
     # H(z0) = -n there, and both delta_r roots are located
     params = bb.ModelParams(n, 1e16, n + 8.0)
     k = classify._LADDER.index(math.log(8.0))
-    assert classify._factor(params, "delta_r", _scalar_greens(n)[k]) > 0.0
+    assert classify._factor_at(params, "delta_r", _scalar_greens(n)[k]) > 0.0
     summary = _check_two_delta_r_roots(params)
     roots = [r.z for r in summary.eigenvalues if r.origin == "delta_r"]
     assert roots[0] < -8.0 <= roots[1]
@@ -405,7 +405,7 @@ def test_a_second_walk_past_the_ladder_evaluates_nothing():
         bb.negative_eigenvalues(params, tol=0.0)
     table = warm.value.sign_table
     assert len(table) == 10 and table[-1][0] == -math.exp(classify._U_NEAR)
-    fresh = [classify._factor(params, "delta_r", bb.green_values(2, z)) for z, _ in table]
+    fresh = [classify._factor_at(params, "delta_r", bb.green_values(2, z)) for z, _ in table]
     assert [f.hex() for _, f in table] == _hexes(fresh)
     classify._scan_table.cache_clear()
     with pytest.raises(bb.RootScanError) as cold:
@@ -444,10 +444,10 @@ def test_past_the_switch_every_factor_is_its_edge_limit(n):
         params = bb.ModelParams(n, rng.uniform(-20.0, 20.0), rng.uniform(-20.0, 20.0))
         limits = {
             "delta_r": hyperbola_limit(n, params.lam, params.mu, consts.x_asymptote),
-            "delta_c": classify._factor(params, "delta_c", consts.greens0),
-            "delta_s": classify._factor(params, "delta_s", consts.greens0)}
+            "delta_c": classify._factor_at(params, "delta_c", consts.greens0),
+            "delta_s": classify._factor_at(params, "delta_s", consts.greens0)}
         for origin, limit in limits.items():
-            assert [classify._factor(params, origin, g).hex() for g in greens] \
+            assert [classify._factor_at(params, origin, g).hex() for g in greens] \
                 == [limit.hex()] * len(zs), (params, origin)
 
 
@@ -488,30 +488,146 @@ _PROBE_POINTS = [(n, lam, mu) for n in (1, 2, 3, 4)
 ]
 
 
-def test_every_probe_is_one_green_values_call_at_a_float():
-    # each brentq evaluation away from the bracket ends is exactly one call
-    # of classify.green_values at a float z, whose GreenValues the factor
-    # reads: a wrapper bound to that name sees every probe
+def test_every_probe_is_one_table_read_or_one_green_values_call():
+    # each brentq evaluation away from the bracket ends is exactly one read
+    # of the scaled table rows (2 <= n <= 8 in the table's range) or one
+    # call of classify.green_values at a float z (n = 1, n = 9 and u < -8,
+    # where the engine or an edge record serves it); wrappers bound to
+    # those names see every probe
     probes, brentq = [], classify.brentq
 
     def counting_brentq(f, a, b, **kwargs):
         def probe(x):
-            before = spy.call_count
+            before = (engine.call_count, table.call_count)
             value = f(x)
-            probes.append((x in (a, b), spy.call_args_list[before:]))
+            probes.append((x in (a, b), engine.call_args_list[before[0]:],
+                           table.call_args_list[before[1]:]))
             return value
         return brentq(probe, a, b, **kwargs)
     with mock.patch.object(classify, "green_values",
-                           wraps=classify.green_values) as spy, \
+                           wraps=classify.green_values) as engine, \
+            mock.patch.object(classify, "_scaled", wraps=classify._scaled) as table, \
             mock.patch.object(classify, "brentq", counting_brentq):
         for n, lam, mu in _PROBE_POINTS:
             for rec in bb.summarize(bb.ModelParams(n, lam, mu)).eigenvalues:
                 assert rec.greens is None or type(rec.greens) is bb.GreenValues
-    inner = [calls for at_end, calls in probes if not at_end]
-    assert len(inner) >= 300
-    assert all(calls == [] for at_end, calls in probes if at_end)
-    for calls in inner:
-        assert len(calls) == 1 and type(calls[0].args[1]) is float, calls
+    assert all(calls == reads == [] for at_end, calls, reads in probes if at_end)
+    inner = [(calls, reads) for at_end, calls, reads in probes if not at_end]
+    served = [calls for calls, reads in inner if not reads]
+    assert len(served) >= 120 and len(inner) - len(served) >= 250
+    for calls, reads in inner:
+        if reads:
+            assert calls == [] and len(reads) == 1 and 1 < reads[0].args[0] <= 8
+            assert green._TABLE_EDGES[0] - 1e-12 < reads[0].args[1] <= green._LADDER[0]
+        else:
+            assert len(calls) == 1 and type(calls[0].args[1]) is float, calls
+            n, z = calls[0].args
+            assert not (1 < n <= 8 and green._TABLE_FAR <= z <= green._TABLE_NEAR)
+
+
+def _straddling_zs() -> list[float]:
+    """Adjacent doubles z on either side of each inner edge of the Green
+    table in u = ln(-z), as a probe computes u; both ends of its range and
+    one ulp past each."""
+    zs = []
+    for edge in green._TABLE_EDGES[1:-1]:
+        z = -math.exp(edge)
+        while math.log(-z) >= edge:
+            z = math.nextafter(z, 0.0)
+        while math.log(-z) < edge:
+            below, z = z, math.nextafter(z, -math.inf)
+        zs += [below, z]
+    far, near = green._TABLE_FAR, green._TABLE_NEAR
+    return zs + [math.nextafter(far, -math.inf), far, near, math.nextafter(near, 0.0)]
+
+
+_STRADDLING_ZS = _straddling_zs()
+
+
+def _polish_probes(params, origin, z_a, w, split):
+    """(z, offset, value) of every probe of one ``_polish`` from z_a over
+    [0, w] in v with ends of sign -1 and +1, the first at v = 1e-300,
+    where z = z_a exactly, and its returned pair."""
+    seen, brentq = [], classify.brentq
+
+    def probing_brentq(f, a, b, **kwargs):
+        def probe(v):
+            value = f(v)
+            if v not in (a, b):
+                seen.append((z_a * math.exp(v),
+                             z_a * math.expm1(v) if split else None, value))
+            return value
+        probe(1e-300)
+        return brentq(probe, a, b, **kwargs)
+    with mock.patch.object(classify, "brentq", probing_brentq):
+        pair = classify._polish(params, origin, z_a, -1.0, w, 1.0, split=split)
+    assert seen[0][0] == z_a
+    return seen, pair
+
+
+def _check_probes(params, z_a) -> int:
+    """Hold every probe of ``_polish`` from z_a, on each factor, split and
+    plain, to ``_factor`` of ``green_values``; the count of root records."""
+    records = 0
+    for origin in classify._multiplicities(params.n):
+        for w, split in ((0.25, False), (-0.25, True)):
+            seen, (z, g) = _polish_probes(params, origin, z_a, w, split)
+            for z_probe, offset, value in seen:
+                want = bb.green_values(params.n, z_probe)
+                assert value.hex() == classify._factor(
+                    params, origin, z_probe, want.a, want.b, want.cd, want.s,
+                    offset).hex(), (params, origin, split, z_probe)
+            if g is not None:   # else the zero is an end of the bracket
+                assert _bits(g) == _bits(bb.green_values(params.n, z))
+                records += 1
+    return records
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_table_probes_straddling_each_edge_are_the_factor_of_green_values(n):
+    # the probe's scaled rows, unscaled for what its factor reads, against
+    # _factor of the green_values record at the same z, bit for bit, on
+    # either side of each piece edge and of both range ends, for split and
+    # plain brackets and every factor; the root's record is green_values'
+    params = bb.ModelParams(n, 7.0, 2.0 * n + 0.5)
+    assert sum(_check_probes(params, z_a) for z_a in _STRADDLING_ZS) >= 50
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 8), u=st.floats(-9.0, 28.5), lam=st.floats(-20.0, 20.0),
+       mu=st.floats(-20.0, 20.0))
+def test_table_probes_are_the_factor_of_green_values(n, u, lam, mu):
+    # as above at u = ln(-z) drawn over every piece of the table and just
+    # past its near end
+    _check_probes(bb.ModelParams(n, lam, mu), -math.exp(u))
+
+
+@pytest.mark.parametrize("row, name", [(0, "a"), (1, "b"), (2, "c"), (4, "s"), (5, "cd")])
+def test_a_table_probe_that_is_not_positive_raises_as_green_values(monkeypatch, row, name):
+    # one row of the n = 3 table negated: the first probe inside brentq
+    # raises the QuadratureError green_values raises at its z, whichever
+    # factor reads the values
+    pieces = green._pieces
+
+    def negated(n):
+        blocks = [block.copy() for block in pieces(n)]
+        for block in blocks:
+            block[row] *= -1.0
+        return blocks
+    monkeypatch.setattr(green, "_pieces", negated)
+    params, z_a = bb.ModelParams(3, 7.0, 1.0), -0.75
+    for origin in classify._multiplicities(3):
+        seen, brentq = [], classify.brentq
+
+        def recording_brentq(f, a, b, **kwargs):
+            return brentq(lambda v: seen.append(v) or f(v), a, b, **kwargs)
+        with mock.patch.object(classify, "brentq", recording_brentq), \
+                pytest.raises(bb.QuadratureError) as got:
+            classify._polish(params, origin, z_a, -1.0, 0.25, 1.0)
+        assert f"integral {name}=" in str(got.value)
+        with pytest.raises(bb.QuadratureError) as want:
+            bb.green_values(3, z_a * math.exp(seen[-1]))
+        assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("lam, mu", [(2.2422420927874116, 3.8433599828715783),

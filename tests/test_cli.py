@@ -284,6 +284,27 @@ def test_oracle_solver_failure_exit_3(capsys, monkeypatch):
     assert err == "numeric failure: chain of delta_r at n=2, L=12 failed\n"
 
 
+def test_oracle_stebz_failure_exit_3(capsys, monkeypatch):
+    # LAPACK stebz reporting info != 0 is a SolverError naming the block,
+    # so verify oracle exits 3, not 2 as for scipy's LinAlgError (a
+    # ValueError)
+    from belowband import lattice
+
+    def failing(d, e, *args):
+        return 0, np.zeros(len(d)), np.zeros(len(d), dtype=np.int32), \
+            np.zeros(len(d), dtype=np.int32), 1
+    monkeypatch.setattr(lattice, "_STEBZ", failing)
+    with pytest.raises(lattice.SolverError,
+                       match=r"^LAPACK stebz on the delta_r block at n=2, L=12 "
+                             r"returned info=1$"):
+        lattice._below(bb.build_hamiltonian(2, 12, 7.0, 8.0), "delta_r", -1e-3)
+    code, out, err = run_cli(capsys, "verify", "oracle", "--n", "2",
+                             "--lambda", "7", "--mu", "8", "--L", "12")
+    assert code == 3 and out == ""
+    assert err == ("numeric failure: LAPACK stebz on the delta_r block at "
+                   "n=2, L=12 returned info=1\n")
+
+
 def test_numeric_failure_exit_3(capsys):
     # b ~ 1/(2 z^2) would not be a normal double this far below the band
     code, _, err = run_cli(capsys, "integrals", "--n", "3", "--z=-1e160")

@@ -384,7 +384,7 @@ def test_deep_square_lattice_search_keeps_short_panels(monkeypatch):
         bb.negative_eigenvalues(bb.ModelParams(2, 5.0, 2.5001), tol=0.0)
     for n in range(1, 7):
         params = bb.ModelParams(n, 0.0, 0.0)
-        f = lambda u: classify._factor(params, "delta_s", bb.green_values(n, -math.exp(u)))
+        f = lambda u: classify._factor_at(params, "delta_s", bb.green_values(n, -math.exp(u)))
         with pytest.raises(bb.RootScanError):
             classify._step_past(f, classify._LADDER[-1], -1.0, classify._U_NEAR, str)
         k0, k1 = quadrature._span(n, quadrature._z_near(n))

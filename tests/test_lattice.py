@@ -18,7 +18,7 @@ import belowband as bb
 from belowband import lattice
 from belowband.classify import DEFAULT_THETA
 from conftest import open_region_points
-from reference import dense_block, dense_spectrum
+from reference import chain_below, dense_block, dense_spectrum
 
 
 def test_chain_l1_free_matrix():
@@ -373,6 +373,44 @@ def test_the_certificate_matches_the_solve(n, data, wide):
             assert len(got) == len(want), (L, origin, theta)
             np.testing.assert_allclose(got, want, rtol=0.0, atol=atol,
                                        err_msg=f"L={L} {origin} {theta}")
+
+
+# the oracle workload's radii (perfbench.inputs.ORACLE_LADDERS)
+_ORACLE_RADII = {1: (40, 60), 2: (12, 16, 24), 3: (10, 12)}
+
+
+def test_the_block_solve_is_scipys_bit_for_bit():
+    # the direct stebz call against scipy's eigvalsh_tridiagonal on the
+    # same chain, at every block of the oracle workload's radii and at the
+    # 1-row chain (n = 1, L = 1, delta_s), at an interior point of every
+    # open cell: bit for bit at three theta and at theta equal to each of
+    # the block's own values below -1e-3.  A bisected value is the
+    # eigenvalue only to a few ulps, so whether it counts at theta equal to
+    # itself follows the Sturm count; the 1-row chain's value is exact and
+    # is not counted there
+    hexes = lambda values: [float(x).hex() for x in values]
+    cases = [(n, L) for n, radii in _ORACLE_RADII.items() for L in radii]
+    own = 0
+    for n, L in cases + [(1, 1)]:
+        for _cell, (lam, mu) in open_region_points(n):
+            ham = bb.build_hamiltonian(n, L, lam, mu)
+            for origin in lattice._multiplicities(n):
+                for theta in (-1e-3, -0.5, -1e-6):
+                    got = lattice._below(ham, origin, theta)
+                    want = chain_below(ham, origin, theta)
+                    assert got.dtype == want.dtype and hexes(got) == hexes(want), \
+                        (n, L, lam, mu, origin, theta)
+                for value in chain_below(ham, origin, -1e-3).tolist():
+                    got = lattice._below(ham, origin, value)
+                    assert hexes(got) == hexes(chain_below(ham, origin, value))
+                    own += 1
+    assert own >= 90
+    one_row = lattice._kept_block(1, 1, "delta_s")[0]
+    assert len(one_row) == 1
+    ham = bb.build_hamiltonian(1, 1, 3.0, 3.0)    # its value is 1 - 3/2
+    assert lattice._below(ham, "delta_s", -1e-3).tolist() == [-0.5]
+    assert lattice._below(ham, "delta_s", -0.5).tolist() == []
+    assert chain_below(ham, "delta_s", -0.5).tolist() == []
 
 
 def _continued_fraction(diag, beta, head: int, theta: float) -> float:

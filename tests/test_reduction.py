@@ -23,7 +23,7 @@ def greens(n, z):
     return bb.green_values(n, z)
 
 
-factor = classify._factor
+factor = classify._factor_at
 
 
 def symmetric_block(params, g):
