@@ -21,8 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .green import (_LADDER, _LADDER_N, _LADDER_Z, _TABLE_FAR, _TABLE_NEAR, GreenValues,
-                    _pack, _scaled, _unscale, green_threshold, green_values)
+from .green import (_BAND_EDGE, _LADDER, _LADDER_N, _LADDER_Z, _TABLE_FAR, _TABLE_NEAR,
+                    GreenValues, _pack, _scaled, _unscale, green_threshold, green_values)
 from .quadrature import _Z_MAX
 from .reduction import ModelParams, hyperbola_limit
 from .states import (
@@ -115,9 +115,10 @@ def spectral_constants(n: int) -> SpectralConstants:
     """The constants of n from its threshold record: X = lim a/b, which is 1
     for n <= 2, lambda_s = 1/s(0) and lambda_c = 1/lim(c - d) for n >= 2.
     They obey X <= lambda_s <= lambda_c.  The record of n <= 8 is
-    committed (``green._BAND_EDGE``), so no Laplace sum runs for it; it
-    holds the engine's sums, so at n = 1, where s(0) = 1 exactly,
-    lambda_s reads 0.9999999999999998."""
+    committed (``green._BAND_EDGE``), so no Laplace sum runs for it, and
+    the constants of those n are built at import: a process forked after
+    it finds them cached.  The record holds the engine's sums, so at
+    n = 1, where s(0) = 1 exactly, lambda_s reads 0.9999999999999998."""
     greens0 = green_threshold(n)
     return SpectralConstants(
         n=n,
@@ -126,6 +127,10 @@ def spectral_constants(n: int) -> SpectralConstants:
         lambda_c=None if n == 1 else 1.0 / greens0.cd,
         greens0=greens0,
     )
+
+
+for _n in _BAND_EDGE:
+    spectral_constants(_n)
 
 
 # ---------------------------------------------------------------------------
@@ -400,13 +405,14 @@ def _walk(u: float, limit: float):
 def _scan_table(n: int) -> GreenValues:
     """The Green values at the 81 ladder points of n, a constant of n.
 
-    Built on the first root search at this n, never by
+    Built on the first root search at this n, never at import or by
     ``spectral_constants``: requests that locate no root do not pay for
-    the ladder.  One ``green_values`` call evaluates all 81 points, each
-    bit for bit as a call at its z alone: for n <= 8 it reads the
-    committed values (``green._ladder``), which at 2 <= n <= 8 and
-    u >= -8 are the Green table's and elsewhere the engine's sums; for
-    larger n it sums them one z at a time.
+    the record.  One ``green_values`` call evaluates all 81 points, each
+    bit for bit as a call at its z alone: for n <= 8 its fields are the
+    read-only rows of ``ladder.f64`` that ``green`` read at import
+    (``green._LADDER_VALUES``), which at 2 <= n <= 8 and u >= -8 are the
+    Green table's values and elsewhere the engine's sums; for larger n it
+    sums them one z at a time.
     """
     return green_values(n, _LADDER_Z)
 

@@ -13,11 +13,14 @@ lattice eigenvalue errors to 1e-12, so only one within the thread noise of
 a rounding boundary can still differ.  Exit codes: 0 success, 1
 verification failure, 2 usage error, 3 numeric failure, 4 empty result.
 
-Importing this module loads numpy only and builds the argument parser,
-which depends on no input; every :func:`main` call, forked or repeated,
-then only parses.  The lattice oracle, with ``scipy.sparse`` and
-``scipy.linalg``, is imported inside ``verify oracle``, so no other command
-loads scipy.
+Importing this module loads numpy only.  It builds the argument parser,
+which depends on no input, and parses one argv of every subcommand with
+it, so that re has compiled and cached argparse's match patterns; with
+the package's committed tables and the band-edge constants of n <= 8,
+which ``green`` and ``classify`` build at import, every :func:`main`
+call, forked or repeated, then only parses and computes.  The lattice
+oracle, with ``scipy.sparse`` and ``scipy.linalg``, is imported inside
+``verify oracle``, so no other command loads scipy.
 """
 
 from __future__ import annotations
@@ -399,6 +402,17 @@ def build_parser() -> argparse.ArgumentParser:
 # one parser per process: calls share its defaults, so no command may
 # mutate a parsed value in place
 _PARSER = build_parser()
+
+# one argv of every subcommand, parsed once here: argparse matches each
+# argument against patterns that re compiles on first use and caches, so a
+# process forked after the import compiles none of them
+for _argv in (["integrals", "--n", "1", "--z", "-1"],
+              ["classify", "--n", "1", "--lambda", "0", "--mu", "0"],
+              ["summarize", "--n=1", "--lambda=0", "--mu=0"],
+              ["scan", "--n", "1", "--lambda-range", "0:1:2", "--mu-range", "0:1:2"],
+              ["eigenfunction", "--n", "1", "--lambda", "0", "--mu", "0", "--grid", "1"],
+              ["verify", "identities", "--n", "1"]):
+    _PARSER.parse_args(_argv)
 
 
 def main(argv=None) -> int:

@@ -20,16 +20,18 @@ n <= 8:
 - the values at the 81 points of the root-location ladder
   (``ladder.f64``), each bit for bit the scalar ``green_values`` call.
 
-The two files are read one n at a time, on first use.  n = 1, n > 8 and
-every z outside the table's range (nearer the edge than u = -8 included,
-where a root's conditioning would magnify the table's few eps) take the
-Laplace engine.  ``tests/make_tables.py`` rewrites the three from fresh
-engine sums.  Past the engine's reach (u = ln(-z) about -111 to -109,
-and from -45 at n = 2) an edge record serves every z down to the
-smallest subnormal: the closed
-forms at n = 1, the edge form of a (K(m) as m -> 1) with the z = 0
-values of c - d and s at n = 2, and the z = 0 values at n >= 3, each
-within a few eps of the engine.
+Both files are read once, at import, into read-only arrays that every
+record and probe shares, so a process forked after the import reads
+neither again; a file of the wrong size fails the import with an OSError
+naming it.  n = 1, n > 8 and every z outside the table's range (nearer
+the edge than u = -8 included, where a root's conditioning would magnify
+the table's few eps) take the Laplace engine.  ``tests/make_tables.py``
+rewrites the three from fresh engine sums.  Past the engine's reach
+(u = ln(-z) about -111 to -109, and from -45 at n = 2) an edge record
+serves every z down to the smallest subnormal: the closed forms at
+n = 1, the edge form of a (K(m) as m -> 1) with the z = 0 values of
+c - d and s at n = 2, and the z = 0 values at n >= 3, each within a few
+eps of the engine.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import _NAMES, QuadratureError, _z_near, integral_names, laplace_integrals
+from .quadrature import (_NAMES, QuadratureError, _frozen, _z_near, integral_names,
+                         laplace_integrals)
 from .reduction import _is_int
 
 __all__ = [
@@ -203,7 +206,7 @@ _BAND_EDGE = {
 # The ladder of root location (classify): u = ln(-z) from 40 ln 2 down to
 # -40 ln 2 in steps of ln 2, and z by libm's exp, as brentq's probes take it.
 _LADDER = tuple(k * math.log(2.0) for k in range(40, -41, -1))
-_LADDER_Z = np.array([-math.exp(u) for u in _LADDER])
+_LADDER_Z = _frozen(np.array([-math.exp(u) for u in _LADDER]))
 
 # The finite integrals at _LADDER_Z for n = 1.._LADDER_N, each the scalar
 # green_values call at its z (the table's values in its range, else the
@@ -214,25 +217,28 @@ _LADDER_FILE = os.path.join(os.path.dirname(__file__), "ladder.f64")
 _LADDER_N = 8
 
 
-def _ladder_rows(n: int) -> int:
-    """Rows of the ladder file before those of n."""
-    return sum(len(integral_names(m)) for m in range(1, n))
-
-
-_LADDER_BYTES = 8 * _LADDER_Z.size * _ladder_rows(_LADDER_N + 1)
-
-
-def _ladder(n: int) -> dict[str, np.ndarray]:
-    """The committed integrals at ``_LADDER_Z`` for n <= ``_LADDER_N``,
-    from one read of that n's rows."""
-    names, size = integral_names(n), _LADDER_Z.size
-    rows = np.fromfile(_LADDER_FILE, dtype="<f8", count=len(names) * size,
-                       offset=8 * size * _ladder_rows(n))
-    if rows.size != len(names) * size:
+def _read(path: str, what: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The little-endian float64 values of a committed table as a read-only
+    array of ``shape``, since every record and probe served from it shares
+    it; a file of any other size raises OSError naming it."""
+    values = np.fromfile(path, dtype="<f8")
+    size = math.prod(shape)
+    if values.size != size:
         raise OSError(
-            f"the ladder table {_LADDER_FILE} holds {os.path.getsize(_LADDER_FILE)} "
-            f"bytes, expected {_LADDER_BYTES}; rewrite it with tests/make_tables.py")
-    return dict(zip(names, rows.reshape(len(names), size)))
+            f"the {what} {path} holds {os.path.getsize(path)} bytes, expected "
+            f"{8 * size}; rewrite it with tests/make_tables.py")
+    return _frozen(values).reshape(shape)
+
+
+def _ladder_values() -> dict[int, dict[str, np.ndarray]]:
+    """The rows of ``ladder.f64`` as ``{n: {name: row}}``, from one read."""
+    ns = range(1, _LADDER_N + 1)
+    shape = (sum(len(integral_names(n)) for n in ns), _LADDER_Z.size)
+    rows = iter(_read(_LADDER_FILE, "ladder table", shape))
+    return {n: {name: next(rows) for name in integral_names(n)} for n in ns}
+
+
+_LADDER_VALUES = _ladder_values()
 
 
 # The Green table of 2 <= n <= _LADDER_N, from u = ln(-z) = _TABLE_EDGES[0]
@@ -252,18 +258,14 @@ _TABLE_FILE = os.path.join(os.path.dirname(__file__), "table.f64")
 _TABLE_FAR, _TABLE_NEAR = float(_LADDER_Z[0]), -math.exp(_TABLE_EDGES[0])
 
 
-@lru_cache(maxsize=None)
-def _pieces(n: int) -> list[np.ndarray]:
-    """The committed coefficient blocks of n, one rows x terms array per
-    piece, from one read of that n's part of the table."""
-    size = len(_TABLE_PIECES) * len(_NAMES) * _TABLE_TERMS
-    block = np.fromfile(_TABLE_FILE, dtype="<f8", count=size, offset=8 * size * (n - 2))
-    if block.size != size:
-        raise OSError(
-            f"the Green table {_TABLE_FILE} holds {os.path.getsize(_TABLE_FILE)} "
-            f"bytes, expected {8 * size * (_LADDER_N - 1)}; rewrite it with "
-            "tests/make_tables.py")
-    return list(block.reshape(len(_TABLE_PIECES), len(_NAMES), _TABLE_TERMS))
+def _table_pieces() -> tuple[tuple[np.ndarray, ...], ...]:
+    """The coefficient blocks of ``table.f64`` as ``[n - 2][piece]``, each
+    a read-only rows x terms array, from one read."""
+    shape = (_LADDER_N - 1, len(_TABLE_PIECES), len(_NAMES), _TABLE_TERMS)
+    return tuple(map(tuple, _read(_TABLE_FILE, "Green table", shape)))
+
+
+_PIECES = _table_pieces()
 
 
 def _scaled(n: int, u: float) -> list[float]:
@@ -281,7 +283,7 @@ def _scaled(n: int, u: float) -> list[float]:
     for _ in range(_TABLE_TERMS - 2):
         t0, t1 = t1, x2 * t1 - t0
         terms.append(t1)
-    return _pieces(n)[i].dot(np.array(terms)).tolist()
+    return _PIECES[n - 2][i].dot(np.array(terms)).tolist()
 
 
 def _unscale(n: int, z: float, rows: list[float]) -> dict[str, float]:
@@ -329,7 +331,7 @@ def _evaluate(n: int, z) -> GreenValues:
     """The integrals at z <= 0: at z = 0 from ``_threshold``, in the
     Green table's range of 2 <= n <= 8 from ``_table``, at
     _switch(n) < z < 0 from ``_edge``, else from the Laplace engine; at an
-    array of z, the ladder of n <= 8 from ``_ladder`` and any other
+    array of z, the ladder of n <= 8 from ``_LADDER_VALUES`` and any other
     array as one ``green_values`` call per entry."""
     if type(n) is not int or n < 1:
         if not (_is_int(n) and n >= 1):
@@ -337,7 +339,7 @@ def _evaluate(n: int, z) -> GreenValues:
         n = int(n)
     if not isinstance(z, float):   # an array of z, from green_values
         if n <= _LADDER_N and np.array_equal(z, _LADDER_Z):
-            return _pack(n, z, _ladder(n))
+            return _pack(n, z, _LADDER_VALUES[n])
         each = [green_values(n, x) for x in z.tolist()]
         return _pack(n, z, {k: np.array([getattr(g, k) for g in each])
                             for k in integral_names(n)})

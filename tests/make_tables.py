@@ -7,14 +7,15 @@ Run from the repository root, whenever the engine's sums change:
 It rewrites ``src/belowband/table.f64``, the piecewise Chebyshev series in
 u = ln(-z) of n = 2..8, then ``src/belowband/ladder.f64``, the integrals at
 the 81 ladder points of n = 1..8, one scalar ``green_values`` call per
-point, and prints ``_BAND_EDGE``, the finite integrals at z = 0 of the same
-n, for ``src/belowband/green.py``.  Each piece's coefficients interpolate
-the engine's scaled sums at the ``_TABLE_TERMS`` Chebyshev points of the
-first kind: the points and the point-to-coefficient matrix are rounded
-from mpmath, and each coefficient is summed by ``math.fsum``, so both
-files come out byte-identical on every run.  ``tests/test_green.py``
-holds the table to the engine and the ladder to ``green_values`` bit for
-bit.
+point, from the table just written (``green`` read the committed one at
+import, so it rereads it first), and prints ``_BAND_EDGE``, the finite
+integrals at z = 0 of the same n, for ``src/belowband/green.py``.  Each
+piece's coefficients interpolate the engine's scaled sums at the
+``_TABLE_TERMS`` Chebyshev points of the first kind: the points and the
+point-to-coefficient matrix are rounded from mpmath, and each coefficient
+is summed by ``math.fsum``, so both files come out byte-identical on
+every run.  ``tests/test_green.py`` holds the table to the engine and the
+ladder to ``green_values`` bit for bit.
 """
 
 import math
@@ -59,6 +60,8 @@ def table_rows(n: int) -> list[list[float]]:
 def main() -> None:
     ns = range(1, green._LADDER_N + 1)
     np.array([table_rows(n) for n in ns[1:]], dtype="<f8").tofile(green._TABLE_FILE)
+    # green read the old table at import: the ladder is the new one's
+    green._PIECES = green._table_pieces()
     rows = []
     for n in ns:
         values = [green.green_values(n, z) for z in green._LADDER_Z.tolist()]

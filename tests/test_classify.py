@@ -607,14 +607,10 @@ def test_a_table_probe_that_is_not_positive_raises_as_green_values(monkeypatch, 
     # one row of the n = 3 table negated: the first probe inside brentq
     # raises the QuadratureError green_values raises at its z, whichever
     # factor reads the values
-    pieces = green._pieces
-
-    def negated(n):
-        blocks = [block.copy() for block in pieces(n)]
-        for block in blocks:
-            block[row] *= -1.0
-        return blocks
-    monkeypatch.setattr(green, "_pieces", negated)
+    negated = [block.copy() for block in green._PIECES[1]]
+    for block in negated:
+        block[row] *= -1.0
+    monkeypatch.setattr(green, "_PIECES", (green._PIECES[0], tuple(negated), *green._PIECES[2:]))
     params, z_a = bb.ModelParams(3, 7.0, 1.0), -0.75
     for origin in classify._multiplicities(3):
         seen, brentq = [], classify.brentq

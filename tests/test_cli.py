@@ -400,6 +400,69 @@ def test_commands_load_no_optimize_integrate_or_lattice_stack():
     assert doc["not_starred"] == [] and doc["not_in_dir"] == []
 
 
+_FORKED_CHILD = """
+import contextlib, io, json, os, re, sys
+from unittest import mock
+import numpy as np
+import belowband.cli as cli
+from belowband import classify, green
+
+argvs = [
+    ["integrals", "--n", "3", "--z", "-0.5"],
+    ["classify", "--n", "3", "--lambda", "4", "--mu", "5"],
+    ["summarize", "--n", "2", "--lambda", "1", "--mu", "3"],
+    ["summarize", "--n=3", "--lambda=-1.5", "--mu=2.25"],
+    ["scan", "--n", "2", "--lambda-range", "0:5:3", "--mu-range", "0:5:3"],
+    ["eigenfunction", "--n", "2", "--lambda", "0", "--mu", "3", "--grid", "4"],
+    ["verify", "identities", "--n", "1..4", "--samples", "3"],
+    ["verify", "oracle", "--n", "2", "--L", "12,16"],
+]
+sys.stdout.flush()
+pid = os.fork()
+if pid:
+    sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+try:
+    cache = getattr(re, "_cache", None)
+    before = None if cache is None else set(cache)
+    for argv in argvs:
+        cli._PARSER.parse_args(argv)
+    compiled = None if cache is None else len(set(cache) - before)
+    misses = classify.spectral_constants.cache_info().misses
+    codes, ladders = [], []
+    with mock.patch.object(np, "fromfile", wraps=np.fromfile) as fromfile, \\
+            mock.patch.object(classify, "green_values",
+                              wraps=classify.green_values) as values:
+        for n in range(1, 9):
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(cli.main(["summarize", f"--n={n}", "--lambda=0",
+                                       f"--mu={n + 1.5}"]))
+            ladders.append(sum(c.args[1] is green._LADDER_Z for c in values.call_args_list))
+            values.reset_mock()
+    print(json.dumps({"compiled": compiled, "codes": codes, "ladders": ladders,
+                      "fromfile": fromfile.call_count,
+                      "misses": classify.spectral_constants.cache_info().misses - misses}))
+finally:
+    sys.stdout.flush()
+    os._exit(0)
+"""
+
+
+def test_a_child_forked_after_import_repeats_no_set_up():
+    # what the import builds serves every child forked after it: parsing
+    # an argv of each subcommand compiles no pattern, and a summarize at
+    # n = 1..8 reads no table file and builds no band-edge constants; the
+    # ladder record is still built on the first root search, by one
+    # green_values call per n
+    if not hasattr(re, "_cache"):
+        pytest.skip("this Python's re module keeps no _cache")
+    proc = subprocess.run([sys.executable, "-c", _FORKED_CHILD],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc == {"compiled": 0, "codes": [0] * 8, "ladders": [1] * 8,
+                   "fromfile": 0, "misses": 0}
+
+
 _ROOT = Path(__file__).resolve().parents[1]
 
 

@@ -185,7 +185,7 @@ def test_ladder_table_is_the_engines_own_sums(monkeypatch):
     # ladder is one Laplace call per point
     monkeypatch.setattr(quadrature, "_HEADS", {})
     monkeypatch.setattr(quadrature, "_PANELS", {})
-    assert os.path.getsize(green._LADDER_FILE) == green._LADDER_BYTES == 29808
+    assert os.path.getsize(green._LADDER_FILE) == 29808
     with mock.patch.object(green, "laplace_integrals",
                            wraps=green.laplace_integrals) as laplace:
         for n in range(1, 10):
@@ -268,26 +268,63 @@ def test_a_packed_record_is_a_green_values_record():
 
 
 def test_a_short_green_table_names_the_file(monkeypatch, tmp_path):
-    # a table cut by one value still serves n = 7, and n = 8 names the file
+    # the one reader of the committed tables on a copy cut by one value
     short = tmp_path / "table.f64"
     short.write_bytes(pathlib.Path(green._TABLE_FILE).read_bytes()[:-8])
     monkeypatch.setattr(green, "_TABLE_FILE", str(short))
-    monkeypatch.setattr(green, "_pieces", lru_cache(maxsize=None)(green._pieces.__wrapped__))
-    assert bb.green_values(7, -1.0).a > 0.0
-    with pytest.raises(OSError, match=f"{re.escape(str(short))} holds 56440 bytes, "
-                                      "expected 56448"):
-        bb.green_values(8, -1.0)
+    with pytest.raises(OSError, match=f"the Green table {re.escape(str(short))} holds "
+                                      "56440 bytes, expected 56448"):
+        green._table_pieces()
 
 
 def test_a_short_ladder_table_names_the_file(monkeypatch, tmp_path):
-    # a table cut by one value still serves n = 7, and n = 8 names the file
+    # as above, for the ladder
     short = tmp_path / "ladder.f64"
     short.write_bytes(pathlib.Path(green._LADDER_FILE).read_bytes()[:-8])
     monkeypatch.setattr(green, "_LADDER_FILE", str(short))
-    assert bb.green_values(7, green._LADDER_Z).a.size == 81
-    with pytest.raises(OSError, match=f"{re.escape(str(short))} holds 29800 bytes, "
-                                      "expected 29808"):
-        bb.green_values(8, green._LADDER_Z)
+    with pytest.raises(OSError, match=f"the ladder table {re.escape(str(short))} holds "
+                                      "29800 bytes, expected 29808"):
+        green._ladder_values()
+
+
+def test_a_short_ladder_table_fails_the_import(tmp_path):
+    # both tables are read at import, so a package whose ladder lacks one
+    # value does not import, and the error names the file
+    package = tmp_path / "belowband"
+    src = pathlib.Path(green.__file__).parent
+    package.mkdir()
+    for path in src.iterdir():
+        if path.is_file():
+            (package / path.name).write_bytes(path.read_bytes())
+    short = package / "ladder.f64"
+    short.write_bytes(short.read_bytes()[:-8])
+    proc = subprocess.run([sys.executable, "-c", "import belowband"], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(tmp_path)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode != 0
+    assert (f"OSError: the ladder table {short} holds 29800 bytes, expected 29808"
+            in proc.stderr), proc.stderr
+
+
+def test_the_committed_tables_are_read_only():
+    # every ladder record shares the rows read at import, and table probes
+    # share the coefficient blocks: neither takes a write, so the next
+    # call still returns the committed values
+    g = bb.green_values(3, green._LADDER_Z)
+    committed = {k: getattr(g, k).tobytes() for k in EDGE_FIELDS}
+    with pytest.raises(ValueError, match="read-only"):
+        g.a[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        g.z[0] = -1.0
+    again = bb.green_values(3, green._LADDER_Z)
+    assert {k: getattr(again, k).tobytes() for k in EDGE_FIELDS} == committed
+    assert all(not row.flags.writeable
+               for rows in green._LADDER_VALUES.values() for row in rows.values())
+    for blocks in green._PIECES:
+        for block in blocks:
+            with pytest.raises(ValueError, match="read-only"):
+                block[0, 0] = 0.0
+    assert len(green._PIECES) == 7 and {len(blocks) for blocks in green._PIECES} == {7}
 
 
 _FRESH_SUMMARIZE = """
