@@ -15,14 +15,13 @@ negative eigenvalues counted with multiplicity.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .green import (_BAND_EDGE, _LADDER, _LADDER_N, _LADDER_Z, _TABLE_FAR, _TABLE_NEAR,
-                    GreenValues, _pack, _scaled, _unscale, green_threshold, green_values)
+from .green import (_LADDER, _LADDER_N, _LADDER_Z, _TABLE_FAR, _TABLE_NEAR, GreenValues,
+                    _record, _table, green_threshold, green_values)
 from .quadrature import _Z_MAX
 from .reduction import ModelParams, hyperbola_limit
 from .states import (
@@ -129,7 +128,7 @@ def spectral_constants(n: int) -> SpectralConstants:
     )
 
 
-for _n in _BAND_EDGE:
+for _n in range(1, _LADDER_N + 1):
     spectral_constants(_n)
 
 
@@ -289,28 +288,20 @@ _LADDER_U = np.array(_LADDER)   # -z = 2^40 .. 2^-40, at green._LADDER_Z
 _STRIDE = 80.0           # step in u past an end of the scan
 _U_NEAR = -700.0         # the near walk's end; Green values there are edge records
 _U_FAR = math.nextafter(math.log(_Z_MAX), 0.0)   # the engine's far limit
-_FOUR_EPS = 4 * math.ulp(1.0)   # also the smallest rtol brentq accepts
-_BRENTQ_KW = dict(xtol=_FOUR_EPS, rtol=_FOUR_EPS, maxiter=200)
+_FOUR_EPS = 4 * math.ulp(1.0)   # brentq's xtol and rtol, the smallest rtol scipy accepts
 
 
-def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _FOUR_EPS,
-           maxiter: int = 100) -> float:
-    """Zero of f in [a, b] by Brent's method, as ``scipy.optimize.brentq``.
+def brentq(f, a: float, b: float) -> float:
+    """Zero of f in [a, b] by Brent's method, as ``scipy.optimize.brentq``
+    with xtol = rtol = 4 eps and maxiter = 200.
 
     An operation-for-operation port of scipy's C ``brentq``, so every root
-    is bit-identical to scipy's, with the same input contract: ValueError
-    for xtol <= 0, rtol < 4 eps, maxiter < 0, ends of the same sign or a NaN
-    value of f; RuntimeError once maxiter iterations have not converged.
-    It lives here so that root location does not load ``scipy.optimize``.
+    is bit-identical to scipy's at those settings, with the same input
+    contract: an end where f is 0 is returned as it is; ValueError for ends
+    of the same sign or a NaN value of f; RuntimeError once 200 iterations
+    have not converged.  It lives here so that root location does not load
+    ``scipy.optimize``.
     """
-    maxiter = operator.index(maxiter)
-    if xtol <= 0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if rtol < _FOUR_EPS:
-        raise ValueError(f"rtol too small ({rtol:g} < {_FOUR_EPS:g})")
-    if maxiter < 0:
-        raise ValueError("maxiter must be >= 0")
-
     def value(x: float) -> float:
         fx = float(f(x))
         if math.isnan(fx):
@@ -328,7 +319,7 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _FOUR_EPS,
         return xcur
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
+    for _ in range(200):
         if fpre != 0 and fcur != 0 and \
                 math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
             xblk, fblk = xpre, fpre
@@ -336,7 +327,7 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _FOUR_EPS,
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (_FOUR_EPS + _FOUR_EPS * abs(xcur)) / 2   # xtol + rtol |x|
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -367,7 +358,7 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _FOUR_EPS,
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    raise RuntimeError("Failed to converge after 200 iterations.")
 
 
 def _factor(params: ModelParams, origin: str, z, a, b, cd, s,
@@ -407,12 +398,12 @@ def _scan_table(n: int) -> GreenValues:
 
     Built on the first root search at this n, never at import or by
     ``spectral_constants``: requests that locate no root do not pay for
-    the record.  One ``green_values`` call evaluates all 81 points, each
-    bit for bit as a call at its z alone: for n <= 8 its fields are the
-    read-only rows of ``ladder.f64`` that ``green`` read at import
-    (``green._LADDER_VALUES``), which at 2 <= n <= 8 and u >= -8 are the
-    Green table's values and elsewhere the engine's sums; for larger n it
-    sums them one z at a time.
+    the record.  It is one ``green_values`` call for all 81 points, each
+    bit for bit as a call at its z alone: for n <= 8 the record that
+    ``green`` built at import from ``ladder.f64``
+    (``green._LADDER_RECORDS``), which at 2 <= n <= 8 and u >= -8 holds
+    the Green table's values and elsewhere the engine's sums; for larger
+    n it sums them one z at a time.
     """
     return green_values(n, _LADDER_Z)
 
@@ -466,14 +457,14 @@ def _polish(params: ModelParams, origin: str, z_a: float, f_a: float,
     when the zero is an end of the bracket, which takes its scanned value.
 
     A probe in the Green table's range (2 <= n <= 8, u >= -8) builds no
-    record: it reads the scaled rows of ``green._scaled`` once, unscales
-    a, b, c, s and c - d by the divisions of ``green._unscale``, checks
-    those five for positivity as ``green._pack`` does (raising its
-    QuadratureError on a failure) and passes the factor the values it
-    reads.  Every other probe (n = 1, n > 8, u < -8) is one call of this
-    module's ``green_values`` at the float z: one Laplace sum or one edge
-    record.  The one record returned for a table root is unpacked from
-    its rows, so it is bit for bit ``green_values(n, z)``.
+    record: it calls ``green._table``, the table's one reader, which
+    returns the values that ``green_values`` would put in the record,
+    checked for positivity, and passes the factor those it reads.  Every
+    other probe (n = 1, n > 8, u < -8) is one call of this module's
+    ``green_values`` at the float z: one Laplace sum or one edge record.
+    The one record returned for a table root is built from its probe's
+    values by ``green._record``, so it is bit for bit
+    ``green_values(n, z)``.
     """
     n, ends, probed = params.n, {0.0: f_a, w: f_w}, {}
     table = 1 < n <= _LADDER_N
@@ -484,18 +475,14 @@ def _polish(params: ModelParams, origin: str, z_a: float, f_a: float,
         z = z_a * math.exp(v)
         offset = z_a * math.expm1(v) if split else None
         if table and _TABLE_FAR <= z <= _TABLE_NEAR:
-            rows = probed[v] = _scaled(n, math.log(-z))
-            t = n - z
-            a, b, c, s, cd = rows[0] / t, rows[1] / (t * t), rows[2] / t, rows[4] / t, rows[5] / t
-            if not (a > 0.0 and b > 0.0 and c > 0.0 and s > 0.0 and cd > 0.0):
-                _pack(n, z, _unscale(n, z, rows))   # raises, naming the first
+            a, b, c, d, s, cd = probed[v] = _table(n, z)
             return _factor(params, origin, z, a, b, cd, s, offset)
         g = probed[v] = green_values(n, z)
         return _factor(params, origin, z, g.a, g.b, g.cd, g.s, offset)
-    v = float(brentq(h, 0.0, w, **_BRENTQ_KW))
+    v = brentq(h, 0.0, w)
     z, g = z_a * math.exp(v), probed.get(v)
-    if type(g) is list:
-        g = _pack(n, z, _unscale(n, z, g))
+    if type(g) is tuple:   # a table probe's values
+        g = _record(n, z, *g)
     return z, g
 
 

@@ -12,21 +12,21 @@ n <= 8:
 - at 2 <= n <= 8 and u = ln(-z) from -8 to 40 ln 2, a piecewise Chebyshev
   series in u fitted to the engine's sums (``table.f64``), within 8 eps
   of them; it serves every float z there, and the engine never sums such
-  a z.  brentq's probes there read its scaled rows (``_scaled``) and
-  unscale the five values that positivity is checked on, by the
-  divisions of ``_unscale``, so they build no ``GreenValues`` record; the
-  one record of a root is ``_unscale`` of those rows, as
-  ``green_values`` builds it;
+  a z.  ``_table`` is its one reader: it divides the scaled rows by their
+  powers of n - z and checks positivity, for ``green_values`` and for
+  brentq's probes (``classify._polish``), which build no record;
 - the values at the 81 points of the root-location ladder
-  (``ladder.f64``), each bit for bit the scalar ``green_values`` call.
+  (``ladder.f64``), one record per n, each value bit for bit the scalar
+  ``green_values`` call.
 
 Both files are read once, at import, into read-only arrays that every
 record and probe shares, so a process forked after the import reads
-neither again; a file of the wrong size fails the import with an OSError
-naming it.  n = 1, n > 8 and every z outside the table's range (nearer
-the edge than u = -8 included, where a root's conditioning would magnify
-the table's few eps) take the Laplace engine.  ``tests/make_tables.py``
-rewrites the three from fresh engine sums.  Past the engine's reach
+neither again; a file of the wrong size, or a ladder value that is not
+positive, fails the import with an OSError naming it.  n = 1, n > 8 and
+every z outside the table's range (nearer the edge than u = -8
+included, where a root's conditioning would magnify the table's few
+eps) take the Laplace engine.  ``tests/make_tables.py`` rewrites the
+three from fresh engine sums.  Past the engine's reach
 (u = ln(-z) about -111 to -109, and from -45 at n = 2) an edge record
 serves every z down to the smallest subnormal: the closed forms at
 n = 1, the edge form of a (K(m) as m -> 1) with the z = 0 values of
@@ -140,31 +140,33 @@ def dispersion(p, n: int | None = None):
     return float(e) if e.ndim == 0 else e
 
 
-def _pack(n: int, z, raw: dict) -> GreenValues:
-    """The engine's ``{name: value}`` record at z as a ``GreenValues``.
+def _record(n: int, z, a, b, c, d, s, cd) -> GreenValues:
+    """The record ``GreenValues(n, z, a, b, c, d, s, cd)`` builds, without
+    its eight frozen setattrs; every record of this module is built here."""
+    g = object.__new__(GreenValues)
+    g.__dict__.update(n=n, z=z, a=a, b=b, c=c, d=d, s=s, cd=cd)
+    return g
 
-    The engine names no d at n = 1 and only the finite integrals at z = 0.
-    Every one of a, b, c, s and c - d that it names must be positive, at
-    each entry of an array of z; a float z, brentq's probe, is checked by
-    five comparisons.  A failure raises :class:`QuadratureError` naming
-    the first integral and the first z at which it is not.
-    """
+
+def _reject(n: int, z: float, **values) -> None:
+    """Raise :class:`QuadratureError` naming the first of ``values`` (a, b,
+    c, s, cd; None skipped) that is not positive at z."""
+    for name, v in values.items():
+        if v is not None and not v > 0.0:
+            raise QuadratureError(f"integral {name}={v} at n={n}, z={z} "
+                                  "violates positivity; quadrature failed")
+
+
+def _pack(n: int, z: float, raw: dict) -> GreenValues:
+    """The ``GreenValues`` of an engine or edge ``{name: value}`` record at
+    a float z.  It names no d at n = 1 and only the finite integrals at
+    z = 0; each of a, b, c, s and c - d that it names must be positive."""
     get = raw.get
     a, b, c, s, cd = get("a"), get("b"), get("c"), get("s"), get("cd")
-    if not (isinstance(z, float) and (a is None or a > 0.0)
-            and (b is None or b > 0.0) and (c is None or c > 0.0)
+    if not ((a is None or a > 0.0) and (b is None or b > 0.0) and (c is None or c > 0.0)
             and (s is None or s > 0.0) and (cd is None or cd > 0.0)):
-        for name, v in (("a", a), ("b", b), ("c", c), ("s", s), ("cd", cd)):
-            if v is not None and not np.all(v > 0.0):
-                v = np.ravel(v)
-                i = np.argmin(v > 0.0)   # the first that is not
-                raise QuadratureError(
-                    f"integral {name}={v[i]} at n={n}, z={np.ravel(z)[i]} "
-                    "violates positivity; quadrature failed")
-    # the record GreenValues(...) builds, without its eight frozen setattrs
-    g = object.__new__(GreenValues)
-    g.__dict__.update(n=n, z=z, a=a, b=b, c=c, d=get("d"), s=s, cd=cd)
-    return g
+        _reject(n, z, a=a, b=b, c=c, s=s, cd=cd)
+    return _record(n, z, a, b, c, get("d"), s, cd)
 
 
 # Nearer the edge than _switch(n) the integrals equal their edge forms to
@@ -230,15 +232,24 @@ def _read(path: str, what: str, shape: tuple[int, ...]) -> np.ndarray:
     return _frozen(values).reshape(shape)
 
 
-def _ladder_values() -> dict[int, dict[str, np.ndarray]]:
-    """The rows of ``ladder.f64`` as ``{n: {name: row}}``, from one read."""
+def _ladder_records() -> dict[int, GreenValues]:
+    """The record of each n at ``_LADDER_Z``, its fields the rows of
+    ``ladder.f64`` from one read; a value that is not positive raises
+    OSError naming the file."""
     ns = range(1, _LADDER_N + 1)
     shape = (sum(len(integral_names(n)) for n in ns), _LADDER_Z.size)
-    rows = iter(_read(_LADDER_FILE, "ladder table", shape))
-    return {n: {name: next(rows) for name in integral_names(n)} for n in ns}
+    values = _read(_LADDER_FILE, "ladder table", shape)
+    if not np.all(values > 0.0):
+        raise OSError(f"the ladder table {_LADDER_FILE} holds a value that is not "
+                      "positive; rewrite it with tests/make_tables.py")
+    rows, records = iter(values), {}
+    for n in ns:
+        named = {k: next(rows) for k in integral_names(n)}
+        records[n] = _record(n, _LADDER_Z, *map(named.get, _NAMES))
+    return records
 
 
-_LADDER_VALUES = _ladder_values()
+_LADDER_RECORDS = _ladder_records()
 
 
 # The Green table of 2 <= n <= _LADDER_N, from u = ln(-z) = _TABLE_EDGES[0]
@@ -286,21 +297,20 @@ def _scaled(n: int, u: float) -> list[float]:
     return _PIECES[n - 2][i].dot(np.array(terms)).tolist()
 
 
-def _unscale(n: int, z: float, rows: list[float]) -> dict[str, float]:
-    """The integrals at z from the scaled rows of ``_scaled``: each
-    divided by its power of n - z."""
-    a, b, c, d, s, cd = rows
+def _table(n: int, z: float) -> tuple[float, ...]:
+    """a, b, c, d, s and c - d at _TABLE_FAR <= z <= _TABLE_NEAR for
+    2 <= n <= 8: the rows of ``_scaled`` at u = ln(-z), each divided by its
+    power of n - z, with a, b, c, s and c - d checked for positivity as
+    ``_pack`` checks a record.  The one reader of the table: ``_evaluate``
+    builds a float z's record from it, and brentq's probes there
+    (``classify._polish``) call it directly."""
+    a, b, c, d, s, cd = _scaled(n, math.log(-z))
     w = n - z
     w2 = w * w
-    return {"a": a / w, "b": b / w2, "c": c / w, "d": d / (w2 * w), "s": s / w, "cd": cd / w}
-
-
-def _table(n: int, z: float) -> dict[str, float]:
-    """The integrals at _TABLE_FAR <= z <= _TABLE_NEAR for 2 <= n <= 8,
-    unscaled from ``_scaled`` at u = ln(-z).  brentq's probes there
-    (``classify._polish``) read ``_scaled`` and unscale what they check
-    and read by the same divisions, so this is bit for bit their values."""
-    return _unscale(n, z, _scaled(n, math.log(-z)))
+    a, b, c, d, s, cd = a / w, b / w2, c / w, d / (w2 * w), s / w, cd / w
+    if not (a > 0.0 and b > 0.0 and c > 0.0 and s > 0.0 and cd > 0.0):
+        _reject(n, z, a=a, b=b, c=c, s=s, cd=cd)
+    return a, b, c, d, s, cd
 
 
 @lru_cache(maxsize=None)
@@ -331,21 +341,21 @@ def _evaluate(n: int, z) -> GreenValues:
     """The integrals at z <= 0: at z = 0 from ``_threshold``, in the
     Green table's range of 2 <= n <= 8 from ``_table``, at
     _switch(n) < z < 0 from ``_edge``, else from the Laplace engine; at an
-    array of z, the ladder of n <= 8 from ``_LADDER_VALUES`` and any other
-    array as one ``green_values`` call per entry."""
+    array of z, the ladder of n <= 8 from ``_LADDER_RECORDS`` and any other
+    array from one ``green_values`` call per entry, each checked."""
     if type(n) is not int or n < 1:
         if not (_is_int(n) and n >= 1):
             raise ValueError(f"dimension must be a positive integer, got {n!r}")
         n = int(n)
     if not isinstance(z, float):   # an array of z, from green_values
         if n <= _LADDER_N and np.array_equal(z, _LADDER_Z):
-            return _pack(n, z, _LADDER_VALUES[n])
+            return _LADDER_RECORDS[n]
         each = [green_values(n, x) for x in z.tolist()]
-        return _pack(n, z, {k: np.array([getattr(g, k) for g in each])
-                            for k in integral_names(n)})
+        columns = {k: np.array([getattr(g, k) for g in each]) for k in integral_names(n)}
+        return _record(n, z, *map(columns.get, _NAMES))
     if 1 < n <= _LADDER_N and _TABLE_FAR <= z <= _TABLE_NEAR:
-        raw = _table(n, z)
-    elif _switch(n) < z < 0.0:
+        return _record(n, z, *_table(n, z))
+    if _switch(n) < z < 0.0:
         raw = _edge(n, z)
     else:
         raw = _threshold(n) if z == 0.0 else laplace_integrals(n, z)
@@ -368,18 +378,16 @@ def green_values(n: int, z) -> GreenValues:
     ``z`` may be a 1-D array; the fields are then arrays over it, each
     entry bit for bit the value at its z alone, and an entry that is not
     below 0 raises the ValueError of a single z.  At the ladder of root
-    location (``_LADDER_Z``) the values of n <= 8 are committed
-    (``ladder.f64``), so no Laplace sum runs there; any other array is
-    evaluated one entry at a time.
+    location (``_LADDER_Z``) each n <= 8 has one committed read-only
+    record (``ladder.f64``), so no Laplace sum runs there; any other
+    array is evaluated one checked entry at a time.
 
     A float z takes one table piece, one Laplace column or one edge
     record: a piece costs a recurrence of 24 terms and one product with
-    its coefficient block, a warm column its exponentials and row sums,
-    each plus a few dictionary and attribute operations, with the
-    positivity of each value checked inline.  brentq's probes in the
-    table's range skip this call and read the piece directly
-    (``classify._polish``).  Other inputs (numpy scalars, integers,
-    arrays) are validated and converted first.
+    its coefficient block (``_table``, which brentq's probes there call
+    directly), a warm column its exponentials and row sums, with the
+    positivity of each value checked inline.  Other inputs (numpy
+    scalars, integers, arrays) are validated and converted first.
     """
     if isinstance(z, float) or np.ndim(z) == 0:
         if not z < 0.0:

@@ -5,16 +5,18 @@ Run from the repository root:
     PYTHONPATH=src:. python tests/hash_oracle.py SEED...
 
 In this one process it replays the oracle workload's input set of
-``perfbench/run.py --workload oracle --seconds 20``: its 2 passes of 43
-finite-lattice compares (``perfbench.inputs.oracle_pass``) at
-theta = -1e-3 with no snapping, as the workload runs them.  The digest
+``perfbench/run.py --workload oracle --seconds 20``: its
+``perfbench.workloads.pass_count("oracle", 20)`` passes (2) of 43
+finite-lattice compares (``perfbench.inputs.oracle_pass``) at the
+workload's theta (``ORACLE_THETA``, -1e-3) with no snapping, as the
+workload runs them.  The digest
 covers, by ``float.hex``, every block value below theta with its origin,
 every classifier root below theta, every matched error, the per-factor
 counts of both sides, plus the type and message of every error raised.
 The workload's own answer holds counts and classifier roots only.  Two
 trees, or two BLAS thread counts, that print the same digest computed
-the same bits.  Only the standard library, numpy, ``belowband`` and
-``perfbench.inputs`` are imported.
+the same bits.  Only the standard library, numpy, ``belowband``,
+``perfbench.inputs`` and ``perfbench.workloads`` are imported.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ import numpy as np
 
 from belowband import classify, lattice
 from belowband.reduction import ModelParams
-from perfbench import inputs
+from perfbench import inputs, workloads
 
-PASSES = 2       # ceil(20 s / 18 s), the oracle's nominal pass time
-THETA = -1e-3    # the workload's cut (perfbench.workloads.ORACLE_THETA)
+PASSES = workloads.pass_count("oracle", 20)   # follows BASELINE_PASS_S
+THETA = workloads.ORACLE_THETA
 
 
 def _hexes(values) -> str:

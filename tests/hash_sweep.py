@@ -5,15 +5,16 @@ Run from the repository root:
     PYTHONPATH=src:. python tests/hash_sweep.py SEED...
 
 In this one process it replays the sweep workload's input set of
-``perfbench/run.py --workload sweep --seconds 20``: its 27 passes of 80
-points (``perfbench.inputs.sweep_pass``).  Each point runs ``summarize``,
+``perfbench/run.py --workload sweep --seconds 20``: its
+``perfbench.workloads.pass_count("sweep", 20)`` passes (27) of 80 points
+(``perfbench.inputs.sweep_pass``).  Each point runs ``summarize``,
 then ``eigenstates`` and ``residual`` for each located root, as the
 workload does.  The digest covers, by ``float.hex``, every root, every
 residual, and the coefficient vector ``w`` and moments of every state, the
 threshold states included, plus the type and message of every error
 raised.  Two trees, or two BLAS thread counts, that print the same digest
-computed the same bits.  Only the standard library, numpy, ``belowband``
-and ``perfbench.inputs`` are imported.
+computed the same bits.  Only the standard library, numpy, ``belowband``,
+``perfbench.inputs`` and ``perfbench.workloads`` are imported.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ import numpy as np
 
 from belowband import classify, states
 from belowband.reduction import ModelParams
-from perfbench import inputs
+from perfbench import inputs, workloads
 
-PASSES = 27   # ceil(20 s / 0.75 s), the sweep's nominal pass time
+PASSES = workloads.pass_count("sweep", 20)   # follows BASELINE_PASS_S
 
 
 def _hexes(values) -> str:

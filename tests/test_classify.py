@@ -489,40 +489,59 @@ _PROBE_POINTS = [(n, lam, mu) for n in (1, 2, 3, 4)
 
 
 def test_every_probe_is_one_table_read_or_one_green_values_call():
-    # each brentq evaluation away from the bracket ends is exactly one read
-    # of the scaled table rows (2 <= n <= 8 in the table's range) or one
-    # call of classify.green_values at a float z (n = 1, n = 9 and u < -8,
-    # where the engine or an edge record serves it); wrappers bound to
-    # those names see every probe
+    # green._table is the Green table's one reader: each brentq evaluation
+    # away from the bracket ends in the table's range (2 <= n <= 8) is one
+    # classify._table call and, through it, exactly one read of the scaled
+    # rows (green._scaled); every other one is one call of
+    # classify.green_values at a float z (n = 1, n = 9 and u < -8, where
+    # the engine or an edge record serves it), which reads no row.  A
+    # float green_values call in the range reads the rows once, through
+    # _table, too
     probes, brentq = [], classify.brentq
 
-    def counting_brentq(f, a, b, **kwargs):
+    def counting_brentq(f, a, b):
         def probe(x):
-            before = (engine.call_count, table.call_count)
+            before = (engine.call_count, table.call_count, rows.call_count)
             value = f(x)
             probes.append((x in (a, b), engine.call_args_list[before[0]:],
-                           table.call_args_list[before[1]:]))
+                           table.call_args_list[before[1]:],
+                           rows.call_args_list[before[2]:]))
             return value
-        return brentq(probe, a, b, **kwargs)
+        return brentq(probe, a, b)
     with mock.patch.object(classify, "green_values",
                            wraps=classify.green_values) as engine, \
-            mock.patch.object(classify, "_scaled", wraps=classify._scaled) as table, \
+            mock.patch.object(classify, "_table", wraps=classify._table) as table, \
+            mock.patch.object(green, "_scaled", wraps=green._scaled) as rows, \
             mock.patch.object(classify, "brentq", counting_brentq):
         for n, lam, mu in _PROBE_POINTS:
             for rec in bb.summarize(bb.ModelParams(n, lam, mu)).eigenvalues:
                 assert rec.greens is None or type(rec.greens) is bb.GreenValues
-    assert all(calls == reads == [] for at_end, calls, reads in probes if at_end)
-    inner = [(calls, reads) for at_end, calls, reads in probes if not at_end]
-    served = [calls for calls, reads in inner if not reads]
+    assert all(calls == reads == scaled == [] for at_end, calls, reads, scaled in probes
+               if at_end)
+    inner = [probe[1:] for probe in probes if not probe[0]]
+    served = [calls for calls, reads, scaled in inner if not reads]
     assert len(served) >= 120 and len(inner) - len(served) >= 250
-    for calls, reads in inner:
+    for calls, reads, scaled in inner:
         if reads:
-            assert calls == [] and len(reads) == 1 and 1 < reads[0].args[0] <= 8
-            assert green._TABLE_EDGES[0] - 1e-12 < reads[0].args[1] <= green._LADDER[0]
+            assert calls == [] and len(reads) == 1 and len(scaled) == 1
+            n, z = reads[0].args
+            assert 1 < n <= 8 and green._TABLE_FAR <= z <= green._TABLE_NEAR
+            assert scaled[0].args == (n, math.log(-z))
         else:
-            assert len(calls) == 1 and type(calls[0].args[1]) is float, calls
+            assert len(calls) == 1 and type(calls[0].args[1]) is float and scaled == []
             n, z = calls[0].args
             assert not (1 < n <= 8 and green._TABLE_FAR <= z <= green._TABLE_NEAR)
+    with mock.patch.object(green, "_table", wraps=green._table) as table, \
+            mock.patch.object(green, "_scaled", wraps=green._scaled) as rows:
+        for n in range(2, 9):
+            for z in (green._TABLE_FAR, -1.0, green._TABLE_NEAR):
+                table.reset_mock()
+                rows.reset_mock()
+                bb.green_values(n, z)
+                assert table.call_args_list == [mock.call(n, z)]
+                assert rows.call_args_list == [mock.call(n, math.log(-z))]
+            bb.green_values(n, green._LADDER_Z)   # the committed ladder
+            assert rows.call_count == 1
 
 
 def _straddling_zs() -> list[float]:
@@ -550,7 +569,7 @@ def _polish_probes(params, origin, z_a, w, split):
     where z = z_a exactly, and its returned pair."""
     seen, brentq = [], classify.brentq
 
-    def probing_brentq(f, a, b, **kwargs):
+    def probing_brentq(f, a, b):
         def probe(v):
             value = f(v)
             if v not in (a, b):
@@ -558,7 +577,7 @@ def _polish_probes(params, origin, z_a, w, split):
                              z_a * math.expm1(v) if split else None, value))
             return value
         probe(1e-300)
-        return brentq(probe, a, b, **kwargs)
+        return brentq(probe, a, b)
     with mock.patch.object(classify, "brentq", probing_brentq):
         pair = classify._polish(params, origin, z_a, -1.0, w, 1.0, split=split)
     assert seen[0][0] == z_a
@@ -615,8 +634,8 @@ def test_a_table_probe_that_is_not_positive_raises_as_green_values(monkeypatch, 
     for origin in classify._multiplicities(3):
         seen, brentq = [], classify.brentq
 
-        def recording_brentq(f, a, b, **kwargs):
-            return brentq(lambda v: seen.append(v) or f(v), a, b, **kwargs)
+        def recording_brentq(f, a, b):
+            return brentq(lambda v: seen.append(v) or f(v), a, b)
         with mock.patch.object(classify, "brentq", recording_brentq), \
                 pytest.raises(bb.QuadratureError) as got:
             classify._polish(params, origin, z_a, -1.0, 0.25, 1.0)
@@ -692,6 +711,24 @@ def test_snapping_tolerance_must_be_finite_and_nonnegative():
     assert bb.classify_even(params, tol=0.0).curve == "G2"
 
 
+@pytest.mark.xfail(strict=True, reason="_factor forms mu - (n - z), and n - z drops "
+                   "the low bits of z (all of them once |z| < ulp(n)/2); ROADMAP item 6")
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("lam", [-1e10, -1e14, -1e20])
+def test_the_delta_r_root_at_mu_n_is_relative_to_z(n, lam):
+    # at mu = n, H_z = (lam - a/b) z - n vanishes at the fixed point
+    # z = n/(lam - a/b(z)), which a few iterations reach to rounding, since
+    # a/b is O(1) beside |lam|.  Today the located root misses it by 1e-6
+    # (lam = -1e10) up to 1.1e4 (lam = -1e20, -2.2e-16 for -3e-20 at
+    # n = 3); the form (mu - n) + z holds all 12 to 4.4e-15
+    z = n / lam
+    for _ in range(8):
+        z = n / (lam - bb.green_values(n, z).ratio_ab)
+    params = bb.ModelParams(n, lam, float(n))
+    (root,) = [r.z for r in bb.negative_eigenvalues(params) if r.origin == "delta_r"]
+    assert abs(root / z - 1.0) <= 1e-12, (root, z)
+
+
 def test_roots_polished_to_tolerance():
     # delta_r root against the analytic chain solution mu a(z) = 1
     recs = bb.negative_eigenvalues(bb.ModelParams(1, 0.0, 0.7))
@@ -701,8 +738,10 @@ def test_roots_polished_to_tolerance():
     assert z == pytest.approx(exact, abs=1e-10)
 
 
-# classify.brentq is a port of scipy's C brentq, kept out of scipy.optimize
-# so that root location does not load it; both must agree bit for bit
+# classify.brentq is a port of scipy's C brentq at xtol = rtol = 4 eps and
+# maxiter = 200, kept out of scipy.optimize so that root location does not
+# load it; both must agree bit for bit
+_SCIPY_KW = dict(xtol=4 * np.finfo(float).eps, rtol=4 * np.finfo(float).eps, maxiter=200)
 _SHAPES = {
     "linear": lambda x, r, c: c * (x - r),
     "cubic": lambda x, r, c: (x - r) ** 3 + c * (x - r),
@@ -724,39 +763,31 @@ def _outcome(solver, f, a, b, **kw):
 @given(shape=st.sampled_from(sorted(_SHAPES)),
        r=st.floats(-50.0, 50.0), c=st.floats(1e-3, 1e3),
        below=st.floats(0.0, 100.0), above=st.floats(0.0, 100.0),
-       flip=st.booleans(),
-       xtol=st.floats(4 * np.finfo(float).eps, 1e-2),
-       rtol_ulps=st.floats(4.0, 1e10),
-       maxiter=st.integers(0, 120))
-def test_brentq_port_matches_scipy_bit_for_bit(shape, r, c, below, above, flip,
-                                               xtol, rtol_ulps, maxiter):
+       flip=st.booleans())
+def test_brentq_port_matches_scipy_bit_for_bit(shape, r, c, below, above, flip):
     from scipy.optimize import brentq as scipy_brentq
 
     f = lambda x: _SHAPES[shape](x, r, c)
     a, b = (r - below, r + above) if not flip else (r + above, r - below)
-    kw = dict(xtol=xtol, rtol=rtol_ulps * np.finfo(float).eps, maxiter=maxiter)
-    assert _outcome(classify.brentq, f, a, b, **kw) \
-        == _outcome(scipy_brentq, f, a, b, **kw)
+    assert _outcome(classify.brentq, f, a, b) == _outcome(scipy_brentq, f, a, b, **_SCIPY_KW)
 
 
 def test_brentq_port_keeps_the_scipy_input_contract():
     from scipy.optimize import brentq as scipy_brentq
 
-    eps = np.finfo(float).eps
     cases = [
-        (lambda x: x + 1.0, 0.0, 1.0, {}),                       # same sign
-        (lambda x: math.nan if x > 0.4 else x - 0.5, 0.0, 1.0, {}),
-        (lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5, 0.0, 1.0, {}),
-        (lambda x: x - 0.3, 0.0, 1.0, {"rtol": 3.9 * eps}),
-        (lambda x: x - 0.3, 0.0, 1.0, {"xtol": 0.0}),
-        (lambda x: x - 0.3, 0.0, 1.0, {"maxiter": -1}),
-        (lambda x: math.atan(x - 0.3), 0.0, 1e6, {"maxiter": 3}),  # exhausted
-        (lambda x: x - 0.3, 0.0, 1.0, {"maxiter": 0}),
+        (lambda x: x + 1.0, 0.0, 1.0),                       # same sign
+        (lambda x: math.nan if x > 0.4 else x - 0.5, 0.0, 1.0),
+        (lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5, 0.0, 1.0),
+        # a step at 1e-300: only bisection narrows it, and 200 halvings of
+        # 1e300 leave it far wider than 4 eps
+        (lambda x: 1.0 if x > 1e-300 else -1.0, -1e300, 1e300),  # exhausted
     ]
-    for f, a, b, kw in cases:
-        expected = _outcome(scipy_brentq, f, a, b, **kw)
-        assert isinstance(expected, type), (a, b, kw)
-        assert _outcome(classify.brentq, f, a, b, **kw) is expected, (a, b, kw)
+    for f, a, b in cases:
+        expected = _outcome(scipy_brentq, f, a, b, **_SCIPY_KW)
+        assert isinstance(expected, type), (a, b)
+        assert _outcome(classify.brentq, f, a, b) is expected, (a, b)
+    assert _outcome(classify.brentq, *cases[-1]) is RuntimeError
     # an end that is a zero is returned as it is, before the sign check
     assert classify.brentq(lambda x: x, 0.0, 1.0) == 0.0
     assert classify.brentq(lambda x: x - 1.0, 0.0, 1.0) == 1.0

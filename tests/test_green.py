@@ -284,26 +284,44 @@ def test_a_short_ladder_table_names_the_file(monkeypatch, tmp_path):
     monkeypatch.setattr(green, "_LADDER_FILE", str(short))
     with pytest.raises(OSError, match=f"the ladder table {re.escape(str(short))} holds "
                                       "29800 bytes, expected 29808"):
-        green._ladder_values()
+        green._ladder_records()
 
 
-def test_a_short_ladder_table_fails_the_import(tmp_path):
-    # both tables are read at import, so a package whose ladder lacks one
-    # value does not import, and the error names the file
+def _import_with_ladder(tmp_path, ladder: bytes) -> tuple[pathlib.Path, str]:
+    """The path of ``ladder.f64`` in a copy of the package whose ladder
+    holds ``ladder``, and the stderr of a failed import of that copy."""
     package = tmp_path / "belowband"
     src = pathlib.Path(green.__file__).parent
     package.mkdir()
     for path in src.iterdir():
         if path.is_file():
             (package / path.name).write_bytes(path.read_bytes())
-    short = package / "ladder.f64"
-    short.write_bytes(short.read_bytes()[:-8])
+    (package / "ladder.f64").write_bytes(ladder)
     proc = subprocess.run([sys.executable, "-c", "import belowband"], cwd=tmp_path,
                           env=dict(os.environ, PYTHONPATH=str(tmp_path)),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode != 0
-    assert (f"OSError: the ladder table {short} holds 29800 bytes, expected 29808"
-            in proc.stderr), proc.stderr
+    return package / "ladder.f64", proc.stderr
+
+
+def test_a_short_ladder_table_fails_the_import(tmp_path):
+    # both tables are read at import, so a package whose ladder lacks one
+    # value does not import, and the error names the file
+    ladder = pathlib.Path(green._LADDER_FILE).read_bytes()[:-8]
+    path, stderr = _import_with_ladder(tmp_path, ladder)
+    assert f"OSError: the ladder table {path} holds 29800 bytes, expected 29808" in stderr, (
+        stderr)
+
+
+def test_a_ladder_value_that_is_not_positive_fails_the_import(tmp_path):
+    # the ladder's records are built at import with one positivity check
+    # of every value, so a package whose ladder holds one negated value
+    # does not import, and the error names the file
+    values = np.fromfile(green._LADDER_FILE, dtype="<f8")
+    values[1000] *= -1.0
+    path, stderr = _import_with_ladder(tmp_path, values.tobytes())
+    assert (f"OSError: the ladder table {path} holds a value that is not positive"
+            in stderr), stderr
 
 
 def test_the_committed_tables_are_read_only():
@@ -318,8 +336,9 @@ def test_the_committed_tables_are_read_only():
         g.z[0] = -1.0
     again = bb.green_values(3, green._LADDER_Z)
     assert {k: getattr(again, k).tobytes() for k in EDGE_FIELDS} == committed
-    assert all(not row.flags.writeable
-               for rows in green._LADDER_VALUES.values() for row in rows.values())
+    assert all(not getattr(record, k).flags.writeable
+               for record in green._LADDER_RECORDS.values() for k in EDGE_FIELDS
+               if getattr(record, k) is not None)
     for blocks in green._PIECES:
         for block in blocks:
             with pytest.raises(ValueError, match="read-only"):
@@ -525,9 +544,26 @@ def test_divergent_requests_are_flagged_not_numbers():
 
 
 _ZS = np.array([-1.0, -2.0, -3.0, -4.0])
-# the two sources of a float z's record there: the Green table at n = 3 and
-# the Laplace engine at n = 9
-_SOURCES = ((3, "_table"), (9, "laplace_integrals"))
+# the two sources of a float z's record there: the Green table's scaled rows
+# at n = 3 (read by green._table) and the Laplace engine at n = 9
+_SOURCES = ((3, "_scaled"), (9, "laplace_integrals"))
+
+
+def _with_values(source, **values):
+    """``source`` with each named value replaced by ``values[name](z)``;
+    in a scaled row of the table it is times its power of n - z, exact at
+    these z, so that ``green._table`` reads that value back."""
+    true = getattr(green, source)
+    if source == "laplace_integrals":
+        return lambda n, z: dict(true(n, z), **{k: f(z) for k, f in values.items()})
+
+    def scaled(n, u):
+        z = next(z for z in (*_ZS.tolist(), -0.5) if math.log(-z) == u)
+        rows = dict(zip(EDGE_FIELDS, true(n, u)))
+        rows.update({k: f(z) * (n - z) ** {"b": 2, "d": 3}.get(k, 1)
+                     for k, f in values.items()})
+        return list(rows.values())
+    return scaled
 
 
 @pytest.mark.parametrize("name, row, first", [
@@ -541,8 +577,7 @@ def test_a_sum_that_is_not_positive_is_named_with_its_z(name, row, first):
     # its first offender; a float z is checked as the same record, from
     # either source
     for n, source in _SOURCES:
-        def record(n, z, true=getattr(green, source)):
-            return dict(true(n, z), **{name: row[_ZS.tolist().index(z)]})
+        record = _with_values(source, **{name: lambda z: row[_ZS.tolist().index(z)]})
         with mock.patch.object(green, source, record):
             for z in _ZS.tolist():
                 value = row[_ZS.tolist().index(z)]
@@ -563,8 +598,7 @@ def test_the_first_integral_in_order_is_named():
     # a before s: with both not positive the message names a, from either
     # source
     for n, source in _SOURCES:
-        def record(n, z, true=getattr(green, source)):
-            return dict(true(n, z), a=-1.0, s=-2.0)
+        record = _with_values(source, a=lambda z: -1.0, s=lambda z: -2.0)
         with mock.patch.object(green, source, record):
             with pytest.raises(QuadratureError,
                                match=rf"integral a=-1\.0 at n={n}, z=-0\.5 "):
