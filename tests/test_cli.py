@@ -463,6 +463,26 @@ def test_a_child_forked_after_import_repeats_no_set_up():
                    "fromfile": 0, "misses": 0}
 
 
+_FROZEN = """
+import gc, json
+import belowband.cli as cli
+from belowband import green
+built = (cli._PARSER, green._LADDER_RECORDS, green._PIECES)
+print(json.dumps({"frozen": gc.get_freeze_count(),
+                  "tracked": [any(o is x for o in gc.get_objects()) for x in built]}))
+"""
+
+
+def test_the_import_freezes_what_it_built():
+    # no collection in a forked child visits the parser, the ladder records
+    # or the table pieces: they left the collector's generations at import
+    proc = subprocess.run([sys.executable, "-c", _FROZEN],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["frozen"] > 0 and doc["tracked"] == [False] * 3
+
+
 _ROOT = Path(__file__).resolve().parents[1]
 
 
