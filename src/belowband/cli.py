@@ -8,9 +8,9 @@ self-check suites).  The ``integrals`` document keeps a constant ``method``
 field, ``laplace-bessel``, the one engine of the package.
 
 Every command is deterministic: identical flags produce byte-identical
-output, whatever the BLAS thread count.  ``verify oracle`` rounds its
-lattice eigenvalue errors to 1e-12, so only one within the thread noise of
-a rounding boundary can still differ.  Exit codes: 0 success, 1
+output, whatever the BLAS thread count, on one host.  ``verify oracle``
+rounds its lattice eigenvalue errors to 1e-12, so only one within the
+thread noise of a rounding boundary can still differ.  Exit codes: 0 success, 1
 verification failure, 2 usage error, 3 numeric failure, 4 empty result.
 
 Importing this module loads numpy only.  It builds the argument parser,

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import answers
 import belowband as bb
 from belowband import cli
 from belowband.cli import main
@@ -503,6 +504,12 @@ def _ci_commands() -> list[list[str]]:
     return [shlex.split(cmd) for cmd in found]
 
 
+# the seed-7 documents of tests/answers.py whose commands CI once ran as
+# console scripts under one and two BLAS threads
+_FORMER_CI_DOCUMENTS = (520, 524, 526, 527, 528, 532, 550, 552, 556, 557,
+                        761, 762, 763, 764, 765)
+
+
 _ONE_PARSER = """
 import contextlib, io, json, sys
 from unittest import mock
@@ -528,6 +535,7 @@ def test_one_parser_answers_every_call_as_a_fresh_process(tmp_path):
     # the parser is built once, at import, and shared by every main() call:
     # two calls in one interpreter must print what separate processes do
     commands = [*_readme_commands(), *_ci_commands(),
+                *(answers.commands()[i] for i in _FORMER_CI_DOCUMENTS),
                 ["--help"], ["summarize", "--help"], ["--version"],
                 ["summarize", "--n", "2", "--lambda", "1"],   # --mu missing
                 ["frobnicate"], ["verify", "oracle", "--n", "1..2"],
