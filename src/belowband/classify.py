@@ -10,6 +10,11 @@ eigenvalues below the band and the type of state sitting at the edge.
 Cells are named D_k (open sets), B_k / S_k / C_k (curves) and the two
 intersection points A and B; the index k always equals the number of
 negative eigenvalues counted with multiplicity.
+
+Root location takes every Green value from ``green`` and keeps none: the
+ladder record by one ``green_values`` call per factor it searches, and
+each brentq probe and each walk step past the ladder as one
+``green._values`` tuple, which builds no record.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .green import (_LADDER, _LADDER_N, _LADDER_Z, _TABLE_FAR, _TABLE_NEAR, GreenValues,
-                    _record, _table, green_threshold, green_values)
+from .green import (_LADDER, _LADDER_N, _LADDER_Z, GreenValues, _record, _values,
+                    green_threshold, green_values)
 from .quadrature import _Z_MAX
 from .reduction import ModelParams, hyperbola_limit
 from .states import (
@@ -392,22 +397,6 @@ def _walk(u: float, limit: float):
         yield u
 
 
-@lru_cache(maxsize=None)
-def _scan_table(n: int) -> GreenValues:
-    """The Green values at the 81 ladder points of n, a constant of n.
-
-    Built on the first root search at this n, never at import or by
-    ``spectral_constants``: requests that locate no root do not pay for
-    the record.  It is one ``green_values`` call for all 81 points, each
-    bit for bit as a call at its z alone: for n <= 8 the record that
-    ``green`` built at import from ``ladder.f64``
-    (``green._LADDER_RECORDS``), which at 2 <= n <= 8 and u >= -8 holds
-    the Green table's values and elsewhere the engine's sums; for larger
-    n it sums them one z at a time.
-    """
-    return green_values(n, _LADDER_Z)
-
-
 def _brackets(us: np.ndarray, values: np.ndarray) -> list[tuple[float, float, float, float]]:
     """(lo, f(lo), hi, f(hi)) in u around each sign change of a scan whose
     us decrease; a zero at a scan point u0 is the bracket (u0, 0, u0, 0).
@@ -456,46 +445,38 @@ def _polish(params: ModelParams, origin: str, z_a: float, f_a: float,
     the Green values brentq evaluated at exactly that z, or None for them
     when the zero is an end of the bracket, which takes its scanned value.
 
-    A probe in the Green table's range (2 <= n <= 8, u >= -8) builds no
-    record: it calls ``green._table``, the table's one reader, which
-    returns the values that ``green_values`` would put in the record,
-    checked for positivity, and passes the factor those it reads.  Every
-    other probe (n = 1, n > 8, u < -8) is one call of this module's
-    ``green_values`` at the float z: one Laplace sum or one edge record.
-    The one record returned for a table root is built from its probe's
-    values by ``green._record``, so it is bit for bit
-    ``green_values(n, z)``.
+    Every probe is one ``green._values`` call at the float z, the values
+    ``green_values`` would put in its record from the one source that
+    serves (n, z), and builds no record; the one record returned is built
+    from the root's probe values by ``green._record``, so it is bit for
+    bit ``green_values(n, z)``.
     """
     n, ends, probed = params.n, {0.0: f_a, w: f_w}, {}
-    table = 1 < n <= _LADDER_N
 
     def h(v):
         if v in ends:
             return ends[v]
         z = z_a * math.exp(v)
-        offset = z_a * math.expm1(v) if split else None
-        if table and _TABLE_FAR <= z <= _TABLE_NEAR:
-            a, b, c, d, s, cd = probed[v] = _table(n, z)
-            return _factor(params, origin, z, a, b, cd, s, offset)
-        g = probed[v] = green_values(n, z)
-        return _factor(params, origin, z, g.a, g.b, g.cd, g.s, offset)
+        a, b, _c, _d, s, cd = probed[v] = _values(n, z)
+        return _factor(params, origin, z, a, b, cd, s,
+                       z_a * math.expm1(v) if split else None)
     v = brentq(h, 0.0, w)
-    z, g = z_a * math.exp(v), probed.get(v)
-    if type(g) is tuple:   # a table probe's values
-        g = _record(n, z, *g)
-    return z, g
+    z, values = z_a * math.exp(v), probed.get(v)
+    return z, None if values is None else _record(n, z, *values)
 
 
 def _roots(params: ModelParams, origin: str,
            expected: int) -> list[tuple[float, GreenValues | None]]:
     """The ``expected`` zeros in (-inf, 0) of one factor, as ``_polish`` pairs.
 
-    One scan in u brackets them: the ladder of the per-n ``_scan_table``,
-    and for the two zeros of delta_r (in G2, mu > n) the point z0 = n - mu,
-    inserted in order, where H = -n while H > 0 at both ends of (-inf, 0).
-    Each end of the scan whose sign disagrees with the factor's value at
-    that end of (-inf, 0) is then stepped past in u, evaluating each step
-    afresh; past the engine's reach the Green values are edge records.
+    One scan in u brackets them: the ladder, read as one
+    ``green_values(n, _LADDER_Z)`` call per search (the kept read-only
+    record of n), and for the two zeros of delta_r (in G2, mu > n) the
+    point z0 = n - mu, inserted in order, where H = -n while H > 0 at both
+    ends of (-inf, 0).  Each end of the scan whose sign disagrees with the
+    factor's value at that end of (-inf, 0) is then stepped past in u,
+    each step one ``green._values`` call that builds no record; past the
+    engine's reach the Green values are edge records.
     Every bracket is polished in u, from z0 itself when it ends there;
     another count raises RootScanError with the sign table.  Messages are
     formatted only when raised.
@@ -509,7 +490,7 @@ def _roots(params: ModelParams, origin: str,
     us, u_split, z0 = _LADDER_U, None, None
     # products overflow and turn NaN as Python floats do
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _factor_at(params, origin, _scan_table(n))
+        values = _factor_at(params, origin, green_values(n, _LADDER_Z))
         if expected == 2:
             # -n itself: H evaluated at -exp(u_split), off by |u| eps in z, can be
             # positive once lam mu is large; mu - n >= ulp(n) keeps u_split > _U_NEAR
@@ -530,7 +511,10 @@ def _roots(params: ModelParams, origin: str,
             near = hyperbola_limit(n, params.lam, params.mu, consts.x_asymptote)
         else:
             far, near = -1.0, _factor_at(params, origin, consts.greens0)
-        f = lambda u: _factor_at(params, origin, green_values(n, -math.exp(u)))
+        def f(u):
+            z = -math.exp(u)
+            a, b, _c, _d, s, cd = _values(n, z)
+            return _factor(params, origin, z, a, b, cd, s)
         first, last = float(values[0]), float(values[-1])
         if first * far < 0.0:
             brackets.append(_step_past(f, float(us[0]), first, _U_FAR, far_failure))

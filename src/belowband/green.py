@@ -13,11 +13,11 @@ n <= 8:
   series in u fitted to the engine's sums (``table.f64``), within 8 eps
   of them; it serves every float z there, and the engine never sums such
   a z.  ``_table`` is its one reader: it divides the scaled rows by their
-  powers of n - z and checks positivity, for ``green_values`` and for
-  brentq's probes (``classify._polish``), which build no record;
+  powers of n - z;
 - the values at the 81 points of the root-location ladder
   (``ladder.f64``), one record per n, each value bit for bit the scalar
-  ``green_values`` call.
+  ``green_values`` call; the record of a larger n is built on its first
+  use and kept beside them (``_LADDER_RECORDS``).
 
 Both files are read once, at import, into read-only arrays that every
 record and probe shares, so a process forked after the import reads
@@ -31,7 +31,10 @@ three from fresh engine sums.  Past the engine's reach
 serves every z down to the smallest subnormal: the closed forms at
 n = 1, the edge form of a (K(m) as m -> 1) with the z = 0 values of
 c - d and s at n = 2, and the z = 0 values at n >= 3, each within a few
-eps of the engine.
+eps of the engine.  ``_values`` decides which of these sources serves a
+float z and returns its six values; ``green_values`` builds a record
+from them, and root location's probes and walk steps (``classify``)
+build none.
 """
 
 from __future__ import annotations
@@ -148,27 +151,6 @@ def _record(n: int, z, a, b, c, d, s, cd) -> GreenValues:
     return g
 
 
-def _reject(n: int, z: float, **values) -> None:
-    """Raise :class:`QuadratureError` naming the first of ``values`` (a, b,
-    c, s, cd; None skipped) that is not positive at z."""
-    for name, v in values.items():
-        if v is not None and not v > 0.0:
-            raise QuadratureError(f"integral {name}={v} at n={n}, z={z} "
-                                  "violates positivity; quadrature failed")
-
-
-def _pack(n: int, z: float, raw: dict) -> GreenValues:
-    """The ``GreenValues`` of an engine or edge ``{name: value}`` record at
-    a float z.  It names no d at n = 1 and only the finite integrals at
-    z = 0; each of a, b, c, s and c - d that it names must be positive."""
-    get = raw.get
-    a, b, c, s, cd = get("a"), get("b"), get("c"), get("s"), get("cd")
-    if not ((a is None or a > 0.0) and (b is None or b > 0.0) and (c is None or c > 0.0)
-            and (s is None or s > 0.0) and (cd is None or cd > 0.0)):
-        _reject(n, z, a=a, b=b, c=c, s=s, cd=cd)
-    return _record(n, z, a, b, c, get("d"), s, cd)
-
-
 # Nearer the edge than _switch(n) the integrals equal their edge forms to
 # rounding: at n = 2 below u = ln(-z) = -45, a = (ln 16 - u)/(2 pi) (DLMF
 # 19.12.1), and s, cd move by O(z ln|z|), under half an ulp; at n = 3 the
@@ -249,6 +231,8 @@ def _ladder_records() -> dict[int, GreenValues]:
     return records
 
 
+# The ladder record of each n: committed for n <= _LADDER_N, and kept by
+# _evaluate once built for a larger n.
 _LADDER_RECORDS = _ladder_records()
 
 
@@ -300,17 +284,11 @@ def _scaled(n: int, u: float) -> list[float]:
 def _table(n: int, z: float) -> tuple[float, ...]:
     """a, b, c, d, s and c - d at _TABLE_FAR <= z <= _TABLE_NEAR for
     2 <= n <= 8: the rows of ``_scaled`` at u = ln(-z), each divided by its
-    power of n - z, with a, b, c, s and c - d checked for positivity as
-    ``_pack`` checks a record.  The one reader of the table: ``_evaluate``
-    builds a float z's record from it, and brentq's probes there
-    (``classify._polish``) call it directly."""
+    power of n - z.  The one reader of the table, for ``_values``."""
     a, b, c, d, s, cd = _scaled(n, math.log(-z))
     w = n - z
     w2 = w * w
-    a, b, c, d, s, cd = a / w, b / w2, c / w, d / (w2 * w), s / w, cd / w
-    if not (a > 0.0 and b > 0.0 and c > 0.0 and s > 0.0 and cd > 0.0):
-        _reject(n, z, a=a, b=b, c=c, s=s, cd=cd)
-    return a, b, c, d, s, cd
+    return a / w, b / w2, c / w, d / (w2 * w), s / w, cd / w
 
 
 @lru_cache(maxsize=None)
@@ -320,46 +298,75 @@ def _threshold(n: int) -> dict[str, float]:
     return _BAND_EDGE.get(n) or laplace_integrals(n, 0.0)
 
 
-def _edge(n: int, z: float) -> dict[str, float]:
-    """The integrals at _switch(n) < z < 0 from their edge forms: the
-    closed forms at n = 1, the z = 0 values at n >= 3, and at n = 2 a from
-    its edge form, b from a - b = (1 + z a)/n, c + d = (n - z) b, and
-    c - d, s at their z = 0 values."""
+def _edge(n: int, z: float) -> tuple[float | None, ...]:
+    """a, b, c, d, s and c - d at _switch(n) < z < 0 from their edge forms:
+    the closed forms at n = 1 (from q = sqrt(-z) sqrt(2 - z), free of
+    cancellation), the z = 0 values at n >= 3, and at n = 2 a from its
+    edge form, b from a - b = (1 + z a)/n, c + d = (n - z) b, and c - d, s
+    at their z = 0 values."""
     if n == 1:
-        return vars(closed_form_green1(z))
+        a = closed_form_a1(z)
+        s = 1.0 / ((1.0 - z) + math.sqrt(-z) * math.sqrt(2.0 - z))
+        b = a * s
+        return a, b, (1.0 - z) * b, None, s, None
     if n > 2:
-        return _threshold(n)
+        return tuple(map(_threshold(n).get, _NAMES))
     a = (math.log(16.0) - math.log(-z)) / (2.0 * math.pi)
     b = a - (1.0 + z * a) / 2.0
     alpha = (2.0 - z) * b
     cd, s = _threshold(2)["cd"], _threshold(2)["s"]
-    return {"a": a, "b": b, "c": (alpha + cd) / 2.0, "d": (alpha - cd) / 2.0,
-            "s": s, "cd": cd}
+    return a, b, (alpha + cd) / 2.0, (alpha - cd) / 2.0, s, cd
+
+
+def _values(n: int, z: float) -> tuple[float | None, ...]:
+    """a, b, c, d, s and c - d at a float z <= 0, None where an integral
+    diverges or (d at n = 1) does not exist, from the one source that
+    serves (n, z): at z = 0 ``_threshold``, in the Green table's range of
+    2 <= n <= 8 ``_table``, at _switch(n) < z < 0 ``_edge``, else the
+    Laplace engine.  Each finite a, b, c, s and c - d must be positive,
+    else QuadratureError names the first that is not.  Every float z's
+    Green values come from here; brentq's probes and the walks of root
+    location (``classify._roots``) call it directly and build no record."""
+    if 1 < n <= _LADDER_N and _TABLE_FAR <= z <= _TABLE_NEAR:
+        values = _table(n, z)
+    elif _switch(n) < z < 0.0:
+        values = _edge(n, z)
+    else:
+        values = tuple(map((_threshold(n) if z == 0.0 else laplace_integrals(n, z)).get,
+                           _NAMES))
+    a, b, c, _d, s, cd = values
+    if not ((a is None or a > 0.0) and (b is None or b > 0.0) and (c is None or c > 0.0)
+            and (s is None or s > 0.0) and (cd is None or cd > 0.0)):
+        for name, v in zip(("a", "b", "c", "s", "cd"), (a, b, c, s, cd)):
+            if v is not None and not v > 0.0:
+                raise QuadratureError(f"integral {name}={v} at n={n}, z={z} "
+                                      "violates positivity; quadrature failed")
+    return values
 
 
 def _evaluate(n: int, z) -> GreenValues:
-    """The integrals at z <= 0: at z = 0 from ``_threshold``, in the
-    Green table's range of 2 <= n <= 8 from ``_table``, at
-    _switch(n) < z < 0 from ``_edge``, else from the Laplace engine; at an
-    array of z, the ladder of n <= 8 from ``_LADDER_RECORDS`` and any other
-    array from one ``green_values`` call per entry, each checked."""
+    """The record of the integrals at z <= 0: a float z's from ``_values``;
+    at the ladder (``_LADDER_Z``) the one kept read-only record of n in
+    ``_LADDER_RECORDS``, built on first use for n > 8 from one
+    ``green_values`` call per entry; any other array from one such call
+    per entry, each checked."""
     if type(n) is not int or n < 1:
         if not (_is_int(n) and n >= 1):
             raise ValueError(f"dimension must be a positive integer, got {n!r}")
         n = int(n)
-    if not isinstance(z, float):   # an array of z, from green_values
-        if n <= _LADDER_N and np.array_equal(z, _LADDER_Z):
-            return _LADDER_RECORDS[n]
-        each = [green_values(n, x) for x in z.tolist()]
-        columns = {k: np.array([getattr(g, k) for g in each]) for k in integral_names(n)}
+    if isinstance(z, float):
+        return _record(n, z, *_values(n, z))
+    ladder = z is _LADDER_Z or np.array_equal(z, _LADDER_Z)
+    if ladder and n in _LADDER_RECORDS:
+        return _LADDER_RECORDS[n]
+    each = [green_values(n, x) for x in z.tolist()]
+    columns = {k: np.array([getattr(g, k) for g in each]) for k in integral_names(n)}
+    if not ladder:
         return _record(n, z, *map(columns.get, _NAMES))
-    if 1 < n <= _LADDER_N and _TABLE_FAR <= z <= _TABLE_NEAR:
-        return _record(n, z, *_table(n, z))
-    if _switch(n) < z < 0.0:
-        raw = _edge(n, z)
-    else:
-        raw = _threshold(n) if z == 0.0 else laplace_integrals(n, z)
-    return _pack(n, z, raw)
+    # kept beside the committed records, read-only as they are
+    frozen = {k: _frozen(column) for k, column in columns.items()}
+    _LADDER_RECORDS[n] = _record(n, _LADDER_Z, *map(frozen.get, _NAMES))
+    return _LADDER_RECORDS[n]
 
 
 def green_values(n: int, z) -> GreenValues:
@@ -378,14 +385,15 @@ def green_values(n: int, z) -> GreenValues:
     ``z`` may be a 1-D array; the fields are then arrays over it, each
     entry bit for bit the value at its z alone, and an entry that is not
     below 0 raises the ValueError of a single z.  At the ladder of root
-    location (``_LADDER_Z``) each n <= 8 has one committed read-only
-    record (``ladder.f64``), so no Laplace sum runs there; any other
-    array is evaluated one checked entry at a time.
+    location (``_LADDER_Z``) each n has one read-only record: committed
+    for n <= 8 (``ladder.f64``), so no Laplace sum runs there, and kept
+    once built for larger n; any other array is evaluated one checked
+    entry at a time.
 
     A float z takes one table piece, one Laplace column or one edge
-    record: a piece costs a recurrence of 24 terms and one product with
-    its coefficient block (``_table``, which brentq's probes there call
-    directly), a warm column its exponentials and row sums, with the
+    record (``_values``, which brentq's probes call directly): a piece
+    costs a recurrence of 24 terms and one product with its coefficient
+    block, a warm column its exponentials and row sums, with the
     positivity of each value checked inline.  Other inputs (numpy
     scalars, integers, arrays) are validated and converted first.
     """
@@ -421,8 +429,4 @@ def closed_form_a1(z: float) -> float:
 
 def closed_form_green1(z: float) -> GreenValues:
     """Exact n = 1 Green values from q = sqrt(-z) sqrt(2-z), free of cancellation."""
-    a = closed_form_a1(z)
-    s = 1.0 / ((1.0 - z) + math.sqrt(-z) * math.sqrt(2.0 - z))
-    b = a * s
-    return GreenValues(n=1, z=z, a=a, b=b, c=(1.0 - z) * b, d=None,
-                       s=s, cd=None)
+    return _record(1, z, *_edge(1, z))

@@ -34,8 +34,9 @@ n <= 8 the band-edge values, the values at the 81 points of the
 root-location ladder and, at 2 <= n <= 8 and u = ln(-z) from -8 to
 40 ln 2, a piecewise Chebyshev table in u are committed in
 :mod:`belowband.green` (``tests/make_tables.py`` rewrites them from this
-engine, one z per call), so brentq's probes there sum nothing; n = 1,
-larger n, and every other z, are summed here.
+engine, one z per call), so no probe there sums anything; n = 1,
+larger n and every other z are summed here, one z per call from
+``green._values``, which decides the source of every z.
 """
 
 from __future__ import annotations

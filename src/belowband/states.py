@@ -73,19 +73,22 @@ class EigenState:
     """A (ray of) eigenfunction(s) f(p) = phi(p)/(E(p) - z).
 
     ``w`` has length n+1 in the even sector (index 0 is the constant mode)
-    and length n in the odd sector.  ``greens`` holds the Green values the
-    state was built from; :func:`residual` uses them only while
-    ``greens.z == z``, and ``moments`` reads them as they are.
+    and length n in the odd sector; it is kept as a tuple of floats, so a
+    state compares and hashes by value and cannot be written in place.
+    ``greens`` holds the Green values the state was built from;
+    :func:`residual` uses them only while ``greens.z == z``, and
+    ``moments`` reads them as they are.
     """
 
     params: ModelParams
     sector: str            # "even" | "odd"
     z: float
-    w: np.ndarray
+    w: tuple[float, ...]
     formula: str
     greens: GreenValues | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "w", tuple(map(float, self.w)))
         if self.formula not in _FORMULAS:
             raise ValueError(f"unknown formula id {self.formula!r}")
         if _FORMULAS[self.formula][0] != self.sector:
@@ -157,11 +160,9 @@ def state_for_delta_r(params: ModelParams, z: float,
     row0 = (1.0 - mu * a, lam * n * b / SQRT2)
     row1 = (SQRT2 * mu * b, 1.0 - lam * greens.alpha)
     if max(map(abs, row0)) > max(map(abs, row1)):
-        w = np.ones(n + 1)
-        w[0] = lam * n * b / (SQRT2 * row0[0])
+        w = (lam * n * b / (SQRT2 * row0[0]),) + (1.0,) * n
     else:
-        w = np.full(n + 1, row1[0])
-        w[0] = row1[1]
+        w = (row1[1],) + (row1[0],) * n
     if lam != 0.0:
         formula = "e1" if z < 0.0 else "z0"
     else:
@@ -179,9 +180,8 @@ def states_for_delta_c(params: ModelParams, z: float,
     formula = "e2" if z < 0.0 else "z2"
     out = []
     for j in range(1, n):
-        w = np.zeros(n + 1)
-        w[1] = 1.0
-        w[j + 1] = -1.0
+        w = [0.0] * (n + 1)
+        w[1], w[j + 1] = 1.0, -1.0
         out.append(EigenState(params, "even", z, w, formula, greens))
     return out
 
@@ -192,7 +192,7 @@ def states_for_odd(params: ModelParams, z: float,
     formula = "eigen-Sin" if z < 0.0 else "sake"
     out = []
     for j in range(params.n):
-        w = np.zeros(params.n)
+        w = [0.0] * params.n
         w[j] = 1.0
         out.append(EigenState(params, "odd", z, w, formula, greens))
     return out

@@ -550,7 +550,7 @@ def moments(state: EigenState, greens: GreenValues) -> np.ndarray:
     lam, mu = state.params.lam, state.params.mu
     if state.sector == "odd":
         (s,) = greens.require("s")
-        return (lam / _SQRT2) * s * state.w
+        return (lam / _SQRT2) * s * np.asarray(state.w)
     n = state.params.n
     w0, wrest = state.w[0], state.w[1:]
     total = float(np.sum(wrest))

@@ -182,10 +182,10 @@ def test_root_counts_match_regions(n):
 
 
 def _green_calls(params):
-    """Green evaluations ``summarize`` makes past the per-n ladder table."""
-    classify._scan_table(params.n)
-    with mock.patch.object(classify, "green_values",
-                           wraps=classify.green_values) as counted:
+    """Green evaluations ``summarize`` makes past the per-n ladder record:
+    brentq's probes and the walks' steps, each one ``classify._values``."""
+    bb.green_values(params.n, green._LADDER_Z)
+    with mock.patch.object(classify, "_values", wraps=classify._values) as counted:
         summary = bb.summarize(params, tol=0.0)
     return summary, counted.call_count
 
@@ -311,7 +311,7 @@ def _check_ladder_table(n, lam, mu):
     every factor, bit for bit, and so do the roots, also with a table
     stacked from scalar calls; every state of every root is certified."""
     params = bb.ModelParams(n, lam, mu)
-    table = classify._scan_table(n)
+    table = bb.green_values(n, green._LADDER_Z)
     greens = _scalar_greens(n)
     scalar = _stacked(n, greens)
     for origin in _ORIGINS if n > 1 else ("delta_r", "delta_s"):
@@ -321,7 +321,7 @@ def _check_ladder_table(n, lam, mu):
                 got = classify._factor_at(params, origin, t)
             assert _hexes(got) == expected, origin
     located = _located(params)
-    with mock.patch.object(classify, "_scan_table", lambda _n: scalar):
+    with mock.patch.dict(green._LADDER_RECORDS, {n: scalar}):
         assert _located(params) == located
     try:
         records = bb.negative_eigenvalues(params, tol=0.0)
@@ -353,18 +353,22 @@ def test_ladder_table_matches_scalar_scan_on_fixtures(n):
 
 
 def test_ladder_table_is_built_only_when_a_root_is_located():
-    # D0 builds no table; the first located root at n builds one
-    classify._scan_table.cache_clear()
-    info = classify._scan_table.cache_info
-    start = info()
+    # D0 reads no ladder; each summarize in D1 reads it once, for the one
+    # factor it searches, as one classify.green_values call at the ladder
+    # itself, and gets the one kept record of n
     bb.spectral_constants(3)
-    assert bb.summarize(bb.ModelParams(3, -1.0, -1.0)).cell == "D0"
-    assert info().misses == start.misses and info().currsize == start.currsize
+    with mock.patch.object(classify, "green_values",
+                           wraps=classify.green_values) as counted:
+        assert bb.summarize(bb.ModelParams(3, -1.0, -1.0)).cell == "D0"
+    assert counted.call_count == 0
     d1 = bb.ModelParams(3, 0.0, 4.5)
-    assert bb.summarize(d1).cell == "D1"
-    assert info().misses == start.misses + 1
-    bb.summarize(d1)
-    assert info().misses == start.misses + 1 and info().hits > start.hits
+    for _ in range(2):
+        with mock.patch.object(classify, "green_values",
+                               wraps=classify.green_values) as counted:
+            assert bb.summarize(d1).cell == "D1"
+        assert counted.call_args_list == [mock.call(3, green._LADDER_Z)]
+        assert counted.call_args.args[1] is green._LADDER_Z
+    assert bb.green_values(3, green._LADDER_Z) is green._LADDER_RECORDS[3]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -397,7 +401,8 @@ def test_a_second_walk_past_the_ladder_evaluates_nothing():
     # the delta_r zero of both lies closer to the band edge than exp(-700):
     # a walk after another one, over the same 9 near step points of n = 2,
     # fails as one from fresh evaluations does, and its sign table holds
-    # fresh values
+    # fresh values; so does one over a ladder record stacked from scalar
+    # calls in place of the committed one
     params = bb.ModelParams(2, 5.0, 2.5002)
     with pytest.raises(bb.RootScanError):
         bb.negative_eigenvalues(bb.ModelParams(2, 5.0, 2.5001), tol=0.0)
@@ -407,8 +412,8 @@ def test_a_second_walk_past_the_ladder_evaluates_nothing():
     assert len(table) == 10 and table[-1][0] == -math.exp(classify._U_NEAR)
     fresh = [classify._factor_at(params, "delta_r", bb.green_values(2, z)) for z, _ in table]
     assert [f.hex() for _, f in table] == _hexes(fresh)
-    classify._scan_table.cache_clear()
-    with pytest.raises(bb.RootScanError) as cold:
+    with mock.patch.dict(green._LADDER_RECORDS, {2: _stacked(2, _scalar_greens(2))}), \
+            pytest.raises(bb.RootScanError) as cold:
         bb.negative_eigenvalues(params, tol=0.0)
     assert str(warm.value) == str(cold.value)
     assert _sign_table_hexes(warm.value) == _sign_table_hexes(cold.value)
@@ -421,12 +426,9 @@ def test_walks_from_the_split_point_keep_nothing(n, lam, mu):
     # points depend on mu and are evaluated afresh
     u_split = math.log(-(n - mu))
     first = u_split + math.copysign(classify._STRIDE, u_split)
-    with mock.patch.object(classify, "green_values",
-                           wraps=classify.green_values) as counted:
+    with mock.patch.object(classify, "_values", wraps=classify._values) as counted:
         bb.summarize(bb.ModelParams(n, lam, mu), tol=0.0)
-    # the ladder, if this test builds it, is one call at an array of z
-    assert (n, -math.exp(first)) in [c.args for c in counted.call_args_list
-                                      if np.ndim(c.args[1]) == 0]
+    assert (n, -math.exp(first)) in [c.args for c in counted.call_args_list]
 
 
 @pytest.mark.parametrize("n", range(3, 10))
@@ -488,49 +490,47 @@ _PROBE_POINTS = [(n, lam, mu) for n in (1, 2, 3, 4)
 ]
 
 
-def test_every_probe_is_one_table_read_or_one_green_values_call():
-    # green._table is the Green table's one reader: each brentq evaluation
-    # away from the bracket ends in the table's range (2 <= n <= 8) is one
-    # classify._table call and, through it, exactly one read of the scaled
-    # rows (green._scaled); every other one is one call of
-    # classify.green_values at a float z (n = 1, n = 9 and u < -8, where
-    # the engine or an edge record serves it), which reads no row.  A
-    # float green_values call in the range reads the rows once, through
-    # _table, too
+def test_every_probe_is_one_values_call_and_builds_no_record():
+    # green._values decides which source serves every probe: each brentq
+    # evaluation away from the bracket ends is one classify._values call at
+    # a float z, builds no GreenValues (every record is built by _record)
+    # and reads the Green table's scaled rows (green._scaled) once exactly
+    # when 2 <= n <= 8 and z lies in the table's range; else the engine or
+    # an edge record serves it (n = 1, n = 9 and u < -8).  A float
+    # green_values call in the range reads the rows once, through _table, too
     probes, brentq = [], classify.brentq
 
     def counting_brentq(f, a, b):
         def probe(x):
-            before = (engine.call_count, table.call_count, rows.call_count)
+            before = (values.call_count, rows.call_count,
+                      built.call_count + rooted.call_count)
             value = f(x)
-            probes.append((x in (a, b), engine.call_args_list[before[0]:],
-                           table.call_args_list[before[1]:],
-                           rows.call_args_list[before[2]:]))
+            probes.append((x in (a, b), values.call_args_list[before[0]:],
+                           rows.call_args_list[before[1]:],
+                           built.call_count + rooted.call_count - before[2]))
             return value
         return brentq(probe, a, b)
-    with mock.patch.object(classify, "green_values",
-                           wraps=classify.green_values) as engine, \
-            mock.patch.object(classify, "_table", wraps=classify._table) as table, \
+    with mock.patch.object(classify, "_values", wraps=classify._values) as values, \
             mock.patch.object(green, "_scaled", wraps=green._scaled) as rows, \
+            mock.patch.object(green, "_record", wraps=green._record) as built, \
+            mock.patch.object(classify, "_record", wraps=classify._record) as rooted, \
             mock.patch.object(classify, "brentq", counting_brentq):
         for n, lam, mu in _PROBE_POINTS:
             for rec in bb.summarize(bb.ModelParams(n, lam, mu)).eigenvalues:
                 assert rec.greens is None or type(rec.greens) is bb.GreenValues
-    assert all(calls == reads == scaled == [] for at_end, calls, reads, scaled in probes
-               if at_end)
+    assert all(calls == scaled == [] and records == 0
+               for at_end, calls, scaled, records in probes if at_end)
     inner = [probe[1:] for probe in probes if not probe[0]]
-    served = [calls for calls, reads, scaled in inner if not reads]
+    assert all(len(calls) == 1 and type(calls[0].args[1]) is float and records == 0
+               for calls, scaled, records in inner)
+    served = [scaled for calls, scaled, records in inner if not scaled]
     assert len(served) >= 120 and len(inner) - len(served) >= 250
-    for calls, reads, scaled in inner:
-        if reads:
-            assert calls == [] and len(reads) == 1 and len(scaled) == 1
-            n, z = reads[0].args
-            assert 1 < n <= 8 and green._TABLE_FAR <= z <= green._TABLE_NEAR
-            assert scaled[0].args == (n, math.log(-z))
+    for calls, scaled, records in inner:
+        n, z = calls[0].args
+        if 1 < n <= 8 and green._TABLE_FAR <= z <= green._TABLE_NEAR:
+            assert scaled == [mock.call(n, math.log(-z))]
         else:
-            assert len(calls) == 1 and type(calls[0].args[1]) is float and scaled == []
-            n, z = calls[0].args
-            assert not (1 < n <= 8 and green._TABLE_FAR <= z <= green._TABLE_NEAR)
+            assert scaled == []
     with mock.patch.object(green, "_table", wraps=green._table) as table, \
             mock.patch.object(green, "_scaled", wraps=green._scaled) as rows:
         for n in range(2, 9):

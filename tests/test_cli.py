@@ -352,7 +352,7 @@ _IMPORT_BUDGET = """
 import contextlib, io, json, sys
 import belowband.cli as cli
 
-heavy = ("scipy.optimize", "scipy.integrate", "scipy.sparse", "scipy.linalg",
+heavy = ("scipy", "scipy.optimize", "scipy.integrate", "scipy.sparse", "scipy.linalg",
          "scipy.special", "numpy.polynomial")
 runs = [
     ["summarize", "--n", "2", "--lambda", "1", "--mu", "3"],
@@ -451,9 +451,9 @@ finally:
 def test_a_child_forked_after_import_repeats_no_set_up():
     # what the import builds serves every child forked after it: parsing
     # an argv of each subcommand compiles no pattern, and a summarize at
-    # n = 1..8 reads no table file and builds no band-edge constants; the
-    # ladder record is still built on the first root search, by one
-    # green_values call per n
+    # n = 1..8 reads no table file and builds no band-edge constants; each
+    # root search reads the committed ladder record by one green_values
+    # call
     if not hasattr(re, "_cache"):
         pytest.skip("this Python's re module keeps no _cache")
     proc = subprocess.run([sys.executable, "-c", _FORKED_CHILD],

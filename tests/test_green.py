@@ -9,7 +9,6 @@ import re
 import subprocess
 import sys
 import warnings
-from functools import lru_cache
 from unittest import mock
 
 import mpmath as mp
@@ -144,7 +143,8 @@ def test_edge_record_within_4_eps_of_the_deep_sums(n):
     switch = green._switch(n)
     for u in np.linspace(math.log(-switch), -702.0, 3000):
         z = max(-math.exp(u), math.nextafter(switch, 0.0))
-        edge, deep = green._edge(n, z), deep_laplace_integrals(n, z)
+        edge = dict(zip(EDGE_FIELDS, green._edge(n, z)))
+        deep = deep_laplace_integrals(n, z)
         gaps = {k: abs(edge[k] / deep[k] - 1.0) for k in edge if k in deep}
         assert max(gaps.values()) <= 4 * EPS, (n, u, gaps)
     for z in -np.geomspace(math.exp(-702.0), 5e-324, 200):
@@ -182,16 +182,20 @@ def test_ladder_table_is_the_engines_own_sums(monkeypatch):
     # the committed ladder values of n <= 8 against scalar green_values
     # calls, every field bit for bit, and against fresh engine sums one
     # call per z wherever the Green table does not serve; from n = 9 on the
-    # ladder is one Laplace call per point
+    # ladder is one Laplace call per point on its first use, and kept
     monkeypatch.setattr(quadrature, "_HEADS", {})
     monkeypatch.setattr(quadrature, "_PANELS", {})
+    monkeypatch.setattr(green, "_LADDER_RECORDS",
+                        {n: green._LADDER_RECORDS[n] for n in range(1, 9)})
     assert os.path.getsize(green._LADDER_FILE) == 29808
     with mock.patch.object(green, "laplace_integrals",
                            wraps=green.laplace_integrals) as laplace:
-        for n in range(1, 10):
+        for n in (*range(1, 10), 9):
+            first = n not in green._LADDER_RECORDS
             bb.green_values(n, green._LADDER_Z)
-            assert laplace.call_count == (81 if n == 9 else 0), n
+            assert laplace.call_count == (81 if first else 0), n
             laplace.reset_mock()
+    assert first is False and 9 in green._LADDER_RECORDS
     for n in range(1, 10):
         committed = bb.green_values(n, green._LADDER_Z)
         zs = green._LADDER_Z.tolist()
@@ -253,11 +257,12 @@ def test_the_green_table_serves_exactly_its_range():
             assert laplace.call_count == (0 if served else 1), (n, z)
 
 
-def test_a_packed_record_is_a_green_values_record():
-    # _pack builds its record without GreenValues.__init__; it compares,
-    # hashes, prints and refuses assignment as the constructor's does
-    for n, z in ((1, -0.75), (3, -0.75), (3, -1e9), (9, -0.75)):
-        g = bb.green_values(n, z)
+def test_a_built_record_is_a_green_values_record():
+    # _record builds every record without GreenValues.__init__, the closed
+    # forms of the chain's included; it compares, hashes, prints and
+    # refuses assignment as the constructor's does
+    for n, z in ((1, -0.75), (3, -0.75), (3, -1e9), (9, -0.75), (1, None)):
+        g = bb.green_values(n, z) if z is not None else closed_form_green1(-0.75)
         built = green.GreenValues(g.n, g.z, g.a, g.b, g.c, g.d, g.s, g.cd)
         assert type(g) is green.GreenValues
         assert g == built and hash(g) == hash(built) and repr(g) == repr(built)
@@ -325,17 +330,19 @@ def test_a_ladder_value_that_is_not_positive_fails_the_import(tmp_path):
 
 
 def test_the_committed_tables_are_read_only():
-    # every ladder record shares the rows read at import, and table probes
-    # share the coefficient blocks: neither takes a write, so the next
-    # call still returns the committed values
-    g = bb.green_values(3, green._LADDER_Z)
-    committed = {k: getattr(g, k).tobytes() for k in EDGE_FIELDS}
-    with pytest.raises(ValueError, match="read-only"):
-        g.a[0] = 1.0
-    with pytest.raises(ValueError, match="read-only"):
-        g.z[0] = -1.0
-    again = bb.green_values(3, green._LADDER_Z)
-    assert {k: getattr(again, k).tobytes() for k in EDGE_FIELDS} == committed
+    # every ladder record shares the rows read at import, the record built
+    # on first use at n = 9 is kept read-only beside them, and table probes
+    # share the coefficient blocks: none takes a write, so the next call
+    # still returns the kept values
+    for n in (3, 9):
+        g = bb.green_values(n, green._LADDER_Z)
+        committed = {k: getattr(g, k).tobytes() for k in EDGE_FIELDS}
+        with pytest.raises(ValueError, match="read-only"):
+            g.a[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            g.z[0] = -1.0
+        again = bb.green_values(n, green._LADDER_Z)
+        assert {k: getattr(again, k).tobytes() for k in EDGE_FIELDS} == committed
     assert all(not getattr(record, k).flags.writeable
                for record in green._LADDER_RECORDS.values() for k in EDGE_FIELDS
                if getattr(record, k) is not None)
@@ -434,8 +441,6 @@ def test_deep_square_lattice_search_keeps_short_panels(monkeypatch):
     # nothing is kept
     monkeypatch.setattr(quadrature, "_HEADS", {})
     monkeypatch.setattr(quadrature, "_PANELS", {})
-    monkeypatch.setattr(classify, "_scan_table",
-                        lru_cache(maxsize=None)(classify._scan_table.__wrapped__))
     with pytest.raises(bb.RootScanError, match=re.escape("exp(-700)")):
         bb.negative_eigenvalues(bb.ModelParams(2, 5.0, 2.5001), tol=0.0)
     for n in range(1, 7):

@@ -220,7 +220,7 @@ def test_green_values_do_not_depend_on_blas_threads():
 _LADDER_VS_SCALAR = """
 import json, math, random, sys
 import belowband as bb
-from belowband import classify
+from belowband import classify, green
 fields = ("z", "a", "b", "c", "d", "s", "cd")
 hexes = lambda column: [float(v).hex() for v in column]
 out = {}
@@ -230,9 +230,9 @@ for n in (1, 2, 3, 4):
     if sys.argv[1] == "scalar-first":
         random.Random(n).shuffle(zs)
         scalar = {z: bb.green_values(n, z) for z in zs}
-        table = classify._scan_table(n)
+        table = bb.green_values(n, green._LADDER_Z)
     else:
-        table = classify._scan_table(n)
+        table = bb.green_values(n, green._LADDER_Z)
         scalar = {z: bb.green_values(n, z) for z in zs}
     out[n] = {
         "table": {k: getattr(table, k) is not None and hexes(getattr(table, k))

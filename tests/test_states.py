@@ -120,10 +120,11 @@ def test_moments_match_coefficients_for_fixed_points():
             assert u is not None
             if state.sector == "even":
                 assert u[0] == pytest.approx(state.w[0], rel=1e-9, abs=1e-12)
-                assert np.allclose(u[1:], state.w[1:] / SQRT2, rtol=1e-9, atol=1e-12)
+                assert np.allclose(u[1:], np.divide(state.w[1:], SQRT2), rtol=1e-9,
+                                   atol=1e-12)
             else:
                 # odd fixed point: (lam/sqrt2) s w = w/sqrt2 when lam s = 1
-                assert np.allclose(u, state.w / SQRT2, rtol=1e-9, atol=1e-12)
+                assert np.allclose(u, np.divide(state.w, SQRT2), rtol=1e-9, atol=1e-12)
 
 
 def test_moments_finite_for_square_lattice_threshold_state():
@@ -151,6 +152,26 @@ def test_only_divergence_leaves_moments_unset(monkeypatch):
     built = states_for_delta_c(params, -0.5, g)
     with pytest.raises(RuntimeError, match="bug in moments"):
         built[0].moments
+
+
+def test_states_and_summaries_compare_and_hash_by_value():
+    # w is kept as a tuple of floats: a summary holding a threshold state
+    # equals and hashes as another of the same couplings, a state built
+    # from an array equals one built from its floats, and no w takes a write
+    p = bb.ModelParams(3, bb.spectral_constants(3).lambda_s, 0.0)
+    first, second = bb.summarize(p), bb.summarize(p)
+    assert first.threshold.entries and first == second
+    assert hash(first) == hash(second) and hash(first.threshold) == hash(second.threshold)
+    state = first.threshold.entries[0].states[0]
+    assert type(state.w) is tuple and all(type(x) is float for x in state.w)
+    with pytest.raises(TypeError):
+        state.w[0] = 2.0
+    assert replace(state, w=np.array(state.w)) == state
+    assert hash(replace(state, w=list(state.w))) == hash(state)
+    assert replace(state, w=(0.0, *state.w[1:])) != state
+    rooted = bb.ModelParams(2, 3.0, 4.0)
+    for rec in bb.negative_eigenvalues(rooted):
+        assert bb.eigenstates(rooted, rec) == bb.eigenstates(rooted, rec)
 
 
 def test_moments_take_a_coefficient_list():
