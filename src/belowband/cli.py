@@ -16,9 +16,11 @@ verification failure, 2 usage error, 3 numeric failure, 4 empty result.
 Importing this module loads numpy only.  It builds the argument parser,
 which depends on no input, and parses one argv of every subcommand with
 it, so that re has compiled and cached argparse's match patterns; with
-the package's committed tables and the band-edge constants of n <= 8,
-which ``green`` and ``classify`` build at import, every :func:`main`
-call, forked or repeated, then only parses and computes.  The lattice
+the package's committed tables, n = 1's engine tables for the ladder's
+span and the band-edge constants of n <= 8, which ``green`` and
+``classify`` build at import, every :func:`main` call, forked or
+repeated, then only parses and computes.  It then freezes all of it out
+of the garbage collector's generations.  The lattice
 oracle, with ``scipy.sparse`` and ``scipy.linalg``, is imported inside
 ``verify oracle``, so no other command loads scipy.
 """

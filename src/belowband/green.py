@@ -17,7 +17,8 @@ n <= 8:
 - the values at the 81 points of the root-location ladder
   (``ladder.f64``), one record per n, each value bit for bit the scalar
   ``green_values`` call; the record of a larger n is built on its first
-  use and kept beside them (``_LADDER_RECORDS``).
+  use, after one Bessel pass for all its 81 sums, and kept beside them
+  (``_LADDER_RECORDS``).
 
 Both files are read once, at import, into read-only arrays that every
 record and probe shares, so a process forked after the import reads
@@ -25,13 +26,16 @@ neither again; a file of the wrong size, or a ladder value that is not
 positive, fails the import with an OSError naming it.  n = 1, n > 8 and
 every z outside the table's range (nearer the edge than u = -8
 included, where a root's conditioning would magnify the table's few
-eps) take the Laplace engine.  ``tests/make_tables.py`` rewrites the
-three from fresh engine sums.  Past the engine's reach
-(u = ln(-z) about -111 to -109, and from -45 at n = 2) an edge record
-serves every z down to the smallest subnormal: the closed forms at
-n = 1, the edge form of a (K(m) as m -> 1) with the z = 0 values of
-c - d and s at n = 2, and the z = 0 values at n >= 3, each within a few
-eps of the engine.  ``_values`` decides which of these sources serves a
+eps) take the Laplace engine.  n = 1 has no table, so the import also
+builds the engine's heads and panels of n = 1 for every z of the
+ladder's span in one Bessel pass (``_keep_ladder_span``), and a process
+forked after it sums n = 1 there from kept tables.
+``tests/make_tables.py`` rewrites the three tables from fresh engine
+sums.  Past the engine's reach (u = ln(-z) about -111 to -109, and from
+-45 at n = 2) an edge record serves every z down to the smallest
+subnormal: the closed forms at n = 1, the edge form of a (K(m) as
+m -> 1) with the z = 0 values of c - d and s at n = 2, and the z = 0
+values at n >= 3, each within a few eps of the engine.  ``_values`` decides which of these sources serves a
 float z and returns its six values; ``green_values`` builds a record
 from them, and root location's probes and walk steps (``classify``)
 build none.
@@ -47,8 +51,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import (_NAMES, QuadratureError, _frozen, _z_near, integral_names,
-                         laplace_integrals)
+from .quadrature import (_NAMES, QuadratureError, _frozen, _keep, _span, _z_near,
+                         integral_names, laplace_integrals)
 from .reduction import _is_int
 
 __all__ = [
@@ -236,6 +240,22 @@ def _ladder_records() -> dict[int, GreenValues]:
 _LADDER_RECORDS = _ladder_records()
 
 
+def _keep_ladder_span(n: int) -> None:
+    """Keep the engine's heads and panels of dimension n for every z of
+    the ladder's span, _LADDER_Z[0] <= z <= _LADDER_Z[-1], from one
+    Bessel pass: every head that ``quadrature._span`` gives there, from
+    the far end's to the near end's, and the panels up to the near end's
+    last."""
+    (k0, _), (k0_near, k1) = (_span(n, float(z)) for z in _LADDER_Z[[0, -1]])
+    _keep(n, range(k0, k0_near + 1), k1)
+
+
+# n = 1 has no Green table, so every probe there sums the engine; its
+# tables for the ladder's span are built here, once per process, and a
+# process forked after the import runs no Bessel pass in that span
+_keep_ladder_span(1)
+
+
 # The Green table of 2 <= n <= _LADDER_N, from u = ln(-z) = _TABLE_EDGES[0]
 # to the ladder's top 40 ln 2: on each piece [lo, hi] of _TABLE_EDGES,
 # _TABLE_TERMS coefficients of T_k(x), x = (u - mid)/half, for each of a,
@@ -348,8 +368,8 @@ def _evaluate(n: int, z) -> GreenValues:
     """The record of the integrals at z <= 0: a float z's from ``_values``;
     at the ladder (``_LADDER_Z``) the one kept read-only record of n in
     ``_LADDER_RECORDS``, built on first use for n > 8 from one
-    ``green_values`` call per entry; any other array from one such call
-    per entry, each checked."""
+    ``green_values`` call per entry after one Bessel pass for all of
+    them; any other array from one such call per entry, each checked."""
     if type(n) is not int or n < 1:
         if not (_is_int(n) and n >= 1):
             raise ValueError(f"dimension must be a positive integer, got {n!r}")
@@ -359,6 +379,8 @@ def _evaluate(n: int, z) -> GreenValues:
     ladder = z is _LADDER_Z or np.array_equal(z, _LADDER_Z)
     if ladder and n in _LADDER_RECORDS:
         return _LADDER_RECORDS[n]
+    if ladder:  # the 81 sums' heads and panels, from one Bessel pass
+        _keep_ladder_span(n)
     each = [green_values(n, x) for x in z.tolist()]
     columns = {k: np.array([getattr(g, k) for g in each]) for k in integral_names(n)}
     if not ladder:

@@ -23,20 +23,25 @@ and remains valid at z = 0 for every integral that is finite there
 
 The dyadic t-panels do not depend on z, so their weighted Bessel
 tables are computed once and kept; a call of :func:`laplace_integrals`
-builds the head and the panels its z misses in one pass.  The pass
-writes each weighted row once, into one rows x nodes array that the new
-head and panels are kept from, and kept tables are read-only.  Entries
-do not depend on the calls that built them.  Each row, of at most
-``_CHUNK`` nodes, is summed by one BLAS ddot, all rows in one batched
-product of vectors, so a value is bit-identical whatever ran before and
-whatever the BLAS thread count, and concurrent calls are safe.  For
-n <= 8 the band-edge values, the values at the 81 points of the
-root-location ladder and, at 2 <= n <= 8 and u = ln(-z) from -8 to
-40 ln 2, a piecewise Chebyshev table in u are committed in
-:mod:`belowband.green` (``tests/make_tables.py`` rewrites them from this
-engine, one z per call), so no probe there sums anything; n = 1,
-larger n and every other z are summed here, one z per call from
-``green._values``, which decides the source of every z.
+builds the head and the panels its z misses in one pass.  ``green``
+asks the same builder, ``_keep``, for every head and panel of the
+root-location ladder's span, -2^40 <= z <= -2^-40, in one pass: for
+n = 1 at import, so a process forked after it sums n = 1 there from
+kept tables, and for a larger n on the first use of its ladder.  A
+pass writes each weighted row once, into one rows x nodes array that
+the new heads and panels are kept from, and kept tables are read-only.
+Entries depend only on their own node, not on the calls that built
+them.  Each row, of at most ``_CHUNK`` nodes, is summed by one BLAS
+ddot, all rows in one batched product of vectors, so a value is
+bit-identical whatever ran before and whatever the BLAS thread count,
+and concurrent calls are safe.  For n <= 8 the band-edge values, the
+values at the 81 points of the root-location ladder and, at
+2 <= n <= 8 and u = ln(-z) from -8 to 40 ln 2, a piecewise Chebyshev
+table in u are committed in :mod:`belowband.green`
+(``tests/make_tables.py`` rewrites them from this engine, one z per
+call), so no probe there sums anything; n = 1, larger n and every other
+z are summed here, one z per call from ``green._values``, which decides
+the source of every z.
 """
 
 from __future__ import annotations
@@ -352,12 +357,17 @@ def _span(n: int, z: float) -> tuple[int, int]:
     return k0, k1 - (mant == 0.5)
 
 
-def _keep(n: int, k0: int, k1: int) -> tuple[int, int, np.ndarray, np.ndarray]:
-    """Keep the head [0, 2^k0] and the panels from 2^k0 up to 2^k1 of
-    dimension n, the missing ones from one Bessel pass; returns the kept
-    panels (lo, hi, nodes, table), at once where nothing is missing."""
+def _keep(n: int, heads, k1: int) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """Keep the heads [0, 2^k] of dimension n for each k in ``heads``
+    (ascending) and the panels from 2^heads[0] up to 2^k1, the missing
+    ones from one Bessel pass; returns the kept panels (lo, hi, nodes,
+    table), at once where nothing is missing.  A probe asks for the one
+    head of its z; ``green`` asks for every head of the ladder's span at
+    once, at import for n = 1 and on the first use of a larger n's
+    ladder."""
+    k0 = heads[0]
+    heads = [k for k in heads if (n, k) not in _HEADS]
     kept = _PANELS.get(n)
-    heads = [] if (n, k0) in _HEADS else [k0]
     if not heads and kept is not None and kept[0] <= k0 and k1 <= kept[1]:
         return kept
     lo, hi, t, table = kept or (k0, k0, np.empty(0), np.empty((len(integral_names(n)), 0)))
@@ -368,8 +378,9 @@ def _keep(n: int, k0: int, k1: int) -> tuple[int, int, np.ndarray, np.ndarray]:
     cuts = np.cumsum([len(heads) * _NODES, max(lo - k0, 0) * _NODES])
     th, tb, ta = np.split(tn, cuts)
     wh, wb, wa = np.split(_weighted_integrands(n, tn, wn), cuts, axis=1)
-    if heads:
-        _HEADS[n, k0] = _frozen(th.copy()), _frozen(wh.copy())
+    for i, k in enumerate(heads):
+        cols = slice(i * _NODES, (i + 1) * _NODES)
+        _HEADS[n, k] = _frozen(th[cols].copy()), _frozen(wh[:, cols].copy())
     kept = (min(lo, k0), max(hi, k1), _frozen(np.concatenate([tb, t, ta])),
             _frozen(np.concatenate([wb, table, wa], axis=1)))
     _PANELS[n] = kept
@@ -427,7 +438,7 @@ def laplace_integrals(n: int, z: float) -> dict:
     """
     z = float(z)
     k0, k1 = _span(n, z)
-    rows = zip(integral_names(n), _column(n, z, k0, k1, _keep(n, k0, k1)).tolist())
+    rows = zip(integral_names(n), _column(n, z, k0, k1, _keep(n, (k0,), k1)).tolist())
     if z < 0.0:
         return dict(rows)
     return {k: v for k, v in rows if k in finite_at_threshold(n)}

@@ -5,7 +5,7 @@ Run from the repository root:
 
     PYTHONPATH=src:. python tests/answers.py OUT_DIR
 
-Everything runs in this one process.  It does three things:
+Everything runs in this one process.  It does four things:
 
 - *Documents.*  Every command of the set runs through
   ``belowband.cli.main``, and ``OUT_DIR/NNNN-<command>.txt`` holds its
@@ -43,9 +43,15 @@ Everything runs in this one process.  It does three things:
   moments, block values, matched errors), plus the type and message of
   every error raised.  Equal digests mean equal bits, on one host.
 
+- *Cold passes.*  It replays the cold workload's input set at the same
+  seeds, 17 passes of 16 ``summarize`` requests each, as
+  ``perfbench/run.py --seconds 20`` forks them, here each through
+  ``belowband.cli.main`` in this process.  They go to the record only.
+
 - *The record.*  ``tests/ANSWERS.txt`` gets one line per document and per
-  (workload, seed, pass): the sha256 of a canonical form that keeps what
-  does not depend on the host's SIMD and BLAS kernels.  It keeps every
+  (workload, seed, pass), cold included: the sha256 of a canonical form
+  (for a cold pass, of each of its documents) that keeps what does not
+  depend on the host's SIMD and BLAS kernels.  It keeps every
   string, integer, boolean, null, exit code and list length, and drops
   every float, except roots at or below -1e-3 and the ``integrals`` Green
   values, both at 10 significant digits, and the oracle's lattice block
@@ -75,6 +81,7 @@ from perfbench import inputs, workloads
 SEED = 7
 REPLAY_SEEDS = (401, 405, 407)
 PASSES = {"sweep": 27, "oracle": 2}
+COLD_PASSES = 17
 THETA = workloads.ORACLE_THETA
 RECORD = os.path.join(os.path.dirname(os.path.abspath(__file__)), "ANSWERS.txt")
 
@@ -260,14 +267,19 @@ def _lines(lines: list[str]) -> str:
     return "".join(f"{line}\n" for line in lines)
 
 
-def replay(workload: str, seed: int) -> tuple[str, list[str]]:
-    """The exact digest of one workload and seed, and one canonical digest
-    per pass."""
-    dims = inputs.SWEEP_DIMS if workload == "sweep" else inputs.ORACLE_LADDERS
+def _consts(dims) -> dict:
+    """The band-edge constants that seed a workload's input generators."""
     consts = {}
     for n in dims:
         c = classify.spectral_constants(n)
         consts[n] = (c.x_asymptote, c.lambda_s, c.lambda_c)
+    return consts
+
+
+def replay(workload: str, seed: int) -> tuple[str, list[str]]:
+    """The exact digest of one workload and seed, and one canonical digest
+    per pass."""
+    consts = _consts(inputs.SWEEP_DIMS if workload == "sweep" else inputs.ORACLE_LADDERS)
     rng = np.random.default_rng(seed)
     exact, passes = hashlib.sha256(), []
     for _ in range(PASSES[workload]):
@@ -282,6 +294,18 @@ def replay(workload: str, seed: int) -> tuple[str, list[str]]:
             port += portable
         passes.append(hashlib.sha256(_lines(port).encode()).hexdigest())
     return exact.hexdigest(), passes
+
+
+def cold_replay(seed: int) -> list[str]:
+    """One canonical digest per cold pass: the sha256 of the canonical
+    documents of its ``summarize`` requests, each run through
+    ``cli.main``."""
+    consts, rng, passes = _consts(inputs.COLD_DIMS), np.random.default_rng(seed), []
+    for _ in range(COLD_PASSES):
+        argvs = [workloads.cold_argv(*item) for item in inputs.cold_pass(rng, consts)]
+        text = "".join(canonical(argv, *run(argv)) for argv in argvs)
+        passes.append(hashlib.sha256(text.encode()).hexdigest())
+    return passes
 
 
 def main(out_dir: str) -> None:
@@ -299,6 +323,8 @@ def main(out_dir: str) -> None:
             digest, passes = replay(workload, seed)
             print(workload, seed, digest)
             record += [f"{workload} {seed} {k:02d} {h}" for k, h in enumerate(passes)]
+    for seed in REPLAY_SEEDS:
+        record += [f"cold {seed} {k:02d} {h}" for k, h in enumerate(cold_replay(seed))]
     with open(RECORD, "w", encoding="utf-8") as f:
         f.write(_lines(record))
 

@@ -406,7 +406,7 @@ import contextlib, io, json, os, re, sys
 from unittest import mock
 import numpy as np
 import belowband.cli as cli
-from belowband import classify, green
+from belowband import classify, green, quadrature
 
 argvs = [
     ["integrals", "--n", "3", "--z", "-0.5"],
@@ -430,17 +430,20 @@ try:
     compiled = None if cache is None else len(set(cache) - before)
     misses = classify.spectral_constants.cache_info().misses
     codes, ladders = [], []
+    points = [(n, 0.0, n + 1.5) for n in range(1, 9)] + [(1, 3.0, 3.0)]
     with mock.patch.object(np, "fromfile", wraps=np.fromfile) as fromfile, \\
             mock.patch.object(classify, "green_values",
-                              wraps=classify.green_values) as values:
-        for n in range(1, 9):
+                              wraps=classify.green_values) as values, \\
+            mock.patch.object(quadrature, "_weighted_integrands",
+                              wraps=quadrature._weighted_integrands) as bessel:
+        for n, lam, mu in points:
             with contextlib.redirect_stdout(io.StringIO()):
-                codes.append(cli.main(["summarize", f"--n={n}", "--lambda=0",
-                                       f"--mu={n + 1.5}"]))
+                codes.append(cli.main(["summarize", f"--n={n}", f"--lambda={lam}",
+                                       f"--mu={mu}"]))
             ladders.append(sum(c.args[1] is green._LADDER_Z for c in values.call_args_list))
             values.reset_mock()
     print(json.dumps({"compiled": compiled, "codes": codes, "ladders": ladders,
-                      "fromfile": fromfile.call_count,
+                      "fromfile": fromfile.call_count, "bessel": bessel.call_count,
                       "misses": classify.spectral_constants.cache_info().misses - misses}))
 finally:
     sys.stdout.flush()
@@ -451,37 +454,40 @@ finally:
 def test_a_child_forked_after_import_repeats_no_set_up():
     # what the import builds serves every child forked after it: parsing
     # an argv of each subcommand compiles no pattern, and a summarize at
-    # n = 1..8 reads no table file and builds no band-edge constants; each
-    # root search reads the committed ladder record by one green_values
-    # call
+    # n = 1..8 reads no table file, builds no band-edge constants and runs
+    # no Bessel pass, n = 1's engine probes included, also at a point with
+    # three roots; each root search reads the committed ladder record by
+    # one green_values call
     if not hasattr(re, "_cache"):
         pytest.skip("this Python's re module keeps no _cache")
     proc = subprocess.run([sys.executable, "-c", _FORKED_CHILD],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
-    assert doc == {"compiled": 0, "codes": [0] * 8, "ladders": [1] * 8,
-                   "fromfile": 0, "misses": 0}
+    assert doc == {"compiled": 0, "codes": [0] * 9, "ladders": [1] * 8 + [2],
+                   "fromfile": 0, "bessel": 0, "misses": 0}
 
 
 _FROZEN = """
 import gc, json
 import belowband.cli as cli
-from belowband import green
-built = (cli._PARSER, green._LADDER_RECORDS, green._PIECES)
+from belowband import green, quadrature
+built = (cli._PARSER, green._LADDER_RECORDS, green._PIECES, quadrature._HEADS,
+         quadrature._PANELS)
 print(json.dumps({"frozen": gc.get_freeze_count(),
                   "tracked": [any(o is x for o in gc.get_objects()) for x in built]}))
 """
 
 
 def test_the_import_freezes_what_it_built():
-    # no collection in a forked child visits the parser, the ladder records
-    # or the table pieces: they left the collector's generations at import
+    # no collection in a forked child visits the parser, the ladder records,
+    # the table pieces or n = 1's kept engine tables: they left the
+    # collector's generations at import
     proc = subprocess.run([sys.executable, "-c", _FROZEN],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
-    assert doc["frozen"] > 0 and doc["tracked"] == [False] * 3
+    assert doc["frozen"] > 0 and doc["tracked"] == [False] * 5
 
 
 _ROOT = Path(__file__).resolve().parents[1]

@@ -361,7 +361,9 @@ from belowband import cli, green, quadrature
 out = {}
 for n in range(1, 10):
     with mock.patch.object(green, "laplace_integrals",
-                           wraps=green.laplace_integrals) as laplace:
+                           wraps=green.laplace_integrals) as laplace, \
+            mock.patch.object(quadrature, "_weighted_integrands",
+                              wraps=quadrature._weighted_integrands) as bessel:
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["summarize", f"--n={n}", "--lambda=0", f"--mu={n + 1.5}"])
     zs = [c.args[1] for c in laplace.call_args_list]
@@ -369,7 +371,8 @@ for n in range(1, 10):
               "arrays": sum(np.ndim(z) > 0 for z in zs),
               "ladder": sum(z in green._LADDER_Z.tolist() for z in zs),
               "tail": quadrature._tail.cache_info().currsize,
-              "calls": len(zs), "panels": n in quadrature._PANELS}
+              "calls": len(zs), "bessel": bessel.call_count,
+              "panels": n in quadrature._PANELS}
 print(json.dumps(out))
 """
 
@@ -379,19 +382,21 @@ def test_a_fresh_summarize_sums_no_band_edge_and_no_ladder():
     # below n = 9 the band-edge constants and the ladder are committed, so
     # no call is at z = 0 or at a ladder point, and no tail is summed; at
     # n = 2..8 the root lies in the Green table's range, so no Laplace call
-    # and no Bessel pass runs at all; n = 1 sums brentq's probes, and at
-    # n = 9 the ladder is one call per point
+    # and no Bessel pass runs at all; n = 1 sums brentq's probes over the
+    # tables the import built, in no Bessel pass; at n = 9 the ladder is
+    # one call per point, after one pass for all 81 (the band edge and its
+    # tail take the other two)
     doc = json.loads(subprocess.run([sys.executable, "-c", _FRESH_SUMMARIZE],
                                     check=True, capture_output=True, text=True).stdout)
     for n in range(2, 9):
         assert doc[str(n)] == {"code": 0, "edge": 0, "arrays": 0, "ladder": 0,
-                               "tail": 0, "calls": 0, "panels": False}, n
+                               "tail": 0, "calls": 0, "bessel": 0, "panels": False}, n
     assert doc["1"].pop("calls") > 0
     assert doc["1"] == {"code": 0, "edge": 0, "arrays": 0, "ladder": 0, "tail": 0,
-                        "panels": True}
+                        "bessel": 0, "panels": True}
     assert doc["9"].pop("calls") > 81
     assert doc["9"] == {"code": 0, "edge": 1, "arrays": 0, "ladder": 81, "tail": 1,
-                        "panels": True}
+                        "bessel": 3, "panels": True}
 
 
 def test_an_array_of_z_equals_its_entries_past_the_engines_reach():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from belowband import classify, quadrature
+from belowband import classify, green, quadrature
 from reference import trapezoid_integrals, trapezoid_threshold
 
 # ---------------------------------------------------------------------------
@@ -196,7 +196,7 @@ def test_laplace_sums_equal_one_dot_per_row_bit_for_bit(monkeypatch):
 
 _DEEP = """
 import math, sys, belowband as bb
-from belowband import classify, quadrature
+from belowband import classify, green, quadrature
 for n in (1, 2, 3, 4):
     for z in (-1e-300, -1e-200, -1e-100, quadrature._z_near(n), -1e-30, -1e-12,
               -0.37, -1e6, -math.exp(classify._LADDER[17])):
@@ -294,6 +294,43 @@ def test_tables_grown_in_any_order_equal_each_panel_alone(monkeypatch):
             for kept in (t, table, *heads[lo], quadrature._tail(n)):
                 with pytest.raises(ValueError, match="read-only"):
                     kept[..., 0] = 0.0
+
+
+def test_tables_of_the_ladders_span_equal_lazy_builds_at_each_z(monkeypatch):
+    # the n = 1 heads and panels the import built in one pass, and an
+    # n = 9 ladder's one-pass build, must hold byte for byte what a lazy
+    # build of one z from empty tables holds, and sum the same values, at
+    # seeded z across the ladder's span
+    bits = lambda a: np.ascontiguousarray(a).tobytes()
+    nodes = quadrature._NODES
+    far, near = (float(z) for z in green._LADDER_Z[[0, -1]])
+    rng = random.Random(49)
+    zs = [far, near, *(-math.exp(rng.uniform(classify._LADDER[-1], classify._LADDER[0]))
+                       for _ in range(12))]
+    built = {1: (dict(quadrature._HEADS), quadrature._PANELS[1])}
+    monkeypatch.setattr(quadrature, "_HEADS", {})
+    monkeypatch.setattr(quadrature, "_PANELS", {})
+    green._keep_ladder_span(9)
+    built[9] = (quadrature._HEADS, quadrature._PANELS[9])
+    for n, (heads, (lo, hi, t, table)) in built.items():
+        (k_far, _), (k_near, k1) = quadrature._span(n, far), quadrature._span(n, near)
+        assert {k for m, k in heads if m == n} >= set(range(k_far, k_near + 1))
+        assert lo <= k_far and k1 <= hi
+        for z in zs:
+            monkeypatch.setattr(quadrature, "_HEADS", dict(heads))
+            monkeypatch.setattr(quadrature, "_PANELS", {n: (lo, hi, t, table)})
+            kept = quadrature.laplace_integrals(n, z)
+            quadrature._HEADS.clear()
+            quadrature._PANELS.clear()
+            assert quadrature.laplace_integrals(n, z) == kept, (n, z)
+            k0, k1 = quadrature._span(n, z)
+            th, head = quadrature._HEADS[n, k0]
+            assert bits(th) == bits(heads[n, k0][0]) and bits(head) == bits(heads[n, k0][1])
+            lazy_lo, lazy_hi, lazy_t, lazy_table = quadrature._PANELS[n]
+            assert (lazy_lo, lazy_hi) == (k0, k1)
+            cols = slice((k0 - lo) * nodes, (k1 - lo) * nodes)
+            assert bits(lazy_t) == bits(t[cols]), (n, z)
+            assert bits(lazy_table) == bits(table[:, cols]), (n, z)
 
 
 # ---------------------------------------------------------------------------
