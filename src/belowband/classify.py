@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .green import (_LADDER, _LADDER_N, _LADDER_Z, GreenValues, _record, _values,
+from .green import (_LADDER, _LADDER_N, _LADDER_Z, GreenValues, _values,
                     green_threshold, green_values)
 from .quadrature import _Z_MAX
 from .reduction import ModelParams, hyperbola_limit
@@ -447,9 +447,9 @@ def _polish(params: ModelParams, origin: str, z_a: float, f_a: float,
 
     Every probe is one ``green._values`` call at the float z, the values
     ``green_values`` would put in its record from the one source that
-    serves (n, z), and builds no record; the one record returned is built
-    from the root's probe values by ``green._record``, so it is bit for
-    bit ``green_values(n, z)``.
+    serves (n, z), and builds no record; the one record returned is the
+    ``GreenValues`` of the root's probe values, so it is bit for bit
+    ``green_values(n, z)``.
     """
     n, ends, probed = params.n, {0.0: f_a, w: f_w}, {}
 
@@ -462,7 +462,7 @@ def _polish(params: ModelParams, origin: str, z_a: float, f_a: float,
                        z_a * math.expm1(v) if split else None)
     v = brentq(h, 0.0, w)
     z, values = z_a * math.exp(v), probed.get(v)
-    return z, None if values is None else _record(n, z, *values)
+    return z, None if values is None else GreenValues(n, z, *values)
 
 
 def _roots(params: ModelParams, origin: str,

@@ -58,8 +58,9 @@ SCHEMA_VERSION = "1"
 
 USAGE_ERROR, VERIFY_FAILED, NUMERIC_ERROR, EMPTY_RESULT = 2, 1, 3, 4
 
-# largest grid^n mesh ``eigenfunction`` samples and prints: a cap of its own,
-# not the oracle's size budget
+# largest grid^n mesh ``eigenfunction`` samples and prints, and largest
+# coupling grid ``scan`` classifies: a cap of its own, not the oracle's size
+# budget
 MAX_SAMPLES = 2_000_000
 
 
@@ -67,7 +68,7 @@ def _emit_json(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
-def _parse_range(text: str) -> np.ndarray:
+def _parse_range(text: str) -> tuple[float, float, int]:
     try:
         lo, hi, count = text.split(":")
         lo, hi, count = float(lo), float(hi), int(count)
@@ -76,7 +77,7 @@ def _parse_range(text: str) -> np.ndarray:
             f"range must be lo:hi:count, got {text!r}") from exc
     if count < 2 or not (math.isfinite(lo) and math.isfinite(hi)):
         raise argparse.ArgumentTypeError(f"malformed range {text!r}")
-    return np.linspace(lo, hi, count)
+    return lo, hi, count   # spaced by np.linspace once the grid is under the cap
 
 
 def _nonempty(values: list[int], text: str) -> list[int]:
@@ -213,9 +214,13 @@ def cmd_summarize(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_scan(args) -> int:
+    lam_count, mu_count = args.lambda_range[2], args.mu_range[2]
+    if lam_count * mu_count > MAX_SAMPLES:
+        raise ValueError(f"a scan of {lam_count} x {mu_count} = {lam_count * mu_count} "
+                         f"coupling points is over the cap {MAX_SAMPLES}")
     rows = []   # written only once every point is classified
-    for lam in args.lambda_range:
-        for mu in args.mu_range:
+    for lam in np.linspace(*args.lambda_range):
+        for mu in np.linspace(*args.mu_range):
             params = ModelParams(args.n, float(lam), float(mu))
             _, even, odd = snap_params(params, args.region_tol)
             name, count = cell_label(args.n, even, odd)
@@ -396,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
     p.add_argument("--mu", type=float, default=1.0)
     p.add_argument("--L", type=_parse_int_list, default=[50, 100],
-                   help="comma-separated box radii")
+                   help="comma-separated box radii (the default 50,100 fits "
+                        "the grid budget only at n <= 2)")
     p.add_argument("--theta", type=float, default=DEFAULT_THETA)
     p.set_defaults(func=cmd_verify)
     return parser

@@ -147,14 +147,6 @@ def dispersion(p, n: int | None = None):
     return float(e) if e.ndim == 0 else e
 
 
-def _record(n: int, z, a, b, c, d, s, cd) -> GreenValues:
-    """The record ``GreenValues(n, z, a, b, c, d, s, cd)`` builds, without
-    its eight frozen setattrs; every record of this module is built here."""
-    g = object.__new__(GreenValues)
-    g.__dict__.update(n=n, z=z, a=a, b=b, c=c, d=d, s=s, cd=cd)
-    return g
-
-
 # Nearer the edge than _switch(n) the integrals equal their edge forms to
 # rounding: at n = 2 below u = ln(-z) = -45, a = (ln 16 - u)/(2 pi) (DLMF
 # 19.12.1), and s, cd move by O(z ln|z|), under half an ulp; at n = 3 the
@@ -162,7 +154,6 @@ def _record(n: int, z, a, b, c, d, s, cd) -> GreenValues:
 _Z_EDGE2 = -math.exp(-45.0)
 
 
-@lru_cache(maxsize=None)
 def _switch(n: int) -> float:
     """The engine's reach, and -exp(-45) at n = 2."""
     return _Z_EDGE2 if n == 2 else _z_near(n)
@@ -231,7 +222,7 @@ def _ladder_records() -> dict[int, GreenValues]:
     rows, records = iter(values), {}
     for n in ns:
         named = {k: next(rows) for k in integral_names(n)}
-        records[n] = _record(n, _LADDER_Z, *map(named.get, _NAMES))
+        records[n] = GreenValues(n, _LADDER_Z, *map(named.get, _NAMES))
     return records
 
 
@@ -283,13 +274,15 @@ def _table_pieces() -> tuple[tuple[np.ndarray, ...], ...]:
 _PIECES = _table_pieces()
 
 
-def _scaled(n: int, u: float) -> list[float]:
-    """The scaled rows a, b, c, d, s, c - d (times their powers of n - z)
-    at u = ln(-z) in the Green table's range of 2 <= n <= 8:
-    T_0..T_{terms-1} at u by the three-term recurrence and one product
-    with the coefficient block of u's piece.  The 6 x 24 matrix-vector
+def _table(n: int, z: float) -> tuple[float, ...]:
+    """a, b, c, d, s and c - d at _TABLE_FAR <= z <= _TABLE_NEAR for
+    2 <= n <= 8, for ``_values``; the one reader of the Green table.  At
+    u = ln(-z), T_0..T_{terms-1} by the three-term recurrence and one
+    product with the coefficient block of u's piece give the scaled rows,
+    each then divided by its power of n - z.  The 6 x 24 matrix-vector
     product is far below the size at which OpenBLAS threads, so the
     values do not depend on the BLAS thread count."""
+    u = math.log(-z)
     i = bisect_right(_TABLE_EDGES, u, 1, len(_TABLE_PIECES)) - 1
     mid, half = _TABLE_PIECES[i]
     x = (u - mid) / half
@@ -298,24 +291,17 @@ def _scaled(n: int, u: float) -> list[float]:
     for _ in range(_TABLE_TERMS - 2):
         t0, t1 = t1, x2 * t1 - t0
         terms.append(t1)
-    return _PIECES[n - 2][i].dot(np.array(terms)).tolist()
-
-
-def _table(n: int, z: float) -> tuple[float, ...]:
-    """a, b, c, d, s and c - d at _TABLE_FAR <= z <= _TABLE_NEAR for
-    2 <= n <= 8: the rows of ``_scaled`` at u = ln(-z), each divided by its
-    power of n - z.  The one reader of the table, for ``_values``."""
-    a, b, c, d, s, cd = _scaled(n, math.log(-z))
+    a, b, c, d, s, cd = _PIECES[n - 2][i].dot(np.array(terms)).tolist()
     w = n - z
     w2 = w * w
     return a / w, b / w2, c / w, d / (w2 * w), s / w, cd / w
 
 
 @lru_cache(maxsize=None)
-def _threshold(n: int) -> dict[str, float]:
-    """The finite integrals at z = 0: committed for n <= 8, else from the
-    Laplace engine."""
-    return _BAND_EDGE.get(n) or laplace_integrals(n, 0.0)
+def _threshold(n: int) -> tuple[float | None, ...]:
+    """a, b, c, d, s and c - d at z = 0, None where an integral diverges or
+    does not exist: committed for n <= 8, else from the Laplace engine."""
+    return tuple(map((_BAND_EDGE.get(n) or laplace_integrals(n, 0.0)).get, _NAMES))
 
 
 def _edge(n: int, z: float) -> tuple[float | None, ...]:
@@ -330,11 +316,11 @@ def _edge(n: int, z: float) -> tuple[float | None, ...]:
         b = a * s
         return a, b, (1.0 - z) * b, None, s, None
     if n > 2:
-        return tuple(map(_threshold(n).get, _NAMES))
+        return _threshold(n)
     a = (math.log(16.0) - math.log(-z)) / (2.0 * math.pi)
     b = a - (1.0 + z * a) / 2.0
     alpha = (2.0 - z) * b
-    cd, s = _threshold(2)["cd"], _threshold(2)["s"]
+    *_, s, cd = _threshold(2)
     return a, b, (alpha + cd) / 2.0, (alpha - cd) / 2.0, s, cd
 
 
@@ -351,9 +337,10 @@ def _values(n: int, z: float) -> tuple[float | None, ...]:
         values = _table(n, z)
     elif _switch(n) < z < 0.0:
         values = _edge(n, z)
+    elif z == 0.0:
+        values = _threshold(n)
     else:
-        values = tuple(map((_threshold(n) if z == 0.0 else laplace_integrals(n, z)).get,
-                           _NAMES))
+        values = tuple(map(laplace_integrals(n, z).get, _NAMES))
     a, b, c, _d, s, cd = values
     if not ((a is None or a > 0.0) and (b is None or b > 0.0) and (c is None or c > 0.0)
             and (s is None or s > 0.0) and (cd is None or cd > 0.0)):
@@ -370,12 +357,11 @@ def _evaluate(n: int, z) -> GreenValues:
     ``_LADDER_RECORDS``, built on first use for n > 8 from one
     ``green_values`` call per entry after one Bessel pass for all of
     them; any other array from one such call per entry, each checked."""
-    if type(n) is not int or n < 1:
-        if not (_is_int(n) and n >= 1):
-            raise ValueError(f"dimension must be a positive integer, got {n!r}")
-        n = int(n)
+    if not (_is_int(n) and n >= 1):
+        raise ValueError(f"dimension must be a positive integer, got {n!r}")
+    n = int(n)
     if isinstance(z, float):
-        return _record(n, z, *_values(n, z))
+        return GreenValues(n, z, *_values(n, z))
     ladder = z is _LADDER_Z or np.array_equal(z, _LADDER_Z)
     if ladder and n in _LADDER_RECORDS:
         return _LADDER_RECORDS[n]
@@ -384,10 +370,10 @@ def _evaluate(n: int, z) -> GreenValues:
     each = [green_values(n, x) for x in z.tolist()]
     columns = {k: np.array([getattr(g, k) for g in each]) for k in integral_names(n)}
     if not ladder:
-        return _record(n, z, *map(columns.get, _NAMES))
+        return GreenValues(n, z, *map(columns.get, _NAMES))
     # kept beside the committed records, read-only as they are
     frozen = {k: _frozen(column) for k, column in columns.items()}
-    _LADDER_RECORDS[n] = _record(n, _LADDER_Z, *map(frozen.get, _NAMES))
+    _LADDER_RECORDS[n] = GreenValues(n, _LADDER_Z, *map(frozen.get, _NAMES))
     return _LADDER_RECORDS[n]
 
 
@@ -451,4 +437,4 @@ def closed_form_a1(z: float) -> float:
 
 def closed_form_green1(z: float) -> GreenValues:
     """Exact n = 1 Green values from q = sqrt(-z) sqrt(2-z), free of cancellation."""
-    return _record(1, z, *_edge(1, z))
+    return GreenValues(1, z, *_edge(1, z))

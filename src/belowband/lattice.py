@@ -362,20 +362,19 @@ def compare(params: ModelParams, L_values, theta: float = DEFAULT_THETA,
     the matched errors all come from that call, and the classifier's roots
     never size it.  The count is compared to the classifier's
     multiplicity-weighted count, and matched eigenvalues are paired in
-    increasing order.  The whole box is never assembled.
-    Disagreements are report content, not errors; a chain that does not
-    converge is a SolverError.
+    increasing order.  The whole box is never assembled.  Every radius is
+    built by `build_hamiltonian` before the classifier runs, so a radius
+    that is not an integer >= 1, or whose grid exceeds MAX_DIM, is a
+    ValueError before any solve.  Disagreements are report content, not
+    errors; a chain that does not converge is a SolverError.
     """
     if theta >= 0.0:
         raise ValueError(f"theta must be < 0, got {theta}")
     if not math.isfinite(theta):   # nan or -inf would count nothing and pass
         raise ValueError(f"theta must be finite, got {theta}")
-    radii = list(L_values)
-    if not radii:    # no radius would compare nothing and pass
+    hams = [build_hamiltonian(params.n, L, params.lam, params.mu) for L in L_values]
+    if not hams:    # no radius would compare nothing and pass
         raise ValueError("need at least one box radius")
-    for L in radii:
-        if not _is_int(L) or L < 1:
-            raise ValueError(f"box radius must be an integer >= 1, got {L!r}")
     records = [r for r in negative_eigenvalues(params, tol=tol) if r.z < theta]
     predicted = sorted(r.z for r in records for _ in range(r.multiplicity))
     factors = {o: sum(r.multiplicity for r in records if r.origin == o)
@@ -383,9 +382,8 @@ def compare(params: ModelParams, L_values, theta: float = DEFAULT_THETA,
     counts: dict[int, int] = {}
     factor_counts: dict[int, dict[str, int]] = {}
     errors: dict[int, tuple[float, ...]] = {}
-    for L in map(int, radii):
-        spec = lowest_eigenvalues(
-            build_hamiltonian(params.n, L, params.lam, params.mu), theta)
+    for ham in hams:
+        spec, L = lowest_eigenvalues(ham, theta), ham.L
         counts[L] = len(spec.eigenvalues)
         factor_counts[L] = {o: spec.origins.count(o) for o in ORIGINS}
         errors[L] = tuple(abs(e - z) for e, z in zip(spec.eigenvalues, predicted))

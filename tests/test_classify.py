@@ -493,55 +493,56 @@ _PROBE_POINTS = [(n, lam, mu) for n in (1, 2, 3, 4)
 def test_every_probe_is_one_values_call_and_builds_no_record():
     # green._values decides which source serves every probe: each brentq
     # evaluation away from the bracket ends is one classify._values call at
-    # a float z, builds no GreenValues (every record is built by _record)
-    # and reads the Green table's scaled rows (green._scaled) once exactly
-    # when 2 <= n <= 8 and z lies in the table's range; else the engine or
-    # an edge record serves it (n = 1, n = 9 and u < -8).  A float
-    # green_values call in the range reads the rows once, through _table, too
-    probes, brentq = [], classify.brentq
+    # a float z, builds no GreenValues (counted at its constructor, which
+    # builds every record of green and classify) and reads the Green table
+    # (green._table) once exactly when 2 <= n <= 8 and z lies in the
+    # table's range; else the engine or an edge record serves it (n = 1,
+    # n = 9 and u < -8).  A float green_values call in the range reads the
+    # table once too
+    probes, brentq, built = [], classify.brentq, []
+    init = green.GreenValues.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
 
     def counting_brentq(f, a, b):
         def probe(x):
-            before = (values.call_count, rows.call_count,
-                      built.call_count + rooted.call_count)
+            before = (values.call_count, table.call_count, len(built))
             value = f(x)
             probes.append((x in (a, b), values.call_args_list[before[0]:],
-                           rows.call_args_list[before[1]:],
-                           built.call_count + rooted.call_count - before[2]))
+                           table.call_args_list[before[1]:], len(built) - before[2]))
             return value
         return brentq(probe, a, b)
     with mock.patch.object(classify, "_values", wraps=classify._values) as values, \
-            mock.patch.object(green, "_scaled", wraps=green._scaled) as rows, \
-            mock.patch.object(green, "_record", wraps=green._record) as built, \
-            mock.patch.object(classify, "_record", wraps=classify._record) as rooted, \
+            mock.patch.object(green, "_table", wraps=green._table) as table, \
+            mock.patch.object(green.GreenValues, "__init__", counting_init), \
             mock.patch.object(classify, "brentq", counting_brentq):
         for n, lam, mu in _PROBE_POINTS:
             for rec in bb.summarize(bb.ModelParams(n, lam, mu)).eigenvalues:
                 assert rec.greens is None or type(rec.greens) is bb.GreenValues
-    assert all(calls == scaled == [] and records == 0
-               for at_end, calls, scaled, records in probes if at_end)
+    assert built   # the roots' records, each built after its brentq call
+    assert all(calls == read == [] and records == 0
+               for at_end, calls, read, records in probes if at_end)
     inner = [probe[1:] for probe in probes if not probe[0]]
     assert all(len(calls) == 1 and type(calls[0].args[1]) is float and records == 0
-               for calls, scaled, records in inner)
-    served = [scaled for calls, scaled, records in inner if not scaled]
+               for calls, read, records in inner)
+    served = [read for calls, read, records in inner if not read]
     assert len(served) >= 120 and len(inner) - len(served) >= 250
-    for calls, scaled, records in inner:
+    for calls, read, records in inner:
         n, z = calls[0].args
         if 1 < n <= 8 and green._TABLE_FAR <= z <= green._TABLE_NEAR:
-            assert scaled == [mock.call(n, math.log(-z))]
+            assert read == [mock.call(n, z)]
         else:
-            assert scaled == []
-    with mock.patch.object(green, "_table", wraps=green._table) as table, \
-            mock.patch.object(green, "_scaled", wraps=green._scaled) as rows:
+            assert read == []
+    with mock.patch.object(green, "_table", wraps=green._table) as table:
         for n in range(2, 9):
             for z in (green._TABLE_FAR, -1.0, green._TABLE_NEAR):
                 table.reset_mock()
-                rows.reset_mock()
                 bb.green_values(n, z)
                 assert table.call_args_list == [mock.call(n, z)]
-                assert rows.call_args_list == [mock.call(n, math.log(-z))]
             bb.green_values(n, green._LADDER_Z)   # the committed ladder
-            assert rows.call_count == 1
+            assert table.call_count == 1
 
 
 def _straddling_zs() -> list[float]:

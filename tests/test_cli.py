@@ -234,6 +234,22 @@ def test_eigenfunction_grid_cap(capsys, monkeypatch):
     assert err == "error: n=2 at --grid 5 makes 25 samples, over the cap 16\n"
 
 
+def test_scan_grid_cap(capsys, monkeypatch):
+    # lambda count x mu count is checked before any point is classified;
+    # the cap itself is allowed
+    monkeypatch.setattr(cli, "MAX_SAMPLES", 6)
+    argv = ("scan", "--n", "1", "--lambda-range", "0:1:2", "--mu-range")
+    code, out, _ = run_cli(capsys, *argv, "0:1:3")
+    assert code == 0 and len(out.splitlines()) == 1 + 6
+
+    def refuse(*args):
+        raise AssertionError("classified a point of a grid over the cap")
+    monkeypatch.setattr(cli, "snap_params", refuse)
+    code, out, err = run_cli(capsys, *argv, "0:1:4")
+    assert code == 2 and out == ""
+    assert err == "error: a scan of 2 x 4 = 8 coupling points is over the cap 6\n"
+
+
 def test_eigenfunction_empty_exit_4(capsys):
     code, _, err = run_cli(capsys, "eigenfunction", "--n", "1",
                            "--lambda", "0", "--mu", "0")

@@ -153,7 +153,7 @@ def test_edge_record_within_4_eps_of_the_deep_sums(n):
         assert len(values) == (4 if n == 1 else 6)
         assert all(0.0 < v < math.inf for v in values), (n, z)
     if n == 3:
-        assert math.sqrt(-switch) / (math.sqrt(2.0) * math.pi) < 1e-24 * green._threshold(3)["a"]
+        assert math.sqrt(-switch) / (math.sqrt(2.0) * math.pi) < 1e-24 * bb.green_threshold(3).a
 
 
 def test_square_lattice_edge_switch_is_continuous():
@@ -170,12 +170,14 @@ def test_square_lattice_edge_switch_is_continuous():
 
 def test_band_edge_table_is_the_engines_own_sums():
     # the committed z = 0 values of n <= 8 against the engine's z = 0 path,
-    # bit for bit; from n = 9 on the values come from that path
+    # bit for bit and in the order of EDGE_FIELDS, None where the engine
+    # has no value; from n = 9 on the values come from that path
     assert sorted(green._BAND_EDGE) == list(range(1, 9))
     for n in range(1, 10):
-        engine = {k: v.hex() for k, v in quadrature.laplace_integrals(n, 0.0).items()}
-        assert {k: v.hex() for k, v in green._threshold(n).items()} == engine, (
-            n, "rewrite the tables with tests/make_tables.py")
+        engine = quadrature.laplace_integrals(n, 0.0)
+        expected = [engine[k].hex() if k in engine else None for k in EDGE_FIELDS]
+        got = [None if v is None else v.hex() for v in green._threshold(n)]
+        assert got == expected, (n, "rewrite the tables with tests/make_tables.py")
 
 
 def test_ladder_table_is_the_engines_own_sums(monkeypatch):
@@ -258,9 +260,9 @@ def test_the_green_table_serves_exactly_its_range():
 
 
 def test_a_built_record_is_a_green_values_record():
-    # _record builds every record without GreenValues.__init__, the closed
-    # forms of the chain's included; it compares, hashes, prints and
-    # refuses assignment as the constructor's does
+    # every record, the closed forms of the chain's included, is a
+    # GreenValues that compares, hashes, prints and refuses assignment as
+    # one built field by field does
     for n, z in ((1, -0.75), (3, -0.75), (3, -1e9), (9, -0.75), (1, None)):
         g = bb.green_values(n, z) if z is not None else closed_form_green1(-0.75)
         built = green.GreenValues(g.n, g.z, g.a, g.b, g.c, g.d, g.s, g.cd)
@@ -554,26 +556,18 @@ def test_divergent_requests_are_flagged_not_numbers():
 
 
 _ZS = np.array([-1.0, -2.0, -3.0, -4.0])
-# the two sources of a float z's record there: the Green table's scaled rows
-# at n = 3 (read by green._table) and the Laplace engine at n = 9
-_SOURCES = ((3, "_scaled"), (9, "laplace_integrals"))
+# the two sources of a float z's record there: the Green table at n = 3
+# (read by green._table) and the Laplace engine at n = 9
+_SOURCES = ((3, "_table"), (9, "laplace_integrals"))
 
 
 def _with_values(source, **values):
-    """``source`` with each named value replaced by ``values[name](z)``;
-    in a scaled row of the table it is times its power of n - z, exact at
-    these z, so that ``green._table`` reads that value back."""
+    """``source`` with each named value replaced by ``values[name](z)``."""
     true = getattr(green, source)
     if source == "laplace_integrals":
         return lambda n, z: dict(true(n, z), **{k: f(z) for k, f in values.items()})
-
-    def scaled(n, u):
-        z = next(z for z in (*_ZS.tolist(), -0.5) if math.log(-z) == u)
-        rows = dict(zip(EDGE_FIELDS, true(n, u)))
-        rows.update({k: f(z) * (n - z) ** {"b": 2, "d": 3}.get(k, 1)
-                     for k, f in values.items()})
-        return list(rows.values())
-    return scaled
+    return lambda n, z: tuple(values[k](z) if k in values else v
+                              for k, v in zip(EDGE_FIELDS, true(n, z)))
 
 
 @pytest.mark.parametrize("name, row, first", [
@@ -814,8 +808,8 @@ def test_subnormal_z_answers_at_every_n(z):
             elif n == 2:
                 assert g.a == (math.log(16.0) - math.log(-z)) / (2.0 * math.pi)
             else:
-                assert (g.a, g.b, g.s, g.cd) == tuple(
-                    green._threshold(n)[k] for k in ("a", "b", "s", "cd"))
+                g0 = bb.green_threshold(n)
+                assert (g.a, g.b, g.s, g.cd) == (g0.a, g0.b, g0.s, g0.cd)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 

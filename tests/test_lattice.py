@@ -238,6 +238,25 @@ def test_compare_past_the_whole_box_budget():
     assert max(rep.matched_errors[10]) < 1e-12
 
 
+def test_compare_checks_every_radius_before_any_solve(monkeypatch):
+    # a valid radius ahead of an over-budget one, a non-integer or none at
+    # all: the ValueError comes before the classifier or a solve runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved before every radius was checked")
+    monkeypatch.setattr(lattice, "negative_eigenvalues", refuse)
+    monkeypatch.setattr(lattice, "lowest_eigenvalues", refuse)
+    params = bb.ModelParams(3, 0.0, 1.0)
+    with pytest.raises(ValueError, match=r"^grid 3\*101\^3 = 3090903 exceeds the "
+                                         r"budget 2000000$"):
+        bb.compare(params, [50, 100])
+    for bad in (2.5, 0, True):
+        with pytest.raises(ValueError, match=rf"^box radius must be an integer >= 1, "
+                                             rf"got {bad!r}$"):
+            bb.compare(params, [8, bad])
+    with pytest.raises(ValueError, match="need at least one box radius"):
+        bb.compare(params, iter([]))
+
+
 @pytest.mark.parametrize("n,L,lam,mu,factors", [
     (2, 12, 7.0, 8.0, {"delta_r": 2, "delta_c": 1, "delta_s": 2}),
     (3, 10, 5.0, 1.0, {"delta_r": 1, "delta_c": 0, "delta_s": 3}),
