@@ -14,16 +14,18 @@ negative eigenvalues counted with multiplicity.
 Root location takes every Green value from ``green`` and keeps none: the
 ladder record by one ``green_values`` call per factor it searches, and
 each brentq probe and each walk step past the ladder as one
-``green._values`` tuple, which builds no record.
+``green._values`` tuple, which builds no record.  Each factor changes
+sign at most once on each side of the delta_r split point z = n - mu, so
+the ladder is bisected in Python floats: about 7 of its 81 points are
+read, and this module does no array work.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-
-import numpy as np
 
 from .green import (_LADDER, _LADDER_N, _LADDER_Z, GreenValues, _values,
                     green_threshold, green_values)
@@ -286,10 +288,10 @@ def cell_label(n: int, even: EvenRegion, odd: OddRegion) -> tuple[str, int]:
 # Root location
 # ---------------------------------------------------------------------------
 
-# Every factor is located in u = ln(-z) by one scan (the ladder, the delta_r
-# split point, then steps past its ends): roots squeezed against the band
-# edge are resolved in u, and a brentq tolerance in u is relative in z.
-_LADDER_U = np.array(_LADDER)   # -z = 2^40 .. 2^-40, at green._LADDER_Z
+# Every factor is located in u = ln(-z) by one scan (the ladder, -z = 2^40
+# .. 2^-40 at green._LADDER_Z, the delta_r split point, then steps past its
+# ends): roots squeezed against the band edge are resolved in u, and a
+# brentq tolerance in u is relative in z.
 _STRIDE = 80.0           # step in u past an end of the scan
 _U_NEAR = -700.0         # the near walk's end; Green values there are edge records
 _U_FAR = math.nextafter(math.log(_Z_MAX), 0.0)   # the engine's far limit
@@ -367,7 +369,7 @@ def brentq(f, a: float, b: float) -> float:
 
 
 def _factor(params: ModelParams, origin: str, z, a, b, cd, s,
-            offset: float | None = None) -> float | np.ndarray:
+            offset: float | None = None) -> float:
     """The function of z whose zeros are those of ``origin``, from the
     Green values at z that it reads: a and b for delta_r, cd = c - d for
     delta_c, s for delta_s (the others may be None).
@@ -375,9 +377,15 @@ def _factor(params: ModelParams, origin: str, z, a, b, cd, s,
     delta_r = b H_z with b > 0, and H_z = (lam - a/b)(mu - (n - z)) - n is
     much better conditioned near the band edge; ``offset`` stands for
     mu - (n - z) where it is known more exactly.  delta_c and delta_s are
-    powers of lam (c - d) - 1 and lam s - 1.  On Green values at an array
-    of z the same IEEE operations run elementwise, so every ladder value is
-    bit for bit the scalar one.
+    powers of lam (c - d) - 1 and lam s - 1.  It is plain arithmetic, so
+    on a record of arrays the same IEEE operations run elementwise, bit for
+    bit the scalar ones.
+
+    Along z, s and c - d increase and a/b decreases (README, on root
+    location), and IEEE rounding is monotone, so lam s - 1 and
+    lam (c - d) - 1 are monotone; H_z falls while both of its factors are
+    negative, is at most -n while their signs differ, which they do at
+    z = n - mu, and rises once both are positive.
     """
     if origin == "delta_r":
         t = params.mu - (params.n - z) if offset is None else offset
@@ -385,7 +393,7 @@ def _factor(params: ModelParams, origin: str, z, a, b, cd, s,
     return params.lam * (cd if origin == "delta_c" else s) - 1.0
 
 
-def _factor_at(params: ModelParams, origin: str, g: GreenValues) -> float | np.ndarray:
+def _factor_at(params: ModelParams, origin: str, g: GreenValues) -> float:
     """``_factor`` at g.z from the record g."""
     return _factor(params, origin, g.z, g.a, g.b, g.cd, g.s)
 
@@ -397,21 +405,27 @@ def _walk(u: float, limit: float):
         yield u
 
 
-def _brackets(us: np.ndarray, values: np.ndarray) -> list[tuple[float, float, float, float]]:
-    """(lo, f(lo), hi, f(hi)) in u around each sign change of a scan whose
-    us decrease; a zero at a scan point u0 is the bracket (u0, 0, u0, 0).
-    Products of neighbours may overflow or turn NaN, as Python floats do;
-    the caller's ``np.errstate`` keeps that silent."""
-    hits = values == 0.0
-    hits[:-1] |= values[:-1] * values[1:] < 0.0
-    brackets = []
-    for i in hits.nonzero()[0].tolist():
-        u0, f0 = float(us[i]), float(values[i])
-        if f0 == 0.0:
-            brackets.append((u0, f0, u0, f0))
+def _bisect(f, us, lo: int, f_lo: float, hi: int, f_hi: float):
+    """(lo, f(lo), hi, f(hi)) in u around the sign change of f between the
+    scan points lo < hi, where the us decrease and f is monotone; a zero at
+    a scan point u0 is the bracket (u0, 0, u0, 0).  Bisection reads
+    f(point) at about log2(hi - lo) points and finds what comparing every
+    pair of neighbours finds: one bracket where the ends' signs differ,
+    the zero ends, else none."""
+    if f_lo == 0.0 or f_hi == 0.0:
+        return [(us[p], v, us[p], v) for p, v in ((lo, f_lo), (hi, f_hi)) if v == 0.0]
+    if (f_lo < 0.0) == (f_hi < 0.0):
+        return []
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return [(us[mid], f_mid, us[mid], f_mid)]
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
         else:
-            brackets.append((float(us[i + 1]), float(values[i + 1]), u0, f0))
-    return brackets
+            hi, f_hi = mid, f_mid
+    return [(us[hi], f_hi, us[lo], f_lo)]
 
 
 def _step_past(f, u: float, value: float, limit: float, failure):
@@ -471,15 +485,19 @@ def _roots(params: ModelParams, origin: str,
 
     One scan in u brackets them: the ladder, read as one
     ``green_values(n, _LADDER_Z)`` call per search (the kept read-only
-    record of n), and for the two zeros of delta_r (in G2, mu > n) the
-    point z0 = n - mu, inserted in order, where H = -n while H > 0 at both
-    ends of (-inf, 0).  Each end of the scan whose sign disagrees with the
-    factor's value at that end of (-inf, 0) is then stepped past in u,
-    each step one ``green._values`` call that builds no record; past the
-    engine's reach the Green values are edge records.
+    record of n, of which only the rows the factor reads become Python
+    floats), and for the two zeros of delta_r (in G2, mu > n) the point
+    z0 = n - mu, inserted in order, where H = -n while H > 0 at both ends
+    of (-inf, 0).  A factor changes sign at most once on each side of z0
+    (``_factor``; with one zero expected the ladder is one side), so
+    ``_bisect`` finds each sign change between its side's ends.  Each end
+    of the scan whose sign disagrees with the factor's value at that end
+    of (-inf, 0) is then stepped past in u, each step one ``green._values``
+    call that builds no record; past the engine's reach the Green values
+    are edge records.
     Every bracket is polished in u, from z0 itself when it ends there;
-    another count raises RootScanError with the sign table.  Messages are
-    formatted only when raised.
+    another count raises RootScanError with the sign table of every scan
+    point.  Messages and that table are formed only when raised.
     """
     if expected == 0:
         return []
@@ -487,22 +505,30 @@ def _roots(params: ModelParams, origin: str,
     where = lambda: f"for (n={n}, lambda={params.lam}, mu={params.mu})"
     far_failure = lambda: (f"a zero of {origin} lies farther below the band than "
                            f"z = -{_Z_MAX!r} {where()}; past it b is not a normal double")
-    us, u_split, z0 = _LADDER_U, None, None
-    # products overflow and turn NaN as Python floats do
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = _factor_at(params, origin, green_values(n, _LADDER_Z))
-        if expected == 2:
-            # -n itself: H evaluated at -exp(u_split), off by |u| eps in z, can be
-            # positive once lam mu is large; mu - n >= ulp(n) keeps u_split > _U_NEAR
-            z0 = n - params.mu
-            u_split = math.log(-z0)
-            if u_split > _U_FAR:
-                raise RootScanError(far_failure(), sign_table=[(z0, -float(n))])
-            i = int(np.count_nonzero(us > u_split))
-            j = i + 1 if i < len(us) and us[i] == u_split else i   # it replaces that point
-            us = np.concatenate((us[:i], [u_split], us[j:]))
-            values = np.concatenate((values[:i], [-float(n)], values[j:]))
-        brackets = _brackets(us, values)
+    g = green_values(n, _LADDER_Z)
+    if origin == "delta_r":
+        zs, a, b = g.z.tolist(), g.a.tolist(), g.b.tolist()
+        ladder = lambda k: _factor(params, origin, zs[k], a[k], b[k], None, None)
+    else:
+        row = (g.cd if origin == "delta_c" else g.s).tolist()
+        ladder = lambda k: _factor(params, origin, None, None, None, row[k], row[k])
+    us, f_at, ends, u_split, z0 = _LADDER, ladder, [0, len(_LADDER) - 1], None, None
+    if expected == 2:
+        # -n itself: H evaluated at -exp(u_split), off by |u| eps in z, can be
+        # positive once lam mu is large; mu - n >= ulp(n) keeps u_split > _U_NEAR
+        z0 = n - params.mu
+        u_split = math.log(-z0)
+        if u_split > _U_FAR:
+            raise RootScanError(far_failure(), sign_table=[(z0, -float(n))])
+        i = bisect_left(us, -u_split, key=lambda u: -u)   # the points above it
+        j = i + 1 if i < len(us) and us[i] == u_split else i   # it replaces that point
+        us, ends = us[:i] + (u_split,) + us[j:], [0, i, len(us) - j + i]
+        f_at = lambda p: ladder(p) if p < i else -float(n) if p == i else ladder(p - i - 1 + j)
+    values = [f_at(p) for p in ends]
+    brackets = []
+    for lo, f_lo, hi, f_hi in zip(ends, values, ends[1:], values[1:]):
+        if lo < hi:
+            brackets += _bisect(f_at, us, lo, f_lo, hi, f_hi)
     if len(brackets) < expected:
         # the factor's sign as z -> -inf and its limit as z -> 0-
         consts = spectral_constants(n)
@@ -515,19 +541,19 @@ def _roots(params: ModelParams, origin: str,
             z = -math.exp(u)
             a, b, _c, _d, s, cd = _values(n, z)
             return _factor(params, origin, z, a, b, cd, s)
-        first, last = float(values[0]), float(values[-1])
+        first, last = values[0], values[-1]
         if first * far < 0.0:
-            brackets.append(_step_past(f, float(us[0]), first, _U_FAR, far_failure))
+            brackets.append(_step_past(f, us[0], first, _U_FAR, far_failure))
         if last * near < 0.0:
             brackets.append(_step_past(
-                f, float(us[-1]), last, _U_NEAR,
+                f, us[-1], last, _U_NEAR,
                 lambda: f"a zero of {origin} lies closer to the band edge than "
                         f"exp(-700) {where()}; the limit value there is {near}"))
     if len(brackets) != expected:
         raise RootScanError(
             f"expected {expected} zero(s) of {origin} {where()}, bracketed "
             f"{len(brackets)}",
-            sign_table=[(-math.exp(u), v) for u, v in zip(us.tolist(), values.tolist())])
+            sign_table=[(-math.exp(u), f_at(p)) for p, u in enumerate(us)])
 
     def polish(lo, f_lo, hi, f_hi):
         if u_split not in (lo, hi):

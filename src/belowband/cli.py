@@ -218,16 +218,20 @@ def cmd_scan(args) -> int:
     if lam_count * mu_count > MAX_SAMPLES:
         raise ValueError(f"a scan of {lam_count} x {mu_count} = {lam_count * mu_count} "
                          f"coupling points is over the cap {MAX_SAMPLES}")
-    rows = []   # written only once every point is classified
-    for lam in np.linspace(*args.lambda_range):
-        for mu in np.linspace(*args.mu_range):
-            params = ModelParams(args.n, float(lam), float(mu))
-            _, even, odd = snap_params(params, args.region_tol)
-            name, count = cell_label(args.n, even, odd)
-            rows.append([repr(float(lam)), repr(float(mu)), name, count])
+    # each row is written as it is classified; the header waits for the
+    # first, so an input that fails there (n, the tolerance) writes nothing
+    # to stdout, and a failure mid-scan leaves the rows so far
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["lambda", "mu", "region_label", "eigencount"])
-    writer.writerows(rows)
+    header = ["lambda", "mu", "region_label", "eigencount"]
+    mus = np.linspace(*args.mu_range).tolist()
+    for lam in np.linspace(*args.lambda_range).tolist():
+        for mu in mus:
+            _, even, odd = snap_params(ModelParams(args.n, lam, mu), args.region_tol)
+            name, count = cell_label(args.n, even, odd)
+            if header:
+                writer.writerow(header)
+                header = None
+            writer.writerow([repr(lam), repr(mu), name, count])
     return 0
 
 

@@ -36,7 +36,8 @@ Lanczos chain is stopped once the conjugate-gradient residual of
 every theta < 0, so g = b^T (Q - theta I)^-1 b, the one term through
 which Q enters the block's eigenvalue equation below 0, is exact to
 rounding, and the chain's values below 0 are the block's (Gauss
-quadrature by Lanczos, Golub and Meurant 2010).  Each chain
+quadrature by Lanczos, Golub and Meurant 2010).  At n = 1 each block
+is tridiagonal already and is its own chain, read off in O(L).  Each chain
 is built once per (n, L, origin) and kept in a bounded cache, so a solve
 at a radius already met adds only the couplings, and its values below a
 bound come from the LAPACK bisection stebz, called directly (`_below`).
@@ -251,6 +252,25 @@ def _structure(n: int, L: int, origin: str) -> tuple[sparse.csr_matrix, np.ndarr
 
 @lru_cache(maxsize=_KEPT_BLOCKS)
 def _kept_block(n: int, L: int, origin: str) -> tuple[np.ndarray, ...]:
+    """``_lanczos``'s chain of one factor block, read-only, since it is kept
+    across solves.  At n = 1 the block is tridiagonal with diagonal n, and
+    the recurrence reproduces it bit for bit (alphas 1.0, betas 1/2 past
+    the head, a chain to the last row, whose residual falls only like
+    1/(k + 1)), so it is read off in O(L) where the recurrence takes
+    O(L^2).  Its Q has the spectrum 1 - cos(theta) in (0, 2), so dropping
+    the pivot check, which certifies that Q has no value below 0, loses
+    nothing there."""
+    if n == 1:
+        off, level = _structure(n, L, origin)
+        chain = (np.ones(len(level)), np.abs(off.diagonal(1)), np.minimum(level, 2))
+    else:
+        chain = _lanczos(n, L, origin)
+    for array in chain:
+        array.flags.writeable = False
+    return chain
+
+
+def _lanczos(n: int, L: int, origin: str) -> tuple[np.ndarray, ...]:
     """Coupling-free tridiagonal chain of one factor block and its levels.
 
     Rows: the origin (delta_r only), the level-1 row, then the Lanczos
@@ -262,7 +282,7 @@ def _kept_block(n: int, L: int, origin: str) -> tuple[np.ndarray, ...]:
     which certifies that the chain of Q has no value below 0, as Q has
     none; else, or if the rows of Q run out first, SolverError.  Returns
     the diagonal, the off-diagonal and the level (0, 1, then 2) of each
-    chain row, read-only, since they are kept across solves.
+    chain row.
     """
     off, level = _structure(n, L, origin)
     head = np.flatnonzero(level <= 1)    # origin first, in key order
@@ -295,11 +315,8 @@ def _kept_block(n: int, L: int, origin: str) -> tuple[np.ndarray, ...]:
             raise SolverError(
                 f"Lanczos chain of {origin} at n={n}, L={L} did not reach "
                 f"a residual of {_CHAIN_RTOL:g} within {len(deep)} steps")
-    chain = (np.array(diag), np.array(beta),
-             np.minimum(np.arange(len(diag)) + 2 - len(head), 2))
-    for array in chain:
-        array.flags.writeable = False
-    return chain
+    return (np.array(diag), np.array(beta),
+            np.minimum(np.arange(len(diag)) + 2 - len(head), 2))
 
 
 def _below(ham: TruncatedHamiltonian, origin: str, theta: float) -> np.ndarray:

@@ -26,7 +26,11 @@ threshold classes:
   matrix filled into ``np.zeros`` by fancy indexing, the moments summed
   term by term through ``GreenValues.require``, and the residual's norms
   as ``np.max(np.abs(x))``, which the package's own must equal bit for
-  bit.
+  bit;
+- root location as the package first wrote it: the factor at all 81
+  ladder points as one array, the delta_r split point inserted by
+  ``np.concatenate``, and every pair of neighbours compared, whose
+  brackets the package's bisection must equal bit for bit.
 
 This module loads ``scipy.integrate`` and ``numpy.polynomial``, which the
 package itself does not.
@@ -42,7 +46,7 @@ import mpmath as mp
 import numpy as np
 from scipy.linalg import eigh, eigvalsh_tridiagonal
 
-from belowband import lattice, quadrature
+from belowband import classify, lattice, quadrature
 from belowband.green import GreenValues, green_threshold, green_values
 from belowband.quadrature import (
     _NAMES,
@@ -50,7 +54,7 @@ from belowband.quadrature import (
     finite_at_threshold,
     integral_names,
 )
-from belowband.reduction import ModelParams
+from belowband.reduction import ModelParams, hyperbola_limit
 from belowband.states import EigenState
 
 # ---------------------------------------------------------------------------
@@ -583,3 +587,85 @@ def residual(params: ModelParams, state: EigenState) -> float:
         (cd,) = greens.require("cd")
         return abs(params.lam * cd - 1.0)
     return float(np.max(np.abs(even_matrix(params, greens) @ w - w))) / norm
+
+
+# ---------------------------------------------------------------------------
+# Root location by a scan of every ladder point
+# ---------------------------------------------------------------------------
+
+_LADDER_U = np.array(classify._LADDER)
+
+
+def _brackets(us: np.ndarray, values: np.ndarray) -> list[tuple[float, float, float, float]]:
+    """(lo, f(lo), hi, f(hi)) in u around each sign change of a scan whose
+    us decrease; a zero at a scan point u0 is the bracket (u0, 0, u0, 0).
+    Products of neighbours may overflow or turn NaN, as Python floats do;
+    the caller's ``np.errstate`` keeps that silent."""
+    hits = values == 0.0
+    hits[:-1] |= values[:-1] * values[1:] < 0.0
+    brackets = []
+    for i in hits.nonzero()[0].tolist():
+        u0, f0 = float(us[i]), float(values[i])
+        if f0 == 0.0:
+            brackets.append((u0, f0, u0, f0))
+        else:
+            brackets.append((float(us[i + 1]), float(values[i + 1]), u0, f0))
+    return brackets
+
+
+def scan_roots(params: ModelParams, origin: str, expected: int):
+    """``classify._roots`` with the factor at every ladder point as one
+    array and every sign change of the scan bracketed (``_brackets``); the
+    walks, the polish and the errors are the package's."""
+    if expected == 0:
+        return []
+    n = params.n
+    where = lambda: f"for (n={n}, lambda={params.lam}, mu={params.mu})"
+    far_failure = lambda: (f"a zero of {origin} lies farther below the band than "
+                           f"z = -{classify._Z_MAX!r} {where()}; past it b is not a "
+                           "normal double")
+    us, u_split, z0 = _LADDER_U, None, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = classify._factor_at(params, origin, green_values(n, classify._LADDER_Z))
+        if expected == 2:
+            z0 = n - params.mu
+            u_split = math.log(-z0)
+            if u_split > classify._U_FAR:
+                raise classify.RootScanError(far_failure(), sign_table=[(z0, -float(n))])
+            i = int(np.count_nonzero(us > u_split))
+            j = i + 1 if i < len(us) and us[i] == u_split else i
+            us = np.concatenate((us[:i], [u_split], us[j:]))
+            values = np.concatenate((values[:i], [-float(n)], values[j:]))
+        brackets = _brackets(us, values)
+    if len(brackets) < expected:
+        consts = classify.spectral_constants(n)
+        if origin == "delta_r":
+            far = 1.0
+            near = hyperbola_limit(n, params.lam, params.mu, consts.x_asymptote)
+        else:
+            far, near = -1.0, classify._factor_at(params, origin, consts.greens0)
+        def f(u):
+            z = -math.exp(u)
+            a, b, _c, _d, s, cd = classify._values(n, z)
+            return classify._factor(params, origin, z, a, b, cd, s)
+        first, last = float(values[0]), float(values[-1])
+        if first * far < 0.0:
+            brackets.append(classify._step_past(f, float(us[0]), first,
+                                                classify._U_FAR, far_failure))
+        if last * near < 0.0:
+            brackets.append(classify._step_past(
+                f, float(us[-1]), last, classify._U_NEAR,
+                lambda: f"a zero of {origin} lies closer to the band edge than "
+                        f"exp(-700) {where()}; the limit value there is {near}"))
+    if len(brackets) != expected:
+        raise classify.RootScanError(
+            f"expected {expected} zero(s) of {origin} {where()}, bracketed "
+            f"{len(brackets)}",
+            sign_table=[(-math.exp(u), v) for u, v in zip(us.tolist(), values.tolist())])
+
+    def polish(lo, f_lo, hi, f_hi):
+        if u_split not in (lo, hi):
+            return classify._polish(params, origin, -math.exp(lo), f_lo, hi - lo, f_hi)
+        w, f_w = (hi - lo, f_hi) if lo == u_split else (lo - hi, f_lo)
+        return classify._polish(params, origin, z0, -float(n), w, f_w, split=True)
+    return [polish(*bracket) for bracket in brackets]

@@ -36,8 +36,10 @@ def _document(argv):
 def test_float_bits_and_root_order_leave_a_document_as_it_is():
     code, doc, _ = _document(NEAR)
     z = [r["z"] for r in doc["eigenvalues"]]
-    assert [r["origin"] for r in doc["eigenvalues"]] == ["delta_s", "delta_r"]
-    assert 0 < z[1] - z[0] < 1e-10 * abs(z[0])
+    # the two roots' order follows their last bits, which depend on the
+    # host's SIMD and BLAS kernels; the swapped order is checked below
+    assert {r["origin"] for r in doc["eigenvalues"]} == {"delta_s", "delta_r"}
+    assert abs(z[1] - z[0]) < 1e-10 * abs(z[0])
     line = _canonical(NEAR, code, doc)
     swapped = dict(doc, eigenvalues=doc["eigenvalues"][::-1])
     assert _canonical(NEAR, code, swapped) == line

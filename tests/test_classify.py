@@ -10,9 +10,10 @@ from unittest import mock
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import belowband as bb
+import reference
 from belowband import classify, green
 from belowband.reduction import hyperbola_limit
 from conftest import curve_point, open_region_points, region_samples
@@ -307,8 +308,8 @@ def _hexes(values):
 
 
 def _check_ladder_table(n, lam, mu):
-    """The vectorized scan over the per-n table equals scalar evaluations of
-    every factor, bit for bit, and so do the roots, also with a table
+    """Every factor on the arrays of the per-n table equals its scalar
+    evaluations, bit for bit, and so do the roots, also with a table
     stacked from scalar calls; every state of every root is certified."""
     params = bb.ModelParams(n, lam, mu)
     table = bb.green_values(n, green._LADDER_Z)
@@ -429,6 +430,112 @@ def test_walks_from_the_split_point_keep_nothing(n, lam, mu):
     with mock.patch.object(classify, "_values", wraps=classify._values) as counted:
         bb.summarize(bb.ModelParams(n, lam, mu), tol=0.0)
     assert (n, -math.exp(first)) in [c.args for c in counted.call_args_list]
+
+
+def _polished(roots, params, origin, count):
+    """The brackets ``roots`` hands ``classify._polish`` and the roots it
+    returns, or its RootScanError's message and sign table, all in hex."""
+    calls, polish = [], classify._polish
+
+    def spy(*args, **kwargs):
+        calls.append(([x.hex() for x in args[2:]], kwargs))
+        return polish(*args, **kwargs)
+    with mock.patch.object(classify, "_polish", spy):
+        try:
+            out = [z.hex() for z, _ in roots(params, origin, count)]
+        except bb.RootScanError as exc:
+            out = str(exc), _sign_table_hexes(exc)
+    return calls, out
+
+
+def _check_against_the_scan(params, tol):
+    """Every factor's brackets and roots at the snapped params equal those
+    of the scan of every ladder point (``reference.scan_roots``)."""
+    snapped, even, odd = bb.snap_params(params, tol)
+    counts = classify._expected_sector_counts(even, odd)
+    for origin, count in zip(_ORIGINS, counts):
+        if count:
+            assert _polished(classify._roots, snapped, origin, count) \
+                == _polished(reference.scan_roots, snapped, origin, count), origin
+
+
+_COUPLING = st.one_of(st.floats(-30.0, 30.0), st.floats(-1e300, 1e300))
+
+
+@st.composite
+def _points_by_curves(draw):
+    """(n, lam, mu) anywhere in the plane, or 1e-15 .. 1e-3 off the
+    hyperbola, lambda = lambda_s or lambda = lambda_c."""
+    n = draw(st.integers(1, 12))
+    consts = bb.spectral_constants(n)
+    lam, mu = draw(_COUPLING), draw(_COUPLING)
+    gap = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-15.0, -3.0))
+    curve = draw(st.sampled_from(["plane", "hyperbola", "lambda_s", "lambda_c"]))
+    if curve == "hyperbola" and lam != consts.x_asymptote:
+        mu = n + n / (lam - consts.x_asymptote) + gap
+    elif curve == "lambda_s":
+        lam = consts.lambda_s + gap
+    elif curve == "lambda_c" and n > 1:
+        lam = consts.lambda_c + gap
+    return n, lam, mu
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(point=_points_by_curves(), tol=st.sampled_from([0.0, classify.REGION_TOL]))
+def test_bisection_brackets_what_the_full_scan_brackets(point, tol):
+    # each factor changes sign at most once on each side of z = n - mu, so
+    # bisecting the ladder finds, bit for bit, the brackets of comparing
+    # every pair of neighbours, and brentq polishes the same roots
+    n, lam, mu = point
+    assume(math.isfinite(mu))
+    _check_against_the_scan(bb.ModelParams(n, lam, mu), tol)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_the_ladder_is_monotone_where_the_bisection_reads_it(n):
+    # the premise of the bisection, on the committed records of n <= 8 and
+    # a built one: along the ladder (z increasing) s and c - d strictly
+    # increase and a/b, as _factor divides it, strictly decreases
+    g = bb.green_values(n, green._LADDER_Z)
+    rows = [g.s.tolist()] + ([g.cd.tolist()] if n > 1 else [])
+    rows.append([-(a / b) for a, b in zip(g.a.tolist(), g.b.tolist())])
+    for row in rows:
+        assert all(x < y for x, y in zip(row, row[1:]))
+
+
+_FAR, _NEAR = classify._U_FAR, classify._U_NEAR
+_WALKS = [(1e13, 0.0, {_FAR}),                       # delta_s root below -2^40
+          (4.765497145325227, 0.0, {_NEAR}),          # one above -2^-40
+          (2e15, 3.0 + 1e15, {_FAR}),                 # z0 = n - mu past the far end
+          (1e14, 3.0 + 1e-13, {_FAR, _NEAR})]         # z0 past the near end
+
+
+@pytest.mark.parametrize("lam, mu, limits", _WALKS)
+def test_walks_past_either_end_of_the_ladder(lam, mu, limits):
+    # at n = 3 each walk is reached, from the delta_r split point where it
+    # lies past the ladder, and every root equals the full scan's
+    params = bb.ModelParams(3, lam, mu)
+    with mock.patch.object(classify, "_step_past", wraps=classify._step_past) as spy:
+        bb.negative_eigenvalues(params, tol=0.0)
+    assert {c.args[3] for c in spy.call_args_list} == limits
+    if mu > 3.0:
+        assert math.log(mu - 3.0) in [c.args[1] for c in spy.call_args_list]
+    _check_against_the_scan(params, 0.0)
+
+
+def test_a_count_mismatch_keeps_the_whole_sign_table():
+    # a ladder record of n = 3 whose s makes lam s - 1 exactly 0 at both
+    # ends of the ladder and 0.25 between: two brackets where one is
+    # expected, and the sign table holds every ladder point
+    params = bb.ModelParams(3, 5.0, 0.0)
+    s = np.full(len(classify._LADDER), 0.25)
+    s[[0, -1]] = 0.2
+    patched = dataclasses.replace(bb.green_values(3, green._LADDER_Z), s=s)
+    with mock.patch.dict(green._LADDER_RECORDS, {3: patched}):
+        calls, (message, table) = _polished(classify._roots, params, "delta_s", 1)
+        assert (calls, (message, table)) \
+            == _polished(reference.scan_roots, params, "delta_s", 1)
+    assert calls == [] and message.endswith("bracketed 2") and len(table) == 81
 
 
 @pytest.mark.parametrize("n", range(3, 10))

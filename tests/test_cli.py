@@ -250,6 +250,28 @@ def test_scan_grid_cap(capsys, monkeypatch):
     assert err == "error: a scan of 2 x 4 = 8 coupling points is over the cap 6\n"
 
 
+def test_scan_writes_each_row_as_it_is_classified(capsys, monkeypatch):
+    # an input that fails at the first point writes no header; a failure
+    # mid-scan leaves the header and the rows before it on stdout and the
+    # error on stderr, with exit 3
+    argv = ("--lambda-range", "0:1:2", "--mu-range", "0:1:3")
+    code, out, err = run_cli(capsys, "scan", "--n", "0", *argv)
+    assert code == 2 and out == "" and err.startswith("error: ")
+    code, full, _ = run_cli(capsys, "scan", "--n", "2", *argv)
+    assert code == 0 and len(full.splitlines()) == 1 + 6
+    calls, label = [], cli.cell_label
+
+    def fail_at_the_fourth(*args):
+        calls.append(args)
+        if len(calls) == 4:
+            raise bb.ConsistencyError("injected")
+        return label(*args)
+    monkeypatch.setattr(cli, "cell_label", fail_at_the_fourth)
+    code, out, err = run_cli(capsys, "scan", "--n", "2", *argv)
+    assert code == 3 and err == "numeric failure: injected\n"
+    assert out.splitlines() == full.splitlines()[:4]
+
+
 def test_eigenfunction_empty_exit_4(capsys):
     code, _, err = run_cli(capsys, "eigenfunction", "--n", "1",
                            "--lambda", "0", "--mu", "0")

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -493,6 +494,27 @@ def test_a_non_positive_pivot_is_an_error(monkeypatch):
         lattice._kept_block(2, 17, "delta_r")
     monkeypatch.undo()
     _assert_no_entry_kept((2, 17, "delta_r"))
+
+
+def test_the_n1_chain_is_its_block_read_off():
+    # at n = 1 the Lanczos recurrence reproduces the tridiagonal block:
+    # alphas 1.0, betas 1/2 past the head, and a chain that runs to the last
+    # row; the read-off kept for every radius equals it bit for bit
+    for L in range(1, 201):
+        for origin in ("delta_r", "delta_s"):
+            kept = lattice._kept_block.__wrapped__(1, L, origin)   # not cached
+            for got, want in zip(kept, lattice._lanczos(1, L, origin)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (L, origin)
+
+
+def test_the_n1_chain_is_built_in_linear_time():
+    # the recurrence takes about 4.5 s at L = 20 000 (O(L^2)); the read-off
+    # about 10 ms on a 2-vCPU host
+    start = time.perf_counter()
+    diag, beta, level = lattice._kept_block.__wrapped__(1, 20_000, "delta_r")
+    assert time.perf_counter() - start < 1.0
+    assert len(diag) == 20_001 and set(beta[1:].tolist()) == {0.5}
 
 
 def test_both_row_orders_are_kept_together(monkeypatch):
