@@ -484,17 +484,17 @@ def _roots(params: ModelParams, origin: str,
     """The ``expected`` zeros in (-inf, 0) of one factor, as ``_polish`` pairs.
 
     One scan in u brackets them: the ladder, read as one
-    ``green_values(n, _LADDER_Z)`` call per search (the kept read-only
-    record of n, of which only the rows the factor reads become Python
-    floats), and for the two zeros of delta_r (in G2, mu > n) the point
-    z0 = n - mu, inserted in order, where H = -n while H > 0 at both ends
-    of (-inf, 0).  A factor changes sign at most once on each side of z0
-    (``_factor``; with one zero expected the ladder is one side), so
-    ``_bisect`` finds each sign change between its side's ends.  Each end
-    of the scan whose sign disagrees with the factor's value at that end
-    of (-inf, 0) is then stepped past in u, each step one ``green._values``
-    call that builds no record; past the engine's reach the Green values
-    are edge records.
+    ``green_values(n, _LADDER_Z)`` call per search (the kept record of
+    n, whose fields are tuples of floats, indexed at the points
+    bisected), and for the two zeros of delta_r (in G2, mu > n) the
+    point z0 = n - mu, inserted in order, where H = -n while H > 0 at
+    both ends of (-inf, 0).  A factor changes sign at most once on each
+    side of z0 (``_factor``; with one zero expected the ladder is one
+    side), so ``_bisect`` finds each sign change between its side's
+    ends.  Each end of the scan whose sign disagrees with the factor's
+    value at that end of (-inf, 0) is then stepped past in u, each step
+    one ``green._values`` call that builds no record; past the engine's
+    reach the Green values are edge records.
     Every bracket is polished in u, from z0 itself when it ends there;
     another count raises RootScanError with the sign table of every scan
     point.  Messages and that table are formed only when raised.
@@ -507,10 +507,10 @@ def _roots(params: ModelParams, origin: str,
                            f"z = -{_Z_MAX!r} {where()}; past it b is not a normal double")
     g = green_values(n, _LADDER_Z)
     if origin == "delta_r":
-        zs, a, b = g.z.tolist(), g.a.tolist(), g.b.tolist()
+        zs, a, b = g.z, g.a, g.b
         ladder = lambda k: _factor(params, origin, zs[k], a[k], b[k], None, None)
     else:
-        row = (g.cd if origin == "delta_c" else g.s).tolist()
+        row = g.cd if origin == "delta_c" else g.s
         ladder = lambda k: _factor(params, origin, None, None, None, row[k], row[k])
     us, f_at, ends, u_split, z0 = _LADDER, ladder, [0, len(_LADDER) - 1], None, None
     if expected == 2:

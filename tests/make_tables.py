@@ -64,7 +64,7 @@ def main() -> None:
     green._PIECES = green._table_pieces()
     rows = []
     for n in ns:
-        values = [green.green_values(n, z) for z in green._LADDER_Z.tolist()]
+        values = [green.green_values(n, z) for z in green._LADDER_Z]
         rows.extend([getattr(g, k) for g in values] for k in integral_names(n))
     np.array(rows, dtype="<f8").tofile(green._LADDER_FILE)
     print("_BAND_EDGE = {")

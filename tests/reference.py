@@ -23,12 +23,15 @@ threshold classes:
   ``eigvalsh_tridiagonal``, the call the package's direct stebz call
   must equal bit for bit;
 - the eigenstate certificate as the package first wrote it: the even
-  matrix filled into ``np.zeros`` by fancy indexing, the moments summed
-  term by term through ``GreenValues.require``, and the residual's norms
-  as ``np.max(np.abs(x))``, which the package's own must equal bit for
-  bit;
+  matrix filled into ``np.zeros`` by fancy indexing and the residual's
+  norms as ``np.max(np.abs(x))``, which the package's own must equal bit
+  for bit;
+- a state's moments against the potential modes, summed term by term
+  through ``GreenValues.require``, which the answer record prints (the
+  package computes none);
 - root location as the package first wrote it: the factor at all 81
-  ladder points as one array, the delta_r split point inserted by
+  ladder points as one array (the ladder record's tuples made arrays
+  here), the delta_r split point inserted by
   ``np.concatenate``, and every pair of neighbours compared, whose
   brackets the package's bisection must equal bit for bit.
 
@@ -47,7 +50,8 @@ import numpy as np
 from scipy.linalg import eigh, eigvalsh_tridiagonal
 
 from belowband import classify, lattice, quadrature
-from belowband.green import GreenValues, green_threshold, green_values
+from belowband.green import (DivergentIntegralError, GreenValues, green_threshold,
+                             green_values)
 from belowband.quadrature import (
     _NAMES,
     QuadratureError,
@@ -550,7 +554,14 @@ def _combine(greens: GreenValues, terms) -> float:
 
 
 def moments(state: EigenState, greens: GreenValues) -> np.ndarray:
-    """The moments u of ``states.moments``, each term through ``require``."""
+    """Moments u of f against the potential modes from the Green integrals,
+    each term through ``require``: in the even sector, with S = sum_j w_j,
+
+        u_0 = mu w_0 a + (lam/sqrt2) b S,
+        u_i = mu w_0 b + (lam/sqrt2) ((c-d) w_i + d S),
+
+    a term with a zero coefficient skipped, so the grouped form stays
+    finite at z = 0 for the n = 2 threshold states (w_0 = 0, S = 0)."""
     lam, mu = state.params.lam, state.params.mu
     if state.sector == "odd":
         (s,) = greens.require("s")
@@ -571,6 +582,17 @@ def moments(state: EigenState, greens: GreenValues) -> np.ndarray:
                 ("d", (lam / _SQRT2) * total),
             ])
     return u
+
+
+def state_moments(state: EigenState) -> np.ndarray | None:
+    """``moments`` from the state's own ``greens``, whatever their z; None
+    without them or where an integral the moments need diverges."""
+    if state.greens is None:
+        return None
+    try:
+        return moments(state, state.greens)
+    except DivergentIntegralError:
+        return None
 
 
 def residual(params: ModelParams, state: EigenState) -> float:
@@ -625,8 +647,11 @@ def scan_roots(params: ModelParams, origin: str, expected: int):
                            f"z = -{classify._Z_MAX!r} {where()}; past it b is not a "
                            "normal double")
     us, u_split, z0 = _LADDER_U, None, None
+    g = green_values(n, classify._LADDER_Z)
+    arrays = GreenValues(n, *(None if v is None else np.array(v)
+                              for v in (g.z, g.a, g.b, g.c, g.d, g.s, g.cd)))
     with np.errstate(over="ignore", invalid="ignore"):
-        values = classify._factor_at(params, origin, green_values(n, classify._LADDER_Z))
+        values = classify._factor_at(params, origin, arrays)
         if expected == 2:
             z0 = n - params.mu
             u_split = math.log(-z0)

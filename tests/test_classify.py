@@ -1,7 +1,9 @@
 """Region taxonomy, eigenvalue counts, threshold reports, summaries."""
 
+import ast
 import dataclasses
 import math
+import pathlib
 import random
 import re
 import zlib
@@ -14,7 +16,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import belowband as bb
 import reference
-from belowband import classify, green
+from belowband import classify, cli, green, reduction
 from belowband.reduction import hyperbola_limit
 from conftest import curve_point, open_region_points, region_samples
 
@@ -65,6 +67,22 @@ def test_cell_names_n1():
     assert (even.curve, odd.label) == ("G0", "S0")
     with pytest.raises(bb.ConsistencyError, match="S0 cannot meet G0"):
         bb.cell_label(1, even, odd)
+
+
+def test_a_located_count_the_cell_does_not_prescribe_is_a_consistency_error(
+        monkeypatch, capsys):
+    # root location dropping one delta_r root at (3, 8, 9), in D7: summarize
+    # raises, naming the located count, the cell, the prescribed count and
+    # the couplings, and cli summarize exits 3 with the message on stderr
+    roots = classify._roots
+    monkeypatch.setattr(classify, "_roots", lambda params, origin, expected: roots(
+        params, origin, expected)[:-1 if origin == "delta_r" else None])
+    message = "located 6 eigenvalue(s) but cell D7 prescribes 7 for n=3, lambda=8.0, mu=9.0"
+    with pytest.raises(bb.ConsistencyError, match=f"^{re.escape(message)}$"):
+        bb.summarize(bb.ModelParams(3, 8.0, 9.0))
+    assert cli.main(["summarize", "--n", "3", "--lambda", "8", "--mu", "9"]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"numeric failure: {message}\n"
 
 
 def test_cell_names_open_regions(consts):
@@ -283,10 +301,10 @@ def _scalar_greens(n):
 
 
 def _stacked(n, greens):
-    """Scalar Green values as one ``GreenValues`` of arrays, the ladder's shape."""
+    """Scalar Green values as one ``GreenValues`` of tuples, the ladder's form."""
     def column(name):
-        values = [getattr(g, name) for g in greens]
-        return None if values[0] is None else np.array(values)
+        values = tuple(getattr(g, name) for g in greens)
+        return None if values[0] is None else values
     return bb.GreenValues(n, *(column(f.name) for f in dataclasses.fields(bb.GreenValues)[1:]))
 
 
@@ -308,19 +326,16 @@ def _hexes(values):
 
 
 def _check_ladder_table(n, lam, mu):
-    """Every factor on the arrays of the per-n table equals its scalar
-    evaluations, bit for bit, and so do the roots, also with a table
-    stacked from scalar calls; every state of every root is certified."""
+    """Every field of the per-n ladder record equals its scalar
+    evaluations by ``float.hex``, and the roots equal those located with
+    a record stacked from scalar calls; every state of every root is
+    certified."""
     params = bb.ModelParams(n, lam, mu)
     table = bb.green_values(n, green._LADDER_Z)
     greens = _scalar_greens(n)
     scalar = _stacked(n, greens)
-    for origin in _ORIGINS if n > 1 else ("delta_r", "delta_s"):
-        expected = _hexes(classify._factor_at(params, origin, g) for g in greens)
-        for t in (table, scalar):
-            with np.errstate(over="ignore"):
-                got = classify._factor_at(params, origin, t)
-            assert _hexes(got) == expected, origin
+    columns = lambda g: [None if v is None else _hexes(v) for v in dataclasses.astuple(g)[1:]]
+    assert columns(table) == columns(scalar)
     located = _located(params)
     with mock.patch.dict(green._LADDER_RECORDS, {n: scalar}):
         assert _located(params) == located
@@ -497,8 +512,8 @@ def test_the_ladder_is_monotone_where_the_bisection_reads_it(n):
     # a built one: along the ladder (z increasing) s and c - d strictly
     # increase and a/b, as _factor divides it, strictly decreases
     g = bb.green_values(n, green._LADDER_Z)
-    rows = [g.s.tolist()] + ([g.cd.tolist()] if n > 1 else [])
-    rows.append([-(a / b) for a, b in zip(g.a.tolist(), g.b.tolist())])
+    rows = [g.s] + ([g.cd] if n > 1 else [])
+    rows.append([-(a / b) for a, b in zip(g.a, g.b)])
     for row in rows:
         assert all(x < y for x, y in zip(row, row[1:]))
 
@@ -528,8 +543,7 @@ def test_a_count_mismatch_keeps_the_whole_sign_table():
     # ends of the ladder and 0.25 between: two brackets where one is
     # expected, and the sign table holds every ladder point
     params = bb.ModelParams(3, 5.0, 0.0)
-    s = np.full(len(classify._LADDER), 0.25)
-    s[[0, -1]] = 0.2
+    s = (0.2, *[0.25] * (len(classify._LADDER) - 2), 0.2)
     patched = dataclasses.replace(bb.green_values(3, green._LADDER_Z), s=s)
     with mock.patch.dict(green._LADDER_RECORDS, {3: patched}):
         calls, (message, table) = _polished(classify._roots, params, "delta_s", 1)
@@ -1129,3 +1143,15 @@ def test_asymptote_line_has_single_eigenvalue(consts):
             s = bb.summarize(bb.ModelParams(n, lam, mu))
             assert s.negative_count == 1
             assert s.cell == "D1"
+
+
+@pytest.mark.parametrize("module", [classify, reduction], ids=lambda m: m.__name__)
+def test_root_location_and_the_instance_import_no_numpy(module):
+    # no import statement in classify.py or reduction.py, at any depth,
+    # names numpy: root location and ModelParams run on Python numbers
+    tree = ast.parse(pathlib.Path(module.__file__).read_text())
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names]
+    names += [node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.level == 0]
+    assert names and not [name for name in names if name.split(".")[0] == "numpy"]

@@ -200,7 +200,8 @@ def test_ladder_table_is_the_engines_own_sums(monkeypatch):
     assert first is False and 9 in green._LADDER_RECORDS
     for n in range(1, 10):
         committed = bb.green_values(n, green._LADDER_Z)
-        zs = green._LADDER_Z.tolist()
+        zs = green._LADDER_Z
+        assert committed.z is zs and type(zs) is tuple and len(zs) == 81
         scalar = [bb.green_values(n, z) for z in zs]
         engine = [None if 1 < n <= 8 and green._TABLE_FAR <= z <= green._TABLE_NEAR
                   else quadrature.laplace_integrals(n, z) for z in zs]
@@ -210,9 +211,10 @@ def test_ladder_table_is_the_engines_own_sums(monkeypatch):
             if n == 1 and name in ("d", "cd"):
                 assert got is None
                 continue
-            assert got.tobytes() == np.array([getattr(g, name) for g in scalar]).tobytes(), (
+            assert type(got) is tuple and all(type(v) is float for v in got), (n, name)
+            assert [v.hex() for v in got] == [getattr(g, name).hex() for g in scalar], (
                 n, name, "rewrite the tables with tests/make_tables.py")
-            assert [v for v, e in zip(got.tolist(), engine) if e] == [
+            assert [v for v, e in zip(got, engine) if e] == [
                 e[name] for e in engine if e], (n, name)
 
 
@@ -332,22 +334,24 @@ def test_a_ladder_value_that_is_not_positive_fails_the_import(tmp_path):
 
 
 def test_the_committed_tables_are_read_only():
-    # every ladder record shares the rows read at import, the record built
-    # on first use at n = 9 is kept read-only beside them, and table probes
-    # share the coefficient blocks: none takes a write, so the next call
-    # still returns the kept values
+    # every ladder record, the committed ones and the one built on first
+    # use at n = 9, holds tuples of floats, which take no write, so the
+    # next call returns the same kept record; table probes share the
+    # coefficient blocks, read-only arrays
     for n in (3, 9):
         g = bb.green_values(n, green._LADDER_Z)
-        committed = {k: getattr(g, k).tobytes() for k in EDGE_FIELDS}
-        with pytest.raises(ValueError, match="read-only"):
+        with pytest.raises(TypeError):
             g.a[0] = 1.0
-        with pytest.raises(ValueError, match="read-only"):
+        with pytest.raises(TypeError):
             g.z[0] = -1.0
-        again = bb.green_values(n, green._LADDER_Z)
-        assert {k: getattr(again, k).tobytes() for k in EDGE_FIELDS} == committed
-    assert all(not getattr(record, k).flags.writeable
-               for record in green._LADDER_RECORDS.values() for k in EDGE_FIELDS
-               if getattr(record, k) is not None)
+        assert bb.green_values(n, green._LADDER_Z) is g
+    for n, record in green._LADDER_RECORDS.items():
+        assert record.z is green._LADDER_Z
+        for k in EDGE_FIELDS:
+            column = getattr(record, k)
+            assert column is None and n == 1 and k in ("d", "cd") or (
+                type(column) is tuple and len(column) == 81
+                and all(type(v) is float for v in column)), (n, k)
     for blocks in green._PIECES:
         for block in blocks:
             with pytest.raises(ValueError, match="read-only"):
@@ -371,7 +375,7 @@ for n in range(1, 10):
     zs = [c.args[1] for c in laplace.call_args_list]
     out[n] = {"code": code, "edge": sum(bool(np.any(z == 0.0)) for z in zs),
               "arrays": sum(np.ndim(z) > 0 for z in zs),
-              "ladder": sum(z in green._LADDER_Z.tolist() for z in zs),
+              "ladder": sum(z in green._LADDER_Z for z in zs),
               "tail": quadrature._tail.cache_info().currsize,
               "calls": len(zs), "bessel": bessel.call_count,
               "panels": n in quadrature._PANELS}
@@ -401,25 +405,28 @@ def test_a_fresh_summarize_sums_no_band_edge_and_no_ladder():
                         "bessel": 3, "panels": True}
 
 
-def test_an_array_of_z_equals_its_entries_past_the_engines_reach():
-    # each entry of an array is its call at that z alone, bit for bit, the
-    # engine's sums and the edge records past the switch alike; an entry
-    # at 0, above it or NaN raises the ValueError of a single z
+def test_a_sequence_of_z_is_a_type_error_naming_it():
+    # green_values takes one z, or the ladder itself: an array, a list or
+    # a tuple of z, even one equal to the ladder, raises TypeError naming
+    # its type before any entry is evaluated; a caller makes one call per
+    # entry, as at the z past the engine's reach below, and a single z
+    # that is not below 0 raises the ValueError
+    equal = tuple(list(green._LADDER_Z))
+    assert equal == green._LADDER_Z and equal is not green._LADDER_Z
     for n in (1, 2, 3, 9):
         switch = green._switch(n)
         zs = [-1.0, switch, math.nextafter(switch, 0.0), switch * 1e-100, -5e-324]
-        many = bb.green_values(n, np.array(zs))
-        assert isinstance(many.z, np.ndarray) and many.z.tolist() == zs
-        for name in EDGE_FIELDS:
-            column = getattr(many, name)
-            if column is None:
-                assert n == 1 and name in ("d", "cd")
-                continue
-            assert [v.hex() for v in column.tolist()] == [
-                getattr(bb.green_values(n, z), name).hex() for z in zs], (n, name)
+        with mock.patch.object(green, "_values", wraps=green._values) as values:
+            for many, name in ((np.array(zs), "ndarray"), (zs, "list"), (tuple(zs), "tuple"),
+                               (equal, "tuple"), (np.array(-1.0), "ndarray")):
+                with pytest.raises(TypeError, match=rf"got {name}; call it once per entry"):
+                    bb.green_values(n, many)
+            assert values.call_count == 0
+        each = [bb.green_values(n, z) for z in zs]
+        assert [g.z for g in each] == zs
         for bad in (0.0, 1.0, math.nan):
             with pytest.raises(ValueError, match="requires z < 0"):
-                bb.green_values(n, np.array([-1.0, bad]))
+                bb.green_values(n, bad)
 
 
 def test_square_lattice_edge_makes_no_laplace_call():
@@ -555,7 +562,7 @@ def test_divergent_requests_are_flagged_not_numbers():
         bb.green_values(2, 0.5)
 
 
-_ZS = np.array([-1.0, -2.0, -3.0, -4.0])
+_ZS = (-1.0, -2.0, -3.0, -4.0)
 # the two sources of a float z's record there: the Green table at n = 3
 # (read by green._table) and the Laplace engine at n = 9
 _SOURCES = ((3, "_table"), (9, "laplace_integrals"))
@@ -577,14 +584,13 @@ def _with_values(source, **values):
 ])
 def test_a_sum_that_is_not_positive_is_named_with_its_z(name, row, first):
     # a, b, c, s and c - d are positive on z <= 0: a sum that is not (zero,
-    # negative or NaN) raises, naming the integral and, at an array of z,
-    # its first offender; a float z is checked as the same record, from
-    # either source
+    # negative or NaN) raises, naming the integral and its z, from either
+    # source; one call per entry stops at the first offender, and the
+    # entries as one array raise the TypeError before any is evaluated
     for n, source in _SOURCES:
-        record = _with_values(source, **{name: lambda z: row[_ZS.tolist().index(z)]})
+        record = _with_values(source, **{name: lambda z: row[_ZS.index(z)]})
         with mock.patch.object(green, source, record):
-            for z in _ZS.tolist():
-                value = row[_ZS.tolist().index(z)]
+            for z, value in zip(_ZS, row):
                 if value > 0.0:
                     assert getattr(bb.green_values(n, z), name) == value
                     continue
@@ -592,10 +598,15 @@ def test_a_sum_that_is_not_positive_is_named_with_its_z(name, row, first):
                                    match=re.escape(f"integral {name}={value} at n={n}, "
                                                    f"z={z} violates positivity")):
                     bb.green_values(n, z)
+            each = []
             with pytest.raises(QuadratureError,
                                match=re.escape(f"integral {name}={row[first]} at n={n}, "
                                                f"z={_ZS[first]} violates positivity")):
-                bb.green_values(n, _ZS)
+                for z in _ZS:
+                    each.append(bb.green_values(n, z))
+            assert len(each) == first
+            with pytest.raises(TypeError, match="got ndarray"):
+                bb.green_values(n, np.array(_ZS))
 
 
 def test_the_first_integral_in_order_is_named():

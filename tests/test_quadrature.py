@@ -303,7 +303,7 @@ def test_tables_of_the_ladders_span_equal_lazy_builds_at_each_z(monkeypatch):
     # seeded z across the ladder's span
     bits = lambda a: np.ascontiguousarray(a).tobytes()
     nodes = quadrature._NODES
-    far, near = (float(z) for z in green._LADDER_Z[[0, -1]])
+    far, near = green._LADDER_Z[0], green._LADDER_Z[-1]
     rng = random.Random(49)
     zs = [far, near, *(-math.exp(rng.uniform(classify._LADDER[-1], classify._LADDER[0]))
                        for _ in range(12))]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import belowband as bb
-from belowband import classify, states
+from belowband import classify, green, states
 from belowband.reduction import hyperbola_limit
 
 SQRT2 = math.sqrt(2.0)
@@ -248,17 +248,24 @@ def test_critical_couplings_requires_threshold_record(consts):
 
 def test_a_dimension_is_an_integer_but_not_a_bool():
     # ModelParams, green_values and build_hamiltonian take the same
-    # dimensions: numpy integers (ModelParams stores them as an int), but
-    # neither a bool nor a float
-    params = bb.ModelParams(np.int64(3), 1.0, 3.0)
-    assert type(params.n) is int and params == bb.ModelParams(3, 1.0, 3.0)
-    assert bb.summarize(params).cell == bb.summarize(bb.ModelParams(3, 1.0, 3.0)).cell
-    assert bb.green_values(np.int64(3), -1.0) == bb.green_values(3, -1.0)
-    assert bb.build_hamiltonian(np.int64(3), 2, 1.0, 3.0).n == 3
-    for bad in (True, 3.0):
+    # dimensions: any numbers.Integral, numpy integers signed and unsigned
+    # among them (ModelParams stores them as an int), but neither a bool,
+    # Python's or numpy's, nor a float
+    for n in (np.int64(3), np.uint8(3)):
+        params = bb.ModelParams(n, 1.0, 3.0)
+        assert type(params.n) is int and params == bb.ModelParams(3, 1.0, 3.0)
+        assert bb.summarize(params).cell == bb.summarize(bb.ModelParams(3, 1.0, 3.0)).cell
+        assert bb.green_values(n, -1.0) == bb.green_values(3, -1.0)
+        assert bb.green_values(n, green._LADDER_Z) is bb.green_values(3, green._LADDER_Z)
+        assert bb.green_threshold(n) == bb.green_threshold(3)
+        assert bb.build_hamiltonian(n, 2, 1.0, 3.0).n == 3
+    for bad in (True, np.bool_(True), 3.0):
         with pytest.raises(ValueError, match="dimension"):
             bb.ModelParams(bad, 1.0, 3.0)
+        for z in (-1.0, green._LADDER_Z):
+            with pytest.raises(ValueError, match="dimension"):
+                bb.green_values(bad, z)
         with pytest.raises(ValueError, match="dimension"):
-            bb.green_values(bad, -1.0)
+            bb.green_threshold(bad)
         with pytest.raises(ValueError, match="dimension"):
             bb.build_hamiltonian(bad, 2, 1.0, 3.0)

@@ -2,7 +2,6 @@
 
 import math
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,13 +11,12 @@ import belowband as bb
 import reference
 from belowband import states
 from belowband.states import (
-    moments,
     state_for_delta_r,
     states_for_delta_c,
     states_for_odd,
 )
 from conftest import open_region_points
-from reference import integrability_probe, probe_verdict
+from reference import integrability_probe, moments, probe_verdict, state_moments
 
 SQRT2 = math.sqrt(2.0)
 
@@ -108,7 +106,7 @@ def test_carried_green_values_are_used_only_at_their_own_z():
     moved = replace(rec, z=rec.z + 0.01)
     (fresh,) = bb.eigenstates(params, moved)
     assert fresh.greens.z == moved.z
-    assert not np.array_equal(fresh.moments, state.moments)
+    assert not np.array_equal(state_moments(fresh), state_moments(state))
 
 
 def test_moments_match_coefficients_for_fixed_points():
@@ -116,7 +114,7 @@ def test_moments_match_coefficients_for_fixed_points():
     params = bb.ModelParams(2, 3.0, 4.0)
     for rec in bb.negative_eigenvalues(params):
         for state in bb.eigenstates(params, rec):
-            u = state.moments
+            u = state_moments(state)
             assert u is not None
             if state.sector == "even":
                 assert u[0] == pytest.approx(state.w[0], rel=1e-9, abs=1e-12)
@@ -139,19 +137,22 @@ def test_moments_finite_for_square_lattice_threshold_state():
 
 
 def test_only_divergence_leaves_moments_unset(monkeypatch):
+    # the moments the answer record prints: None without Green values or
+    # where an integral they need diverges; any other error is raised
     params = bb.ModelParams(2, 3.0, 4.0)
     g = bb.green_values(2, -0.5)
-    # a divergent integral the moments need: the state has no moments
     unset = states_for_delta_c(params, -0.5, replace(g, cd=None))
-    assert all(state.moments is None for state in unset)
+    assert all(state_moments(state) is None for state in unset)
+    built = states_for_delta_c(params, -0.5, g)
+    assert state_moments(replace(built[0], greens=None)) is None
+    assert state_moments(built[0]) is not None
 
     def broken(state, greens):
         raise RuntimeError("bug in moments")
 
-    monkeypatch.setattr(states, "moments", broken)
-    built = states_for_delta_c(params, -0.5, g)
+    monkeypatch.setattr(reference, "moments", broken)
     with pytest.raises(RuntimeError, match="bug in moments"):
-        built[0].moments
+        state_moments(built[0])
 
 
 def test_states_and_summaries_compare_and_hash_by_value():
@@ -183,33 +184,26 @@ def test_moments_take_a_coefficient_list():
         listed = bb.EigenState(bb.ModelParams(2, 4.0, 0.0), sector, -0.5, w, formula)
         array = replace(listed, w=np.array(w))
         assert _hexes(moments(listed, g)) == _hexes(moments(array, g))
-        assert _hexes(replace(listed, greens=g).moments) == _hexes(moments(array, g))
+        assert _hexes(state_moments(replace(listed, greens=g))) == _hexes(moments(array, g))
 
 
-def _reference_moments(state):
-    try:
-        return _hexes(reference.moments(state, state.greens))
-    except bb.DivergentIntegralError:
-        return None
-
-
-def test_moments_are_computed_when_read_not_when_built():
-    # building every state of every open cell at n = 1..4 computes no
-    # moments; a later read equals the reference bit for bit, also after
-    # replace moves z and keeps the Green values
+def test_moments_read_the_green_values_each_state_carries():
+    # every state of every open cell at n = 1..4 carries the Green values
+    # of its z, so its moments equal, bit for bit, those from a fresh
+    # evaluation there; replace moves z and keeps the carried values
     built = []
-    with mock.patch.object(states, "moments", wraps=states.moments) as spy:
-        for n in (1, 2, 3, 4):
-            for _name, (lam, mu) in open_region_points(n):
-                built += _summary_states(bb.ModelParams(n, lam, mu))[1]
-        assert spy.call_count == 0
+    for n in (1, 2, 3, 4):
+        for _name, (lam, mu) in open_region_points(n):
+            built += _summary_states(bb.ModelParams(n, lam, mu))[1]
     assert len(built) >= 40
     for state in built:
-        want = _reference_moments(state)
-        assert _hexes(state.moments) == want
+        n, z = state.params.n, state.z
+        fresh = bb.green_values(n, z) if z < 0.0 else bb.green_threshold(n)
+        want = _hexes(state_moments(replace(state, greens=fresh)))
+        assert _hexes(state_moments(state)) == want
         shifted = replace(state, z=state.z - 0.25)
         assert shifted.greens is state.greens
-        assert _hexes(shifted.moments) == want
+        assert _hexes(state_moments(shifted)) == want
 
 
 def _hexes(values):
@@ -217,13 +211,9 @@ def _hexes(values):
 
 
 def _assert_certificate_as_reference(params, state):
-    # the residual, the moments (as built and recomputed) and the even
-    # matrix equal the term-by-term reference of tests/reference.py
+    # the residual and the even matrix equal the term-by-term reference of
+    # tests/reference.py
     assert bb.residual(params, state).hex() == reference.residual(params, state).hex()
-    want = None if state.moments is None else _hexes(reference.moments(state, state.greens))
-    assert _hexes(state.moments) == want
-    if want is not None:
-        assert _hexes(moments(state, state.greens)) == want
     if state.sector == "even" and (state.z < 0.0 or params.n >= 3):
         assert _hexes(states._even_matrix(params, state.greens)) \
             == _hexes(reference.even_matrix(params, state.greens))
