@@ -25,30 +25,32 @@ Every other symmetry sector misses the potential, so it holds only free
 states, whose energies lie above 0; so do the free [n-2, 1, 1] states that
 share the delta_c block.
 
-The couplings touch only the rows of level sum(m) <= 1: the origin
-(delta_r only) and one row of unit sites.  The rest of a block, Q on the
-rows of level >= 2, compresses the free box Laplacian, so its spectrum
-lies in (0, 2n).  In the basis (origin row, level-1 row, Lanczos vectors
-of Q started at the level-1 row's hops b) the block is tridiagonal, and
-only its first one or two diagonal entries depend on (lam, mu).  The
-Lanczos chain is stopped once the conjugate-gradient residual of
-(Q - theta I) x = b falls below 1e-14 at theta = 0, which bounds it at
-every theta < 0, so g = b^T (Q - theta I)^-1 b, the one term through
-which Q enters the block's eigenvalue equation below 0, is exact to
-rounding, and the chain's values below 0 are the block's (Gauss
-quadrature by Lanczos, Golub and Meurant 2010).  At n = 1 each block
-is tridiagonal already and is its own chain, read off in O(L).  Each chain
-is built once per (n, L, origin) and kept in a bounded cache, so a solve
-at a radius already met adds only the couplings, and its values below a
-bound come from the LAPACK bisection stebz, called directly (`_below`).
+The couplings touch only the k head rows of level sum(m) <= 1, which
+lead every block in key order: the origin (delta_r only, so k = 2) and
+one row of unit sites.  The rest of a block, Q on the rows past the
+head, compresses the free box Laplacian, so its spectrum lies in
+(0, 2n).  In the basis (head rows, Lanczos vectors of Q started at the
+level-1 row's hops b) the block is a tridiagonal chain (diagonal,
+off-diagonal), and only its first k diagonal entries depend on
+(lam, mu).  The Lanczos chain is stopped once the conjugate-gradient
+residual of (Q - theta I) x = b falls below 1e-14 at theta = 0, which
+bounds it at every theta < 0, so g = b^T (Q - theta I)^-1 b, the one
+term through which Q enters the block's eigenvalue equation below 0, is
+exact to rounding, and the chain's values below 0 are the block's (Gauss
+quadrature by Lanczos, Golub and Meurant 2010).  At n = 1 each block is
+tridiagonal already and is its own chain, written from its formula in
+O(L) with no grid.  Each chain is built once per (n, L, origin) and kept
+in a bounded cache, so a solve at a radius already met adds only the
+couplings, and its values below a bound come from the LAPACK bisection
+stebz, called directly (`_below`).
 
 `lowest_eigenvalues(ham, theta)` is the one solve: one stebz call per
 block reads its values below theta off its chain, and `compare` makes one
-such solve per radius.  The size budget MAX_DIM bounds what a solve
-builds, the nonnegative grid of n (L+1)^n coordinates that `_structure`
-orbits; the whole box (2L+1)^n, assembled only when
-`TruncatedHamiltonian.matrix` is read, is checked against it on that
-read.
+such solve per radius.  The size budget MAX_DIM bounds the nonnegative
+grid of n (L+1)^n coordinates that `_structure` orbits at n >= 2 (at
+n = 1 it caps L + 1, and no grid is built); the whole box (2L+1)^n,
+assembled only when `TruncatedHamiltonian.matrix` is read, is checked
+against it on that read.
 
 This is the only module that loads ``scipy.sparse`` and ``scipy.linalg``.
 Neither the CLI nor the package imports it up front: ``belowband.cli``
@@ -221,14 +223,14 @@ def _canonical(points: np.ndarray, origin: str) -> tuple[np.ndarray, np.ndarray]
     return canon, np.sign(a[:, 1] - a[:, 0])
 
 
-def _structure(n: int, L: int, origin: str) -> tuple[sparse.csr_matrix, np.ndarray]:
-    """Coupling-free off-diagonal part of one factor block and its levels.
+def _structure(n: int, L: int, origin: str) -> sparse.csr_matrix:
+    """Coupling-free off-diagonal part of one factor block.
 
     A hop from representative a to a point of orbit b adds
     -1/2 sign sqrt(|O_a| / |O_b|); rows are found by their mixed-radix key
-    and are in lexicographic order.  The level sum(m) is 0 at the origin
-    and 1 on the unit sites.  Every hop changes the level by one, so the
-    off-diagonal part has no diagonal entry.
+    and are in lexicographic order, so the rows of level sum(m) <= 1 lead
+    the block: the origin (delta_r only), then the one row of unit sites.
+    Every hop changes the level by one, so the block has no diagonal entry.
     """
     radix = (L + 1) ** np.arange(n - 1, -1, -1)
     grid = np.indices((L + 1,) * n).reshape(n, -1).T
@@ -245,24 +247,25 @@ def _structure(n: int, L: int, origin: str) -> tuple[sparse.csr_matrix, np.ndarr
     ok = (np.abs(hops).max(axis=1) <= L) & (s != 0)
     a = np.tile(np.arange(dim), 2 * n)[ok]
     b = np.searchsorted(keys, target[ok] @ radix)
-    off = sparse.csr_matrix((-0.5 * s[ok] * np.sqrt(size[a] / size[b]), (a, b)),
-                            shape=(dim, dim))
-    return off, reps.sum(axis=1)
+    return sparse.csr_matrix((-0.5 * s[ok] * np.sqrt(size[a] / size[b]), (a, b)),
+                             shape=(dim, dim))
 
 
 @lru_cache(maxsize=_KEPT_BLOCKS)
-def _kept_block(n: int, L: int, origin: str) -> tuple[np.ndarray, ...]:
+def _kept_block(n: int, L: int, origin: str) -> tuple[np.ndarray, np.ndarray]:
     """``_lanczos``'s chain of one factor block, read-only, since it is kept
-    across solves.  At n = 1 the block is tridiagonal with diagonal n, and
-    the recurrence reproduces it bit for bit (alphas 1.0, betas 1/2 past
-    the head, a chain to the last row, whose residual falls only like
-    1/(k + 1)), so it is read off in O(L) where the recurrence takes
-    O(L^2).  Its Q has the spectrum 1 - cos(theta) in (0, 2), so dropping
-    the pivot check, which certifies that Q has no value below 0, loses
-    nothing there."""
+    across solves.  At n = 1 the block is its own chain, written from its
+    formula in O(L) with no grid: diagonal 1 on L + 1 (delta_r) or L rows,
+    off-diagonal 1/2, and sqrt(1/2) on delta_r's origin hop.  The
+    recurrence reproduces it bit for bit in O(L^2), a chain to the last
+    row, whose residual falls only like 1/(j + 1).  Its Q has the spectrum
+    1 - cos(theta) in (0, 2), so dropping the pivot check, which certifies
+    that Q has no value below 0, loses nothing there."""
     if n == 1:
-        off, level = _structure(n, L, origin)
-        chain = (np.ones(len(level)), np.abs(off.diagonal(1)), np.minimum(level, 2))
+        beta = np.full(L - 1 + (origin == "delta_r"), 0.5)
+        if origin == "delta_r":
+            beta[0] = math.sqrt(0.5)
+        chain = (np.ones(len(beta) + 1), beta)
     else:
         chain = _lanczos(n, L, origin)
     for array in chain:
@@ -270,39 +273,38 @@ def _kept_block(n: int, L: int, origin: str) -> tuple[np.ndarray, ...]:
     return chain
 
 
-def _lanczos(n: int, L: int, origin: str) -> tuple[np.ndarray, ...]:
-    """Coupling-free tridiagonal chain of one factor block and its levels.
+def _lanczos(n: int, L: int, origin: str) -> tuple[np.ndarray, np.ndarray]:
+    """Coupling-free tridiagonal chain of one factor block.
 
-    Rows: the origin (delta_r only), the level-1 row, then the Lanczos
-    vectors of Q (the block on its rows of level >= 2) started at b, the
-    level-1 row's hops into them, by the plain three-term recurrence.
-    Step k adds the LDL^T pivot d_k of the chain of Q at theta = 0 and
-    updates the conjugate-gradient residual rho_k = rho_(k-1) beta_k / d_k;
-    the chain stops once rho_k <= _CHAIN_RTOL.  Every pivot must be > 0,
-    which certifies that the chain of Q has no value below 0, as Q has
-    none; else, or if the rows of Q run out first, SolverError.  Returns
-    the diagonal, the off-diagonal and the level (0, 1, then 2) of each
-    chain row.
+    Rows: the k head rows of level <= 1, which lead the block (the origin,
+    delta_r only, then the level-1 row), then the Lanczos vectors of Q,
+    the block past the head, started at b, the level-1 row's hops into it,
+    by the plain three-term recurrence.  Step j adds the LDL^T pivot d_j
+    of the chain of Q at theta = 0 and updates the conjugate-gradient
+    residual rho_j = rho_(j-1) beta_j / d_j; the chain stops once
+    rho_j <= _CHAIN_RTOL.  Every pivot must be > 0, which certifies that
+    the chain of Q has no value below 0, as Q has none; else, or if the
+    rows of Q run out first, SolverError.  Returns the diagonal and the
+    off-diagonal.
     """
-    off, level = _structure(n, L, origin)
-    head = np.flatnonzero(level <= 1)    # origin first, in key order
-    deep = np.flatnonzero(level >= 2)
-    b = off[head[-1]].toarray().ravel()[deep]
-    q = off[deep][:, deep]
-    diag = [float(n)] * len(head)
-    beta = [abs(off[head[0], head[-1]])] * (len(head) - 1)
+    off = _structure(n, L, origin)
+    k = 1 + (origin == "delta_r")
+    b = off[k - 1, k:].toarray().ravel()
+    q = off[k:, k:]
+    diag = [float(n)] * k
+    beta = [abs(off[0, 1])] if k == 2 else []
     norm = math.sqrt((b * b).sum())
     if norm:
         beta.append(norm)
         v, prev, step, pivot, rho = b / norm, 0.0, 0.0, math.inf, 1.0
-        for k in range(len(deep)):
+        for j in range(len(b)):
             w = q @ v + n * v - step * prev
             alpha = float((v * w).sum())
             pivot = alpha - step * step / pivot
             if not pivot > 0.0:
                 raise SolverError(
                     f"Lanczos chain of {origin} at n={n}, L={L}: pivot "
-                    f"{pivot!r} <= 0 at step {k + 1}")
+                    f"{pivot!r} <= 0 at step {j + 1}")
             diag.append(alpha)
             w -= alpha * v
             step = math.sqrt((w * w).sum())
@@ -314,29 +316,29 @@ def _lanczos(n: int, L: int, origin: str) -> tuple[np.ndarray, ...]:
         else:
             raise SolverError(
                 f"Lanczos chain of {origin} at n={n}, L={L} did not reach "
-                f"a residual of {_CHAIN_RTOL:g} within {len(deep)} steps")
-    return (np.array(diag), np.array(beta),
-            np.minimum(np.arange(len(diag)) + 2 - len(head), 2))
+                f"a residual of {_CHAIN_RTOL:g} within {len(b)} steps")
+    return np.array(diag), np.array(beta)
 
 
 def _below(ham: TruncatedHamiltonian, origin: str, theta: float) -> np.ndarray:
     """Sorted values of one factor block below theta <= 0, from its chain.
 
-    The couplings enter the chain's head rows only: mu on delta_r's origin
-    row, lam/2 on the level-1 row.  The values are LAPACK stebz's by
-    bisection, called as scipy's ``eigvalsh_tridiagonal`` with
-    ``select="v"`` calls it, ``select_range=(-inf, nextafter(theta, -inf))``,
-    but without that wrapper's validation: the couplings are finite
-    (``build_hamiltonian``) and so is every chain.  A 1-row chain (n = 1,
-    L = 1, delta_s) takes scipy's 1 x 1 exit, since stebz's wrapper refuses
-    an empty off-diagonal.  A nonzero info from stebz is a SolverError.
+    The couplings enter the chain's k head rows only: mu on delta_r's
+    origin row, then lam/2 on the level-1 row (k = 2 for delta_r, else 1).
+    The values are LAPACK stebz's by bisection, called as scipy's
+    ``eigvalsh_tridiagonal`` with ``select="v"`` calls it,
+    ``select_range=(-inf, nextafter(theta, -inf))``, but without that
+    wrapper's validation: the couplings are finite (``build_hamiltonian``)
+    and so is every chain.  A 1-row chain (n = 1, L = 1, delta_s) takes
+    scipy's 1 x 1 exit, since stebz's wrapper refuses an empty
+    off-diagonal.  A nonzero info from stebz is a SolverError.
     """
-    diag, beta, level = _kept_block(ham.n, ham.L, origin)
+    diag, beta = _kept_block(ham.n, ham.L, origin)
+    k = 1 + (origin == "delta_r")
     d = diag.copy()
-    one = int(level[0] == 0)    # the level-1 row follows delta_r's origin row
-    if one:
+    if k == 2:
         d[0] -= ham.mu
-    d[one] -= ham.lam / 2.0
+    d[k - 1] -= ham.lam / 2.0
     vu = math.nextafter(theta, -math.inf)
     if len(d) == 1:
         return d if d[0] <= vu else d[:0]

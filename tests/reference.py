@@ -22,6 +22,9 @@ threshold classes:
   chains do not hold, and each chain's values below theta by scipy's
   ``eigvalsh_tridiagonal``, the call the package's direct stebz call
   must equal bit for bit;
+- the Green values a, b, s and c - d read off the oracle's chains by one
+  banded solve each (``chain_green``), real space sharing no code with
+  the Bessel quadrature;
 - the eigenstate certificate as the package first wrote it: the even
   matrix filled into ``np.zeros`` by fancy indexing and the residual's
   norms as ``np.max(np.abs(x))``, which the package's own must equal bit
@@ -47,7 +50,7 @@ from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
-from scipy.linalg import eigh, eigvalsh_tridiagonal
+from scipy.linalg import eigh, eigvalsh_tridiagonal, solve_banded
 
 from belowband import classify, lattice, quadrature
 from belowband.green import (DivergentIntegralError, GreenValues, green_threshold,
@@ -473,16 +476,25 @@ def probe_verdict(values) -> str:
 # Dense factor blocks of the finite-lattice oracle
 # ---------------------------------------------------------------------------
 
-def _potential(lam: float, mu: float, level: np.ndarray) -> np.ndarray:
-    """mu on level 0, lam/2 on level 1 and 0 elsewhere."""
-    return np.where(level == 0, mu, np.where(level == 1, lam / 2.0, 0.0))
+def _potential(ham: lattice.TruncatedHamiltonian, origin: str,
+               rows: int) -> np.ndarray:
+    """The couplings on the diagonal of a block or chain of ham with rows
+    rows.  The rows of level <= 1 lead both: mu on delta_r's origin row 0,
+    lam/2 on the level-1 row after it (row 0 of the other blocks), and 0
+    elsewhere."""
+    v = np.zeros(rows)
+    if origin == "delta_r":
+        v[:2] = ham.mu, ham.lam / 2.0
+    else:
+        v[0] = ham.lam / 2.0
+    return v
 
 
 def dense_block(ham: lattice.TruncatedHamiltonian, origin: str) -> np.ndarray:
     """One factor block of ham, couplings included, as a Fortran-ordered array."""
-    off, level = lattice._structure(ham.n, ham.L, origin)
-    dense = off.toarray(order="F")    # off has no diagonal entry
-    np.fill_diagonal(dense, ham.n - _potential(ham.lam, ham.mu, level))
+    dense = lattice._structure(ham.n, ham.L, origin).toarray(order="F")
+    # the off-diagonal part has no diagonal entry
+    np.fill_diagonal(dense, ham.n - _potential(ham, origin, len(dense)))
     return dense
 
 
@@ -490,10 +502,34 @@ def chain_below(ham: lattice.TruncatedHamiltonian, origin: str,
                 theta: float) -> np.ndarray:
     """The values below theta of one factor block's kept chain, couplings
     included, by scipy's ``eigvalsh_tridiagonal`` with its validation."""
-    diag, beta, level = lattice._kept_block(ham.n, ham.L, origin)
+    diag, beta = lattice._kept_block(ham.n, ham.L, origin)
     return eigvalsh_tridiagonal(
-        diag - _potential(ham.lam, ham.mu, level), beta, select="v",
+        diag - _potential(ham, origin, len(diag)), beta, select="v",
         select_range=(-np.inf, np.nextafter(theta, -np.inf)))
+
+
+def chain_green(n: int, L: int, z: float) -> dict[str, float]:
+    """a, b, s and (n >= 2) c - d at z < 0 from the oracle's kept chains,
+    with no Green integral: the recursion method (Haydock, Heine and Kelly,
+    J. Phys. C 5 (1972) 2845).  One banded solve (T - z) x = e_0 per
+    coupling-free chain T gives R_00 = x_0 and R_01 = x_1.  1/2 R_00 is s
+    on the delta_s chain and c - d on the delta_c chain; on the delta_r
+    chain R_00 = a and R_01 = -sqrt(2n) b.  The box's error falls
+    geometrically in L."""
+    out = {}
+    for origin in lattice._multiplicities(n):
+        diag, beta = lattice._kept_block(n, L, origin)
+        bands = np.zeros((3, len(diag)))
+        bands[0, 1:] = bands[2, :-1] = beta
+        bands[1] = diag - z
+        e0 = np.zeros(len(diag))
+        e0[0] = 1.0
+        x = solve_banded((1, 1), bands, e0)
+        if origin == "delta_r":
+            out["a"], out["b"] = float(x[0]), float(-x[1] / math.sqrt(2 * n))
+        else:
+            out["s" if origin == "delta_s" else "cd"] = float(x[0] / 2.0)
+    return out
 
 
 def dense_spectrum(ham: lattice.TruncatedHamiltonian,

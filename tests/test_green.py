@@ -26,6 +26,7 @@ from belowband.quadrature import (
 )
 from reference import (
     _ellipk_m1,
+    chain_green,
     closed_form_a2,
     closed_form_a3,
     deep_laplace_integrals,
@@ -741,6 +742,29 @@ def test_cross_method_agreement(n):
             if x is None:
                 continue
             assert x == pytest.approx(trap[name], rel=1e-8), (name, z)
+
+
+# the radius of each n's chains and the nearest z held: at n = 5, L = 10
+# the box's error reaches 2e-11 relative by z = -0.5
+_CHAIN_ENGINE = {1: (60, -0.5), 2: (24, -0.5), 3: (20, -0.5), 4: (16, -0.5),
+                 5: (10, -2.0)}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from(sorted(_CHAIN_ENGINE)), data=st.data())
+def test_the_oracle_chains_are_a_second_green_engine(n, data):
+    # real space against the Bessel quadrature and the Green table, which
+    # share no code: a, b, s and c - d read off the kept chains by banded
+    # solves, within 2e-15 relative (at most 1.1e-15 at 400 evenly spaced
+    # z for each n); c - d against both the cd field and c minus d
+    L, near = _CHAIN_ENGINE[n]
+    z = data.draw(st.floats(-8.0, near), label="z")
+    got, want = chain_green(n, L, z), bb.green_values(n, z)
+    pairs = [(got[name], getattr(want, name)) for name in ("a", "b", "s")]
+    if n >= 2:
+        pairs += [(got["cd"], want.cd), (got["cd"], want.c - want.d)]
+    for chain, value in pairs:
+        assert abs(chain - value) <= 2e-15 * value, (n, z, pairs)
 
 
 def test_both_method_validates_and_detects_bad_grids():

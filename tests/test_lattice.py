@@ -65,7 +65,7 @@ def test_dense_and_iterative_paths_agree():
     # of 435, 406 and 812 rows: the chain holds every value below 0
     ham = bb.build_hamiltonian(2, 28, 7.0, 8.0)
     dense = dense_spectrum(ham, 8)
-    assert [len(lattice._structure(2, 28, o)[1])
+    assert [lattice._structure(2, 28, o).shape[0]
             for o in lattice.ORIGINS] == [435, 406, 812]
     counts = {o: dense.count_below(0.0, o) // m
               for o, m in lattice._multiplicities(2).items()}
@@ -158,12 +158,19 @@ def test_box_matrix_is_the_kronsum_assembly(n, L, lam, mu):
     assert ham.matrix is got
 
 
-def _assembled_block(n, L, lam, mu, origin):
-    """One factor block assembled whole, couplings included, on every call."""
+def _orbits(n, L, origin):
+    """The mixed radix of the row keys, the whole grid's orbit
+    representatives and signs, and the block's representatives in row
+    order, on every call."""
     radix = (L + 1) ** np.arange(n - 1, -1, -1)
     grid = np.indices((L + 1,) * n).reshape(n, -1).T
     canon, sign = lattice._canonical(grid, origin)
-    reps = grid[(sign > 0) & (canon @ radix == grid @ radix)]
+    return radix, canon, sign, grid[(sign > 0) & (canon @ radix == grid @ radix)]
+
+
+def _assembled_block(n, L, lam, mu, origin):
+    """One factor block assembled whole, couplings included, on every call."""
+    radix, canon, sign, reps = _orbits(n, L, origin)
     keys = reps @ radix
     dim = len(reps)
     size = np.bincount(np.searchsorted(keys, canon[sign != 0] @ radix),
@@ -180,6 +187,10 @@ def _assembled_block(n, L, lam, mu, origin):
                              shape=(dim, dim)) + sparse.diags(diag, format="csr")
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("orbit basis or chain rebuilt")
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(1, 4), data=st.data(),
        couplings=st.lists(st.tuples(st.floats(-12.0, 12.0), st.floats(-12.0, 12.0)),
@@ -193,6 +204,19 @@ def test_kept_block_structure_is_exact(n, data, couplings):
         got = dense_block(bb.build_hamiltonian(n, L, lam, mu), origin)
         want = _assembled_block(n, L, lam, mu, origin).toarray()
         np.testing.assert_array_equal(got, want, strict=True)
+
+
+def test_the_head_rows_lead_every_block():
+    # the rows of level <= 1, which alone carry the couplings, are the
+    # first k rows of the block in the assembly's row order: delta_r's
+    # origin, then the one row of unit sites; _lanczos and _below read the
+    # couplings' rows there
+    for n, L in itertools.product(range(1, 5), range(1, 9)):
+        for origin in lattice._multiplicities(n):
+            level = _orbits(n, L, origin)[-1].sum(axis=1)
+            k = 1 + (origin == "delta_r")
+            assert level[:k].tolist() == [0, 1][2 - k:], (n, L, origin)
+            assert np.all(level[k:] >= 2), (n, L, origin)
 
 
 def test_solves_do_not_depend_on_earlier_couplings():
@@ -219,9 +243,7 @@ def test_compare_reuses_the_kept_blocks(monkeypatch):
     first = bb.compare(bb.ModelParams(3, 5.0, 1.0), [10, 12])
     assert first.counts_agree
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("orbit basis or chain rebuilt")
-    monkeypatch.setattr(lattice, "_structure", refuse)
+    monkeypatch.setattr(lattice, "_structure", _refuse)
     rep = bb.compare(bb.ModelParams(3, 7.0, 4.0), [10, 12])
     assert rep.predicted_factor_counts != first.predicted_factor_counts
     assert all(rep.agrees_at(L) for L in (10, 12))
@@ -450,9 +472,10 @@ def test_the_tail_is_the_schur_term(n, L):
     # hops into them from the level-1 row: Gauss quadrature on the chain
     # against a sparse LU solve
     for origin in lattice._multiplicities(n):
-        diag, beta, level = lattice._kept_block(n, L, origin)
-        head = int(np.sum(level <= 1))
-        off, rows = lattice._structure(n, L, origin)
+        diag, beta = lattice._kept_block(n, L, origin)
+        off = lattice._structure(n, L, origin)
+        rows = _orbits(n, L, origin)[-1].sum(axis=1)
+        head = int(np.sum(rows <= 1))
         deep, one = rows >= 2, np.flatnonzero(rows == 1)
         assert len(one) == 1
         b, q = off[one[0]].toarray().ravel()[deep], off[deep][:, deep]
@@ -486,8 +509,7 @@ def test_a_non_positive_pivot_is_an_error(monkeypatch):
     real = lattice._structure
 
     def strong(n, L, origin):
-        off, level = real(n, L, origin)
-        return 10.0 * off, level
+        return 10.0 * real(n, L, origin)
     monkeypatch.setattr(lattice, "_structure", strong)
     with pytest.raises(lattice.SolverError,
                        match=r"delta_r at n=2, L=17: pivot .* <= 0 at step 2"):
@@ -496,25 +518,32 @@ def test_a_non_positive_pivot_is_an_error(monkeypatch):
     _assert_no_entry_kept((2, 17, "delta_r"))
 
 
-def test_the_n1_chain_is_its_block_read_off():
+def test_the_n1_chain_is_written_from_its_formula(monkeypatch):
     # at n = 1 the Lanczos recurrence reproduces the tridiagonal block:
     # alphas 1.0, betas 1/2 past the head, and a chain that runs to the last
-    # row; the read-off kept for every radius equals it bit for bit
-    for L in range(1, 201):
-        for origin in ("delta_r", "delta_s"):
-            kept = lattice._kept_block.__wrapped__(1, L, origin)   # not cached
-            for got, want in zip(kept, lattice._lanczos(1, L, origin)):
-                assert got.dtype == want.dtype and got.shape == want.shape
-                assert got.tobytes() == want.tobytes(), (L, origin)
+    # row; the chain kept for every radius is written from the formula,
+    # with no orbit basis, and equals it bit for bit
+    want = {(L, origin): lattice._lanczos(1, L, origin)
+            for L in range(1, 201) for origin in ("delta_r", "delta_s")}
+    monkeypatch.setattr(lattice, "_structure", _refuse)
+    for (L, origin), chain in want.items():
+        kept = lattice._kept_block.__wrapped__(1, L, origin)   # not cached
+        assert len(kept) == len(chain) == 2
+        for got, expected in zip(kept, chain):
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes(), (L, origin)
 
 
-def test_the_n1_chain_is_built_in_linear_time():
-    # the recurrence takes about 4.5 s at L = 20 000 (O(L^2)); the read-off
-    # about 10 ms on a 2-vCPU host
+def test_the_n1_chain_is_built_in_linear_time(monkeypatch):
+    # the recurrence took about 4.5 s at L = 20 000 (O(L^2)); the formula
+    # writes the chain at the budget's largest n = 1 radius, 2 000 000
+    # rows, with no grid, in about 10 ms on a 2-vCPU host
+    monkeypatch.setattr(lattice, "_structure", _refuse)
     start = time.perf_counter()
-    diag, beta, level = lattice._kept_block.__wrapped__(1, 20_000, "delta_r")
+    diag, beta = lattice._kept_block.__wrapped__(1, 1_999_999, "delta_r")
     assert time.perf_counter() - start < 1.0
-    assert len(diag) == 20_001 and set(beta[1:].tolist()) == {0.5}
+    assert len(diag) == 2_000_000 and np.all(diag == 1.0)
+    assert beta[0] == math.sqrt(0.5) and np.all(beta[1:] == 0.5)
 
 
 def test_both_row_orders_are_kept_together(monkeypatch):
@@ -525,9 +554,7 @@ def test_both_row_orders_are_kept_together(monkeypatch):
         lattice._kept_block(1, L, "delta_r")
         assert len(lattice._below(ham, "delta_c", -1e-3)) == 0
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("orbit basis or chain rebuilt")
-    monkeypatch.setattr(lattice, "_structure", refuse)
+    monkeypatch.setattr(lattice, "_structure", _refuse)
     bound = lattice._below(bb.build_hamiltonian(3, 12, 7.0, 1.0), "delta_c",
                            -1e-3)
     assert len(bound) == 1 and bound[0] < -1e-3
